@@ -6,21 +6,22 @@ GO ?= go
 # flagship query and the design ablations (see bench_test.go), plus the
 # SciQL executor and parallel array-kernel benchmarks (internal/sciql,
 # internal/array) added in PR 3, the durability benchmarks
-# (internal/persist: WAL append, snapshot write/load vs the legacy
-# N-Triples path, WAL-replay recovery) added in PR 4, and the
+# (internal/persist: WAL append, snapshot write/load, WAL-replay
+# recovery) added in PR 4, and the
 # morsel-parallel multi-pattern SPARQL cores ablation
 # (BenchmarkParallelQueryAblation: 1/2/4/GOMAXPROCS workers) added in
 # PR 5, and the replication benchmarks (internal/replication: WAL
 # tail-apply throughput and cold-replica bootstrap time) added in PR 6.
-# PR 7 widens the persist set: snapshot write/load/scan-cold now run per
-# format (raw vs packed) and report disk-bytes / resident-bytes metrics.
-# PR 10 adds the group-commit writer-count ablation (acked-updates/sec
-# and fsyncs/op at 1/2/4/8 writers, group vs nogroup pipeline, per sync
-# mode) and the streaming /ingest endpoint benchmark.
+# PR 7 widens the persist set: snapshot write/load/scan-cold report
+# disk-bytes / resident-bytes metrics. PR 10 adds the group-commit
+# writer-count benchmark (acked-updates/sec and fsyncs/op at 1/2/4/8
+# writers, per sync mode) and the streaming /ingest endpoint benchmark.
+# PR 12 retired the legacy-executor, raw-snapshot, nogroup-pipeline and
+# N-Triples-load sides; surviving rows keep their names.
 BENCH_TIER1 = BenchmarkFigure1Pipeline|BenchmarkFigure3CatalogueSearch|BenchmarkFlagshipQuery|BenchmarkOptimizerOrdering|BenchmarkAblationExecutor|BenchmarkAblationSpatialIndex|BenchmarkParallelQueryAblation
 BENCH_SCIQL = BenchmarkSelectFilter|BenchmarkGroupByAggregate|BenchmarkArrayUpdateClassify|BenchmarkAlignedArrayJoin|BenchmarkDimensionPushdownCrop|BenchmarkAblationSciQLExecutor
 BENCH_ARRAY = BenchmarkConvolve2D|BenchmarkResampleBilinear|BenchmarkTileAvg|BenchmarkConnectedComponents|BenchmarkSummarize|BenchmarkAblationParallelKernels
-BENCH_PERSIST = BenchmarkWALAppend|BenchmarkWALAppendBatch|BenchmarkWALAppendSynced|BenchmarkSnapshotWrite|BenchmarkSnapshotLoad|BenchmarkSnapshotScanCold|BenchmarkNTriplesLoad|BenchmarkRecoveryReplay
+BENCH_PERSIST = BenchmarkWALAppend|BenchmarkWALAppendBatch|BenchmarkWALAppendSynced|BenchmarkSnapshotWrite|BenchmarkSnapshotLoad|BenchmarkSnapshotScanCold|BenchmarkRecoveryReplay
 BENCH_GROUP = BenchmarkGroupCommitWriters
 BENCH_INGEST = BenchmarkIngestEndpoint
 BENCH_REPL = BenchmarkTailApply|BenchmarkReplicaBootstrap
@@ -98,7 +99,8 @@ bench-json: bench
 	$(GO) run ./cmd/benchjson < bin/bench.out > BENCH_PR10.json
 	@echo wrote BENCH_PR10.json
 
-# equivalence runs the executor-equivalence gates in both serial and
+# equivalence runs the executor-equivalence gates — the vectorized
+# executor against the test-only reference evaluator, in both serial and
 # parallel-morsel modes (the CI gate for the morsel executor).
 equivalence:
 	$(GO) test -run 'TestExecutorEquivalence|TestSerialParallelEquivalence|TestContextCancellation' ./internal/stsparql/

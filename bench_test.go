@@ -406,31 +406,24 @@ func BenchmarkAblationSpatialIndex(b *testing.B) {
 	}
 }
 
-// A4 — ablation: the vectorized id-space executor versus the legacy
-// binding-at-a-time evaluator, on the flagship join and the catalogue
-// search (the two query shapes the PR 2 rewrite targets).
+// A4 — the flagship join through the vectorized id-space executor. The
+// binding-at-a-time side of this ablation was retired in PR 12 (its
+// numbers stand in BENCH_PR7.json / BENCH_PR10.json); the surviving row
+// keeps its name so the BENCH_PR*.json trajectory stays joinable.
 func BenchmarkAblationExecutor(b *testing.B) {
 	eng := flagshipFixture(b, 500, true)
 	flagship := flagshipQueryText()
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"vectorized", false}, {"legacy", true}} {
-		b.Run("flagship/"+mode.name, func(b *testing.B) {
-			eng.DisableVectorized = mode.legacy
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := eng.Query(flagship)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Bindings) == 0 {
-					b.Fatal("no results")
-				}
+	b.Run("flagship/vectorized", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res, err := eng.Query(flagship)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
-	eng.DisableVectorized = false
+			if len(res.Bindings) == 0 {
+				b.Fatal("no results")
+			}
+		}
+	})
 }
 
 // A2 — ablation: column-at-a-time kernels versus tuple-at-a-time rows.

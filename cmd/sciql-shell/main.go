@@ -22,11 +22,9 @@ import (
 
 func main() {
 	dir := flag.String("dir", "", "repository of .sev products to register as arrays")
-	legacy := flag.Bool("legacy-sciql", false, "use the legacy tuple-at-a-time interpreter instead of the columnar kernel executor")
 	flag.Parse()
 
 	eng := sciql.NewEngine()
-	eng.DisableVectorized = *legacy
 	if *dir != "" {
 		v := vault.New()
 		if err := v.Attach(*dir); err != nil {

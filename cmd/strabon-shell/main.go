@@ -1,14 +1,12 @@
-// Command strabon-shell is an interactive stSPARQL endpoint over a
-// Strabon store directory (as written by Store.Save) or an N-Triples
-// file. Statements are terminated by a line containing only ";".
+// Command strabon-shell is an interactive stSPARQL endpoint over an
+// N-Triples file. Statements are terminated by a line containing only ";".
 // Prefix any read statement with EXPLAIN to print the physical plan
 // (join order, estimated vs. measured cardinalities, morsel
 // parallelism) instead of the rows.
 //
 // Usage:
 //
-//	strabon-shell [-store DIR] [-nt FILE] [-linked]
-//	              [-max-query-parallelism N] [-legacy-eval]
+//	strabon-shell [-nt FILE] [-linked] [-max-query-parallelism N]
 package main
 
 import (
@@ -25,22 +23,12 @@ import (
 )
 
 func main() {
-	storeDir := flag.String("store", "", "load a saved Strabon store directory")
 	ntFile := flag.String("nt", "", "load an N-Triples file")
 	linked := flag.Bool("linked", false, "preload the synthetic linked open data")
 	maxPar := flag.Int("max-query-parallelism", 0, "morsel-parallel workers per query (0 = all cores, 1 = serial)")
-	legacyEval := flag.Bool("legacy-eval", false, "use the legacy binding-at-a-time evaluator")
 	flag.Parse()
 
 	st := strabon.NewStore()
-	if *storeDir != "" {
-		loaded, err := strabon.Load(*storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "strabon-shell:", err)
-			os.Exit(1)
-		}
-		st = loaded
-	}
 	if *ntFile != "" {
 		f, err := os.Open(*ntFile)
 		if err != nil {
@@ -58,7 +46,6 @@ func main() {
 	}
 	eng := stsparql.New(st)
 	eng.MaxParallelism = *maxPar
-	eng.DisableVectorized = *legacyEval
 	stats := st.Stats()
 	fmt.Printf("strabon-shell: %d triples, %d spatial literals. End statements with a ';' line (EXPLAIN prefix prints plans).\n",
 		stats.Triples, stats.SpatialLiterals)

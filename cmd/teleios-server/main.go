@@ -4,20 +4,21 @@
 //
 // Usage:
 //
-//	teleios-server [-addr :8080] [-data-dir DIR] [-store DIR] [-nt FILE]
+//	teleios-server [-addr :8080] [-data-dir DIR] [-nt FILE]
 //	               [-linked] [-wal-sync always|none|DUR]
 //	               [-wal-group-window DUR] [-ingest-max-chunk N]
-//	               [-snapshot-format packed|raw]
 //	               [-checkpoint-every DUR] [-checkpoint-bytes N]
 //	               [-cache N] [-max-concurrency N] [-timeout DUR]
-//	               [-max-query-parallelism N]
-//	               [-readonly] [-save] [-legacy-eval] [-legacy-sciql]
+//	               [-max-query-parallelism N] [-readonly]
 //	               [-replicate-from URL] [-route-to URL,URL,...]
 //
+// (docs/operations.md has the full flag table; a test keeps it in step
+// with registerFlags.)
+//
 // -max-query-parallelism bounds the morsel parallelism of ONE query
-// through the vectorized executor (0 = all cores, 1 = serial); the
-// process-wide slot-budget pool still caps total extra goroutines
-// across all concurrent queries and kernels at GOMAXPROCS-1. Prefix any
+// (0 = all cores, 1 = serial); the process-wide slot-budget pool still
+// caps total extra goroutines across all concurrent queries and kernels
+// at GOMAXPROCS-1. Prefix any
 // read statement with EXPLAIN to see the physical plan the
 // statistics-backed planner chose — estimated vs. measured
 // cardinalities per operator and the morsel parallelism used.
@@ -36,23 +37,16 @@
 // -wal-group-window adds a fixed accumulation delay before each flush
 // (bigger batches, higher latency; the default 0 relies on natural
 // batching alone). POST /ingest bulk-loads a streaming N-Triples body
-// in pipelined chunks of -ingest-max-chunk triples.
-// -snapshot-format picks what checkpoints write: packed (default) is
-// the compressed, mmap-able columnar format that recovery maps and
-// serves in place — restart cost is verification, not materialisation —
-// while raw is the uncompressed PR 4 dump kept as an escape hatch.
-// Recovery reads either format regardless of the flag, so switching it
-// migrates the data directory at the next checkpoint.
+// in pipelined chunks of -ingest-max-chunk triples. Checkpoints write
+// the compressed, mmap-able packed snapshot format that recovery maps
+// and serves in place — restart cost is verification, not
+// materialisation.
 //
-// The dataset can be seeded from any combination of a legacy store
-// directory (-store, as written by Store.Save), an N-Triples file (-nt)
-// and the synthetic linked open data layers (-linked); with -data-dir
-// the seeds are journalled like any other write (and re-seeding on a
-// later boot is a no-op — duplicates are suppressed).
-//
-// -save (write legacy files back to -store on graceful shutdown) is
-// deprecated: it persists only on clean exit and keeps the slow
-// N-Triples format. Prefer -data-dir.
+// The dataset can be seeded from an N-Triples file (-nt) and the
+// synthetic linked open data layers (-linked); with -data-dir the seeds
+// are journalled like any other write (and re-seeding on a later boot is
+// a no-op — duplicates are suppressed). Without -data-dir the store is
+// in-memory only.
 //
 // Replication (see docs/replication.md): a node started with -data-dir
 // automatically serves its WAL and snapshots under /replication/v1/.
@@ -89,7 +83,6 @@ import (
 	"repro/internal/linkeddata"
 	"repro/internal/persist"
 	"repro/internal/replication"
-	"repro/internal/sciql"
 	"repro/internal/strabon"
 	"repro/internal/stsparql"
 )
@@ -98,10 +91,8 @@ type serverConfig struct {
 	addr            string
 	dataDir         string
 	walSync         string
-	snapshotFormat  string
 	checkpointEvery time.Duration
 	checkpointBytes int64
-	storeDir        string
 	ntFile          string
 	linked          bool
 	cacheSize       int
@@ -110,8 +101,6 @@ type serverConfig struct {
 	timeout         time.Duration
 	maxQueryPar     int
 	readonly        bool
-	save            bool
-	legacyEval      bool
 	replicateFrom   string
 	routeTo         string
 	rateLimit       float64
@@ -123,38 +112,37 @@ type serverConfig struct {
 	ingestMaxChunk  int
 }
 
+// registerFlags defines every teleios-server flag on fs. The "Flags"
+// table in docs/operations.md is checked against it (flags_test.go).
+func registerFlags(fs *flag.FlagSet, cfg *serverConfig) {
+	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&cfg.dataDir, "data-dir", "", "durable data directory (WAL + snapshots; recovered on boot)")
+	fs.StringVar(&cfg.walSync, "wal-sync", "always", "WAL fsync policy: always, none, or an interval like 100ms")
+	fs.DurationVar(&cfg.checkpointEvery, "checkpoint-every", 5*time.Minute, "background checkpoint interval (0 disables the timer)")
+	fs.Int64Var(&cfg.checkpointBytes, "checkpoint-bytes", 64<<20, "background checkpoint WAL-size threshold in bytes (negative disables)")
+	fs.StringVar(&cfg.ntFile, "nt", "", "load an N-Triples file")
+	fs.BoolVar(&cfg.linked, "linked", false, "preload the synthetic linked open data")
+	fs.IntVar(&cfg.cacheSize, "cache", 128, "LRU result cache capacity in entries (negative disables)")
+	fs.IntVar(&cfg.maxConc, "max-concurrency", 8, "maximum concurrently evaluating queries")
+	fs.IntVar(&cfg.queueDepth, "queue", 0, "query queue depth (0 means 4*max-concurrency, negative for no queue)")
+	fs.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-query evaluation deadline")
+	fs.IntVar(&cfg.maxQueryPar, "max-query-parallelism", 0, "morsel-parallel workers per query (0 = all cores, 1 = serial)")
+	fs.BoolVar(&cfg.readonly, "readonly", false, "reject UPDATE statements")
+	fs.StringVar(&cfg.replicateFrom, "replicate-from", "", "run as a read-only replica tailing this primary's WAL (e.g. http://db0:8080; requires -data-dir)")
+	fs.StringVar(&cfg.routeTo, "route-to", "", "run as a stateless query router over this comma-separated backend list (first = primary, rest = replicas)")
+	fs.Float64Var(&cfg.rateLimit, "rate-limit", 0, "per-client request rate cap in req/s, keyed on the Teleios-Tenant header or remote IP (0 disables; excess gets 429)")
+	fs.IntVar(&cfg.rateBurst, "rate-burst", 0, "per-client burst allowance above -rate-limit (0 means 2*rate-limit)")
+	fs.Float64Var(&cfg.shedWatermark, "shed-watermark", 0, "fraction of -queue at which new queries are shed with 503 before the pool saturates (0 or out of range sheds only when full)")
+	fs.IntVar(&cfg.breakerFails, "breaker-fails", 0, "router: consecutive failed health checks before a backend's circuit breaker ejects it (0 = default 2)")
+	fs.DurationVar(&cfg.breakerOpen, "breaker-open", 0, "router: minimum hold-out after a breaker trips, damping flapping backends (0 readmits on the first healthy check)")
+	fs.DurationVar(&cfg.groupWindow, "wal-group-window", 0, "extra accumulation delay before each group-commit flush (0 = natural batching only: a batch gathers for exactly as long as the previous fsync takes)")
+	fs.IntVar(&cfg.ingestMaxChunk, "ingest-max-chunk", 0, "triples per /ingest commit batch (0 = default 8192)")
+}
+
 func main() {
 	var cfg serverConfig
-	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
-	flag.StringVar(&cfg.dataDir, "data-dir", "", "durable data directory (WAL + snapshots; recovered on boot)")
-	flag.StringVar(&cfg.walSync, "wal-sync", "always", "WAL fsync policy: always, none, or an interval like 100ms")
-	flag.StringVar(&cfg.snapshotFormat, "snapshot-format", "packed", "checkpoint snapshot format: packed (compressed, mmap-ed, served in place) or raw (PR 4 columnar dump); either format is recovered on boot")
-	flag.DurationVar(&cfg.checkpointEvery, "checkpoint-every", 5*time.Minute, "background checkpoint interval (0 disables the timer)")
-	flag.Int64Var(&cfg.checkpointBytes, "checkpoint-bytes", 64<<20, "background checkpoint WAL-size threshold in bytes (negative disables)")
-	flag.StringVar(&cfg.storeDir, "store", "", "load a legacy saved store directory (see -save; deprecated in favor of -data-dir)")
-	flag.StringVar(&cfg.ntFile, "nt", "", "load an N-Triples file")
-	flag.BoolVar(&cfg.linked, "linked", false, "preload the synthetic linked open data")
-	flag.IntVar(&cfg.cacheSize, "cache", 128, "LRU result cache capacity in entries (negative disables)")
-	flag.IntVar(&cfg.maxConc, "max-concurrency", 8, "maximum concurrently evaluating queries")
-	flag.IntVar(&cfg.queueDepth, "queue", 0, "query queue depth (0 means 4*max-concurrency, negative for no queue)")
-	flag.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-query evaluation deadline")
-	flag.IntVar(&cfg.maxQueryPar, "max-query-parallelism", 0, "morsel-parallel workers per query (0 = all cores, 1 = serial)")
-	flag.BoolVar(&cfg.readonly, "readonly", false, "reject UPDATE statements")
-	flag.BoolVar(&cfg.save, "save", false, "deprecated: write the store back to -store on graceful shutdown (prefer -data-dir)")
-	flag.BoolVar(&cfg.legacyEval, "legacy-eval", false, "use the legacy binding-at-a-time evaluator instead of the vectorized id-space executor")
-	flag.StringVar(&cfg.replicateFrom, "replicate-from", "", "run as a read-only replica tailing this primary's WAL (e.g. http://db0:8080; requires -data-dir)")
-	flag.StringVar(&cfg.routeTo, "route-to", "", "run as a stateless query router over this comma-separated backend list (first = primary, rest = replicas)")
-	flag.Float64Var(&cfg.rateLimit, "rate-limit", 0, "per-client request rate cap in req/s, keyed on the Teleios-Tenant header or remote IP (0 disables; excess gets 429)")
-	flag.IntVar(&cfg.rateBurst, "rate-burst", 0, "per-client burst allowance above -rate-limit (0 means 2*rate-limit)")
-	flag.Float64Var(&cfg.shedWatermark, "shed-watermark", 0, "fraction of -queue at which new queries are shed with 503 before the pool saturates (0 or out of range sheds only when full)")
-	flag.IntVar(&cfg.breakerFails, "breaker-fails", 0, "router: consecutive failed health checks before a backend's circuit breaker ejects it (0 = default 2)")
-	flag.DurationVar(&cfg.breakerOpen, "breaker-open", 0, "router: minimum hold-out after a breaker trips, damping flapping backends (0 readmits on the first healthy check)")
-	flag.DurationVar(&cfg.groupWindow, "wal-group-window", 0, "extra accumulation delay before each group-commit flush (0 = natural batching only: a batch gathers for exactly as long as the previous fsync takes)")
-	flag.IntVar(&cfg.ingestMaxChunk, "ingest-max-chunk", 0, "triples per /ingest commit batch (0 = default 8192)")
-	legacySciQL := flag.Bool("legacy-sciql", false, "use the legacy tuple-at-a-time SciQL interpreter instead of the columnar kernel executor (applies to every SciQL engine in this process)")
+	registerFlags(flag.CommandLine, &cfg)
 	flag.Parse()
-
-	sciql.DefaultDisableVectorized = *legacySciQL
 
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "teleios-server:", err)
@@ -180,8 +168,8 @@ func parseWALSync(s string) (persist.SyncMode, time.Duration, error) {
 
 func run(cfg serverConfig) error {
 	if cfg.routeTo != "" {
-		if cfg.replicateFrom != "" || cfg.dataDir != "" || cfg.storeDir != "" || cfg.ntFile != "" || cfg.linked || cfg.save {
-			return errors.New("-route-to is a stateless mode: it cannot be combined with -replicate-from, -data-dir, -store, -nt, -linked or -save")
+		if cfg.replicateFrom != "" || cfg.dataDir != "" || cfg.ntFile != "" || cfg.linked {
+			return errors.New("-route-to is a stateless mode: it cannot be combined with -replicate-from, -data-dir, -nt or -linked")
 		}
 		return runRouter(cfg)
 	}
@@ -189,16 +177,10 @@ func run(cfg serverConfig) error {
 		if cfg.dataDir == "" {
 			return errors.New("-replicate-from requires -data-dir (the replica's own durable directory)")
 		}
-		if cfg.storeDir != "" || cfg.ntFile != "" || cfg.linked || cfg.save {
-			return errors.New("-replicate-from cannot be combined with seed flags (-store, -nt, -linked, -save): replicas get all data from the primary")
+		if cfg.ntFile != "" || cfg.linked {
+			return errors.New("-replicate-from cannot be combined with seed flags (-nt, -linked): replicas get all data from the primary")
 		}
 		return runReplica(cfg)
-	}
-	if cfg.save && cfg.storeDir == "" {
-		return errors.New("-save requires -store")
-	}
-	if cfg.save {
-		fmt.Fprintln(os.Stderr, "teleios-server: warning: -save is deprecated; use -data-dir for crash-safe persistence")
 	}
 
 	// Durable path: recover the store from the data directory and keep
@@ -221,7 +203,6 @@ func run(cfg serverConfig) error {
 			GroupWindow:     cfg.groupWindow,
 			CheckpointEvery: cfg.checkpointEvery,
 			CheckpointBytes: cfg.checkpointBytes,
-			SnapshotFormat:  cfg.snapshotFormat,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "teleios-server: "+format+"\n", args...)
 			},
@@ -240,36 +221,6 @@ func run(cfg serverConfig) error {
 
 	// Seed sources. Under -data-dir these are journalled writes like any
 	// other, so they are durable and idempotent across restarts.
-	if cfg.storeDir != "" {
-		// Bootstrap (start empty, create the store on shutdown) only
-		// when the directory itself does not exist. A directory that
-		// exists but fails to load — even with a file-not-found from a
-		// half-written snapshot — must be an error: silently starting
-		// empty would overwrite whatever survives there on -save.
-		_, statErr := os.Stat(cfg.storeDir)
-		switch {
-		case statErr == nil:
-			if cfg.dataDir != "" {
-				// Migration: merge the legacy store into the durable one.
-				legacy, err := strabon.Load(cfg.storeDir)
-				if err != nil {
-					return fmt.Errorf("loading store %s: %w", cfg.storeDir, err)
-				}
-				n := st.AddAll(legacy.Triples())
-				fmt.Printf("teleios-server: merged %d triples from legacy store %s\n", n, cfg.storeDir)
-			} else {
-				loaded, err := strabon.Load(cfg.storeDir)
-				if err != nil {
-					return fmt.Errorf("loading store %s: %w", cfg.storeDir, err)
-				}
-				st = loaded
-			}
-		case os.IsNotExist(statErr) && cfg.save:
-			// Fresh dataset bootstrap.
-		default:
-			return fmt.Errorf("store directory %s: %w", cfg.storeDir, statErr)
-		}
-	}
 	if cfg.ntFile != "" {
 		f, err := os.Open(cfg.ntFile)
 		if err != nil {
@@ -290,7 +241,6 @@ func run(cfg serverConfig) error {
 	}
 
 	eng := stsparql.New(st)
-	eng.DisableVectorized = cfg.legacyEval
 	eng.MaxParallelism = cfg.maxQueryPar
 	epCfg := endpoint.Config{
 		Engine:         eng,
@@ -364,21 +314,15 @@ func run(cfg serverConfig) error {
 	shutErr := httpSrv.Shutdown(shutCtx)
 	// Drain the worker pool before snapshotting: an abandoned
 	// (timed-out) update may still be mutating the store after its HTTP
-	// connection is gone, and neither the legacy Save nor the final
-	// checkpoint may race it. This also means a Shutdown timeout cannot
-	// skip persistence — updates already applied would be lost.
+	// connection is gone, and the final checkpoint must not race it.
+	// This also means a Shutdown timeout cannot skip persistence —
+	// updates already applied would be lost.
 	srv.Close()
 	if manager != nil {
 		if err := manager.Close(); err != nil {
 			return fmt.Errorf("final checkpoint: %w", err)
 		}
 		fmt.Printf("teleios-server: checkpointed to %s\n", cfg.dataDir)
-	}
-	if cfg.save {
-		if err := st.Save(cfg.storeDir); err != nil {
-			return fmt.Errorf("saving store: %w", err)
-		}
-		fmt.Printf("teleios-server: store saved to %s\n", cfg.storeDir)
 	}
 	if shutErr != nil {
 		return fmt.Errorf("shutdown: %w", shutErr)
@@ -407,7 +351,6 @@ func runReplica(cfg serverConfig) error {
 		HasSyncMode:     true,
 		CheckpointEvery: cfg.checkpointEvery,
 		CheckpointBytes: cfg.checkpointBytes,
-		SnapshotFormat:  cfg.snapshotFormat,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "teleios-server: "+format+"\n", args...)
 		},
@@ -421,7 +364,6 @@ func runReplica(cfg serverConfig) error {
 		cfg.replicateFrom, time.Since(bootStart).Round(time.Millisecond), st.Len(), rep.AppliedSeq())
 
 	eng := stsparql.New(st)
-	eng.DisableVectorized = cfg.legacyEval
 	eng.MaxParallelism = cfg.maxQueryPar
 	prim := replication.NewPrimary(rep.Manager())
 	epCfg := endpoint.Config{
@@ -546,7 +488,6 @@ func durabilityStats(m *persist.Manager) endpoint.DurabilityStats {
 		LastCheckpointMs:  ps.LastCheckpointTook.Milliseconds(),
 		RecoveryMs:        ps.RecoveryTook.Milliseconds(),
 		ReplayedRecords:   ps.ReplayedRecords,
-		SnapshotFormat:    ps.SnapshotFormat,
 		SnapshotBytes:     ps.SnapshotBytes,
 		StoreMode:         ps.StoreMode,
 		ResidentBytes:     ps.ResidentBytes,

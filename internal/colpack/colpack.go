@@ -1,5 +1,5 @@
 // Package colpack implements the compressed, mmap-able columnar
-// snapshot format (TELPACK1) behind -snapshot-format=packed: the
+// snapshot format (TELPACK1) that checkpoints write: the
 // query-in-place storage layer that lets a store answer queries
 // straight off the on-disk snapshot without materialising columns,
 // posting lists or the dictionary into heap memory first.

@@ -11,7 +11,7 @@ import (
 	"repro/internal/rdf"
 )
 
-// Packed snapshot file layout (snap-<seq>.snap, -snapshot-format=packed):
+// Packed snapshot file layout (snap-<seq>.snap):
 //
 //	8  bytes  magic "TELPACK1"
 //	8  bytes  seq — last WAL sequence number covered

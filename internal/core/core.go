@@ -11,8 +11,11 @@ package core
 import (
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 
 	"repro/internal/column"
+	"repro/internal/fsx"
 	"repro/internal/geo"
 	"repro/internal/ingest"
 	"repro/internal/kdd"
@@ -20,6 +23,7 @@ import (
 	"repro/internal/noa"
 	"repro/internal/ontology"
 	"repro/internal/raster"
+	"repro/internal/rdf"
 	"repro/internal/sciql"
 	"repro/internal/strabon"
 	"repro/internal/stsparql"
@@ -219,14 +223,32 @@ func (o *Observatory) Stats() Stats {
 	return Stats{Vault: o.vault.Stats(), Store: o.store.Stats()}
 }
 
-// SaveStore persists the Strabon store (triples + dictionary) to dir.
-func (o *Observatory) SaveStore(dir string) error { return o.store.Save(dir) }
+// storeFile is the N-Triples export SaveStore writes and LoadStore reads.
+// (Durable serving state lives in a teleios-server -data-dir; this is an
+// interchange file, loadable there with -nt.)
+const storeFile = "triples.nt"
 
-// LoadStore replaces the Strabon store with one previously saved by
+// SaveStore exports the Strabon store to dir as N-Triples, atomically.
+func (o *Observatory) SaveStore(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	triples := o.store.Triples()
+	return fsx.WriteFileAtomic(filepath.Join(dir, storeFile), func(w io.Writer) error {
+		return rdf.WriteNTriples(w, triples)
+	})
+}
+
+// LoadStore replaces the Strabon store with one previously exported by
 // SaveStore; the stSPARQL engine is rebound to it.
 func (o *Observatory) LoadStore(dir string) error {
-	st, err := strabon.Load(dir)
+	f, err := os.Open(filepath.Join(dir, storeFile))
 	if err != nil {
+		return err
+	}
+	defer f.Close()
+	st := strabon.NewStore()
+	if _, err := st.LoadNTriples(f); err != nil {
 		return err
 	}
 	o.store = st

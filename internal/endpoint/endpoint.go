@@ -153,15 +153,14 @@ type DurabilityStats struct {
 	ReplayedRecords      uint64 `json:"replayed_records"`
 	JournalError         string `json:"journal_error,omitempty"`
 
-	// Snapshot-format telemetry (PR 7): what checkpoints write, how big
-	// the newest snapshot is on disk, whether the store is serving in
-	// place off an mmap-ed packed snapshot ("mapped") or from heap
-	// structures ("heap"), and the estimated resident heap bytes of its
-	// primary state (for a mapped store: just the decoded-block caches).
-	SnapshotFormat string `json:"snapshot_format,omitempty"`
-	SnapshotBytes  int64  `json:"snapshot_bytes,omitempty"`
-	StoreMode      string `json:"store_mode,omitempty"`
-	ResidentBytes  int64  `json:"resident_bytes,omitempty"`
+	// Snapshot telemetry (PR 7): how big the newest snapshot is on disk,
+	// whether the store is serving in place off an mmap-ed packed
+	// snapshot ("mapped") or from heap structures ("heap"), and the
+	// estimated resident heap bytes of its primary state (for a mapped
+	// store: just the decoded-block caches).
+	SnapshotBytes int64  `json:"snapshot_bytes,omitempty"`
+	StoreMode     string `json:"store_mode,omitempty"`
+	ResidentBytes int64  `json:"resident_bytes,omitempty"`
 
 	// Group-commit telemetry (PR 10): flushed batches, journalled
 	// records, physical fsyncs, the fsyncs the batching avoided versus

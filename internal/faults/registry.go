@@ -9,9 +9,9 @@ package faults
 // registrations that are planted nowhere — so editing the docs table
 // and regenerating is the only way to add or retire a failpoint.
 var Registry = map[string]string{
-	"wal/append":             "synchronous WAL append entry (replica apply, `NoGroupCommit`)",
-	"wal/append-write":       "WAL record/batch write (supports `torn`; both sync and group paths)",
-	"wal/fsync":              "synchronous WAL fsync under `-wal-sync always`",
+	"wal/append":             "synchronous WAL append entry (replica apply only)",
+	"wal/append-write":       "WAL record/batch write (supports `torn`; replica apply and group commit)",
+	"wal/fsync":              "replica-apply WAL fsync under `-wal-sync always`",
 	"wal/rollback":           "post-failure truncate",
 	"wal/group-enqueue":      "group-commit sequence assignment (under the store lock)",
 	"wal/group-fsync":        "group-commit batch fsync under `-wal-sync always`",

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/rdf"
@@ -100,147 +99,55 @@ func benchSizes() []int {
 	return []int{100_000, 1_000_000}
 }
 
-func benchFormats() []string { return []string{FormatRaw, FormatPacked} }
-
 // BenchmarkSnapshotWrite measures producing the checkpoint payload
-// (off the write path) in both on-disk formats; the reported
-// bytes/op-style `disk-bytes` metric is the snapshot file size, which
-// is where the packed format's compression shows up.
+// (off the write path); the reported bytes/op-style `disk-bytes` metric
+// is the snapshot file size. (Row names keep the format=packed segment
+// of the retired raw-vs-packed ablation so the BENCH_PR*.json
+// trajectory stays joinable.)
 func BenchmarkSnapshotWrite(b *testing.B) {
 	for _, n := range benchSizes() {
-		for _, format := range benchFormats() {
-			b.Run(fmt.Sprintf("format=%s/n=%d", format, n), func(b *testing.B) {
-				dir := b.TempDir()
-				st := strabon.NewStore()
-				st.AddAll(benchTriples(n))
-				sn := st.Snapshot()
-				b.ReportAllocs()
-				b.ResetTimer()
-				var path string
-				for i := 0; i < b.N; i++ {
-					var err error
-					if path, err = writeSnapshot(dir, sn, uint64(i+1), format); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("format=packed/n=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
+			st := strabon.NewStore()
+			st.AddAll(benchTriples(n))
+			sn := st.Snapshot()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var path string
+			for i := 0; i < b.N; i++ {
+				var err error
+				if path, err = writeSnapshot(dir, sn, uint64(i+1)); err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				if fi, err := os.Stat(path); err == nil {
-					b.ReportMetric(float64(fi.Size()), "disk-bytes")
-				}
-			})
-		}
+			}
+			b.StopTimer()
+			if fi, err := os.Stat(path); err == nil {
+				b.ReportMetric(float64(fi.Size()), "disk-bytes")
+			}
+		})
 	}
 }
 
 // BenchmarkSnapshotLoad measures the restart fast path: opening a
 // snapshot and building the executor's read view — i.e. time until
-// the first vectorized query can be answered. The raw format
-// deserialises every column into the heap; the packed format verifies
-// checksums and maps the file, deferring column decode to first
-// touch. (Store-level mutation indexes are lazy on both paths; the
-// first UPDATE pays for them, not the restart.)
+// the first vectorized query can be answered. The packed format verifies
+// checksums and maps the file, deferring column decode to first touch.
+// (Store-level mutation indexes are lazy; the first UPDATE pays for
+// them, not the restart.)
 func BenchmarkSnapshotLoad(b *testing.B) {
 	for _, n := range benchSizes() {
-		for _, format := range benchFormats() {
-			b.Run(fmt.Sprintf("format=%s/n=%d", format, n), func(b *testing.B) {
-				dir := b.TempDir()
-				st := strabon.NewStore()
-				st.AddAll(benchTriples(n))
-				path, err := writeSnapshot(dir, st.Snapshot(), 1, format)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					got, _, err := readSnapshot(path)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if got.Len() != st.Len() {
-						b.Fatalf("loaded %d of %d", got.Len(), st.Len())
-					}
-					if got.Snapshot().NRows() != st.Len() {
-						b.Fatal("read view incomplete")
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkSnapshotScanCold measures open + one full predicate-bound
-// scan from a freshly opened snapshot — the "first query after
-// restart" latency. For the packed format this pays the posting-list
-// and column-block decodes the load benchmark deferred; the resident
-// metric reports how many heap bytes the scan materialised (the
-// mapped store's working set, versus the raw path's full store).
-func BenchmarkSnapshotScanCold(b *testing.B) {
-	for _, n := range benchSizes() {
-		for _, format := range benchFormats() {
-			b.Run(fmt.Sprintf("format=%s/n=%d", format, n), func(b *testing.B) {
-				dir := b.TempDir()
-				st := strabon.NewStore()
-				st.AddAll(benchTriples(n))
-				pred := rdf.IRI(exNS + "hasConfidence")
-				predID, ok := st.Snapshot().Lookup(pred)
-				if !ok {
-					b.Fatal("bench predicate missing")
-				}
-				wantCard := st.Snapshot().Cardinality(strabon.TriplePattern{P: predID})
-				path, err := writeSnapshot(dir, st.Snapshot(), 1, format)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				var resident int64
-				for i := 0; i < b.N; i++ {
-					got, _, err := readSnapshot(path)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sn := got.Snapshot()
-					id, ok := sn.Lookup(pred)
-					if !ok {
-						b.Fatal("predicate missing after load")
-					}
-					rows := sn.MatchRows(strabon.TriplePattern{P: id}, nil)
-					if len(rows) != wantCard {
-						b.Fatalf("scan matched %d rows, want %d", len(rows), wantCard)
-					}
-					var sum uint64
-					for _, r := range rows {
-						sum += sn.ColID(2, r)
-					}
-					if sum == 0 {
-						b.Fatal("scan produced no object ids")
-					}
-					resident = got.ResidentEstimate()
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(resident), "resident-bytes")
-			})
-		}
-	}
-}
-
-// BenchmarkNTriplesLoad is the legacy Store.Save/Load path over the
-// same data, also measured to first-query readiness — the baseline the
-// snapshot fast path replaces.
-func BenchmarkNTriplesLoad(b *testing.B) {
-	for _, n := range benchSizes() {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			dir := filepath.Join(b.TempDir(), "legacy")
+		b.Run(fmt.Sprintf("format=packed/n=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
 			st := strabon.NewStore()
 			st.AddAll(benchTriples(n))
-			if err := st.Save(dir); err != nil {
+			path, err := writeSnapshot(dir, st.Snapshot(), 1)
+			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				got, err := strabon.Load(dir)
+				got, _, _, err := readSnapshot(path)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -251,6 +158,59 @@ func BenchmarkNTriplesLoad(b *testing.B) {
 					b.Fatal("read view incomplete")
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkSnapshotScanCold measures open + one full predicate-bound
+// scan from a freshly opened snapshot — the "first query after
+// restart" latency. This pays the posting-list and column-block decodes
+// the load benchmark deferred; the resident metric reports how many heap
+// bytes the scan materialised (the mapped store's working set).
+func BenchmarkSnapshotScanCold(b *testing.B) {
+	for _, n := range benchSizes() {
+		b.Run(fmt.Sprintf("format=packed/n=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
+			st := strabon.NewStore()
+			st.AddAll(benchTriples(n))
+			pred := rdf.IRI(exNS + "hasConfidence")
+			predID, ok := st.Snapshot().Lookup(pred)
+			if !ok {
+				b.Fatal("bench predicate missing")
+			}
+			wantCard := st.Snapshot().Cardinality(strabon.TriplePattern{P: predID})
+			path, err := writeSnapshot(dir, st.Snapshot(), 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var resident int64
+			for i := 0; i < b.N; i++ {
+				got, _, _, err := readSnapshot(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sn := got.Snapshot()
+				id, ok := sn.Lookup(pred)
+				if !ok {
+					b.Fatal("predicate missing after load")
+				}
+				rows := sn.MatchRows(strabon.TriplePattern{P: id}, nil)
+				if len(rows) != wantCard {
+					b.Fatalf("scan matched %d rows, want %d", len(rows), wantCard)
+				}
+				var sum uint64
+				for _, r := range rows {
+					sum += sn.ColID(2, r)
+				}
+				if sum == 0 {
+					b.Fatal("scan produced no object ids")
+				}
+				resident = got.ResidentEstimate()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(resident), "resident-bytes")
 		})
 	}
 }
@@ -296,11 +256,11 @@ func TestBenchTriplesShape(t *testing.T) {
 		t.Fatalf("generator produced %d duplicates", 5000-added)
 	}
 	dir := t.TempDir()
-	path, err := writeSnapshot(dir, st.Snapshot(), 1, FormatRaw)
+	path, err := writeSnapshot(dir, st.Snapshot(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, seq, err := readSnapshot(path)
+	got, seq, _, err := readSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,130 +27,74 @@ func armFaults(t *testing.T, spec string) {
 	}
 }
 
-// TestFsyncFailureVetoesWriteButRecovers: on the legacy synchronous
-// path (NoGroupCommit), an fsync error on an acked-durability WAL must
-// veto exactly that mutation (memory unchanged, rollback truncates the
-// record) and the store must keep accepting writes afterwards — the
-// degraded state is "one update refused", not "log poisoned". The
-// group-commit path deliberately trades this recovery for the broken
-// latch (TestGroupFsyncFailureLatchesBroken) because its mutations are
-// applied before the fsync runs.
-func TestFsyncFailureVetoesWriteButRecovers(t *testing.T) {
-	dir := t.TempDir()
-	m, st := mustOpen(t, dir, func(o *Options) { o.SyncMode = SyncAlways; o.NoGroupCommit = true })
-	if !st.Add(tr("a", "p", "b")) {
-		t.Fatal("first add refused")
+// TestReplicaApplyFaults: the synchronous append (wal.appendSeq) now
+// serves only replica apply. A failed fsync or a torn write there must
+// refuse exactly that record — rollback truncates it, the WAL stays
+// usable, and the re-shipped record lands under the same sequence
+// number — while the double fault (torn write AND a failed truncate)
+// latches the WAL broken until a restart re-truncates the garbage.
+// Either way recovery sees only whole, acknowledged records.
+func TestReplicaApplyFaults(t *testing.T) {
+	cases := []struct {
+		name, spec string
+		latches    bool
+	}{
+		{"fsync failure rolls back", "wal/fsync=1*error(disk full)->off", false},
+		{"torn write rolls back", "wal/append-write=1*torn(7)->off", false},
+		{"append entry refused", "wal/append=1*error(io)->off", false},
+		{"torn write and failed rollback latch broken", "wal/append-write=1*torn(7)->off;wal/rollback=1*error(io)->off", true},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m, _ := mustOpen(t, dir, func(o *Options) { o.SyncMode = SyncAlways; o.NoJournal = true })
+			if err := m.ApplyReplicated(1, opCompact, nil); err != nil {
+				t.Fatal(err)
+			}
+			armFaults(t, tc.spec)
+			if err := m.ApplyReplicated(2, opCompact, nil); !errors.Is(err, faults.ErrInjected) {
+				t.Fatalf("faulted apply = %v, want injected", err)
+			}
+			if got := m.LastSeq(); got != 1 {
+				t.Fatalf("failed append advanced the wal to %d", got)
+			}
+			if broken := m.Broken() != nil; broken != tc.latches {
+				t.Fatalf("Broken() = %v, want latched=%v", m.Broken(), tc.latches)
+			}
+			// The tail loop re-fetches from its cursor: the same record
+			// again, accepted unless the WAL is latched.
+			err := m.ApplyReplicated(2, opCompact, nil)
+			if tc.latches && !errors.Is(err, errWALBroken) {
+				t.Fatalf("apply on a latched wal = %v, want errWALBroken", err)
+			}
+			if !tc.latches && err != nil {
+				t.Fatalf("re-shipped record refused after a clean rollback: %v", err)
+			}
+			wantSeq := m.LastSeq()
+			m.Close()
 
-	armFaults(t, "wal/fsync=1*error(disk full)->off")
-	if st.Add(tr("a", "p", "vetoed")) {
-		t.Fatal("add acked despite fsync failure")
-	}
-	if st.JournalVetoes() != 1 {
-		t.Fatalf("vetoes = %d, want 1", st.JournalVetoes())
-	}
-	if err := st.JournalErr(); err == nil || !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("JournalErr = %v, want injected", err)
-	}
-	if err := m.Broken(); err != nil {
-		t.Fatalf("wal latched broken after a rolled-back append: %v", err)
-	}
-
-	// The failpoint is spent; the log must accept the next write.
-	if !st.Add(tr("a", "p", "c")) {
-		t.Fatal("add after recovery refused")
-	}
-	if err := m.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-
-	m2, recovered := mustOpen(t, dir, nil)
-	defer m2.Close()
-	assertSameContent(t, st, recovered)
-	if recovered.Len() != 2 {
-		t.Fatalf("recovered %d triples, want 2 (vetoed write must not replay)", recovered.Len())
+			m2, _ := mustOpen(t, dir, func(o *Options) { o.SyncMode = SyncAlways; o.NoJournal = true })
+			defer m2.Close()
+			if err := m2.Broken(); err != nil {
+				t.Fatalf("Broken() survived a restart: %v", err)
+			}
+			if got := m2.LastSeq(); got != wantSeq {
+				t.Fatalf("recovered at seq %d, want %d", got, wantSeq)
+			}
+			if err := m2.ApplyReplicated(wantSeq+1, opCompact, nil); err != nil {
+				t.Fatalf("recovered wal refused a record: %v", err)
+			}
+		})
 	}
 }
 
-// TestTornAppendRollsBack: on the legacy synchronous path, a write that
-// lands only a prefix of the record (power cut mid-write) is truncated
-// away by rollback; the next append reuses the sequence number and
-// recovery sees a clean log.
-func TestTornAppendRollsBack(t *testing.T) {
-	dir := t.TempDir()
-	m, st := mustOpen(t, dir, func(o *Options) { o.SyncMode = SyncAlways; o.NoGroupCommit = true })
-	st.Add(tr("a", "p", "b"))
-
-	armFaults(t, "wal/append-write=1*torn(7)->off")
-	if st.Add(tr("a", "p", "torn")) {
-		t.Fatal("add acked despite torn write")
-	}
-	if !st.Add(tr("a", "p", "c")) {
-		t.Fatal("add after rollback refused")
-	}
-	seqAfter := m.Stats().LastSeq
-	if err := m.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-
-	m2, recovered := mustOpen(t, dir, nil)
-	defer m2.Close()
-	assertSameContent(t, st, recovered)
-	if got := m2.Stats().LastSeq; got != seqAfter {
-		t.Fatalf("recovered at seq %d, want %d", got, seqAfter)
-	}
-}
-
-// TestRollbackFailureLatchesBroken is the legacy-path double fault: the
-// append tears AND the truncate that would clean it up fails. The
-// documented degradation is read-only mode — every further write vetoed
-// with errWALBroken, Manager.Broken() non-nil (the endpoint's
-// degraded-mode trigger) — and a restart re-truncates the garbage and
-// clears the latch with only acked data surviving.
-func TestRollbackFailureLatchesBroken(t *testing.T) {
-	dir := t.TempDir()
-	m, st := mustOpen(t, dir, func(o *Options) { o.SyncMode = SyncAlways; o.NoGroupCommit = true })
-	st.Add(tr("a", "p", "b"))
-
-	armFaults(t, "wal/append-write=1*torn(7)->off;wal/rollback=1*error(io)->off")
-	if st.Add(tr("a", "p", "torn")) {
-		t.Fatal("add acked despite torn write")
-	}
-	if m.Broken() == nil {
-		t.Fatal("Broken() = nil after failed rollback")
-	}
-	// Degraded mode: reads fine, writes vetoed until restart.
-	if st.Add(tr("a", "p", "refused")) {
-		t.Fatal("broken wal acked a write")
-	}
-	if err := st.JournalErr(); !errors.Is(err, errWALBroken) {
-		t.Fatalf("JournalErr = %v, want errWALBroken", err)
-	}
-	if st.Len() != 1 {
-		t.Fatalf("degraded store has %d triples, want 1", st.Len())
-	}
-	m.Close()
-
-	// Restart: openSegmentForAppend truncates the 7 torn bytes, the
-	// latch is gone, and only the acked triple is back.
-	m2, recovered := mustOpen(t, dir, nil)
-	defer m2.Close()
-	if err := m2.Broken(); err != nil {
-		t.Fatalf("Broken() survived a restart: %v", err)
-	}
-	assertSameContent(t, st, recovered)
-	if !recovered.Add(tr("a", "p", "c")) {
-		t.Fatal("recovered wal refused a write")
-	}
-}
-
-// TestGroupFsyncFailureLatchesBroken: on the group-commit path the
-// batch fsync runs after its mutations were applied in memory, so a
-// fsync failure cannot be a clean veto — the rollback truncates the
-// batch bytes but memory is now ahead of the log. The documented
-// degradation is the broken latch: writer gets a failure, every further
-// write is vetoed, checkpoints refuse to persist the divergence, and a
-// restart recovers exactly the acked prefix.
+// TestGroupFsyncFailureLatchesBroken: the batch fsync runs after its
+// mutations were applied in memory, so a fsync failure cannot be a clean
+// veto — the rollback truncates the batch bytes but memory is now ahead
+// of the log. The documented degradation is the broken latch: writer
+// gets a failure, every further write is vetoed, checkpoints refuse to
+// persist the divergence, and a restart recovers exactly the acked
+// prefix.
 func TestGroupFsyncFailureLatchesBroken(t *testing.T) {
 	dir := t.TempDir()
 	m, st := mustOpen(t, dir, func(o *Options) { o.SyncMode = SyncAlways })

@@ -84,14 +84,6 @@ type Options struct {
 	// goroutine handoff; a window trades per-write latency for larger
 	// batches under bursty load.
 	GroupWindow time.Duration
-	// NoGroupCommit routes journal appends through the legacy
-	// synchronous path — write + fsync inline under the store lock,
-	// ticket pre-resolved — instead of the group committer. It exists as
-	// the before/after ablation for the write-throughput benchmarks and
-	// as an escape hatch; the failure semantics are the classic ones
-	// (veto with memory unchanged, broken latch only on rollback
-	// failure).
-	NoGroupCommit bool
 	// CheckpointBytes triggers a background checkpoint when the live WAL
 	// exceeds this size (default 64 MiB; negative disables).
 	CheckpointBytes int64
@@ -101,11 +93,6 @@ type Options struct {
 	// KeepSnapshots is how many snapshot generations survive a
 	// checkpoint (default 2: the new one plus one fallback).
 	KeepSnapshots int
-	// SnapshotFormat selects what checkpoints write: FormatPacked
-	// (default) for the compressed, mmap-able columnar format that
-	// recovery serves in place, or FormatRaw for the PR 4 raw dump.
-	// Recovery reads either format regardless of this setting.
-	SnapshotFormat string
 	// NoCheckpointOnClose skips the final checkpoint in Close — restart
 	// then replays the WAL instead (tests use this to exercise replay).
 	NoCheckpointOnClose bool
@@ -132,9 +119,6 @@ func (o *Options) withDefaults() Options {
 	if opts.KeepSnapshots <= 0 {
 		opts.KeepSnapshots = 2
 	}
-	if opts.SnapshotFormat == "" {
-		opts.SnapshotFormat = FormatPacked
-	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
@@ -156,10 +140,9 @@ type Stats struct {
 	JournalErr         error  // first append failure; writes are being vetoed
 
 	// Persistence-format telemetry (the /stats persistence block).
-	SnapshotFormat string // format checkpoints write (packed or raw)
-	SnapshotBytes  int64  // on-disk size of the newest snapshot (0: none)
-	StoreMode      string // "mapped" (serving in place) or "heap"
-	ResidentBytes  int64  // estimated heap bytes of the store's primary state
+	SnapshotBytes int64  // on-disk size of the newest snapshot (0: none)
+	StoreMode     string // "mapped" (serving in place) or "heap"
+	ResidentBytes int64  // estimated heap bytes of the store's primary state
 
 	// Group-commit telemetry (see group.go). FsyncsSaved is how many
 	// fsyncs batching avoided versus the one-fsync-per-record policy
@@ -183,10 +166,10 @@ type Manager struct {
 	store *strabon.Store
 
 	// walMu guards the wal handle and all of its file I/O: batch
-	// flushes, the synchronous replica/legacy appends, rotation, sync,
-	// close. It is deliberately NOT taken by enqueue (group.go), so
-	// writers assigning sequence numbers under the store lock never wait
-	// behind an fsync.
+	// flushes, the synchronous replica appends, rotation, sync, close. It
+	// is deliberately NOT taken by enqueue (group.go), so writers
+	// assigning sequence numbers under the store lock never wait behind
+	// an fsync.
 	walMu sync.Mutex
 	w     *wal
 
@@ -232,10 +215,6 @@ func Open(o Options) (*Manager, *strabon.Store, error) {
 		return nil, nil, errors.New("persist: Options.Dir is required")
 	}
 	opts := o.withDefaults()
-	if opts.SnapshotFormat != FormatPacked && opts.SnapshotFormat != FormatRaw {
-		return nil, nil, fmt.Errorf("persist: unknown snapshot format %q (want %q or %q)",
-			opts.SnapshotFormat, FormatPacked, FormatRaw)
-	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, err
 	}
@@ -256,13 +235,17 @@ func Open(o Options) (*Manager, *strabon.Store, error) {
 	}
 	var st *strabon.Store
 	var snapSeq uint64
+	var snapRaw bool
 	for _, p := range snaps {
-		s, seq, err := readSnapshot(p)
+		s, seq, raw, err := readSnapshot(p)
 		if err != nil {
 			opts.Logf("persist: skipping snapshot %s: %v", filepath.Base(p), err)
 			continue
 		}
-		st, snapSeq = s, seq
+		if raw {
+			opts.Logf("persist: snapshot %s is in the retired raw format (TELSNAP1); the next checkpoint rewrites it as packed", filepath.Base(p))
+		}
+		st, snapSeq, snapRaw = s, seq, raw
 		break
 	}
 	if st == nil {
@@ -354,7 +337,10 @@ func Open(o Options) (*Manager, *strabon.Store, error) {
 	m.group.nextSeq = lastSeq
 	m.refreshWALBytes()
 	if len(snaps) > 0 {
-		m.hasCkpt.Store(true)
+		// A raw snapshot does not count as a checkpoint of its own
+		// sequence number: the next Checkpoint (Close's included) then
+		// rewrites it as packed even when nothing was written since.
+		m.hasCkpt.Store(!snapRaw)
 		m.ckptSeq.Store(snapSeq)
 	}
 	m.recoveryTook = time.Since(start)
@@ -367,12 +353,9 @@ func Open(o Options) (*Manager, *strabon.Store, error) {
 	if !opts.NoJournal {
 		st.SetJournal(m)
 	}
-	m.wg.Add(1)
+	m.wg.Add(2)
 	go m.background()
-	if !opts.NoGroupCommit {
-		m.wg.Add(1)
-		go m.committer()
-	}
+	go m.committer()
 	return m, st, nil
 }
 
@@ -418,62 +401,6 @@ func (m *Manager) applyRecord(st *strabon.Store, rec walRecord) error {
 	return nil
 }
 
-// log journals one record — through the group committer by default
-// (enqueue + ticket; see group.go), or inline under walMu when
-// NoGroupCommit selects the legacy synchronous path. Called from the
-// strabon.Journal hooks, i.e. under the store's write lock.
-func (m *Manager) log(op byte, body []byte) (strabon.Commit, error) {
-	if !m.opts.NoGroupCommit {
-		return m.enqueue(op, body)
-	}
-	seq, err := m.appendNow(op, body)
-	if err != nil {
-		return strabon.Commit{}, err
-	}
-	return strabon.Commit{Seq: seq}, nil
-}
-
-// appendNow is the legacy synchronous append: one record written (and
-// under SyncAlways fsynced) inline, the classic veto-with-memory-
-// unchanged failure mode. The NoGroupCommit ablation uses it for every
-// journal hook; it also remains the shape of the replica apply path
-// (ApplyReplicated), which ships pre-assigned records one at a time.
-func (m *Manager) appendNow(op byte, body []byte) (uint64, error) {
-	m.walMu.Lock()
-	n, err := m.w.append(op, body, m.opts.SyncMode == SyncAlways)
-	var seq uint64
-	if err == nil {
-		seq = m.w.seq
-		m.seq.Store(seq)
-		m.group.mu.Lock()
-		if seq > m.group.nextSeq {
-			m.group.nextSeq = seq
-		}
-		m.group.mu.Unlock()
-		if m.opts.SyncMode == SyncAlways {
-			// Count the inline fsync too, so the group/no-group benchmark
-			// ablation reads fsyncs/op from the same counter.
-			m.group.fsyncs.Add(1)
-		}
-	}
-	if m.w.failed {
-		m.brokenFlag.Store(true)
-	}
-	m.walMu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	m.notifyTail()
-	live := m.walLive.Add(n)
-	if m.opts.CheckpointBytes > 0 && live >= m.opts.CheckpointBytes && m.seq.Load() > m.ckptSeq.Load() {
-		select {
-		case m.ckptCh <- struct{}{}:
-		default:
-		}
-	}
-	return seq, nil
-}
-
 // LogAdd implements strabon.Journal.
 func (m *Manager) LogAdd(triples []rdf.Triple) (strabon.Commit, error) {
 	b := m.logScratch[:0]
@@ -490,18 +417,18 @@ func (m *Manager) LogAdd(triples []rdf.Triple) (strabon.Commit, error) {
 	} else {
 		m.logScratch = nil
 	}
-	return m.log(opAdd, b)
+	return m.enqueue(opAdd, b)
 }
 
 // LogRemove implements strabon.Journal.
 func (m *Manager) LogRemove(t rdf.Triple) (strabon.Commit, error) {
 	b := appendTriple(m.logScratch[:0], t)
 	m.logScratch = b[:0]
-	return m.log(opRemove, b)
+	return m.enqueue(opRemove, b)
 }
 
 // LogCompact implements strabon.Journal.
-func (m *Manager) LogCompact() (strabon.Commit, error) { return m.log(opCompact, nil) }
+func (m *Manager) LogCompact() (strabon.Commit, error) { return m.enqueue(opCompact, nil) }
 
 // Broken reports the WAL's latched unrecoverable state: non-nil means
 // either a failed append could not be rolled back or a group-commit
@@ -581,7 +508,7 @@ func (m *Manager) Checkpoint() error {
 	if m.hasCkpt.Load() && seq == m.ckptSeq.Load() {
 		return nil // nothing new since the last checkpoint
 	}
-	if _, err := writeSnapshot(m.opts.Dir, sn, seq, m.opts.SnapshotFormat); err != nil {
+	if _, err := writeSnapshot(m.opts.Dir, sn, seq); err != nil {
 		return err
 	}
 	m.ckptSeq.Store(seq)
@@ -705,7 +632,6 @@ func (m *Manager) Stats() Stats {
 		RecoveryTook:       m.recoveryTook,
 		ReplayedRecords:    m.replayed,
 		JournalErr:         m.store.JournalErr(),
-		SnapshotFormat:     m.opts.SnapshotFormat,
 		StoreMode:          m.store.StorageMode(),
 		ResidentBytes:      m.store.ResidentEstimate(),
 	}

@@ -4,12 +4,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/colpack"
+	"repro/internal/rdf"
+	"repro/internal/strabon"
 )
 
-// Packed-snapshot corruption table and format-migration coverage.
+// Packed-snapshot corruption table and the raw-reader regression fixture.
 // The PR 4 table (persist_test.go) already runs against packed files —
 // it is the default format — but its corruptions hit arbitrary bytes.
 // These cases target the packed format's internal structures: column
@@ -67,9 +71,8 @@ func newestSnap(t *testing.T, dir string) string {
 	if err != nil || len(snaps) < 2 {
 		t.Fatalf("want >=2 snapshot generations, have %d (err=%v)", len(snaps), err)
 	}
-	format, err := sniffSnapshotFormat(snaps[0])
-	if err != nil || format != FormatPacked {
-		t.Fatalf("newest snapshot format=%q err=%v, want packed", format, err)
+	if raw, err := sniffSnapshotFormat(snaps[0]); err != nil || raw {
+		t.Fatalf("newest snapshot raw=%v err=%v, want packed", raw, err)
 	}
 	return snaps[0]
 }
@@ -190,75 +193,125 @@ func TestPackedCorruptionTable(t *testing.T) {
 	}
 }
 
-// TestSnapshotFormatMigration: a directory written under one format
-// must boot under the other (the reader dispatches on the file magic,
-// not the configured writer format), and the next checkpoint converts
-// the directory to the configured format.
-func TestSnapshotFormatMigration(t *testing.T) {
-	for _, tc := range []struct{ from, to string }{
-		{FormatRaw, FormatPacked},
-		{FormatPacked, FormatRaw},
-	} {
-		t.Run(fmt.Sprintf("%s-to-%s", tc.from, tc.to), func(t *testing.T) {
-			dir := t.TempDir()
-			m, st := mustOpen(t, dir, func(o *Options) { o.SnapshotFormat = tc.from })
-			for i := 0; i < 200; i++ {
-				st.Add(tr(fmt.Sprintf("s%d", i), "p", fmt.Sprintf("o%d", i%7)))
-			}
-			if err := m.Close(); err != nil {
-				t.Fatal(err)
-			}
-			snaps, _ := listSnapshots(dir)
-			if len(snaps) == 0 {
-				t.Fatal("close wrote no snapshot")
-			}
-			if f, _ := sniffSnapshotFormat(snaps[0]); f != tc.from {
-				t.Fatalf("snapshot format %q, want %q", f, tc.from)
-			}
+// rawFixture is a TELSNAP1 snapshot written by the last commit that had
+// a raw writer (PR 11, Options.SnapshotFormat = "raw"): the triples of
+// rawFixtureTriples, covering WAL records 1..42. Nothing in the tree can
+// produce this format any more; the file pins the reader.
+const rawFixture = "snap-000000000000002a.snap"
 
-			// Boot under the other format's configuration. (Check the
-			// storage mode before comparing content: Triples() is a full
-			// materialisation and would flip a mapped store to heap.)
-			m2, st2 := mustOpen(t, dir, func(o *Options) { o.SnapshotFormat = tc.to })
-			wantMode := "heap"
-			if tc.from == FormatPacked {
-				wantMode = "mapped"
-			}
-			if mode := st2.StorageMode(); mode != wantMode {
-				t.Fatalf("recovered store mode %q, want %q", mode, wantMode)
-			}
-			assertSameContent(t, st, st2)
-			if stats := m2.Stats(); stats.SnapshotFormat != tc.to {
-				t.Fatalf("Stats().SnapshotFormat = %q, want configured %q", stats.SnapshotFormat, tc.to)
-			}
-			// A write plus checkpoint converts the directory.
-			st2.Add(tr("migrated", "p", "o"))
-			if err := m2.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			snaps, _ = listSnapshots(dir)
-			if f, _ := sniffSnapshotFormat(snaps[0]); f != tc.to {
-				t.Fatalf("post-migration snapshot format %q, want %q", f, tc.to)
-			}
-			if err := m2.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			// And the converted directory boots cleanly again.
-			m3, st3 := mustOpen(t, dir, func(o *Options) { o.SnapshotFormat = tc.to })
-			defer m3.Close()
-			if st3.Len() != st2.Len() {
-				t.Fatalf("converted dir recovered %d triples, want %d", st3.Len(), st2.Len())
-			}
-		})
+func rawFixtureTriples() *strabon.Store {
+	st := strabon.NewStore()
+	for i := 0; i < 40; i++ {
+		st.Add(tr(fmt.Sprintf("s%d", i), "p", fmt.Sprintf("o%d", i%7)))
 	}
+	st.Add(trLit("site0", "hasGeometry", rdf.WKTLiteral("POINT (23.05 37.64)", 4326)))
+	st.Add(trLit("site1", "hasGeometry", rdf.WKTLiteral("POLYGON ((21 37, 22 37, 22 38, 21 38, 21 37))", 4326)))
+	return st
 }
 
-// TestUnknownSnapshotFormatRejected: Open must refuse a format name it
-// does not understand rather than silently writing some default.
-func TestUnknownSnapshotFormatRejected(t *testing.T) {
-	_, _, err := Open(Options{Dir: t.TempDir(), SyncMode: SyncNone, SnapshotFormat: "zip"})
-	if err == nil {
-		t.Fatal("Open accepted SnapshotFormat=zip")
+// installRawFixture copies the fixture (optionally damaged) into a
+// fresh data directory.
+func installRawFixture(t *testing.T, damage func([]byte) []byte) (dir, snap string) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", rawFixture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if damage != nil {
+		data = damage(data)
+	}
+	dir = t.TempDir()
+	snap = filepath.Join(dir, rawFixture)
+	if err := os.WriteFile(snap, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, snap
+}
+
+// TestRawSnapshotFixtureRecovers: a data directory whose newest snapshot
+// is TELSNAP1 still boots (on the heap), recovery says once that the
+// file is raw and will be rewritten, and the next checkpoint — even with
+// nothing written since — replaces it with a packed snapshot that the
+// following boot serves mapped.
+func TestRawSnapshotFixtureRecovers(t *testing.T) {
+	dir, snap := installRawFixture(t, nil)
+	if seq, err := VerifySnapshot(snap); err != nil || seq != 42 {
+		t.Fatalf("VerifySnapshot(fixture) = %d, %v; want 42, nil", seq, err)
+	}
+	var rawLogs int
+	logf := func(format string, args ...any) {
+		if strings.Contains(format, "retired raw format") {
+			rawLogs++
+		}
+		t.Logf(format, args...)
+	}
+	want := rawFixtureTriples()
+
+	m, st := mustOpen(t, dir, func(o *Options) { o.Logf = logf })
+	if rawLogs != 1 {
+		t.Fatalf("recovery logged the raw snapshot %d times, want once", rawLogs)
+	}
+	if mode := st.StorageMode(); mode != "heap" {
+		t.Fatalf("raw snapshot recovered as %q, want heap", mode)
+	}
+	if got := m.Stats().LastSeq; got != 42 {
+		t.Fatalf("recovered at seq %d, want 42", got)
+	}
+	assertSameContent(t, want, st)
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, _ := listSnapshots(dir)
+	if len(snaps) != 1 {
+		t.Fatalf("checkpoint left %d snapshots, want the rewritten one", len(snaps))
+	}
+	if raw, err := sniffSnapshotFormat(snaps[0]); err != nil || raw {
+		t.Fatalf("post-checkpoint snapshot raw=%v err=%v, want packed", raw, err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, st2 := mustOpen(t, dir, func(o *Options) { o.Logf = logf })
+	defer m2.Close()
+	if rawLogs != 1 {
+		t.Fatalf("raw-format log repeated after the rewrite (%d)", rawLogs)
+	}
+	if mode := st2.StorageMode(); mode != "mapped" {
+		t.Fatalf("rewritten snapshot recovered as %q, want mapped", mode)
+	}
+	assertSameContent(t, want, st2)
+}
+
+// TestRawSnapshotFixtureCorruption: the raw reader's whole-file CRC must
+// still reject a damaged TELSNAP1 file, in verification (the replica
+// bootstrap gate) and in recovery alike.
+func TestRawSnapshotFixtureCorruption(t *testing.T) {
+	cases := []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"flipped byte", func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b }},
+		{"flipped CRC trailer", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }},
+		{"truncated", func(b []byte) []byte { return b[:len(b)-9] }},
+		{"truncated to the header", func(b []byte) []byte { return b[:12] }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, snap := installRawFixture(t, tc.damage)
+			if _, err := VerifySnapshot(snap); err == nil {
+				t.Fatal("damaged raw snapshot still verifies")
+			}
+			if _, _, _, err := readSnapshot(snap); err == nil {
+				t.Fatal("damaged raw snapshot still loads")
+			}
+			// Recovery skips it; with no WAL and no other generation
+			// that leaves an empty store, never a half-read one.
+			m, st := mustOpen(t, dir, nil)
+			defer m.Close()
+			if st.Len() != 0 {
+				t.Fatalf("recovery took %d triples from a damaged snapshot", st.Len())
+			}
+		})
 	}
 }

@@ -292,11 +292,11 @@ func SnapshotFileName(seq uint64) string { return snapName(seq) }
 // full colpack verification (footer, file and section CRCs, block
 // indexes); raw ones the whole-file CRC.
 func VerifySnapshot(path string) (uint64, error) {
-	format, err := sniffSnapshotFormat(path)
+	raw, err := sniffSnapshotFormat(path)
 	if err != nil {
 		return 0, err
 	}
-	if format == FormatPacked {
+	if !raw {
 		return colpack.Verify(path)
 	}
 	f, err := os.Open(path)

@@ -19,23 +19,21 @@ import (
 	"repro/internal/strabon"
 )
 
-// Snapshots come in two formats, selected by Options.SnapshotFormat
-// and distinguished on read by the leading 8-byte magic (both formats
-// keep the WAL sequence at byte offset 8, so tooling that sniffs
-// (magic, seq) works on either):
+// Snapshots are written in one format and read in two, distinguished by
+// the leading 8-byte magic (both keep the WAL sequence at byte offset 8,
+// so tooling that sniffs (magic, seq) works on either):
 //
-//   - FormatPacked (default, "TELPACK1"): the compressed, mmap-able
-//     columnar format of internal/colpack. Recovery opens it read-only
-//     via mmap and the store answers queries IN PLACE — no column,
-//     posting-list or dictionary materialisation — so
+//   - packed ("TELPACK1"): the compressed, mmap-able columnar format of
+//     internal/colpack, the only format checkpoints write. Recovery opens
+//     it read-only via mmap and the store answers queries IN PLACE — no
+//     column, posting-list or dictionary materialisation — so
 //     restart-to-first-query is independent of dataset size and the
 //     on-disk bytes double as the working representation for
 //     larger-than-RAM datasets.
-//   - FormatRaw ("TELSNAP1"): the PR 4 raw columnar dump below, kept
-//     as an escape hatch and for migration.
-//
-// Either format can be recovered regardless of the configured writer
-// format; the next checkpoint then converts the directory.
+//   - raw ("TELSNAP1"): the PR 4 columnar dump below. Nothing writes it
+//     any more; the reader stays so a directory (or a primary's
+//     bootstrap snapshot) from before PR 12 still loads, and the next
+//     checkpoint rewrites it as packed.
 //
 // Raw binary columnar snapshot: layout of snap-<seq>.snap (16 hex
 // digits, seq = the last WAL sequence number the snapshot covers), all
@@ -54,22 +52,17 @@ import (
 //	8g bytes  spatial literal ids, ascending
 //	4  bytes  CRC-32 (IEEE) of every preceding byte
 //
-// The file is produced via write-temp/fsync/rename (fsx.WriteFileAtomic),
-// so a crash during checkpointing leaves at worst a stray .tmp that
-// recovery ignores. The trailing whole-file CRC lets recovery reject a
-// bit-flipped or short snapshot and fall back to the previous one.
+// Snapshot files are produced via write-temp/fsync/rename
+// (fsx.WriteFileAtomic), so a crash during checkpointing leaves at worst
+// a stray .tmp that recovery ignores. Whole-file checksums let recovery
+// reject a bit-flipped or short snapshot and fall back to the previous
+// one.
 
 const (
 	snapMagic     = "TELSNAP1"
 	snapPrefix    = "snap-"
 	snapSuffix    = ".snap"
-	colChunkTerms = 4096 // ids buffered per column write/read
-)
-
-// Snapshot format names (Options.SnapshotFormat, -snapshot-format).
-const (
-	FormatPacked = "packed"
-	FormatRaw    = "raw"
+	colChunkTerms = 4096 // ids buffered per column read
 )
 
 func snapName(seq uint64) string {
@@ -108,18 +101,6 @@ func listSnapshots(dir string) ([]string, error) {
 	return out, nil
 }
 
-// crcWriter tees everything written through it into a CRC-32.
-type crcWriter struct {
-	w io.Writer
-	h hash.Hash32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.h.Write(p[:n])
-	return n, err
-}
-
 // crcReader tees everything read through it into a CRC-32.
 type crcReader struct {
 	r io.Reader
@@ -132,37 +113,12 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func writeU64(w io.Writer, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
 func readU64(r io.Reader) (uint64, error) {
 	var b [8]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-func writeColumn(w io.Writer, col []uint64) error {
-	buf := make([]byte, 8*colChunkTerms)
-	for off := 0; off < len(col); off += colChunkTerms {
-		end := off + colChunkTerms
-		if end > len(col) {
-			end = len(col)
-		}
-		b := buf[:8*(end-off)]
-		for i, v := range col[off:end] {
-			binary.LittleEndian.PutUint64(b[8*i:], v)
-		}
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func readColumn(r io.Reader, n uint64) ([]uint64, error) {
@@ -185,20 +141,11 @@ func readColumn(r io.Reader, n uint64) ([]uint64, error) {
 }
 
 // writeSnapshot atomically writes sn (covering WAL records through seq)
-// to dir in the requested format and returns the file path.
-func writeSnapshot(dir string, sn *strabon.Snapshot, seq uint64, format string) (string, error) {
+// to dir in the packed colpack format and returns the file path.
+func writeSnapshot(dir string, sn *strabon.Snapshot, seq uint64) (string, error) {
 	if err := faults.Eval("snapshot/write"); err != nil {
 		return "", err
 	}
-	if format == FormatRaw {
-		return writeRawSnapshot(dir, sn, seq)
-	}
-	return writePackedSnapshot(dir, sn, seq)
-}
-
-// writePackedSnapshot serialises sn in the compressed, mmap-able
-// colpack format.
-func writePackedSnapshot(dir string, sn *strabon.Snapshot, seq uint64) (string, error) {
 	path := filepath.Join(dir, snapName(seq))
 	err := fsx.WriteFileAtomic(path, func(w io.Writer) error {
 		return colpack.Write(w, sn.PackData(seq))
@@ -209,99 +156,44 @@ func writePackedSnapshot(dir string, sn *strabon.Snapshot, seq uint64) (string, 
 	return path, nil
 }
 
-func writeRawSnapshot(dir string, sn *strabon.Snapshot, seq uint64) (string, error) {
-	if sn.Mapped() {
-		// Unreachable through Checkpoint (an unmutated mapped store is
-		// never re-serialised, and any mutation materialises it), but
-		// the raw encoder needs the heap dictionary.
-		return "", fmt.Errorf("persist: cannot write a raw snapshot from a mapped view")
-	}
-	path := filepath.Join(dir, snapName(seq))
-	err := fsx.WriteFileAtomic(path, func(w io.Writer) error {
-		cw := &crcWriter{w: w, h: crc32.NewIEEE()}
-		if _, err := cw.Write([]byte(snapMagic)); err != nil {
-			return err
-		}
-		if err := writeU64(cw, seq); err != nil {
-			return err
-		}
-		if err := writeU64(cw, sn.Version()); err != nil {
-			return err
-		}
-		// The dictionary section is length-prefixed so the reader can
-		// hand ReadDictionary an exact byte range (it buffers internally
-		// and would otherwise consume bytes past its section).
-		var dictBuf bytes.Buffer
-		if _, err := sn.Dict().WriteTo(&dictBuf); err != nil {
-			return err
-		}
-		if err := writeU64(cw, uint64(dictBuf.Len())); err != nil {
-			return err
-		}
-		if _, err := cw.Write(dictBuf.Bytes()); err != nil {
-			return err
-		}
-		if err := writeU64(cw, uint64(len(sn.S))); err != nil {
-			return err
-		}
-		for _, col := range [][]uint64{sn.S, sn.P, sn.O} {
-			if err := writeColumn(cw, col); err != nil {
-				return err
-			}
-		}
-		geomIDs := sn.GeomIDs()
-		if err := writeU64(cw, uint64(len(geomIDs))); err != nil {
-			return err
-		}
-		if err := writeColumn(cw, geomIDs); err != nil {
-			return err
-		}
-		var trailer [4]byte
-		binary.LittleEndian.PutUint32(trailer[:], cw.h.Sum32())
-		_, err := w.Write(trailer[:])
-		return err
-	})
-	if err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// sniffSnapshotFormat reads a snapshot file's leading magic and maps
-// it to a format name.
-func sniffSnapshotFormat(path string) (string, error) {
+// sniffSnapshotFormat reads a snapshot file's leading magic and reports
+// whether it is the legacy raw format (false: packed).
+func sniffSnapshotFormat(path string) (raw bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return "", err
+		return false, err
 	}
 	defer f.Close()
 	var magic [8]byte
 	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return "", fmt.Errorf("persist: snapshot %s: too short", filepath.Base(path))
+		return false, fmt.Errorf("persist: snapshot %s: too short", filepath.Base(path))
 	}
 	switch string(magic[:]) {
 	case colpack.Magic:
-		return FormatPacked, nil
+		return false, nil
 	case snapMagic:
-		return FormatRaw, nil
+		return true, nil
 	}
-	return "", fmt.Errorf("persist: snapshot %s: bad magic", filepath.Base(path))
+	return false, fmt.Errorf("persist: snapshot %s: bad magic", filepath.Base(path))
 }
 
 // readSnapshot loads and validates one snapshot file of either format
-// (dispatching on the leading magic), returning the restored store and
-// the WAL sequence number it covers. A packed snapshot restores as a
-// mapped store: the file is verified, mmap-ed and served in place, so
-// this returns in O(verify) regardless of dataset size.
-func readSnapshot(path string) (*strabon.Store, uint64, error) {
-	format, err := sniffSnapshotFormat(path)
+// (dispatching on the leading magic), returning the restored store, the
+// WAL sequence number it covers and whether the file was raw. A packed
+// snapshot restores as a mapped store: the file is verified, mmap-ed and
+// served in place, so this returns in O(verify) regardless of dataset
+// size.
+func readSnapshot(path string) (st *strabon.Store, seq uint64, raw bool, err error) {
+	raw, err = sniffSnapshotFormat(path)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, false, err
 	}
-	if format == FormatPacked {
-		return readPackedSnapshot(path)
+	if raw {
+		st, seq, err = readRawSnapshot(path)
+	} else {
+		st, seq, err = readPackedSnapshot(path)
 	}
-	return readRawSnapshot(path)
+	return st, seq, raw, err
 }
 
 func readPackedSnapshot(path string) (*strabon.Store, uint64, error) {

@@ -191,14 +191,9 @@ func openSegmentForAppend(path string, validSize int64) (*os.File, int64, error)
 	return f, size, nil
 }
 
-// append writes one record under the next sequence number and reports
-// its size in bytes. sync forces an fsync after the write.
-func (w *wal) append(op byte, body []byte, sync bool) (int64, error) {
-	return w.appendSeq(w.seq+1, op, body, sync)
-}
-
 // appendSeq writes one record under an explicit sequence number — the
-// replica path, where the primary already assigned it. seq must be
+// replica path, where the primary already assigned it — and reports its
+// size in bytes. sync forces an fsync after the write. seq must be
 // exactly w.seq+1; the caller validates continuity against the shipped
 // stream before getting here.
 func (w *wal) appendSeq(seq uint64, op byte, body []byte, sync bool) (int64, error) {

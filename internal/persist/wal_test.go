@@ -18,7 +18,7 @@ func TestAppendRollbackOnFailure(t *testing.T) {
 	if err := w.rotate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.append(opCompact, nil, true); err != nil {
+	if _, err := w.appendSeq(w.seq+1, opCompact, nil, true); err != nil {
 		t.Fatal(err)
 	}
 	goodSeq, goodBytes := w.seq, w.segBytes
@@ -27,14 +27,14 @@ func TestAppendRollbackOnFailure(t *testing.T) {
 	path := filepath.Join(dir, segName(w.segStart))
 	held := w.f
 	held.Close()
-	if _, err := w.append(opCompact, nil, true); err == nil {
+	if _, err := w.appendSeq(w.seq+1, opCompact, nil, true); err == nil {
 		t.Fatal("append over closed fd succeeded")
 	}
 	// Rollback could not truncate a closed fd: the handle must be poisoned.
 	if !w.failed {
 		t.Fatal("wal not poisoned after un-rollbackable failure")
 	}
-	if _, err := w.append(opCompact, nil, false); !errors.Is(err, errWALBroken) {
+	if _, err := w.appendSeq(w.seq+1, opCompact, nil, false); !errors.Is(err, errWALBroken) {
 		t.Fatalf("append on poisoned wal: %v, want errWALBroken", err)
 	}
 	if w.seq != goodSeq {
@@ -63,14 +63,14 @@ func TestAppendEnforcesRecordCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.close()
-	_, err := w.append(opAdd, make([]byte, maxRecordBytes), false)
+	_, err := w.appendSeq(w.seq+1, opAdd, make([]byte, maxRecordBytes), false)
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized append: %v", err)
 	}
 	if w.seq != 0 || w.failed {
 		t.Fatalf("oversized append mutated state: seq=%d failed=%v", w.seq, w.failed)
 	}
-	if _, err := w.append(opCompact, nil, false); err != nil {
+	if _, err := w.appendSeq(w.seq+1, opCompact, nil, false); err != nil {
 		t.Fatalf("wal unusable after size rejection: %v", err)
 	}
 }

@@ -43,12 +43,6 @@ type ReplicaOptions struct {
 	// NoCheckpointOnClose skips the final checkpoint in Close (tests use
 	// it to force WAL-replay resume paths).
 	NoCheckpointOnClose bool
-	// SnapshotFormat selects what the replica's own checkpoints write
-	// (default persist.FormatPacked). Bootstrap is format-agnostic: the
-	// snapshot downloaded from the primary is verified and recovered by
-	// its file magic, so a packed-primary snapshot maps in place with
-	// zero replay even under a raw-configured replica.
-	SnapshotFormat string
 	// PollWait is the long-poll duration requested from /tail (default
 	// DefaultLongPoll).
 	PollWait time.Duration
@@ -157,7 +151,6 @@ func (r *Replica) open(ctx context.Context) error {
 		SyncMode:            r.opts.SyncMode,
 		CheckpointBytes:     r.opts.CheckpointBytes,
 		CheckpointEvery:     r.opts.CheckpointEvery,
-		SnapshotFormat:      r.opts.SnapshotFormat,
 		NoCheckpointOnClose: r.opts.NoCheckpointOnClose,
 		NoJournal:           true, // records arrive pre-assigned; see ApplyReplicated
 		Logf:                r.opts.Logf,

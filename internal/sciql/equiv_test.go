@@ -69,9 +69,8 @@ func equivSetup(rng *rand.Rand) []string {
 func equivPair(t *testing.T, rng *rand.Rand) (legacy, vec *Engine) {
 	t.Helper()
 	legacy = NewEngine()
-	legacy.DisableVectorized = true
+	legacy.forceInterpreter = true
 	vec = NewEngine()
-	vec.DisableVectorized = false
 	for _, st := range equivSetup(rng) {
 		legacy.MustExec(st)
 		vec.MustExec(st)
@@ -308,18 +307,28 @@ func (g *equivGen) updateStmt() string {
 	}
 }
 
+// The corpus: equivStatements statements per worker level, seeded
+// equivSeed+workers. The fallback census (census_test.go) replays the
+// same streams.
+const (
+	equivSeed       = 20260729
+	equivStatements = 260
+)
+
+// next generates the corpus's next statement; one in four is a mutation.
+func (g *equivGen) next() (stmt string, isUpdate bool) {
+	if g.rng.Intn(4) == 0 {
+		return g.updateStmt(), true
+	}
+	return g.selectStmt(), false
+}
+
 func runEquivSuite(t *testing.T, seed int64, nStatements int) {
 	rng := rand.New(rand.NewSource(seed))
 	legacy, vec := equivPair(t, rng)
 	g := &equivGen{rng: rng}
 	for i := 0; i < nStatements; i++ {
-		var stmt string
-		isUpdate := rng.Intn(4) == 0
-		if isUpdate {
-			stmt = g.updateStmt()
-		} else {
-			stmt = g.selectStmt()
-		}
+		stmt, isUpdate := g.next()
 		lres, lerr := legacy.Exec(stmt)
 		vres, verr := vec.Exec(stmt)
 		if (lerr == nil) != (verr == nil) {
@@ -363,7 +372,7 @@ func TestVectorizedEquivalenceRandomized(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			prev := parallel.SetParallelism(workers)
 			defer parallel.SetParallelism(prev)
-			runEquivSuite(t, 20260729+int64(workers), 260)
+			runEquivSuite(t, equivSeed+int64(workers), equivStatements)
 		})
 	}
 }
@@ -387,33 +396,6 @@ func TestVectorizedEquivalenceCreateArrayAsSelect(t *testing.T) {
 		vt := canonTable(vec.MustExec(check).Table)
 		if strings.Join(lt, "\n") != strings.Join(vt, "\n") {
 			t.Fatalf("CREATE ARRAY AS SELECT diverged on %q:\nlegacy=%v\nvec=%v", check, lt, vt)
-		}
-	}
-}
-
-// TestVectorizedFallbackShapes spot-checks statements the compiler must
-// hand back to the legacy interpreter unchanged.
-func TestVectorizedFallbackShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	legacy, vec := equivPair(t, rng)
-	for _, stmt := range []string{
-		`SELECT 1 + 1 AS two`,                               // no FROM
-		`SELECT 'a' || 'b' || sensor AS s FROM obs LIMIT 3`, // concat over column
-		`SELECT count(*) + 1 AS n FROM obs`,                 // aggregate in arithmetic
-		`SELECT id FROM obs WHERE ghost > 1`,                // unknown column (error)
-		`SELECT max(v) - min(v) AS spread FROM img`,         // aggregate arithmetic
-	} {
-		lres, lerr := legacy.Exec(stmt)
-		vres, verr := vec.Exec(stmt)
-		if (lerr == nil) != (verr == nil) {
-			t.Fatalf("%q error mismatch: legacy=%v vec=%v", stmt, lerr, verr)
-		}
-		if lerr != nil {
-			continue
-		}
-		lc, vc := canonTable(lres.Table), canonTable(vres.Table)
-		if strings.Join(lc, "\n") != strings.Join(vc, "\n") {
-			t.Fatalf("%q diverged:\nlegacy=%v\nvec=%v", stmt, lc, vc)
 		}
 	}
 }

@@ -42,24 +42,19 @@ type Engine struct {
 	tables map[string]*column.Table
 	arrays map[string]*ArrayObject
 
-	// DisableVectorized forces the legacy tuple-at-a-time interpreter
-	// instead of the columnar kernel executor (vexec.go) — the ablation
-	// baseline, also reachable via `teleios-server -legacy-sciql` and
-	// `sciql-shell -legacy`.
-	DisableVectorized bool
+	// forceInterpreter skips the columnar kernel executor (vexec.go) and
+	// runs every statement through the tuple-at-a-time interpreter below,
+	// which production reaches only as the whole-statement fallback for
+	// shapes the vectorized compiler rejects. Only the in-package
+	// equivalence tests and benchmarks set it.
+	forceInterpreter bool
 }
-
-// DefaultDisableVectorized is the DisableVectorized value NewEngine
-// installs on new engines; command-line front ends set it from their
-// -legacy-sciql flags so every engine built in-process follows suit.
-var DefaultDisableVectorized bool
 
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
 	return &Engine{
-		tables:            map[string]*column.Table{},
-		arrays:            map[string]*ArrayObject{},
-		DisableVectorized: DefaultDisableVectorized,
+		tables: map[string]*column.Table{},
+		arrays: map[string]*ArrayObject{},
 	}
 }
 
@@ -385,7 +380,7 @@ func (ev *env) lookup(table, name string) (any, bool, error) {
 }
 
 func (e *Engine) execSelect(s *SelectStmt) (*column.Table, error) {
-	if !e.DisableVectorized {
+	if !e.forceInterpreter {
 		if t, ok, err := e.vexecSelect(s); ok {
 			return t, err
 		}
@@ -1056,7 +1051,7 @@ func compareValues(a, b any) int {
 }
 
 func (e *Engine) execUpdate(s *UpdateStmt) (*Result, error) {
-	if !e.DisableVectorized {
+	if !e.forceInterpreter {
 		if r, ok, err := e.vexecUpdate(s); ok {
 			return r, err
 		}
@@ -1144,7 +1139,7 @@ func (e *Engine) updateArray(a *ArrayObject, s *UpdateStmt) (*Result, error) {
 // execDelete removes matching rows from a table (arrays are dense; use
 // UPDATE ... SET v = NULL to blank array cells instead).
 func (e *Engine) execDelete(s *DeleteStmt) (*Result, error) {
-	if !e.DisableVectorized {
+	if !e.forceInterpreter {
 		if r, ok, err := e.vexecDelete(s); ok {
 			return r, err
 		}

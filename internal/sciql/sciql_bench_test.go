@@ -105,7 +105,7 @@ func BenchmarkAblationSciQLExecutor(b *testing.B) {
 	}{{"vectorized", false}, {"legacy", true}} {
 		b.Run("filter/"+mode.name, func(b *testing.B) {
 			e := benchEngine(b, 100000)
-			e.DisableVectorized = mode.legacy
+			e.forceInterpreter = mode.legacy
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if res := e.MustExec(`SELECT id FROM obs WHERE temp > 330`); res.Table.NumRows() == 0 {
@@ -115,7 +115,7 @@ func BenchmarkAblationSciQLExecutor(b *testing.B) {
 		})
 		b.Run("update/"+mode.name, func(b *testing.B) {
 			e := NewEngine()
-			e.DisableVectorized = mode.legacy
+			e.forceInterpreter = mode.legacy
 			e.MustExec(`CREATE ARRAY a (y INT DIMENSION [256], x INT DIMENSION [256], v DOUBLE)`)
 			e.MustExec(`UPDATE a SET v = y + x`)
 			b.ResetTimer()
@@ -127,7 +127,7 @@ func BenchmarkAblationSciQLExecutor(b *testing.B) {
 		})
 		b.Run("zipjoin/"+mode.name, func(b *testing.B) {
 			e := NewEngine()
-			e.DisableVectorized = mode.legacy
+			e.forceInterpreter = mode.legacy
 			e.MustExec(`CREATE ARRAY p (y INT DIMENSION [128], x INT DIMENSION [128], v DOUBLE)`)
 			e.MustExec(`CREATE ARRAY q (y INT DIMENSION [128], x INT DIMENSION [128], v DOUBLE)`)
 			e.MustExec(`UPDATE p SET v = y`)

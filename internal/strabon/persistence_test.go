@@ -2,10 +2,6 @@ package strabon
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/rdf"
@@ -18,139 +14,12 @@ func persistTriple(i int) rdf.Triple {
 		rdf.IntegerLiteral(int64(i)))
 }
 
-// TestSaveCrashInjectedKeepsPreviousState simulates the two crash modes
-// of the old Save — death before any rename, and death between temp
-// write and rename — and asserts the previously saved state stays
-// loadable either way.
-func TestSaveCrashInjectedKeepsPreviousState(t *testing.T) {
-	dir := t.TempDir()
-	st := NewStore()
-	for i := 0; i < 10; i++ {
-		st.Add(persistTriple(i))
-	}
-	if err := st.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	// Crash mode 1: a later save died after writing its temp files but
-	// before renaming — the directory holds *.tmp garbage alongside the
-	// good files. Load must ignore it.
-	for _, name := range []string{dictFile + ".tmp", triplesFile + ".tmp"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("torn half-write"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := Load(dir)
-	if err != nil {
-		t.Fatalf("load with stray temp files: %v", err)
-	}
-	if got.Len() != 10 {
-		t.Fatalf("recovered %d triples, want 10", got.Len())
-	}
-
-	// Crash mode 2: a save dies before writing anything durable
-	// (injected by planting a directory where the dictionary temp file
-	// goes, so the create fails — the step the old code reached only
-	// after already truncating the real files). The failed save must
-	// leave the previous state untouched.
-	st2 := NewStore()
-	for i := 0; i < 25; i++ {
-		st2.Add(persistTriple(1000 + i))
-	}
-	// (A later successful save simply truncates stray temp files; clear
-	// them here so the next injection can plant directories instead.)
-	for _, name := range []string{dictFile + ".tmp", triplesFile + ".tmp"} {
-		os.Remove(filepath.Join(dir, name))
-	}
-	block := filepath.Join(dir, dictFile+".tmp")
-	if err := os.Mkdir(block, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.Save(dir); err == nil {
-		t.Fatal("save over blocked temp path unexpectedly succeeded")
-	}
-	os.Remove(block)
-	got, err = Load(dir)
-	if err != nil {
-		t.Fatalf("load after failed save: %v", err)
-	}
-	if got.Len() != 10 {
-		t.Fatalf("failed save corrupted the store: %d triples, want 10", got.Len())
-	}
-
-	// Crash mode 3: death between the two renames — the new dictionary
-	// landed, the new triples did not. Load re-encodes triples against
-	// whatever dictionary it finds, so the directory must still load as
-	// exactly the previous triple set.
-	block = filepath.Join(dir, triplesFile+".tmp")
-	if err := os.Mkdir(block, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.Save(dir); err == nil {
-		t.Fatal("save over blocked triples temp path unexpectedly succeeded")
-	}
-	os.Remove(block)
-	got, err = Load(dir)
-	if err != nil {
-		t.Fatalf("load after half-renamed save: %v", err)
-	}
-	if got.Len() != 10 {
-		t.Fatalf("half-renamed save corrupted the store: %d triples, want 10", got.Len())
-	}
-}
-
-// TestSaveIsVersionConsistent runs Save concurrently with a writer
-// appending t0, t1, t2, … — because Save captures the dictionary and
-// triples under one lock acquisition, every saved state must be an
-// exact prefix of the insertion sequence, never a torn mixture.
-func TestSaveIsVersionConsistent(t *testing.T) {
-	dir := t.TempDir()
-	st := NewStore()
-	st.Add(persistTriple(0))
-
-	const total = 400
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 1; i < total; i++ {
-			st.Add(persistTriple(i))
-		}
-	}()
-	for k := 0; k < 10; k++ {
-		if err := st.Save(dir); err != nil {
-			t.Errorf("save %d: %v", k, err)
-			break
-		}
-	}
-	wg.Wait()
-
-	got, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The saved store must be {t0..tk-1} for some k: sorted object
-	// integers are exactly 0..len-1.
-	var vals []int
-	for _, tr := range got.Triples() {
-		var v int
-		fmt.Sscanf(tr.O.Value, "%d", &v)
-		vals = append(vals, v)
-	}
-	sort.Ints(vals)
-	for i, v := range vals {
-		if v != i {
-			t.Fatalf("saved state is not a prefix: position %d holds %d", i, v)
-		}
-	}
-}
-
-// TestSaveLoadRoundtripEscapesAndSpatial exercises the satellite's
-// roundtrip matrix: literals with quotes, newlines, tabs, backslash-u
-// sequences and non-ASCII, plus spatial literals — asserting dictionary
-// ids, Version() semantics, and the geometry cache all survive
-// Save→Load.
-func TestSaveLoadRoundtripEscapesAndSpatial(t *testing.T) {
+// TestPackedRoundtripEscapesAndSpatial runs the literal roundtrip matrix
+// — quotes, newlines, tabs, backslash-u sequences and non-ASCII, plus
+// spatial literals — through the packed snapshot: dictionary ids,
+// Version() semantics and the geometry cache must all survive
+// PackData→RestorePacked.
+func TestPackedRoundtripEscapesAndSpatial(t *testing.T) {
 	st := NewStore()
 	s := rdf.IRI("http://example.org/subject")
 	p := rdf.IRI("http://example.org/label")
@@ -186,11 +55,7 @@ func TestSaveLoadRoundtripEscapesAndSpatial(t *testing.T) {
 		wantIDs[o.String()] = id
 	}
 
-	dir := t.TempDir()
-	if err := st.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(dir)
+	got, err := RestorePacked(packFixture(t, st, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +64,7 @@ func TestSaveLoadRoundtripEscapesAndSpatial(t *testing.T) {
 		t.Fatalf("loaded %d triples, want %d", got.Len(), st.Len())
 	}
 	// Every literal must round-trip byte-exactly with its original id
-	// (the saved dictionary pins id assignment).
+	// (the packed dictionary pins id assignment).
 	for _, o := range append(append([]rdf.Term{}, gnarly...), spatial...) {
 		id, err := got.LookupID(o)
 		if err != nil {
@@ -234,12 +99,8 @@ func TestSaveLoadRoundtripEscapesAndSpatial(t *testing.T) {
 	if got.Version() <= v {
 		t.Fatalf("version did not advance on mutation: %d -> %d", v, got.Version())
 	}
-	// And a second Save→Load of the loaded store is byte-stable.
-	dir2 := t.TempDir()
-	if err := got.Save(dir2); err != nil {
-		t.Fatal(err)
-	}
-	again, err := Load(dir2)
+	// And a second roundtrip of the restored (now mutated) store is stable.
+	again, err := RestorePacked(packFixture(t, got, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

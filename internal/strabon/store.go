@@ -6,16 +6,12 @@
 package strabon
 
 import (
-	"bytes"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
 	"repro/internal/column"
-	"repro/internal/fsx"
 	"repro/internal/geo"
 	"repro/internal/rdf"
 	"repro/internal/rtree"
@@ -57,8 +53,7 @@ type Journal interface {
 // sequence number the record was assigned, and a Wait that blocks until
 // the record reaches stable storage per the journal's sync policy (for
 // group commit: until the batch containing it is written and fsynced).
-// A nil Wait means the record is already durable (the legacy
-// synchronous append path, and test journals).
+// A nil Wait means the record is already durable (test journals).
 //
 // A non-nil Wait error means the record — and everything batched behind
 // it — did NOT become durable even though the in-memory mutation is
@@ -915,83 +910,6 @@ func (st *Store) pruneSpatialLocked() {
 	st.rebuildSpatialLocked()
 }
 
-// Persistence ----------------------------------------------------------------
-
-const (
-	dictFile    = "dictionary.bin"
-	triplesFile = "triples.nt"
-)
-
-// Save writes the store to a directory: the dictionary snapshot plus the
-// triples in N-Triples (robust, diffable, and the dictionary re-encodes on
-// load, matching ids by insertion order).
-//
-// Save is crash-safe and version-consistent. The dictionary and the
-// triple set are captured under one read-lock acquisition, so a save
-// racing an UPDATE can never pair a dictionary from one version with
-// triples from another. Each file is then written via the
-// write-temp/fsync/rename sequence (fsx.WriteFileAtomic), so a crash
-// mid-save leaves the previous on-disk store intact and loadable — never
-// a truncated file. The dictionary is renamed into place first: if the
-// process dies between the two renames, the directory holds the new
-// dictionary (a superset, ids unchanged) with the old triples, which
-// loads as exactly the pre-save state.
-func (st *Store) Save(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	st.ensureMaterialized()
-	// Capture both halves under a single lock acquisition. Serialisation
-	// to memory is cheap relative to disk I/O and keeps the lock hold
-	// time independent of storage latency.
-	st.mu.RLock()
-	var dictBuf bytes.Buffer
-	_, err := st.dict.WriteTo(&dictBuf)
-	var triples []rdf.Triple
-	if err == nil {
-		triples = st.triplesLocked()
-	}
-	st.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	if err := fsx.WriteFileAtomic(filepath.Join(dir, dictFile), func(w io.Writer) error {
-		_, err := w.Write(dictBuf.Bytes())
-		return err
-	}); err != nil {
-		return err
-	}
-	return fsx.WriteFileAtomic(filepath.Join(dir, triplesFile), func(w io.Writer) error {
-		return rdf.WriteNTriples(w, triples)
-	})
-}
-
-// Load reads a store saved by Save.
-func Load(dir string) (*Store, error) {
-	st := NewStore()
-	df, err := os.Open(filepath.Join(dir, dictFile))
-	if err != nil {
-		return nil, err
-	}
-	dict, err := rdf.ReadDictionary(df)
-	df.Close()
-	if err != nil {
-		return nil, err
-	}
-	st.dict = dict
-	tf, err := os.Open(filepath.Join(dir, triplesFile))
-	if err != nil {
-		return nil, err
-	}
-	defer tf.Close()
-	triples, err := rdf.ParseNTriples(tf)
-	if err != nil {
-		return nil, err
-	}
-	st.AddAll(triples)
-	return st, nil
-}
-
 // LoadNTriples bulk-loads an N-Triples stream into the store.
 func (st *Store) LoadNTriples(r io.Reader) (int, error) {
 	triples, err := rdf.ParseNTriples(r)
@@ -1090,8 +1008,8 @@ func RestoreColumns(dict *rdf.Dictionary, s, p, o []uint64, geomIDs []uint64, ve
 	// them (lazyIdx). A restart that only serves vectorized read
 	// queries goes straight from snapshot bytes to answering: the
 	// executor's read view (Snapshot) builds its own indexes, so the
-	// store-level ones matter only to mutations and the legacy
-	// evaluator. This mirrors the store's lazily built R-tree and is
+	// store-level ones matter only to mutations and the store-level
+	// Match API. This mirrors the store's lazily built R-tree and is
 	// what makes the binary restart path so much faster than the
 	// N-Triples one.
 	for row := 0; row < n; row++ {

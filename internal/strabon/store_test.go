@@ -201,37 +201,6 @@ func TestTriplesDecode(t *testing.T) {
 	}
 }
 
-func TestPersistence(t *testing.T) {
-	st := NewStore()
-	st.Add(tr("a", "type", "Hotspot"))
-	st.Add(rdf.NewTriple(rdf.IRI("a"), rdf.IRI("geom"), rdf.WKTLiteral("POINT (23 38)", 4326)))
-	st.Add(rdf.NewTriple(rdf.IRI("a"), rdf.IRI("conf"), rdf.DoubleLiteral(0.8)))
-	st.Remove(tr("a", "type", "Hotspot"))
-
-	dir := t.TempDir()
-	if err := st.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 2 {
-		t.Fatalf("len = %d", got.Len())
-	}
-	// Spatial index rebuilt.
-	if got.Stats().SpatialLiterals != 1 {
-		t.Fatal("spatial literal lost")
-	}
-	ids := got.SpatialCandidates(geo.Envelope{MinX: 22, MinY: 37, MaxX: 24, MaxY: 39})
-	if len(ids) != 1 {
-		t.Fatal("spatial search after load")
-	}
-	if _, err := Load(t.TempDir()); err == nil {
-		t.Fatal("loading empty dir should error")
-	}
-}
-
 func TestLoadNTriples(t *testing.T) {
 	st := NewStore()
 	src := `<http://ex/a> <http://ex/p> "v" .

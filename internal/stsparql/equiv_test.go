@@ -13,10 +13,11 @@ import (
 	"repro/internal/stsparql/corpus"
 )
 
-// The old-vs-new equivalence suite: random BGP + FILTER + OPTIONAL +
-// UNION + BIND queries over a seeded store must return identical sorted
-// bindings from the legacy binding-at-a-time evaluator and the vectorized
-// id-space executor, in every ablation mode.
+// The oracle-vs-vectorized equivalence suite: random BGP + FILTER +
+// OPTIONAL + UNION + BIND queries over a seeded store must return
+// identical sorted bindings from the test-only binding-at-a-time reference
+// evaluator (oracle_test.go) and the vectorized id-space executor, in
+// every ablation mode.
 
 // equivStore seeds a store with the shared corpus dataset; the query
 // generator lives in internal/stsparql/corpus so the replication
@@ -93,32 +94,28 @@ func TestExecutorEquivalenceRandomized(t *testing.T) {
 		query := randQuery(rng)
 		for _, m := range modes {
 			st.SetSpatialIndexEnabled(m.spatialIdx)
-			legacy := New(st)
-			legacy.DisableVectorized = true
-			legacy.DisableOptimizer = !m.optimizer
-			legacy.DisableSpatialPushdown = !m.pushdown
-			vec := New(st)
-			vec.DisableOptimizer = !m.optimizer
-			vec.DisableSpatialPushdown = !m.pushdown
+			eng := New(st)
+			eng.DisableOptimizer = !m.optimizer
+			eng.DisableSpatialPushdown = !m.pushdown
 
-			lres, lerr := legacy.Query(query)
-			vres, verr := vec.Query(query)
-			if (lerr == nil) != (verr == nil) {
-				t.Fatalf("mode %s query #%d error mismatch:\nlegacy=%v\nvec=%v\nquery:\n%s",
-					m.name, qi, lerr, verr, query)
+			ores, oerr := eng.oracleQuery(context.Background(), query)
+			vres, verr := eng.Query(query)
+			if (oerr == nil) != (verr == nil) {
+				t.Fatalf("mode %s query #%d error mismatch:\noracle=%v\nvec=%v\nquery:\n%s",
+					m.name, qi, oerr, verr, query)
 			}
-			if lerr != nil {
+			if oerr != nil {
 				continue
 			}
-			lc, vc := canonBindings(lres), canonBindings(vres)
-			if len(lc) != len(vc) {
-				t.Fatalf("mode %s query #%d row count: legacy=%d vec=%d\nquery:\n%s",
-					m.name, qi, len(lc), len(vc), query)
+			oc, vc := canonBindings(ores), canonBindings(vres)
+			if len(oc) != len(vc) {
+				t.Fatalf("mode %s query #%d row count: oracle=%d vec=%d\nquery:\n%s",
+					m.name, qi, len(oc), len(vc), query)
 			}
-			for i := range lc {
-				if lc[i] != vc[i] {
-					t.Fatalf("mode %s query #%d row %d differs:\nlegacy: %s\nvec:    %s\nquery:\n%s",
-						m.name, qi, i, lc[i], vc[i], query)
+			for i := range oc {
+				if oc[i] != vc[i] {
+					t.Fatalf("mode %s query #%d row %d differs:\noracle: %s\nvec:    %s\nquery:\n%s",
+						m.name, qi, i, oc[i], vc[i], query)
 				}
 			}
 		}
@@ -190,19 +187,14 @@ func TestSerialParallelEquivalence(t *testing.T) {
 }
 
 // TestContextCancellationStopsEvaluation: a pre-cancelled context must
-// surface as an error from BOTH executors (the legacy evaluator honours
-// -legacy-eval timeouts too), not as an empty result.
+// surface as an error, not as an empty result.
 func TestContextCancellationStopsEvaluation(t *testing.T) {
 	st := equivStore(rand.New(rand.NewSource(99)))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	query := `SELECT * WHERE { ?s ?p ?o . ?s <http://ex/p2> ?x }`
-	for _, legacy := range []bool{false, true} {
-		eng := New(st)
-		eng.DisableVectorized = legacy
-		if _, err := eng.QueryContext(ctx, query); !errors.Is(err, context.Canceled) {
-			t.Fatalf("legacy=%v: want context.Canceled, got %v", legacy, err)
-		}
+	if _, err := New(st).QueryContext(ctx, query); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 
@@ -219,23 +211,21 @@ func TestExecutorEquivalenceAggregates(t *testing.T) {
 		`ASK { ?s a <http://ex/Nothing> }`,
 	}
 	for _, query := range queries {
-		legacy := New(st)
-		legacy.DisableVectorized = true
-		vec := New(st)
-		lres := legacy.MustQuery(query)
-		vres := vec.MustQuery(query)
-		if lres.Bool != vres.Bool {
-			t.Fatalf("ASK mismatch for %s: legacy=%v vec=%v", query, lres.Bool, vres.Bool)
+		eng := New(st)
+		ores := eng.mustOracleQuery(query)
+		vres := eng.MustQuery(query)
+		if ores.Bool != vres.Bool {
+			t.Fatalf("ASK mismatch for %s: oracle=%v vec=%v", query, ores.Bool, vres.Bool)
 		}
-		lc, vc := canonBindings(lres), canonBindings(vres)
-		if strings.Join(lc, "\n") != strings.Join(vc, "\n") {
-			t.Fatalf("aggregate mismatch for %s:\nlegacy=%v\nvec=%v", query, lc, vc)
+		oc, vc := canonBindings(ores), canonBindings(vres)
+		if strings.Join(oc, "\n") != strings.Join(vc, "\n") {
+			t.Fatalf("aggregate mismatch for %s:\noracle=%v\nvec=%v", query, oc, vc)
 		}
 	}
 }
 
-// TestExecutorEquivalenceUpdates runs a DELETE/INSERT WHERE through both
-// executors on separate but identical stores.
+// TestExecutorEquivalenceUpdates runs a DELETE/INSERT WHERE through the
+// oracle and the executor on separate but identical stores.
 func TestExecutorEquivalenceUpdates(t *testing.T) {
 	mkStore := func() *strabon.Store {
 		return equivStore(rand.New(rand.NewSource(7)))
@@ -244,20 +234,17 @@ func TestExecutorEquivalenceUpdates(t *testing.T) {
 		DELETE { ?s a ex:Town } INSERT { ?s a ex:City } WHERE { ?s a ex:Town }`
 	check := `SELECT ?s WHERE { ?s a <http://ex/City> } ORDER BY ?s`
 
-	legacySt := mkStore()
-	legacy := New(legacySt)
-	legacy.DisableVectorized = true
-	vecSt := mkStore()
-	vec := New(vecSt)
+	oracle := New(mkStore())
+	vec := New(mkStore())
 
-	lu := legacy.MustQuery(update)
+	ou := oracle.mustOracleQuery(update)
 	vu := vec.MustQuery(update)
-	if lu.Affected != vu.Affected {
-		t.Fatalf("affected mismatch: legacy=%d vec=%d", lu.Affected, vu.Affected)
+	if ou.Affected != vu.Affected {
+		t.Fatalf("affected mismatch: oracle=%d vec=%d", ou.Affected, vu.Affected)
 	}
-	lc := canonBindings(legacy.MustQuery(check))
+	oc := canonBindings(oracle.mustOracleQuery(check))
 	vc := canonBindings(vec.MustQuery(check))
-	if strings.Join(lc, "\n") != strings.Join(vc, "\n") {
-		t.Fatalf("post-update state mismatch:\nlegacy=%v\nvec=%v", lc, vc)
+	if strings.Join(oc, "\n") != strings.Join(vc, "\n") {
+		t.Fatalf("post-update state mismatch:\noracle=%v\nvec=%v", oc, vc)
 	}
 }

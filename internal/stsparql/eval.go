@@ -39,15 +39,9 @@ type Engine struct {
 	// DisableSpatialPushdown stops spatial filters from pruning via the
 	// store's R-tree (ablation A1).
 	DisableSpatialPushdown bool
-	// DisableVectorized falls back to the legacy binding-at-a-time
-	// evaluator (one decoded map per solution, one index probe per
-	// binding×pattern pair). The default vectorized executor evaluates in
-	// dictionary-id space over a store snapshot; the flag exists for
-	// ablations and old-vs-new equivalence testing.
-	DisableVectorized bool
-	// MaxParallelism bounds the morsel parallelism of one query through
-	// the vectorized executor: how many workers may concurrently pull
-	// row batches from the shared slot-budget pool (internal/parallel).
+	// MaxParallelism bounds the morsel parallelism of one query: how many
+	// workers may concurrently pull row batches from the shared
+	// slot-budget pool (internal/parallel).
 	// 0 means the pool's default (GOMAXPROCS); 1 forces serial
 	// execution. teleios-server wires -max-query-parallelism here.
 	MaxParallelism int
@@ -127,7 +121,7 @@ func (e *Engine) Eval(q *Query) (*Result, error) {
 }
 
 // EvalContext evaluates a parsed statement under a cancellation context.
-// Both executors check ctx at operator and batch boundaries, so an
+// The executor checks ctx at operator and batch boundaries, so an
 // expired endpoint deadline stops the evaluation instead of orphaning
 // it. EXPLAIN statements return the executed physical plan instead of
 // the statement's rows.
@@ -137,33 +131,15 @@ func (e *Engine) EvalContext(ctx context.Context, q *Query) (*Result, error) {
 	}
 	switch q.Form {
 	case FormSelect:
-		if !e.DisableVectorized {
-			return e.evalSelectVec(ctx, q)
-		}
-		return e.evalSelect(ctx, q)
+		return e.evalSelectVec(ctx, q)
 	case FormAsk:
-		if !e.DisableVectorized {
-			v := newVexec(ctx, e)
-			tb, err := v.evalRoot(q.Where)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{Bool: tb.n() > 0}, nil
-		}
-		bindings, err := e.evalGroup(ctx, q.Where, []Binding{{}})
+		tb, err := newVexec(ctx, e).evalRoot(q.Where)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Bool: len(bindings) > 0}, nil
+		return &Result{Bool: tb.n() > 0}, nil
 	case FormConstruct:
-		if !e.DisableVectorized {
-			return e.evalConstructWith(newVexec(ctx, e), q)
-		}
-		bindings, err := e.evalGroup(ctx, q.Where, []Binding{{}})
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Triples: constructTriples(q, bindings)}, nil
+		return e.evalConstructWith(newVexec(ctx, e), q)
 	case FormInsertData:
 		return &Result{Affected: e.store.AddAll(q.Data)}, nil
 	case FormDeleteData:
@@ -180,8 +156,8 @@ func (e *Engine) EvalContext(ctx context.Context, q *Query) (*Result, error) {
 	return nil, fmt.Errorf("stsparql: unsupported query form %d", q.Form)
 }
 
-// evalConstructWith runs CONSTRUCT through a caller-supplied vectorized
-// executor (EXPLAIN reuses it to harvest the measured plan).
+// evalConstructWith runs CONSTRUCT through a caller-supplied executor
+// (EXPLAIN reuses it to harvest the measured plan).
 func (e *Engine) evalConstructWith(v *vexec, q *Query) (*Result, error) {
 	tb, err := v.evalRoot(q.Where)
 	if err != nil {
@@ -207,26 +183,18 @@ func constructTriples(q *Query, bindings []Binding) []rdf.Triple {
 	return out
 }
 
-// solve evaluates a graph pattern to decoded bindings through whichever
-// executor is active; non-SELECT forms (CONSTRUCT, DELETE/INSERT WHERE)
-// need materialised terms anyway, so they share this boundary.
-func (e *Engine) solve(ctx context.Context, g *Group) ([]Binding, error) {
-	if e.DisableVectorized {
-		return e.evalGroup(ctx, g, []Binding{{}})
-	}
+func (e *Engine) evalModify(ctx context.Context, q *Query) (*Result, error) {
 	v := newVexec(ctx, e)
-	tb, err := v.evalRoot(g)
+	tb, err := v.evalRoot(q.Where)
 	if err != nil {
 		return nil, err
 	}
-	return v.decodeTable(tb), nil
+	return e.applyModify(q, v.decodeTable(tb)), nil
 }
 
-func (e *Engine) evalModify(ctx context.Context, q *Query) (*Result, error) {
-	bindings, err := e.solve(ctx, q.Where)
-	if err != nil {
-		return nil, err
-	}
+// applyModify instantiates the DELETE and INSERT templates over the WHERE
+// solutions and applies them to the store.
+func (e *Engine) applyModify(q *Query, bindings []Binding) *Result {
 	affected := 0
 	// Materialise all deletions and insertions before applying, so the
 	// WHERE evaluation is not perturbed mid-update.
@@ -253,7 +221,7 @@ func (e *Engine) evalModify(ctx context.Context, q *Query) (*Result, error) {
 			affected++
 		}
 	}
-	return &Result{Affected: affected}, nil
+	return &Result{Affected: affected}
 }
 
 func instantiate(pat Pattern, b Binding) (rdf.Triple, bool) {
@@ -277,58 +245,6 @@ func instantiate(pat Pattern, b Binding) (rdf.Triple, bool) {
 		return rdf.Triple{}, false
 	}
 	return rdf.Triple{S: s, P: p, O: o}, true
-}
-
-func (e *Engine) evalSelect(ctx context.Context, q *Query) (*Result, error) {
-	bindings, err := e.evalGroup(ctx, q.Where, []Binding{{}})
-	if err != nil {
-		return nil, err
-	}
-	// Aggregate projections group and collapse.
-	if len(q.GroupBy) > 0 || hasAggregate(q.Projections) {
-		return e.evalAggregateSelect(q, bindings)
-	}
-	// Determine output variables.
-	vars := projectionVars(q, bindings)
-	// Evaluate expression projections.
-	out := make([]Binding, 0, len(bindings))
-	for _, b := range bindings {
-		nb := Binding{}
-		for _, v := range vars {
-			if t, ok := b[v]; ok {
-				nb[v] = t
-			}
-		}
-		for _, pr := range q.Projections {
-			if pr.Expr == nil {
-				continue
-			}
-			t, err := e.evalExpr(pr.Expr, b)
-			if err == nil && !t.IsZero() {
-				nb[pr.Var] = t
-			}
-		}
-		out = append(out, nb)
-	}
-	if q.Distinct {
-		out = distinctBindings(vars, out)
-	}
-	if len(q.OrderBy) > 0 {
-		if err := e.orderBindings(out, q.OrderBy); err != nil {
-			return nil, err
-		}
-	}
-	if q.Offset > 0 {
-		if q.Offset >= len(out) {
-			out = nil
-		} else {
-			out = out[q.Offset:]
-		}
-	}
-	if q.Limit >= 0 && len(out) > q.Limit {
-		out = out[:q.Limit]
-	}
-	return &Result{Vars: vars, Bindings: out}, nil
 }
 
 func isAggregateName(name string) bool {
@@ -491,28 +407,6 @@ func (e *Engine) evalAggregateCall(c *ECall, rows []Binding) (rdf.Term, error) {
 	return rdf.Term{}, fmt.Errorf("stsparql: unknown aggregate %q", c.Name)
 }
 
-func projectionVars(q *Query, bindings []Binding) []string {
-	if !q.SelectStar {
-		vars := make([]string, 0, len(q.Projections))
-		for _, pr := range q.Projections {
-			vars = append(vars, pr.Var)
-		}
-		return vars
-	}
-	seen := map[string]bool{}
-	var vars []string
-	for _, b := range bindings {
-		for v := range b {
-			if !seen[v] {
-				seen[v] = true
-				vars = append(vars, v)
-			}
-		}
-	}
-	sort.Strings(vars)
-	return vars
-}
-
 func distinctBindings(vars []string, in []Binding) []Binding {
 	seen := map[string]bool{}
 	var out []Binding
@@ -551,112 +445,6 @@ func (e *Engine) orderBindings(bs []Binding, keys []OrderKey) error {
 		return false
 	})
 	return evalErr
-}
-
-// evalGroup evaluates a graph pattern group, extending the seed bindings.
-// The context is checked at group entry and inside the per-binding
-// pattern loops, so cancelled queries stop promptly even on the legacy
-// path.
-func (e *Engine) evalGroup(ctx context.Context, g *Group, seed []Binding) ([]Binding, error) {
-	if g == nil {
-		return seed, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	hints := e.spatialHints(g.Filters)
-	patterns := g.Patterns
-	if !e.DisableOptimizer {
-		// The legacy evaluator shares the statistics-backed planner with
-		// the vectorized executor: ordering consults the (cached)
-		// snapshot's statistics, never the fixed per-bound-var discount
-		// it used historically.
-		bound := map[string]bool{}
-		if len(seed) > 0 {
-			for v := range seed[0] {
-				bound[v] = true
-			}
-		}
-		pl := &planner{e: e, snap: e.store.Snapshot()}
-		patterns = pl.orderPatterns(patterns, bound, hints)
-	}
-	bindings := seed
-	for _, pat := range patterns {
-		var err error
-		bindings, err = e.evalPattern(ctx, pat, bindings, hints)
-		if err != nil {
-			return nil, err
-		}
-		if len(bindings) == 0 {
-			break
-		}
-	}
-	// BIND clauses.
-	for _, bc := range g.Binds {
-		for i, b := range bindings {
-			t, err := e.evalExpr(bc.Expr, b)
-			if err != nil {
-				continue // unevaluable BIND leaves the var unbound
-			}
-			nb := cloneBinding(b)
-			nb[bc.Var] = t
-			bindings[i] = nb
-		}
-	}
-	// FILTERs.
-	for _, f := range g.Filters {
-		var kept []Binding
-		for _, b := range bindings {
-			ok, err := e.evalFilter(f, b)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				kept = append(kept, b)
-			}
-		}
-		bindings = kept
-	}
-	// UNION blocks: each surviving binding extends through every
-	// alternative; the block's solutions are the concatenation.
-	for _, alts := range g.Unions {
-		var next []Binding
-		for _, b := range bindings {
-			for _, alt := range alts {
-				sub, err := e.evalGroup(ctx, alt, []Binding{b})
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, sub...)
-			}
-		}
-		bindings = next
-	}
-	// OPTIONAL groups (left join).
-	for _, opt := range g.Optionals {
-		var next []Binding
-		for _, b := range bindings {
-			sub, err := e.evalGroup(ctx, opt, []Binding{b})
-			if err != nil {
-				return nil, err
-			}
-			if len(sub) == 0 {
-				next = append(next, b)
-			} else {
-				next = append(next, sub...)
-			}
-		}
-		bindings = next
-	}
-	return bindings, nil
-}
-
-func cloneBinding(b Binding) Binding {
-	nb := make(Binding, len(b)+1)
-	for k, v := range b {
-		nb[k] = v
-	}
-	return nb
 }
 
 // spatialHints extracts per-variable bounding boxes from filters of the
@@ -740,111 +528,11 @@ func varConstGeom(args []Expression, e *Engine) (string, strdf.SpatialValue, boo
 	return "", strdf.SpatialValue{}, false
 }
 
-// evalPattern extends each binding with the matches of one pattern.
-func (e *Engine) evalPattern(ctx context.Context, pat Pattern, bindings []Binding, hints map[string]geo.Envelope) ([]Binding, error) {
-	// Spatial candidate set for an unbound object variable with a hint.
-	var spatialSet map[uint64]bool
-	if env, ok := hints[objVar(pat)]; ok {
-		ids := e.store.SpatialCandidates(env)
-		spatialSet = make(map[uint64]bool, len(ids))
-		for _, id := range ids {
-			spatialSet[id] = true
-		}
-	}
-	var out []Binding
-	for bi, b := range bindings {
-		if bi&255 == 255 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		tp, ok := e.boundPattern(pat, b)
-		if !ok {
-			continue // a constant term unknown to the store: no matches
-		}
-		rows := e.store.MatchIDs(tp)
-		for _, row := range rows {
-			s, p, o := e.store.Row(row)
-			if spatialSet != nil && pat.O.IsVar() {
-				if _, bound := b[pat.O.Var]; !bound && !spatialSet[o] {
-					continue
-				}
-			}
-			nb, ok := e.extend(b, pat, s, p, o)
-			if ok {
-				out = append(out, nb)
-			}
-		}
-	}
-	return out, nil
-}
-
 func objVar(pat Pattern) string {
 	if pat.O.IsVar() {
 		return pat.O.Var
 	}
 	return ""
-}
-
-// boundPattern resolves a pattern under a binding into store ids; ok is
-// false when a constant (or bound var) is unknown to the dictionary.
-func (e *Engine) boundPattern(pat Pattern, b Binding) (strabon.TriplePattern, bool) {
-	var tp strabon.TriplePattern
-	fill := func(pt PatTerm, dst *uint64) bool {
-		var term rdf.Term
-		switch {
-		case pt.IsVar():
-			t, bound := b[pt.Var]
-			if !bound {
-				return true // stays a wildcard
-			}
-			term = t
-		default:
-			term = pt.Term
-		}
-		id, err := e.store.LookupID(term)
-		if err != nil {
-			return false
-		}
-		*dst = id
-		return true
-	}
-	if !fill(pat.S, &tp.S) || !fill(pat.P, &tp.P) || !fill(pat.O, &tp.O) {
-		return tp, false
-	}
-	return tp, true
-}
-
-// extend adds the pattern's variable bindings from a matched row,
-// rejecting rows that conflict with existing bindings.
-func (e *Engine) extend(b Binding, pat Pattern, s, p, o uint64) (Binding, bool) {
-	nb := b
-	cloned := false
-	bind := func(pt PatTerm, id uint64) bool {
-		if !pt.IsVar() {
-			return true
-		}
-		term, ok := e.store.Dict().Decode(id)
-		if !ok {
-			return false
-		}
-		if cur, bound := nb[pt.Var]; bound {
-			return cur == term
-		}
-		if !cloned {
-			nb = cloneBinding(b)
-			cloned = true
-		}
-		nb[pt.Var] = term
-		return true
-	}
-	if !bind(pat.S, s) || !bind(pat.P, p) || !bind(pat.O, o) {
-		return nil, false
-	}
-	if !cloned {
-		nb = cloneBinding(b)
-	}
-	return nb, true
 }
 
 // parseGeom decodes a spatial literal with caching, normalised to WGS84.

@@ -58,16 +58,9 @@ func (v *vexec) explainLines(q *Query, finalRows int) []string {
 	if v.e.DisableOptimizer {
 		order = "syntactic"
 	}
-	executor := "vectorized(morsel-parallel)"
-	if v.e.DisableVectorized {
-		// EXPLAIN always runs (and describes) the vectorized executor;
-		// flag the mismatch so -legacy-eval ablation users aren't misled
-		// about what serves their real queries.
-		executor += " [note: engine runs -legacy-eval for queries]"
-	}
 	lines := []string{fmt.Sprintf(
-		"%s  executor=%s  workers=%d  order=%s  snapshot=v%d(%d triples)",
-		formName(q.Form), executor, v.workers, order, v.snap.Version(), v.snap.NRows())}
+		"%s  executor=vectorized(morsel-parallel)  workers=%d  order=%s  snapshot=v%d(%d triples)",
+		formName(q.Form), v.workers, order, v.snap.Version(), v.snap.NRows())}
 	lines = appendPlanLines(lines, v.plan, 1)
 	lines = append(lines, fmt.Sprintf("%s%-*s rows=%d", "  ", labelWidth, projectLabel(q), finalRows))
 	return lines

@@ -13,8 +13,8 @@ import (
 // distinct-subject/object counts, R-tree spatial selectivity), then
 // executed; every node records its estimated and measured output
 // cardinality plus the morsel-parallelism it used, which is exactly what
-// EXPLAIN renders. The same planner orders the legacy evaluator's
-// patterns, so the two executors always agree on join order.
+// EXPLAIN renders. The same planner orders the test oracle's patterns, so
+// the oracle and the executor always agree on join order.
 
 type nodeKind int
 

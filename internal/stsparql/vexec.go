@@ -58,7 +58,7 @@ var (
 // flattened row-major. Slot value 0 means "unbound" (dictionary ids start
 // at 1). origin[i] records which seed row produced row i; every operator
 // emits rows in nondecreasing origin order, which lets UNION and OPTIONAL
-// merges reproduce the legacy binding-at-a-time output order exactly.
+// merges reproduce the reference binding-at-a-time output order exactly.
 type vtable struct {
 	width  int
 	rows   []uint64
@@ -194,7 +194,7 @@ func (v *vexec) evalRoot(g *Group) (*vtable, error) {
 // execGroup runs one compiled group: patterns (scan/join), then BIND,
 // FILTER, UNION and OPTIONAL operators, recording measured cardinalities
 // on the plan. Once a pattern produces zero rows the remaining patterns
-// are skipped (they cannot add rows), matching the legacy pipeline.
+// are skipped (they cannot add rows), matching the reference pipeline.
 func (v *vexec) execGroup(p *groupPlan, in *vtable) (*vtable, error) {
 	cur := in
 	skipPatterns := false
@@ -348,7 +348,7 @@ func (v *vexec) evalPattern(n *planNode, in *vtable, hints map[string]geo.Envelo
 	}
 	// Spatial pushdown set: candidate object ids inside the filter hint's
 	// envelope. It constrains only rows where the object variable is still
-	// unbound, matching the legacy executor.
+	// unbound, matching the reference executor.
 	var spatialSet map[uint64]bool
 	if ov := objVar(pat); ov != "" && (kind[2] == posNew || kind[2] == posMixed) {
 		if env, ok := hints[ov]; ok {
@@ -383,8 +383,8 @@ func (v *vexec) evalPattern(n *planNode, in *vtable, hints map[string]geo.Envelo
 	// When the solution side is much smaller than the candidate side of a
 	// join, probing the index once per row (with the row's bound ids
 	// narrowing the probe) beats building a hash table over the
-	// candidates — this is the legacy strategy, minus its per-row lock and
-	// term decoding.
+	// candidates — the reference evaluator's strategy, minus its per-row
+	// lock and term decoding.
 	if len(joinPos) > 0 && in.n()*8 < v.snap.Cardinality(constPat) {
 		return v.evalPatternPerRow(n, pat, constPat, kind, slotAt, in, width, spatialSet)
 	}
@@ -712,7 +712,7 @@ func (v *vexec) evalFilterTable(n *planNode, in *vtable) (*vtable, error) {
 
 // evalUnion runs every alternative batched over all current rows, then
 // interleaves the results per input row (alternatives in syntactic order)
-// to match the legacy binding-at-a-time concatenation exactly.
+// to match the reference binding-at-a-time concatenation exactly.
 func (v *vexec) evalUnion(n *planNode, in *vtable) (*vtable, error) {
 	if in.n() == 0 {
 		return in, nil
@@ -849,7 +849,7 @@ type geomSrc struct {
 }
 
 // fetch resolves the geometry for one row. falseNow reports that the
-// legacy evaluator would error here (unbound variable, unparsable term),
+// reference evaluator would error here (unbound variable, unparsable term),
 // which a FILTER treats as false.
 func (v *vexec) fetchGeom(src geomSrc, in *vtable, r int) (strdf.SpatialValue, bool) {
 	if !src.isVar {
@@ -1063,7 +1063,7 @@ func (e *Engine) evalSelectVecWith(v *vexec, q *Query) (*Result, error) {
 	}
 	for _, pr := range q.Projections {
 		if pr.Expr != nil {
-			// Expression projections need decoded rows; run the legacy
+			// Expression projections need decoded rows; run the binding
 			// projection pipeline over the decoded table.
 			return e.projectSelect(q, vars, v.decodeTable(tb))
 		}
@@ -1085,7 +1085,7 @@ func (e *Engine) evalSelectVecWith(v *vexec, q *Query) (*Result, error) {
 	}
 	// ORDER BY over projected plain variables sorts row indices on decoded
 	// key terms, deferring full materialisation to after OFFSET/LIMIT.
-	// (Only projected variables: the legacy pipeline sorts the projected
+	// (Only projected variables: the reference pipeline sorts the projected
 	// bindings, where anything else is unbound.)
 	if keySlots, ok := orderKeySlots(q.OrderBy, vars, slots); ok {
 		v.sortIdx(tb, idx, q.OrderBy, keySlots)
@@ -1125,7 +1125,7 @@ func orderKeySlots(keys []OrderKey, vars []string, slots []int) ([]int, bool) {
 }
 
 // sortIdx stable-sorts row indices by pre-decoded ORDER BY key terms,
-// mirroring the legacy comparator (rows where either side is unbound
+// mirroring the reference comparator (rows where either side is unbound
 // compare equal on that key).
 func (v *vexec) sortIdx(tb *vtable, idx []int, keys []OrderKey, keySlots []int) {
 	k := len(keySlots)
@@ -1214,7 +1214,7 @@ func compareSortKeys(a, b *sortKey) int {
 	return compareTerms(a.term, b.term)
 }
 
-// projectSelect is the legacy projection/distinct/order/slice pipeline
+// projectSelect is the projection/distinct/order/slice pipeline
 // over already-decoded bindings, shared by the expression-projection path.
 func (e *Engine) projectSelect(q *Query, vars []string, bindings []Binding) (*Result, error) {
 	out := make([]Binding, 0, len(bindings))

@@ -17,12 +17,9 @@
 # assertion that every acknowledged update survived.
 #
 # Usage: scripts/crashtest.sh [port]   (default 18321)
-# SNAPSHOT_FORMAT=raw|packed selects the checkpoint format under test
-# (default packed).
 set -u
 
 PORT="${1:-18321}"
-SNAPSHOT_FORMAT="${SNAPSHOT_FORMAT:-packed}"
 BASE="http://127.0.0.1:${PORT}"
 WORK="$(mktemp -d)"
 DATA="$WORK/data"
@@ -62,9 +59,8 @@ wait_healthy() {
 echo "crashtest: building teleios-server"
 go build -o "$WORK/teleios-server" ./cmd/teleios-server || fail "build"
 
-echo "crashtest: starting server with -data-dir $DATA (-snapshot-format $SNAPSHOT_FORMAT)"
+echo "crashtest: starting server with -data-dir $DATA"
 "$WORK/teleios-server" -addr "127.0.0.1:${PORT}" -data-dir "$DATA" \
-    -snapshot-format "$SNAPSHOT_FORMAT" \
     -wal-sync always -linked >"$WORK/server1.log" 2>&1 &
 SERVER_PID=$!
 wait_healthy server1.log
@@ -82,7 +78,8 @@ echo "crashtest: serving $BASELINE triples; starting update stream"
             --data-urlencode "update=INSERT DATA { <http://crash.test/s${i}> <http://crash.test/p> \"v${i}\" }" \
             "$BASE/sparql")
         if [ "$code" = "200" ]; then
-            echo "$i" >"$ACKED_FILE"
+            # Rename, so the checks below never read the file mid-truncate.
+            echo "$i" >"$ACKED_FILE.tmp" && mv "$ACKED_FILE.tmp" "$ACKED_FILE"
         fi
     done
 ) &
@@ -103,7 +100,6 @@ echo "crashtest: $ACKED updates acknowledged before the kill"
 
 echo "crashtest: restarting on the same data dir"
 "$WORK/teleios-server" -addr "127.0.0.1:${PORT}" -data-dir "$DATA" \
-    -snapshot-format "$SNAPSHOT_FORMAT" \
     -wal-sync always >"$WORK/server2.log" 2>&1 &
 SERVER_PID=$!
 wait_healthy server2.log
@@ -143,7 +139,6 @@ echo "crashtest: phase 1 OK (acked=$ACKED recovered=$RECOVERED total=$TOTAL)"
 
 echo "crashtest: phase 2: restart for the concurrent-writer group-commit crash"
 "$WORK/teleios-server" -addr "127.0.0.1:${PORT}" -data-dir "$DATA" \
-    -snapshot-format "$SNAPSHOT_FORMAT" \
     -wal-sync always >"$WORK/server3.log" 2>&1 &
 SERVER_PID=$!
 wait_healthy server3.log
@@ -162,7 +157,7 @@ for w in $(seq 1 "$GROUP_WRITERS"); do
                 "$BASE/sparql")
             echo "$i $code" >>"$WORK/codes-w${w}"
             if [ "$code" = "200" ]; then
-                echo "$i" >"$WORK/acked-w${w}"
+                echo "$i" >"$WORK/acked-w${w}.tmp" && mv "$WORK/acked-w${w}.tmp" "$WORK/acked-w${w}"
             fi
         done
     ) &
@@ -185,7 +180,6 @@ WRITER_PIDS=""
 
 echo "crashtest: phase 2: restarting on the same data dir"
 "$WORK/teleios-server" -addr "127.0.0.1:${PORT}" -data-dir "$DATA" \
-    -snapshot-format "$SNAPSHOT_FORMAT" \
     -wal-sync always >"$WORK/server4.log" 2>&1 &
 SERVER_PID=$!
 wait_healthy server4.log

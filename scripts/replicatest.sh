@@ -16,13 +16,10 @@
 #   5. replicas refuse updates with 403.
 #
 # Usage: scripts/replicatest.sh [baseport]   (default 18410; uses 4 ports)
-# SNAPSHOT_FORMAT=raw|packed selects the checkpoint format all nodes use
-# (default packed; replicas bootstrap by mapping the primary's packed
-# snapshot in place).
+# (Replicas bootstrap by mapping the primary's packed snapshot in place.)
 set -u
 
 BASE_PORT="${1:-18410}"
-SNAPSHOT_FORMAT="${SNAPSHOT_FORMAT:-packed}"
 P_PORT=$BASE_PORT
 R1_PORT=$((BASE_PORT + 1))
 R2_PORT=$((BASE_PORT + 2))
@@ -82,9 +79,8 @@ wait_converged() {
 echo "replicatest: building teleios-server"
 go build -o "$WORK/teleios-server" ./cmd/teleios-server || fail "build"
 
-echo "replicatest: starting primary on :$P_PORT (-snapshot-format $SNAPSHOT_FORMAT)"
+echo "replicatest: starting primary on :$P_PORT"
 "$WORK/teleios-server" -addr "127.0.0.1:${P_PORT}" -data-dir "$WORK/primary" \
-    -snapshot-format "$SNAPSHOT_FORMAT" \
     -wal-sync always -linked >"$WORK/primary.log" 2>&1 &
 PIDS+=($!)
 wait_healthy "$PRI" primary
@@ -92,7 +88,6 @@ wait_healthy "$PRI" primary
 start_replica() {
     local port="$1" dir="$2" log="$3"
     "$WORK/teleios-server" -addr "127.0.0.1:${port}" -data-dir "$dir" \
-        -snapshot-format "$SNAPSHOT_FORMAT" \
         -replicate-from "$PRI" >"$log" 2>&1 &
     echo $!
 }
