@@ -641,6 +641,13 @@ type storeStats struct {
 	Predicates      int    `json:"predicates"`
 	Version         uint64 `json:"version"`
 	AppliedSeq      uint64 `json:"applied_seq"`
+	// Read-view builds (strabon.ViewCounters): full builds, delta builds
+	// over the installed base, readers that waited for another reader's
+	// build, and the size of the newest view's delta.
+	SnapshotFullBuilds  uint64 `json:"snapshot_full_builds"`
+	SnapshotDeltaBuilds uint64 `json:"snapshot_delta_builds"`
+	SnapshotBuildWaits  uint64 `json:"snapshot_build_waits"`
+	SnapshotDeltaRows   int64  `json:"snapshot_delta_rows"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -651,6 +658,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st = s.cfg.Store.Stats()
 		ss.Version = s.cfg.Store.Version()
 		ss.AppliedSeq = s.cfg.Store.AppliedSeq()
+		vc := s.cfg.Store.ViewCounters()
+		ss.SnapshotFullBuilds, ss.SnapshotDeltaBuilds = vc.FullBuilds, vc.DeltaBuilds
+		ss.SnapshotBuildWaits, ss.SnapshotDeltaRows = vc.BuildWaits, vc.DeltaRows
 	}
 	ss.Triples = st.Triples
 	ss.Terms = st.Terms

@@ -864,6 +864,32 @@ func TestHealthAndStats(t *testing.T) {
 	if err := json.Unmarshal(body, &stats); err != nil || stats.Store.Triples != 14 || stats.Pool.Workers != 8 {
 		t.Fatalf("stats = %s (err %v)", body, err)
 	}
+
+	// A read, a write, a read: the second read's view is a delta of one
+	// row over the first read's full build.
+	get(t, ts.URL, townQuery, nil)
+	resp, err = http.PostForm(ts.URL+"/sparql", url.Values{"update": {`INSERT DATA { <http://example.org/new> a <http://example.org/Town> }`}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	get(t, ts.URL, townQuery, nil)
+	resp, err = http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var views struct {
+		Store storeStats `json:"store"`
+	}
+	if err := json.Unmarshal(body, &views); err != nil {
+		t.Fatal(err)
+	}
+	if v := views.Store; v.SnapshotFullBuilds != 1 || v.SnapshotDeltaBuilds != 1 || v.SnapshotDeltaRows != 1 {
+		t.Fatalf("view counters = %+v, want 1 full build, 1 delta build of 1 row", v)
+	}
 }
 
 // vetoJournal refuses every append after fail is set — the disk-full

@@ -477,23 +477,15 @@ func (m *Manager) Checkpoint() error {
 		return err
 	}
 
-	// Capture a consistent view plus the WAL sequence it covers. Journal
-	// appends happen under the store's write lock and Snapshot() builds
-	// under the read lock, so if the sequence number is identical on
-	// both sides of the build, it is exact. Under sustained writes we
-	// settle for the pre-build value: a safe lower bound, because
+	// Capture a folded view plus the WAL sequence it covers. Journal
+	// appends happen under the store's write lock and Fold builds under
+	// the read lock, so every record durable before the call is in the
+	// view: the pre-build sequence number is a safe label, because
 	// replaying records the snapshot already reflects is idempotent
-	// (Add/Remove are set operations).
-	var sn *strabon.Snapshot
-	var seq uint64
-	for attempt := 0; ; attempt++ {
-		s1 := m.seq.Load()
-		sn = m.store.Snapshot()
-		seq = s1
-		if m.seq.Load() == s1 || attempt == 3 {
-			break
-		}
-	}
+	// (Add/Remove are set operations). The fold becomes the store's new
+	// base, so readers reuse this build instead of paying for another.
+	seq := m.seq.Load()
+	sn := m.store.Fold()
 	// Group commit opens a second hazard the label cannot express: the
 	// snapshot was built from memory, which may include mutations whose
 	// batch has not reached the disk yet (applied under the store lock,

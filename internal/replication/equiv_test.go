@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/strabon"
 	"repro/internal/stsparql"
 	"repro/internal/stsparql/corpus"
 )
@@ -14,7 +15,8 @@ import (
 // replica's store, at every -max-query-parallelism level. The replica
 // bootstraps from a mid-load snapshot and tails the rest over HTTP, so
 // both the snapshot-restore and WAL-replay halves of its state are
-// under test.
+// under test. A second leg folds the primary and writes a seeded batch
+// of adds and removes, so both sides answer from a base plus a delta.
 func TestPrimaryReplicaEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(corpus.Seed))
 	triples := corpus.Triples(rng)
@@ -45,30 +47,57 @@ func TestPrimaryReplicaEquivalence(t *testing.T) {
 	for i := range queries {
 		queries[i] = corpus.RandQuery(rng)
 	}
+	sameOrderedRows(t, "after bootstrap and tail", tp.st, rep.Store(), queries)
+
+	// A fold on the primary (its checkpoint), then a seeded batch of adds
+	// and removes: both sides now serve a base plus a non-empty delta.
+	if err := tp.mgr.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	adds, removes := corpus.Delta(rand.New(rand.NewSource(corpus.Seed+1)), tp.st.Triples())
+	tp.st.AddAll(adds)
+	for _, tr := range removes {
+		tp.st.Remove(tr)
+	}
+	waitApplied(t, rep.AppliedSeq, tp.mgr.LastSeq())
+	for _, st := range []*strabon.Store{tp.st, rep.Store()} {
+		st.Snapshot()
+		if st.ViewCounters().DeltaRows == 0 {
+			t.Fatal("the writes folded: the view has no delta")
+		}
+	}
+	sameOrderedRows(t, "base+delta", tp.st, rep.Store(), queries)
+}
+
+// sameOrderedRows runs queries against the primary's and the replica's
+// stores at every -max-query-parallelism level and demands bit-identical
+// results.
+func sameOrderedRows(t *testing.T, leg string, primary, replica *strabon.Store, queries []string) {
+	t.Helper()
 	for _, workers := range []int{1, 2, 4} {
-		peng := stsparql.New(tp.st)
+		peng := stsparql.New(primary)
 		peng.MaxParallelism = workers
-		reng := stsparql.New(rep.Store())
+		reng := stsparql.New(replica)
 		reng.MaxParallelism = workers
 		for qi, query := range queries {
 			pres, perr := peng.Query(query)
 			rres, rerr := reng.Query(query)
 			if (perr == nil) != (rerr == nil) {
-				t.Fatalf("workers=%d query #%d error mismatch:\nprimary=%v\nreplica=%v\nquery:\n%s",
-					workers, qi, perr, rerr, query)
+				t.Fatalf("%s, workers=%d query #%d error mismatch:\nprimary=%v\nreplica=%v\nquery:\n%s",
+					leg, workers, qi, perr, rerr, query)
 			}
 			if perr != nil {
 				continue
 			}
 			pr, rr := orderedRows(pres), orderedRows(rres)
 			if len(pr) != len(rr) {
-				t.Fatalf("workers=%d query #%d row count: primary=%d replica=%d\nquery:\n%s",
-					workers, qi, len(pr), len(rr), query)
+				t.Fatalf("%s, workers=%d query #%d row count: primary=%d replica=%d\nquery:\n%s",
+					leg, workers, qi, len(pr), len(rr), query)
 			}
 			for i := range pr {
 				if pr[i] != rr[i] {
-					t.Fatalf("workers=%d query #%d row %d differs:\nprimary: %s\nreplica: %s\nquery:\n%s",
-						workers, qi, i, pr[i], rr[i], query)
+					t.Fatalf("%s, workers=%d query #%d row %d differs:\nprimary: %s\nreplica: %s\nquery:\n%s",
+						leg, workers, qi, i, pr[i], rr[i], query)
 				}
 			}
 		}

@@ -13,8 +13,8 @@ import (
 	"repro/internal/strdf"
 )
 
-// packView is the mapped-snapshot backend: a Snapshot whose pack field
-// is non-nil answers MatchRows/Cardinality/DecodeAll straight off a
+// packView is the mapped-snapshot backend: a base (flat) whose pack
+// field is non-nil answers MatchRows/Cardinality/DecodeAll straight off a
 // packed snapshot file (colpack.Reader over an mmap), decoding blocks
 // on demand instead of materialising columns, posting lists and the
 // dictionary into heap memory. Every structure here is either
@@ -131,7 +131,7 @@ func newPackView(r *colpack.Reader) *packView {
 // Snapshot. The snapshot keeps the reader (and its mapping) alive for
 // its own lifetime.
 func NewMappedSnapshot(r *colpack.Reader) *Snapshot {
-	return &Snapshot{version: r.Version(), useIdx: true, pack: newPackView(r)}
+	return &Snapshot{version: r.Version(), useIdx: true, base: &flat{pack: newPackView(r)}}
 }
 
 // RestorePacked builds a store whose read view is served in place
@@ -140,7 +140,8 @@ func NewMappedSnapshot(r *colpack.Reader) *Snapshot {
 // is independent of dataset size. The store lazily materialises the
 // heap representation on the first mutation (or legacy index-driven
 // read) — the packed file is the read-optimised format, the heap is
-// the write-side one.
+// the write-side one. The mapped file stays the base of every later
+// view until a fold: materialisation keeps row i at store row i.
 func RestorePacked(r *colpack.Reader) (*Store, error) {
 	if r.NRows() < 0 || r.NTerms() < 0 {
 		return nil, fmt.Errorf("strabon: packed snapshot with negative meta")
@@ -148,7 +149,8 @@ func RestorePacked(r *colpack.Reader) (*Store, error) {
 	st := NewStore()
 	st.version = r.Version()
 	sn := NewMappedSnapshot(r)
-	st.packed = sn.pack
+	st.packed = sn.base.pack
+	st.fold = &foldPoint{flat: sn.base, rows: r.NRows()}
 	st.snap = sn
 	return st, nil
 }
@@ -483,12 +485,15 @@ func (pv *packView) sizeBytes() int64 { return pv.r.SizeBytes() }
 
 // PackData assembles the packed snapshot writer's input from this
 // snapshot's state; seq is the WAL sequence number the snapshot
-// covers. It works in both modes — re-packing a mapped snapshot
-// decodes it once — though checkpointing skips unchanged stores, so
-// in practice only heap snapshots reach the writer.
+// covers. The view must have no delta (Store.Fold's views never do);
+// one with a delta panics rather than silently packing only its base.
+// Re-packing a mapped base decodes it once.
 func (sn *Snapshot) PackData(seq uint64) *colpack.SnapshotData {
+	if sn.delta != nil {
+		panic("strabon: PackData of a view with a delta; pack Store.Fold's view")
+	}
 	d := &colpack.SnapshotData{Seq: seq, Version: sn.version}
-	if pv := sn.pack; pv != nil {
+	if pv := sn.base.pack; pv != nil {
 		d.S = pv.cols[0].decodeAll()
 		d.P = pv.cols[1].decodeAll()
 		d.O = pv.cols[2].decodeAll()
@@ -506,17 +511,9 @@ func (sn *Snapshot) PackData(seq uint64) *colpack.SnapshotData {
 		d.Stats = packStats(pv.stats)
 		return d
 	}
-	d.S, d.P, d.O = sn.S, sn.P, sn.O
-	d.Postings = func(comp int, id uint64) []int32 {
-		switch comp {
-		case 0:
-			return sn.byS[id]
-		case 1:
-			return sn.byP[id]
-		default:
-			return sn.byO[id]
-		}
-	}
+	f := sn.base
+	d.S, d.P, d.O = f.cols[0], f.cols[1], f.cols[2]
+	d.Postings = f.posting
 	nTerms := sn.dict.Len()
 	ids := make([]uint64, nTerms)
 	for i := range ids {
@@ -526,7 +523,7 @@ func (sn *Snapshot) PackData(seq uint64) *colpack.SnapshotData {
 	d.GeomIDs = sn.GeomIDs()
 	d.GeomEnvs = make([]geo.Envelope, len(d.GeomIDs))
 	for i, id := range d.GeomIDs {
-		d.GeomEnvs[i] = sn.geoms[id].Geom.Envelope()
+		d.GeomEnvs[i] = f.geoms[id].Geom.Envelope()
 	}
 	d.Stats = packStats(sn.Stats())
 	return d

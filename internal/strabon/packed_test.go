@@ -17,8 +17,8 @@ import (
 	"repro/internal/rdf"
 )
 
-// packFixture writes st's current snapshot as a packed file and opens
-// it. The reader is closed with the test.
+// packFixture writes st's current state as a packed file and opens it.
+// The reader is closed with the test.
 func packFixture(t *testing.T, st *Store, seq uint64) *colpack.Reader {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "snap.pack")
@@ -26,7 +26,7 @@ func packFixture(t *testing.T, st *Store, seq uint64) *colpack.Reader {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := colpack.Write(f, st.Snapshot().PackData(seq)); err != nil {
+	if err := colpack.Write(f, st.Fold().PackData(seq)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

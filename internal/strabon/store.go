@@ -10,6 +10,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/column"
 	"repro/internal/geo"
@@ -112,8 +113,23 @@ type Store struct {
 	// at the same appliedSeq hold identical logical contents.
 	appliedSeq uint64
 	// snap caches the immutable read view handed to the vectorized
-	// executor; it is rebuilt lazily when version moves past it.
-	snap *Snapshot
+	// executor; a new one is built lazily when version moves past it.
+	// fold is the full build later views layer their delta on (nil: the
+	// next view is a full build). tombLog and geomLog record, as writes
+	// happen, the store rows tombstoned since the last Compact and the
+	// geometries cached since fold was taken, so a delta build never
+	// scans for them. epoch moves when rows are renumbered, so that a
+	// full build taken before cannot become fold after.
+	snap    *Snapshot
+	fold    *foldPoint
+	tombLog []int
+	geomLog []uint64
+	epoch   uint64
+	// building is the in-flight view build stale readers wait on (single
+	// flight, see Store.Snapshot); the counters feed ViewCounters.
+	building                            atomic.Pointer[viewBuild]
+	fullBuilds, deltaBuilds, buildWaits atomic.Uint64
+	deltaRows                           atomic.Int64
 	// lazyIdx is set by RestoreColumns: the component posting lists and
 	// the present map have not been built yet and must be materialised
 	// (ensureIdx) before the first mutation or index-driven read.
@@ -256,15 +272,36 @@ func (st *Store) ensureIdx() {
 func (st *Store) SetSpatialIndexEnabled(on bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	// The version bump below invalidates the cached snapshot; a mapped
-	// store must decode to heap first or the rebuild would see nothing.
+	// A mapped store's lookups always search the file's R-tree; decode to
+	// heap so that store-level lookups honour the setting. (Views over a
+	// mapped base keep searching its R-tree until the next fold.)
 	st.materializeLocked()
 	st.useSpatialIndex = on
-	// Snapshots capture the setting: drop the cached one and move the
-	// version so an in-flight snapshot build cannot reinstall a view with
-	// the old setting.
-	st.snap = nil
+	// Views capture the setting: move the version so the next Snapshot
+	// builds one with it and an in-flight build cannot install one
+	// without.
 	st.version++
+}
+
+// ViewCounters counts the read views (Snapshots) a store has built.
+type ViewCounters struct {
+	// FullBuilds and DeltaBuilds count views built by a full fold and by
+	// a delta over the installed base; BuildWaits counts readers that
+	// waited for another reader's build instead of building.
+	FullBuilds, DeltaBuilds, BuildWaits uint64
+	// DeltaRows is the size of the newest view's delta: rows appended
+	// since its base plus base rows removed since.
+	DeltaRows int64
+}
+
+// ViewCounters reports the store's view-build counters.
+func (st *Store) ViewCounters() ViewCounters {
+	return ViewCounters{
+		FullBuilds:  st.fullBuilds.Load(),
+		DeltaBuilds: st.deltaBuilds.Load(),
+		BuildWaits:  st.buildWaits.Load(),
+		DeltaRows:   st.deltaRows.Load(),
+	}
 }
 
 // Dict exposes the term dictionary. On a packed store the dictionary
@@ -386,6 +423,7 @@ func (st *Store) applyAdd(t rdf.Triple, key [3]uint64) {
 					v = w
 				}
 				st.geoms[oID] = v
+				st.geomLog = append(st.geomLog, oID)
 				st.spatialStale = true
 			}
 		}
@@ -535,6 +573,7 @@ func (st *Store) Remove(t rdf.Triple) bool {
 	st.byP[pID] = removePos(st.byP[pID], row)
 	st.byO[oID] = removePos(st.byO[oID], row)
 	st.deleted++
+	st.tombLog = append(st.tombLog, row)
 	locked = false
 	st.mu.Unlock()
 	return st.finishCommit(c)
@@ -851,11 +890,15 @@ func (st *Store) Compact() int {
 			return 0
 		}
 	}
-	// Row numbering and the spatial side change; cached snapshots must not
-	// outlive them, and in-flight snapshot builds must not reinstall a
-	// pre-compaction view. (A no-op compaction above changes nothing, so
-	// it leaves the cache and version alone.)
+	// Row numbering and the spatial side change; cached views and their
+	// base must not outlive them, and an in-flight build must not install
+	// a pre-compaction base (epoch). The next view is a full build. (A
+	// no-op compaction above changes nothing, so it leaves all of this
+	// alone.)
 	st.snap = nil
+	st.fold = nil
+	st.tombLog, st.geomLog = nil, nil
+	st.epoch++
 	st.version++
 	reclaimed := st.deleted
 	n := len(st.s) - st.deleted

@@ -74,6 +74,20 @@ func Triples(rng *rand.Rand) []rdf.Triple {
 	return triples
 }
 
+// Delta draws a seeded batch of writes against a store holding base:
+// adds (a second draw of the dataset — the same subjects and vocabulary
+// with fresh values, links and geometries, some already present) and
+// removes (an eighth of base, sampled). The equivalence suites apply it
+// after the last full build, so that their queries run against a read
+// view with a non-empty delta.
+func Delta(rng *rand.Rand, base []rdf.Triple) (adds, removes []rdf.Triple) {
+	adds = Triples(rng)
+	for i := 0; i < len(base)/8; i++ {
+		removes = append(removes, base[rng.Intn(len(base))])
+	}
+	return adds, removes
+}
+
 // randPatTerm yields a pattern position: a variable or a constant.
 func randPatTerm(rng *rand.Rand, vars []string, consts []string) string {
 	if rng.Intn(2) == 0 {

@@ -75,6 +75,25 @@ func canonBindings(res *Result) []string {
 	return out
 }
 
+// writeDelta applies one corpus.Delta batch to every store — adds, then
+// removes — and checks that the view each store then serves layers a
+// delta on its last full build, so the queries that follow run against
+// base and delta merged.
+func writeDelta(t *testing.T, seed int64, stores ...*strabon.Store) {
+	t.Helper()
+	adds, removes := corpus.Delta(rand.New(rand.NewSource(seed)), stores[0].Triples())
+	for _, st := range stores {
+		st.AddAll(adds)
+		for _, tr := range removes {
+			st.Remove(tr)
+		}
+		st.Snapshot()
+		if st.ViewCounters().DeltaRows == 0 {
+			t.Fatal("the writes folded: the view has no delta")
+		}
+	}
+}
+
 func TestExecutorEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(corpus.Seed))
 	st := equivStore(rng)
@@ -89,33 +108,40 @@ func TestExecutorEquivalenceRandomized(t *testing.T) {
 		{"no-pushdown", true, false, true}, // A1 ablation: pushdown off
 		{"no-rtree", true, true, false},    // A1 ablation: index scan
 	}
-	const nQueries = 400
-	for qi := 0; qi < nQueries; qi++ {
-		query := randQuery(rng)
-		for _, m := range modes {
-			st.SetSpatialIndexEnabled(m.spatialIdx)
-			eng := New(st)
-			eng.DisableOptimizer = !m.optimizer
-			eng.DisableSpatialPushdown = !m.pushdown
+	queries := make([]string, 400)
+	for i := range queries {
+		queries[i] = randQuery(rng)
+	}
+	for _, leg := range []string{"full build", "base+delta"} {
+		if leg == "base+delta" {
+			writeDelta(t, corpus.Seed+1, st)
+		}
+		for qi, query := range queries {
+			for _, m := range modes {
+				st.SetSpatialIndexEnabled(m.spatialIdx)
+				eng := New(st)
+				eng.DisableOptimizer = !m.optimizer
+				eng.DisableSpatialPushdown = !m.pushdown
 
-			ores, oerr := eng.oracleQuery(context.Background(), query)
-			vres, verr := eng.Query(query)
-			if (oerr == nil) != (verr == nil) {
-				t.Fatalf("mode %s query #%d error mismatch:\noracle=%v\nvec=%v\nquery:\n%s",
-					m.name, qi, oerr, verr, query)
-			}
-			if oerr != nil {
-				continue
-			}
-			oc, vc := canonBindings(ores), canonBindings(vres)
-			if len(oc) != len(vc) {
-				t.Fatalf("mode %s query #%d row count: oracle=%d vec=%d\nquery:\n%s",
-					m.name, qi, len(oc), len(vc), query)
-			}
-			for i := range oc {
-				if oc[i] != vc[i] {
-					t.Fatalf("mode %s query #%d row %d differs:\noracle: %s\nvec:    %s\nquery:\n%s",
-						m.name, qi, i, oc[i], vc[i], query)
+				ores, oerr := eng.oracleQuery(context.Background(), query)
+				vres, verr := eng.Query(query)
+				if (oerr == nil) != (verr == nil) {
+					t.Fatalf("%s, mode %s query #%d error mismatch:\noracle=%v\nvec=%v\nquery:\n%s",
+						leg, m.name, qi, oerr, verr, query)
+				}
+				if oerr != nil {
+					continue
+				}
+				oc, vc := canonBindings(ores), canonBindings(vres)
+				if len(oc) != len(vc) {
+					t.Fatalf("%s, mode %s query #%d row count: oracle=%d vec=%d\nquery:\n%s",
+						leg, m.name, qi, len(oc), len(vc), query)
+				}
+				for i := range oc {
+					if oc[i] != vc[i] {
+						t.Fatalf("%s, mode %s query #%d row %d differs:\noracle: %s\nvec:    %s\nquery:\n%s",
+							leg, m.name, qi, i, oc[i], vc[i], query)
+					}
 				}
 			}
 		}
