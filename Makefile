@@ -103,11 +103,12 @@ bench-json: bench
 # executor against the test-only reference evaluator, in both serial and
 # parallel-morsel modes (the CI gate for the morsel executor), heap
 # against mapped and primary against replica, each also over a read view
-# with a non-empty delta — plus the base+delta view property test and
-# its single-flight concurrency test under -race.
+# with a non-empty delta, and spatial index joins against the cross
+# product they replace, row order included — plus the base+delta view
+# property test and its single-flight concurrency test under -race.
 equivalence:
-	$(GO) test -run 'TestExecutorEquivalence|TestSerialParallelEquivalence|TestContextCancellation|TestHeapMappedEquivalence' ./internal/stsparql/
-	$(GO) test -race -run 'TestSerialParallelEquivalence|TestConcurrentParallelQueriesUpdatesCheckpoints' ./internal/stsparql/
+	$(GO) test -run 'TestExecutorEquivalence|TestSerialParallelEquivalence|TestSpatialJoinOrderMatchesNoPushdown|TestContextCancellation|TestHeapMappedEquivalence' ./internal/stsparql/
+	$(GO) test -race -run 'TestSerialParallelEquivalence|TestSpatialJoinOrderMatchesNoPushdown|TestConcurrentParallelQueriesUpdatesCheckpoints' ./internal/stsparql/
 	$(GO) test -race -run 'TestViewMatchesFullBuild|TestSnapshotSingleFlight' ./internal/strabon/
 	$(GO) test -run 'TestPrimaryReplicaEquivalence' ./internal/replication/
 

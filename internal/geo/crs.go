@@ -203,6 +203,43 @@ func GeodesicDistanceMeters(a, b Geometry) float64 {
 	return Distance(mapCoords(a, proj), mapCoords(b, proj))
 }
 
+// ExpandMeters widens env to a box that meets the envelope of every
+// geometry GeodesicDistanceMeters places within meters of a geometry
+// inside env — the R-tree probe for a distance filter — provided those
+// geometries stay between latitudes ±otherLat (90 when nothing is known
+// of them).
+//
+// The metric measures on a plane centred on the pair's combined
+// envelope: R·π/180 metres per degree of latitude, and that times
+// cos(centre latitude) per degree of longitude. So latitude widens by
+// Δlat = meters/(R·π/180) and longitude by Δlat/cos(c), where c bounds
+// the centre's |latitude|. The centre lies between the pair's extreme
+// latitudes, so c ≤ max(env's |lat|, otherLat); and since the other
+// geometry ends at the pole, a centre north of the equator lies at most
+// halfway from env.MinY to 90° (south: from env.MaxY to -90°). Once the
+// widening spans every longitude the box does. A distance that is not
+// positive widens nothing.
+func ExpandMeters(env Envelope, meters, otherLat float64) Envelope {
+	if env.IsEmpty() || !(meters > 0) {
+		return env
+	}
+	// The slack absorbs rounding in the distance computation, so a pair
+	// measured exactly at the limit is never pruned.
+	dLat := meters / (earthRadiusM * deg2rad) * (1 + 1e-9)
+	out := Envelope{MinX: env.MinX, MinY: env.MinY - dLat, MaxX: env.MaxX, MaxY: env.MaxY + dLat}
+	c := math.Min(math.Max(math.Max(math.Abs(env.MinY), math.Abs(env.MaxY)), otherLat),
+		(90+math.Max(env.MinY, -env.MaxY))/2)
+	k := math.Cos(c * deg2rad)
+	if !(k > 0) || dLat/k >= 360 {
+		out.MinX, out.MaxX = math.Inf(-1), math.Inf(1)
+		return out
+	}
+	dLon := dLat / k
+	out.MinX -= dLon
+	out.MaxX += dLon
+	return out
+}
+
 // geodesicPointFast computes GeodesicDistanceMeters for a point against a
 // Point, LineString, Polygon or MultiPolygon without allocating: the same
 // envelope check, on-boundary/containment test, local projection and

@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -263,6 +264,94 @@ func TestGeodesicDistanceMeters(t *testing.T) {
 	}
 	if GeodesicDistanceMeters(Rect(22, 37, 24, 39), a) != 0 {
 		t.Fatal("contained point distance should be 0")
+	}
+}
+
+// TestExpandMeters: every geometry GeodesicDistanceMeters places within
+// r of a probe meets ExpandMeters(probe envelope, r, L), at any latitude,
+// whether L bounds that geometry's latitudes or is 90. The 60°N and
+// polar points are what a fixed 78 km-per-degree widening got wrong;
+// the tall footprint at 60°N is what a widening at the probe's own
+// latitude got wrong.
+func TestExpandMeters(t *testing.T) {
+	maxLat := func(g Geometry) float64 {
+		e := g.Envelope()
+		return math.Max(math.Abs(e.MinY), math.Abs(e.MaxY))
+	}
+	covers := func(a, b Geometry, r float64) bool {
+		return ExpandMeters(a.Envelope(), r, maxLat(b)).Intersects(b.Envelope()) &&
+			ExpandMeters(a.Envelope(), r, 90).Intersects(b.Envelope())
+	}
+	probe, near := NewPoint(10.09, 60), NewPoint(10.0, 60)
+	if d := GeodesicDistanceMeters(probe, near); d > 5100 || !covers(probe, near, 6000) {
+		t.Fatalf("60°N: %.0f m apart, not covered by a 6 km widening", d)
+	}
+	if probe.Envelope().Expand(6000.0 / 78000).Intersects(near.Envelope()) {
+		t.Fatal("the 78 km-per-degree widening covers the 60°N pair; the case no longer shows the defect")
+	}
+	// A footprint spanning 60–64°N is measured on a plane centred at
+	// 62°N, where a degree of longitude is shorter than at the probe.
+	tall := Rect(10.201, 60, 11.201, 64)
+	if d := GeodesicDistanceMeters(probe, tall); d >= 6000 || !covers(probe, tall, 6000) {
+		t.Fatalf("tall footprint: %.0f m apart, not covered by a 6 km widening", d)
+	}
+	if ExpandMeters(probe.Envelope(), 6000, 60.06).Intersects(tall.Envelope()) {
+		t.Fatal("a widening at the probe's own latitude covers the footprint; the case no longer shows the defect")
+	}
+	polar, across := NewPoint(0, 89.99), NewPoint(170, 89.99)
+	if d := GeodesicDistanceMeters(polar, across); d >= 6000 || !covers(polar, across, 6000) {
+		t.Fatalf("pole: %.0f m apart, not covered by a 6 km widening", d)
+	}
+	if e := ExpandMeters(polar.Envelope(), 6000, 90); !math.IsInf(e.MinX, -1) || !math.IsInf(e.MaxX, 1) {
+		t.Fatalf("a widening past the pole spans %v, want every longitude", e)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	checked, checkedTall := 0, 0
+	for i := 0; i < 40000; i++ {
+		lat := -89.9 + rng.Float64()*179.8
+		r := 100 + rng.Float64()*50000
+		span := 2 * r / 111e3 // degrees of latitude, about twice the radius
+		var a Geometry = NewPoint(rng.Float64()*360-180, lat)
+		if i%2 == 1 {
+			a = Rect(a.(Point).X, lat, a.(Point).X+span*rng.Float64(), math.Min(90, lat+span*rng.Float64()))
+		}
+		c := a.Envelope().Center()
+		reach := math.Min(89.99, (math.Abs(lat)+span+90)/2) // the widest the pair's centre can sit
+		lonSpan := span / math.Max(math.Cos(reach*deg2rad), 1e-4)
+		bx := c.X + (rng.Float64()*2-1)*lonSpan
+		by := math.Max(-90, math.Min(90, c.Y+(rng.Float64()*2-1)*span))
+		var b Geometry = NewPoint(bx, by)
+		if i%4 >= 2 {
+			// A footprint up to 15° tall, reaching poleward from (bx, by).
+			h := math.Copysign(math.Min(15*rng.Float64(), 90-math.Abs(by)), by)
+			b = Rect(bx, math.Min(by, by+h), bx+span*rng.Float64(), math.Max(by, by+h))
+		}
+		if GeodesicDistanceMeters(a, b) >= r {
+			continue
+		}
+		checked++
+		if i%4 >= 2 {
+			checkedTall++
+		}
+		if !covers(a, b, r) {
+			t.Fatalf("%v is %.1f m from %v, outside ExpandMeters(…, %.1f, %.2f) = %v or ExpandMeters(…, 90) = %v",
+				b, GeodesicDistanceMeters(a, b), a, r, maxLat(b),
+				ExpandMeters(a.Envelope(), r, maxLat(b)), ExpandMeters(a.Envelope(), r, 90))
+		}
+	}
+	if checked < 2000 || checkedTall < 500 {
+		t.Fatalf("only %d pairs (%d footprints) within reach: the sampler no longer tests the property", checked, checkedTall)
+	}
+
+	box := Rect(1, 2, 3, 4).Envelope()
+	for _, m := range []float64{0, -5, math.NaN()} {
+		if got := ExpandMeters(box, m, 90); got != box {
+			t.Errorf("ExpandMeters(box, %v, 90) = %v, want the box unchanged", m, got)
+		}
+	}
+	if !ExpandMeters(EmptyEnvelope(), 100, 90).IsEmpty() {
+		t.Error("widening the empty envelope made it non-empty")
 	}
 }
 

@@ -227,6 +227,8 @@ func (m *Manager) flushBatch(b *groupBatch) {
 		m.walMu.Unlock()
 		return
 	}
+	// Enqueuers grow b.count under group.mu, so it is read under it too.
+	last := b.count
 	m.group.mu.Unlock()
 	// Adaptive accumulation: the writers acked by the previous flush are
 	// racing back through the store lock right now, and grabbing the
@@ -251,7 +253,6 @@ func (m *Manager) flushBatch(b *groupBatch) {
 		}
 		deadline := time.Now().Add(limit)
 		grew := time.Now()
-		last := b.count
 		for {
 			m.group.mu.Lock()
 			n := b.count

@@ -212,6 +212,56 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	}
 }
 
+// TestSpatialJoinOrderMatchesNoPushdown: on queries whose only spatial
+// filter relates two variables there is no hint to plan with, so
+// turning spatial pushdown off changes nothing but the join between the
+// two variables' groups — and must change no row and no row order, at
+// every parallelism level, over a full build and over base + delta.
+func TestSpatialJoinOrderMatchesNoPushdown(t *testing.T) {
+	forceTinyMorsels(t)
+	rng := rand.New(rand.NewSource(corpus.Seed))
+	st := equivStore(rng)
+	queries := make([]string, 200)
+	for i := range queries {
+		queries[i] = corpus.SpatialJoinQuery(rng)
+	}
+	nonEmpty, answers := 0, 0
+	for _, leg := range []string{"full build", "base+delta"} {
+		if leg == "base+delta" {
+			writeDelta(t, corpus.Seed+1, st)
+		}
+		for _, workers := range []int{1, 4} {
+			on, off := New(st), New(st)
+			on.MaxParallelism, off.MaxParallelism = workers, workers
+			off.DisableSpatialPushdown = true
+			for qi, query := range queries {
+				want, err := off.Query(query)
+				if err != nil {
+					t.Fatalf("%s, query #%d: %v\n%s", leg, qi, err, query)
+				}
+				res, err := on.Query(query)
+				if err != nil {
+					t.Fatalf("%s, query #%d: %v\n%s", leg, qi, err, query)
+				}
+				w, g := orderedBindings(want), orderedBindings(res)
+				if strings.Join(w, "\n") != strings.Join(g, "\n") {
+					t.Fatalf("%s, workers=%d query #%d: pushdown on returned\n%s\nwant (pushdown off)\n%s\nquery:\n%s",
+						leg, workers, qi, strings.Join(g, "\n"), strings.Join(w, "\n"), query)
+				}
+				answers++
+				if len(w) > 0 {
+					nonEmpty++
+				}
+			}
+		}
+	}
+	// About three answers in ten keep a row; fewer than one in four means
+	// the corpus no longer exercises the join.
+	if 4*nonEmpty < answers {
+		t.Fatalf("only %d of %d answers were non-empty, want at least a quarter", nonEmpty, answers)
+	}
+}
+
 // TestContextCancellationStopsEvaluation: a pre-cancelled context must
 // surface as an error, not as an empty result.
 func TestContextCancellationStopsEvaluation(t *testing.T) {

@@ -447,9 +447,11 @@ func (e *Engine) orderBindings(bs []Binding, keys []OrderKey) error {
 	return evalErr
 }
 
-// spatialHints extracts per-variable bounding boxes from filters of the
-// shape strdf:rel(?v, CONST) (or reversed) and distance comparisons,
-// enabling R-tree pruning during pattern evaluation.
+// spatialHints extracts per-variable bounding boxes from the spatial
+// conjuncts (spatialConjunct) that relate a variable to a constant
+// geometry, enabling R-tree pruning during pattern evaluation. Nothing
+// is known of the stored geometries' latitudes, so a distance widens
+// for any (geo.ExpandMeters with 90°).
 func (e *Engine) spatialHints(filters []Expression) map[string]geo.Envelope {
 	if e.DisableSpatialPushdown {
 		return nil
@@ -457,37 +459,14 @@ func (e *Engine) spatialHints(filters []Expression) map[string]geo.Envelope {
 	hints := map[string]geo.Envelope{}
 	var walk func(ex Expression)
 	walk = func(ex Expression) {
-		switch t := ex.(type) {
-		case *EBinary:
-			if t.Op == "&&" {
-				walk(t.Left)
-				walk(t.Right)
-				return
-			}
-			// strdf:distance(?v, CONST) < N  (any comparison ordering).
-			if t.Op == "<" || t.Op == "<=" {
-				if call, ok := t.Left.(*ECall); ok && call.NS == "strdf" && call.Name == "distance" {
-					if lit, ok := t.Right.(*ELit); ok {
-						if v, g, ok := varConstGeom(call.Args, e); ok {
-							if meters, ok2 := numericValue(lit.Term); ok2 {
-								// Conservative degree expansion: 1 degree is
-								// at least ~78 km of longitude below 45 lat.
-								deg := meters / 78000
-								addHint(hints, v, g.Geom.Envelope().Expand(deg))
-							}
-						}
-					}
-				}
-			}
-		case *ECall:
-			if t.NS != "strdf" {
-				return
-			}
-			switch t.Name {
-			case "intersects", "within", "equals", "touches", "overlaps", "crosses", "contains":
-				if v, g, ok := varConstGeom(t.Args, e); ok {
-					addHint(hints, v, g.Geom.Envelope())
-				}
+		if b, ok := ex.(*EBinary); ok && b.Op == "&&" {
+			walk(b.Left)
+			walk(b.Right)
+			return
+		}
+		if args, meters, ok := spatialConjunct(ex); ok {
+			if v, g, ok := varConstGeom(args, e); ok {
+				addHint(hints, v, geo.ExpandMeters(g.Geom.Envelope(), meters, 90))
 			}
 		}
 	}

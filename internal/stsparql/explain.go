@@ -80,8 +80,15 @@ func appendPlanLines(lines []string, gp *groupPlan, depth int) []string {
 		if n.morsels > 1 {
 			stats += fmt.Sprintf("  morsels=%d", n.morsels)
 		}
+		if n.kind == nodeSpatialJoin && n.ran {
+			stats += fmt.Sprintf("  probes=%d  candidates=%d", n.probes.Load(), n.candidates.Load())
+		}
 		lines = append(lines, fmt.Sprintf("%s%-*s %s", indent, labelWidth, truncLabel(label), stats))
 		switch n.kind {
+		case nodeSpatialJoin:
+			// The run under the join executed once: its rows= count each
+			// inner row once, not once per outer row.
+			lines = appendPlanLines(lines, n.inner, depth+1)
 		case nodeUnion:
 			for i, alt := range n.alts {
 				lines = append(lines, fmt.Sprintf("%s  alt %d", indent, i+1))
@@ -100,7 +107,7 @@ func nodeLabel(n *planNode) string {
 		return patternString(n.pat)
 	case nodeBind:
 		return fmt.Sprintf("BIND(%s AS ?%s)", exprString(n.bind.Expr), n.bind.Var)
-	case nodeFilter:
+	case nodeFilter, nodeSpatialJoin:
 		return exprString(n.filt)
 	case nodeUnion:
 		return fmt.Sprintf("%d alternatives", len(n.alts))

@@ -1,6 +1,7 @@
 package stsparql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -132,6 +133,154 @@ func TestExplainForms(t *testing.T) {
 	// Syntactic order keeps the wide scan first.
 	if siteAt, needleAt := strings.Index(syn, "http://ex/Site"), strings.Index(syn, "isNeedle"); siteAt > needleAt {
 		t.Errorf("syntactic order not preserved:\n%s", syn)
+	}
+}
+
+// planLine returns the index of the first plan line containing every
+// fragment, or -1.
+func planLine(lines []string, frags ...string) int {
+	for i, ln := range lines {
+		all := true
+		for _, f := range frags {
+			all = all && strings.Contains(ln, f)
+		}
+		if all {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestExplainPlacesConjuncts: each conjunct of a FILTER runs right after
+// the pattern that binds its last variable, with its own est= and rows=;
+// a conjunct over a BIND variable stays after the BIND.
+func TestExplainPlacesConjuncts(t *testing.T) {
+	eng := New(explainFixture())
+	plan := strings.Split(explainText(t, eng, `EXPLAIN SELECT ?s ?n WHERE {
+		?s a <http://ex/Site> .
+		?s <http://ex/name> ?n .
+		BIND(?n AS ?m)
+		FILTER(?s != <http://ex/site10> && STRSTARTS(?n, "site-1") && ?m != "site-12")
+	}`), "\n")
+	scan, join := planLine(plan, "scan"), planLine(plan, "join", "http://ex/name")
+	bySubject := planLine(plan, "filter", "?s != ", "rows=1999")
+	byName := planLine(plan, "filter", "strstarts", "rows=1110")
+	bind := planLine(plan, "bind")
+	byBind := planLine(plan, "filter", "?m != ", "rows=1109")
+	if !(scan >= 0 && scan < bySubject && bySubject < join && join < byName && byName < bind && bind < byBind) {
+		t.Fatalf("conjuncts not placed where their variables bind (scan %d, ?s filter %d, join %d, ?n filter %d, bind %d, ?m filter %d):\n%s",
+			scan, bySubject, join, byName, bind, byBind, strings.Join(plan, "\n"))
+	}
+}
+
+// TestExplainJoinOrderFollowsPlacedConjuncts pins the join order of the
+// catalogue search's shape. After the sensor scan, the three joins each
+// estimate one row per hotspot; the time join goes first because its two
+// range conjuncts then run, the confidence join next (one conjunct), and
+// the type join, written first, last. Without ORDER BY this order is
+// the order of the rows.
+func TestExplainJoinOrderFollowsPlacedConjuncts(t *testing.T) {
+	st := strabon.NewStore()
+	for i := 0; i < 300; i++ {
+		h := rdf.IRI("http://ex/hot" + itoa(i))
+		sensor := "A"
+		if i%2 == 1 {
+			sensor = "B"
+		}
+		st.Add(rdf.NewTriple(h, rdf.IRI(rdf.RDFType), rdf.IRI("http://ex/Hotspot")))
+		st.Add(rdf.NewTriple(h, rdf.IRI("http://ex/inSensor"), rdf.Literal(sensor)))
+		st.Add(rdf.NewTriple(h, rdf.IRI("http://ex/acquiredAt"),
+			rdf.TypedLiteral(fmt.Sprintf("2012-08-03T%02d:%02d:00Z", i/60, i%60), rdf.XSDDateTime)))
+		st.Add(rdf.NewTriple(h, rdf.IRI("http://ex/hasConfidence"), rdf.DoubleLiteral(float64(i%10)/10)))
+	}
+	plan := strings.Split(explainText(t, New(st), `EXPLAIN SELECT ?h ?t ?c WHERE {
+		?h a <http://ex/Hotspot> .
+		?h <http://ex/inSensor> "A" .
+		?h <http://ex/acquiredAt> ?t .
+		?h <http://ex/hasConfidence> ?c .
+		FILTER(?t >= "2012-08-03T01:00:00Z"^^<http://www.w3.org/2001/XMLSchema#dateTime> &&
+			?t < "2012-08-03T03:00:00Z"^^<http://www.w3.org/2001/XMLSchema#dateTime> && ?c > 0.45)
+	}`), "\n")
+	scan := planLine(plan, "scan", "inSensor")
+	byTime := planLine(plan, "join", "acquiredAt")
+	byConf := planLine(plan, "join", "hasConfidence")
+	byType := planLine(plan, "join", "http://ex/Hotspot")
+	if !(scan >= 0 && scan < byTime && byTime < byConf && byConf < byType) {
+		t.Fatalf("want the sensor scan, then the time, confidence and type joins (got lines %d, %d, %d, %d):\n%s",
+			scan, byTime, byConf, byType, strings.Join(plan, "\n"))
+	}
+}
+
+// TestFilterAfterBindReassignment: a BIND that reassigns a pattern
+// variable is what a later FILTER on it reads, so a conjunct naming it
+// is never moved ahead of the BIND.
+func TestFilterAfterBindReassignment(t *testing.T) {
+	st := strabon.NewStore()
+	for i, v := range []int64{5, 20} {
+		st.Add(rdf.NewTriple(rdf.IRI("http://ex/s"+itoa(i)), rdf.IRI("http://ex/p0"), rdf.IntegerLiteral(v)))
+	}
+	eng := New(st)
+	const q = `SELECT ?s ?v WHERE { ?s <http://ex/p0> ?v . BIND(?v + 10 AS ?v) FILTER(?v > 12 && ?v < 20) }`
+	want := strings.Join(canonBindings(eng.mustOracleQuery(q)), "\n")
+	if got := strings.Join(canonBindings(eng.MustQuery(q)), "\n"); got != want || !strings.Contains(got, "s0") {
+		t.Fatalf("got %s, want %s", got, want)
+	}
+}
+
+// spatialJoinFixture: 200 sites on a 0.1° grid and 10 hotspots between
+// grid points, each within 8 km of exactly four sites.
+func spatialJoinFixture() *strabon.Store {
+	st := strabon.NewStore()
+	add := func(s, class string, x, y float64) {
+		st.Add(rdf.NewTriple(rdf.IRI(s), rdf.IRI(rdf.RDFType), rdf.IRI("http://ex/"+class)))
+		st.Add(rdf.NewTriple(rdf.IRI(s), rdf.IRI("http://ex/geom"),
+			rdf.WKTLiteral(fmt.Sprintf("POINT (%.2f %.2f)", x, y), 4326)))
+	}
+	for i := 0; i < 200; i++ {
+		add("http://ex/site"+itoa(i), "Site", 20+0.1*float64(i%20), 37+0.1*float64(i/20))
+	}
+	for i := 0; i < 10; i++ {
+		add("http://ex/hot"+itoa(i), "Hotspot", 20.05+0.2*float64(i), 37.45)
+	}
+	return st
+}
+
+// TestExplainSpatialJoin: the distance join between the hotspots' and
+// the sites' geometries is one spatial-join node over the site run,
+// which executes once — its rows= count each site once — and returns
+// the cross product's filtered rows in the same order.
+func TestExplainSpatialJoin(t *testing.T) {
+	st := spatialJoinFixture()
+	const q = `PREFIX strdf: <http://strdf.di.uoa.gr/ontology#>
+		SELECT ?h ?s WHERE {
+			?h a <http://ex/Hotspot> . ?h <http://ex/geom> ?hg .
+			?s a <http://ex/Site> . ?s <http://ex/geom> ?sg .
+			FILTER(strdf:distance(?hg, ?sg) < 8000)
+		}`
+	eng := New(st)
+	plan := strings.Split(explainText(t, eng, "EXPLAIN "+q), "\n")
+	join := planLine(plan, "spatial-join", "strdf:distance(?hg, ?sg)", "rows=40", "probes=10", "candidates=")
+	if join < 0 || !strings.HasPrefix(plan[join], "  spatial-join") {
+		t.Fatalf("no spatial-join node returning 40 rows from 10 probes:\n%s", strings.Join(plan, "\n"))
+	}
+	for _, frag := range []string{"?s a <http://ex/Site>", "?s <http://ex/geom> ?sg"} {
+		i := planLine(plan, frag)
+		if i <= join || !strings.HasPrefix(plan[i], "    ") || !strings.HasSuffix(plan[i], "rows=200") {
+			t.Fatalf("inner %q not under the join with rows=200:\n%s", frag, strings.Join(plan, "\n"))
+		}
+	}
+	if planLine(plan, "candidates=2000") >= 0 {
+		t.Fatalf("every probe checked every site:\n%s", strings.Join(plan, "\n"))
+	}
+
+	off := New(st)
+	off.DisableSpatialPushdown = true
+	if offPlan := explainText(t, off, "EXPLAIN "+q); strings.Contains(offPlan, "spatial-join") {
+		t.Fatalf("DisableSpatialPushdown planned a spatial join:\n%s", offPlan)
+	}
+	want, got := orderedBindings(off.MustQuery(q)), orderedBindings(eng.MustQuery(q))
+	if len(got) != 40 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("spatial join returned\n%s\nwant the cross product's\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

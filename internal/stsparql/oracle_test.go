@@ -148,7 +148,8 @@ func (e *Engine) evalGroup(ctx context.Context, g *Group, seed []Binding) ([]Bin
 			}
 		}
 		pl := &planner{e: e, snap: e.store.Snapshot()}
-		patterns = pl.orderPatterns(patterns, bound, hints)
+		placed, _ := splitConjuncts(g)
+		patterns = pl.orderPatterns(patterns, bound, hints, placed)
 	}
 	bindings := seed
 	for _, pat := range patterns {

@@ -2,6 +2,7 @@ package stsparql
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/rdf"
@@ -159,6 +160,58 @@ func TestSpatialPushdownEquivalence(t *testing.T) {
 	// h1, townA, and forest1 (which shares the x=24 edge with the box).
 	if len(resA.Bindings) != 3 {
 		t.Fatalf("rows = %d", len(resA.Bindings))
+	}
+}
+
+// TestDistancePushdownHighLatitude: a site 5 km from a probe at 60°N,
+// one 3 km away across the pole, and a footprint spanning 60–64°N whose
+// distance to the 60°N probe is measured at 62°N are within 6 km — with
+// pushdown on, by a constant geometry or by a probe variable, as with
+// it off. A fixed 78 km-per-degree widening pruned the first two; a
+// widening at the probe's own latitude pruned the footprint.
+func TestDistancePushdownHighLatitude(t *testing.T) {
+	st := strabon.NewStore()
+	add := func(name, class, wkt string) {
+		s := rdf.IRI(exNS + name)
+		st.Add(rdf.NewTriple(s, rdf.IRI(rdf.RDFType), rdf.IRI(exNS+class)))
+		st.Add(rdf.NewTriple(s, rdf.IRI(noaNS+"hasGeometry"), rdf.WKTLiteral(wkt, 4326)))
+	}
+	add("probe60", "Probe", "POINT (10.09 60)")
+	add("probePole", "Probe", "POINT (0 89.99)")
+	add("near60", "Site", "POINT (10.0 60)")
+	add("far60", "Site", "POINT (10.3 60)")
+	add("acrossPole", "Site", "POINT (170 89.99)")
+	add("footprint60", "Site", "POLYGON ((10.201 60, 11.201 60, 11.201 64, 10.201 64, 10.201 60))")
+	const prefixes = `PREFIX noa: <http://teleios.di.uoa.gr/noa#>
+		PREFIX strdf: <http://strdf.di.uoa.gr/ontology#>
+		PREFIX ex: <http://example.org/>
+		`
+	queries := map[string]string{
+		prefixes + `SELECT ?s WHERE { ?s a ex:Site . ?s noa:hasGeometry ?g .
+			FILTER(strdf:distance(?g, "POINT (10.09 60)"^^strdf:WKT) < 6000) }`: "near60 footprint60",
+		prefixes + `SELECT ?s WHERE { ?s a ex:Site . ?s noa:hasGeometry ?g .
+			FILTER(strdf:distance(?g, "POINT (0 89.99)"^^strdf:WKT) < 6000) }`: "acrossPole",
+		prefixes + `SELECT ?p ?s WHERE { ?p a ex:Probe . ?p noa:hasGeometry ?pg .
+			?s a ex:Site . ?s noa:hasGeometry ?g .
+			FILTER(strdf:distance(?pg, ?g) < 6000) }`: "near60 footprint60 acrossPole",
+	}
+	for q, want := range queries {
+		for _, push := range []bool{true, false} {
+			e := New(st)
+			e.DisableSpatialPushdown = !push
+			var got []string
+			for _, b := range e.MustQuery(q).Bindings {
+				got = append(got, strings.TrimPrefix(b["s"].Value, exNS))
+			}
+			if strings.Join(got, " ") != want {
+				t.Errorf("pushdown=%v: sites %v, want %s\n%s", push, got, want, q)
+			}
+			if push && strings.Contains(q, "(?pg, ?g)") {
+				if plan := explainText(t, e, "EXPLAIN "+q); !strings.Contains(plan, "spatial-join") {
+					t.Errorf("the probe × site distance did not plan as a spatial join:\n%s", plan)
+				}
+			}
+		}
 	}
 }
 

@@ -3,12 +3,15 @@ package stsparql
 import (
 	"context"
 	"encoding/binary"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/geo"
 	"repro/internal/parallel"
 	"repro/internal/rdf"
+	"repro/internal/rtree"
 	"repro/internal/strabon"
 	"repro/internal/strdf"
 )
@@ -191,27 +194,28 @@ func (v *vexec) evalRoot(g *Group) (*vtable, error) {
 	return v.execGroup(v.plan, v.seed())
 }
 
-// execGroup runs one compiled group: patterns (scan/join), then BIND,
-// FILTER, UNION and OPTIONAL operators, recording measured cardinalities
-// on the plan. Once a pattern produces zero rows the remaining patterns
-// are skipped (they cannot add rows), matching the reference pipeline.
+// execGroup runs one compiled group: the pattern run (scans, joins,
+// spatial joins and the filters placed among them), then BIND, the
+// residual FILTERs, UNION and OPTIONAL operators, recording measured
+// cardinalities on the plan. Once the run produces zero rows its
+// remaining operators are skipped (they cannot add rows), matching the
+// reference pipeline.
 func (v *vexec) execGroup(p *groupPlan, in *vtable) (*vtable, error) {
 	cur := in
-	skipPatterns := false
-	for _, n := range p.nodes {
+	emptyRun := false
+	for i, n := range p.nodes {
 		if err := v.ctx.Err(); err != nil {
 			return nil, err
+		}
+		if emptyRun && i < p.run {
+			continue
 		}
 		var err error
 		switch n.kind {
 		case nodeScan, nodeJoin:
-			if skipPatterns {
-				continue
-			}
 			cur, err = v.evalPattern(n, cur, p.hints)
-			if err == nil && cur.n() == 0 {
-				skipPatterns = true
-			}
+		case nodeSpatialJoin:
+			cur, err = v.evalSpatialJoin(n, cur)
 		case nodeBind:
 			cur = v.evalBind(n.bind, cur)
 		case nodeFilter:
@@ -223,6 +227,9 @@ func (v *vexec) execGroup(p *groupPlan, in *vtable) (*vtable, error) {
 		}
 		if err != nil {
 			return nil, err
+		}
+		if i < p.run && cur.n() == 0 {
+			emptyRun = true
 		}
 		n.ran = true
 		n.actual += cur.n()
@@ -640,6 +647,120 @@ func (v *vexec) evalPatternPerRow(n *planNode, pat Pattern, constPat strabon.Tri
 	return out, nil
 }
 
+// evalSpatialJoin joins the rows so far (outer) to the node's pattern
+// run (inner) on its spatial conjunct. The run shares no variable with
+// the outer rows, so it is evaluated once from the seed row; an R-tree
+// bulk-loaded over its geometries answers, for each outer row, which
+// inner rows can satisfy the conjunct, and the conjunct is then checked
+// exactly on those, in ascending inner order. Since the cross product
+// would emit, for each outer row in order, every inner row in order,
+// the output is that cross product filtered, row for row. Morsels split
+// the outer rows.
+func (v *vexec) evalSpatialJoin(n *planNode, outer *vtable) (*vtable, error) {
+	if outer.n() == 0 {
+		return outer, nil
+	}
+	inner, err := v.execGroup(n.inner, v.seed())
+	if err != nil {
+		return nil, err
+	}
+	width := len(v.vars)
+	if width < outer.width {
+		width = outer.width
+	}
+	if inner.n() == 0 {
+		return &vtable{width: width}, nil
+	}
+	innerGeom := geomSrc{slot: v.slotOf(n.sj.inner), isVar: true}
+	items := make([]rtree.Item, 0, inner.n())
+	// Empty geometries have empty envelopes, which no probe meets; only
+	// an empty outer geometry can relate to them (strdf:equals).
+	var empties []int32
+	// innerLat bounds the inner geometries' |latitude|, which is what a
+	// distance probe must widen for (geo.ExpandMeters).
+	innerLat := 0.0
+	for c := 0; c < inner.n(); c++ {
+		g, ok := v.fetchGeom(innerGeom, inner, c)
+		if !ok {
+			continue // the conjunct is false for this row
+		}
+		if env := g.Geom.Envelope(); !env.IsEmpty() {
+			items = append(items, rtree.Item{Box: env, ID: uint64(c)})
+			innerLat = max(innerLat, math.Abs(env.MinY), math.Abs(env.MaxY))
+		} else {
+			empties = append(empties, int32(c))
+		}
+	}
+	tree := rtree.BulkLoad(items, 0)
+	var innerSlots []int
+	for _, nd := range n.inner.nodes {
+		for _, name := range nd.pat.Vars() {
+			if s := v.slotOf(name); !slices.Contains(innerSlots, s) {
+				innerSlots = append(innerSlots, s)
+			}
+		}
+	}
+	outerGeom := geomSrc{slot: v.slotOf(n.sj.outer), isVar: true}
+	fast := v.compileFastFilter(n.filt)
+	refs := v.resolveRefs(exprVars(n.filt))
+	out, nm, err := v.runMorsels(outer.n(), morselMinFilterRows, width, func(lo, hi int, part *vtable) error {
+		var (
+			scratch           Binding
+			ids               []uint64
+			cands             []int32
+			probes, candCount int64
+		)
+		for r := lo; r < hi; r++ {
+			if (r-lo)&1023 == 1023 {
+				if err := v.ctx.Err(); err != nil {
+					return err
+				}
+			}
+			g, ok := v.fetchGeom(outerGeom, outer, r)
+			if !ok {
+				continue
+			}
+			probes++
+			cands = cands[:0]
+			if env := g.Geom.Envelope(); env.IsEmpty() {
+				cands = append(cands, empties...)
+			} else {
+				ids = tree.Search(geo.ExpandMeters(env, n.sj.meters, innerLat), ids[:0])
+				for _, id := range ids {
+					cands = append(cands, int32(id))
+				}
+				slices.Sort(cands)
+			}
+			candCount += int64(len(cands))
+			for _, c := range cands {
+				row := part.append(outer.row(r), outer.origin[r])
+				for _, s := range innerSlots {
+					row[s] = inner.get(int(c), s)
+				}
+				last := part.n() - 1
+				keep, err := v.keepRow(n.filt, fast, refs, part, last, &scratch)
+				if err != nil {
+					return err
+				}
+				if !keep {
+					part.rows = part.rows[:last*width]
+					part.origin = part.origin[:last]
+				}
+			}
+		}
+		n.probes.Add(probes)
+		n.candidates.Add(candCount)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if nm > n.morsels {
+		n.morsels = nm
+	}
+	return out, nil
+}
+
 // evalBind appends/overwrites a slot with a computed term per row,
 // decoding only the variables the expression references. Serial: BIND
 // interns computed terms into the shared per-query extra dictionary.
@@ -683,17 +804,9 @@ func (v *vexec) evalFilterTable(n *planNode, in *vtable) (*vtable, error) {
 					return err
 				}
 			}
-			keep, handled := false, false
-			if fast != nil {
-				keep, handled = fast(in, r)
-			}
-			if !handled {
-				scratch = v.bindingInto(scratch, refs, in, r)
-				var err error
-				keep, err = v.e.evalFilter(f, scratch)
-				if err != nil {
-					return err
-				}
+			keep, err := v.keepRow(f, fast, refs, in, r, &scratch)
+			if err != nil {
+				return err
 			}
 			if keep {
 				part.append(in.row(r), in.origin[r])
@@ -708,6 +821,20 @@ func (v *vexec) evalFilterTable(n *planNode, in *vtable) (*vtable, error) {
 		n.morsels = nm
 	}
 	return out, nil
+}
+
+// keepRow evaluates filter f on row r of tb: through its compiled fast
+// path when that handles the row, else through the generic evaluator
+// over the referenced variables decoded into *scratch, which the caller
+// keeps per morsel.
+func (v *vexec) keepRow(f Expression, fast func(*vtable, int) (bool, bool), refs []refSlot, tb *vtable, r int, scratch *Binding) (bool, error) {
+	if fast != nil {
+		if keep, handled := fast(tb, r); handled {
+			return keep, nil
+		}
+	}
+	*scratch = v.bindingInto(*scratch, refs, tb, r)
+	return v.e.evalFilter(f, *scratch)
 }
 
 // evalUnion runs every alternative batched over all current rows, then
