@@ -225,7 +225,7 @@ func countSeaHotspots(b *testing.B, eng *stsparql.Engine, land geo.Geometry) int
 func BenchmarkFlagshipQuery(b *testing.B) {
 	for _, nSites := range []int{100, 500, 2000} {
 		b.Run(fmt.Sprintf("sites=%d", nSites), func(b *testing.B) {
-			eng := flagshipFixture(b, nSites, true)
+			eng := flagshipFixture(b, nSites)
 			query := flagshipQueryText()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -241,7 +241,7 @@ func BenchmarkFlagshipQuery(b *testing.B) {
 	}
 }
 
-func flagshipFixture(b *testing.B, nSites int, spatialIndex bool) *stsparql.Engine {
+func flagshipFixture(b *testing.B, nSites int) *stsparql.Engine {
 	b.Helper()
 	f := cachedFrames(128, 6)[5]
 	chain := noa.DefaultChain(scene.Region)
@@ -250,7 +250,6 @@ func flagshipFixture(b *testing.B, nSites int, spatialIndex bool) *stsparql.Engi
 		b.Fatal(err)
 	}
 	st := strabon.NewStore()
-	st.SetSpatialIndexEnabled(spatialIndex)
 	eng := stsparql.New(st)
 	noa.StoreProduct(eng, p)
 	st.AddAll(ingest.ExtractMetadata(f))
@@ -287,7 +286,7 @@ func BenchmarkParallelQueryAblation(b *testing.B) {
 	if n := runtime.GOMAXPROCS(0); n != 1 && n != 2 && n != 4 {
 		workerSet = append(workerSet, n)
 	}
-	flagship := flagshipFixture(b, 2000, true)
+	flagship := flagshipFixture(b, 2000)
 	flagshipQ := flagshipQueryText()
 	for _, workers := range workerSet {
 		b.Run(fmt.Sprintf("flagship/workers=%d", workers), func(b *testing.B) {
@@ -345,30 +344,22 @@ func BenchmarkParallelQueryAblation(b *testing.B) {
 	catalogue.MaxParallelism = 0
 }
 
-// A1 — ablation: the store-level spatial candidate lookup with the R-tree
-// versus a full scan of the geometry dictionary (the operation every
-// pushed-down spatial filter performs), plus a query-level comparison of
-// pushdown on/off.
+// A1 — ablation: the snapshot's R-tree spatial candidate lookup (the
+// operation every pushed-down spatial filter performs), plus a
+// query-level comparison of pushdown on/off.
 func BenchmarkAblationSpatialIndex(b *testing.B) {
 	window := geo.Envelope{MinX: 23, MinY: 37.5, MaxX: 23.5, MaxY: 38}
 	for _, nSites := range []int{500, 2000, 8000, 32000} {
 		st := strabon.NewStore()
 		st.AddAll(linkeddata.SyntheticSites(nSites))
-		for _, mode := range []struct {
-			name    string
-			indexed bool
-		}{{"rtree", true}, {"scan", false}} {
-			b.Run(fmt.Sprintf("lookup/sites=%d/%s", nSites, mode.name), func(b *testing.B) {
-				st.SetSpatialIndexEnabled(mode.indexed)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if got := st.SpatialCandidates(window); len(got) == 0 {
-						b.Fatal("no candidates")
-					}
+		sn := st.Snapshot()
+		b.Run(fmt.Sprintf("lookup/sites=%d/rtree", nSites), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if got := sn.SpatialCandidates(window); len(got) == 0 {
+					b.Fatal("no candidates")
 				}
-			})
-		}
-		st.SetSpatialIndexEnabled(true)
+			}
+		})
 	}
 	// Query level: spatial pushdown prunes the BGP through the R-tree
 	// before the exact filter runs; without it every site is tested.
@@ -411,7 +402,7 @@ func BenchmarkAblationSpatialIndex(b *testing.B) {
 // numbers stand in BENCH_PR7.json / BENCH_PR10.json); the surviving row
 // keeps its name so the BENCH_PR*.json trajectory stays joinable.
 func BenchmarkAblationExecutor(b *testing.B) {
-	eng := flagshipFixture(b, 500, true)
+	eng := flagshipFixture(b, 500)
 	flagship := flagshipQueryText()
 	b.Run("flagship/vectorized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -490,18 +490,19 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// resolveGeom decodes a spatial literal through the store's ingest-time
-// geometry cache when possible (already parsed and WGS84-normalised),
-// parsing directly only for literals the store has never seen (e.g.
-// values computed by strdf:buffer in a projection). The cache entry is
-// only trusted when it really is WGS84: ingest keeps the original
-// coordinates when a literal's CRS cannot be reprojected, and GeoJSON
-// must render such rows with a null geometry, not mislabeled planar
-// coordinates.
+// resolveGeom decodes a spatial literal through the store's geometry
+// cache, read from its current Snapshot, when possible (already parsed
+// and WGS84-normalised), parsing directly only for literals the store
+// has never seen (e.g. values computed by strdf:buffer in a
+// projection). The cache entry is only trusted when it really is WGS84:
+// ingest keeps the original coordinates when a literal's CRS cannot be
+// reprojected, and GeoJSON must render such rows with a null geometry,
+// not mislabeled planar coordinates.
 func (s *Server) resolveGeom(t rdf.Term) (strdf.SpatialValue, error) {
 	if s.cfg.Store != nil {
-		if id, err := s.cfg.Store.LookupID(t); err == nil {
-			if sv, ok := s.cfg.Store.Geometry(id); ok &&
+		sn := s.cfg.Store.Snapshot()
+		if id, ok := sn.Lookup(t); ok {
+			if sv, ok := sn.Geometry(id); ok &&
 				(sv.SRID == geo.SRIDWGS84 || sv.SRID == geo.SRIDCRS84) {
 				return sv, nil
 			}

@@ -9,11 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/colpack"
 	"repro/internal/rdf"
 	"repro/internal/strabon"
 	"repro/internal/stsparql"
@@ -186,6 +189,63 @@ func TestSpatialQueryGeoJSON(t *testing.T) {
 	}
 	if f.Properties["name"] != "sparta" {
 		t.Fatalf("properties = %v", f.Properties)
+	}
+}
+
+// TestGeoJSONReadLeavesStoreMapped: a store restored from a packed
+// snapshot answers a GeoJSON read — geometries resolved through
+// resolveGeom — from the mapping, and only the first update copies it to
+// the heap.
+func TestGeoJSONReadLeavesStoreMapped(t *testing.T) {
+	src, _ := fixture()
+	path := filepath.Join(t.TempDir(), "snap.pack")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := colpack.Write(f, src.Fold().PackData(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := colpack.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	st, err := strabon.RestorePacked(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(Config{Engine: stsparql.New(st), Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, body := get(t, ts.URL, townQuery, http.Header{"Accept": []string{"application/geo+json"}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), `"coordinates":[22.43,37.07]`) {
+		t.Fatalf("GeoJSON lacks sparta's point: %s", body)
+	}
+	if mode := st.StorageMode(); mode != "mapped" {
+		t.Fatalf("after a GeoJSON read StorageMode = %q, want mapped", mode)
+	}
+	resp, err = http.PostForm(ts.URL+"/sparql", url.Values{"update": {`INSERT DATA { <http://example.org/corinth> a <http://example.org/Town> }`}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("update status = %d", resp.StatusCode)
+	}
+	if mode := st.StorageMode(); mode != "heap" {
+		t.Fatalf("after an update StorageMode = %q, want heap", mode)
 	}
 }
 
@@ -680,6 +740,15 @@ func TestExplainOverHTTP(t *testing.T) {
 	}
 }
 
+// releaser returns a func that closes a slowEngine gate once. Tests defer
+// it after srv.Close and ts.Close, so that it runs before them: both wait
+// for the gated evaluations, and would wait forever after a Fatal that
+// skipped the test's own release.
+func releaser(gate chan struct{}) func() {
+	var once sync.Once
+	return func() { once.Do(func() { close(gate) }) }
+}
+
 func TestOverload503(t *testing.T) {
 	st, eng := fixture()
 	gate := make(chan struct{})
@@ -696,6 +765,8 @@ func TestOverload503(t *testing.T) {
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	release := releaser(gate)
+	defer release() // runs first: a Fatal below must not leave the closes waiting on the gate
 
 	// Fill the single worker and the single queue slot with gated
 	// queries, then overflow.
@@ -719,7 +790,7 @@ func TestOverload503(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("overflow status = %d, body %s", resp.StatusCode, body)
 	}
-	close(gate)
+	release()
 	for i := 0; i < 2; i++ {
 		if code := <-results; code != http.StatusOK {
 			t.Fatalf("gated query %d finished with %d", i, code)

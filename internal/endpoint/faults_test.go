@@ -101,6 +101,8 @@ func TestShedWatermark503(t *testing.T) {
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	release := releaser(gate)
+	defer release()
 
 	// One query occupies the worker, two more the queue.
 	results := make(chan int, 3)
@@ -134,7 +136,7 @@ func TestShedWatermark503(t *testing.T) {
 		t.Fatalf("retry_after_hint_s = %d, want >= 1", stats.RetryAfterHintS)
 	}
 
-	close(gate)
+	release()
 	for i := 0; i < 3; i++ {
 		if code := <-results; code != http.StatusOK {
 			t.Fatalf("gated query %d finished with %d", i, code)
@@ -285,6 +287,8 @@ func TestClientDisconnectMidEvaluation(t *testing.T) {
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	release := releaser(gate)
+	defer release()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
@@ -311,7 +315,7 @@ func TestClientDisconnectMidEvaluation(t *testing.T) {
 	if err := <-done; err == nil {
 		t.Fatal("disconnected request reported success")
 	}
-	close(gate) // the abandoned evaluation drains
+	release() // the abandoned evaluation drains
 
 	if resp, body := get(t, ts.URL, townQuery, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after disconnect: status %d, body %s", resp.StatusCode, body)

@@ -43,6 +43,8 @@ func TestPoolRejectsWhenFull(t *testing.T) {
 	p := NewPool(1, 0)
 	defer p.Close()
 	gate := make(chan struct{})
+	release := releaser(gate)
+	defer release()
 	started := make(chan struct{})
 	go func() {
 		// Depth 0 means an unbuffered handoff: the submission itself is
@@ -64,13 +66,15 @@ func TestPoolRejectsWhenFull(t *testing.T) {
 	if err := p.Submit(context.Background(), func() {}); err != ErrOverloaded {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
-	close(gate)
+	release()
 }
 
 func TestPoolAbandonsTimedOutQueuedJobs(t *testing.T) {
 	p := NewPool(1, 4)
 	defer p.Close()
 	gate := make(chan struct{})
+	release := releaser(gate)
+	defer release()
 	started := make(chan struct{})
 	go p.Submit(context.Background(), func() {
 		close(started)
@@ -86,7 +90,7 @@ func TestPoolAbandonsTimedOutQueuedJobs(t *testing.T) {
 	if err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
-	close(gate)
+	release()
 	p.Close() // drains the queue
 	if ran {
 		t.Fatal("abandoned job still ran")

@@ -147,7 +147,7 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				got, _, _, err := readSnapshot(path)
+				got, _, err := readSnapshot(path)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -187,7 +187,7 @@ func BenchmarkSnapshotScanCold(b *testing.B) {
 			b.ResetTimer()
 			var resident int64
 			for i := 0; i < b.N; i++ {
-				got, _, _, err := readSnapshot(path)
+				got, _, err := readSnapshot(path)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -260,7 +260,7 @@ func TestBenchTriplesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, seq, _, err := readSnapshot(path)
+	got, seq, err := readSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -228,24 +228,24 @@ func Open(o Options) (*Manager, *strabon.Store, error) {
 
 	// 1. Newest snapshot that validates; corrupt ones are skipped so a
 	// half-written or bit-flipped file degrades to the previous
-	// generation, not to data loss.
+	// generation, not to data loss. A raw (TELSNAP1) one is refused
+	// before anything on disk changes.
 	snaps, err := listSnapshots(opts.Dir)
 	if err != nil {
 		return nil, nil, err
 	}
 	var st *strabon.Store
 	var snapSeq uint64
-	var snapRaw bool
 	for _, p := range snaps {
-		s, seq, raw, err := readSnapshot(p)
+		s, seq, err := readSnapshot(p)
+		if errors.Is(err, errRawSnapshot) {
+			return nil, nil, err
+		}
 		if err != nil {
 			opts.Logf("persist: skipping snapshot %s: %v", filepath.Base(p), err)
 			continue
 		}
-		if raw {
-			opts.Logf("persist: snapshot %s is in the retired raw format (TELSNAP1); the next checkpoint rewrites it as packed", filepath.Base(p))
-		}
-		st, snapSeq, snapRaw = s, seq, raw
+		st, snapSeq = s, seq
 		break
 	}
 	if st == nil {
@@ -337,10 +337,7 @@ func Open(o Options) (*Manager, *strabon.Store, error) {
 	m.group.nextSeq = lastSeq
 	m.refreshWALBytes()
 	if len(snaps) > 0 {
-		// A raw snapshot does not count as a checkpoint of its own
-		// sequence number: the next Checkpoint (Close's included) then
-		// rewrites it as packed even when nothing was written since.
-		m.hasCkpt.Store(!snapRaw)
+		m.hasCkpt.Store(true)
 		m.ckptSeq.Store(snapSeq)
 	}
 	m.recoveryTook = time.Since(start)

@@ -1,19 +1,18 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/colpack"
-	"repro/internal/rdf"
-	"repro/internal/strabon"
 )
 
-// Packed-snapshot corruption table and the raw-reader regression fixture.
+// Packed-snapshot corruption table and the raw-format refusal fixture.
 // The PR 4 table (persist_test.go) already runs against packed files —
 // it is the default format — but its corruptions hit arbitrary bytes.
 // These cases target the packed format's internal structures: column
@@ -71,8 +70,8 @@ func newestSnap(t *testing.T, dir string) string {
 	if err != nil || len(snaps) < 2 {
 		t.Fatalf("want >=2 snapshot generations, have %d (err=%v)", len(snaps), err)
 	}
-	if raw, err := sniffSnapshotFormat(snaps[0]); err != nil || raw {
-		t.Fatalf("newest snapshot raw=%v err=%v, want packed", raw, err)
+	if isRawSnapshot(snaps[0]) {
+		t.Fatal("newest snapshot is raw, want packed")
 	}
 	return snaps[0]
 }
@@ -194,20 +193,10 @@ func TestPackedCorruptionTable(t *testing.T) {
 }
 
 // rawFixture is a TELSNAP1 snapshot written by the last commit that had
-// a raw writer (PR 11, Options.SnapshotFormat = "raw"): the triples of
-// rawFixtureTriples, covering WAL records 1..42. Nothing in the tree can
-// produce this format any more; the file pins the reader.
+// a raw writer (Options.SnapshotFormat = "raw"), covering WAL records
+// 1..42. Nothing in the tree reads or writes this format any more; the
+// file pins Open's refusal of it.
 const rawFixture = "snap-000000000000002a.snap"
-
-func rawFixtureTriples() *strabon.Store {
-	st := strabon.NewStore()
-	for i := 0; i < 40; i++ {
-		st.Add(tr(fmt.Sprintf("s%d", i), "p", fmt.Sprintf("o%d", i%7)))
-	}
-	st.Add(trLit("site0", "hasGeometry", rdf.WKTLiteral("POINT (23.05 37.64)", 4326)))
-	st.Add(trLit("site1", "hasGeometry", rdf.WKTLiteral("POLYGON ((21 37, 22 37, 22 38, 21 38, 21 37))", 4326)))
-	return st
-}
 
 // installRawFixture copies the fixture (optionally damaged) into a
 // fresh data directory.
@@ -228,64 +217,53 @@ func installRawFixture(t *testing.T, damage func([]byte) []byte) (dir, snap stri
 	return dir, snap
 }
 
-// TestRawSnapshotFixtureRecovers: a data directory whose newest snapshot
-// is TELSNAP1 still boots (on the heap), recovery says once that the
-// file is raw and will be rewritten, and the next checkpoint — even with
-// nothing written since — replaces it with a packed snapshot that the
-// following boot serves mapped.
-func TestRawSnapshotFixtureRecovers(t *testing.T) {
-	dir, snap := installRawFixture(t, nil)
-	if seq, err := VerifySnapshot(snap); err != nil || seq != 42 {
-		t.Fatalf("VerifySnapshot(fixture) = %d, %v; want 42, nil", seq, err)
-	}
-	var rawLogs int
-	logf := func(format string, args ...any) {
-		if strings.Contains(format, "retired raw format") {
-			rawLogs++
-		}
-		t.Logf(format, args...)
-	}
-	want := rawFixtureTriples()
-
-	m, st := mustOpen(t, dir, func(o *Options) { o.Logf = logf })
-	if rawLogs != 1 {
-		t.Fatalf("recovery logged the raw snapshot %d times, want once", rawLogs)
-	}
-	if mode := st.StorageMode(); mode != "heap" {
-		t.Fatalf("raw snapshot recovered as %q, want heap", mode)
-	}
-	if got := m.Stats().LastSeq; got != 42 {
-		t.Fatalf("recovered at seq %d, want 42", got)
-	}
-	assertSameContent(t, want, st)
-	if err := m.Checkpoint(); err != nil {
+// assertRawRefused opens dir and checks that Open fails with the
+// migration error naming snap, leaving the directory as it was.
+func assertRawRefused(t *testing.T, dir, snap string) {
+	t.Helper()
+	before, err := os.ReadFile(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, _ := listSnapshots(dir)
-	if len(snaps) != 1 {
-		t.Fatalf("checkpoint left %d snapshots, want the rewritten one", len(snaps))
+	m, st, err := Open(Options{Dir: dir, Logf: t.Logf})
+	if err == nil {
+		m.Close()
+		t.Fatalf("Open booted a raw snapshot directory (%d triples)", st.Len())
 	}
-	if raw, err := sniffSnapshotFormat(snaps[0]); err != nil || raw {
-		t.Fatalf("post-checkpoint snapshot raw=%v err=%v, want packed", raw, err)
+	if !errors.Is(err, errRawSnapshot) || !strings.Contains(err.Error(), snap) || !strings.Contains(err.Error(), "rewrites the snapshot as packed") {
+		t.Fatalf("Open error does not name the file and the migration: %v", err)
 	}
-	if err := m.Close(); err != nil {
+	after, err := os.ReadFile(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	m2, st2 := mustOpen(t, dir, func(o *Options) { o.Logf = logf })
-	defer m2.Close()
-	if rawLogs != 1 {
-		t.Fatalf("raw-format log repeated after the rewrite (%d)", rawLogs)
+	if !bytes.Equal(after, before) {
+		t.Fatal("Open changed the raw snapshot")
 	}
-	if mode := st2.StorageMode(); mode != "mapped" {
-		t.Fatalf("rewritten snapshot recovered as %q, want mapped", mode)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	assertSameContent(t, want, st2)
+	if len(entries) != 1 {
+		t.Fatalf("Open left %d entries in the directory, want only the snapshot", len(entries))
+	}
 }
 
-// TestRawSnapshotFixtureCorruption: the raw reader's whole-file CRC must
-// still reject a damaged TELSNAP1 file, in verification (the replica
-// bootstrap gate) and in recovery alike.
+// TestRawSnapshotFixtureRefused: a data directory holding a TELSNAP1
+// snapshot does not boot — Open fails with an error naming the file and
+// the migration path, without touching the directory — and the replica
+// bootstrap gate (VerifySnapshot) rejects the file.
+func TestRawSnapshotFixtureRefused(t *testing.T) {
+	dir, snap := installRawFixture(t, nil)
+	assertRawRefused(t, dir, snap)
+	if _, err := VerifySnapshot(snap); err == nil {
+		t.Fatal("VerifySnapshot accepted a raw snapshot")
+	}
+}
+
+// TestRawSnapshotFixtureCorruption: a damaged TELSNAP1 file is refused
+// the same way. Skipping it as corrupt would boot an empty store in its
+// place.
 func TestRawSnapshotFixtureCorruption(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -300,18 +278,9 @@ func TestRawSnapshotFixtureCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir, snap := installRawFixture(t, tc.damage)
 			if _, err := VerifySnapshot(snap); err == nil {
-				t.Fatal("damaged raw snapshot still verifies")
+				t.Fatal("damaged raw snapshot verifies")
 			}
-			if _, _, _, err := readSnapshot(snap); err == nil {
-				t.Fatal("damaged raw snapshot still loads")
-			}
-			// Recovery skips it; with no WAL and no other generation
-			// that leaves an empty store, never a half-read one.
-			m, st := mustOpen(t, dir, nil)
-			defer m.Close()
-			if st.Len() != 0 {
-				t.Fatalf("recovery took %d triples from a damaged snapshot", st.Len())
-			}
+			assertRawRefused(t, dir, snap)
 		})
 	}
 }

@@ -98,7 +98,7 @@ func TestWALReplayWithoutSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("spatial literal missing from dictionary: %v", err)
 	}
-	if _, ok := st2.Geometry(id); !ok {
+	if _, ok := st2.Snapshot().Geometry(id); !ok {
 		t.Fatalf("geometry cache not rebuilt for id %d", id)
 	}
 	if m2.Stats().ReplayedRecords == 0 {

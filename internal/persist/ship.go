@@ -285,54 +285,12 @@ func HasState(dir string) (bool, error) {
 // where recovery will find it.
 func SnapshotFileName(seq uint64) string { return snapName(seq) }
 
-// VerifySnapshot checks a snapshot file (either format, dispatched on
-// the leading magic) without restoring it into a store, returning the
-// WAL sequence it covers. A replica runs this over a freshly
-// downloaded snapshot before trusting it. Packed snapshots get the
-// full colpack verification (footer, file and section CRCs, block
-// indexes); raw ones the whole-file CRC.
+// VerifySnapshot checks a packed snapshot file without restoring it
+// into a store — footer, file and section CRCs, block indexes — and
+// returns the WAL sequence it covers. A replica runs this over a freshly
+// downloaded snapshot before trusting it.
 func VerifySnapshot(path string) (uint64, error) {
-	raw, err := sniffSnapshotFormat(path)
-	if err != nil {
-		return 0, err
-	}
-	if !raw {
-		return colpack.Verify(path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	if fi.Size() < int64(len(snapMagic))+8+4 {
-		return 0, fmt.Errorf("persist: snapshot %s: too short", filepath.Base(path))
-	}
-	hashed := fi.Size() - 4
-	h := crc32.NewIEEE()
-	var head [16]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return 0, err
-	}
-	if string(head[:8]) != snapMagic {
-		return 0, fmt.Errorf("persist: snapshot %s: bad magic", filepath.Base(path))
-	}
-	seq := binary.LittleEndian.Uint64(head[8:16])
-	h.Write(head[:])
-	if _, err := io.CopyN(h, f, hashed-16); err != nil {
-		return 0, err
-	}
-	var trailer [4]byte
-	if _, err := io.ReadFull(f, trailer[:]); err != nil {
-		return 0, err
-	}
-	if binary.LittleEndian.Uint32(trailer[:]) != h.Sum32() {
-		return 0, fmt.Errorf("persist: snapshot %s: CRC mismatch", filepath.Base(path))
-	}
-	return seq, nil
+	return colpack.Verify(path)
 }
 
 // Record wire codec -----------------------------------------------------------

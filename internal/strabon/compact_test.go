@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/column"
 	"repro/internal/rdf"
 )
 
@@ -18,8 +17,7 @@ func TestCompact(t *testing.T) {
 		st.Remove(tr(fmt.Sprintf("s%d", i*2), "p", fmt.Sprintf("o%d", i*2)))
 	}
 	pID, _ := st.LookupID(rdf.IRI("p"))
-	before := st.MatchIDs(TriplePattern{P: pID})
-	beforeTerms := decodeObjects(t, st, before)
+	beforeTerms := decodeObjects(st.Snapshot(), TriplePattern{P: pID})
 
 	if got := st.Compact(); got != 50 {
 		t.Fatalf("reclaimed = %d", got)
@@ -28,8 +26,7 @@ func TestCompact(t *testing.T) {
 		t.Fatalf("len = %d", st.Len())
 	}
 	// Same logical contents after compaction.
-	after := st.MatchIDs(TriplePattern{P: pID})
-	afterTerms := decodeObjects(t, st, after)
+	afterTerms := decodeObjects(st.Snapshot(), TriplePattern{P: pID})
 	if len(afterTerms) != len(beforeTerms) {
 		t.Fatalf("rows %d != %d", len(afterTerms), len(beforeTerms))
 	}
@@ -54,44 +51,12 @@ func TestCompact(t *testing.T) {
 	}
 }
 
-func decodeObjects(t *testing.T, st *Store, rows []int) []string {
-	t.Helper()
+// decodeObjects returns the sorted object values of the rows matching pat.
+func decodeObjects(sn *Snapshot, pat TriplePattern) []string {
 	var out []string
-	for _, row := range rows {
-		_, _, o := st.Row(row)
-		term, ok := st.Dict().Decode(o)
-		if !ok {
-			t.Fatal("decode")
-		}
-		out = append(out, term.Value)
+	for _, t := range decodeRows(sn, sn.MatchRows(pat, nil)) {
+		out = append(out, t.O.Value)
 	}
 	sort.Strings(out)
 	return out
-}
-
-func TestAsTable(t *testing.T) {
-	st := NewStore()
-	st.Add(tr("a", "p", "x"))
-	st.Add(tr("b", "p", "y"))
-	st.Add(tr("c", "q", "z"))
-	st.Remove(tr("b", "p", "y"))
-	tbl := st.AsTable()
-	if tbl.NumRows() != 2 {
-		t.Fatalf("rows = %d", tbl.NumRows())
-	}
-	// The id columns decode back to the original terms.
-	for i := 0; i < tbl.NumRows(); i++ {
-		for _, col := range []string{"s", "p", "o"} {
-			id := uint64(tbl.Col(col).Int(i))
-			if _, ok := st.Dict().Decode(id); !ok {
-				t.Fatalf("row %d column %s: id %d does not decode", i, col, id)
-			}
-		}
-	}
-	// Predicate selection on the relational face matches the index.
-	pID, _ := st.LookupID(rdf.IRI("p"))
-	hits := tbl.Col("p").SelectInt(column.Eq, int64(pID))
-	if len(hits) != len(st.MatchIDs(TriplePattern{P: pID})) {
-		t.Fatalf("relational selection = %d rows", len(hits))
-	}
 }

@@ -43,7 +43,7 @@ type packView struct {
 	geomIDsCol cachedCol
 	// geomOnce builds the id->section-index map and the R-tree on
 	// first spatial use, so boots that never run a spatial query pay
-	// nothing (mirrors the store's lazy R-tree).
+	// nothing.
 	geomOnce sync.Once
 	geomIdx  map[uint64]int
 	spatial  *rtree.Tree
@@ -131,17 +131,17 @@ func newPackView(r *colpack.Reader) *packView {
 // Snapshot. The snapshot keeps the reader (and its mapping) alive for
 // its own lifetime.
 func NewMappedSnapshot(r *colpack.Reader) *Snapshot {
-	return &Snapshot{version: r.Version(), useIdx: true, base: &flat{pack: newPackView(r)}}
+	return &Snapshot{version: r.Version(), base: &flat{pack: newPackView(r)}}
 }
 
 // RestorePacked builds a store whose read view is served in place
 // from a packed snapshot: no column, posting-list or dictionary
 // materialisation happens at restore time, so restart-to-first-query
-// is independent of dataset size. The store lazily materialises the
-// heap representation on the first mutation (or legacy index-driven
-// read) — the packed file is the read-optimised format, the heap is
-// the write-side one. The mapped file stays the base of every later
-// view until a fold: materialisation keeps row i at store row i.
+// is independent of dataset size. Reads never leave the mapping; the
+// store materialises the heap representation on its first mutation —
+// the packed file is the read-optimised format, the heap is the
+// write-side one. The mapped file stays the base of every later view
+// until a fold: materialisation keeps row i at store row i.
 func RestorePacked(r *colpack.Reader) (*Store, error) {
 	if r.NRows() < 0 || r.NTerms() < 0 {
 		return nil, fmt.Errorf("strabon: packed snapshot with negative meta")
@@ -233,10 +233,6 @@ func (pv *packView) decodeAllTerms(ids []uint64, out []rdf.Term) []rdf.Term {
 
 func (pv *packView) colID(comp int, row int32) uint64 {
 	return pv.cols[comp].value(int(row))
-}
-
-func (pv *packView) row(row int32) (uint64, uint64, uint64) {
-	return pv.colID(0, row), pv.colID(1, row), pv.colID(2, row)
 }
 
 // postCount returns the exact cardinality of id in component comp
@@ -364,19 +360,6 @@ func (pv *packView) matchRows(pat TriplePattern, buf *[]int32) []int32 {
 	return out
 }
 
-func (pv *packView) cardinality(pat TriplePattern) int {
-	est := pv.nRows()
-	for comp, id := range [3]uint64{pat.S, pat.P, pat.O} {
-		if id == 0 {
-			continue
-		}
-		if n := pv.postCount(comp, id); n < est {
-			est = n
-		}
-	}
-	return est
-}
-
 // --- spatial access -------------------------------------------------------
 
 // ensureGeoms builds the geometry id index and the R-tree from the
@@ -438,15 +421,22 @@ func (pv *packView) geomIDs() []uint64 {
 
 // --- materialisation ------------------------------------------------------
 
-// materializeInto decodes the packed state into st's heap
-// representation: columns, dictionary (terms re-encoded in id order,
-// so ids are preserved bit-for-bit) and parsed geometries. Secondary
-// indexes stay deferred behind lazyIdx exactly as after
-// RestoreColumns. Callers hold st's write lock.
+// materializeInto decodes the packed state into st's write side:
+// columns, dictionary (terms re-encoded in id order, so ids are
+// preserved bit-for-bit), parsed geometries, the duplicate set, and the
+// predicate counts from the statistics section. Callers hold st's write
+// lock.
 func (pv *packView) materializeInto(st *Store) error {
 	st.s = pv.cols[0].decodeAll()
 	st.p = pv.cols[1].decodeAll()
 	st.o = pv.cols[2].decodeAll()
+	st.present = make(map[[3]uint64]int, len(st.s))
+	for row := range st.s {
+		st.present[[3]uint64{st.s[row], st.p[row], st.o[row]}] = row
+	}
+	for id, ps := range pv.stats.Pred {
+		st.predRows[id] = ps.Count
+	}
 	nTerms := pv.nTerms()
 	for b := 0; b*colpack.DictBlockSize < nTerms; b++ {
 		for _, t := range pv.dictBlock(b) {
@@ -471,17 +461,12 @@ func (pv *packView) materializeInto(st *Store) error {
 		st.geoms[id] = v
 	}
 	st.deleted = 0
-	st.lazyIdx = true
-	st.spatialStale = len(st.geoms) > 0
 	return nil
 }
 
 // cachedHeapBytes approximates heap memory pinned by this view's
 // decode caches.
 func (pv *packView) cachedHeapBytes() int64 { return pv.cachedBytes.Load() }
-
-// sizeBytes is the on-disk (mapped) snapshot size.
-func (pv *packView) sizeBytes() int64 { return pv.r.SizeBytes() }
 
 // PackData assembles the packed snapshot writer's input from this
 // snapshot's state; seq is the WAL sequence number the snapshot

@@ -9,12 +9,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/colpack"
 	"repro/internal/geo"
 	"repro/internal/rdf"
+	"repro/internal/strdf"
 )
 
 // packFixture writes st's current state as a packed file and opens it.
@@ -121,7 +123,9 @@ func TestMappedSnapshotEquivalence(t *testing.T) {
 		t.Fatal("Lookup hit for unknown term")
 	}
 
-	// MatchRows and Cardinality agree across pattern shapes.
+	// MatchRows agrees with a scan of the source store's triples, and with
+	// the heap view row for row, across pattern shapes; Cardinality agrees
+	// with the heap view.
 	typeID, _ := heap.Lookup(rdf.IRI(rdf.RDFType))
 	classID, _ := heap.Lookup(rdf.IRI("http://ex/Class1"))
 	s7, _ := heap.Lookup(rdf.IRI("http://ex/s7"))
@@ -139,6 +143,9 @@ func TestMappedSnapshotEquivalence(t *testing.T) {
 	for _, pat := range pats {
 		want := heap.MatchRows(pat, &hBuf)
 		got := mapped.MatchRows(pat, &mBuf)
+		if g, w := decodeRows(mapped, got), bruteMatch(st, heap, pat); !slices.Equal(g, w) {
+			t.Fatalf("pattern %+v: mapped %v, brute force %v", pat, g, w)
+		}
 		if len(got) != len(want) {
 			t.Fatalf("pattern %+v: mapped %d rows, heap %d", pat, len(got), len(want))
 		}
@@ -219,14 +226,14 @@ func TestRestorePackedServesInPlace(t *testing.T) {
 	if _, err := st.LookupID(rdf.IRI("http://ex/missing")); err == nil {
 		t.Fatal("LookupID hit for unknown term")
 	}
-	if got, want := st.Cardinality(TriplePattern{P: typeID}), src.Cardinality(TriplePattern{P: typeID}); got != want {
+	sn := st.Snapshot()
+	if got, want := sn.Cardinality(TriplePattern{P: typeID}), len(bruteMatch(src, sn, TriplePattern{P: typeID})); got != want {
 		t.Fatalf("Cardinality = %d, want %d", got, want)
 	}
 	stats := st.Stats()
-	if stats.Triples != src.Len() || stats.Predicates == 0 || stats.SpatialLiterals == 0 {
-		t.Fatalf("Stats = %+v", stats)
+	if want := src.Stats(); stats != want || stats.Predicates != 4 {
+		t.Fatalf("Stats = %+v, want %+v", stats, want)
 	}
-	sn := st.Snapshot()
 	if !sn.Mapped() {
 		t.Fatal("Snapshot() of a packed store is not mapped")
 	}
@@ -258,9 +265,13 @@ func TestRestorePackedServesInPlace(t *testing.T) {
 	if st.Len() != src.Len()+1 {
 		t.Fatalf("Len after add = %d", st.Len())
 	}
-	for id := uint64(1); id <= uint64(src.Dict().Len()); id++ {
-		want, _ := src.Dict().Decode(id)
-		got, ok := st.Dict().Decode(id)
+	if got := st.Stats().Predicates; got != 4 {
+		t.Fatalf("Stats().Predicates after materialisation = %d, want 4", got)
+	}
+	srcSn, stSn := src.Snapshot(), st.Snapshot()
+	for id := uint64(1); id <= uint64(src.Stats().Terms); id++ {
+		want, _ := srcSn.DecodeTerm(id)
+		got, ok := stSn.DecodeTerm(id)
 		if !ok || got != want {
 			t.Fatalf("id %d changed across materialisation: %v vs %v", id, got, want)
 		}
@@ -277,7 +288,45 @@ func TestRestorePackedServesInPlace(t *testing.T) {
 	}
 }
 
-func TestRestorePackedRemoveAndSpatialToggle(t *testing.T) {
+// TestReadsNeverMaterialise pins the one-read-path rule: every read of
+// a mapped store is served from the mapping, and only a write copies it
+// to the heap.
+func TestReadsNeverMaterialise(t *testing.T) {
+	src := packedFixtureStore(100)
+	st, err := RestorePacked(packFixture(t, src, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sn := st.Snapshot(); !sn.Mapped() || sn.NRows() != src.Len() {
+		t.Fatalf("Snapshot: mapped=%v rows=%d", sn.Mapped(), sn.NRows())
+	}
+	if got, want := st.Triples(), src.Triples(); !slices.Equal(got, want) {
+		t.Fatalf("Triples: %d triples, want %d", len(got), len(want))
+	}
+	if got, want := st.Stats(), src.Stats(); got != want {
+		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+	if st.Len() != src.Len() {
+		t.Fatalf("Len = %d, want %d", st.Len(), src.Len())
+	}
+	if _, err := st.LookupID(rdf.IRI("http://ex/s7")); err != nil {
+		t.Fatal(err)
+	}
+	if mode := st.StorageMode(); mode != "mapped" {
+		t.Fatalf("after reads StorageMode = %q, want mapped", mode)
+	}
+	if !st.Add(rdf.NewTriple(rdf.IRI("http://ex/new"), rdf.IRI(rdf.RDFType), rdf.IRI("http://ex/Class0"))) {
+		t.Fatal("Add failed")
+	}
+	if mode := st.StorageMode(); mode != "heap" {
+		t.Fatalf("after a write StorageMode = %q, want heap", mode)
+	}
+}
+
+// TestRestorePackedRemoveAndSpatial: a Remove materialises a mapped
+// store; spatial candidates served from the mapped file's R-tree match a
+// scan of the source's spatial literals.
+func TestRestorePackedRemoveAndSpatial(t *testing.T) {
 	src := packedFixtureStore(50)
 	st, err := RestorePacked(packFixture(t, src, 3))
 	if err != nil {
@@ -295,10 +344,18 @@ func TestRestorePackedRemoveAndSpatialToggle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2.SetSpatialIndexEnabled(false)
-	box := geo.Envelope{MinX: 0, MinY: 0, MaxX: 90, MaxY: 90}
-	if got, want := len(st2.SpatialCandidates(box)), len(src.SpatialCandidates(box)); got != want {
-		t.Fatalf("scan-path candidates = %d, want %d", got, want)
+	box := geo.Envelope{MinX: 25, MinY: 30, MaxX: 40, MaxY: 45}
+	want := 0
+	for _, tr := range src.Triples() {
+		if v, err := strdf.ParseSpatial(tr.O); err == nil && v.Geom.Envelope().Intersects(box) {
+			want++
+		}
+	}
+	if got := len(st2.Snapshot().SpatialCandidates(box)); got != want || want == 0 {
+		t.Fatalf("candidates = %d, want %d (non-zero)", got, want)
+	}
+	if st2.StorageMode() != "mapped" {
+		t.Fatal("a spatial read materialised the store")
 	}
 }
 
@@ -373,7 +430,7 @@ func TestPackDataFromMapped(t *testing.T) {
 	if again.NRows() != mapped.NRows() {
 		t.Fatalf("NRows = %d, want %d", again.NRows(), mapped.NRows())
 	}
-	for id := uint64(1); id <= uint64(st.Dict().Len()); id++ {
+	for id := uint64(1); id <= uint64(st.Stats().Terms); id++ {
 		a, _ := again.DecodeTerm(id)
 		b, _ := mapped.DecodeTerm(id)
 		if a != b {

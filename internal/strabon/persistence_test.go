@@ -73,7 +73,7 @@ func TestPackedRoundtripEscapesAndSpatial(t *testing.T) {
 		if id != wantIDs[o.String()] {
 			t.Errorf("%s: id %d after load, want %d", o, id, wantIDs[o.String()])
 		}
-		back, ok := got.Dict().Decode(id)
+		back, ok := got.Snapshot().DecodeTerm(id)
 		if !ok || back != o {
 			t.Errorf("decode(%d) = %+v, want %+v", id, back, o)
 		}
@@ -81,7 +81,7 @@ func TestPackedRoundtripEscapesAndSpatial(t *testing.T) {
 	// The geometry cache must be rebuilt for every spatial literal.
 	for _, o := range spatial {
 		id, _ := got.LookupID(o)
-		if _, ok := got.Geometry(id); !ok {
+		if _, ok := got.Snapshot().Geometry(id); !ok {
 			t.Errorf("geometry cache missing for %s", o)
 		}
 	}
@@ -106,44 +106,5 @@ func TestPackedRoundtripEscapesAndSpatial(t *testing.T) {
 	}
 	if again.Len() != got.Len() {
 		t.Fatalf("second roundtrip: %d triples, want %d", again.Len(), got.Len())
-	}
-}
-
-// TestRestoreColumnsValidation covers the error paths of the binary
-// snapshot constructor.
-func TestRestoreColumnsValidation(t *testing.T) {
-	dict := rdf.NewDictionary()
-	a := dict.Encode(rdf.IRI("http://example.org/a"))
-	b := dict.Encode(rdf.IRI("http://example.org/b"))
-	c := dict.Encode(rdf.IRI("http://example.org/c"))
-	if _, err := RestoreColumns(dict, []uint64{a}, []uint64{b}, nil, nil, 0); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := RestoreColumns(dict, []uint64{a}, []uint64{b}, []uint64{99}, nil, 0); err == nil {
-		t.Fatal("out-of-dictionary id accepted")
-	}
-	if _, err := RestoreColumns(dict, []uint64{a}, []uint64{b}, []uint64{c}, []uint64{77}, 0); err == nil {
-		t.Fatal("unknown geometry id accepted")
-	}
-	st, err := RestoreColumns(dict, []uint64{a}, []uint64{b}, []uint64{c}, nil, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Len() != 1 || st.Version() != 7 {
-		t.Fatalf("restored len=%d version=%d", st.Len(), st.Version())
-	}
-	// The secondary indexes are deferred; both a read-path and a
-	// write-path consumer must materialise them transparently.
-	if got := st.MatchIDs(TriplePattern{S: a}); len(got) != 1 {
-		t.Fatalf("MatchIDs over restored store: %v", got)
-	}
-	if st.Add(rdf.NewTriple(rdf.IRI("http://example.org/a"), rdf.IRI("http://example.org/b"), rdf.IRI("http://example.org/c"))) {
-		t.Fatal("restored triple re-added: present map not rebuilt")
-	}
-	if !st.Remove(rdf.NewTriple(rdf.IRI("http://example.org/a"), rdf.IRI("http://example.org/b"), rdf.IRI("http://example.org/c"))) {
-		t.Fatal("restored triple not removable")
-	}
-	if st.Len() != 0 {
-		t.Fatalf("len after remove = %d", st.Len())
 	}
 }

@@ -37,10 +37,9 @@ type Snapshot struct {
 	version uint64
 	// dict is the store's dictionary; nil while the store is still served
 	// from a packed file, whose front-coded dictionary answers instead.
-	dict   *rdf.Dictionary
-	useIdx bool
-	base   *flat
-	delta  *delta // nil when nothing changed since base
+	dict  *rdf.Dictionary
+	base  *flat
+	delta *delta // nil when nothing changed since base
 
 	// stats is the delta-adjusted statistics view, built once per
 	// snapshot; a snapshot without a delta shares its base's.
@@ -145,7 +144,7 @@ func (st *Store) view(fold bool) *Snapshot {
 // when there is no base, the caller asks for one, or the delta has grown
 // past the fold policy. Callers hold the read lock.
 func (st *Store) buildViewLocked(fold bool) (*Snapshot, *foldPoint) {
-	sn := &Snapshot{version: st.version, useIdx: st.useSpatialIndex}
+	sn := &Snapshot{version: st.version}
 	if st.packed != nil {
 		// Nothing has been written since boot: the mapped file is the
 		// full build of every version the store has had.
@@ -432,23 +431,11 @@ func (f *flat) geometry(id uint64) (strdf.SpatialValue, bool) {
 	return v, ok
 }
 
-// spatialCandidates searches the R-tree, or with useIdx off (the A1
-// ablation) scans every geometry of a heap base. A mapped base always
-// searches its R-tree.
-func (f *flat) spatialCandidates(box geo.Envelope, useIdx bool) []uint64 {
+func (f *flat) spatialCandidates(box geo.Envelope) []uint64 {
 	if f.pack != nil {
 		return f.pack.spatialCandidates(box)
 	}
-	if useIdx {
-		return f.spatial.Search(box, nil)
-	}
-	var out []uint64
-	for id, v := range f.geoms {
-		if v.Geom.Envelope().Intersects(box) {
-			out = append(out, id)
-		}
-	}
-	return out
+	return f.spatial.Search(box, nil)
 }
 
 func (f *flat) geomIDs() []uint64 {
@@ -633,12 +620,10 @@ func (sn *Snapshot) Geometry(id uint64) (strdf.SpatialValue, bool) {
 }
 
 // SpatialCandidates returns ids of spatial literals whose envelope
-// intersects box, via the R-tree or — with the store's spatial index
-// disabled at snapshot time and a heap base — by scanning. The delta's
-// few geometries are always scanned. The result is a set: its order is
-// unspecified.
+// intersects box: the base's via its R-tree, the delta's few geometries
+// by a scan. The result is a set: its order is unspecified.
 func (sn *Snapshot) SpatialCandidates(box geo.Envelope) []uint64 {
-	out := sn.base.spatialCandidates(box, sn.useIdx)
+	out := sn.base.spatialCandidates(box)
 	if d := sn.delta; d != nil {
 		for i, env := range d.geomEnvs {
 			if env.Intersects(box) {

@@ -5,6 +5,7 @@ package strabon
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -69,30 +70,35 @@ func TestSnapshotImmutableAfterRemove(t *testing.T) {
 	}
 }
 
-func TestSnapshotMatchRowsAgainstMatchIDs(t *testing.T) {
+// TestSnapshotMatchRowsAgainstBruteForce checks MatchRows, over a full
+// build and over a view with a delta, against a scan of the store's
+// decoded triples.
+func TestSnapshotMatchRowsAgainstBruteForce(t *testing.T) {
 	st := snapFixture()
-	sn := st.Snapshot()
-	thingID, _ := sn.Dict().Lookup(rdf.IRI("http://ex/Thing"))
-	typeID, _ := sn.Dict().Lookup(rdf.IRI(rdf.RDFType))
-	pats := []TriplePattern{
-		{},                          // full scan
-		{P: typeID},                 // single component
-		{P: typeID, O: thingID},     // two components
-		{S: 1, P: typeID, O: 99999}, // no match
-	}
-	var buf []int32
-	for _, pat := range pats {
-		want := st.MatchIDs(pat)
-		got := sn.MatchRows(pat, &buf)
-		if len(got) != len(want) {
-			t.Fatalf("pattern %+v: snapshot %d rows, store %d rows", pat, len(got), len(want))
+	for _, leg := range []string{"full build", "base+delta"} {
+		if leg == "base+delta" {
+			st.Add(rdf.NewTriple(rdf.IRI("http://ex/s10"), rdf.IRI(rdf.RDFType), rdf.IRI("http://ex/Thing")))
+			st.Remove(rdf.NewTriple(rdf.IRI("http://ex/s3"), rdf.IRI(rdf.RDFType), rdf.IRI("http://ex/Thing")))
 		}
-		for i := range got {
-			gs, gp, go_ := sn.Row(got[i])
-			ws, wp, wo := st.Row(want[i])
-			if gs != ws || gp != wp || go_ != wo {
-				t.Fatalf("pattern %+v row %d: snapshot (%d,%d,%d) store (%d,%d,%d)",
-					pat, i, gs, gp, go_, ws, wp, wo)
+		sn := st.Snapshot()
+		if (sn.delta != nil) != (leg == "base+delta") {
+			t.Fatalf("%s: view has delta=%v", leg, sn.delta != nil)
+		}
+		thingID, _ := sn.Lookup(rdf.IRI("http://ex/Thing"))
+		typeID, _ := sn.Lookup(rdf.IRI(rdf.RDFType))
+		s10, _ := sn.Lookup(rdf.IRI("http://ex/s10"))
+		pats := []TriplePattern{
+			{},                          // full scan
+			{P: typeID},                 // single component
+			{P: typeID, O: thingID},     // two components
+			{S: s10},                    // only appended rows
+			{S: 1, P: typeID, O: 99999}, // no match
+		}
+		var buf []int32
+		for _, pat := range pats {
+			got := decodeRows(sn, sn.MatchRows(pat, &buf))
+			if want := bruteMatch(st, sn, pat); !slices.Equal(got, want) {
+				t.Fatalf("%s, pattern %+v: snapshot %v, brute force %v", leg, pat, got, want)
 			}
 		}
 	}
@@ -114,8 +120,8 @@ func TestSnapshotDecodeAll(t *testing.T) {
 }
 
 // TestCompactPrunesStaleGeometries is the regression test for stale
-// spatial entries: geometries of fully-deleted object ids must leave both
-// the geometry cache and the R-tree during Compact.
+// spatial entries: geometries of fully-deleted object ids must leave the
+// store's geometry cache during Compact, and so the next view's R-tree.
 func TestCompactPrunesStaleGeometries(t *testing.T) {
 	st := NewStore()
 	wkt := `POINT (23.5 37.5)`
@@ -126,7 +132,7 @@ func TestCompactPrunesStaleGeometries(t *testing.T) {
 		rdf.TypedLiteral("POINT (24.5 38.5)", "http://strdf.di.uoa.gr/ontology#WKT"))
 	st.Add(keep)
 	box := geo.Envelope{MinX: 23, MinY: 37, MaxX: 24, MaxY: 38}
-	if got := st.SpatialCandidates(box); len(got) != 1 {
+	if got := st.Snapshot().SpatialCandidates(box); len(got) != 1 {
 		t.Fatalf("pre-delete candidates = %d", len(got))
 	}
 	if !st.Remove(tr) {
@@ -134,21 +140,16 @@ func TestCompactPrunesStaleGeometries(t *testing.T) {
 	}
 	// Before Compact the stale geometry may linger; Compact must purge it.
 	st.Compact()
-	if got := st.SpatialCandidates(box); len(got) != 0 {
+	if got := st.Snapshot().SpatialCandidates(box); len(got) != 0 {
 		t.Fatalf("stale spatial candidates after Compact: %v", got)
 	}
 	if st.Stats().SpatialLiterals != 1 {
 		t.Fatalf("spatial literals = %d, want 1 (the kept geometry)", st.Stats().SpatialLiterals)
 	}
-	// The kept geometry must survive in the rebuilt R-tree.
+	// The kept geometry must survive in the next view's R-tree.
 	keepBox := geo.Envelope{MinX: 24, MinY: 38, MaxX: 25, MaxY: 39}
-	if got := st.SpatialCandidates(keepBox); len(got) != 1 {
+	if got := st.Snapshot().SpatialCandidates(keepBox); len(got) != 1 {
 		t.Fatalf("kept geometry missing after Compact: %v", got)
-	}
-	// And the scan path (spatial index disabled) agrees.
-	st.SetSpatialIndexEnabled(false)
-	if got := st.SpatialCandidates(box); len(got) != 0 {
-		t.Fatalf("scan path still sees stale geometry: %v", got)
 	}
 }
 
@@ -178,15 +179,16 @@ func TestRemoveSortedPostingLists(t *testing.T) {
 		triples = append(triples, rdf.NewTriple(subj, rdf.IRI("http://ex/p"), rdf.IntegerLiteral(int64(i))))
 	}
 	st.AddAll(triples)
+	st.Snapshot()
 	// Remove from the middle, the front, and the back; matches must stay
-	// exact (binary-searched posting lists).
+	// exact (the view filters its base's sorted posting list).
 	for _, i := range []int{50, 0, 99, 25, 75} {
 		if !st.Remove(triples[i]) {
 			t.Fatalf("remove %d failed", i)
 		}
 	}
 	sID, _ := st.LookupID(subj)
-	if got := len(st.MatchIDs(TriplePattern{S: sID})); got != 95 {
+	if got := len(st.Snapshot().MatchRows(TriplePattern{S: sID}, nil)); got != 95 {
 		t.Fatalf("matches after removals = %d, want 95", got)
 	}
 	if st.Len() != 95 {

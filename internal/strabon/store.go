@@ -1,21 +1,26 @@
 // Package strabon implements the Strabon geospatial RDF store of the
 // paper: triples dictionary-encoded into three parallel integer columns
-// (the MonetDB layout under the real Strabon), secondary hash indexes on
-// each component, per-predicate statistics for the stSPARQL optimizer, and
-// an R-tree over the spatial literals for spatial filter pushdown.
+// (the MonetDB layout under the real Strabon).
+//
+// The package has one write side and one read side. Store is the write
+// side: it keeps the columns, the dictionary, a duplicate set, the
+// ingest-time geometry cache and the write-ahead journal hook — only what
+// a mutation needs. Every read goes through Snapshot, an immutable view
+// of one store version with posting lists per component, an R-tree over
+// the spatial literals and per-predicate statistics for the stSPARQL
+// optimizer. A store restored from a packed snapshot file (RestorePacked)
+// serves its views straight from the mapped file and copies it to the
+// heap only on its first write.
 package strabon
 
 import (
 	"fmt"
 	"io"
-	"sort"
+	"maps"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/column"
-	"repro/internal/geo"
 	"repro/internal/rdf"
-	"repro/internal/rtree"
 	"repro/internal/strdf"
 )
 
@@ -76,32 +81,25 @@ func (c Commit) Await() error {
 	return c.Wait()
 }
 
-// Store is the triple store. Reads are safe concurrently; writes take the
-// exclusive lock.
+// Store is the triple store's write side; reads go through Snapshot.
+// Its methods are safe for concurrent use; writes take the exclusive
+// lock.
 type Store struct {
 	mu   sync.RWMutex
 	dict *rdf.Dictionary
 	// The three dictionary-encoded columns. Row i holds triple i; deleted
-	// rows are tombstoned with 0 and compacted on Snapshot.
+	// rows are tombstoned with 0 and dropped by Compact.
 	s, p, o []uint64
-	// Component indexes: term id -> row positions.
-	byS, byP, byO map[uint64][]int
-	// triple set for duplicate suppression: key = packed spo.
+	// present is the triple set for duplicate suppression and Remove:
+	// packed spo -> row.
 	present map[[3]uint64]int
-	deleted int
-	// Spatial side: geometry cache and R-tree over spatial literal ids.
-	// The tree is built lazily: ingest only records geometries and marks
-	// the tree stale, and the first spatial lookup STR-bulk-loads it —
-	// pure ingest workloads (the Figure 1 pipeline) never pay for
-	// incremental quadratic-split inserts.
-	geoms        map[uint64]strdf.SpatialValue
-	spatial      *rtree.Tree
-	spatialStale bool
-	// postArena is the slab fresh posting lists are carved from, so a
-	// bulk load of mostly-new terms does not allocate per term.
-	postArena []int
-	// useSpatialIndex can be disabled for the A1 ablation.
-	useSpatialIndex bool
+	// predRows counts the live rows of each predicate, so that
+	// Stats().Predicates is len(predRows) rather than a scan.
+	predRows map[uint64]int
+	deleted  int
+	// geoms caches the WGS84 geometry of every spatial literal parsed at
+	// ingest; views index it, Compact prunes it.
+	geoms map[uint64]strdf.SpatialValue
 	// version counts successful mutations; readers (e.g. the endpoint's
 	// result cache) use it to detect staleness cheaply.
 	version uint64
@@ -130,15 +128,10 @@ type Store struct {
 	building                            atomic.Pointer[viewBuild]
 	fullBuilds, deltaBuilds, buildWaits atomic.Uint64
 	deltaRows                           atomic.Int64
-	// lazyIdx is set by RestoreColumns: the component posting lists and
-	// the present map have not been built yet and must be materialised
-	// (ensureIdx) before the first mutation or index-driven read.
-	lazyIdx bool
 	// packed, set by RestorePacked, means the store's state lives ONLY
 	// in a mapped packed snapshot: the dictionary is empty and the
 	// columns are nil. Reads are answered in place through the cached
-	// mapped Snapshot (snap); the first mutation — or any path that
-	// needs the heap representation — materialises via
+	// mapped Snapshot (snap); the first mutation materialises via
 	// materializeLocked, which decodes the file into the fields above
 	// and clears packed. The mapping itself stays alive for the
 	// snapshot's lifetime.
@@ -155,53 +148,27 @@ type Store struct {
 	logScratch [1]rdf.Triple
 }
 
-// NewStore returns an empty store with the spatial index enabled.
+// NewStore returns an empty store.
 func NewStore() *Store {
-	// Index maps are presized for a small catalogue so the first few
-	// thousand inserts do not spend their time rehashing.
+	// Maps are presized for a small catalogue so the first few thousand
+	// inserts do not spend their time rehashing.
 	return &Store{
-		dict:            rdf.NewDictionary(),
-		byS:             make(map[uint64][]int, 256),
-		byP:             make(map[uint64][]int, 32),
-		byO:             make(map[uint64][]int, 256),
-		present:         make(map[[3]uint64]int, 512),
-		geoms:           make(map[uint64]strdf.SpatialValue, 64),
-		spatial:         rtree.NewTree(0),
-		useSpatialIndex: true,
+		dict:     rdf.NewDictionary(),
+		present:  make(map[[3]uint64]int, 512),
+		predRows: make(map[uint64]int, 32),
+		geoms:    make(map[uint64]strdf.SpatialValue, 64),
 	}
-}
-
-// newPosting carves a fresh single-row posting list from the shared
-// arena; lists that outgrow the carved capacity migrate to ordinary
-// append growth.
-func (st *Store) newPosting(row int) []int {
-	const chunk = 4
-	if len(st.postArena)+chunk > cap(st.postArena) {
-		st.postArena = make([]int, 0, 8192)
-	}
-	n := len(st.postArena)
-	p := st.postArena[n : n : n+chunk]
-	st.postArena = st.postArena[:n+chunk]
-	return append(p, row)
-}
-
-// appendPosting extends a posting list, routing new lists to the arena.
-func (st *Store) appendPosting(rows []int, row int) []int {
-	if rows == nil {
-		return st.newPosting(row)
-	}
-	return append(rows, row)
 }
 
 // materializeLocked decodes a packed store's mapped state into the
-// heap representation (columns, dictionary, geometries) and leaves the
-// secondary indexes deferred behind lazyIdx; callers hold the write
-// lock. The store version does NOT move: materialisation changes the
-// representation, not the logical contents, so the cached mapped
-// snapshot stays valid and keeps serving readers until a real mutation
-// invalidates it. A decode failure here is unreachable for a file that
-// passed Open's full verification, so it panics rather than threading
-// an error through every mutation path.
+// heap representation the write side needs (columns, dictionary,
+// geometries, the duplicate set and the predicate counts); mutations
+// call it first, holding the write lock. The store version does NOT
+// move: materialisation changes the representation, not the logical
+// contents, so the cached mapped snapshot stays valid and keeps serving
+// readers until a real mutation invalidates it. A decode failure here
+// is unreachable for a file that passed Open's full verification, so it
+// panics rather than threading an error through every mutation path.
 func (st *Store) materializeLocked() {
 	if st.packed == nil {
 		return
@@ -211,76 +178,6 @@ func (st *Store) materializeLocked() {
 	if err := pv.materializeInto(st); err != nil {
 		panic(fmt.Sprintf("strabon: materialising packed snapshot: %v", err))
 	}
-}
-
-// ensureMaterialized is materializeLocked for read paths that need the
-// heap representation (lock not held): double-checked read-to-write
-// upgrade, same shape as ensureIdx.
-func (st *Store) ensureMaterialized() {
-	st.mu.RLock()
-	mapped := st.packed != nil
-	st.mu.RUnlock()
-	if !mapped {
-		return
-	}
-	st.mu.Lock()
-	st.materializeLocked()
-	st.mu.Unlock()
-}
-
-// buildIndexesLocked materialises the deferred secondary structures of
-// a RestoreColumns store; callers hold the write lock.
-func (st *Store) buildIndexesLocked() {
-	st.materializeLocked()
-	if !st.lazyIdx {
-		return
-	}
-	st.lazyIdx = false
-	n := len(st.s)
-	st.present = make(map[[3]uint64]int, n)
-	st.byS = make(map[uint64][]int, n/4+16)
-	st.byP = make(map[uint64][]int, 64)
-	st.byO = make(map[uint64][]int, n/4+16)
-	for row := 0; row < n; row++ {
-		if st.s[row] == 0 {
-			continue
-		}
-		st.present[[3]uint64{st.s[row], st.p[row], st.o[row]}] = row
-		st.byS[st.s[row]] = st.appendPosting(st.byS[st.s[row]], row)
-		st.byP[st.p[row]] = st.appendPosting(st.byP[st.p[row]], row)
-		st.byO[st.o[row]] = st.appendPosting(st.byO[st.o[row]], row)
-	}
-}
-
-// ensureIdx materialises the deferred indexes from a read path (lock
-// not held): double-checked read-to-write upgrade, same shape as the
-// lazy R-tree build in SpatialCandidates.
-func (st *Store) ensureIdx() {
-	st.mu.RLock()
-	lazy := st.lazyIdx || st.packed != nil
-	st.mu.RUnlock()
-	if !lazy {
-		return
-	}
-	st.mu.Lock()
-	st.buildIndexesLocked()
-	st.mu.Unlock()
-}
-
-// SetSpatialIndexEnabled toggles R-tree use in spatial lookups (the A1
-// ablation baseline scans all spatial literals when disabled).
-func (st *Store) SetSpatialIndexEnabled(on bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	// A mapped store's lookups always search the file's R-tree; decode to
-	// heap so that store-level lookups honour the setting. (Views over a
-	// mapped base keep searching its R-tree until the next fold.)
-	st.materializeLocked()
-	st.useSpatialIndex = on
-	// Views capture the setting: move the version so the next Snapshot
-	// builds one with it and an in-flight build cannot install one
-	// without.
-	st.version++
 }
 
 // ViewCounters counts the read views (Snapshots) a store has built.
@@ -302,15 +199,6 @@ func (st *Store) ViewCounters() ViewCounters {
 		BuildWaits:  st.buildWaits.Load(),
 		DeltaRows:   st.deltaRows.Load(),
 	}
-}
-
-// Dict exposes the term dictionary. On a packed store the dictionary
-// lives front-coded in the mapped snapshot, so this materialises the
-// heap representation first — query paths should go through the
-// Snapshot's Lookup/DecodeTerm accessors instead, which work in place.
-func (st *Store) Dict() *rdf.Dictionary {
-	st.ensureMaterialized()
-	return st.dict
 }
 
 // Len reports the number of live triples.
@@ -336,7 +224,7 @@ func (st *Store) Add(t rdf.Triple) bool {
 			st.mu.Unlock()
 		}
 	}()
-	st.buildIndexesLocked()
+	st.materializeLocked()
 	ok, c := st.addLocked(t)
 	if !ok {
 		return false
@@ -413,9 +301,7 @@ func (st *Store) applyAdd(t rdf.Triple, key [3]uint64) {
 	st.p = append(st.p, pID)
 	st.o = append(st.o, oID)
 	st.present[key] = row
-	st.byS[sID] = st.appendPosting(st.byS[sID], row)
-	st.byP[pID] = st.appendPosting(st.byP[pID], row)
-	st.byO[oID] = st.appendPosting(st.byO[oID], row)
+	st.predRows[pID]++
 	if t.O.IsSpatial() {
 		if _, cached := st.geoms[oID]; !cached {
 			if v, err := strdf.ParseSpatial(t.O); err == nil {
@@ -424,21 +310,9 @@ func (st *Store) applyAdd(t rdf.Triple, key [3]uint64) {
 				}
 				st.geoms[oID] = v
 				st.geomLog = append(st.geomLog, oID)
-				st.spatialStale = true
 			}
 		}
 	}
-}
-
-// rebuildSpatialLocked STR-bulk-loads the R-tree from the geometry
-// cache; callers hold the write lock.
-func (st *Store) rebuildSpatialLocked() {
-	items := make([]rtree.Item, 0, len(st.geoms))
-	for id, v := range st.geoms {
-		items = append(items, rtree.Item{Box: v.Geom.Envelope(), ID: id})
-	}
-	st.spatial = rtree.BulkLoad(items, 0)
-	st.spatialStale = false
 }
 
 // AddAll inserts a batch of triples under one write lock and reports how
@@ -454,7 +328,7 @@ func (st *Store) AddAll(triples []rdf.Triple) int {
 			st.mu.Unlock()
 		}
 	}()
-	st.buildIndexesLocked()
+	st.materializeLocked()
 	if st.journal == nil {
 		n := 0
 		for _, t := range triples {
@@ -531,19 +405,6 @@ func (st *Store) JournalVetoes() uint64 {
 
 // Remove deletes a triple; it reports whether it was present.
 func (st *Store) Remove(t rdf.Triple) bool {
-	st.ensureMaterialized() // the lookups below need the heap dictionary
-	sID, ok := st.dict.Lookup(t.S)
-	if !ok {
-		return false
-	}
-	pID, ok := st.dict.Lookup(t.P)
-	if !ok {
-		return false
-	}
-	oID, ok := st.dict.Lookup(t.O)
-	if !ok {
-		return false
-	}
 	locked := true
 	st.mu.Lock()
 	defer func() {
@@ -551,7 +412,11 @@ func (st *Store) Remove(t rdf.Triple) bool {
 			st.mu.Unlock()
 		}
 	}()
-	st.buildIndexesLocked()
+	st.materializeLocked() // the lookups below need the heap dictionary
+	// An unknown term looks up as id 0, which no stored row carries.
+	sID, _ := st.dict.Lookup(t.S)
+	pID, _ := st.dict.Lookup(t.P)
+	oID, _ := st.dict.Lookup(t.O)
 	key := [3]uint64{sID, pID, oID}
 	row, ok := st.present[key]
 	if !ok {
@@ -569,9 +434,11 @@ func (st *Store) Remove(t rdf.Triple) bool {
 	delete(st.present, key)
 	st.version++
 	st.s[row], st.p[row], st.o[row] = 0, 0, 0
-	st.byS[sID] = removePos(st.byS[sID], row)
-	st.byP[pID] = removePos(st.byP[pID], row)
-	st.byO[oID] = removePos(st.byO[oID], row)
+	if n := st.predRows[pID] - 1; n > 0 {
+		st.predRows[pID] = n
+	} else {
+		delete(st.predRows, pID)
+	}
 	st.deleted++
 	st.tombLog = append(st.tombLog, row)
 	locked = false
@@ -579,117 +446,13 @@ func (st *Store) Remove(t rdf.Triple) bool {
 	return st.finishCommit(c)
 }
 
-// removePos deletes row from a posting list. Posting lists are always
-// sorted ascending (rows are appended in insertion order and Compact
-// renumbers ascending), so the position is found by binary search.
-func removePos(rows []int, row int) []int {
-	i := sort.SearchInts(rows, row)
-	if i >= len(rows) || rows[i] != row {
-		return rows
-	}
-	return append(rows[:i], rows[i+1:]...)
-}
-
 // TriplePattern matches triples; zero IDs are wildcards.
 type TriplePattern struct {
 	S, P, O uint64
 }
 
-// MatchIDs returns the row positions matching the pattern, using the most
-// selective available component index.
-func (st *Store) MatchIDs(pat TriplePattern) []int {
-	st.ensureIdx()
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.matchLocked(pat)
-}
-
-func (st *Store) matchLocked(pat TriplePattern) []int {
-	// Pick the smallest index among the bound components.
-	var candidate []int
-	candSet := false
-	consider := func(idx map[uint64][]int, id uint64) {
-		if id == 0 {
-			return
-		}
-		rows := idx[id]
-		if !candSet || len(rows) < len(candidate) {
-			candidate = rows
-			candSet = true
-		}
-	}
-	consider(st.byS, pat.S)
-	consider(st.byP, pat.P)
-	consider(st.byO, pat.O)
-	if !candSet {
-		// Full scan.
-		out := make([]int, 0, len(st.s)-st.deleted)
-		for row := range st.s {
-			if st.s[row] != 0 {
-				out = append(out, row)
-			}
-		}
-		return out
-	}
-	var out []int
-	for _, row := range candidate {
-		if pat.S != 0 && st.s[row] != pat.S {
-			continue
-		}
-		if pat.P != 0 && st.p[row] != pat.P {
-			continue
-		}
-		if pat.O != 0 && st.o[row] != pat.O {
-			continue
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
-// Row returns the (s, p, o) ids of row.
-func (st *Store) Row(row int) (uint64, uint64, uint64) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if st.packed != nil {
-		return st.packed.row(int32(row))
-	}
-	return st.s[row], st.p[row], st.o[row]
-}
-
-// Cardinality estimates the number of matches for a pattern without
-// materialising them — the optimizer's selectivity source.
-func (st *Store) Cardinality(pat TriplePattern) int {
-	st.mu.RLock()
-	if st.packed != nil {
-		defer st.mu.RUnlock()
-		return st.packed.cardinality(pat)
-	}
-	st.mu.RUnlock()
-	st.ensureIdx()
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	est := len(st.s) - st.deleted
-	if pat.S != 0 {
-		if n := len(st.byS[pat.S]); n < est {
-			est = n
-		}
-	}
-	if pat.P != 0 {
-		if n := len(st.byP[pat.P]); n < est {
-			est = n
-		}
-	}
-	if pat.O != 0 {
-		if n := len(st.byO[pat.O]); n < est {
-			est = n
-		}
-	}
-	return est
-}
-
 // Version reports a counter that increases on every successful mutation
-// (Add, Remove, Compact, index toggles). Two equal Version observations bracket an interval in
+// (Add, Remove, Compact). Two equal Version observations bracket an interval in
 // which the store's logical contents did not change, which is what the
 // stSPARQL endpoint's result cache keys on.
 func (st *Store) Version() uint64 {
@@ -723,68 +486,28 @@ func (st *Store) SetAppliedSeq(seq uint64) {
 	}
 }
 
-// Geometry returns the cached WGS84 geometry for a spatial literal id.
-func (st *Store) Geometry(id uint64) (strdf.SpatialValue, bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if st.packed != nil {
-		return st.packed.geometry(id)
-	}
-	v, ok := st.geoms[id]
-	return v, ok
-}
-
-// SpatialCandidates returns the ids of spatial literals whose envelope
-// intersects the query box — via the R-tree when enabled, else by scanning
-// every cached geometry (the ablation baseline).
-func (st *Store) SpatialCandidates(box geo.Envelope) []uint64 {
-	st.mu.RLock()
-	if st.packed != nil {
-		defer st.mu.RUnlock()
-		return st.packed.spatialCandidates(box)
-	}
-	if st.useSpatialIndex && st.spatialStale {
-		// Upgrade to the write lock and build the tree; double-check
-		// staleness, another reader may have won the race.
-		st.mu.RUnlock()
-		st.mu.Lock()
-		if st.spatialStale {
-			st.rebuildSpatialLocked()
-		}
-		st.mu.Unlock()
-		st.mu.RLock()
-	}
-	defer st.mu.RUnlock()
-	if st.useSpatialIndex {
-		return st.spatial.Search(box, nil)
-	}
-	var out []uint64
-	for id, v := range st.geoms {
-		if v.Geom.Envelope().Intersects(box) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// Triples materialises all live triples (decoded), in row order.
+// Triples decodes all live triples, in row order, from the current
+// Snapshot — so reading them leaves a mapped store mapped.
 func (st *Store) Triples() []rdf.Triple {
-	st.ensureMaterialized()
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.triplesLocked()
-}
-
-func (st *Store) triplesLocked() []rdf.Triple {
-	out := make([]rdf.Triple, 0, len(st.s)-st.deleted)
-	for row := range st.s {
-		if st.s[row] == 0 {
-			continue
+	sn := st.Snapshot()
+	rows := sn.MatchRows(TriplePattern{}, nil)
+	out := make([]rdf.Triple, 0, len(rows))
+	// Decode in chunks so the id and term scratch stays small.
+	const chunk = 1024
+	ids := make([]uint64, 0, 3*chunk)
+	terms := make([]rdf.Term, 3*chunk)
+	for len(rows) > 0 {
+		n := min(chunk, len(rows))
+		ids = ids[:0]
+		for _, r := range rows[:n] {
+			s, p, o := sn.Row(r)
+			ids = append(ids, s, p, o)
 		}
-		s, _ := st.dict.Decode(st.s[row])
-		p, _ := st.dict.Decode(st.p[row])
-		o, _ := st.dict.Decode(st.o[row])
-		out = append(out, rdf.Triple{S: s, P: p, O: o})
+		sn.DecodeAll(ids, terms)
+		for i := 0; i < 3*n; i += 3 {
+			out = append(out, rdf.Triple{S: terms[i], P: terms[i+1], O: terms[i+2]})
+		}
+		rows = rows[n:]
 	}
 	return out
 }
@@ -797,10 +520,9 @@ type Stats struct {
 	Predicates      int
 }
 
-// Stats returns a snapshot of store statistics. It deliberately does
-// not materialise a restored store's deferred indexes: the predicate
-// count is derived from a linear scan instead, so the startup banner
-// and /stats polls don't defeat the lazy-restore fast boot.
+// Stats returns a snapshot of store statistics in O(1): a mapped store
+// reads them from the file's statistics section, a heap store from its
+// counters, so /stats polls neither scan nor materialise.
 func (st *Store) Stats() Stats {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -813,63 +535,19 @@ func (st *Store) Stats() Stats {
 			Predicates:      s.DistinctP,
 		}
 	}
-	nPreds := 0
-	if st.lazyIdx {
-		seen := make(map[uint64]struct{}, 64)
-		for _, id := range st.p {
-			if id != 0 {
-				seen[id] = struct{}{}
-			}
-		}
-		nPreds = len(seen)
-	} else {
-		for _, rows := range st.byP {
-			if len(rows) > 0 {
-				nPreds++
-			}
-		}
-	}
 	return Stats{
 		Triples:         len(st.s) - st.deleted,
 		Terms:           st.dict.Len(),
 		SpatialLiterals: len(st.geoms),
-		Predicates:      nPreds,
+		Predicates:      len(st.predRows),
 	}
 }
 
-// AsTable materialises the live triples as a three-column relational
-// table of dictionary ids — the MonetDB layout the paper's Strabon sits
-// on, usable directly by the SciQL engine for mixed relational/RDF work.
-func (st *Store) AsTable() *column.Table {
-	st.ensureMaterialized()
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	n := len(st.s) - st.deleted
-	s := make([]int64, 0, n)
-	p := make([]int64, 0, n)
-	o := make([]int64, 0, n)
-	for row := range st.s {
-		if st.s[row] == 0 {
-			continue
-		}
-		s = append(s, int64(st.s[row]))
-		p = append(p, int64(st.p[row]))
-		o = append(o, int64(st.o[row]))
-	}
-	t := column.NewTable("triples",
-		column.Field{Name: "s", Typ: column.Int64},
-		column.Field{Name: "p", Typ: column.Int64},
-		column.Field{Name: "o", Typ: column.Int64})
-	t.Cols[0] = column.NewInt64(s)
-	t.Cols[1] = column.NewInt64(p)
-	t.Cols[2] = column.NewInt64(o)
-	return t
-}
-
-// Compact rewrites the triple columns without tombstones and rebuilds the
-// component indexes. Long-running stores call this after heavy DELETE
-// workloads (the refinement rewrites every coastal hotspot's geometry).
-// It reports the number of tombstones reclaimed.
+// Compact rewrites the triple columns without tombstones, renumbering
+// the duplicate set, and drops the cached geometries no live triple
+// refers to. Long-running stores call this after heavy DELETE workloads
+// (the refinement rewrites every coastal hotspot's geometry). It
+// reports the number of tombstones reclaimed.
 func (st *Store) Compact() int {
 	locked := true
 	st.mu.Lock()
@@ -905,52 +583,35 @@ func (st *Store) Compact() int {
 	s := make([]uint64, 0, n)
 	p := make([]uint64, 0, n)
 	o := make([]uint64, 0, n)
-	byS := make(map[uint64][]int, len(st.byS))
-	byP := make(map[uint64][]int, len(st.byP))
-	byO := make(map[uint64][]int, len(st.byO))
 	present := make(map[[3]uint64]int, n)
+	// Remove leaves geometries behind; the ones a live object still
+	// refers to are collected here, the rest dropped below.
+	liveGeoms := make(map[uint64]struct{}, len(st.geoms))
 	for row := range st.s {
 		if st.s[row] == 0 {
 			continue
 		}
-		newRow := len(s)
+		present[[3]uint64{st.s[row], st.p[row], st.o[row]}] = len(s)
 		s = append(s, st.s[row])
 		p = append(p, st.p[row])
 		o = append(o, st.o[row])
-		byS[st.s[row]] = append(byS[st.s[row]], newRow)
-		byP[st.p[row]] = append(byP[st.p[row]], newRow)
-		byO[st.o[row]] = append(byO[st.o[row]], newRow)
-		present[[3]uint64{st.s[row], st.p[row], st.o[row]}] = newRow
+		if _, ok := st.geoms[st.o[row]]; ok {
+			liveGeoms[st.o[row]] = struct{}{}
+		}
 	}
 	st.s, st.p, st.o = s, p, o
-	st.byS, st.byP, st.byO = byS, byP, byO
 	st.present = present
 	st.deleted = 0
-	st.pruneSpatialLocked()
+	maps.DeleteFunc(st.geoms, func(id uint64, _ strdf.SpatialValue) bool {
+		_, live := liveGeoms[id]
+		return !live
+	})
 	locked = false
 	st.mu.Unlock()
 	if !st.finishCommit(c) {
 		return 0
 	}
 	return reclaimed
-}
-
-// pruneSpatialLocked drops geometries whose literal id no longer appears in
-// any live triple's object position and rebuilds the R-tree over the
-// survivors. Remove tombstones rows but leaves geoms/R-tree entries behind;
-// Compact is where they are reclaimed.
-func (st *Store) pruneSpatialLocked() {
-	stale := false
-	for id := range st.geoms {
-		if len(st.byO[id]) == 0 {
-			delete(st.geoms, id)
-			stale = true
-		}
-	}
-	if !stale {
-		return
-	}
-	st.rebuildSpatialLocked()
 }
 
 // LoadNTriples bulk-loads an N-Triples stream into the store.
@@ -1015,9 +676,9 @@ func (st *Store) StorageMode() string {
 // ResidentEstimate approximates the heap bytes the store's primary
 // state pins: for a mapped store, just the decode caches populated so
 // far (the columns, postings and dictionary stay on the mapping); for
-// a heap store, the columns plus dictionary estimate. Secondary
-// indexes and posting lists are excluded in heap mode — the figure is
-// a like-for-like comparison of primary state, not total RSS.
+// a heap store, the columns plus dictionary estimate. The duplicate set
+// and the views' indexes are excluded — the figure is a like-for-like
+// comparison of primary state, not total RSS.
 func (st *Store) ResidentEstimate() int64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -1025,59 +686,4 @@ func (st *Store) ResidentEstimate() int64 {
 		return st.packed.cachedHeapBytes()
 	}
 	return int64(len(st.s))*24 + st.dict.EstimateBytes()
-}
-
-// RestoreColumns rebuilds a store directly from a binary snapshot's
-// already-encoded state: the dictionary, the three compacted id columns,
-// and the ids of the spatial literals that had cached geometries. It is
-// the fast deserialisation path used by internal/persist — no N-Triples
-// parsing, no re-encoding; only the secondary indexes are rebuilt and
-// the listed geometries re-parsed from their dictionary terms. version
-// seeds the store's mutation counter so it stays monotone across a
-// recovery.
-func RestoreColumns(dict *rdf.Dictionary, s, p, o []uint64, geomIDs []uint64, version uint64) (*Store, error) {
-	if len(s) != len(p) || len(s) != len(o) {
-		return nil, fmt.Errorf("strabon: column length mismatch: s=%d p=%d o=%d", len(s), len(p), len(o))
-	}
-	st := NewStore()
-	st.dict = dict
-	st.version = version
-	n := len(s)
-	maxID := uint64(dict.Len())
-	st.s, st.p, st.o = s, p, o
-	// Validate the columns up front (cheap linear scan), but defer the
-	// expensive secondary structures — the component posting lists and
-	// the duplicate-suppression map — until something actually needs
-	// them (lazyIdx). A restart that only serves vectorized read
-	// queries goes straight from snapshot bytes to answering: the
-	// executor's read view (Snapshot) builds its own indexes, so the
-	// store-level ones matter only to mutations and the store-level
-	// Match API. This mirrors the store's lazily built R-tree and is
-	// what makes the binary restart path so much faster than the
-	// N-Triples one.
-	for row := 0; row < n; row++ {
-		if s[row] == 0 || s[row] > maxID || p[row] == 0 || p[row] > maxID || o[row] == 0 || o[row] > maxID {
-			return nil, fmt.Errorf("strabon: row %d references id outside dictionary (max %d)", row, maxID)
-		}
-	}
-	st.lazyIdx = true
-	for _, id := range geomIDs {
-		t, ok := dict.Decode(id)
-		if !ok {
-			return nil, fmt.Errorf("strabon: geometry id %d not in dictionary", id)
-		}
-		v, err := strdf.ParseSpatial(t)
-		if err != nil {
-			// The snapshot only lists ids whose ingest-time parse
-			// succeeded; a failure here means the snapshot and dictionary
-			// disagree.
-			return nil, fmt.Errorf("strabon: geometry id %d: %w", id, err)
-		}
-		if w, err := v.ToWGS84(); err == nil {
-			v = w
-		}
-		st.geoms[id] = v
-	}
-	st.spatialStale = len(st.geoms) > 0
-	return st, nil
 }

@@ -31,36 +31,8 @@ func BenchmarkStoreAdd(b *testing.B) {
 	b.ReportMetric(float64(len(triples)), "triples/op")
 }
 
-func BenchmarkStoreMatch(b *testing.B) {
-	st := NewStore()
-	st.AddAll(benchTriples(100000))
-	p0, _ := st.LookupID(rdf.IRI("http://ex/p0"))
-	s0, _ := st.LookupID(rdf.IRI("http://ex/s0"))
-	b.Run("byPredicate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if rows := st.MatchIDs(TriplePattern{P: p0}); len(rows) == 0 {
-				b.Fatal("no rows")
-			}
-		}
-	})
-	b.Run("bySubjectPredicate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if rows := st.MatchIDs(TriplePattern{S: s0, P: p0}); len(rows) == 0 {
-				b.Fatal("no rows")
-			}
-		}
-	})
-	b.Run("fullScan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if rows := st.MatchIDs(TriplePattern{}); len(rows) == 0 {
-				b.Fatal("no rows")
-			}
-		}
-	})
-}
-
 func BenchmarkStoreSpatialIngest(b *testing.B) {
-	// Adding spatial literals pays WKT parsing + R-tree insertion.
+	// Adding spatial literals pays WKT parsing and reprojection.
 	lits := make([]rdf.Triple, 1000)
 	for i := range lits {
 		lits[i] = rdf.NewTriple(

@@ -2,7 +2,7 @@ package strabon
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,6 +40,41 @@ func TestAddRemoveLen(t *testing.T) {
 	}
 }
 
+// bruteMatch is the reference the Snapshot's matching is checked
+// against: it scans the store's decoded triples and keeps, in row order,
+// those whose bound components are the terms the pattern's ids decode to
+// in sn. It shares no posting list or index with the Snapshot.
+func bruteMatch(st *Store, sn *Snapshot, pat TriplePattern) []rdf.Triple {
+	var want [3]*rdf.Term
+	for c, id := range [3]uint64{pat.S, pat.P, pat.O} {
+		if id != 0 {
+			t, ok := sn.DecodeTerm(id)
+			if !ok {
+				return nil
+			}
+			want[c] = &t
+		}
+	}
+	var out []rdf.Triple
+	for _, t := range st.Triples() {
+		if (want[0] == nil || *want[0] == t.S) && (want[1] == nil || *want[1] == t.P) && (want[2] == nil || *want[2] == t.O) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// decodeRows decodes snapshot rows into triples.
+func decodeRows(sn *Snapshot, rows []int32) []rdf.Triple {
+	out := make([]rdf.Triple, 0, len(rows))
+	for _, r := range rows {
+		s, p, o := sn.Row(r)
+		terms := sn.DecodeAll([]uint64{s, p, o}, make([]rdf.Term, 3))
+		out = append(out, rdf.Triple{S: terms[0], P: terms[1], O: terms[2]})
+	}
+	return out
+}
+
 func TestMatchPatterns(t *testing.T) {
 	st := NewStore()
 	st.Add(tr("a", "type", "Hotspot"))
@@ -54,45 +89,41 @@ func TestMatchPatterns(t *testing.T) {
 		}
 		return v
 	}
+	sn := st.Snapshot()
 	// P+O bound.
-	rows := st.MatchIDs(TriplePattern{P: id("type"), O: id("Hotspot")})
+	rows := sn.MatchRows(TriplePattern{P: id("type"), O: id("Hotspot")}, nil)
 	if len(rows) != 2 {
 		t.Fatalf("type=Hotspot rows = %d", len(rows))
 	}
 	// S bound.
-	rows = st.MatchIDs(TriplePattern{S: id("a")})
+	rows = sn.MatchRows(TriplePattern{S: id("a")}, nil)
 	if len(rows) != 2 {
 		t.Fatalf("S=a rows = %d", len(rows))
 	}
 	// All wild.
-	rows = st.MatchIDs(TriplePattern{})
+	rows = sn.MatchRows(TriplePattern{}, nil)
 	if len(rows) != 4 {
 		t.Fatalf("full scan rows = %d", len(rows))
 	}
 	// Fully bound.
-	rows = st.MatchIDs(TriplePattern{S: id("c"), P: id("type"), O: id("Town")})
+	rows = sn.MatchRows(TriplePattern{S: id("c"), P: id("type"), O: id("Town")}, nil)
 	if len(rows) != 1 {
 		t.Fatalf("fully bound rows = %d", len(rows))
 	}
 	// No match.
-	rows = st.MatchIDs(TriplePattern{S: id("c"), P: id("conf")})
+	rows = sn.MatchRows(TriplePattern{S: id("c"), P: id("conf")}, nil)
 	if len(rows) != 0 {
 		t.Fatalf("no-match rows = %d", len(rows))
 	}
 	// Row decoding.
-	s, p, o := st.Row(rows0(t, st, TriplePattern{S: id("a"), P: id("conf")}))
+	rows = sn.MatchRows(TriplePattern{S: id("a"), P: id("conf")}, nil)
+	if len(rows) != 1 {
+		t.Fatalf("S=a P=conf rows = %d", len(rows))
+	}
+	s, p, o := sn.Row(rows[0])
 	if s != id("a") || p != id("conf") || o == 0 {
 		t.Fatal("Row")
 	}
-}
-
-func rows0(t *testing.T, st *Store, pat TriplePattern) int {
-	t.Helper()
-	rows := st.MatchIDs(pat)
-	if len(rows) == 0 {
-		t.Fatal("expected at least one row")
-	}
-	return rows[0]
 }
 
 func TestMatchAfterRemove(t *testing.T) {
@@ -101,12 +132,13 @@ func TestMatchAfterRemove(t *testing.T) {
 	st.Add(tr("b", "p", "x"))
 	st.Remove(tr("a", "p", "x"))
 	pID, _ := st.LookupID(rdf.IRI("p"))
-	rows := st.MatchIDs(TriplePattern{P: pID})
+	sn := st.Snapshot()
+	rows := sn.MatchRows(TriplePattern{P: pID}, nil)
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	// Full scan skips tombstones too.
-	if got := st.MatchIDs(TriplePattern{}); len(got) != 1 {
+	if got := sn.MatchRows(TriplePattern{}, nil); len(got) != 1 {
 		t.Fatalf("scan rows = %d", len(got))
 	}
 }
@@ -119,18 +151,19 @@ func TestCardinality(t *testing.T) {
 	st.Add(tr("s0", "rare", "y"))
 	common, _ := st.LookupID(rdf.IRI("common"))
 	rare, _ := st.LookupID(rdf.IRI("rare"))
-	if st.Cardinality(TriplePattern{P: common}) != 10 {
+	sn := st.Snapshot()
+	if sn.Cardinality(TriplePattern{P: common}) != 10 {
 		t.Fatal("common cardinality")
 	}
-	if st.Cardinality(TriplePattern{P: rare}) != 1 {
+	if sn.Cardinality(TriplePattern{P: rare}) != 1 {
 		t.Fatal("rare cardinality")
 	}
-	if st.Cardinality(TriplePattern{}) != 11 {
+	if sn.Cardinality(TriplePattern{}) != 11 {
 		t.Fatal("full cardinality")
 	}
 	s0, _ := st.LookupID(rdf.IRI("s0"))
-	// min(byS, byP) bound.
-	if got := st.Cardinality(TriplePattern{S: s0, P: common}); got > 2 {
+	// min(count(S), count(P)) bound.
+	if got := sn.Cardinality(TriplePattern{S: s0, P: common}); got > 2 {
 		t.Fatalf("bound cardinality = %d", got)
 	}
 }
@@ -149,22 +182,17 @@ func TestSpatialIndexing(t *testing.T) {
 		t.Fatalf("spatial literals = %d", st.Stats().SpatialLiterals)
 	}
 	// Box around the point finds only it.
-	ids := st.SpatialCandidates(geo.Envelope{MinX: 23, MinY: 37, MaxX: 23.9, MaxY: 37.95})
+	sn := st.Snapshot()
+	ids := sn.SpatialCandidates(geo.Envelope{MinX: 23, MinY: 37, MaxX: 23.9, MaxY: 37.95})
 	if len(ids) != 1 {
 		t.Fatalf("candidates = %d", len(ids))
 	}
-	v, ok := st.Geometry(ids[0])
+	v, ok := sn.Geometry(ids[0])
 	if !ok {
 		t.Fatal("geometry cache")
 	}
 	if v.Geom.(geo.Point).X != 23.5 {
 		t.Fatalf("geom = %v", v.Geom)
-	}
-	// Disabled index gives the same answer via scan.
-	st.SetSpatialIndexEnabled(false)
-	scan := st.SpatialCandidates(geo.Envelope{MinX: 23, MinY: 37, MaxX: 23.9, MaxY: 37.95})
-	if len(scan) != 1 || scan[0] != ids[0] {
-		t.Fatalf("scan candidates = %v", scan)
 	}
 }
 
@@ -177,7 +205,7 @@ func TestSpatialReprojection(t *testing.T) {
 	}
 	lit := rdf.WKTLiteral(merc.WKT(), int(geo.SRIDWebMercator))
 	st.Add(rdf.NewTriple(rdf.IRI("x"), rdf.IRI("geom"), lit))
-	ids := st.SpatialCandidates(geo.Envelope{MinX: 23, MinY: 37, MaxX: 23.9, MaxY: 37.95})
+	ids := st.Snapshot().SpatialCandidates(geo.Envelope{MinX: 23, MinY: 37, MaxX: 23.9, MaxY: 37.95})
 	if len(ids) != 1 {
 		t.Fatalf("reprojected candidates = %d", len(ids))
 	}
@@ -236,24 +264,21 @@ func TestLookupIDUnknown(t *testing.T) {
 	}
 }
 
-func TestMatchIDsStableUnderConcurrentReads(t *testing.T) {
+func TestMatchRowsStableUnderConcurrentReads(t *testing.T) {
 	st := NewStore()
 	for i := 0; i < 100; i++ {
 		st.Add(tr(fmt.Sprintf("s%d", i%10), "p", fmt.Sprintf("o%d", i)))
 	}
 	pID, _ := st.LookupID(rdf.IRI("p"))
-	done := make(chan []int, 8)
+	done := make(chan []int32, 8)
 	for g := 0; g < 8; g++ {
 		go func() {
-			rows := st.MatchIDs(TriplePattern{P: pID})
-			sort.Ints(rows)
-			done <- rows
+			done <- st.Snapshot().MatchRows(TriplePattern{P: pID}, nil)
 		}()
 	}
 	first := <-done
 	for g := 1; g < 8; g++ {
-		got := <-done
-		if len(got) != len(first) {
+		if got := <-done; !slices.Equal(got, first) {
 			t.Fatal("concurrent reads disagree")
 		}
 	}

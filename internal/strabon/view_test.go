@@ -25,9 +25,9 @@ func fullView(st *Store) *Snapshot {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	if st.packed != nil {
-		return &Snapshot{version: st.version, useIdx: st.useSpatialIndex, base: st.fold.flat}
+		return &Snapshot{version: st.version, base: st.fold.flat}
 	}
-	return &Snapshot{version: st.version, dict: st.dict, useIdx: st.useSpatialIndex, base: st.foldLocked().flat}
+	return &Snapshot{version: st.version, dict: st.dict, base: st.foldLocked().flat}
 }
 
 // viewGen draws triples from a small vocabulary, so that writes hit
@@ -164,10 +164,11 @@ func checkView(t *testing.T, step string, sn, want *Snapshot, rng *rand.Rand) {
 }
 
 // TestViewMatchesFullBuild runs seeded random sequences of writes,
-// compactions, spatial-index toggles, views and folds, from a heap store
-// and from a mapped one, and after every step compares the store's view
-// with a full build of the same version. Views taken along the way are
-// re-checked at the end: later writes must not have changed them.
+// compactions, views and folds, from a heap store and from a mapped one,
+// and after every step compares the store's view with a full build of
+// the same version, and the store's own O(1) statistics with the view's.
+// Views taken along the way are re-checked at the end: later writes must
+// not have changed them.
 func TestViewMatchesFullBuild(t *testing.T) {
 	for _, start := range []string{"heap", "mapped"} {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -215,9 +216,6 @@ func TestViewMatchesFullBuild(t *testing.T) {
 					case k < 16:
 						op = "Compact"
 						st.Compact()
-					case k < 17:
-						op = "SetSpatialIndexEnabled"
-						st.SetSpatialIndexEnabled(rng.Intn(2) == 0)
 					case k < 18:
 						op = "Fold"
 						if sn := st.Fold(); sn.delta != nil {
@@ -236,6 +234,9 @@ func TestViewMatchesFullBuild(t *testing.T) {
 						t.Fatalf("step %d: a delta of more than %d rows did not fold", step, foldMinRows)
 					}
 					checkView(t, fmt.Sprintf("step %d (%s)", step, op), sn, fullView(st), rng)
+					if g, w := st.Stats(), sn.Stats(); g.Predicates != w.DistinctP || g.Triples != w.Triples {
+						t.Fatalf("step %d (%s): Stats() = %+v, view statistics %+v", step, op, g, w)
+					}
 				}
 				for i, k := range old {
 					checkView(t, fmt.Sprintf("kept view %d", i), k.sn, k.want, rng)

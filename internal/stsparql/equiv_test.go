@@ -98,15 +98,13 @@ func TestExecutorEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(corpus.Seed))
 	st := equivStore(rng)
 	modes := []struct {
-		name       string
-		optimizer  bool
-		pushdown   bool
-		spatialIdx bool
+		name      string
+		optimizer bool
+		pushdown  bool
 	}{
-		{"default", true, true, true},
-		{"no-optimizer", false, true, true},
-		{"no-pushdown", true, false, true}, // A1 ablation: pushdown off
-		{"no-rtree", true, true, false},    // A1 ablation: index scan
+		{"default", true, true},
+		{"no-optimizer", false, true},
+		{"no-pushdown", true, false}, // A1 ablation: pushdown off
 	}
 	queries := make([]string, 400)
 	for i := range queries {
@@ -118,7 +116,6 @@ func TestExecutorEquivalenceRandomized(t *testing.T) {
 		}
 		for qi, query := range queries {
 			for _, m := range modes {
-				st.SetSpatialIndexEnabled(m.spatialIdx)
 				eng := New(st)
 				eng.DisableOptimizer = !m.optimizer
 				eng.DisableSpatialPushdown = !m.pushdown
@@ -146,7 +143,6 @@ func TestExecutorEquivalenceRandomized(t *testing.T) {
 			}
 		}
 	}
-	st.SetSpatialIndexEnabled(true)
 }
 
 // forceTinyMorsels drops the morsel thresholds to 1 so the parallel

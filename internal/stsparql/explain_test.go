@@ -163,13 +163,13 @@ func TestExplainPlacesConjuncts(t *testing.T) {
 		FILTER(?s != <http://ex/site10> && STRSTARTS(?n, "site-1") && ?m != "site-12")
 	}`), "\n")
 	scan, join := planLine(plan, "scan"), planLine(plan, "join", "http://ex/name")
-	bySubject := planLine(plan, "filter", "?s != ", "rows=1999")
-	byName := planLine(plan, "filter", "strstarts", "rows=1110")
+	onSubject := planLine(plan, "filter", "?s != ", "rows=1999")
+	onName := planLine(plan, "filter", "strstarts", "rows=1110")
 	bind := planLine(plan, "bind")
-	byBind := planLine(plan, "filter", "?m != ", "rows=1109")
-	if !(scan >= 0 && scan < bySubject && bySubject < join && join < byName && byName < bind && bind < byBind) {
+	onBind := planLine(plan, "filter", "?m != ", "rows=1109")
+	if !(scan >= 0 && scan < onSubject && onSubject < join && join < onName && onName < bind && bind < onBind) {
 		t.Fatalf("conjuncts not placed where their variables bind (scan %d, ?s filter %d, join %d, ?n filter %d, bind %d, ?m filter %d):\n%s",
-			scan, bySubject, join, byName, bind, byBind, strings.Join(plan, "\n"))
+			scan, onSubject, join, onName, bind, onBind, strings.Join(plan, "\n"))
 	}
 }
 

@@ -5,17 +5,17 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/geo"
 	"repro/internal/rdf"
-	"repro/internal/strabon"
 )
 
 // The reference evaluator: the binding-at-a-time stSPARQL interpreter the
-// vectorized executor replaced (one decoded map per solution, one index
-// probe per binding×pattern pair). It is kept, test-only, as the oracle
-// the equivalence suites compare the production executor against; it
-// shares the planner, the expression evaluator and the solution modifiers
-// with production and differs in how graph patterns are solved.
+// vectorized executor replaced (one decoded map per solution). It is
+// kept, test-only, as the oracle the equivalence suites compare the
+// production executor against; it shares the planner's join order, the
+// expression evaluator and the solution modifiers with production and
+// differs in how graph patterns are solved: each pattern is matched by
+// scanning the store's decoded triples, with no index, no posting list
+// and no spatial pruning.
 
 // oracleQuery parses and evaluates one statement through the reference
 // evaluator.
@@ -154,7 +154,7 @@ func (e *Engine) evalGroup(ctx context.Context, g *Group, seed []Binding) ([]Bin
 	bindings := seed
 	for _, pat := range patterns {
 		var err error
-		bindings, err = e.evalPattern(ctx, pat, bindings, hints)
+		bindings, err = e.evalPattern(ctx, pat, bindings)
 		if err != nil {
 			return nil, err
 		}
@@ -230,17 +230,10 @@ func cloneBinding(b Binding) Binding {
 	return nb
 }
 
-// evalPattern extends each binding with the matches of one pattern.
-func (e *Engine) evalPattern(ctx context.Context, pat Pattern, bindings []Binding, hints map[string]geo.Envelope) ([]Binding, error) {
-	// Spatial candidate set for an unbound object variable with a hint.
-	var spatialSet map[uint64]bool
-	if env, ok := hints[objVar(pat)]; ok {
-		ids := e.store.SpatialCandidates(env)
-		spatialSet = make(map[uint64]bool, len(ids))
-		for _, id := range ids {
-			spatialSet[id] = true
-		}
-	}
+// evalPattern extends each binding with the matches of one pattern,
+// found by scanning every decoded triple of the store.
+func (e *Engine) evalPattern(ctx context.Context, pat Pattern, bindings []Binding) ([]Binding, error) {
+	triples := e.store.Triples()
 	var out []Binding
 	for bi, b := range bindings {
 		if bi&255 == 255 {
@@ -248,20 +241,8 @@ func (e *Engine) evalPattern(ctx context.Context, pat Pattern, bindings []Bindin
 				return nil, err
 			}
 		}
-		tp, ok := e.boundPattern(pat, b)
-		if !ok {
-			continue // a constant term unknown to the store: no matches
-		}
-		rows := e.store.MatchIDs(tp)
-		for _, row := range rows {
-			s, p, o := e.store.Row(row)
-			if spatialSet != nil && pat.O.IsVar() {
-				if _, bound := b[pat.O.Var]; !bound && !spatialSet[o] {
-					continue
-				}
-			}
-			nb, ok := e.extend(b, pat, s, p, o)
-			if ok {
+		for _, t := range triples {
+			if nb, ok := extend(b, pat, t); ok {
 				out = append(out, nb)
 			}
 		}
@@ -269,47 +250,15 @@ func (e *Engine) evalPattern(ctx context.Context, pat Pattern, bindings []Bindin
 	return out, nil
 }
 
-// boundPattern resolves a pattern under a binding into store ids; ok is
-// false when a constant (or bound var) is unknown to the dictionary.
-func (e *Engine) boundPattern(pat Pattern, b Binding) (strabon.TriplePattern, bool) {
-	var tp strabon.TriplePattern
-	fill := func(pt PatTerm, dst *uint64) bool {
-		var term rdf.Term
-		switch {
-		case pt.IsVar():
-			t, bound := b[pt.Var]
-			if !bound {
-				return true // stays a wildcard
-			}
-			term = t
-		default:
-			term = pt.Term
-		}
-		id, err := e.store.LookupID(term)
-		if err != nil {
-			return false
-		}
-		*dst = id
-		return true
-	}
-	if !fill(pat.S, &tp.S) || !fill(pat.P, &tp.P) || !fill(pat.O, &tp.O) {
-		return tp, false
-	}
-	return tp, true
-}
-
-// extend adds the pattern's variable bindings from a matched row,
-// rejecting rows that conflict with existing bindings.
-func (e *Engine) extend(b Binding, pat Pattern, s, p, o uint64) (Binding, bool) {
+// extend adds the pattern's variable bindings from a triple, rejecting a
+// triple that differs from the pattern's constants or conflicts with
+// existing bindings.
+func extend(b Binding, pat Pattern, t rdf.Triple) (Binding, bool) {
 	nb := b
 	cloned := false
-	bind := func(pt PatTerm, id uint64) bool {
+	bind := func(pt PatTerm, term rdf.Term) bool {
 		if !pt.IsVar() {
-			return true
-		}
-		term, ok := e.store.Dict().Decode(id)
-		if !ok {
-			return false
+			return pt.Term == term
 		}
 		if cur, bound := nb[pt.Var]; bound {
 			return cur == term
@@ -321,7 +270,7 @@ func (e *Engine) extend(b Binding, pat Pattern, s, p, o uint64) (Binding, bool) 
 		nb[pt.Var] = term
 		return true
 	}
-	if !bind(pat.S, s) || !bind(pat.P, p) || !bind(pat.O, o) {
+	if !bind(pat.S, t.S) || !bind(pat.P, t.P) || !bind(pat.O, t.O) {
 		return nil, false
 	}
 	if !cloned {
