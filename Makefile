@@ -26,7 +26,7 @@ BENCH_GROUP = BenchmarkGroupCommitWriters
 BENCH_INGEST = BenchmarkIngestEndpoint
 BENCH_REPL = BenchmarkTailApply|BenchmarkReplicaBootstrap
 
-.PHONY: all build test race vet lint gen-registry bench bench-json equivalence crash-test replica-test fault-test clean
+.PHONY: all build test race vet lint gen-registry bench equivalence crash-test replica-test fault-test clean
 
 all: vet lint build test
 
@@ -80,9 +80,11 @@ fault-test:
 vet:
 	$(GO) vet ./...
 
-# bench runs the tier-1 benchmark set with allocation accounting and
-# leaves both the raw output (bin/bench.out, an ignored path — the repo
-# root stays clean) and the JSON artefact.
+# bench runs the tier-1 micro-benchmark set with allocation accounting,
+# a developer tool: the raw output lands in bin/bench.out (an ignored
+# path — the repo root stays clean) and nothing is recorded. The
+# recorded benchmark is the client-observed one in bench/ (see
+# bench/README.md).
 bench:
 	@mkdir -p bin
 	$(GO) test -run '^$$' -bench '$(BENCH_TIER1)' -benchmem . | tee bin/bench.out
@@ -92,12 +94,6 @@ bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_GROUP)' -benchmem ./internal/persist/ | tee -a bin/bench.out
 	$(GO) test -run '^$$' -bench '$(BENCH_INGEST)' -benchmem ./internal/endpoint/ | tee -a bin/bench.out
 	$(GO) test -run '^$$' -bench '$(BENCH_REPL)' -benchmem ./internal/replication/ | tee -a bin/bench.out
-
-# bench-json converts the last bench run (or a fresh one) into the
-# machine-readable perf record.
-bench-json: bench
-	$(GO) run ./cmd/benchjson < bin/bench.out > BENCH_PR10.json
-	@echo wrote BENCH_PR10.json
 
 # equivalence runs the executor-equivalence gates — the vectorized
 # executor against the test-only reference evaluator, in both serial and

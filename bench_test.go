@@ -398,9 +398,9 @@ func BenchmarkAblationSpatialIndex(b *testing.B) {
 }
 
 // A4 — the flagship join through the vectorized id-space executor. The
-// binding-at-a-time side of this ablation was retired in PR 12 (its
-// numbers stand in BENCH_PR7.json / BENCH_PR10.json); the surviving row
-// keeps its name so the BENCH_PR*.json trajectory stays joinable.
+// binding-at-a-time side of this ablation was retired in PR 12; the
+// surviving row keeps its name so it stays comparable with the historical
+// BENCH_PR*.json records, which are in git history at 1b3f9ea.
 func BenchmarkAblationExecutor(b *testing.B) {
 	eng := flagshipFixture(b, 500)
 	flagship := flagshipQueryText()

@@ -28,7 +28,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/geo"
@@ -54,22 +53,15 @@ type QueryEngine interface {
 // handler can map it to a 500.
 var errEvalPanic = errors.New("endpoint: evaluation panicked")
 
-// errJournalVeto marks an update some part of which the store's
-// write-ahead journal refused to log (disk full, I/O error): the
-// refused mutations were not applied and, critically, were not made
-// durable, so the client must not receive a success.
-var errJournalVeto = errors.New("endpoint: update rejected by the write-ahead journal")
-
 // Config parameterises a Server. The zero value of each field selects a
 // sensible default (see the field comments).
 //
-// The server must be the store's only writer: update atomicity and
-// cache consistency are enforced at this layer (updates are serialised
-// against each other and against reads here, not in the engine), so
-// mutating the store out of band — a second Server over the same
-// Store, or direct Store.Add/Engine.Eval update calls while the server
-// runs — can interleave with in-flight statements and produce torn
-// reads the engine's per-triple locking cannot prevent.
+// Statement atomicity lives in the store: every update is one
+// Store.Apply or Store.Update, and every read evaluates against one
+// immutable Snapshot, so other writers of the same Store (a second
+// Server, in-process callers, a replica's tail loop) never tear a
+// statement. The result cache keys on the store version, which every
+// write moves.
 type Config struct {
 	// Engine evaluates queries. Required.
 	Engine QueryEngine
@@ -132,8 +124,8 @@ type Config struct {
 	// replication.ReplicaStats, wired by teleios-server; nil when the
 	// node neither ships nor tails a WAL).
 	ReplicationStats func() any
-	// IngestMaxChunk bounds how many triples one /ingest AddAll batch
-	// (= one journal record) carries (default 8192). Smaller chunks
+	// IngestMaxChunk bounds how many triples one /ingest chunk (one
+	// Store.Apply, one journal record) carries (default 8192). Smaller chunks
 	// lower per-chunk latency and memory; larger ones amortise more
 	// lock/journal overhead per commit.
 	IngestMaxChunk int
@@ -183,14 +175,6 @@ type Server struct {
 	pool  *Pool
 	cache *ResultCache
 	adm   *admission
-	// updateMu gives UPDATE statements statement-level atomicity: the
-	// engine applies a modify's deletions and insertions triple-by-triple
-	// under separate store-lock acquisitions, so without exclusion here
-	// two updates would interleave (lost updates, duplicate rows) and a
-	// concurrent read could observe a torn half-applied state. Updates
-	// take the write lock; reads take the read lock and so still run
-	// concurrently with each other.
-	updateMu sync.RWMutex
 }
 
 // NewServer validates cfg, applies defaults, and returns a Server whose
@@ -443,11 +427,10 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, errEvalPanic):
 		http.Error(w, "internal error evaluating the query", http.StatusInternalServerError)
 		return
-	case errors.Is(err, errJournalVeto):
-		// The WAL refused to log some of the update's mutations: they
-		// were neither applied nor made durable (earlier parts of a
-		// DELETE/INSERT may have been). Success would be a lie.
-		http.Error(w, "update could not be journalled to the write-ahead log and was not (fully) applied; see /stats",
+	case errors.Is(err, strabon.ErrVetoed):
+		// The WAL refused the update's record, or it did not become
+		// durable: the statement must not be acknowledged.
+		http.Error(w, "update could not be journalled to the write-ahead log and was not applied; see /stats",
 			http.StatusInternalServerError)
 		return
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
@@ -544,25 +527,6 @@ func (s *Server) evaluate(ctx context.Context, src string, parsed *stsparql.Quer
 				evalErr = fmt.Errorf("%w: %v", errEvalPanic, r)
 			}
 		}()
-		if update {
-			s.updateMu.Lock()
-			defer s.updateMu.Unlock()
-			// Updates are serialised here, so a journal-veto count that
-			// moves across this evaluation can only mean parts of THIS
-			// update were refused by the WAL — it must not report
-			// success. (Reads never journal, so they skip the check.)
-			var vetoes uint64
-			if s.cfg.Store != nil {
-				vetoes = s.cfg.Store.JournalVetoes()
-			}
-			res, evalErr = s.cfg.Engine.EvalContext(ctx, parsed)
-			if evalErr == nil && s.cfg.Store != nil && s.cfg.Store.JournalVetoes() != vetoes {
-				evalErr = fmt.Errorf("%w: %v", errJournalVeto, s.cfg.Store.JournalErr())
-			}
-			return
-		}
-		s.updateMu.RLock()
-		defer s.updateMu.RUnlock()
 		res, evalErr = s.cfg.Engine.EvalContext(ctx, parsed)
 	}); err != nil {
 		return nil, err
@@ -585,8 +549,8 @@ func (s *Server) evaluate(ctx context.Context, src string, parsed *stsparql.Quer
 
 // storeVersion snapshots the store-state fingerprint that keys the
 // result cache and the ETag. On a replica the AppliedSeq half also
-// moves under replicated writes (which bypass this server's updateMu),
-// keeping cached results from outliving shipped mutations.
+// moves under replicated writes, keeping cached results from outliving
+// shipped mutations.
 func (s *Server) storeVersion() CacheVersion {
 	if s.cfg.Store == nil {
 		return CacheVersion{}

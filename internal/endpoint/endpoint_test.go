@@ -470,10 +470,10 @@ func TestUpdateIgnoresAcceptHeader(t *testing.T) {
 }
 
 func TestConcurrentUpdatesAreSerialized(t *testing.T) {
-	// DELETE/INSERT WHERE is not atomic inside the engine (per-triple
-	// store locking); the server must serialise update statements so two
-	// concurrent modifies cannot both match the same pre-state and leave
-	// duplicate rows.
+	// Two concurrent DELETE/INSERT WHERE statements must not both match
+	// the same pre-state and leave duplicate rows: each is one
+	// Store.Update, which evaluates its WHERE and applies its triples
+	// before any other write lands.
 	_, ts := newTestServer(t, func(c *Config) { c.MaxConcurrency = 8 })
 	seed := `INSERT DATA { <http://example.org/reg> <http://example.org/val> "v0" }`
 	resp, err := http.PostForm(ts.URL+"/sparql", url.Values{"update": {seed}})
@@ -970,14 +970,10 @@ type vetoJournal struct {
 	seq  uint64
 }
 
-func (j *vetoJournal) LogAdd([]rdf.Triple) (strabon.Commit, error) {
+func (j *vetoJournal) LogApply(dels, ins []rdf.Triple) (strabon.Commit, error) {
 	if j.fail {
 		return strabon.Commit{}, errors.New("no space left on device")
 	}
-	j.seq++
-	return strabon.Commit{Seq: j.seq}, nil
-}
-func (j *vetoJournal) LogRemove(rdf.Triple) (strabon.Commit, error) {
 	j.seq++
 	return strabon.Commit{Seq: j.seq}, nil
 }

@@ -19,25 +19,25 @@ import (
 // goroutine parses lines and pre-warms the spatial-literal intern cache
 // while the handler applies the previous chunk, so WKT parsing — the
 // expensive part of ingesting stRDF observations — runs off the store
-// lock. Each chunk commits through one AddAll, i.e. one journal record
-// riding the group committer; concurrent ingest streams and the
-// background fsync all share batches, which is what lets a continuous
-// observation feed (the NOA fire-monitoring profile) sustain
-// acked-durable throughput.
+// lock. Each chunk commits through one Store.Apply, i.e. one journal
+// record riding the group committer; concurrent ingest streams, SPARQL
+// updates and the background fsync all share batches, which is what
+// lets a continuous observation feed (the NOA fire-monitoring profile)
+// sustain acked-durable throughput.
 //
-// Consistency contract: each chunk is atomic in the journal (one
-// record: it replays entirely or not at all), and the stream holds the
-// update lock in READ mode — so SPARQL UPDATE statements (write mode)
-// are fully excluded, while queries and other ingest streams proceed
-// concurrently. A concurrent read may therefore observe a prefix of an
-// in-flight stream; bulk feeds that need read isolation should quiesce
-// readers or use SPARQL INSERT DATA.
+// Consistency contract: a chunk, not the stream, is the unit of
+// atomicity. Each chunk is one Apply: readers see all of it or none of
+// it, and it replays entirely or not at all. Other writers — SPARQL
+// updates, other streams — may land between two chunks, and a
+// concurrent read may observe a prefix of an in-flight stream; bulk
+// feeds that need the whole load to appear at once should use SPARQL
+// INSERT DATA.
 //
 // The response reports {"received", "added", "batches"} — added <
 // received means duplicates were deduplicated, not lost — plus the
 // Teleios-Applied-Seq read-your-writes watermark.
 
-// defaultIngestMaxChunk bounds triples per AddAll batch when
+// defaultIngestMaxChunk bounds triples per chunk when
 // Config.IngestMaxChunk is unset: big enough to amortise the store
 // lock and journal record overhead, small enough to keep the decode
 // pipeline's memory footprint and per-chunk latency modest.
@@ -162,18 +162,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var received, added, batches int
 	for c := range chunks {
 		received += len(c.triples)
-		s.updateMu.RLock()
-		vetoes := s.cfg.Store.JournalVetoes()
-		n := s.cfg.Store.AddAll(c.triples)
-		vetoed := s.cfg.Store.JournalVetoes() != vetoes
-		s.updateMu.RUnlock()
-		if vetoed {
+		n, err := s.cfg.Store.Apply(nil, c.triples)
+		if err != nil {
 			// The journal refused the chunk: nothing from it is durable.
 			// Chunks before it are; re-sending the whole stream is safe
-			// (Add is a set operation) once the cause clears.
+			// (insertion is a set operation) once the cause clears.
 			http.Error(w, fmt.Sprintf(
 				"ingest rejected by the write-ahead journal after %d triples (%d committed chunks): %v",
-				added, batches, s.cfg.Store.JournalErr()),
+				added, batches, err),
 				http.StatusInternalServerError)
 			return
 		}

@@ -57,7 +57,7 @@ func lastResultIsError(fn *types.Func) bool {
 }
 
 // recvRoot returns the textual receiver expression of a method call
-// ("st" for st.addLocked(), "v.store" for v.store.addLocked()), or ""
+// ("st" for st.applyLocked(), "v.store" for v.store.applyLocked()), or ""
 // for plain function calls.
 func recvRoot(call *ast.CallExpr) string {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)

@@ -102,8 +102,8 @@ func benchSizes() []int {
 // BenchmarkSnapshotWrite measures producing the checkpoint payload
 // (off the write path); the reported bytes/op-style `disk-bytes` metric
 // is the snapshot file size. (Row names keep the format=packed segment
-// of the retired raw-vs-packed ablation so the BENCH_PR*.json
-// trajectory stays joinable.)
+// of the retired raw-vs-packed ablation so they stay comparable with the
+// historical BENCH_PR*.json records, in git history at 1b3f9ea.)
 func BenchmarkSnapshotWrite(b *testing.B) {
 	for _, n := range benchSizes() {
 		b.Run(fmt.Sprintf("format=packed/n=%d", n), func(b *testing.B) {

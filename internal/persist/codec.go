@@ -63,6 +63,42 @@ func appendTriple(b []byte, t rdf.Triple) []byte {
 	return appendTerm(b, t.O)
 }
 
+// appendTriples appends a u32 count and then the triples.
+func appendTriples(b []byte, ts []rdf.Triple) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ts)))
+	for _, t := range ts {
+		b = appendTriple(b, t)
+	}
+	return b
+}
+
+// minTripleBytes is the smallest triple encoding: 3 × (1 kind byte + 3
+// length prefixes).
+const minTripleBytes = 39
+
+// readTriples reads what appendTriples wrote. A count the rest of b
+// cannot hold is corruption, and is refused before anything is
+// allocated from it: a crafted record must not OOM recovery despite a
+// valid CRC.
+func readTriples(b []byte) ([]rdf.Triple, []byte, error) {
+	if len(b) < 4 {
+		return nil, nil, fmt.Errorf("persist: short triple count")
+	}
+	count := binary.LittleEndian.Uint32(b)
+	b = b[4:]
+	if uint64(count) > uint64(len(b)/minTripleBytes) {
+		return nil, nil, fmt.Errorf("persist: implausible triple count %d for %d bytes", count, len(b))
+	}
+	ts := make([]rdf.Triple, count)
+	for i := range ts {
+		var err error
+		if ts[i], b, err = readTriple(b); err != nil {
+			return nil, nil, err
+		}
+	}
+	return ts, b, nil
+}
+
 func readTriple(b []byte) (rdf.Triple, []byte, error) {
 	var t rdf.Triple
 	var err error

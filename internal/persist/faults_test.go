@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/rdf"
+	"repro/internal/strabon"
 	"repro/internal/stsparql"
 )
 
@@ -103,11 +105,8 @@ func TestGroupFsyncFailureLatchesBroken(t *testing.T) {
 	}
 
 	armFaults(t, "wal/group-fsync=1*error(disk full)->off")
-	if st.Add(tr("a", "p", "lost")) {
-		t.Fatal("add acked despite batch fsync failure")
-	}
-	if st.JournalVetoes() != 1 {
-		t.Fatalf("vetoes = %d, want 1", st.JournalVetoes())
+	if n, err := st.Apply(nil, []rdf.Triple{tr("a", "p", "lost")}); n != 0 || !errors.Is(err, strabon.ErrVetoed) || !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("add despite batch fsync failure = %d, %v; want 0 and a veto wrapping the injected fault", n, err)
 	}
 	if m.Broken() == nil {
 		t.Fatal("Broken() = nil after a failed batch")
@@ -189,14 +188,11 @@ func TestGroupEnqueueFaultVetoesWriteMemoryUnchanged(t *testing.T) {
 	st.Add(tr("a", "p", "b"))
 
 	armFaults(t, "wal/group-enqueue=1*error(queue full)->off")
-	if st.Add(tr("a", "p", "vetoed")) {
-		t.Fatal("add acked despite enqueue fault")
+	if n, err := st.Apply(nil, []rdf.Triple{tr("a", "p", "vetoed")}); n != 0 || !errors.Is(err, strabon.ErrVetoed) {
+		t.Fatalf("add despite enqueue fault = %d, %v; want 0 and a veto", n, err)
 	}
 	if st.Len() != 1 {
 		t.Fatalf("store has %d triples after a synchronous veto, want 1", st.Len())
-	}
-	if st.JournalVetoes() != 1 {
-		t.Fatalf("vetoes = %d, want 1", st.JournalVetoes())
 	}
 	if err := m.Broken(); err != nil {
 		t.Fatalf("enqueue veto must not latch broken: %v", err)

@@ -15,7 +15,8 @@ import (
 // Tests for the group-commit pipeline: correctness of the ticket
 // protocol under concurrency (the -race soak), the durable-watermark
 // contract the replication layer depends on, and the writer-count
-// ablation benchmark behind BENCH_PR10.json.
+// ablation benchmark (its historical record, BENCH_PR10.json, is in git
+// history at 1b3f9ea).
 
 // soakTriple derives a unique triple per (writer, op).
 func soakTriple(writer, i int) rdf.Triple {
@@ -289,7 +290,8 @@ func TestGroupCommitIntervalModeAcksAfterWrite(t *testing.T) {
 // concurrent writers, -wal-sync always vs a 100ms interval. The
 // fsyncs/op metric shows where the ~K× sharing comes from. (Row names
 // keep the pipeline=group segment of the retired group-vs-nogroup
-// ablation so the BENCH_PR*.json trajectory stays joinable.)
+// ablation so they stay comparable with the historical BENCH_PR*.json
+// records, in git history at 1b3f9ea.)
 func BenchmarkGroupCommitWriters(b *testing.B) {
 	modes := []struct {
 		name  string

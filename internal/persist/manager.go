@@ -3,11 +3,12 @@
 // recovery, and background checkpointing.
 //
 // The contract is write-ahead with group commit: the Manager installs
-// itself as the store's Journal, so every mutation — Add, AddAll,
-// Remove, a SPARQL UPDATE through the endpoint, Compact — encodes a
-// length-prefixed, CRC-checked record and enqueues it (under the
-// store's write lock, strictly before the in-memory structures change)
-// into the forming commit batch, receiving a strabon.Commit ticket.
+// itself as the store's Journal, so every mutation — one Store.Apply or
+// Store.Update statement (Add, AddAll, Remove, a SPARQL update, an
+// /ingest chunk), or a Compact — encodes one length-prefixed,
+// CRC-checked record and enqueues it (under the store's write lock,
+// strictly before the in-memory structures change) into the forming
+// commit batch, receiving a strabon.Commit ticket.
 // The caller applies the mutation, drops the lock, and awaits the
 // ticket: a committer goroutine coalesces everything enqueued since
 // the previous flush into ONE segment write and ONE fsync (see
@@ -201,7 +202,9 @@ type Manager struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	logScratch []byte
+	// encBuf is LogApply's reused record encoding buffer; the store's
+	// write lock serialises LogApply calls.
+	encBuf []byte
 }
 
 // Open recovers the store persisted in opts.Dir (an empty or absent
@@ -254,8 +257,8 @@ func Open(o Options) (*Manager, *strabon.Store, error) {
 
 	// 2. Replay the WAL tail past the snapshot. Records the snapshot
 	// already covers are validated but re-applied only logically
-	// (Add/Remove are set operations, so re-application of a
-	// conservatively-covered suffix is a no-op).
+	// (an Apply's deletions and insertions are set operations, so
+	// re-application of a conservatively-covered suffix is a no-op).
 	segs, err := listSegments(opts.Dir)
 	if err != nil {
 		return nil, nil, err
@@ -356,72 +359,62 @@ func Open(o Options) (*Manager, *strabon.Store, error) {
 	return m, st, nil
 }
 
-// applyRecord replays one WAL record into the store (journal not yet
-// attached, so nothing is re-logged).
+// applyRecord replays one WAL record into the store through Apply
+// (journal not yet attached, so nothing is re-logged). A record is
+// decoded whole before anything is applied, so a malformed one changes
+// nothing.
 func (m *Manager) applyRecord(st *strabon.Store, rec walRecord) error {
+	var dels, ins []rdf.Triple
+	var err error
 	switch rec.op {
+	case opApply:
+		var rest []byte
+		if dels, rest, err = readTriples(rec.body); err == nil {
+			ins, rest, err = readTriples(rest)
+		}
+		if err == nil && len(rest) > 0 {
+			err = fmt.Errorf("persist: %d trailing bytes", len(rest))
+		}
 	case opAdd:
-		if len(rec.body) < 4 {
-			return fmt.Errorf("persist: wal add record %d: short body", rec.seq)
-		}
-		count := int(uint32(rec.body[0]) | uint32(rec.body[1])<<8 | uint32(rec.body[2])<<16 | uint32(rec.body[3])<<24)
-		b := rec.body[4:]
-		// A triple encodes to at least 3×(1 kind byte + 3 length
-		// prefixes) = 39 bytes; a count the body cannot hold is
-		// corruption, and pre-allocating from it would let a crafted
-		// record OOM recovery despite a valid CRC.
-		const minTripleBytes = 39
-		if count < 0 || count > len(b)/minTripleBytes {
-			return fmt.Errorf("persist: wal add record %d: implausible triple count %d for %d-byte body", rec.seq, count, len(b))
-		}
-		ts := make([]rdf.Triple, 0, count)
-		for i := 0; i < count; i++ {
-			var t rdf.Triple
-			var err error
-			if t, b, err = readTriple(b); err != nil {
-				return fmt.Errorf("persist: wal add record %d: %w", rec.seq, err)
-			}
-			ts = append(ts, t)
-		}
-		st.AddAll(ts)
+		ins, _, err = readTriples(rec.body)
 	case opRemove:
-		t, _, err := readTriple(rec.body)
-		if err != nil {
-			return fmt.Errorf("persist: wal remove record %d: %w", rec.seq, err)
-		}
-		st.Remove(t)
+		var t rdf.Triple
+		t, _, err = readTriple(rec.body)
+		dels = []rdf.Triple{t}
 	case opCompact:
 		st.Compact()
+		return nil
 	default:
 		return fmt.Errorf("persist: wal record %d: unknown op %d", rec.seq, rec.op)
+	}
+	if err == nil {
+		_, err = st.Apply(dels, ins)
+	}
+	if err != nil {
+		return fmt.Errorf("persist: wal record %d (op %d): %w", rec.seq, rec.op, err)
 	}
 	return nil
 }
 
-// LogAdd implements strabon.Journal.
-func (m *Manager) LogAdd(triples []rdf.Triple) (strabon.Commit, error) {
-	b := m.logScratch[:0]
-	b = append(b, byte(len(triples)), byte(len(triples)>>8), byte(len(triples)>>16), byte(len(triples)>>24))
-	for _, t := range triples {
-		b = appendTriple(b, t)
-	}
+// LogApply implements strabon.Journal: the statement becomes one opApply
+// record.
+func (m *Manager) LogApply(dels, ins []rdf.Triple) (strabon.Commit, error) {
+	b := appendTriples(appendTriples(m.encBuf[:0], dels), ins)
 	// Steady-state records are a triple or two; don't let one bulk-load
 	// batch pin its multi-megabyte encode buffer for the process
 	// lifetime. (The group enqueue copies b into the batch buffer, so
-	// reusing the scratch immediately is safe.)
+	// reusing it immediately is safe.)
 	if cap(b) <= 1<<20 {
-		m.logScratch = b[:0]
+		m.encBuf = b[:0]
 	} else {
-		m.logScratch = nil
+		m.encBuf = nil
 	}
-	return m.enqueue(opAdd, b)
+	return m.enqueue(opApply, b)
 }
 
-// LogRemove implements strabon.Journal.
-func (m *Manager) LogRemove(t rdf.Triple) (strabon.Commit, error) {
-	b := appendTriple(m.logScratch[:0], t)
-	m.logScratch = b[:0]
-	return m.enqueue(opRemove, b)
+// LogAdd journals an insert-only statement: LogApply(nil, triples).
+func (m *Manager) LogAdd(triples []rdf.Triple) (strabon.Commit, error) {
+	return m.LogApply(nil, triples)
 }
 
 // LogCompact implements strabon.Journal.
@@ -479,8 +472,9 @@ func (m *Manager) Checkpoint() error {
 	// the read lock, so every record durable before the call is in the
 	// view: the pre-build sequence number is a safe label, because
 	// replaying records the snapshot already reflects is idempotent
-	// (Add/Remove are set operations). The fold becomes the store's new
-	// base, so readers reuse this build instead of paying for another.
+	// (an Apply's deletions and insertions are set operations). The fold
+	// becomes the store's new base, so readers reuse this build instead
+	// of paying for another.
 	seq := m.seq.Load()
 	sn := m.store.Fold()
 	// Group commit opens a second hazard the label cannot express: the

@@ -178,7 +178,7 @@ func (m *Manager) ReadWAL(fromSeq uint64, maxBytes int64, emit func(seq uint64, 
 // a record whose mutation it does not contain, and recovery would skip
 // that record forever. With apply-first the snapshot label only ever
 // lags the state, and replaying an already-contained record is
-// idempotent (Add/Remove are set operations). Losing the not-yet-
+// idempotent (Apply is made of set operations). Losing the not-yet-
 // appended record in a crash costs nothing: the replica resumes from
 // its WAL position and the primary re-ships it.
 //

@@ -40,9 +40,12 @@ const (
 	walSegPrefix = "wal-"
 	walSegSuffix = ".log"
 
+	// opAdd and opRemove are no longer written: older data directories
+	// and primaries still hold them, so they are replayed and shipped.
 	opAdd     byte = 1 // body: u32 count, then that many triples
 	opRemove  byte = 2 // body: one triple
 	opCompact byte = 3 // body: empty
+	opApply   byte = 4 // body: u32 ndel, dels, u32 nins, ins — one statement
 
 	// maxRecordBytes bounds a single record so a garbage length prefix
 	// cannot drive a multi-gigabyte allocation during recovery.

@@ -14,6 +14,7 @@
 package strabon
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -24,16 +25,20 @@ import (
 	"repro/internal/strdf"
 )
 
-// Journal receives write-ahead notifications for every mutation, invoked
-// while the store's write lock is held and strictly before the in-memory
+// Journal receives one write-ahead record per mutation, invoked while
+// the store's write lock is held and strictly before the in-memory
 // structures change. An implementation (internal/persist) encodes a log
 // record, assigns it the next WAL sequence number, and returns a Commit
 // ticket; a non-nil error vetoes the mutation synchronously — nothing
-// was applied, nothing was logged — and is reported to the caller as
-// "nothing changed" (Add returns false, AddAll returns 0, ...) and
-// recorded for JournalErr. LogAdd only ever sees triples that are
-// genuinely new (duplicates are filtered first), so replaying the
-// journal rebuilds the dictionary with identical id assignment.
+// was applied, nothing was logged — and Apply returns it wrapped in
+// ErrVetoed (it is also kept for JournalErr).
+//
+// LogApply receives one statement — every deletion and insertion of an
+// Apply or Update — already deduplicated against the store: dels holds
+// only triples present, ins only triples absent once dels are gone,
+// each once. Replaying the record (dels first, then ins) therefore
+// reproduces the statement exactly, and a crash can never leave part of
+// it durable.
 //
 // Sequence assignment is deliberately split from the durability wait:
 // the Log* hooks run under the store's write lock and must only do the
@@ -41,8 +46,8 @@ import (
 // releases the lock, and THEN awaits the ticket — so K concurrent
 // writers can share one group fsync instead of paying K fsyncs in
 // series under the lock. A ticket failure after the mutation applied
-// means the journal has latched broken (see Commit); the caller records
-// it as a veto and reports failure.
+// means the journal has latched broken (see Commit); the caller reports
+// it as a veto.
 //
 // The ticket's sequence number becomes the store's applied-seq
 // watermark (AppliedSeq) once the record is durable: the watermark
@@ -50,10 +55,14 @@ import (
 // on stable storage, so a reader that observes AppliedSeq() >= N is
 // guaranteed to see the effects of WAL record N.
 type Journal interface {
-	LogAdd(triples []rdf.Triple) (Commit, error)
-	LogRemove(t rdf.Triple) (Commit, error)
+	LogApply(dels, ins []rdf.Triple) (Commit, error)
 	LogCompact() (Commit, error)
 }
+
+// ErrVetoed marks a write the journal refused to log, or whose record
+// did not become durable; Apply, Update and LoadNTriples wrap it around
+// the journal's own error. A vetoed write must not be acknowledged.
+var ErrVetoed = errors.New("strabon: write rejected by the write-ahead journal")
 
 // Commit is a durability ticket for one journalled mutation: the WAL
 // sequence number the record was assigned, and a Wait that blocks until
@@ -82,11 +91,17 @@ func (c Commit) Await() error {
 }
 
 // Store is the triple store's write side; reads go through Snapshot.
-// Its methods are safe for concurrent use; writes take the exclusive
-// lock.
+// Its methods are safe for concurrent use. Every mutation takes writeMu
+// and then mu exclusively; readers never take writeMu.
 type Store struct {
-	mu   sync.RWMutex
-	dict *rdf.Dictionary
+	// writeMu serialises mutations (Apply, Update, Compact). Update holds
+	// it while it reads the view its statement is computed from, so no
+	// other write lands between that read and its apply; mu is held only
+	// for the apply itself, so readers wait for installs, never for an
+	// Update's read.
+	writeMu sync.Mutex
+	mu      sync.RWMutex
+	dict    *rdf.Dictionary
 	// The three dictionary-encoded columns. Row i holds triple i; deleted
 	// rows are tombstoned with 0 and dropped by Compact.
 	s, p, o []uint64
@@ -137,15 +152,9 @@ type Store struct {
 	// snapshot's lifetime.
 	packed *packView
 	// journal, when set, is notified ahead of every mutation (see
-	// Journal). journalErr latches the newest veto for diagnostics;
-	// journalVetoes counts them so callers can detect that a specific
-	// operation was vetoed (the error value may repeat).
-	journal       Journal
-	journalErr    error
-	journalVetoes uint64
-	// logScratch is the single-triple batch handed to LogAdd from Add so
-	// the hot path does not allocate per insert.
-	logScratch [1]rdf.Triple
+	// Journal). journalErr latches the newest veto for diagnostics.
+	journal    Journal
+	journalErr error
 }
 
 // NewStore returns an empty store.
@@ -211,166 +220,180 @@ func (st *Store) Len() int {
 	return len(st.s) - st.deleted
 }
 
-// Add inserts a triple; duplicates are ignored. It reports whether the
-// triple was new. With a journal attached the mutation is enqueued and
-// applied under the write lock, but the durability wait happens after
-// the lock is released (see Journal), so concurrent writers share group
-// commits instead of serialising their fsyncs.
-func (st *Store) Add(t rdf.Triple) bool {
-	locked := true
-	st.mu.Lock()
-	defer func() {
-		if locked {
-			st.mu.Unlock()
-		}
-	}()
-	st.materializeLocked()
-	ok, c := st.addLocked(t)
-	if !ok {
-		return false
-	}
-	locked = false
-	st.mu.Unlock()
-	return st.finishCommit(c)
+// Apply deletes dels and then inserts ins as one mutation and reports
+// how many triples it changed: the deletions of triples that were
+// present plus the insertions of triples that were absent once the
+// deletions were done, each counted once. Under one hold of the write
+// lock it deduplicates, journals the rest as one record and installs
+// it, so a reader sees all of the statement or none of it, and a crash
+// keeps all of it or none of it. The durability wait happens after the
+// lock is released (see Journal), so concurrent writers share group
+// commits. A journal refusal returns 0 and an error wrapping ErrVetoed.
+func (st *Store) Apply(dels, ins []rdf.Triple) (int, error) {
+	return st.write(func() ([]rdf.Triple, []rdf.Triple, error) { return dels, ins, nil })
 }
 
-// addLocked is Add's body; callers hold the write lock. Batch ingest
-// (AddAll, LoadNTriples) takes the lock once per batch instead of once per
-// triple. The returned Commit must be awaited (finishCommit) once the
-// lock is released; a false return means nothing changed and there is
-// nothing to await.
-func (st *Store) addLocked(t rdf.Triple) (bool, Commit) {
-	key, isNew := st.stageAdd(t)
-	if !isNew {
-		return false, Commit{}
+// Update is Apply for a statement computed from the store itself (a
+// SPARQL DELETE/INSERT … WHERE): fn reads the current view and returns
+// the deletions and insertions, which are applied before any other
+// write can land — concurrent Updates are serialisable. Readers are not
+// held up while fn runs. fn must not write to the store; an error from
+// it is returned and nothing is applied.
+func (st *Store) Update(fn func(*Snapshot) (dels, ins []rdf.Triple, err error)) (int, error) {
+	return st.write(func() ([]rdf.Triple, []rdf.Triple, error) { return fn(st.Snapshot()) })
+}
+
+// write runs one statement: stmt computes it holding writeMu, it is
+// applied holding mu too, and its ticket is awaited once both are
+// released.
+func (st *Store) write(stmt func() (dels, ins []rdf.Triple, err error)) (int, error) {
+	n, c, err := func() (int, Commit, error) {
+		st.writeMu.Lock()
+		defer st.writeMu.Unlock()
+		dels, ins, err := stmt()
+		if err != nil {
+			return 0, Commit{}, err
+		}
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return st.applyLocked(dels, ins)
+	}()
+	if err == nil {
+		err = st.await(c)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+// applyLocked deduplicates a statement against the store, journals what
+// is left as one record and installs it; callers hold writeMu and mu.
+// Encoding an insertion may grow the dictionary even when the triple is
+// then dropped as a duplicate or vetoed — that is harmless: dictionary
+// ids only become observable through stored triples.
+func (st *Store) applyLocked(dels, ins []rdf.Triple) (int, Commit, error) {
+	st.materializeLocked() // the lookups below need the heap dictionary
+	var delTs []rdf.Triple
+	var delKeys [][3]uint64
+	var gone map[[3]uint64]struct{}
+	for _, t := range dels {
+		// An unknown term looks up as id 0, which no stored row carries.
+		sID, _ := st.dict.Lookup(t.S)
+		pID, _ := st.dict.Lookup(t.P)
+		oID, _ := st.dict.Lookup(t.O)
+		key := [3]uint64{sID, pID, oID}
+		_, live := st.present[key]
+		if _, dup := gone[key]; !live || dup {
+			continue
+		}
+		if gone == nil {
+			gone = make(map[[3]uint64]struct{}, len(dels))
+		}
+		gone[key] = struct{}{}
+		delTs = append(delTs, t)
+		delKeys = append(delKeys, key)
+	}
+	insTs := make([]rdf.Triple, 0, len(ins))
+	insKeys := make([][3]uint64, 0, len(ins))
+	staged := make(map[[3]uint64]struct{}, len(ins))
+	for _, t := range ins {
+		key := [3]uint64{st.dict.Encode(t.S), st.dict.Encode(t.P), st.dict.Encode(t.O)}
+		_, live := st.present[key]
+		_, deleted := gone[key]
+		_, dup := staged[key]
+		if (live && !deleted) || dup {
+			continue
+		}
+		staged[key] = struct{}{}
+		insTs = append(insTs, t)
+		insKeys = append(insKeys, key)
+	}
+	if len(delKeys)+len(insKeys) == 0 {
+		return 0, Commit{}, nil
 	}
 	var c Commit
 	if st.journal != nil {
-		st.logScratch[0] = t
 		var err error
-		if c, err = st.journal.LogAdd(st.logScratch[:]); err != nil {
+		if c, err = st.journal.LogApply(delTs, insTs); err != nil {
 			st.journalErr = err
-			st.journalVetoes++
-			return false, Commit{}
+			return 0, Commit{}, fmt.Errorf("%w: %w", ErrVetoed, err)
 		}
 	}
-	st.applyAdd(t, key)
-	return true, c
+	st.version++
+	for _, key := range delKeys {
+		row := st.present[key]
+		delete(st.present, key)
+		st.s[row], st.p[row], st.o[row] = 0, 0, 0
+		if n := st.predRows[key[1]] - 1; n > 0 {
+			st.predRows[key[1]] = n
+		} else {
+			delete(st.predRows, key[1])
+		}
+		st.deleted++
+		st.tombLog = append(st.tombLog, row)
+	}
+	for i, key := range insKeys {
+		st.present[key] = len(st.s)
+		st.s = append(st.s, key[0])
+		st.p = append(st.p, key[1])
+		st.o = append(st.o, key[2])
+		st.predRows[key[1]]++
+		if o := insTs[i].O; o.IsSpatial() {
+			if _, cached := st.geoms[key[2]]; !cached {
+				if v, err := strdf.ParseSpatial(o); err == nil {
+					if w, err := v.ToWGS84(); err == nil {
+						v = w
+					}
+					st.geoms[key[2]] = v
+					st.geomLog = append(st.geomLog, key[2])
+				}
+			}
+		}
+	}
+	return len(delKeys) + len(insKeys), c, nil
 }
 
-// finishCommit awaits a mutation's durability ticket; callers must NOT
-// hold the store lock (the whole point is that the fsync wait happens
-// outside it). On success the applied-seq watermark advances to the
+// await waits for a mutation's durability ticket; callers must NOT hold
+// the store's locks (the whole point is that the fsync wait happens
+// outside them). On success the applied-seq watermark advances to the
 // ticket's sequence number. On failure the mutation is already applied
 // in memory but was never made durable: the journal has latched itself
-// broken (no later write can succeed either), so this is recorded as a
-// veto and reported as failure — the divergence ends at the next
-// restart, whose recovery replays only what the log actually holds.
-func (st *Store) finishCommit(c Commit) bool {
+// broken (no later write can succeed either), so it is reported as a
+// veto — the divergence ends at the next restart, whose recovery
+// replays only what the log actually holds.
+func (st *Store) await(c Commit) error {
 	if err := c.Await(); err != nil {
 		st.mu.Lock()
 		st.journalErr = err
-		st.journalVetoes++
 		st.mu.Unlock()
-		return false
+		return fmt.Errorf("%w: %w", ErrVetoed, err)
 	}
 	if c.Seq != 0 {
 		st.SetAppliedSeq(c.Seq)
 	}
-	return true
+	return nil
 }
 
-// stageAdd encodes a triple's terms and reports whether it is new.
-// Encoding may grow the dictionary even for triples that are then
-// rejected as duplicates or vetoed by the journal — that is harmless:
-// dictionary ids only become observable through stored triples, and
-// journal replay re-encodes the same new triples in the same order.
-func (st *Store) stageAdd(t rdf.Triple) (key [3]uint64, isNew bool) {
-	key = [3]uint64{st.dict.Encode(t.S), st.dict.Encode(t.P), st.dict.Encode(t.O)}
-	_, dup := st.present[key]
-	return key, !dup
+// Add inserts a triple and reports whether it was new (and, with a
+// journal, made durable): Apply with one insertion.
+func (st *Store) Add(t rdf.Triple) bool {
+	n, _ := st.Apply(nil, []rdf.Triple{t})
+	return n == 1
 }
 
-// applyAdd installs a staged triple; callers hold the write lock and have
-// already journalled it.
-func (st *Store) applyAdd(t rdf.Triple, key [3]uint64) {
-	sID, pID, oID := key[0], key[1], key[2]
-	st.version++
-	row := len(st.s)
-	st.s = append(st.s, sID)
-	st.p = append(st.p, pID)
-	st.o = append(st.o, oID)
-	st.present[key] = row
-	st.predRows[pID]++
-	if t.O.IsSpatial() {
-		if _, cached := st.geoms[oID]; !cached {
-			if v, err := strdf.ParseSpatial(t.O); err == nil {
-				if w, err := v.ToWGS84(); err == nil {
-					v = w
-				}
-				st.geoms[oID] = v
-				st.geomLog = append(st.geomLog, oID)
-			}
-		}
-	}
-}
-
-// AddAll inserts a batch of triples under one write lock and reports how
-// many were new. With a journal attached the whole batch becomes one WAL
-// record: the new triples are staged and deduplicated first, logged
-// together, and only then applied, so a crash can never leave a batch
-// half-durable.
+// AddAll inserts a batch and reports how many triples were new: Apply
+// with insertions only, so the batch is one journal record.
 func (st *Store) AddAll(triples []rdf.Triple) int {
-	locked := true
-	st.mu.Lock()
-	defer func() {
-		if locked {
-			st.mu.Unlock()
-		}
-	}()
-	st.materializeLocked()
-	if st.journal == nil {
-		n := 0
-		for _, t := range triples {
-			if ok, _ := st.addLocked(t); ok {
-				n++
-			}
-		}
-		return n
-	}
-	fresh := make([]rdf.Triple, 0, len(triples))
-	keys := make([][3]uint64, 0, len(triples))
-	staged := make(map[[3]uint64]struct{}, len(triples))
-	for _, t := range triples {
-		key, isNew := st.stageAdd(t)
-		if !isNew {
-			continue
-		}
-		if _, dup := staged[key]; dup {
-			continue
-		}
-		staged[key] = struct{}{}
-		fresh = append(fresh, t)
-		keys = append(keys, key)
-	}
-	if len(fresh) == 0 {
-		return 0
-	}
-	c, err := st.journal.LogAdd(fresh)
-	if err != nil {
-		st.journalErr = err
-		st.journalVetoes++
-		return 0
-	}
-	for i, t := range fresh {
-		st.applyAdd(t, keys[i])
-	}
-	locked = false
-	st.mu.Unlock()
-	if !st.finishCommit(c) {
-		return 0
-	}
-	return len(fresh)
+	n, _ := st.Apply(nil, triples)
+	return n
+}
+
+// Remove deletes a triple and reports whether it was present: Apply
+// with one deletion.
+func (st *Store) Remove(t rdf.Triple) bool {
+	n, _ := st.Apply([]rdf.Triple{t}, nil)
+	return n == 1
 }
 
 // SetJournal attaches (or with nil detaches) the write-ahead journal.
@@ -383,67 +406,15 @@ func (st *Store) SetJournal(j Journal) {
 	st.journalErr = nil
 }
 
-// JournalErr reports the first journal veto since the journal was
+// JournalErr reports the newest journal veto since the journal was
 // attached (nil when every mutation was logged successfully). A non-nil
-// value means writes are being rejected to preserve the WAL-before-state
-// invariant; operators surface it via /stats.
+// value means writes have been rejected to preserve the WAL-before-state
+// invariant; operators surface it via /stats. The write that was vetoed
+// learns it from its own error (ErrVetoed).
 func (st *Store) JournalErr() error {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return st.journalErr
-}
-
-// JournalVetoes counts journal-vetoed mutations since the journal was
-// attached. Comparing the counter across an operation detects whether
-// that specific operation was vetoed, which the error value alone
-// cannot (it may repeat).
-func (st *Store) JournalVetoes() uint64 {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.journalVetoes
-}
-
-// Remove deletes a triple; it reports whether it was present.
-func (st *Store) Remove(t rdf.Triple) bool {
-	locked := true
-	st.mu.Lock()
-	defer func() {
-		if locked {
-			st.mu.Unlock()
-		}
-	}()
-	st.materializeLocked() // the lookups below need the heap dictionary
-	// An unknown term looks up as id 0, which no stored row carries.
-	sID, _ := st.dict.Lookup(t.S)
-	pID, _ := st.dict.Lookup(t.P)
-	oID, _ := st.dict.Lookup(t.O)
-	key := [3]uint64{sID, pID, oID}
-	row, ok := st.present[key]
-	if !ok {
-		return false
-	}
-	var c Commit
-	if st.journal != nil {
-		var err error
-		if c, err = st.journal.LogRemove(t); err != nil {
-			st.journalErr = err
-			st.journalVetoes++
-			return false
-		}
-	}
-	delete(st.present, key)
-	st.version++
-	st.s[row], st.p[row], st.o[row] = 0, 0, 0
-	if n := st.predRows[pID] - 1; n > 0 {
-		st.predRows[pID] = n
-	} else {
-		delete(st.predRows, pID)
-	}
-	st.deleted++
-	st.tombLog = append(st.tombLog, row)
-	locked = false
-	st.mu.Unlock()
-	return st.finishCommit(c)
 }
 
 // TriplePattern matches triples; zero IDs are wildcards.
@@ -451,8 +422,8 @@ type TriplePattern struct {
 	S, P, O uint64
 }
 
-// Version reports a counter that increases on every successful mutation
-// (Add, Remove, Compact). Two equal Version observations bracket an interval in
+// Version reports a counter that increases on every mutation that
+// changed something (one Apply or Update statement, a Compact). Two equal Version observations bracket an interval in
 // which the store's logical contents did not change, which is what the
 // stSPARQL endpoint's result cache keys on.
 func (st *Store) Version() uint64 {
@@ -547,25 +518,31 @@ func (st *Store) Stats() Stats {
 // the duplicate set, and drops the cached geometries no live triple
 // refers to. Long-running stores call this after heavy DELETE workloads
 // (the refinement rewrites every coastal hotspot's geometry). It
-// reports the number of tombstones reclaimed.
+// reports the number of tombstones reclaimed (0 when the journal
+// vetoed it).
 func (st *Store) Compact() int {
-	locked := true
+	st.writeMu.Lock()
 	st.mu.Lock()
-	defer func() {
-		if locked {
-			st.mu.Unlock()
-		}
-	}()
-	if st.deleted == 0 {
+	n, c, err := st.compactLocked()
+	st.mu.Unlock()
+	st.writeMu.Unlock()
+	if err != nil || st.await(c) != nil {
 		return 0
+	}
+	return n
+}
+
+// compactLocked is Compact's body; callers hold writeMu and mu.
+func (st *Store) compactLocked() (int, Commit, error) {
+	if st.deleted == 0 {
+		return 0, Commit{}, nil
 	}
 	var c Commit
 	if st.journal != nil {
 		var err error
 		if c, err = st.journal.LogCompact(); err != nil {
 			st.journalErr = err
-			st.journalVetoes++
-			return 0
+			return 0, Commit{}, err
 		}
 	}
 	// Row numbering and the spatial side change; cached views and their
@@ -606,12 +583,7 @@ func (st *Store) Compact() int {
 		_, live := liveGeoms[id]
 		return !live
 	})
-	locked = false
-	st.mu.Unlock()
-	if !st.finishCommit(c) {
-		return 0
-	}
-	return reclaimed
+	return reclaimed, c, nil
 }
 
 // LoadNTriples bulk-loads an N-Triples stream into the store.
@@ -620,21 +592,17 @@ func (st *Store) LoadNTriples(r io.Reader) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Chunked AddAll so that a journalled bulk load produces bounded WAL
-	// records (the log enforces a per-record size cap) instead of one
-	// giant record per file. A journal veto aborts the load with the
-	// underlying error rather than silently dropping the rest.
+	// Chunked so that a journalled bulk load produces bounded WAL records
+	// (the log enforces a per-record size cap) instead of one giant
+	// record per file. A journal veto aborts the load with the underlying
+	// error rather than silently dropping the rest.
 	const chunk = 65536
 	n := 0
 	for off := 0; off < len(triples); off += chunk {
-		end := off + chunk
-		if end > len(triples) {
-			end = len(triples)
-		}
-		vetoes := st.JournalVetoes()
-		n += st.AddAll(triples[off:end])
-		if st.JournalVetoes() != vetoes {
-			return n, fmt.Errorf("strabon: bulk load aborted: %w", st.JournalErr())
+		added, err := st.Apply(nil, triples[off:min(off+chunk, len(triples))])
+		n += added
+		if err != nil {
+			return n, fmt.Errorf("strabon: bulk load aborted: %w", err)
 		}
 	}
 	return n, nil

@@ -141,19 +141,33 @@ func (e *Engine) EvalContext(ctx context.Context, q *Query) (*Result, error) {
 	case FormConstruct:
 		return e.evalConstructWith(newVexec(ctx, e), q)
 	case FormInsertData:
-		return &Result{Affected: e.store.AddAll(q.Data)}, nil
+		return affected(e.store.Apply(nil, q.Data))
 	case FormDeleteData:
-		n := 0
-		for _, t := range q.Data {
-			if e.store.Remove(t) {
-				n++
-			}
-		}
-		return &Result{Affected: n}, nil
+		return affected(e.store.Apply(q.Data, nil))
 	case FormModify:
-		return e.evalModify(ctx, q)
+		// The WHERE is evaluated on the view Update hands over and the
+		// templates' triples applied before any other write lands, so
+		// concurrent modifies neither interleave nor lose updates.
+		return affected(e.store.Update(func(sn *strabon.Snapshot) ([]rdf.Triple, []rdf.Triple, error) {
+			v := newVexecOn(ctx, e, sn)
+			tb, err := v.evalRoot(q.Where)
+			if err != nil {
+				return nil, nil, err
+			}
+			dels, ins := modifyTriples(q, v.decodeTable(tb))
+			return dels, ins, nil
+		}))
 	}
 	return nil, fmt.Errorf("stsparql: unsupported query form %d", q.Form)
+}
+
+// affected is an update statement's Result: the number of triples it
+// changed, or the store's error (a journal veto wraps strabon.ErrVetoed).
+func affected(n int, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Affected: n}, nil
 }
 
 // evalConstructWith runs CONSTRUCT through a caller-supplied executor
@@ -183,22 +197,9 @@ func constructTriples(q *Query, bindings []Binding) []rdf.Triple {
 	return out
 }
 
-func (e *Engine) evalModify(ctx context.Context, q *Query) (*Result, error) {
-	v := newVexec(ctx, e)
-	tb, err := v.evalRoot(q.Where)
-	if err != nil {
-		return nil, err
-	}
-	return e.applyModify(q, v.decodeTable(tb)), nil
-}
-
-// applyModify instantiates the DELETE and INSERT templates over the WHERE
-// solutions and applies them to the store.
-func (e *Engine) applyModify(q *Query, bindings []Binding) *Result {
-	affected := 0
-	// Materialise all deletions and insertions before applying, so the
-	// WHERE evaluation is not perturbed mid-update.
-	var dels, ins []rdf.Triple
+// modifyTriples instantiates a modify's DELETE and INSERT templates over
+// its WHERE solutions; Store.Apply deduplicates them.
+func modifyTriples(q *Query, bindings []Binding) (dels, ins []rdf.Triple) {
 	for _, b := range bindings {
 		for _, pat := range q.DeleteTemplate {
 			if t, ok := instantiate(pat, b); ok {
@@ -211,17 +212,7 @@ func (e *Engine) applyModify(q *Query, bindings []Binding) *Result {
 			}
 		}
 	}
-	for _, t := range dels {
-		if e.store.Remove(t) {
-			affected++
-		}
-	}
-	for _, t := range ins {
-		if e.store.Add(t) {
-			affected++
-		}
-	}
-	return &Result{Affected: affected}
+	return dels, ins
 }
 
 func instantiate(pat Pattern, b Binding) (rdf.Triple, bool) {

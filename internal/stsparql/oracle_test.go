@@ -38,7 +38,7 @@ func (e *Engine) oracleQuery(ctx context.Context, src string) (*Result, error) {
 		case FormConstruct:
 			return &Result{Triples: constructTriples(q, bindings)}, nil
 		}
-		return e.applyModify(q, bindings), nil
+		return affected(e.store.Apply(modifyTriples(q, bindings)))
 	}
 	return nil, fmt.Errorf("stsparql: oracle does not evaluate query form %d", q.Form)
 }

@@ -81,6 +81,76 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	}
 }
 
+// TestModifyIsAtomicInProcess: a DELETE/INSERT … WHERE run through
+// Engine.Query is one Store.Update, atomic and serialisable with no
+// server in front. Eight writers rewrite a one-value register while four
+// readers count its values: every count is exactly 1 (a reader between a
+// modify's deletion and its insertion would see 0, one between two
+// interleaved modifies 2), and exactly one value remains at the end.
+func TestModifyIsAtomicInProcess(t *testing.T) {
+	eng := New(strabon.NewStore())
+	eng.MustQuery(`INSERT DATA { <http://ex/reg> <http://ex/val> "v0" }`)
+	const count = `SELECT (COUNT(*) AS ?n) WHERE { <http://ex/reg> <http://ex/val> ?v }`
+	registerValues := func() (string, error) {
+		res, err := eng.Query(count)
+		if err != nil {
+			return "", err
+		}
+		if len(res.Bindings) != 1 {
+			return "", fmt.Errorf("count returned %d rows", len(res.Bindings))
+		}
+		return res.Bindings[0]["n"].Value, nil
+	}
+
+	const writers, readers, rounds = 8, 4, 40
+	var writing sync.WaitGroup
+	for w := range writers {
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			for i := range rounds {
+				up := fmt.Sprintf(`DELETE { <http://ex/reg> <http://ex/val> ?old }
+					INSERT { <http://ex/reg> <http://ex/val> "v%d-%d" }
+					WHERE { <http://ex/reg> <http://ex/val> ?old }`, w, i)
+				if _, err := eng.Query(up); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	var reading sync.WaitGroup
+	for r := range readers {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				n, err := registerValues()
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+				if n != "1" {
+					t.Errorf("reader %d saw %s register values, want exactly 1", r, n)
+					return
+				}
+			}
+		}()
+	}
+	writing.Wait()
+	close(done)
+	reading.Wait()
+	if n, err := registerValues(); err != nil || n != "1" {
+		t.Fatalf("register holds %s values after the writers (err %v), want exactly 1", n, err)
+	}
+}
+
 // TestConcurrentParallelQueriesUpdatesCheckpoints exercises the SHARED
 // slot-budget pool under -race: morsel-parallel multi-pattern queries
 // (thresholds forced to 1 so every operator fans out), journalled

@@ -126,8 +126,13 @@ type vexec struct {
 }
 
 func newVexec(ctx context.Context, e *Engine) *vexec {
+	return newVexecOn(ctx, e, e.store.Snapshot())
+}
+
+// newVexecOn is newVexec over a given snapshot: a modify evaluates its
+// WHERE on the view Store.Update hands it.
+func newVexecOn(ctx context.Context, e *Engine, snap *strabon.Snapshot) *vexec {
 	// extraID and scratch are allocated on first use.
-	snap := e.store.Snapshot()
 	return &vexec{
 		e:       e,
 		ctx:     ctx,
