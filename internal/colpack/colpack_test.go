@@ -1,7 +1,6 @@
 package colpack
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -392,11 +391,11 @@ func testSnapshotData(t testing.TB, nRows int) *SnapshotData {
 
 func writeFile(t testing.TB, path string, d *SnapshotData) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := Write(&buf, d); err != nil {
-		t.Fatalf("write: %v", err)
+	img, err := Encode(d)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,7 +3,6 @@ package colpack
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/faults"
@@ -67,9 +66,9 @@ type PredStat struct {
 	DistinctO int
 }
 
-// StatsBlock is the precomputed planner-statistics section: what
-// strabon.SnapshotStats costs an O(n) pass to build on a heap
-// snapshot is just parsed on a mapped one.
+// StatsBlock is the precomputed planner-statistics section: the image
+// builder pays the O(n) pass once, and every reader of the image just
+// parses it.
 type StatsBlock struct {
 	Triples   int
 	DistinctS int
@@ -79,9 +78,11 @@ type StatsBlock struct {
 	Pred      []PredStat
 }
 
-// SnapshotData is the writer's input: a heap snapshot's already-built
-// state. Postings returns the sorted row list of id in component comp
-// (0=S, 1=P, 2=O), nil when the id never appears there.
+// SnapshotData is the encoder's input: compacted columns with their
+// posting lists, the dictionary, the geometry envelopes and the
+// statistics of one store version. Postings returns the sorted row list
+// of id in component comp (0=S, 1=P, 2=O), nil when the id never
+// appears there.
 type SnapshotData struct {
 	Seq      uint64
 	Version  uint64
@@ -97,17 +98,18 @@ type SnapshotData struct {
 	Stats    StatsBlock
 }
 
-// Write serialises d as a packed snapshot. The encoding is built in
-// memory (it is the compressed size, strictly smaller than the heap
-// state being serialised) and written in one pass.
-func Write(w io.Writer, d *SnapshotData) error {
+// Encode serialises d as a packed snapshot image: the bytes a snapshot
+// file holds, and what OpenBytes serves in place.
+func Encode(d *SnapshotData) ([]byte, error) {
 	if len(d.S) != len(d.P) || len(d.S) != len(d.O) {
-		return fmt.Errorf("colpack: column length mismatch: s=%d p=%d o=%d", len(d.S), len(d.P), len(d.O))
+		return nil, fmt.Errorf("colpack: column length mismatch: s=%d p=%d o=%d", len(d.S), len(d.P), len(d.O))
 	}
 	if len(d.GeomIDs) != len(d.GeomEnvs) {
-		return fmt.Errorf("colpack: geometry id/envelope length mismatch: %d vs %d", len(d.GeomIDs), len(d.GeomEnvs))
+		return nil, fmt.Errorf("colpack: geometry id/envelope length mismatch: %d vs %d", len(d.GeomIDs), len(d.GeomEnvs))
 	}
-	buf := make([]byte, 0, 1<<20)
+	// A rough lower bound on the image size: growing past it costs a copy
+	// or two, overshooting it pins the slack for the image's lifetime.
+	buf := make([]byte, 0, 4096+8*len(d.S)+8*len(d.Terms))
 	buf = append(buf, Magic...)
 	buf = appendU64(buf, d.Seq)
 	buf = appendU64(buf, d.Version)
@@ -216,15 +218,14 @@ func Write(w io.Writer, d *SnapshotData) error {
 	buf = appendU32(buf, uint32(len(footer)))
 	buf = appendU32(buf, crc(footer))
 	buf = append(buf, Magic...)
-	_, err := w.Write(buf)
-	return err
+	return buf, nil
 }
 
 // sortPerm sorts ids by their terms under CompareTerms (ids are
 // i+1-indexed into terms).
 func sortPerm(ids []uint64, terms []rdf.Term) {
 	// Simple merge sort: deterministic, O(n log n), no dependency on
-	// sort.Slice's interface boxing for this hot checkpoint path.
+	// sort.Slice's interface boxing for this hot fold path.
 	tmp := make([]uint64, len(ids))
 	var rec func(lo, hi int)
 	rec = func(lo, hi int) {
@@ -249,9 +250,9 @@ func sortPerm(ids []uint64, terms []rdf.Term) {
 	rec(0, len(ids))
 }
 
-// Reader is an open packed snapshot: the mapped bytes plus the parsed
-// TOC. All accessors are safe for concurrent use (the underlying data
-// is immutable); Close unmaps.
+// Reader is an open packed snapshot: the mapped file or in-memory image
+// plus the parsed TOC. All accessors are safe for concurrent use (the
+// underlying data is immutable); Close unmaps a file.
 type Reader struct {
 	data    []byte
 	release func() error
@@ -288,6 +289,13 @@ func Open(path string) (*Reader, error) {
 		return nil, err
 	}
 	return r, nil
+}
+
+// OpenBytes opens an in-memory image with the same full verification as
+// Open. The Reader serves the image in place, so data must not change
+// afterwards.
+func OpenBytes(data []byte) (*Reader, error) {
+	return open(data, func() error { return nil })
 }
 
 func open(data []byte, release func() error) (*Reader, error) {
@@ -468,6 +476,10 @@ func (r *Reader) NGeoms() int { return r.nGeoms }
 
 // SizeBytes reports the on-disk (mapped) size of the snapshot.
 func (r *Reader) SizeBytes() int64 { return int64(len(r.data)) }
+
+// Bytes returns the whole image — what a snapshot file of it holds.
+// Callers must not modify it.
+func (r *Reader) Bytes() []byte { return r.data }
 
 // Col returns a triple column (0=S, 1=P, 2=O).
 func (r *Reader) Col(comp int) *U64Col { return r.cols[comp] }

@@ -8,10 +8,11 @@ import (
 	"repro/internal/rdf"
 )
 
-// Fuzz targets over the three encoders: arbitrary inputs must survive
-// an encode→decode round trip bit-identically, and the decoders must
-// never read outside their input or panic. Seeds run under plain
-// `go test`; `go test -fuzz=FuzzU64Col ./internal/colpack/` explores.
+// Fuzz targets over the three encoders and the image reader: arbitrary
+// inputs must survive an encode→decode round trip bit-identically, and
+// the decoders must never read outside their input or panic. Seeds run
+// under plain `go test`; `go test -fuzz=FuzzU64Col ./internal/colpack/`
+// explores.
 
 func FuzzU64ColRoundTrip(f *testing.F) {
 	f.Add([]byte{})
@@ -155,6 +156,78 @@ func FuzzDictDecodeHostile(f *testing.F) {
 		}
 		DecodeDictBlock(raw, count, nil)
 	})
+}
+
+// FuzzOpenHostile overwrites part of a small valid image with fuzzer
+// bytes, optionally truncating it, and opens the mutant with OpenBytes:
+// the open must reject it or return a Reader whose every verified column
+// decodes, and must never panic. With reseal set, the checksums are
+// recomputed after the mutation, so the structural checks behind them
+// (TOC bounds, column block indexes, section lengths, the statistics
+// block) see the damage instead of the CRCs stopping it first.
+func FuzzOpenHostile(f *testing.F) {
+	img, err := Encode(testSnapshotData(f, 300))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{}, uint32(0), uint32(0), false)
+	f.Add([]byte{0xff}, uint32(9), uint32(0), true)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80}, uint32(headerSize), uint32(0), true)
+	f.Add([]byte{7}, uint32(len(img)-40), uint32(0), true)
+	f.Add([]byte{1, 2, 3}, uint32(len(img)/2), uint32(100), true)
+	f.Fuzz(func(t *testing.T, patch []byte, off, cut uint32, reseal bool) {
+		mutant := append([]byte(nil), img...)
+		if int(off) < len(mutant) {
+			copy(mutant[off:], patch)
+		}
+		if int(cut) < len(mutant) {
+			mutant = mutant[:len(mutant)-int(cut)]
+		}
+		if reseal {
+			resealImage(mutant)
+		}
+		r, err := OpenBytes(mutant)
+		if err != nil {
+			return
+		}
+		var buf []uint64
+		cols := []*U64Col{r.DictOff(), r.Perm(), r.GeomIDs()}
+		for comp := 0; comp < 3; comp++ {
+			cols = append(cols, r.Col(comp), r.PostOff(comp), r.PostCnt(comp))
+		}
+		for _, col := range cols {
+			for b := 0; b < col.NumBlocks(); b++ {
+				buf = col.DecodeBlock(b, buf)
+			}
+		}
+		for i := 0; i < r.NGeoms(); i++ {
+			r.GeomEnv(i)
+		}
+	})
+}
+
+// resealImage recomputes, in place, every checksum of an image whose
+// trailer still locates a plausible footer: each in-bounds section CRC,
+// the file CRC and the footer CRC.
+func resealImage(img []byte) {
+	if len(img) < headerSize+16 {
+		return
+	}
+	footerEnd := len(img) - 16
+	footerLen := int(le32(img[footerEnd:]))
+	if footerLen < 4+24+4 || footerLen > footerEnd-headerSize {
+		return
+	}
+	footer := img[footerEnd-footerLen : footerEnd]
+	body := img[:footerEnd-footerLen]
+	for i := 0; i < int(le32(footer)) && 4+i*32+32 <= len(footer)-28; i++ {
+		e := footer[4+i*32:]
+		if off, n := le64(e[8:]), le64(e[16:]); off <= uint64(len(body)) && n <= uint64(len(body))-off {
+			put32(e[24:], crc(body[off:off+n]))
+		}
+	}
+	put32(footer[len(footer)-4:], crc(body))
+	put32(img[footerEnd+4:], crc(footer))
 }
 
 func splitFuzz(raw []byte) []string {

@@ -199,14 +199,8 @@ func TestSpatialQueryGeoJSON(t *testing.T) {
 func TestGeoJSONReadLeavesStoreMapped(t *testing.T) {
 	src, _ := fixture()
 	path := filepath.Join(t.TempDir(), "snap.pack")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := colpack.Write(f, src.Fold().PackData(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	img, _ := src.Fold(1).Image()
+	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r, err := colpack.Open(path)

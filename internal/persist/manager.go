@@ -15,11 +15,12 @@
 // group.go), so no mutation is acknowledged before its record is
 // durable per the sync policy, yet K concurrent writers share a single
 // flush instead of paying K fsyncs in series. Checkpoints run off the
-// write path: a consistent immutable view (strabon.Snapshot) is
-// serialised to a temp file, fsynced, atomically renamed, and only then
-// are the WAL segments it covers deleted. Recovery loads the newest
-// snapshot that validates, replays the WAL tail past it, drops a torn
-// final record, and reopens the log for appending.
+// write path: the store folds into a new base image (strabon.Store.Fold),
+// whose bytes are written to a temp file, fsynced and atomically
+// renamed, and only then are the WAL segments it covers deleted.
+// Recovery loads the newest snapshot that validates, replays the WAL
+// tail past it, drops a torn final record, and reopens the log for
+// appending.
 //
 // A crash — SIGKILL included — therefore loses at most the final
 // unflushed batch, none of whose writers were acknowledged: everything
@@ -467,31 +468,32 @@ func (m *Manager) Checkpoint() error {
 		return err
 	}
 
-	// Capture a folded view plus the WAL sequence it covers. Journal
-	// appends happen under the store's write lock and Fold builds under
-	// the read lock, so every record durable before the call is in the
-	// view: the pre-build sequence number is a safe label, because
-	// replaying records the snapshot already reflects is idempotent
-	// (an Apply's deletions and insertions are set operations). The fold
-	// becomes the store's new base, so readers reuse this build instead
-	// of paying for another.
-	seq := m.seq.Load()
-	sn := m.store.Fold()
+	// Fold the store into an image labelled with the durable seq read
+	// before the fold. Journal appends happen under the store's write
+	// lock and a fold copies under the read lock, so every record durable
+	// before the call is in the image: a safe label, because replaying
+	// records the image already reflects is idempotent (an Apply's
+	// deletions and insertions are set operations). The fold is the
+	// store's base, so readers reuse it — and a reader's fold of the same
+	// version and label is reused here. The file is the image's bytes, so
+	// its name and its header carry the same seq; a store still served
+	// from its mapped file hands back that file under its own label.
+	img, seq := m.store.Fold(m.seq.Load()).Image()
 	// Group commit opens a second hazard the label cannot express: the
-	// snapshot was built from memory, which may include mutations whose
+	// image was built from memory, which may include mutations whose
 	// batch has not reached the disk yet (applied under the store lock,
 	// ticket unresolved). Publishing now could persist a write that is
 	// never acked — the batch may still fail and roll back. Hold the
 	// snapshot until everything it can possibly contain (every sequence
-	// number assigned before the build finished) is durable; if the WAL
+	// number assigned before the fold finished) is durable; if the WAL
 	// latches broken instead, abandon the checkpoint.
 	if err := m.waitDurable(m.assignedSeq()); err != nil {
 		return err
 	}
-	if m.hasCkpt.Load() && seq == m.ckptSeq.Load() {
+	if m.hasCkpt.Load() && seq <= m.ckptSeq.Load() {
 		return nil // nothing new since the last checkpoint
 	}
-	if _, err := writeSnapshot(m.opts.Dir, sn, seq); err != nil {
+	if _, err := writeSnapshot(m.opts.Dir, img, seq); err != nil {
 		return err
 	}
 	m.ckptSeq.Store(seq)

@@ -284,3 +284,63 @@ func TestRawSnapshotFixtureCorruption(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckpointWritesTheFoldImage: a checkpoint encodes once — the file
+// it writes is, byte for byte, the base image the store installed — and
+// the seq in the file's header is the seq in its name. Both hold whether
+// the checkpoint folds the store itself or finds the current view
+// already folded by a reader, which it then writes without folding again.
+func TestCheckpointWritesTheFoldImage(t *testing.T) {
+	dir := t.TempDir()
+	m, st, err := Open(Options{Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	check := func(step string) {
+		t.Helper()
+		snaps, err := listSnapshots(dir)
+		if err != nil || len(snaps) == 0 {
+			t.Fatalf("%s: no snapshot (%v)", step, err)
+		}
+		data, err := os.ReadFile(snaps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, seq := st.Snapshot().Image()
+		if !bytes.Equal(data, img) {
+			t.Fatalf("%s: the checkpoint file is not the installed base's image", step)
+		}
+		name, _ := parseSnapName(filepath.Base(snaps[0]))
+		header, err := colpack.Verify(snaps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if header != name || seq != name || name != m.Stats().LastCheckpointSeq || name != st.AppliedSeq() {
+			t.Fatalf("%s: header seq %d, name %d, image %d, last checkpoint %d, applied %d",
+				step, header, name, seq, m.Stats().LastCheckpointSeq, st.AppliedSeq())
+		}
+	}
+	ts := benchTriples(3000)
+	st.AddAll(ts[:1000])
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("checkpoint folds")
+
+	// Past the fold policy: the next reader folds, and the checkpoint
+	// writes that fold.
+	st.AddAll(ts[1000:])
+	folded := st.Snapshot()
+	if img, _ := folded.Image(); img == nil {
+		t.Fatal("the reader's view did not fold")
+	}
+	builds := st.ViewCounters().FullBuilds
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("view already folded")
+	if st.Snapshot() != folded || st.ViewCounters().FullBuilds != builds {
+		t.Fatal("the checkpoint folded again instead of writing the reader's fold")
+	}
+}

@@ -15,7 +15,10 @@ import (
 )
 
 // Snapshots are written and read in one format, packed ("TELPACK1"):
-// the compressed, mmap-able columnar format of internal/colpack.
+// the compressed, mmap-able columnar format of internal/colpack, which is
+// also the format of the store's in-memory base. A checkpoint writes the
+// image of the store's newest fold byte for byte; its header seq is the
+// seq in the file name.
 // Recovery opens the newest one read-only via mmap and the store answers
 // queries IN PLACE — no column, posting-list or dictionary
 // materialisation — so restart-to-first-query is independent of dataset
@@ -79,15 +82,16 @@ func listSnapshots(dir string) ([]string, error) {
 	return out, nil
 }
 
-// writeSnapshot atomically writes sn (covering WAL records through seq)
-// to dir in the packed colpack format and returns the file path.
-func writeSnapshot(dir string, sn *strabon.Snapshot, seq uint64) (string, error) {
+// writeSnapshot atomically writes a packed image whose header covers WAL
+// records through seq to dir, named after seq, and returns the file path.
+func writeSnapshot(dir string, img []byte, seq uint64) (string, error) {
 	if err := faults.Eval("snapshot/write"); err != nil {
 		return "", err
 	}
 	path := filepath.Join(dir, snapName(seq))
 	err := fsx.WriteFileAtomic(path, func(w io.Writer) error {
-		return colpack.Write(w, sn.PackData(seq))
+		_, err := w.Write(img)
+		return err
 	})
 	if err != nil {
 		return "", err

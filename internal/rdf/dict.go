@@ -92,6 +92,15 @@ func (d *Dictionary) DecodeAll(ids []uint64, out []Term) []Term {
 	return out
 }
 
+// Terms returns every term assigned so far, in id order: Terms()[i] is
+// id i+1. The slice is shared, not copied, and must not be modified; it
+// stays valid because later Encodes only append past its end.
+func (d *Dictionary) Terms() []Term {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.byID[:len(d.byID):len(d.byID)]
+}
+
 // IsSpatialID reports whether id encodes a spatial literal.
 func (d *Dictionary) IsSpatialID(id uint64) bool {
 	d.mu.RLock()

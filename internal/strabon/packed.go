@@ -2,6 +2,8 @@ package strabon
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,16 +15,16 @@ import (
 	"repro/internal/strdf"
 )
 
-// packView is the mapped-snapshot backend: a base (flat) whose pack
-// field is non-nil answers MatchRows/Cardinality/DecodeAll straight off a
-// packed snapshot file (colpack.Reader over an mmap), decoding blocks
-// on demand instead of materialising columns, posting lists and the
-// dictionary into heap memory. Every structure here is either
-// immutable (the mapping) or a concurrency-safe cache — morsel workers
-// hit these paths in parallel.
+// packView is the one base format: a TELPACK1 image — the mapped file a
+// store was restored from, or one a fold built in memory — answering
+// MatchRows/Cardinality/DecodeAll in place (colpack.Reader), decoding
+// blocks on demand instead of materialising columns, posting lists and
+// the dictionary. Every structure here is either immutable (the image)
+// or a concurrency-safe cache — morsel workers hit these paths in
+// parallel.
 //
-// Decoded blocks are cached forever (per snapshot): memory grows with
-// the touched working set, not the dataset, and the raw mapped bytes
+// Decoded blocks are cached forever (per base): memory grows with the
+// touched working set, not the dataset, and a mapped file's raw bytes
 // stay page-cache-backed either way.
 type packView struct {
 	r *colpack.Reader
@@ -47,7 +49,8 @@ type packView struct {
 	geomOnce sync.Once
 	geomIdx  map[uint64]int
 	spatial  *rtree.Tree
-	// geomCache holds lazily parsed WGS84 geometries.
+	// geomCache holds parsed WGS84 geometries: those of a mapped file
+	// parsed lazily, those of a fold seeded with the store's own.
 	geomMu    sync.RWMutex
 	geomCache map[uint64]strdf.SpatialValue
 
@@ -88,8 +91,8 @@ func (c *cachedCol) value(i int) uint64 {
 	return c.block(i / colpack.BlockSize)[i%colpack.BlockSize]
 }
 
-// decodeAll decodes the whole column into a fresh slice (bypassing
-// the cache — used by materialisation, which owns the result).
+// decodeAll decodes the whole column into a fresh slice, bypassing the
+// cache: the caller owns the result.
 func (c *cachedCol) decodeAll() []uint64 {
 	out := make([]uint64, 0, c.col.Len())
 	var buf []uint64
@@ -131,7 +134,7 @@ func newPackView(r *colpack.Reader) *packView {
 // Snapshot. The snapshot keeps the reader (and its mapping) alive for
 // its own lifetime.
 func NewMappedSnapshot(r *colpack.Reader) *Snapshot {
-	return &Snapshot{version: r.Version(), base: &flat{pack: newPackView(r)}}
+	return &Snapshot{version: r.Version(), base: newPackView(r)}
 }
 
 // RestorePacked builds a store whose read view is served in place
@@ -139,9 +142,9 @@ func NewMappedSnapshot(r *colpack.Reader) *Snapshot {
 // materialisation happens at restore time, so restart-to-first-query
 // is independent of dataset size. Reads never leave the mapping; the
 // store materialises the heap representation on its first mutation —
-// the packed file is the read-optimised format, the heap is the
-// write-side one. The mapped file stays the base of every later view
-// until a fold: materialisation keeps row i at store row i.
+// the packed format is the read side, the heap the write side. The
+// mapped file stays the base of every later view until a fold:
+// materialisation keeps row i at store row i.
 func RestorePacked(r *colpack.Reader) (*Store, error) {
 	if r.NRows() < 0 || r.NTerms() < 0 {
 		return nil, fmt.Errorf("strabon: packed snapshot with negative meta")
@@ -149,8 +152,8 @@ func RestorePacked(r *colpack.Reader) (*Store, error) {
 	st := NewStore()
 	st.version = r.Version()
 	sn := NewMappedSnapshot(r)
-	st.packed = sn.base.pack
-	st.fold = &foldPoint{flat: sn.base, rows: r.NRows()}
+	st.packed = sn.base
+	st.fold = &foldPoint{base: sn.base, rows: r.NRows()}
 	st.snap = sn
 	return st, nil
 }
@@ -245,8 +248,7 @@ func (pv *packView) postCount(comp int, id uint64) int {
 }
 
 // posting returns the decoded posting list of id in comp, cached per
-// term. Callers must treat the slice as read-only (it is shared, like
-// the heap snapshot's posting lists).
+// term. Callers must treat the slice as read-only: it is shared.
 func (pv *packView) posting(comp int, id uint64) []int32 {
 	if id == 0 || id > uint64(pv.nTerms()) {
 		return nil
@@ -273,9 +275,8 @@ func (pv *packView) posting(comp int, id uint64) []int32 {
 	return actual.([]int32)
 }
 
-// matchRows is MatchRows over the mapped representation. Same
-// contract as the heap path: one bound component returns the shared
-// posting list; otherwise matches go into *buf. The multi-bound
+// matchRows is MatchRows over the base: one bound component returns the
+// shared posting list; otherwise matches go into *buf. The multi-bound
 // filter consults per-block zone maps before decoding a block — a
 // candidate block whose [min,max] cannot contain the wanted id is
 // skipped without touching its packed words.
@@ -379,30 +380,27 @@ func (pv *packView) ensureGeoms() {
 	})
 }
 
-// geometry parses (and caches) the WGS84 geometry for a spatial
-// literal id.
+// geometry returns the WGS84 geometry for a spatial literal id,
+// parsing and caching it on first use.
 func (pv *packView) geometry(id uint64) (strdf.SpatialValue, bool) {
-	pv.ensureGeoms()
-	if _, ok := pv.geomIdx[id]; !ok {
-		return strdf.SpatialValue{}, false
-	}
 	pv.geomMu.RLock()
 	v, ok := pv.geomCache[id]
 	pv.geomMu.RUnlock()
 	if ok {
 		return v, true
 	}
+	pv.ensureGeoms()
+	if _, ok := pv.geomIdx[id]; !ok {
+		return strdf.SpatialValue{}, false
+	}
 	t, ok := pv.term(id)
 	if !ok {
 		return strdf.SpatialValue{}, false
 	}
-	v, err := strdf.ParseSpatial(t)
+	v, err := strdf.ParseWGS84(t)
 	if err != nil {
 		// The writer only lists ids whose ingest-time parse succeeded.
 		return strdf.SpatialValue{}, false
-	}
-	if w, err := v.ToWGS84(); err == nil {
-		v = w
 	}
 	pv.geomMu.Lock()
 	pv.geomCache[id] = v
@@ -451,12 +449,9 @@ func (pv *packView) materializeInto(st *Store) error {
 		if !ok {
 			return fmt.Errorf("strabon: packed geometry id %d not in dictionary", id)
 		}
-		v, err := strdf.ParseSpatial(t)
+		v, err := strdf.ParseWGS84(t)
 		if err != nil {
 			return fmt.Errorf("strabon: packed geometry id %d: %w", id, err)
-		}
-		if w, err := v.ToWGS84(); err == nil {
-			v = w
 		}
 		st.geoms[id] = v
 	}
@@ -468,66 +463,127 @@ func (pv *packView) materializeInto(st *Store) error {
 // decode caches.
 func (pv *packView) cachedHeapBytes() int64 { return pv.cachedBytes.Load() }
 
-// PackData assembles the packed snapshot writer's input from this
-// snapshot's state; seq is the WAL sequence number the snapshot
-// covers. The view must have no delta (Store.Fold's views never do);
-// one with a delta panics rather than silently packing only its base.
-// Re-packing a mapped base decodes it once.
-func (sn *Snapshot) PackData(seq uint64) *colpack.SnapshotData {
-	if sn.delta != nil {
-		panic("strabon: PackData of a view with a delta; pack Store.Fold's view")
-	}
-	d := &colpack.SnapshotData{Seq: seq, Version: sn.version}
-	if pv := sn.base.pack; pv != nil {
-		d.S = pv.cols[0].decodeAll()
-		d.P = pv.cols[1].decodeAll()
-		d.O = pv.cols[2].decodeAll()
-		d.Postings = pv.posting
-		nTerms := pv.nTerms()
-		d.Terms = make([]rdf.Term, 0, nTerms)
-		for b := 0; b*colpack.DictBlockSize < nTerms; b++ {
-			d.Terms = append(d.Terms, pv.dictBlock(b)...)
-		}
-		d.GeomIDs = pv.geomIDs()
-		d.GeomEnvs = make([]geo.Envelope, len(d.GeomIDs))
-		for i := range d.GeomEnvs {
-			d.GeomEnvs[i] = pv.r.GeomEnv(i)
-		}
-		d.Stats = packStats(pv.stats)
-		return d
-	}
-	f := sn.base
-	d.S, d.P, d.O = f.cols[0], f.cols[1], f.cols[2]
-	d.Postings = f.posting
-	nTerms := sn.dict.Len()
-	ids := make([]uint64, nTerms)
-	for i := range ids {
-		ids[i] = uint64(i + 1)
-	}
-	d.Terms = sn.dict.DecodeAll(ids, make([]rdf.Term, nTerms))
-	d.GeomIDs = sn.GeomIDs()
-	d.GeomEnvs = make([]geo.Envelope, len(d.GeomIDs))
-	for i, id := range d.GeomIDs {
-		d.GeomEnvs[i] = f.geoms[id].Geom.Envelope()
-	}
-	d.Stats = packStats(sn.Stats())
-	return d
+// --- building an image ----------------------------------------------------
+
+// imageInput is what a fold copies under the store's read lock: the
+// compacted columns, the dictionary's terms so far and the parsed
+// geometries, with the WAL seq and store version the image is labelled
+// with. terms and the geometry values are shared, never modified.
+type imageInput struct {
+	seq, version uint64
+	cols         [3][]uint64
+	terms        []rdf.Term
+	geoms        map[uint64]strdf.SpatialValue
 }
 
-// packStats converts planner statistics to the serialised form, with
-// predicates sorted by id so the file bytes are deterministic.
-func packStats(s *SnapshotStats) colpack.StatsBlock {
-	out := colpack.StatsBlock{
-		Triples:   s.Triples,
-		DistinctS: s.DistinctS,
-		DistinctP: s.DistinctP,
-		DistinctO: s.DistinctO,
-		Geoms:     s.Geoms,
-		Pred:      make([]colpack.PredStat, 0, len(s.Pred)),
+// build encodes in as a TELPACK1 image and opens it as a base, with no
+// store lock held: the posting lists (counting sort), the planner
+// statistics, the dictionary and the geometry envelopes are all derived
+// here. The open verifies the image as it verifies a file. The base is
+// seeded with the store's parsed geometries, so a fold never re-parses
+// WKT. Checkpoints write the same bytes (Snapshot.Image).
+func (in *imageInput) build() *packView {
+	if testHookFoldEncode != nil {
+		testHookFoldEncode()
 	}
-	for id, ps := range s.Pred {
-		out.Pred = append(out.Pred, colpack.PredStat{ID: id, Count: ps.Count, DistinctS: ps.DistinctS, DistinctO: ps.DistinctO})
+	nTerms := len(in.terms)
+	var post [3]postings
+	for c := range post {
+		post[c] = newPostings(in.cols[c], nTerms)
 	}
-	sort.Slice(out.Pred, func(i, j int) bool { return out.Pred[i].ID < out.Pred[j].ID })
-	return out
+	d := &colpack.SnapshotData{
+		Seq:      in.seq,
+		Version:  in.version,
+		S:        in.cols[0],
+		P:        in.cols[1],
+		O:        in.cols[2],
+		Postings: func(c int, id uint64) []int32 { return post[c].of(id) },
+		Terms:    in.terms,
+		GeomIDs:  slices.Sorted(maps.Keys(in.geoms)),
+		Stats: colpack.StatsBlock{
+			Triples:   len(in.cols[0]),
+			DistinctS: post[0].distinct,
+			DistinctP: post[1].distinct,
+			DistinctO: post[2].distinct,
+			Geoms:     len(in.geoms),
+		},
+	}
+	d.GeomEnvs = make([]geo.Envelope, len(d.GeomIDs))
+	for i, id := range d.GeomIDs {
+		d.GeomEnvs[i] = in.geoms[id].Geom.Envelope()
+	}
+	// Distinct subjects/objects per predicate via epoch marking: one
+	// shared mark slot per dictionary id, bumped per predicate, so the
+	// whole pass is O(rows) with no per-predicate set allocations.
+	markS := make([]uint32, nTerms+1)
+	markO := make([]uint32, nTerms+1)
+	epoch := uint32(0)
+	for pid := uint64(1); pid <= uint64(nTerms); pid++ {
+		rows := post[1].of(pid)
+		if len(rows) == 0 {
+			continue
+		}
+		epoch++
+		ds, do := 0, 0
+		for _, r := range rows {
+			if s := in.cols[0][r]; markS[s] != epoch {
+				markS[s] = epoch
+				ds++
+			}
+			if o := in.cols[2][r]; markO[o] != epoch {
+				markO[o] = epoch
+				do++
+			}
+		}
+		d.Stats.Pred = append(d.Stats.Pred, colpack.PredStat{ID: pid, Count: len(rows), DistinctS: ds, DistinctO: do})
+	}
+	img, err := colpack.Encode(d)
+	var r *colpack.Reader
+	if err == nil {
+		r, err = colpack.OpenBytes(img)
+	}
+	if err != nil {
+		// Unreachable: the input is the store's own consistent state.
+		panic(fmt.Sprintf("strabon: fold image: %v", err))
+	}
+	pv := newPackView(r)
+	pv.geomCache = in.geoms
+	return pv
 }
+
+// testHookFoldEncode, when set, runs as an image build starts.
+var testHookFoldEncode func()
+
+// postings is one component's posting lists in one backing array.
+type postings struct {
+	off      []int32 // the rows carrying id are rows[off[id-1]:off[id]]
+	rows     []int32
+	distinct int // ids with at least one row
+}
+
+// newPostings builds a component's posting lists over a compacted id
+// column by counting sort over the dense id space: count each id,
+// prefix-sum the counts into start offsets, then place the rows in
+// order, which advances each id's offset to its end — the next id's
+// start. Three linear passes, no per-id allocation.
+func newPostings(col []uint64, nTerms int) postings {
+	p := postings{off: make([]int32, nTerms+1), rows: make([]int32, len(col))}
+	for _, id := range col {
+		p.off[id]++
+	}
+	start := int32(0)
+	for id, n := range p.off {
+		if n > 0 {
+			p.distinct++
+		}
+		p.off[id] = start
+		start += n
+	}
+	for r, id := range col {
+		p.rows[p.off[id]] = int32(r)
+		p.off[id]++
+	}
+	return p
+}
+
+func (p *postings) of(id uint64) []int32 { return p.rows[p.off[id-1]:p.off[id]] }

@@ -1,11 +1,12 @@
 package strabon
 
 // Mapped-snapshot tests: a Snapshot backed by a packed snapshot file
-// must be observationally identical to the heap snapshot it was
+// must be observationally identical to the store view it was
 // written from, and a RestorePacked store must answer reads in place
 // until the first mutation materialises it.
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,19 +20,17 @@ import (
 	"repro/internal/strdf"
 )
 
-// packFixture writes st's current state as a packed file and opens it.
-// The reader is closed with the test.
+// packFixture writes the image of st's fold, labelled seq, as a packed
+// file — what a checkpoint labelled seq writes — and opens it. The reader
+// is closed with the test.
 func packFixture(t *testing.T, st *Store, seq uint64) *colpack.Reader {
 	t.Helper()
+	img, got := st.Fold(seq).Image()
+	if got != seq {
+		t.Fatalf("fold image labelled %d, want %d", got, seq)
+	}
 	path := filepath.Join(t.TempDir(), "snap.pack")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := colpack.Write(f, st.Fold().PackData(seq)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r, err := colpack.Open(path)
@@ -69,6 +68,8 @@ func TestMappedSnapshotEquivalence(t *testing.T) {
 	heap := st.Snapshot()
 	mapped := NewMappedSnapshot(packFixture(t, st, 42))
 
+	// Both views' bases are images; only the restored file is Mapped, a
+	// written store's fold never is.
 	if !mapped.Mapped() || heap.Mapped() {
 		t.Fatal("Mapped() misreports mode")
 	}
@@ -404,28 +405,25 @@ func TestMappedSnapshotConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPackDataFromMapped re-packs a mapped snapshot and verifies the
-// copy opens and matches — the path a replica would take if asked to
-// checkpoint before any write.
-func TestPackDataFromMapped(t *testing.T) {
+// TestMappedImageIsTheFile: the image of a mapped snapshot is the file
+// it was restored from, byte for byte, so a store asked to checkpoint
+// before any write rewrites exactly that file.
+func TestMappedImageIsTheFile(t *testing.T) {
 	st := packedFixtureStore(120)
-	mapped := NewMappedSnapshot(packFixture(t, st, 5))
-	path := filepath.Join(t.TempDir(), "repack.pack")
-	f, err := os.Create(path)
+	r := packFixture(t, st, 5)
+	mapped := NewMappedSnapshot(r)
+	img, seq := mapped.Image()
+	if seq != 5 {
+		t.Fatalf("image seq = %d, want 5", seq)
+	}
+	want, _ := st.Fold(5).Image()
+	if !bytes.Equal(img, want) {
+		t.Fatal("mapped image differs from the file it was restored from")
+	}
+	r2, err := colpack.OpenBytes(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := colpack.Write(f, mapped.PackData(5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := colpack.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
 	again := NewMappedSnapshot(r2)
 	if again.NRows() != mapped.NRows() {
 		t.Fatalf("NRows = %d, want %d", again.NRows(), mapped.NRows())
@@ -434,7 +432,7 @@ func TestPackDataFromMapped(t *testing.T) {
 		a, _ := again.DecodeTerm(id)
 		b, _ := mapped.DecodeTerm(id)
 		if a != b {
-			t.Fatalf("term %d mismatch after re-pack", id)
+			t.Fatalf("term %d mismatch after reopening the image", id)
 		}
 	}
 }

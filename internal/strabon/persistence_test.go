@@ -18,7 +18,7 @@ func persistTriple(i int) rdf.Triple {
 // — quotes, newlines, tabs, backslash-u sequences and non-ASCII, plus
 // spatial literals — through the packed snapshot: dictionary ids,
 // Version() semantics and the geometry cache must all survive
-// PackData→RestorePacked.
+// a fold's image and RestorePacked.
 func TestPackedRoundtripEscapesAndSpatial(t *testing.T) {
 	st := NewStore()
 	s := rdf.IRI("http://example.org/subject")

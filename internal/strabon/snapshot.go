@@ -8,27 +8,29 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/rdf"
-	"repro/internal/rtree"
 	"repro/internal/strdf"
 )
 
 // The fold policy. A view's delta costs every build O(delta), so once it
 // passes 1/foldFraction of its base (and foldMinRows, so that small
 // stores do not fold on every write) the next build folds everything into
-// a new base instead.
+// a new base instead. A fold holds no store lock while it encodes, so
+// writes land meanwhile; the next fold also waits until the delta is
+// twice what landed during the last one, so that writers faster than a
+// fold cannot keep readers folding back to back.
 const (
 	foldFraction = 16
 	foldMinRows  = 1024
 )
 
 // Snapshot is an immutable read view of the store at one version: a base
-// (the last full build — heap columns and posting lists, or the mapped
-// packed file the store booted from) plus a delta holding only what
-// changed since (rows appended, base rows removed, geometries cached).
-// Every accessor merges the two so that results come out exactly as a
-// full build of the same version would return them: the same rows in the
-// same order, the same statistics. Nothing in a Snapshot is mutated after
-// it is built, so readers never take a lock per row — the vectorized
+// (a TELPACK1 image of the last fold — built in memory, or the mapped
+// file the store booted from) plus a delta holding only what changed
+// since (rows appended, base rows removed, geometries cached). Every
+// accessor merges the two so that results come out exactly as a full
+// build of the same version would return them: the same rows in the same
+// order, the same statistics. Nothing in a Snapshot is mutated after it
+// is built, so readers never take a lock per row — the vectorized
 // stSPARQL executor evaluates whole queries against one Snapshot.
 //
 // Row ids are the base's row numbers followed by the delta's appended
@@ -38,30 +40,11 @@ type Snapshot struct {
 	// dict is the store's dictionary; nil while the store is still served
 	// from a packed file, whose front-coded dictionary answers instead.
 	dict  *rdf.Dictionary
-	base  *flat
+	base  *packView
 	delta *delta // nil when nothing changed since base
 
 	// stats is the delta-adjusted statistics view, built once per
 	// snapshot; a snapshot without a delta shares its base's.
-	statsOnce sync.Once
-	stats     *SnapshotStats
-}
-
-// flat is one full build: the three compacted dictionary columns with
-// per-component posting lists, the geometry cache and its R-tree — or,
-// when pack is non-nil, a mapped packed snapshot file answering the same
-// reads in place (packed.go) and has no heap fields. It is immutable and
-// shared by every Snapshot layered on it.
-type flat struct {
-	dict    *rdf.Dictionary
-	cols    [3][]uint64
-	by      [3]map[uint64][]int32
-	geoms   map[uint64]strdf.SpatialValue
-	spatial *rtree.Tree
-	pack    *packView
-
-	// stats is built lazily once per base: the first planned query pays
-	// the O(n) pass, every later view over the same base reuses it.
 	statsOnce sync.Once
 	stats     *SnapshotStats
 }
@@ -81,22 +64,37 @@ type delta struct {
 	geomEnvs  []geo.Envelope
 }
 
-// Mapped reports whether every read of the snapshot is answered in place
-// from a packed snapshot file instead of heap structures.
-func (sn *Snapshot) Mapped() bool { return sn.delta == nil && sn.base.pack != nil }
+// Mapped reports whether the snapshot is the packed file a store was
+// restored from, unchanged: every read is answered in place from it.
+func (sn *Snapshot) Mapped() bool { return sn.delta == nil && sn.dict == nil }
+
+// Image returns the TELPACK1 image of a view without a delta and the WAL
+// sequence number in its header, the last record it covers: the bytes a
+// checkpoint writes. A view with a delta has no image of its own and
+// returns nil. The bytes are shared and must not be modified.
+func (sn *Snapshot) Image() ([]byte, uint64) {
+	if sn.delta != nil {
+		return nil, 0
+	}
+	return sn.base.r.Bytes(), sn.base.r.Seq()
+}
 
 // Snapshot returns the current read view, building it when the store has
 // been mutated since the last one; an unchanged store hands the same view
 // to every query. A build costs O(rows changed since the base) unless the
-// fold policy asks for a full build. One reader builds at a time, under
-// the read lock; other readers that find the view stale wait for that
-// build instead of building their own.
-func (st *Store) Snapshot() *Snapshot { return st.view(false) }
+// fold policy asks for a fold. One reader builds at a time; other readers
+// that find the view stale wait for that build instead of building their
+// own.
+func (st *Store) Snapshot() *Snapshot { return st.view(false, 0) }
 
-// Fold returns a current view without a delta — a full build, installed
-// as the base later views layer on. Checkpoints call it: they pack a flat
-// view anyway, and installing it lets readers reuse the build.
-func (st *Store) Fold() *Snapshot { return st.view(true) }
+// Fold returns a current view without a delta, installed as the base
+// later views layer on, whose image is labelled seq: the caller vouches
+// that every WAL record up to seq is applied. A current view without a
+// delta and with that label is returned as is; a store still served from
+// its mapped file returns the file, which keeps its own label. (Folds the
+// fold policy triggers are labelled with the applied seq.) Checkpoints
+// call it and write that image.
+func (st *Store) Fold(seq uint64) *Snapshot { return st.view(true, seq) }
 
 // viewBuild is one in-flight view build.
 type viewBuild struct {
@@ -104,11 +102,11 @@ type viewBuild struct {
 	sn   *Snapshot
 }
 
-func (st *Store) view(fold bool) *Snapshot {
+func (st *Store) view(fold bool, seq uint64) *Snapshot {
 	for {
 		st.mu.RLock()
 		want := st.version
-		if sn := st.snap; sn != nil && sn.version == want && (!fold || sn.delta == nil) {
+		if sn := st.snap; sn != nil && sn.version == want && (!fold || st.foldedLocked(sn, seq)) {
 			st.mu.RUnlock()
 			return sn
 		}
@@ -121,14 +119,20 @@ func (st *Store) view(fold bool) *Snapshot {
 			st.buildWaits.Add(1)
 			<-other.done
 			// The builder may have built before a write this reader has
-			// already observed; then try again.
-			if sn := other.sn; sn.version >= want && (!fold || sn.delta == nil) {
+			// already observed; then try again. A fold checks the view it
+			// needs under the lock.
+			if sn := other.sn; sn.version >= want && !fold {
 				return sn
 			}
 			continue
 		}
-		sn, fp := st.buildViewLocked(fold)
+		sn, fp := st.buildViewLocked(fold, seq)
 		st.mu.RUnlock()
+		if fp != nil {
+			// A fold encodes its image with no store lock held: writes go
+			// on meanwhile, and later views take them as their delta.
+			sn.base = fp.build()
+		}
 		st.mu.Lock()
 		st.installLocked(sn, fp)
 		st.building.Store(nil)
@@ -139,29 +143,41 @@ func (st *Store) view(fold bool) *Snapshot {
 	}
 }
 
+// foldedLocked reports whether sn, a view of the current version, can
+// stand as Fold(seq)'s result: it has no delta and its image is labelled
+// seq — or the store is still its mapped file, which keeps its label.
+// Callers hold the read lock.
+func (st *Store) foldedLocked(sn *Snapshot, seq uint64) bool {
+	_, label := sn.Image()
+	return sn.delta == nil && (label == seq || st.packed != nil)
+}
+
 // buildViewLocked builds the view of the current version: a delta over
-// the installed base, or a full build (returned as the new fold point)
-// when there is no base, the caller asks for one, or the delta has grown
-// past the fold policy. Callers hold the read lock.
-func (st *Store) buildViewLocked(fold bool) (*Snapshot, *foldPoint) {
+// the installed base, or a fold — returned as the new fold point, whose
+// image the caller builds once the lock is released — when there is no
+// base, the caller asks for one (labelled seq), or the delta has grown
+// past the fold policy (labelled with the applied seq). Callers hold the
+// read lock.
+func (st *Store) buildViewLocked(fold bool, seq uint64) (*Snapshot, *foldPoint) {
 	sn := &Snapshot{version: st.version}
 	if st.packed != nil {
 		// Nothing has been written since boot: the mapped file is the
 		// full build of every version the store has had.
-		sn.base = st.fold.flat
+		sn.base = st.fold.base
 		return sn, nil
 	}
 	sn.dict = st.dict
 	fp := st.fold
 	// Rows appended plus rows removed since the base, against the policy.
-	if fold || fp == nil || len(st.s)-fp.rows+len(st.tombLog)-fp.tombMark > max(fp.flat.nRows()/foldFraction, foldMinRows) {
-		fp = st.foldLocked()
-		sn.base = fp.flat
+	if fold || fp == nil || st.changedSinceLocked(fp) > max(fp.base.nRows()/foldFraction, foldMinRows, 2*fp.lag) {
+		if !fold {
+			seq = st.appliedSeq
+		}
 		st.fullBuilds.Add(1)
 		st.deltaRows.Store(0)
-		return sn, fp
+		return sn, st.foldLocked(seq)
 	}
-	sn.base = fp.flat
+	sn.base = fp.base
 	sn.delta = st.deltaLocked(fp)
 	st.deltaBuilds.Add(1)
 	rows := 0
@@ -173,10 +189,11 @@ func (st *Store) buildViewLocked(fold bool) (*Snapshot, *foldPoint) {
 }
 
 // installLocked caches a built view as current (when no write moved the
-// version meanwhile) and a full build as the new base (when no Compact
+// version meanwhile) and a fold as the new base (when no Compact
 // renumbered the rows meanwhile). Callers hold the write lock.
 func (st *Store) installLocked(sn *Snapshot, fp *foldPoint) {
 	if fp != nil && fp.epoch == st.epoch {
+		fp.lag = st.changedSinceLocked(fp)
 		st.geomLog = append([]uint64(nil), st.geomLog[fp.geomMark:]...)
 		fp.geomMark = 0
 		st.fold = fp
@@ -186,37 +203,53 @@ func (st *Store) installLocked(sn *Snapshot, fp *foldPoint) {
 	}
 }
 
-// foldPoint is a full build installed as the base of later views, with
-// where the store stood when it was taken.
+// foldPoint is a fold installed as the base of later views, with where
+// the store stood when it was taken.
 type foldPoint struct {
-	flat     *flat
-	rows     int   // store rows [0, rows) are covered by flat
-	tombs    []int // those of them tombstoned at the build, ascending
-	tombMark int   // len(tombLog) at the build
-	geomMark int   // len(geomLog) at the build
+	base     *packView
+	in       *imageInput // what base is built from; nil once built
+	rows     int         // store rows [0, rows) are covered by base
+	tombs    []int       // those of them tombstoned at the fold, ascending
+	tombMark int         // len(tombLog) at the fold
+	geomMark int         // len(geomLog) at the fold
+	lag      int         // rows changed between the fold's copy and its install
 	epoch    uint64
 }
 
-// foldLocked is a full build of the current version; callers hold the
-// read lock.
-func (st *Store) foldLocked() *foldPoint {
+// changedSinceLocked counts the rows appended and removed since fp was
+// taken. Callers hold the read lock.
+func (st *Store) changedSinceLocked(fp *foldPoint) int {
+	return len(st.s) - fp.rows + len(st.tombLog) - fp.tombMark
+}
+
+// build encodes and opens the fold's image; see imageInput.build.
+func (fp *foldPoint) build() *packView {
+	fp.base, fp.in = fp.in.build(), nil
+	return fp.base
+}
+
+// foldLocked copies what a fold of the current version, labelled seq, is
+// built from: the compacted columns, the dictionary's terms so far and
+// the parsed geometries. It is O(rows) copying and nothing else; the
+// image is built by foldPoint.build. Callers hold the read lock.
+func (st *Store) foldLocked(seq uint64) *foldPoint {
 	n := len(st.s) - st.deleted
-	var cols [3][]uint64
-	for c := range cols {
-		cols[c] = make([]uint64, 0, n)
+	in := &imageInput{seq: seq, version: st.version, terms: st.dict.Terms(), geoms: maps.Clone(st.geoms)}
+	for c := range in.cols {
+		in.cols[c] = make([]uint64, 0, n)
 	}
 	for row := range st.s {
 		if st.s[row] == 0 {
 			continue
 		}
-		cols[0] = append(cols[0], st.s[row])
-		cols[1] = append(cols[1], st.p[row])
-		cols[2] = append(cols[2], st.o[row])
+		in.cols[0] = append(in.cols[0], st.s[row])
+		in.cols[1] = append(in.cols[1], st.p[row])
+		in.cols[2] = append(in.cols[2], st.o[row])
 	}
 	tombs := slices.Clone(st.tombLog)
 	sort.Ints(tombs)
 	return &foldPoint{
-		flat:     newFlat(st.dict, cols, maps.Clone(st.geoms)),
+		in:       in,
 		rows:     len(st.s),
 		tombs:    tombs,
 		tombMark: len(st.tombLog),
@@ -229,7 +262,7 @@ func (st *Store) foldLocked() *foldPoint {
 // fp.rows and its removal and geometry logs — never a scan of the base.
 // It returns nil when nothing did. Callers hold the read lock.
 func (st *Store) deltaLocked(fp *foldPoint) *delta {
-	d := &delta{first: int32(fp.flat.nRows())}
+	d := &delta{first: int32(fp.base.nRows())}
 	if appended := len(st.s) - fp.rows; appended > 0 {
 		for c := range d.by {
 			d.by[c] = make(map[uint64][]int32)
@@ -257,7 +290,7 @@ func (st *Store) deltaLocked(fp *foldPoint) *delta {
 		}
 		for _, row := range d.removed {
 			for c := range d.removedBy {
-				d.removedBy[c][fp.flat.colID(c, row)]++
+				d.removedBy[c][fp.base.colID(c, row)]++
 			}
 		}
 	}
@@ -278,136 +311,6 @@ func (st *Store) deltaLocked(fp *foldPoint) *delta {
 	return d
 }
 
-// newFlat indexes compacted columns and their geometries as a heap base.
-func newFlat(dict *rdf.Dictionary, cols [3][]uint64, geoms map[uint64]strdf.SpatialValue) *flat {
-	f := &flat{dict: dict, cols: cols, geoms: geoms}
-	// Posting lists are built with a counting-sort pass over the dense
-	// id space rather than per-row map appends: count occurrences per
-	// id, carve one shared backing array into per-id slices, fill, and
-	// insert each distinct id into the map once. On a million-row store
-	// this replaces three million map operations with three linear
-	// passes plus one map insert per distinct term.
-	counts := make([]int32, dict.Len()+1)
-	for c := range cols {
-		f.by[c] = buildPostings(cols[c], counts)
-	}
-	items := make([]rtree.Item, 0, len(geoms))
-	for id, v := range geoms {
-		items = append(items, rtree.Item{Box: v.Geom.Envelope(), ID: id})
-	}
-	// Deterministic build input (map iteration order varies).
-	sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })
-	f.spatial = rtree.BulkLoad(items, 0)
-	return f
-}
-
-// buildPostings builds one component's posting-list index over a
-// compacted id column via counting sort. counts is caller-provided
-// scratch of length dict.Len()+1, zeroed on return.
-func buildPostings(col []uint64, counts []int32) map[uint64][]int32 {
-	distinct := 0
-	for _, id := range col {
-		if counts[id] == 0 {
-			distinct++
-		}
-		counts[id]++
-	}
-	// Prefix-sum counts into start offsets; after the fill pass each
-	// entry has advanced to its end offset, and since offsets are
-	// assigned in id order, a slice's start is its predecessor's end.
-	off := int32(0)
-	for id := range counts {
-		c := counts[id]
-		counts[id] = off
-		off += c
-	}
-	backing := make([]int32, len(col))
-	for r, id := range col {
-		backing[counts[id]] = int32(r)
-		counts[id]++
-	}
-	idx := make(map[uint64][]int32, distinct)
-	prevEnd := int32(0)
-	for id := 1; id < len(counts); id++ {
-		end := counts[id]
-		if end != prevEnd {
-			idx[uint64(id)] = backing[prevEnd:end:end]
-		}
-		prevEnd = end
-	}
-	// Zero the scratch for the next column.
-	for id := range counts {
-		counts[id] = 0
-	}
-	return idx
-}
-
-// --- flat (base) access ----------------------------------------------------
-
-func (f *flat) nRows() int {
-	if f.pack != nil {
-		return f.pack.nRows()
-	}
-	return len(f.cols[0])
-}
-
-func (f *flat) colID(comp int, row int32) uint64 {
-	if f.pack != nil {
-		return f.pack.colID(comp, row)
-	}
-	return f.cols[comp][row]
-}
-
-// count is the number of rows carrying id in component comp.
-func (f *flat) count(comp int, id uint64) int {
-	if f.pack != nil {
-		return f.pack.postCount(comp, id)
-	}
-	return len(f.by[comp][id])
-}
-
-func (f *flat) posting(comp int, id uint64) []int32 {
-	if f.pack != nil {
-		return f.pack.posting(comp, id)
-	}
-	return f.by[comp][id]
-}
-
-func (f *flat) matchRows(pat TriplePattern, buf *[]int32) []int32 {
-	if f.pack != nil {
-		return f.pack.matchRows(pat, buf)
-	}
-	var scratch []int32
-	if buf == nil {
-		buf = &scratch
-	}
-	ids := [3]uint64{pat.S, pat.P, pat.O}
-	bound, comp := 0, -1
-	for c, id := range ids {
-		if id != 0 {
-			bound++
-			if comp < 0 || f.count(c, id) < f.count(comp, ids[comp]) {
-				comp = c
-			}
-		}
-	}
-	if bound == 0 {
-		// Full scan: every row matches.
-		out := (*buf)[:0]
-		for row := range f.cols[0] {
-			out = append(out, int32(row))
-		}
-		*buf = out
-		return out
-	}
-	candidate := f.posting(comp, ids[comp])
-	if bound == 1 {
-		return candidate // shared posting list: read-only
-	}
-	*buf = filterRows(&f.cols, 0, ids, candidate, (*buf)[:0])
-	return *buf
-}
-
 // filterRows appends to out the rows of candidate whose columns (cols
 // holds the rows numbered from first) carry every bound id.
 func filterRows(cols *[3][]uint64, first int32, ids [3]uint64, candidate, out []int32) []int32 {
@@ -421,40 +324,6 @@ candLoop:
 		out = append(out, row)
 	}
 	return out
-}
-
-func (f *flat) geometry(id uint64) (strdf.SpatialValue, bool) {
-	if f.pack != nil {
-		return f.pack.geometry(id)
-	}
-	v, ok := f.geoms[id]
-	return v, ok
-}
-
-func (f *flat) spatialCandidates(box geo.Envelope) []uint64 {
-	if f.pack != nil {
-		return f.pack.spatialCandidates(box)
-	}
-	return f.spatial.Search(box, nil)
-}
-
-func (f *flat) geomIDs() []uint64 {
-	if f.pack != nil {
-		return f.pack.geomIDs()
-	}
-	out := make([]uint64, 0, len(f.geoms))
-	for id := range f.geoms {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (f *flat) nGeoms() int {
-	if f.pack != nil {
-		return f.pack.stats.Geoms
-	}
-	return len(f.geoms)
 }
 
 // --- the merged view ---------------------------------------------------------
@@ -494,7 +363,7 @@ func (sn *Snapshot) ColID(comp int, row int32) uint64 {
 // DecodeTerm decodes a dictionary id in either mode.
 func (sn *Snapshot) DecodeTerm(id uint64) (rdf.Term, bool) {
 	if sn.dict == nil {
-		return sn.base.pack.term(id)
+		return sn.base.term(id)
 	}
 	return sn.dict.Decode(id)
 }
@@ -502,7 +371,7 @@ func (sn *Snapshot) DecodeTerm(id uint64) (rdf.Term, bool) {
 // Lookup returns the dictionary id of a term in either mode.
 func (sn *Snapshot) Lookup(t rdf.Term) (uint64, bool) {
 	if sn.dict == nil {
-		return sn.base.pack.lookup(t)
+		return sn.base.lookup(t)
 	}
 	return sn.dict.Lookup(t)
 }
@@ -587,7 +456,7 @@ func (d *delta) match(ids [3]uint64, out []int32) []int32 {
 
 // count is the number of live rows carrying id in component comp.
 func (sn *Snapshot) count(comp int, id uint64) int {
-	n := sn.base.count(comp, id)
+	n := sn.base.postCount(comp, id)
 	if d := sn.delta; d != nil {
 		n += len(d.by[comp][id]) - d.removedBy[comp][id]
 	}
@@ -635,8 +504,7 @@ func (sn *Snapshot) SpatialCandidates(box geo.Envelope) []uint64 {
 }
 
 // GeomIDs returns the ids of every spatial literal with a cached
-// geometry, sorted ascending — the deterministic input the binary
-// snapshot writer serialises.
+// geometry, sorted ascending.
 func (sn *Snapshot) GeomIDs() []uint64 {
 	ids := sn.base.geomIDs()
 	d := sn.delta
@@ -688,53 +556,10 @@ type SnapshotStats struct {
 // caching them for the snapshot's lifetime. Safe for concurrent callers.
 func (sn *Snapshot) Stats() *SnapshotStats {
 	if sn.delta == nil {
-		return sn.base.statsView()
+		return sn.base.stats
 	}
 	sn.statsOnce.Do(func() { sn.stats = sn.adjustStats() })
 	return sn.stats
-}
-
-func (f *flat) statsView() *SnapshotStats {
-	if f.pack != nil {
-		// Mapped bases carry the statistics precomputed in the file's
-		// stats section: no O(n) pass, ever.
-		return f.pack.stats
-	}
-	f.statsOnce.Do(func() { f.stats = f.buildStats() })
-	return f.stats
-}
-
-func (f *flat) buildStats() *SnapshotStats {
-	st := &SnapshotStats{
-		Triples:   len(f.cols[0]),
-		DistinctS: len(f.by[0]),
-		DistinctP: len(f.by[1]),
-		DistinctO: len(f.by[2]),
-		Geoms:     len(f.geoms),
-		Pred:      make(map[uint64]PredicateStats, len(f.by[1])),
-	}
-	// Distinct subjects/objects per predicate via epoch marking: one
-	// shared mark slot per dictionary id, bumped per predicate, so the
-	// whole pass is O(rows) with no per-predicate set allocations.
-	markS := make([]uint32, f.dict.Len()+1)
-	markO := make([]uint32, f.dict.Len()+1)
-	epoch := uint32(0)
-	for pid, rows := range f.by[1] {
-		epoch++
-		ds, do := 0, 0
-		for _, r := range rows {
-			if s := f.cols[0][r]; markS[s] != epoch {
-				markS[s] = epoch
-				ds++
-			}
-			if o := f.cols[2][r]; markO[o] != epoch {
-				markO[o] = epoch
-				do++
-			}
-		}
-		st.Pred[pid] = PredicateStats{Count: len(rows), DistinctS: ds, DistinctO: do}
-	}
-	return st
 }
 
 // adjustStats derives a full build's statistics from the base's: only
@@ -742,7 +567,7 @@ func (f *flat) buildStats() *SnapshotStats {
 // that the delta's rows carry can change a count.
 func (sn *Snapshot) adjustStats() *SnapshotStats {
 	b, d := sn.base, sn.delta
-	bs := b.statsView()
+	bs := b.stats
 	st := &SnapshotStats{
 		Triples:   bs.Triples + len(d.cols[0]) - len(d.removed),
 		DistinctS: bs.DistinctS,
@@ -757,7 +582,7 @@ func (sn *Snapshot) adjustStats() *SnapshotStats {
 	distinct := [3]*int{&st.DistinctS, &st.DistinctP, &st.DistinctO}
 	for c := range distinct {
 		adjust := func(id uint64) {
-			*distinct[c] += b2i(sn.count(c, id) > 0) - b2i(b.count(c, id) > 0)
+			*distinct[c] += b2i(sn.count(c, id) > 0) - b2i(b.postCount(c, id) > 0)
 		}
 		for id := range d.by[c] {
 			adjust(id)
@@ -815,17 +640,17 @@ func (sn *Snapshot) adjustStats() *SnapshotStats {
 // component comp equal to x, and whether one such row is not in removed
 // (ascending). It scans the shorter of the two posting lists and stops
 // at the first live match.
-func (f *flat) hasPair(p uint64, comp int, x uint64, removed []int32) (exists, live bool) {
-	np, nx := f.count(1, p), f.count(comp, x)
+func (pv *packView) hasPair(p uint64, comp int, x uint64, removed []int32) (exists, live bool) {
+	np, nx := pv.postCount(1, p), pv.postCount(comp, x)
 	if np == 0 || nx == 0 {
 		return false, false
 	}
-	rows, other, want := f.posting(1, p), comp, x
+	rows, other, want := pv.posting(1, p), comp, x
 	if nx < np {
-		rows, other, want = f.posting(comp, x), 1, p
+		rows, other, want = pv.posting(comp, x), 1, p
 	}
 	for _, row := range rows {
-		if f.colID(other, row) != want {
+		if pv.colID(other, row) != want {
 			continue
 		}
 		exists = true
@@ -849,7 +674,7 @@ func b2i(b bool) int {
 // candidate-set pruning the executor performs (which is envelope-based
 // too), so the planner's spatial estimates are as good as the index.
 func (sn *Snapshot) SpatialSelectivity(box geo.Envelope) float64 {
-	nGeoms := sn.base.nGeoms()
+	nGeoms := sn.base.stats.Geoms
 	if d := sn.delta; d != nil {
 		nGeoms += len(d.geomIDs)
 	}
@@ -864,7 +689,7 @@ func (sn *Snapshot) SpatialSelectivity(box geo.Envelope) float64 {
 // Term. It returns out.
 func (sn *Snapshot) DecodeAll(ids []uint64, out []rdf.Term) []rdf.Term {
 	if sn.dict == nil {
-		return sn.base.pack.decodeAllTerms(ids, out)
+		return sn.base.decodeAllTerms(ids, out)
 	}
 	return sn.dict.DecodeAll(ids, out)
 }

@@ -6,11 +6,14 @@
 // side: it keeps the columns, the dictionary, a duplicate set, the
 // ingest-time geometry cache and the write-ahead journal hook — only what
 // a mutation needs. Every read goes through Snapshot, an immutable view
-// of one store version with posting lists per component, an R-tree over
-// the spatial literals and per-predicate statistics for the stSPARQL
-// optimizer. A store restored from a packed snapshot file (RestorePacked)
-// serves its views straight from the mapped file and copies it to the
-// heap only on its first write.
+// of one store version: a base in the one base format, a TELPACK1 image
+// (internal/colpack) carrying posting lists per component, the geometry
+// envelopes its R-tree is loaded from and per-predicate statistics for
+// the stSPARQL optimizer, plus a delta of what changed since. A fold
+// builds a new base image in memory and a checkpoint writes those bytes.
+// A store restored from a packed snapshot file (RestorePacked) serves
+// its views straight from the mapped file and copies it to the heap only
+// on its first write.
 package strabon
 
 import (
@@ -127,12 +130,12 @@ type Store struct {
 	appliedSeq uint64
 	// snap caches the immutable read view handed to the vectorized
 	// executor; a new one is built lazily when version moves past it.
-	// fold is the full build later views layer their delta on (nil: the
-	// next view is a full build). tombLog and geomLog record, as writes
+	// fold is the base image later views layer their delta on (nil: the
+	// next view is a fold). tombLog and geomLog record, as writes
 	// happen, the store rows tombstoned since the last Compact and the
 	// geometries cached since fold was taken, so a delta build never
 	// scans for them. epoch moves when rows are renumbered, so that a
-	// full build taken before cannot become fold after.
+	// fold taken before cannot become the base after.
 	snap    *Snapshot
 	fold    *foldPoint
 	tombLog []int
@@ -423,9 +426,10 @@ type TriplePattern struct {
 }
 
 // Version reports a counter that increases on every mutation that
-// changed something (one Apply or Update statement, a Compact). Two equal Version observations bracket an interval in
-// which the store's logical contents did not change, which is what the
-// stSPARQL endpoint's result cache keys on.
+// changed something: one Apply or Update statement, or a Compact. Two
+// equal Version observations bracket an interval in which the store's
+// logical contents did not change, which is what the stSPARQL endpoint's
+// result cache keys on.
 func (st *Store) Version() uint64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -547,7 +551,7 @@ func (st *Store) compactLocked() (int, Commit, error) {
 	}
 	// Row numbering and the spatial side change; cached views and their
 	// base must not outlive them, and an in-flight build must not install
-	// a pre-compaction base (epoch). The next view is a full build. (A
+	// a pre-compaction base (epoch). The next view is a fold. (A
 	// no-op compaction above changes nothing, so it leaves all of this
 	// alone.)
 	st.snap = nil

@@ -1,10 +1,10 @@
 package strabon
 
 // Base + delta views: every accessor of the view Store.Snapshot builds
-// must answer exactly as a full build of the same version does — same
-// rows in the same order, same statistics — whatever mix of writes,
-// compactions and folds came before, and whether the base is a heap
-// build or the mapped file the store booted from.
+// must answer exactly as a fold of the same version does — same rows in
+// the same order, same statistics — whatever mix of writes, compactions
+// and folds came before, and whether the base is an image a fold built
+// or the mapped file the store booted from.
 
 import (
 	"fmt"
@@ -14,20 +14,26 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/geo"
 	"repro/internal/rdf"
 )
 
-// fullView is a full build of the store's current version, installed
-// nowhere.
+// fullView is a fold of the store's current version into a fresh image,
+// installed nowhere; a store still served from its mapped file is its
+// own full build.
 func fullView(st *Store) *Snapshot {
 	st.mu.RLock()
-	defer st.mu.RUnlock()
 	if st.packed != nil {
-		return &Snapshot{version: st.version, base: st.fold.flat}
+		defer st.mu.RUnlock()
+		return &Snapshot{version: st.version, base: st.fold.base}
 	}
-	return &Snapshot{version: st.version, dict: st.dict, base: st.foldLocked().flat}
+	sn := &Snapshot{version: st.version, dict: st.dict}
+	fp := st.foldLocked(st.appliedSeq)
+	st.mu.RUnlock()
+	sn.base = fp.build()
+	return sn
 }
 
 // viewGen draws triples from a small vocabulary, so that writes hit
@@ -97,7 +103,7 @@ func checkView(t *testing.T, step string, sn, want *Snapshot, rng *rand.Rand) {
 	if want.dict != nil {
 		maxID += uint64(want.dict.Len())
 	} else {
-		maxID += uint64(want.base.pack.nTerms())
+		maxID += uint64(want.base.nTerms())
 	}
 	for i := 0; i < 4; i++ {
 		samples = append(samples, [3]uint64{1 + uint64(rng.Int63n(int64(maxID))), 1 + uint64(rng.Int63n(int64(maxID))), 1 + uint64(rng.Int63n(int64(maxID)))})
@@ -218,7 +224,7 @@ func TestViewMatchesFullBuild(t *testing.T) {
 						st.Compact()
 					case k < 18:
 						op = "Fold"
-						if sn := st.Fold(); sn.delta != nil {
+						if sn := st.Fold(0); sn.delta != nil {
 							t.Fatalf("step %d: Fold returned a view with a delta", step)
 						}
 					default:
@@ -241,17 +247,13 @@ func TestViewMatchesFullBuild(t *testing.T) {
 				for i, k := range old {
 					checkView(t, fmt.Sprintf("kept view %d", i), k.sn, k.want, rng)
 				}
-				// Packing a view with a delta would pack only its base.
+				// A view with a delta has no image: its base's would miss
+				// the delta.
 				st.Add(g.triple())
 				if sn := st.Snapshot(); sn.delta != nil {
-					func() {
-						defer func() {
-							if recover() == nil {
-								t.Fatal("PackData of a view with a delta did not panic")
-							}
-						}()
-						sn.PackData(1)
-					}()
+					if img, _ := sn.Image(); img != nil {
+						t.Fatal("a view with a delta returned an image")
+					}
 				}
 				if deltaViews < 50 {
 					t.Fatalf("only %d of 120 views had a delta", deltaViews)
@@ -376,4 +378,47 @@ func TestSnapshotSingleFlight(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	writer.Wait()
+}
+
+// TestApplyDuringFold pins that a fold encodes with no store lock held:
+// an Apply issued while a fold is encoding returns before the fold does,
+// and the next view layers that Apply on the fold as a delta.
+func TestApplyDuringFold(t *testing.T) {
+	st := packedFixtureStore(200)
+	encoding, release := make(chan struct{}), make(chan struct{})
+	testHookFoldEncode = func() {
+		close(encoding)
+		<-release
+	}
+	defer func() { testHookFoldEncode = nil }()
+	folded := make(chan *Snapshot)
+	go func() { folded <- st.Fold(0) }()
+	<-encoding
+	applied := make(chan error)
+	go func() {
+		_, err := st.Apply(nil, []rdf.Triple{rdf.NewTriple(rdf.IRI("http://ex/during"), rdf.IRI(rdf.RDFType), rdf.IRI("http://ex/Class0"))})
+		applied <- err
+	}()
+	select {
+	case err := <-applied:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("Apply waited for the fold's encode")
+	}
+	select {
+	case <-folded:
+		t.Fatal("the fold returned before its encode was released")
+	default:
+	}
+	close(release)
+	sn := <-folded
+	if sn.Version() != st.Version()-1 || sn.delta != nil {
+		t.Fatalf("fold at version %d (delta %v), store at %d", sn.Version(), sn.delta != nil, st.Version())
+	}
+	if next := st.Snapshot(); next.base != sn.base || next.delta == nil || len(next.delta.cols[0]) != 1 {
+		t.Fatal("the next view is not the fold plus the Apply")
+	}
 }

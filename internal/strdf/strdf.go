@@ -35,10 +35,11 @@ type SpatialValue struct {
 // stores over shared linked data) decodes once. Geometries are treated
 // as immutable everywhere, so sharing the decoded value is safe. The
 // cache is dropped wholesale when it fills — cheap, and a full cache
-// means the workload's literal set fits comfortably anyway.
+// means the workload's literal set fits comfortably anyway. It is keyed
+// on datatype and text, since the datatype decides how the text parses.
 var parseCache struct {
 	mu sync.RWMutex
-	m  map[string]SpatialValue
+	m  map[[2]string]SpatialValue
 }
 
 const parseCacheCap = 8192
@@ -51,8 +52,9 @@ func ParseSpatial(t rdf.Term) (SpatialValue, error) {
 	if !t.IsSpatial() {
 		return SpatialValue{}, fmt.Errorf("strdf: term %s is not a spatial literal", t)
 	}
+	key := [2]string{t.Datatype, t.Value}
 	parseCache.mu.RLock()
-	v, ok := parseCache.m[t.Value]
+	v, ok := parseCache.m[key]
 	parseCache.mu.RUnlock()
 	if ok {
 		return v, nil
@@ -63,10 +65,24 @@ func ParseSpatial(t rdf.Term) (SpatialValue, error) {
 	}
 	parseCache.mu.Lock()
 	if parseCache.m == nil || len(parseCache.m) >= parseCacheCap {
-		parseCache.m = make(map[string]SpatialValue, 256)
+		parseCache.m = make(map[[2]string]SpatialValue, 256)
 	}
-	parseCache.m[t.Value] = v
+	parseCache.m[key] = v
 	parseCache.mu.Unlock()
+	return v, nil
+}
+
+// ParseWGS84 is ParseSpatial followed by a reprojection to WGS84, the
+// CRS every stored and queried geometry is compared in; a value whose
+// reprojection fails keeps its own CRS.
+func ParseWGS84(t rdf.Term) (SpatialValue, error) {
+	v, err := ParseSpatial(t)
+	if err != nil {
+		return SpatialValue{}, err
+	}
+	if w, err := v.ToWGS84(); err == nil {
+		v = w
+	}
 	return v, nil
 }
 

@@ -58,6 +58,19 @@ func TestParseSpatialErrors(t *testing.T) {
 	}
 }
 
+// TestParseCacheKeysOnDatatype: a GML literal whose text equals an
+// already-parsed WKT literal's text still fails as GML, rather than
+// reading back the WKT literal's cached geometry.
+func TestParseCacheKeysOnDatatype(t *testing.T) {
+	const text = "POINT (3 4)"
+	if _, err := ParseSpatial(rdf.TypedLiteral(text, rdf.StRDFWKT)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseSpatial(rdf.TypedLiteral(text, rdf.StRDFGML)); err == nil {
+		t.Fatal("a GML literal parsed from the WKT literal's cache entry")
+	}
+}
+
 func TestLiteralRoundTrip(t *testing.T) {
 	g := geo.Rect(21, 36, 27, 40)
 	lit := Literal(g, geo.SRIDWGS84)

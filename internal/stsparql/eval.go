@@ -46,9 +46,6 @@ type Engine struct {
 	// execution. teleios-server wires -max-query-parallelism here.
 	MaxParallelism int
 
-	geomMu    sync.Mutex
-	geomCache map[string]strdf.SpatialValue
-
 	// planMu guards planCache, a parsed-statement cache keyed on query
 	// text (the prepared-statement idiom: the endpoint's dashboards replay
 	// identical query strings against a changing store, and the result
@@ -64,7 +61,7 @@ const planCacheCap = 512
 
 // New returns an engine over the given store.
 func New(store *strabon.Store) *Engine {
-	return &Engine{store: store, geomCache: map[string]strdf.SpatialValue{}}
+	return &Engine{store: store}
 }
 
 // Store exposes the underlying store.
@@ -456,7 +453,7 @@ func (e *Engine) spatialHints(filters []Expression) map[string]geo.Envelope {
 			return
 		}
 		if args, meters, ok := spatialConjunct(ex); ok {
-			if v, g, ok := varConstGeom(args, e); ok {
+			if v, g, ok := varConstGeom(args); ok {
 				addHint(hints, v, geo.ExpandMeters(g.Geom.Envelope(), meters, 90))
 			}
 		}
@@ -477,20 +474,20 @@ func addHint(hints map[string]geo.Envelope, v string, env geo.Envelope) {
 }
 
 // varConstGeom matches argument lists (?v, CONSTGEOM) or (CONSTGEOM, ?v).
-func varConstGeom(args []Expression, e *Engine) (string, strdf.SpatialValue, bool) {
+func varConstGeom(args []Expression) (string, strdf.SpatialValue, bool) {
 	if len(args) != 2 {
 		return "", strdf.SpatialValue{}, false
 	}
 	if v, ok := args[0].(*EVar); ok {
 		if lit, ok := args[1].(*ELit); ok && lit.Term.IsSpatial() {
-			if g, err := e.parseGeom(lit.Term); err == nil {
+			if g, err := strdf.ParseWGS84(lit.Term); err == nil {
 				return v.Name, g, true
 			}
 		}
 	}
 	if v, ok := args[1].(*EVar); ok {
 		if lit, ok := args[0].(*ELit); ok && lit.Term.IsSpatial() {
-			if g, err := e.parseGeom(lit.Term); err == nil {
+			if g, err := strdf.ParseWGS84(lit.Term); err == nil {
 				return v.Name, g, true
 			}
 		}
@@ -503,26 +500,4 @@ func objVar(pat Pattern) string {
 		return pat.O.Var
 	}
 	return ""
-}
-
-// parseGeom decodes a spatial literal with caching, normalised to WGS84.
-func (e *Engine) parseGeom(t rdf.Term) (strdf.SpatialValue, error) {
-	key := t.Datatype + "\x00" + t.Value
-	e.geomMu.Lock()
-	if v, ok := e.geomCache[key]; ok {
-		e.geomMu.Unlock()
-		return v, nil
-	}
-	e.geomMu.Unlock()
-	v, err := strdf.ParseSpatial(t)
-	if err != nil {
-		return strdf.SpatialValue{}, err
-	}
-	if w, err := v.ToWGS84(); err == nil {
-		v = w
-	}
-	e.geomMu.Lock()
-	e.geomCache[key] = v
-	e.geomMu.Unlock()
-	return v, nil
 }

@@ -367,7 +367,7 @@ func (e *Engine) evalSpatialCall(c *ECall, b Binding) (rdf.Term, error) {
 		if i >= len(args) {
 			return strdf.SpatialValue{}, fmt.Errorf("stsparql: strdf:%s missing argument %d", c.Name, i+1)
 		}
-		return e.parseGeom(args[i])
+		return strdf.ParseWGS84(args[i])
 	}
 	numArg := func(i int) (float64, error) {
 		if i >= len(args) {

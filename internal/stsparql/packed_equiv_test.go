@@ -2,8 +2,8 @@ package stsparql
 
 // Heap-vs-mapped equivalence: the 400-query randomized corpus must
 // return bit-identical results (same rows, same row order) whether the
-// store serves queries from heap structures or in place from a packed,
-// mmap-ed snapshot file — at morsel parallelism 1, 2 and 4 — and the
+// store serves queries from a heap store's fold image or in place from a
+// packed, mmap-ed snapshot file — at morsel parallelism 1, 2 and 4 — and the
 // read-only workload must never force the mapped store to materialise.
 // After the same writes on both, each serves its base plus a delta, and
 // the results must stay bit-identical, also against a fresh fold.
@@ -25,14 +25,8 @@ import (
 func mappedEquivStore(t *testing.T, src *strabon.Store) *strabon.Store {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "snap.pack")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := colpack.Write(f, src.Snapshot().PackData(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	img, _ := src.Fold(1).Image()
+	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r, err := colpack.Open(path)
@@ -65,12 +59,12 @@ func TestHeapMappedEquivalence(t *testing.T) {
 		t.Fatalf("corpus materialised the store (mode %q)", mode)
 	}
 
-	// The same writes on both: each view is now its base (a heap build,
+	// The same writes on both: each view is now its base (a fold image,
 	// the mapped file) plus a delta, and must still answer as one full
 	// build would — and as a fresh fold of the same version does.
 	writeDelta(t, corpus.Seed+1, heapSt, mappedSt)
 	sameOrderedResults(t, "base+delta", heapSt, mappedSt, queries)
-	heapSt.Fold()
+	heapSt.Fold(0)
 	sameOrderedResults(t, "folded vs base+delta", heapSt, mappedSt, queries)
 }
 

@@ -542,7 +542,7 @@ func (pl *planner) filterSelectivity(f Expression) float64 {
 			return 0.9
 		case "<", "<=", ">", ">=":
 			if call, lit, _ := distanceShape(t); call != nil {
-				if _, g, ok := varConstGeom(call.Args, pl.e); ok {
+				if _, g, ok := varConstGeom(call.Args); ok {
 					if meters, ok2 := numericValue(lit.Term); ok2 {
 						return pl.spatialSelectivity(geo.ExpandMeters(g.Geom.Envelope(), meters, 90))
 					}
@@ -556,7 +556,7 @@ func (pl *planner) filterSelectivity(f Expression) float64 {
 		}
 	case *ECall:
 		if (t.NS == "strdf" || t.NS == "geof") && spatialPredicates[t.Name] != nil {
-			if _, g, ok := varConstGeom(t.Args, pl.e); ok {
+			if _, g, ok := varConstGeom(t.Args); ok {
 				return pl.spatialSelectivity(g.Geom.Envelope())
 			}
 			return 1.0 / 3

@@ -1,8 +1,11 @@
 package stsparql
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
+	"repro/internal/rdf"
 	"repro/internal/strabon"
 )
 
@@ -97,5 +100,46 @@ func TestEvalOnEmptyStore(t *testing.T) {
 	cnt := e.MustQuery(`SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }`)
 	if cnt.Bindings[0]["n"].Value != "0" {
 		t.Fatal("count on empty store")
+	}
+}
+
+// TestDistinctGeometryConstantsHoldHeapFlat: every query constant goes
+// through strdf's bounded parse cache, so a client sending ever new
+// polygons cannot grow the engine's memory. 100k queries, each with a
+// polygon constant no other query uses, must leave the live heap where
+// the first 20k left it.
+func TestDistinctGeometryConstantsHoldHeapFlat(t *testing.T) {
+	st := strabon.NewStore()
+	st.AddAll([]rdf.Triple{
+		rdf.NewTriple(rdf.IRI("http://ex/a"), rdf.IRI("http://ex/geom"), rdf.WKTLiteral("POINT (23.5 37.5)", 4326)),
+		rdf.NewTriple(rdf.IRI("http://ex/b"), rdf.IRI("http://ex/geom"), rdf.WKTLiteral("POINT (24.5 38.5)", 4326)),
+	})
+	e := New(st)
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	const total, warm = 100_000, 20_000
+	var base uint64
+	for i := 0; i < total; i++ {
+		if i == warm {
+			base = heap()
+		}
+		x := 20 + float64(i)/float64(total)
+		q := fmt.Sprintf(`SELECT ?s WHERE { ?s <http://ex/geom> ?g . FILTER(strdf:intersects(?g, "POLYGON ((%.7f 37, %.7f 37, %.7f 39, %.7f 39, %.7f 37))"^^strdf:WKT)) }`, x, x+6, x+6, x, x)
+		res, err := e.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Bindings) != 2 {
+			t.Fatalf("query %d: %d rows, want 2", i, len(res.Bindings))
+		}
+	}
+	grew := int64(heap()) - int64(base)
+	runtime.KeepAlive(e) // the engine's own memory is what is measured
+	if grew > 4<<20 {
+		t.Fatalf("live heap grew %d bytes over %d queries with distinct polygon constants", grew, total-warm)
 	}
 }

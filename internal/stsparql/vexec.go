@@ -994,13 +994,13 @@ func (v *vexec) fetchGeom(src geomSrc, in *vtable, r int) (strdf.SpatialValue, b
 	if g, ok := v.snap.Geometry(id); ok {
 		return g, true
 	}
-	// Computed terms and literals outside the object-geometry cache take
-	// the engine's parse cache.
+	// Computed terms and literals outside the snapshot's geometries go
+	// through strdf's bounded parse cache.
 	t, ok := v.term(id)
 	if !ok {
 		return strdf.SpatialValue{}, false
 	}
-	g, err := v.e.parseGeom(t)
+	g, err := strdf.ParseWGS84(t)
 	if err != nil {
 		return strdf.SpatialValue{}, false
 	}
@@ -1013,7 +1013,7 @@ func (v *vexec) compileGeomArg(a Expression) (geomSrc, bool) {
 		return geomSrc{slot: v.slotOf(at.Name), isVar: true}, true
 	case *ELit:
 		if at.Term.IsSpatial() {
-			if g, err := v.e.parseGeom(at.Term); err == nil {
+			if g, err := strdf.ParseWGS84(at.Term); err == nil {
 				return geomSrc{slot: -1, c: g}, true
 			}
 		}
