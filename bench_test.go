@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/column"
 	"repro/internal/geo"
 	"repro/internal/ingest"
 	"repro/internal/kdd"
@@ -412,79 +411,6 @@ func BenchmarkAblationExecutor(b *testing.B) {
 			}
 			if len(res.Bindings) == 0 {
 				b.Fatal("no results")
-			}
-		}
-	})
-}
-
-// A2 — ablation: column-at-a-time kernels versus tuple-at-a-time rows.
-func BenchmarkAblationColumnVsRow(b *testing.B) {
-	const n = 1_000_000
-	keys := make([]int64, n)
-	vals := make([]float64, n)
-	for i := range keys {
-		keys[i] = int64(i % 1000)
-		vals[i] = float64(i%997) / 997
-	}
-	colTbl := column.NewTable("t",
-		column.Field{Name: "k", Typ: column.Int64},
-		column.Field{Name: "v", Typ: column.Float64})
-	colTbl.Cols[0] = column.NewInt64(keys)
-	colTbl.Cols[1] = column.NewFloat64(vals)
-	rowTbl := column.FromTable(colTbl)
-
-	b.Run("select/column", func(b *testing.B) {
-		c := colTbl.Col("v")
-		for i := 0; i < b.N; i++ {
-			if got := c.SelectRangeFloat(0.25, 0.5); len(got) == 0 {
-				b.Fatal("no rows")
-			}
-		}
-	})
-	b.Run("select/row", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if got := rowTbl.SelectFloatRange("v", 0.25, 0.5); len(got) == 0 {
-				b.Fatal("no rows")
-			}
-		}
-	})
-	b.Run("sum/column", func(b *testing.B) {
-		c := colTbl.Col("v")
-		for i := 0; i < b.N; i++ {
-			if c.SumFloat() == 0 {
-				b.Fatal("zero sum")
-			}
-		}
-	})
-	b.Run("sum/row", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if rowTbl.SumFloat("v") == 0 {
-				b.Fatal("zero sum")
-			}
-		}
-	})
-
-	// Join: 1M probe rows against a 1000-key build side.
-	dimKeys := make([]int64, 1000)
-	for i := range dimKeys {
-		dimKeys[i] = int64(i)
-	}
-	dimCol := column.NewTable("d", column.Field{Name: "k", Typ: column.Int64})
-	dimCol.Cols[0] = column.NewInt64(dimKeys)
-	dimRow := column.FromTable(dimCol)
-	b.Run("join/column", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			l, _ := column.HashJoinInt(colTbl.Col("k"), dimCol.Col("k"))
-			if len(l) != n {
-				b.Fatalf("join rows = %d", len(l))
-			}
-		}
-	})
-	b.Run("join/row", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			out := rowTbl.HashJoinInt("k", dimRow, "k")
-			if len(out) != n {
-				b.Fatalf("join rows = %d", len(out))
 			}
 		}
 	})

@@ -53,13 +53,10 @@ func TestU64ColRoundTrip(t *testing.T) {
 					t.Fatalf("value %d = %d, want %d", i, got[i], vals[i])
 				}
 			}
-			// Point access agrees too.
-			if len(vals) > 0 {
-				for _, i := range []int{0, len(vals) / 2, len(vals) - 1} {
-					v, _ := col.Value(i, nil)
-					if v != vals[i] {
-						t.Fatalf("Value(%d) = %d, want %d", i, v, vals[i])
-					}
+			// Point access agrees too, at every position.
+			for i, want := range vals {
+				if v := col.At(i); v != want {
+					t.Fatalf("At(%d) = %d, want %d", i, v, want)
 				}
 			}
 		})
@@ -167,14 +164,11 @@ func TestFileRoundTrip(t *testing.T) {
 		}
 	}
 	// Postings round-trip through offset/count columns.
-	var offBuf, cntBuf []uint64
 	for comp := 0; comp < 3; comp++ {
 		for id := uint64(1); id <= uint64(len(d.Terms)); id += 97 {
 			i := int(id - 1)
-			var start, end, cnt uint64
-			start, offBuf = r.PostOff(comp).Value(i, offBuf)
-			end, offBuf = r.PostOff(comp).Value(i+1, offBuf)
-			cnt, cntBuf = r.PostCnt(comp).Value(i, cntBuf)
+			start, end := r.PostOff(comp).At(i), r.PostOff(comp).At(i+1)
+			cnt := r.PostCnt(comp).At(i)
 			want := d.Postings(comp, id)
 			if int(cnt) != len(want) {
 				t.Fatalf("comp %d id %d: count %d, want %d", comp, id, cnt, len(want))
@@ -196,8 +190,7 @@ func TestFileRoundTrip(t *testing.T) {
 	// Dictionary terms and sorted permutation.
 	var dofs []uint64
 	for b := 0; b <= r.NDictBlocks(); b++ {
-		v, _ := r.DictOff().Value(b, nil)
-		dofs = append(dofs, v)
+		dofs = append(dofs, r.DictOff().At(b))
 	}
 	var terms []rdf.Term
 	var tbuf []rdf.Term
@@ -220,7 +213,7 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	var prev rdf.Term
 	for i := 0; i < r.Perm().Len(); i++ {
-		id, _ := r.Perm().Value(i, nil)
+		id := r.Perm().At(i)
 		cur := terms[id-1]
 		if i > 0 && CompareTerms(prev, cur) >= 0 {
 			t.Fatalf("permutation not strictly sorted at %d", i)
@@ -229,7 +222,7 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	// Geometry ids/envelopes and stats.
 	for i := 0; i < r.NGeoms(); i++ {
-		id, _ := r.GeomIDs().Value(i, nil)
+		id := r.GeomIDs().At(i)
 		if id != d.GeomIDs[i] {
 			t.Fatalf("geom id %d = %d, want %d", i, id, d.GeomIDs[i])
 		}

@@ -97,28 +97,57 @@ func CompareTerms(a, b rdf.Term) int {
 // relative to the start of the appended region).
 func AppendDictBlocks(dst []byte, terms []rdf.Term) ([]byte, []uint64) {
 	base := len(dst)
-	nBlocks := (len(terms) + DictBlockSize - 1) / DictBlockSize
-	offs := make([]uint64, 0, nBlocks+1)
+	offs := make([]uint64, 0, (len(terms)+DictBlockSize-1)/DictBlockSize+1)
+	frontCode(terms, func(shared int, canon []byte) {
+		if shared < 0 {
+			offs = append(offs, uint64(len(dst)-base))
+			dst = binary.AppendUvarint(dst, uint64(len(canon)))
+			dst = append(dst, canon...)
+			return
+		}
+		dst = binary.AppendUvarint(dst, uint64(shared))
+		dst = binary.AppendUvarint(dst, uint64(len(canon)-shared))
+		dst = append(dst, canon[shared:]...)
+	})
+	offs = append(offs, uint64(len(dst)-base))
+	return dst, offs
+}
+
+// dictBlockOffsets returns the block start offsets AppendDictBlocks
+// would return for terms, without encoding them: the last one is the
+// encoding's length.
+func dictBlockOffsets(terms []rdf.Term) []uint64 {
+	offs := make([]uint64, 0, (len(terms)+DictBlockSize-1)/DictBlockSize+1)
+	var lens [2 * binary.MaxVarintLen64]byte
+	size := 0
+	frontCode(terms, func(shared int, canon []byte) {
+		if shared < 0 {
+			offs = append(offs, uint64(size))
+			size += len(binary.AppendUvarint(lens[:0], uint64(len(canon)))) + len(canon)
+			return
+		}
+		size += len(binary.AppendUvarint(binary.AppendUvarint(lens[:0], uint64(shared)), uint64(len(canon)-shared))) + len(canon) - shared
+	})
+	return append(offs, uint64(size))
+}
+
+// frontCode calls emit with every term's canonical form, in order, and
+// the length it shares with its predecessor's — or -1 for the first term
+// of a block, which is stored whole. canon is reused between calls.
+func frontCode(terms []rdf.Term, emit func(shared int, canon []byte)) {
 	var prev, cur []byte
 	for i, t := range terms {
 		cur = AppendTermCanonical(cur[:0], t)
-		if i%DictBlockSize == 0 {
-			offs = append(offs, uint64(len(dst)-base))
-			dst = binary.AppendUvarint(dst, uint64(len(cur)))
-			dst = append(dst, cur...)
-		} else {
-			shared := 0
+		shared := -1
+		if i%DictBlockSize != 0 {
+			shared = 0
 			for shared < len(prev) && shared < len(cur) && prev[shared] == cur[shared] {
 				shared++
 			}
-			dst = binary.AppendUvarint(dst, uint64(shared))
-			dst = binary.AppendUvarint(dst, uint64(len(cur)-shared))
-			dst = append(dst, cur[shared:]...)
 		}
+		emit(shared, cur)
 		prev, cur = cur, prev
 	}
-	offs = append(offs, uint64(len(dst)-base))
-	return dst, offs
 }
 
 // DecodeDictBlock decodes the count terms of one front-coded block
@@ -128,35 +157,49 @@ func DecodeDictBlock(data []byte, count int, out []rdf.Term) ([]rdf.Term, error)
 		out = make([]rdf.Term, 0, count)
 	}
 	out = out[:0]
+	err := WalkDictBlock(data, count, func(canon []byte) error {
+		t, err := parseTermCanonical(canon)
+		out = append(out, t)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// WalkDictBlock calls fn with the canonical form (AppendTermCanonical's)
+// of each of the count terms of one front-coded block, in id order,
+// without decoding them into terms. canon is reused between calls; an
+// error from fn stops the walk and is returned.
+func WalkDictBlock(data []byte, count int, fn func(canon []byte) error) error {
 	var canon []byte
 	for i := 0; i < count; i++ {
 		if i == 0 {
 			n, k := binary.Uvarint(data)
 			if k <= 0 || n > uint64(len(data)-k) {
-				return nil, fmt.Errorf("colpack: dict: corrupt block head length")
+				return fmt.Errorf("colpack: dict: corrupt block head length")
 			}
 			canon = append(canon[:0], data[k:k+int(n)]...)
 			data = data[k+int(n):]
 		} else {
 			shared, k1 := binary.Uvarint(data)
 			if k1 <= 0 {
-				return nil, fmt.Errorf("colpack: dict: corrupt shared-prefix length")
+				return fmt.Errorf("colpack: dict: corrupt shared-prefix length")
 			}
 			suffix, k2 := binary.Uvarint(data[k1:])
 			if k2 <= 0 || suffix > uint64(len(data)-k1-k2) {
-				return nil, fmt.Errorf("colpack: dict: corrupt suffix length")
+				return fmt.Errorf("colpack: dict: corrupt suffix length")
 			}
 			if shared > uint64(len(canon)) {
-				return nil, fmt.Errorf("colpack: dict: shared prefix %d exceeds predecessor length %d", shared, len(canon))
+				return fmt.Errorf("colpack: dict: shared prefix %d exceeds predecessor length %d", shared, len(canon))
 			}
 			canon = append(canon[:shared], data[k1+k2:k1+k2+int(suffix)]...)
 			data = data[k1+k2+int(suffix):]
 		}
-		t, err := parseTermCanonical(canon)
-		if err != nil {
-			return nil, err
+		if err := fn(canon); err != nil {
+			return err
 		}
-		out = append(out, t)
 	}
-	return out, nil
+	return nil
 }

@@ -1,9 +1,11 @@
 package colpack
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/faults"
 	"repro/internal/geo"
@@ -99,7 +101,9 @@ type SnapshotData struct {
 }
 
 // Encode serialises d as a packed snapshot image: the bytes a snapshot
-// file holds, and what OpenBytes serves in place.
+// file holds, and what OpenBytes serves in place. A sizing pass measures
+// every section first, so the image is allocated once, at its final
+// length; the encoding pass then fills it.
 func Encode(d *SnapshotData) ([]byte, error) {
 	if len(d.S) != len(d.P) || len(d.S) != len(d.O) {
 		return nil, fmt.Errorf("colpack: column length mismatch: s=%d p=%d o=%d", len(d.S), len(d.P), len(d.O))
@@ -107,96 +111,110 @@ func Encode(d *SnapshotData) ([]byte, error) {
 	if len(d.GeomIDs) != len(d.GeomEnvs) {
 		return nil, fmt.Errorf("colpack: geometry id/envelope length mismatch: %d vs %d", len(d.GeomIDs), len(d.GeomEnvs))
 	}
-	// A rough lower bound on the image size: growing past it costs a copy
-	// or two, overshooting it pins the slack for the image's lifetime.
-	buf := make([]byte, 0, 4096+8*len(d.S)+8*len(d.Terms))
+	type section struct {
+		id     uint32
+		size   func() int // the encoding's length; called in the sizing pass
+		encode func([]byte) []byte
+	}
+	var secs []section
+	u64 := func(id uint32, vals *[]uint64) section {
+		return section{id, func() int { return u64ColLen(*vals) }, func(b []byte) []byte { return AppendU64Col(b, *vals) }}
+	}
+	for comp, col := range [3][]uint64{d.S, d.P, d.O} {
+		secs = append(secs, u64(secColS+uint32(comp), &col))
+	}
+	// Posting blob + offset/count columns per component. vals holds one
+	// component's blob offsets, then its posting counts: both passes fill
+	// it section by section, in file order.
+	nTerms := len(d.Terms)
+	vals := make([]uint64, nTerms+1)
+	for comp := 0; comp < 3; comp++ {
+		offsets := func() int {
+			vals = vals[:nTerms+1]
+			off := 0
+			for id := uint64(1); id <= uint64(nTerms); id++ {
+				vals[id-1] = uint64(off)
+				off += postingsLen(d.Postings(comp, id))
+			}
+			vals[nTerms] = uint64(off)
+			return off
+		}
+		counts := func() {
+			vals = vals[:nTerms]
+			for id := range vals {
+				vals[id] = uint64(len(d.Postings(comp, uint64(id+1))))
+			}
+		}
+		secs = append(secs,
+			section{secPostS + uint32(comp), offsets, func(b []byte) []byte {
+				offsets()
+				for id := uint64(1); id <= uint64(nTerms); id++ {
+					b = AppendPostings(b, d.Postings(comp, id))
+				}
+				return b
+			}},
+			u64(secPostOffS+uint32(comp), &vals),
+			section{secPostCntS + uint32(comp),
+				func() int { counts(); return u64ColLen(vals) },
+				func(b []byte) []byte { counts(); return AppendU64Col(b, vals) }})
+	}
+	dictOffs := dictBlockOffsets(d.Terms)
+	perm := make([]uint64, nTerms)
+	for i := range perm {
+		perm[i] = uint64(i + 1)
+	}
+	sortPerm(perm, d.Terms)
+	stats := appendStats(nil, &d.Stats)
+	secs = append(secs,
+		section{secDict,
+			func() int { return int(dictOffs[len(dictOffs)-1]) },
+			func(b []byte) []byte { b, _ = AppendDictBlocks(b, d.Terms); return b }},
+		u64(secDictOff, &dictOffs),
+		u64(secDictPerm, &perm),
+		u64(secGeomIDs, &d.GeomIDs),
+		section{secGeomEnvs,
+			func() int { return 32 * len(d.GeomEnvs) },
+			func(b []byte) []byte {
+				for _, e := range d.GeomEnvs {
+					b = appendU64(b, math.Float64bits(e.MinX))
+					b = appendU64(b, math.Float64bits(e.MinY))
+					b = appendU64(b, math.Float64bits(e.MaxX))
+					b = appendU64(b, math.Float64bits(e.MaxY))
+				}
+				return b
+			}},
+		section{secStats,
+			func() int { return len(stats) },
+			func(b []byte) []byte { return append(b, stats...) }})
+
+	// Sections are padded to 64-byte alignment so block payloads start
+	// cache-line (and, for large sections, page) aligned.
+	align := func(n int) int { return (n + 63) &^ 63 }
+	size := headerSize
+	for _, sec := range secs {
+		size = align(size) + sec.size()
+	}
+	const trailer = 4 + 4 + 8 // footer length, footer CRC, trailing magic
+	footerLen := 4 + 32*len(secs) + 24 + 4
+	buf := make([]byte, 0, size+footerLen+trailer)
 	buf = append(buf, Magic...)
 	buf = appendU64(buf, d.Seq)
 	buf = appendU64(buf, d.Version)
-
 	type secEntry struct {
 		id       uint32
 		off, len uint64
 		crc      uint32
 	}
-	var toc []secEntry
-	section := func(id uint32, encode func([]byte) []byte) {
-		// Pad to 64-byte alignment so block payloads start
-		// cache-line (and, for large sections, page) aligned.
-		for len(buf)%64 != 0 {
-			buf = append(buf, 0)
-		}
+	toc := make([]secEntry, 0, len(secs))
+	for _, sec := range secs {
+		buf = appendZeros(buf, align(len(buf))-len(buf))
 		start := len(buf)
-		buf = encode(buf)
-		toc = append(toc, secEntry{id: id, off: uint64(start), len: uint64(len(buf) - start), crc: crc(buf[start:])})
+		buf = sec.encode(buf)
+		toc = append(toc, secEntry{id: sec.id, off: uint64(start), len: uint64(len(buf) - start), crc: crc(buf[start:])})
 	}
-
-	for comp, col := range [3][]uint64{d.S, d.P, d.O} {
-		col := col
-		section(secColS+uint32(comp), func(b []byte) []byte { return AppendU64Col(b, col) })
+	if len(buf) != size {
+		return nil, fmt.Errorf("colpack: encoded %d section bytes, sized %d", len(buf), size)
 	}
-	// Posting blob + offset/count columns per component.
-	nTerms := len(d.Terms)
-	offs := make([]uint64, nTerms+1)
-	cnts := make([]uint64, nTerms)
-	for comp := 0; comp < 3; comp++ {
-		comp := comp
-		section(secPostS+uint32(comp), func(b []byte) []byte {
-			start := len(b)
-			for id := uint64(1); id <= uint64(nTerms); id++ {
-				offs[id-1] = uint64(len(b) - start)
-				rows := d.Postings(comp, id)
-				cnts[id-1] = uint64(len(rows))
-				if len(rows) > 0 {
-					b = AppendPostings(b, rows)
-				}
-			}
-			offs[nTerms] = uint64(len(b) - start)
-			return b
-		})
-		section(secPostOffS+uint32(comp), func(b []byte) []byte { return AppendU64Col(b, offs) })
-		section(secPostCntS+uint32(comp), func(b []byte) []byte { return AppendU64Col(b, cnts) })
-	}
-	var dictOffs []uint64
-	section(secDict, func(b []byte) []byte {
-		b, dictOffs = AppendDictBlocks(b, d.Terms)
-		return b
-	})
-	section(secDictOff, func(b []byte) []byte { return AppendU64Col(b, dictOffs) })
-	section(secDictPerm, func(b []byte) []byte {
-		perm := make([]uint64, nTerms)
-		for i := range perm {
-			perm[i] = uint64(i + 1)
-		}
-		sortPerm(perm, d.Terms)
-		return AppendU64Col(b, perm)
-	})
-	section(secGeomIDs, func(b []byte) []byte { return AppendU64Col(b, d.GeomIDs) })
-	section(secGeomEnvs, func(b []byte) []byte {
-		for _, e := range d.GeomEnvs {
-			b = appendU64(b, math.Float64bits(e.MinX))
-			b = appendU64(b, math.Float64bits(e.MinY))
-			b = appendU64(b, math.Float64bits(e.MaxX))
-			b = appendU64(b, math.Float64bits(e.MaxY))
-		}
-		return b
-	})
-	section(secStats, func(b []byte) []byte {
-		s := d.Stats
-		b = binary.AppendUvarint(b, uint64(s.Triples))
-		b = binary.AppendUvarint(b, uint64(s.DistinctS))
-		b = binary.AppendUvarint(b, uint64(s.DistinctP))
-		b = binary.AppendUvarint(b, uint64(s.DistinctO))
-		b = binary.AppendUvarint(b, uint64(s.Geoms))
-		b = binary.AppendUvarint(b, uint64(len(s.Pred)))
-		for _, p := range s.Pred {
-			b = binary.AppendUvarint(b, p.ID)
-			b = binary.AppendUvarint(b, uint64(p.Count))
-			b = binary.AppendUvarint(b, uint64(p.DistinctS))
-			b = binary.AppendUvarint(b, uint64(p.DistinctO))
-		}
-		return b
-	})
 
 	// Footer: TOC + meta + file CRC, then its own length/CRC trailer.
 	fileCRC := crc(buf)
@@ -221,33 +239,32 @@ func Encode(d *SnapshotData) ([]byte, error) {
 	return buf, nil
 }
 
-// sortPerm sorts ids by their terms under CompareTerms (ids are
-// i+1-indexed into terms).
-func sortPerm(ids []uint64, terms []rdf.Term) {
-	// Simple merge sort: deterministic, O(n log n), no dependency on
-	// sort.Slice's interface boxing for this hot fold path.
-	tmp := make([]uint64, len(ids))
-	var rec func(lo, hi int)
-	rec = func(lo, hi int) {
-		if hi-lo < 2 {
-			return
-		}
-		mid := (lo + hi) / 2
-		rec(lo, mid)
-		rec(mid, hi)
-		i, j := lo, mid
-		for k := lo; k < hi; k++ {
-			if i < mid && (j >= hi || CompareTerms(terms[ids[i]-1], terms[ids[j]-1]) <= 0) {
-				tmp[k] = ids[i]
-				i++
-			} else {
-				tmp[k] = ids[j]
-				j++
-			}
-		}
-		copy(ids[lo:hi], tmp[lo:hi])
+// appendStats appends the statistics section's encoding of s.
+func appendStats(b []byte, s *StatsBlock) []byte {
+	b = binary.AppendUvarint(b, uint64(s.Triples))
+	b = binary.AppendUvarint(b, uint64(s.DistinctS))
+	b = binary.AppendUvarint(b, uint64(s.DistinctP))
+	b = binary.AppendUvarint(b, uint64(s.DistinctO))
+	b = binary.AppendUvarint(b, uint64(s.Geoms))
+	b = binary.AppendUvarint(b, uint64(len(s.Pred)))
+	for _, p := range s.Pred {
+		b = binary.AppendUvarint(b, p.ID)
+		b = binary.AppendUvarint(b, uint64(p.Count))
+		b = binary.AppendUvarint(b, uint64(p.DistinctS))
+		b = binary.AppendUvarint(b, uint64(p.DistinctO))
 	}
-	rec(0, len(ids))
+	return b
+}
+
+// sortPerm sorts ids by their terms under CompareTerms (ids are
+// i+1-indexed into terms), in place; equal terms keep ascending ids.
+func sortPerm(ids []uint64, terms []rdf.Term) {
+	slices.SortFunc(ids, func(a, b uint64) int {
+		if c := CompareTerms(terms[a-1], terms[b-1]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 }
 
 // Reader is an open packed snapshot: the mapped file or in-memory image

@@ -60,6 +60,25 @@ func AppendPostings(dst []byte, rows []int32) []byte {
 	return dst
 }
 
+// postingsLen is the length of AppendPostings' encoding of rows.
+func postingsLen(rows []int32) int {
+	size := 0
+	for i := 0; i < len(rows); {
+		key := uint32(rows[i]) >> 16
+		j := i
+		for j < len(rows) && uint32(rows[j])>>16 == key {
+			j++
+		}
+		if card := j - i; card <= arrayCutoff {
+			size += containerHdr + 2*card
+		} else {
+			size += containerHdr + bitmapBytes
+		}
+		i = j
+	}
+	return size
+}
+
 // DecodePostings decodes count row ids from data (the byte range one
 // term's containers occupy) into out, which is grown as needed and
 // returned. It fails on malformed container headers rather than read

@@ -1,6 +1,9 @@
 package colpack
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // U64Col is a frame-of-reference + bit-packed uint64 column: values
 // are split into blocks of BlockSize, and each block stores
@@ -31,26 +34,11 @@ func AppendU64Col(dst []byte, vals []uint64) []byte {
 	dst = appendU32(dst, uint32(nBlocks))
 	idxOff := len(dst)
 	// Reserve the block index; filled as payloads are appended.
-	for i := 0; i < nBlocks*u64ColIdxEntry; i++ {
-		dst = append(dst, 0)
-	}
+	dst = appendZeros(dst, nBlocks*u64ColIdxEntry)
 	dataStart := len(dst)
 	for b := 0; b < nBlocks; b++ {
-		lo := b * BlockSize
-		hi := lo + BlockSize
-		if hi > len(vals) {
-			hi = len(vals)
-		}
-		blk := vals[lo:hi]
-		minV, maxV := blk[0], blk[0]
-		for _, v := range blk[1:] {
-			if v < minV {
-				minV = v
-			}
-			if v > maxV {
-				maxV = v
-			}
-		}
+		blk := vals[b*BlockSize : min((b+1)*BlockSize, len(vals))]
+		minV, maxV := valueRange(blk)
 		width := bitWidth(maxV - minV)
 		e := dst[idxOff+b*u64ColIdxEntry:]
 		put64(e[0:], uint64(len(dst)-dataStart))
@@ -63,17 +51,46 @@ func AppendU64Col(dst []byte, vals []uint64) []byte {
 	return dst
 }
 
+// u64ColLen is the length of AppendU64Col's encoding of vals.
+func u64ColLen(vals []uint64) int {
+	nBlocks := (len(vals) + BlockSize - 1) / BlockSize
+	size := 12 + nBlocks*u64ColIdxEntry
+	for b := 0; b < nBlocks; b++ {
+		blk := vals[b*BlockSize : min((b+1)*BlockSize, len(vals))]
+		minV, maxV := valueRange(blk)
+		size += packedLen(len(blk), bitWidth(maxV-minV))
+	}
+	return size
+}
+
+func valueRange(blk []uint64) (minV, maxV uint64) {
+	minV, maxV = blk[0], blk[0]
+	for _, v := range blk[1:] {
+		minV, maxV = min(minV, v), max(maxV, v)
+	}
+	return minV, maxV
+}
+
+// packedLen is the payload length of n values packed in width bits.
+func packedLen(n int, width uint) int { return (n*int(width) + 63) / 64 * 8 }
+
+// appendZeros appends n zero bytes to dst.
+func appendZeros(dst []byte, n int) []byte {
+	dst = slices.Grow(dst, n)
+	start := len(dst)
+	dst = dst[:start+n]
+	clear(dst[start:])
+	return dst
+}
+
 // appendPackedBits packs (v-base) in width bits per value into
 // little-endian u64 words appended to dst.
 func appendPackedBits(dst []byte, vals []uint64, base uint64, width uint) []byte {
 	if width == 0 {
 		return dst
 	}
-	words := (len(vals)*int(width) + 63) / 64
 	start := len(dst)
-	for i := 0; i < words*8; i++ {
-		dst = append(dst, 0)
-	}
+	dst = appendZeros(dst, packedLen(len(vals), width))
 	out := dst[start:]
 	bitPos := uint(0)
 	for _, v := range vals {
@@ -124,7 +141,7 @@ func OpenU64Col(data []byte) (*U64Col, error) {
 		if off > uint64(len(c.data)) {
 			return nil, fmt.Errorf("colpack: u64 column: block %d: offset outside section", b)
 		}
-		end := off + uint64((int(count)*int(width)+63)/64*8)
+		end := off + uint64(packedLen(int(count), width))
 		if end > uint64(len(c.data)) {
 			return nil, fmt.Errorf("colpack: u64 column: block %d: payload outside section", b)
 		}
@@ -181,11 +198,20 @@ func (c *U64Col) DecodeBlock(b int, out []uint64) []uint64 {
 	return out
 }
 
-// Value decodes the single value at position i (decoding its whole
-// block into scratch, which is grown as needed and returned). Callers
-// that read more than a handful of values should cache decoded blocks
-// instead — see internal/strabon's mapped snapshot.
-func (c *U64Col) Value(i int, scratch []uint64) (uint64, []uint64) {
-	scratch = c.DecodeBlock(i/BlockSize, scratch)
-	return scratch[i%BlockSize], scratch
+// At decodes the single value at position i straight from its block's
+// packed words, without decoding the block: the access for one-off
+// probes that should not populate a block cache.
+func (c *U64Col) At(i int) uint64 {
+	off, base, _, width, _ := c.block(i / BlockSize)
+	if width == 0 {
+		return base
+	}
+	src := c.data[off:]
+	bitPos := uint(i%BlockSize) * width
+	word, sh := bitPos>>6, bitPos&63
+	v := le64(src[word*8:]) >> sh
+	if sh+width > 64 {
+		v |= le64(src[(word+1)*8:]) << (64 - sh)
+	}
+	return base + v&(^uint64(0)>>(64-width))
 }

@@ -1,10 +1,11 @@
 package column
 
 // RowTable is a row-at-a-time (N-ary storage) comparator used by the A2
-// ablation benchmark: the same relation stored as a slice of row tuples,
-// queried with tuple-at-a-time iteration. It exists only to measure the
-// column-at-a-time execution advantage the paper's MonetDB substrate
-// provides; production code paths always use Table.
+// ablation benchmark (BenchmarkAblationColumnVsRow): the same relation
+// stored as a slice of row tuples, queried with tuple-at-a-time
+// iteration. It exists only to measure the column-at-a-time execution
+// advantage the paper's MonetDB substrate provides, so it lives in test
+// code; production code paths always use Table.
 type RowTable struct {
 	Name   string
 	Fields []Field

@@ -145,11 +145,12 @@ type DurabilityStats struct {
 	ReplayedRecords      uint64 `json:"replayed_records"`
 	JournalError         string `json:"journal_error,omitempty"`
 
-	// Snapshot telemetry (PR 7): how big the newest snapshot is on disk,
-	// whether the store is serving in place off an mmap-ed packed
-	// snapshot ("mapped") or from heap structures ("heap"), and the
-	// estimated resident heap bytes of its primary state (for a mapped
-	// store: just the decoded-block caches).
+	// Snapshot telemetry: how big the newest snapshot is on disk, whether
+	// the store's base is the mmap-ed packed snapshot it booted from
+	// ("mapped", writes or not) or an image a fold built in memory
+	// ("image"), and the estimated resident heap bytes of its primary
+	// state (the base's decoded-block caches, its term index and the
+	// delta).
 	SnapshotBytes int64  `json:"snapshot_bytes,omitempty"`
 	StoreMode     string `json:"store_mode,omitempty"`
 	ResidentBytes int64  `json:"resident_bytes,omitempty"`

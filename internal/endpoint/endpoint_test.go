@@ -194,8 +194,8 @@ func TestSpatialQueryGeoJSON(t *testing.T) {
 
 // TestGeoJSONReadLeavesStoreMapped: a store restored from a packed
 // snapshot answers a GeoJSON read — geometries resolved through
-// resolveGeom — from the mapping, and only the first update copies it to
-// the heap.
+// resolveGeom — from the mapping, and an update lands in a delta over
+// it without copying it to the heap.
 func TestGeoJSONReadLeavesStoreMapped(t *testing.T) {
 	src, _ := fixture()
 	path := filepath.Join(t.TempDir(), "snap.pack")
@@ -238,8 +238,9 @@ func TestGeoJSONReadLeavesStoreMapped(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("update status = %d", resp.StatusCode)
 	}
-	if mode := st.StorageMode(); mode != "heap" {
-		t.Fatalf("after an update StorageMode = %q, want heap", mode)
+	// The update lands in the delta over the file: still mapped.
+	if mode := st.StorageMode(); mode != "mapped" {
+		t.Fatalf("after an update StorageMode = %q, want mapped", mode)
 	}
 }
 

@@ -143,7 +143,7 @@ type Stats struct {
 
 	// Persistence-format telemetry (the /stats persistence block).
 	SnapshotBytes int64  // on-disk size of the newest snapshot (0: none)
-	StoreMode     string // "mapped" (serving in place) or "heap"
+	StoreMode     string // "mapped" (base is the booted file) or "image" (base is a fold)
 	ResidentBytes int64  // estimated heap bytes of the store's primary state
 
 	// Group-commit telemetry (see group.go). FsyncsSaved is how many
@@ -256,10 +256,11 @@ func Open(o Options) (*Manager, *strabon.Store, error) {
 		st = strabon.NewStore()
 	}
 
-	// 2. Replay the WAL tail past the snapshot. Records the snapshot
-	// already covers are validated but re-applied only logically
-	// (an Apply's deletions and insertions are set operations, so
-	// re-application of a conservatively-covered suffix is a no-op).
+	// 2. Replay the WAL tail past the snapshot into the store's delta over
+	// it; nothing decodes the snapshot. Records the snapshot already
+	// covers are validated but re-applied only logically (an Apply's
+	// deletions and insertions are set operations, so re-application of a
+	// conservatively-covered suffix is a no-op).
 	segs, err := listSegments(opts.Dir)
 	if err != nil {
 		return nil, nil, err

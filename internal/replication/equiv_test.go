@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/rdf"
 	"repro/internal/strabon"
 	"repro/internal/stsparql"
 	"repro/internal/stsparql/corpus"
@@ -16,7 +17,10 @@ import (
 // bootstraps from a mid-load snapshot and tails the rest over HTTP, so
 // both the snapshot-restore and WAL-replay halves of its state are
 // under test. A second leg folds the primary and writes a seeded batch
-// of adds and removes, so both sides answer from a base plus a delta.
+// of adds and removes — with the primary checkpointing while they land —
+// and statements against the base (duplicate inserts of base triples,
+// base triples deleted and re-inserted in one statement), so both sides
+// answer from a base plus a delta.
 func TestPrimaryReplicaEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(corpus.Seed))
 	triples := corpus.Triples(rng)
@@ -54,10 +58,36 @@ func TestPrimaryReplicaEquivalence(t *testing.T) {
 	if err := tp.mgr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	adds, removes := corpus.Delta(rand.New(rand.NewSource(corpus.Seed+1)), tp.st.Triples())
+	drng := rand.New(rand.NewSource(corpus.Seed + 1))
+	base := tp.st.Triples()
+	adds, removes := corpus.Delta(drng, base)
 	tp.st.AddAll(adds)
+	done, checkpoints := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-done:
+				checkpoints <- nil
+				return
+			default:
+				if err := tp.mgr.Checkpoint(); err != nil {
+					checkpoints <- err
+					return
+				}
+			}
+		}
+	}()
 	for _, tr := range removes {
 		tp.st.Remove(tr)
+	}
+	close(done)
+	if err := <-checkpoints; err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range writeSide(drng, base, removes) {
+		if n, err := tp.st.Apply(s.Dels, s.Ins); n != s.Changed || err != nil {
+			t.Fatalf("statement %+v changed %d triples (%v), want %d", s, n, err, s.Changed)
+		}
 	}
 	waitApplied(t, rep.AppliedSeq, tp.mgr.LastSeq())
 	for _, st := range []*strabon.Store{tp.st, rep.Store()} {
@@ -122,4 +152,41 @@ func TestReplicaBootstrapFromEmptyPrimary(t *testing.T) {
 	if got, want := rep.Store().Len(), tp.st.Len(); got != want {
 		t.Fatalf("replica has %d triples, primary %d", got, want)
 	}
+}
+
+// statement is one store statement — its deletions, then its
+// insertions — and the number of triples applying it must change.
+type statement struct {
+	Dels, Ins []rdf.Triple
+	Changed   int
+}
+
+// writeSide draws statements aimed at a store's write side over its
+// base, for a store holding base minus removes: one inserting twenty
+// base triples (some twice), which must change nothing, and ten that
+// each delete a base triple and re-insert it in the same statement,
+// which must change two.
+func writeSide(rng *rand.Rand, base, removes []rdf.Triple) []statement {
+	gone := make(map[rdf.Triple]bool, len(removes))
+	for _, t := range removes {
+		gone[t] = true
+	}
+	live := func() rdf.Triple {
+		for {
+			if t := base[rng.Intn(len(base))]; !gone[t] {
+				return t
+			}
+		}
+	}
+	dups := statement{}
+	for len(dups.Ins) < 20 {
+		dups.Ins = append(dups.Ins, live())
+	}
+	out := []statement{dups}
+	for len(out) < 11 {
+		t := live()
+		gone[t] = true // once each
+		out = append(out, statement{Dels: []rdf.Triple{t}, Ins: []rdf.Triple{t}, Changed: 2})
+	}
+	return out
 }

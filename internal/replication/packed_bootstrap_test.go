@@ -12,7 +12,8 @@ import (
 // primary (the default), a fresh replica's bootstrap is fetch + verify
 // + mmap — the downloaded snapshot IS the replica's working store, so
 // recovery replays nothing and the store serves queries in place.
-// Tail catch-up past the snapshot then materialises as usual.
+// Tail catch-up past the snapshot then lands in a delta over the mapped
+// file: the replica never copies it to the heap.
 func TestReplicaBootstrapsPackedWithZeroReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(corpus.Seed))
 	triples := corpus.Triples(rng)
@@ -48,14 +49,14 @@ func TestReplicaBootstrapsPackedWithZeroReplay(t *testing.T) {
 		t.Fatalf("read-only query materialised the store (mode %q)", mode)
 	}
 
-	// Live tail catch-up is a mutation: it materialises the mapped view
-	// and the replica keeps tracking the primary.
+	// Live tail catch-up is a mutation: it goes to the delta over the
+	// mapped file, and the replica keeps tracking the primary.
 	tp.st.AddAll(corpus.Triples(rng)[:50])
 	waitApplied(t, rep.AppliedSeq, tp.mgr.LastSeq())
 	if got, want := rep.Store().Len(), tp.st.Len(); got != want {
 		t.Fatalf("after tail catch-up replica has %d triples, primary %d", got, want)
 	}
-	if mode := rep.Manager().Stats().StoreMode; mode != "heap" {
-		t.Fatalf("post-mutation store mode %q, want heap", mode)
+	if mode := rep.Manager().Stats().StoreMode; mode != "mapped" {
+		t.Fatalf("post-mutation store mode %q, want mapped", mode)
 	}
 }

@@ -1,8 +1,11 @@
 package strabon
 
 import (
+	"bytes"
 	"fmt"
+	"hash/maphash"
 	"maps"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -19,30 +22,31 @@ import (
 // store was restored from, or one a fold built in memory — answering
 // MatchRows/Cardinality/DecodeAll in place (colpack.Reader), decoding
 // blocks on demand instead of materialising columns, posting lists and
-// the dictionary. Every structure here is either immutable (the image)
-// or a concurrency-safe cache — morsel workers hit these paths in
-// parallel.
+// the dictionary. Writes never copy it: the store layers its delta on
+// top, and a fold streams it into the next image. Every structure here
+// is either immutable (the image) or a concurrency-safe cache — morsel
+// workers and the write path hit these paths in parallel.
 //
 // Decoded blocks are cached forever (per base): memory grows with the
 // touched working set, not the dataset, and a mapped file's raw bytes
 // stay page-cache-backed either way.
 type packView struct {
 	r *colpack.Reader
+	// file marks the image a store was restored from (RestorePacked),
+	// as opposed to one a fold built.
+	file bool
 
-	// cols caches decoded S/P/O value blocks; postOff/postCnt cache
-	// the posting index columns the same way.
-	cols    [3]cachedCol
-	postOff [3]cachedCol
-	postCnt [3]cachedCol
-	// postings caches fully decoded per-term posting lists
-	// (id -> []int32), mirroring the shared heap posting lists.
-	postings [3]sync.Map
-
-	dictOff    cachedCol
-	perm       cachedCol
+	// cols caches decoded S/P/O value blocks; postings caches fully
+	// decoded per-term posting lists (id -> []int32). The posting index
+	// and dictionary offset columns are read a value at a time (At).
+	cols       [3]cachedCol
+	postings   [3]sync.Map
 	dictBlocks []atomic.Pointer[[]rdf.Term]
+	// ix looks terms up (see termIndex): set by the fold that built the
+	// image, or built by the first lookup.
+	ixOnce sync.Once
+	ix     *termIndex
 
-	geomIDsCol cachedCol
 	// geomOnce builds the id->section-index map and the R-tree on
 	// first spatial use, so boots that never run a spatial query pay
 	// nothing.
@@ -50,7 +54,7 @@ type packView struct {
 	geomIdx  map[uint64]int
 	spatial  *rtree.Tree
 	// geomCache holds parsed WGS84 geometries: those of a mapped file
-	// parsed lazily, those of a fold seeded with the store's own.
+	// parsed lazily, those of a fold seeded with the ones at hand.
 	geomMu    sync.RWMutex
 	geomCache map[uint64]strdf.SpatialValue
 
@@ -91,28 +95,11 @@ func (c *cachedCol) value(i int) uint64 {
 	return c.block(i / colpack.BlockSize)[i%colpack.BlockSize]
 }
 
-// decodeAll decodes the whole column into a fresh slice, bypassing the
-// cache: the caller owns the result.
-func (c *cachedCol) decodeAll() []uint64 {
-	out := make([]uint64, 0, c.col.Len())
-	var buf []uint64
-	for b := 0; b < c.col.NumBlocks(); b++ {
-		buf = c.col.DecodeBlock(b, buf)
-		out = append(out, buf...)
-	}
-	return out
-}
-
 func newPackView(r *colpack.Reader) *packView {
 	pv := &packView{r: r}
 	for comp := 0; comp < 3; comp++ {
 		pv.cols[comp] = newCachedCol(r.Col(comp), &pv.cachedBytes)
-		pv.postOff[comp] = newCachedCol(r.PostOff(comp), &pv.cachedBytes)
-		pv.postCnt[comp] = newCachedCol(r.PostCnt(comp), &pv.cachedBytes)
 	}
-	pv.dictOff = newCachedCol(r.DictOff(), &pv.cachedBytes)
-	pv.perm = newCachedCol(r.Perm(), &pv.cachedBytes)
-	pv.geomIDsCol = newCachedCol(r.GeomIDs(), &pv.cachedBytes)
 	pv.dictBlocks = make([]atomic.Pointer[[]rdf.Term], r.NDictBlocks())
 	pv.geomCache = make(map[uint64]strdf.SpatialValue)
 	s := r.Stats()
@@ -134,27 +121,27 @@ func newPackView(r *colpack.Reader) *packView {
 // Snapshot. The snapshot keeps the reader (and its mapping) alive for
 // its own lifetime.
 func NewMappedSnapshot(r *colpack.Reader) *Snapshot {
-	return &Snapshot{version: r.Version(), base: newPackView(r)}
+	pv := newPackView(r)
+	pv.file = true
+	return &Snapshot{version: r.Version(), base: pv}
 }
 
-// RestorePacked builds a store whose read view is served in place
-// from a packed snapshot: no column, posting-list or dictionary
-// materialisation happens at restore time, so restart-to-first-query
-// is independent of dataset size. Reads never leave the mapping; the
-// store materialises the heap representation on its first mutation —
-// the packed format is the read side, the heap the write side. The
-// mapped file stays the base of every later view until a fold:
-// materialisation keeps row i at store row i.
+// RestorePacked builds a store whose base is a packed snapshot served in
+// place: no column, posting-list or dictionary materialisation happens
+// at restore time, so restart-to-first-query is independent of dataset
+// size. Writes append to a delta over the file and never copy it; the
+// file stays the base until the first fold.
 func RestorePacked(r *colpack.Reader) (*Store, error) {
 	if r.NRows() < 0 || r.NTerms() < 0 {
 		return nil, fmt.Errorf("strabon: packed snapshot with negative meta")
 	}
-	st := NewStore()
-	st.version = r.Version()
 	sn := NewMappedSnapshot(r)
-	st.packed = sn.base
-	st.fold = &foldPoint{base: sn.base, rows: r.NRows()}
+	st := newStore(sn.base)
+	st.version = r.Version()
 	st.snap = sn
+	for id, ps := range sn.base.stats.Pred {
+		st.predRows[id] = ps.Count
+	}
 	return st, nil
 }
 
@@ -178,18 +165,7 @@ func (pv *packView) dictBlock(b int) []rdf.Term {
 	if p := pv.dictBlocks[b].Load(); p != nil {
 		return *p
 	}
-	start := pv.dictOff.value(b)
-	end := pv.dictOff.value(b + 1)
-	count := colpack.DictBlockSize
-	if last := pv.nTerms() - b*colpack.DictBlockSize; last < count {
-		count = last
-	}
-	terms, err := colpack.DecodeDictBlock(pv.r.DictBlockData(start, end), count, nil)
-	if err != nil {
-		// Unreachable on a file that passed Open's full verification;
-		// reaching it means the mapping changed underneath us.
-		panic(fmt.Sprintf("strabon: packed dictionary block %d corrupt after verification: %v", b, err))
-	}
+	terms := pv.decodeDictBlock(b, nil)
 	if pv.dictBlocks[b].CompareAndSwap(nil, &terms) {
 		bytes := int64(0)
 		for _, t := range terms {
@@ -202,35 +178,137 @@ func (pv *packView) dictBlock(b int) []rdf.Term {
 	return terms
 }
 
-// lookup binary-searches the sorted permutation column for t.
-func (pv *packView) lookup(t rdf.Term) (uint64, bool) {
-	n := pv.nTerms()
-	i := sort.Search(n, func(i int) bool {
-		id := pv.perm.value(i)
-		term, _ := pv.term(id)
-		return colpack.CompareTerms(term, t) >= 0
-	})
-	if i == n {
-		return 0, false
+// dictBlockData returns dictionary block b's bytes and term count.
+func (pv *packView) dictBlockData(b int) ([]byte, int) {
+	count := min(colpack.DictBlockSize, pv.nTerms()-b*colpack.DictBlockSize)
+	return pv.r.DictBlockData(pv.r.DictOff().At(b), pv.r.DictOff().At(b+1)), count
+}
+
+// decodeDictBlock decodes block b into out, bypassing the cache.
+func (pv *packView) decodeDictBlock(b int, out []rdf.Term) []rdf.Term {
+	data, count := pv.dictBlockData(b)
+	terms, err := colpack.DecodeDictBlock(data, count, out)
+	if err != nil {
+		corrupt("dictionary block", b, err)
 	}
-	id := pv.perm.value(i)
-	if term, _ := pv.term(id); term == t {
-		return id, true
+	return terms
+}
+
+// walkDictBlock calls fn with the canonical forms of block b's first
+// count terms, decoding and caching nothing.
+func (pv *packView) walkDictBlock(b, count int, fn func(canon []byte)) {
+	data, _ := pv.dictBlockData(b)
+	if err := colpack.WalkDictBlock(data, count, func(c []byte) error { fn(c); return nil }); err != nil {
+		corrupt("dictionary block", b, err)
+	}
+}
+
+// corrupt reports damage found in an image after its verification:
+// unreachable on a file that passed Open's checks, so reaching it means
+// the mapping changed underneath us.
+func corrupt(what string, i int, err error) {
+	panic(fmt.Sprintf("strabon: packed %s %d corrupt after verification: %v", what, i, err))
+}
+
+// appendTerms appends every term of the image, in id order, to dst.
+// Blocks the cache does not hold are decoded without being cached.
+func (pv *packView) appendTerms(dst []rdf.Term) []rdf.Term {
+	var buf []rdf.Term
+	for b := range pv.dictBlocks {
+		if p := pv.dictBlocks[b].Load(); p != nil {
+			dst = append(dst, *p...)
+			continue
+		}
+		buf = pv.decodeDictBlock(b, buf)
+		dst = append(dst, buf...)
+	}
+	return dst
+}
+
+// lookup returns the id of term t through the term index. The first
+// lookup in a restored image builds its index in one streaming pass over
+// the front-coded blocks, hashing the canonical forms where they are
+// decoded, without materialising a term.
+func (pv *packView) lookup(t rdf.Term) (uint64, bool) {
+	pv.ixOnce.Do(func() {
+		if pv.ix == nil {
+			ix := newTermIndex(pv.nTerms())
+			for b := range pv.dictBlocks {
+				_, count := pv.dictBlockData(b)
+				pv.walkDictBlock(b, count, ix.add)
+			}
+			pv.ix = ix
+			pv.cachedBytes.Add(ix.bytes())
+		}
+	})
+	return pv.ix.lookup(t, pv)
+}
+
+// hasTerm reports whether term id is t, whose canonical form is canon:
+// from the block cache when the block is decoded, otherwise by walking
+// the block's front coding up to id.
+func (pv *packView) hasTerm(id uint64, t rdf.Term, canon []byte) bool {
+	b, i := int(id-1)/colpack.DictBlockSize, int(id-1)%colpack.DictBlockSize
+	if p := pv.dictBlocks[b].Load(); p != nil {
+		return (*p)[i] == t
+	}
+	k, same := 0, false
+	pv.walkDictBlock(b, i+1, func(c []byte) {
+		same = k == i && bytes.Equal(c, canon)
+		k++
+	})
+	return same
+}
+
+// termIndex finds a base term's id from the hash of its canonical form
+// (colpack.AppendTermCanonical): an open-addressing table, at most half
+// full, of 8-byte slots holding a 32-bit tag of the hash and the id. A
+// tag match is confirmed against the front-coded dictionary, so the
+// index holds no strings, and a lookup costs a probe and a partial block
+// walk instead of a binary search. It is immutable once built.
+type termIndex struct {
+	slots []uint64 // tag<<32 | id; 0 marks an empty slot
+	mask  uint64
+	n     uint64 // terms added
+}
+
+var indexSeed = maphash.MakeSeed()
+
+// newTermIndex returns an empty index sized for n terms.
+func newTermIndex(n int) *termIndex {
+	size := uint64(16)
+	if want := uint64(2 * n); want > size {
+		size = 1 << bits.Len64(want-1)
+	}
+	return &termIndex{slots: make([]uint64, size), mask: size - 1}
+}
+
+// add indexes the term with the next id, given its canonical form.
+func (ix *termIndex) add(canon []byte) {
+	h := maphash.Bytes(indexSeed, canon)
+	i := h & ix.mask
+	for ix.slots[i] != 0 {
+		i = (i + 1) & ix.mask
+	}
+	ix.n++
+	ix.slots[i] = h>>32<<32 | ix.n
+}
+
+// lookup returns the id of t in base, whose terms the index holds.
+func (ix *termIndex) lookup(t rdf.Term, base *packView) (uint64, bool) {
+	var buf [256]byte
+	canon := colpack.AppendTermCanonical(buf[:0], t)
+	h := maphash.Bytes(indexSeed, canon)
+	for i := h & ix.mask; ix.slots[i] != 0; i = (i + 1) & ix.mask {
+		if e := ix.slots[i]; e>>32 == h>>32 && base.hasTerm(e&(1<<32-1), t, canon) {
+			return e & (1<<32 - 1), true
+		}
 	}
 	return 0, false
 }
 
-func (pv *packView) decodeAllTerms(ids []uint64, out []rdf.Term) []rdf.Term {
-	out = out[:len(ids)]
-	for i, id := range ids {
-		t, ok := pv.term(id)
-		if !ok {
-			t = rdf.Term{}
-		}
-		out[i] = t
-	}
-	return out
-}
+// bytes is the index's heap footprint.
+func (ix *termIndex) bytes() int64 { return int64(len(ix.slots)) * 8 }
 
 // --- row and posting access ----------------------------------------------
 
@@ -244,7 +322,7 @@ func (pv *packView) postCount(comp int, id uint64) int {
 	if id == 0 || id > uint64(pv.nTerms()) {
 		return 0
 	}
-	return int(pv.postCnt[comp].value(int(id - 1)))
+	return int(pv.r.PostCnt(comp).At(int(id - 1)))
 }
 
 // posting returns the decoded posting list of id in comp, cached per
@@ -256,23 +334,54 @@ func (pv *packView) posting(comp int, id uint64) []int32 {
 	if v, ok := pv.postings[comp].Load(id); ok {
 		return v.([]int32)
 	}
-	i := int(id - 1)
-	cnt := pv.postCnt[comp].value(i)
-	if cnt == 0 {
-		pv.postings[comp].LoadOrStore(id, []int32(nil))
-		return nil
-	}
-	start := pv.postOff[comp].value(i)
-	end := pv.postOff[comp].value(i + 1)
-	rows, err := colpack.DecodePostings(pv.r.PostingData(comp, start, end), int(cnt), nil)
-	if err != nil {
-		panic(fmt.Sprintf("strabon: packed posting list comp=%d id=%d corrupt after verification: %v", comp, id, err))
-	}
+	rows := pv.decodePosting(comp, id)
 	actual, loaded := pv.postings[comp].LoadOrStore(id, rows)
 	if !loaded {
 		pv.cachedBytes.Add(int64(len(rows) * 4))
 	}
 	return actual.([]int32)
+}
+
+// decodePosting decodes the posting list of id in comp, bypassing the
+// cache.
+func (pv *packView) decodePosting(comp int, id uint64) []int32 {
+	n := pv.postCount(comp, id)
+	if n == 0 {
+		return nil
+	}
+	off := pv.r.PostOff(comp)
+	rows, err := colpack.DecodePostings(pv.r.PostingData(comp, off.At(int(id-1)), off.At(int(id))), n, nil)
+	if err != nil {
+		corrupt(fmt.Sprintf("posting list comp=%d id", comp), int(id), err)
+	}
+	return rows
+}
+
+// find returns the base row holding the triple key, if any: the write
+// path's duplicate probe. It reads the smallest of the three posting
+// lists and checks each of its rows' other two ids with single-value
+// decodes, so that a probe leaves the read caches as it found them.
+func (pv *packView) find(key [3]uint64) (int32, bool) {
+	comp := 0
+	for c := range key {
+		if pv.postCount(c, key[c]) < pv.postCount(comp, key[comp]) {
+			comp = c
+		}
+	}
+	rows, cached := pv.postings[comp].Load(key[comp])
+	if !cached {
+		rows = pv.decodePosting(comp, key[comp])
+	}
+rows:
+	for _, row := range rows.([]int32) {
+		for c, id := range key {
+			if c != comp && pv.r.Col(c).At(int(row)) != id {
+				continue rows
+			}
+		}
+		return row, true
+	}
+	return 0, false
 }
 
 // matchRows is MatchRows over the base: one bound component returns the
@@ -372,7 +481,7 @@ func (pv *packView) ensureGeoms() {
 		pv.geomIdx = make(map[uint64]int, n)
 		items := make([]rtree.Item, 0, n)
 		for i := 0; i < n; i++ {
-			id := pv.geomIDsCol.value(i)
+			id := pv.r.GeomIDs().At(i)
 			pv.geomIdx[id] = i
 			items = append(items, rtree.Item{Box: pv.r.GeomEnv(i), ID: id})
 		}
@@ -408,55 +517,27 @@ func (pv *packView) geometry(id uint64) (strdf.SpatialValue, bool) {
 	return v, true
 }
 
+// hasGeom reports whether the image lists id as a spatial literal with a
+// geometry: a binary search of its sorted id column with single-value
+// decodes, so that the write path neither builds the R-tree nor caches.
+func (pv *packView) hasGeom(id uint64) bool {
+	ids := pv.r.GeomIDs()
+	i := sort.Search(ids.Len(), func(i int) bool { return ids.At(i) >= id })
+	return i < ids.Len() && ids.At(i) == id
+}
+
 func (pv *packView) spatialCandidates(box geo.Envelope) []uint64 {
 	pv.ensureGeoms()
 	return pv.spatial.Search(box, nil)
 }
 
 func (pv *packView) geomIDs() []uint64 {
-	return pv.geomIDsCol.decodeAll()
-}
-
-// --- materialisation ------------------------------------------------------
-
-// materializeInto decodes the packed state into st's write side:
-// columns, dictionary (terms re-encoded in id order, so ids are
-// preserved bit-for-bit), parsed geometries, the duplicate set, and the
-// predicate counts from the statistics section. Callers hold st's write
-// lock.
-func (pv *packView) materializeInto(st *Store) error {
-	st.s = pv.cols[0].decodeAll()
-	st.p = pv.cols[1].decodeAll()
-	st.o = pv.cols[2].decodeAll()
-	st.present = make(map[[3]uint64]int, len(st.s))
-	for row := range st.s {
-		st.present[[3]uint64{st.s[row], st.p[row], st.o[row]}] = row
+	ids := pv.r.GeomIDs()
+	out := make([]uint64, 0, ids.Len())
+	for b := 0; b < ids.NumBlocks(); b++ {
+		out = append(out, ids.DecodeBlock(b, nil)...)
 	}
-	for id, ps := range pv.stats.Pred {
-		st.predRows[id] = ps.Count
-	}
-	nTerms := pv.nTerms()
-	for b := 0; b*colpack.DictBlockSize < nTerms; b++ {
-		for _, t := range pv.dictBlock(b) {
-			st.dict.Encode(t)
-		}
-	}
-	if got := st.dict.Len(); got != nTerms {
-		return fmt.Errorf("strabon: packed dictionary materialised %d terms, want %d", got, nTerms)
-	}
-	for _, id := range pv.geomIDs() {
-		t, ok := st.dict.Decode(id)
-		if !ok {
-			return fmt.Errorf("strabon: packed geometry id %d not in dictionary", id)
-		}
-		v, err := strdf.ParseWGS84(t)
-		if err != nil {
-			return fmt.Errorf("strabon: packed geometry id %d: %w", id, err)
-		}
-		st.geoms[id] = v
-	}
-	st.deleted = 0
-	return nil
+	return out
 }
 
 // cachedHeapBytes approximates heap memory pinned by this view's
@@ -465,52 +546,126 @@ func (pv *packView) cachedHeapBytes() int64 { return pv.cachedBytes.Load() }
 
 // --- building an image ----------------------------------------------------
 
-// imageInput is what a fold copies under the store's read lock: the
-// compacted columns, the dictionary's terms so far and the parsed
-// geometries, with the WAL seq and store version the image is labelled
-// with. terms and the geometry values are shared, never modified.
+// imageInput is what a fold takes under the store's read lock: the base
+// and the delta the store layers on it, with the WAL seq and store
+// version the image is labelled with. The delta's slices are prefixes of
+// the store's append-only ones, shared, never modified.
 type imageInput struct {
 	seq, version uint64
-	cols         [3][]uint64
-	terms        []rdf.Term
-	geoms        map[uint64]strdf.SpatialValue
+	base         *packView
+	// removed lists the rows removed since base, ascending: base rows,
+	// then appended ones (numbered from base.nRows()).
+	removed []int32
+	cols    [3][]uint64 // the rows appended since base
+	over    []rdf.Term  // the terms since base: id base.nTerms()+i+1 is over[i]
+	geoms   map[uint64]strdf.SpatialValue
+	// prune drops the geometries no live row's object refers to
+	// (Compact).
+	prune bool
 }
 
-// build encodes in as a TELPACK1 image and opens it as a base, with no
-// store lock held: the posting lists (counting sort), the planner
-// statistics, the dictionary and the geometry envelopes are all derived
-// here. The open verifies the image as it verifies a file. The base is
-// seeded with the store's parsed geometries, so a fold never re-parses
-// WKT. Checkpoints write the same bytes (Snapshot.Image).
+// build folds the base and the delta into one TELPACK1 image and opens
+// it as a base, with no store lock held: it streams the base's columns
+// and dictionary, skipping removed rows, appends the delta, derives the
+// posting lists (counting sort), the planner statistics and the
+// geometry envelopes, and encodes. The open verifies the image as it
+// verifies a file. The new base is seeded with the parsed geometries at
+// hand, so a fold never re-parses WKT, and with the term index of the
+// terms at hand. Checkpoints write the same bytes (Snapshot.Image).
 func (in *imageInput) build() *packView {
 	if testHookFoldEncode != nil {
 		testHookFoldEncode()
 	}
-	nTerms := len(in.terms)
+	b := in.base
+	nBase := b.nRows()
+	var cols [3][]uint64
+	for c := range cols {
+		cols[c] = make([]uint64, 0, nBase+len(in.cols[0])-len(in.removed))
+	}
+	removed := in.removed
+	keep := func(row int) bool {
+		if len(removed) > 0 && int(removed[0]) == row {
+			removed = removed[1:]
+			return false
+		}
+		return true
+	}
+	var blk [3][]uint64
+	for bi := 0; bi < b.cols[0].col.NumBlocks(); bi++ {
+		for c := range blk {
+			blk[c] = b.cols[c].col.DecodeBlock(bi, blk[c])
+		}
+		for i := range blk[0] {
+			if keep(bi*colpack.BlockSize + i) {
+				for c := range cols {
+					cols[c] = append(cols[c], blk[c][i])
+				}
+			}
+		}
+	}
+	for k := range in.cols[0] {
+		if keep(nBase + k) {
+			for c := range cols {
+				cols[c] = append(cols[c], in.cols[c][k])
+			}
+		}
+	}
+	terms := append(b.appendTerms(make([]rdf.Term, 0, b.nTerms()+len(in.over))), in.over...)
+	nTerms := len(terms)
+
+	// The geometries: the base's and the delta's (never one of the base's),
+	// in ascending id order, seeded with the parsed ones at hand.
+	var live []bool
+	if in.prune {
+		live = make([]bool, nTerms+1)
+		for _, o := range cols[2] {
+			live[o] = true
+		}
+	}
+	baseIDs := b.geomIDs()
+	var geomIDs []uint64
+	var geomEnvs []geo.Envelope
+	seeds := make(map[uint64]strdf.SpatialValue, len(in.geoms))
+	b.geomMu.RLock()
+	for _, id := range slices.Sorted(slices.Values(append(slices.Collect(maps.Keys(in.geoms)), baseIDs...))) {
+		if live != nil && !live[id] {
+			continue
+		}
+		env := geo.Envelope{}
+		if v, ok := in.geoms[id]; ok {
+			env, seeds[id] = v.Geom.Envelope(), v
+		} else {
+			i, _ := slices.BinarySearch(baseIDs, id)
+			env = b.r.GeomEnv(i)
+			if v, ok := b.geomCache[id]; ok {
+				seeds[id] = v
+			}
+		}
+		geomIDs, geomEnvs = append(geomIDs, id), append(geomEnvs, env)
+	}
+	b.geomMu.RUnlock()
+
 	var post [3]postings
 	for c := range post {
-		post[c] = newPostings(in.cols[c], nTerms)
+		post[c] = newPostings(cols[c], nTerms)
 	}
 	d := &colpack.SnapshotData{
 		Seq:      in.seq,
 		Version:  in.version,
-		S:        in.cols[0],
-		P:        in.cols[1],
-		O:        in.cols[2],
+		S:        cols[0],
+		P:        cols[1],
+		O:        cols[2],
 		Postings: func(c int, id uint64) []int32 { return post[c].of(id) },
-		Terms:    in.terms,
-		GeomIDs:  slices.Sorted(maps.Keys(in.geoms)),
+		Terms:    terms,
+		GeomIDs:  geomIDs,
+		GeomEnvs: geomEnvs,
 		Stats: colpack.StatsBlock{
-			Triples:   len(in.cols[0]),
+			Triples:   len(cols[0]),
 			DistinctS: post[0].distinct,
 			DistinctP: post[1].distinct,
 			DistinctO: post[2].distinct,
-			Geoms:     len(in.geoms),
+			Geoms:     len(geomIDs),
 		},
-	}
-	d.GeomEnvs = make([]geo.Envelope, len(d.GeomIDs))
-	for i, id := range d.GeomIDs {
-		d.GeomEnvs[i] = in.geoms[id].Geom.Envelope()
 	}
 	// Distinct subjects/objects per predicate via epoch marking: one
 	// shared mark slot per dictionary id, bumped per predicate, so the
@@ -526,17 +681,31 @@ func (in *imageInput) build() *packView {
 		epoch++
 		ds, do := 0, 0
 		for _, r := range rows {
-			if s := in.cols[0][r]; markS[s] != epoch {
+			if s := cols[0][r]; markS[s] != epoch {
 				markS[s] = epoch
 				ds++
 			}
-			if o := in.cols[2][r]; markO[o] != epoch {
+			if o := cols[2][r]; markO[o] != epoch {
 				markO[o] = epoch
 				do++
 			}
 		}
 		d.Stats.Pred = append(d.Stats.Pred, colpack.PredStat{ID: pid, Count: len(rows), DistinctS: ds, DistinctO: do})
 	}
+	pv := openImage(d)
+	pv.geomCache = seeds
+	pv.ix = newTermIndex(nTerms)
+	var canon []byte
+	for _, t := range terms {
+		canon = colpack.AppendTermCanonical(canon[:0], t)
+		pv.ix.add(canon)
+	}
+	pv.cachedBytes.Add(pv.ix.bytes())
+	return pv
+}
+
+// openImage encodes d and opens the image as a base.
+func openImage(d *colpack.SnapshotData) *packView {
 	img, err := colpack.Encode(d)
 	var r *colpack.Reader
 	if err == nil {
@@ -546,9 +715,7 @@ func (in *imageInput) build() *packView {
 		// Unreachable: the input is the store's own consistent state.
 		panic(fmt.Sprintf("strabon: fold image: %v", err))
 	}
-	pv := newPackView(r)
-	pv.geomCache = in.geoms
-	return pv
+	return newPackView(r)
 }
 
 // testHookFoldEncode, when set, runs as an image build starts.

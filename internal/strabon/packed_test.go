@@ -3,7 +3,7 @@ package strabon
 // Mapped-snapshot tests: a Snapshot backed by a packed snapshot file
 // must be observationally identical to the store view it was
 // written from, and a RestorePacked store must answer reads in place
-// until the first mutation materialises it.
+// and keep its writes in a delta over the file.
 
 import (
 	"bytes"
@@ -93,7 +93,8 @@ func TestMappedSnapshotEquivalence(t *testing.T) {
 			}
 		}
 	}
-	ids := []uint64{0, 1, 2, 3, uint64(heap.dict.Len()), uint64(heap.dict.Len()) + 1, 1 << 40}
+	nTerms := uint64(st.Stats().Terms)
+	ids := []uint64{0, 1, 2, 3, nTerms, nTerms + 1, 1 << 40}
 	hOut := make([]rdf.Term, len(ids))
 	mOut := make([]rdf.Term, len(ids))
 	heap.DecodeAll(ids, hOut)
@@ -106,7 +107,7 @@ func TestMappedSnapshotEquivalence(t *testing.T) {
 
 	// Term lookup round-trips for every dictionary term and misses
 	// cleanly for unknown ones.
-	for id := uint64(1); id <= uint64(heap.dict.Len()); id++ {
+	for id := uint64(1); id <= nTerms; id++ {
 		term, ok := mapped.DecodeTerm(id)
 		if !ok {
 			t.Fatalf("DecodeTerm(%d) missing", id)
@@ -253,32 +254,33 @@ func TestRestorePackedServesInPlace(t *testing.T) {
 			st.ResidentEstimate(), src.ResidentEstimate())
 	}
 
-	// First mutation materialises; contents stay identical plus the new
-	// triple, dictionary ids are preserved, and the pre-mutation mapped
-	// snapshot keeps serving its old view.
+	// A mutation goes to the delta over the file: the store stays mapped,
+	// contents stay identical plus the new triple, dictionary ids are
+	// preserved, and the pre-mutation mapped snapshot keeps serving its
+	// old view.
 	extra := rdf.NewTriple(rdf.IRI("http://ex/new"), rdf.IRI(rdf.RDFType), rdf.IRI("http://ex/Class0"))
 	if !st.Add(extra) {
 		t.Fatal("Add failed")
 	}
-	if st.StorageMode() != "heap" {
-		t.Fatal("mutation did not materialise the store")
+	if st.StorageMode() != "mapped" {
+		t.Fatalf("after a write StorageMode = %q, want mapped", st.StorageMode())
 	}
 	if st.Len() != src.Len()+1 {
 		t.Fatalf("Len after add = %d", st.Len())
 	}
 	if got := st.Stats().Predicates; got != 4 {
-		t.Fatalf("Stats().Predicates after materialisation = %d, want 4", got)
+		t.Fatalf("Stats().Predicates after a write = %d, want 4", got)
 	}
 	srcSn, stSn := src.Snapshot(), st.Snapshot()
 	for id := uint64(1); id <= uint64(src.Stats().Terms); id++ {
 		want, _ := srcSn.DecodeTerm(id)
 		got, ok := stSn.DecodeTerm(id)
 		if !ok || got != want {
-			t.Fatalf("id %d changed across materialisation: %v vs %v", id, got, want)
+			t.Fatalf("id %d changed across a write: %v vs %v", id, got, want)
 		}
 	}
 	if sn.NRows() != 200*3+20 {
-		t.Fatal("old mapped snapshot changed size after materialisation")
+		t.Fatal("old mapped snapshot changed size after a write")
 	}
 	sn2 := st.Snapshot()
 	if sn2.Mapped() {
@@ -290,8 +292,8 @@ func TestRestorePackedServesInPlace(t *testing.T) {
 }
 
 // TestReadsNeverMaterialise pins the one-read-path rule: every read of
-// a mapped store is served from the mapping, and only a write copies it
-// to the heap.
+// a mapped store is served from the mapping, and so is every read after
+// a write — writes go to a delta, the base stays the file.
 func TestReadsNeverMaterialise(t *testing.T) {
 	src := packedFixtureStore(100)
 	st, err := RestorePacked(packFixture(t, src, 4))
@@ -319,14 +321,18 @@ func TestReadsNeverMaterialise(t *testing.T) {
 	if !st.Add(rdf.NewTriple(rdf.IRI("http://ex/new"), rdf.IRI(rdf.RDFType), rdf.IRI("http://ex/Class0"))) {
 		t.Fatal("Add failed")
 	}
-	if mode := st.StorageMode(); mode != "heap" {
-		t.Fatalf("after a write StorageMode = %q, want heap", mode)
+	if mode := st.StorageMode(); mode != "mapped" {
+		t.Fatalf("after a write StorageMode = %q, want mapped", mode)
+	}
+	// The first fold replaces the file with an image built in memory.
+	if st.Fold(5); st.StorageMode() != "image" {
+		t.Fatalf("after a fold StorageMode = %q, want image", st.StorageMode())
 	}
 }
 
-// TestRestorePackedRemoveAndSpatial: a Remove materialises a mapped
-// store; spatial candidates served from the mapped file's R-tree match a
-// scan of the source's spatial literals.
+// TestRestorePackedRemoveAndSpatial: a Remove of a base row is a
+// tombstone over the mapped file; spatial candidates served from the
+// mapped file's R-tree match a scan of the source's spatial literals.
 func TestRestorePackedRemoveAndSpatial(t *testing.T) {
 	src := packedFixtureStore(50)
 	st, err := RestorePacked(packFixture(t, src, 3))
@@ -337,8 +343,11 @@ func TestRestorePackedRemoveAndSpatial(t *testing.T) {
 	if !st.Remove(victim) {
 		t.Fatal("Remove on packed store failed")
 	}
-	if st.Len() != src.Len()-1 {
-		t.Fatalf("Len = %d", st.Len())
+	if st.Len() != src.Len()-1 || st.StorageMode() != "mapped" {
+		t.Fatalf("Len = %d, mode %q", st.Len(), st.StorageMode())
+	}
+	if st.Remove(victim) {
+		t.Fatal("a removed base row was removed twice")
 	}
 
 	st2, err := RestorePacked(packFixture(t, src, 3))
@@ -390,7 +399,7 @@ func TestMappedSnapshotConcurrent(t *testing.T) {
 						return
 					}
 				}
-				id := uint64(w*7+iter) % uint64(heap.dict.Len())
+				id := uint64(w*7+iter) % uint64(st.Stats().Terms)
 				if id > 0 {
 					term, _ := mapped.DecodeTerm(id)
 					if got, ok := mapped.Lookup(term); !ok || got != id {

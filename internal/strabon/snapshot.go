@@ -26,21 +26,23 @@ const (
 // Snapshot is an immutable read view of the store at one version: a base
 // (a TELPACK1 image of the last fold — built in memory, or the mapped
 // file the store booted from) plus a delta holding only what changed
-// since (rows appended, base rows removed, geometries cached). Every
-// accessor merges the two so that results come out exactly as a full
-// build of the same version would return them: the same rows in the same
-// order, the same statistics. Nothing in a Snapshot is mutated after it
-// is built, so readers never take a lock per row — the vectorized
-// stSPARQL executor evaluates whole queries against one Snapshot.
+// since (rows appended, rows removed, geometries cached). Every accessor
+// merges the two so that results come out exactly as a full build of the
+// same version would return them: the same rows in the same order, the
+// same statistics. Nothing in a Snapshot is mutated after it is built, so
+// readers never take a lock per row — the vectorized stSPARQL executor
+// evaluates whole queries against one Snapshot.
 //
 // Row ids are the base's row numbers followed by the delta's appended
-// rows; a base row removed since the base keeps its id but never matches.
+// rows; a removed row keeps its id but never matches. Term ids are the
+// base's followed by the terms written since.
 type Snapshot struct {
 	version uint64
-	// dict is the store's dictionary; nil while the store is still served
-	// from a packed file, whose front-coded dictionary answers instead.
-	dict  *rdf.Dictionary
-	base  *packView
+	base    *packView
+	// The view's terms past the base's are the first nOver of over, the
+	// store's dictionary of terms written since base, which grows on.
+	over  *rdf.Dictionary
+	nOver int
 	delta *delta // nil when nothing changed since base
 
 	// stats is the delta-adjusted statistics view, built once per
@@ -50,14 +52,17 @@ type Snapshot struct {
 }
 
 // delta is what changed since a view's base: the store rows appended
-// since (with their own columns and posting lists, numbered from first),
-// the base rows removed since, and the geometries cached since.
+// since (a prefix of the store's append-only columns, numbered from
+// first, with posting lists of the live ones), the rows removed since,
+// and the geometries cached since.
 type delta struct {
-	first   int32 // row id of the first appended row: the base's row count
-	cols    [3][]uint64
-	by      [3]map[uint64][]int32
-	removed []int32 // base rows removed since the base, ascending
+	first int32 // row id of the first appended row: the base's row count
+	cols  [3][]uint64
+	dead  []int32 // appended rows removed since, ascending
+	by    [3]map[uint64][]int32
+	// removed lists the base rows removed since the base, ascending;
 	// removedBy counts, per component id, the removed rows carrying it.
+	removed   []int32
 	removedBy [3]map[uint64]int
 	geoms     map[uint64]strdf.SpatialValue
 	geomIDs   []uint64 // keys of geoms, ascending
@@ -66,7 +71,7 @@ type delta struct {
 
 // Mapped reports whether the snapshot is the packed file a store was
 // restored from, unchanged: every read is answered in place from it.
-func (sn *Snapshot) Mapped() bool { return sn.delta == nil && sn.dict == nil }
+func (sn *Snapshot) Mapped() bool { return sn.delta == nil && sn.base.file }
 
 // Image returns the TELPACK1 image of a view without a delta and the WAL
 // sequence number in its header, the last record it covers: the bytes a
@@ -106,7 +111,7 @@ func (st *Store) view(fold bool, seq uint64) *Snapshot {
 	for {
 		st.mu.RLock()
 		want := st.version
-		if sn := st.snap; sn != nil && sn.version == want && (!fold || st.foldedLocked(sn, seq)) {
+		if sn := st.snap; sn != nil && sn.version == want && (!fold || foldedAs(sn, seq)) {
 			st.mu.RUnlock()
 			return sn
 		}
@@ -131,7 +136,7 @@ func (st *Store) view(fold bool, seq uint64) *Snapshot {
 		if fp != nil {
 			// A fold encodes its image with no store lock held: writes go
 			// on meanwhile, and later views take them as their delta.
-			sn.base = fp.build()
+			sn.base = fp.in.build()
 		}
 		st.mu.Lock()
 		st.installLocked(sn, fp)
@@ -143,42 +148,33 @@ func (st *Store) view(fold bool, seq uint64) *Snapshot {
 	}
 }
 
-// foldedLocked reports whether sn, a view of the current version, can
-// stand as Fold(seq)'s result: it has no delta and its image is labelled
-// seq — or the store is still its mapped file, which keeps its label.
-// Callers hold the read lock.
-func (st *Store) foldedLocked(sn *Snapshot, seq uint64) bool {
+// foldedAs reports whether sn, a view of the current version, can stand
+// as Fold(seq)'s result: it has no delta and its image is labelled seq —
+// or it is the mapped file the store booted from, which keeps its label.
+func foldedAs(sn *Snapshot, seq uint64) bool {
 	_, label := sn.Image()
-	return sn.delta == nil && (label == seq || st.packed != nil)
+	return sn.delta == nil && (label == seq || sn.base.file)
 }
 
 // buildViewLocked builds the view of the current version: a delta over
-// the installed base, or a fold — returned as the new fold point, whose
-// image the caller builds once the lock is released — when there is no
-// base, the caller asks for one (labelled seq), or the delta has grown
+// the base, or a fold — returned as a fold point, whose image the caller
+// builds once the lock is released — when the caller asks for one
+// (labelled seq), a fresh store is first read, or the delta has grown
 // past the fold policy (labelled with the applied seq). Callers hold the
 // read lock.
 func (st *Store) buildViewLocked(fold bool, seq uint64) (*Snapshot, *foldPoint) {
-	sn := &Snapshot{version: st.version}
-	if st.packed != nil {
-		// Nothing has been written since boot: the mapped file is the
-		// full build of every version the store has had.
-		sn.base = st.fold.base
-		return sn, nil
-	}
-	sn.dict = st.dict
-	fp := st.fold
-	// Rows appended plus rows removed since the base, against the policy.
-	if fold || fp == nil || st.changedSinceLocked(fp) > max(fp.base.nRows()/foldFraction, foldMinRows, 2*fp.lag) {
+	sn := &Snapshot{version: st.version, base: st.base, over: st.over, nOver: st.over.Len()}
+	nBase := st.base.nRows()
+	if changed := st.changedLocked(); fold || (nBase == 0 && changed > 0) || changed > max(nBase/foldFraction, foldMinRows, 2*st.lag) {
 		if !fold {
 			seq = st.appliedSeq
 		}
 		st.fullBuilds.Add(1)
 		st.deltaRows.Store(0)
+		sn.over, sn.nOver = nil, 0 // the fold's image holds every term a row refers to
 		return sn, st.foldLocked(seq)
 	}
-	sn.base = fp.base
-	sn.delta = st.deltaLocked(fp)
+	sn.delta = st.deltaLocked()
 	st.deltaBuilds.Add(1)
 	rows := 0
 	if d := sn.delta; d != nil {
@@ -189,114 +185,87 @@ func (st *Store) buildViewLocked(fold bool, seq uint64) (*Snapshot, *foldPoint) 
 }
 
 // installLocked caches a built view as current (when no write moved the
-// version meanwhile) and a fold as the new base (when no Compact
-// renumbered the rows meanwhile). Callers hold the write lock.
+// version meanwhile) and a fold as the new base (when no Compact folded
+// the base it was taken from meanwhile). Callers hold the write lock.
 func (st *Store) installLocked(sn *Snapshot, fp *foldPoint) {
-	if fp != nil && fp.epoch == st.epoch {
-		fp.lag = st.changedSinceLocked(fp)
-		st.geomLog = append([]uint64(nil), st.geomLog[fp.geomMark:]...)
-		fp.geomMark = 0
-		st.fold = fp
+	if fp != nil && fp.in.base == st.base {
+		st.rebaseLocked(fp, sn.base)
 	}
 	if sn.version == st.version {
 		st.snap = sn
 	}
 }
 
-// foldPoint is a fold installed as the base of later views, with where
-// the store stood when it was taken.
+// foldPoint is a fold in progress: what its image is built from and
+// where the store's delta stood when it was taken; imageInput.build
+// builds its image.
 type foldPoint struct {
-	base     *packView
-	in       *imageInput // what base is built from; nil once built
-	rows     int         // store rows [0, rows) are covered by base
-	tombs    []int       // those of them tombstoned at the fold, ascending
-	tombMark int         // len(tombLog) at the fold
-	geomMark int         // len(geomLog) at the fold
-	lag      int         // rows changed between the fold's copy and its install
-	epoch    uint64
+	in       *imageInput
+	rows     int // appended rows folded in: len(cols) at the fold
+	tombMark int // len(tombLog) at the fold
+	geomMark int // len(geomLog) at the fold
 }
 
-// changedSinceLocked counts the rows appended and removed since fp was
-// taken. Callers hold the read lock.
-func (st *Store) changedSinceLocked(fp *foldPoint) int {
-	return len(st.s) - fp.rows + len(st.tombLog) - fp.tombMark
-}
-
-// build encodes and opens the fold's image; see imageInput.build.
-func (fp *foldPoint) build() *packView {
-	fp.base, fp.in = fp.in.build(), nil
-	return fp.base
-}
-
-// foldLocked copies what a fold of the current version, labelled seq, is
-// built from: the compacted columns, the dictionary's terms so far and
-// the parsed geometries. It is O(rows) copying and nothing else; the
-// image is built by foldPoint.build. Callers hold the read lock.
+// foldLocked takes what a fold of the current version, labelled seq, is
+// built from: the base, prefixes of the delta's append-only columns and
+// terms, the sorted removed rows and the delta's geometries. It copies
+// nothing that grows with the base; the image is built by
+// foldPoint.build. Callers hold the read lock.
 func (st *Store) foldLocked(seq uint64) *foldPoint {
-	n := len(st.s) - st.deleted
-	in := &imageInput{seq: seq, version: st.version, terms: st.dict.Terms(), geoms: maps.Clone(st.geoms)}
+	n := len(st.cols[0])
+	in := &imageInput{
+		seq:     seq,
+		version: st.version,
+		base:    st.base,
+		removed: slices.Sorted(slices.Values(st.tombLog)),
+		over:    st.over.Terms(),
+		geoms:   maps.Clone(st.geoms),
+	}
 	for c := range in.cols {
-		in.cols[c] = make([]uint64, 0, n)
+		in.cols[c] = st.cols[c][:n:n]
 	}
-	for row := range st.s {
-		if st.s[row] == 0 {
-			continue
-		}
-		in.cols[0] = append(in.cols[0], st.s[row])
-		in.cols[1] = append(in.cols[1], st.p[row])
-		in.cols[2] = append(in.cols[2], st.o[row])
-	}
-	tombs := slices.Clone(st.tombLog)
-	sort.Ints(tombs)
-	return &foldPoint{
-		in:       in,
-		rows:     len(st.s),
-		tombs:    tombs,
-		tombMark: len(st.tombLog),
-		geomMark: len(st.geomLog),
-		epoch:    st.epoch,
-	}
+	return &foldPoint{in: in, rows: n, tombMark: len(st.tombLog), geomMark: len(st.geomLog)}
 }
 
-// deltaLocked collects what changed since fp from the store's rows past
-// fp.rows and its removal and geometry logs — never a scan of the base.
-// It returns nil when nothing did. Callers hold the read lock.
-func (st *Store) deltaLocked(fp *foldPoint) *delta {
-	d := &delta{first: int32(fp.base.nRows())}
-	if appended := len(st.s) - fp.rows; appended > 0 {
+// deltaLocked collects what changed since the base from the store's
+// appended rows and its removal and geometry logs — never a scan of the
+// base. The appended columns are shared, not copied. It returns nil when
+// nothing changed. Callers hold the read lock.
+func (st *Store) deltaLocked() *delta {
+	d := &delta{first: int32(st.base.nRows())}
+	for _, row := range st.tombLog {
+		if row < d.first {
+			d.removed = append(d.removed, row)
+		} else {
+			d.dead = append(d.dead, row)
+		}
+	}
+	slices.Sort(d.removed)
+	slices.Sort(d.dead)
+	if n := len(st.cols[0]); n > 0 {
 		for c := range d.by {
+			d.cols[c] = st.cols[c][:n:n]
 			d.by[c] = make(map[uint64][]int32)
 		}
-		for row := fp.rows; row < len(st.s); row++ {
-			if st.s[row] == 0 {
-				continue
+		d.forLive(func(row int32) {
+			for c := range d.by {
+				v := d.cols[c][row-d.first]
+				d.by[c][v] = append(d.by[c][v], row)
 			}
-			id := d.first + int32(len(d.cols[0]))
-			for c, v := range [3]uint64{st.s[row], st.p[row], st.o[row]} {
-				d.cols[c] = append(d.cols[c], v)
-				d.by[c][v] = append(d.by[c][v], id)
-			}
-		}
-	}
-	for _, row := range st.tombLog[fp.tombMark:] {
-		if row < fp.rows {
-			d.removed = append(d.removed, int32(row-sort.SearchInts(fp.tombs, row)))
-		}
+		})
 	}
 	if len(d.removed) > 0 {
-		sort.Slice(d.removed, func(i, j int) bool { return d.removed[i] < d.removed[j] })
 		for c := range d.removedBy {
 			d.removedBy[c] = make(map[uint64]int)
 		}
 		for _, row := range d.removed {
 			for c := range d.removedBy {
-				d.removedBy[c][fp.base.colID(c, row)]++
+				d.removedBy[c][st.base.colID(c, row)]++
 			}
 		}
 	}
-	if ids := st.geomLog[fp.geomMark:]; len(ids) > 0 {
-		d.geomIDs = append([]uint64(nil), ids...)
-		sort.Slice(d.geomIDs, func(i, j int) bool { return d.geomIDs[i] < d.geomIDs[j] })
+	if ids := st.geomLog; len(ids) > 0 {
+		d.geomIDs = slices.Sorted(slices.Values(ids))
 		d.geoms = make(map[uint64]strdf.SpatialValue, len(ids))
 		d.geomEnvs = make([]geo.Envelope, len(ids))
 		for i, id := range d.geomIDs {
@@ -310,6 +279,22 @@ func (st *Store) deltaLocked(fp *foldPoint) *delta {
 	}
 	return d
 }
+
+// forLive calls fn with every appended row not removed since, ascending.
+func (d *delta) forLive(fn func(row int32)) {
+	dead := d.dead
+	for k := range d.cols[0] {
+		row := d.first + int32(k)
+		if len(dead) > 0 && dead[0] == row {
+			dead = dead[1:]
+			continue
+		}
+		fn(row)
+	}
+}
+
+// live is the number of appended rows not removed since.
+func (d *delta) live() int { return len(d.cols[0]) - len(d.dead) }
 
 // filterRows appends to out the rows of candidate whose columns (cols
 // holds the rows numbered from first) carry every bound id.
@@ -332,16 +317,10 @@ candLoop:
 func (sn *Snapshot) NRows() int {
 	n := sn.base.nRows()
 	if d := sn.delta; d != nil {
-		n += len(d.cols[0]) - len(d.removed)
+		n += d.live() - len(d.removed)
 	}
 	return n
 }
-
-// Dict exposes the term dictionary backing the snapshot's ids. It is
-// nil on a snapshot of a store still served from a packed file, whose
-// dictionary lives front-coded in the file — use DecodeTerm / Lookup /
-// DecodeAll instead, which work in both modes.
-func (sn *Snapshot) Dict() *rdf.Dictionary { return sn.dict }
 
 // Version reports the store version this snapshot was built at.
 func (sn *Snapshot) Version() uint64 { return sn.version }
@@ -360,20 +339,34 @@ func (sn *Snapshot) ColID(comp int, row int32) uint64 {
 	return sn.base.colID(comp, row)
 }
 
-// DecodeTerm decodes a dictionary id in either mode.
+// DecodeTerm decodes a dictionary id: the base's front-coded dictionary
+// answers for its own ids, the terms written since for the rest.
 func (sn *Snapshot) DecodeTerm(id uint64) (rdf.Term, bool) {
-	if sn.dict == nil {
-		return sn.base.term(id)
+	if n := uint64(sn.base.nTerms()); id > n {
+		if id-n > uint64(sn.nOver) {
+			return rdf.Term{}, false
+		}
+		return sn.over.Decode(id - n)
 	}
-	return sn.dict.Decode(id)
+	return sn.base.term(id)
 }
 
-// Lookup returns the dictionary id of a term in either mode.
+// Lookup returns the dictionary id of a term.
 func (sn *Snapshot) Lookup(t rdf.Term) (uint64, bool) {
-	if sn.dict == nil {
-		return sn.base.lookup(t)
+	return lookupTerm(sn.base, sn.over, sn.nOver, t)
+}
+
+// lookupTerm finds t among a base's terms and then among the first nOver
+// terms written since, whose ids follow the base's.
+func lookupTerm(base *packView, over *rdf.Dictionary, nOver int, t rdf.Term) (uint64, bool) {
+	id, ok := base.lookup(t)
+	if !ok && nOver > 0 {
+		if id, ok = over.Lookup(t); ok && id <= uint64(nOver) {
+			return id + uint64(base.nTerms()), true
+		}
+		return 0, false
 	}
-	return sn.dict.Lookup(t)
+	return id, ok
 }
 
 // LookupID returns the dictionary id for a term (cardSource interface).
@@ -398,7 +391,7 @@ func (sn *Snapshot) MatchRows(pat TriplePattern, buf *[]int32) []int32 {
 		return sn.base.matchRows(pat, buf)
 	}
 	ids := [3]uint64{pat.S, pat.P, pat.O}
-	added, removed := len(d.cols[0]) > 0, len(d.removed) > 0
+	added, removed := d.live() > 0, len(d.removed) > 0
 	for c, id := range ids {
 		if id != 0 {
 			added = added && len(d.by[c][id]) > 0
@@ -446,9 +439,7 @@ func (d *delta) match(ids [3]uint64, out []int32) []int32 {
 		}
 	}
 	if !candSet {
-		for k := range d.cols[0] {
-			out = append(out, d.first+int32(k))
-		}
+		d.forLive(func(row int32) { out = append(out, row) })
 		return out
 	}
 	return filterRows(&d.cols, d.first, ids, candidate, out)
@@ -569,7 +560,7 @@ func (sn *Snapshot) adjustStats() *SnapshotStats {
 	b, d := sn.base, sn.delta
 	bs := b.stats
 	st := &SnapshotStats{
-		Triples:   bs.Triples + len(d.cols[0]) - len(d.removed),
+		Triples:   bs.Triples + d.live() - len(d.removed),
 		DistinctS: bs.DistinctS,
 		DistinctP: bs.DistinctP,
 		DistinctO: bs.DistinctO,
@@ -609,9 +600,10 @@ func (sn *Snapshot) adjustStats() *SnapshotStats {
 			pairs[i][[2]uint64{p, x}] = n
 		}
 	}
-	for k := range d.cols[0] {
+	d.forLive(func(row int32) {
+		k := row - d.first
 		tally(d.cols[0][k], d.cols[1][k], d.cols[2][k], 0)
-	}
+	})
 	for _, row := range d.removed {
 		tally(b.colID(0, row), b.colID(1, row), b.colID(2, row), 1)
 	}
@@ -684,12 +676,12 @@ func (sn *Snapshot) SpatialSelectivity(box geo.Envelope) float64 {
 	return float64(len(sn.SpatialCandidates(box))) / float64(nGeoms)
 }
 
-// DecodeAll decodes a batch of ids under one dictionary lock, writing into
-// out (which must have len(ids) capacity); unknown ids decode to the zero
-// Term. It returns out.
+// DecodeAll decodes a batch of ids, writing into out (which must have
+// len(ids) capacity); unknown ids decode to the zero Term. It returns out.
 func (sn *Snapshot) DecodeAll(ids []uint64, out []rdf.Term) []rdf.Term {
-	if sn.dict == nil {
-		return sn.base.decodeAllTerms(ids, out)
+	out = out[:len(ids)]
+	for i, id := range ids {
+		out[i], _ = sn.DecodeTerm(id)
 	}
-	return sn.dict.DecodeAll(ids, out)
+	return out
 }

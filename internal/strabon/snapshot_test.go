@@ -57,8 +57,8 @@ func TestSnapshotImmutableAfterRemove(t *testing.T) {
 		t.Fatal("snapshot mutated by Remove/Compact")
 	}
 	// The old snapshot still matches the removed triple.
-	typeID, _ := sn.Dict().Lookup(rdf.IRI(rdf.RDFType))
-	sID, _ := sn.Dict().Lookup(rdf.IRI("http://ex/s3"))
+	typeID, _ := sn.Lookup(rdf.IRI(rdf.RDFType))
+	sID, _ := sn.Lookup(rdf.IRI("http://ex/s3"))
 	rows := sn.MatchRows(TriplePattern{S: sID, P: typeID}, nil)
 	if len(rows) != 1 {
 		t.Fatalf("old snapshot lost the removed triple: %d rows", len(rows))
@@ -113,7 +113,7 @@ func TestSnapshotDecodeAll(t *testing.T) {
 	if !out[0].IsZero() || !out[3].IsZero() {
 		t.Fatal("unknown ids must decode to zero terms")
 	}
-	want, _ := sn.Dict().Decode(1)
+	want, _ := sn.DecodeTerm(1)
 	if out[1] != want {
 		t.Fatalf("DecodeAll[1] = %v, want %v", out[1], want)
 	}

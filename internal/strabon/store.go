@@ -2,28 +2,30 @@
 // paper: triples dictionary-encoded into three parallel integer columns
 // (the MonetDB layout under the real Strabon).
 //
-// The package has one write side and one read side. Store is the write
-// side: it keeps the columns, the dictionary, a duplicate set, the
-// ingest-time geometry cache and the write-ahead journal hook — only what
-// a mutation needs. Every read goes through Snapshot, an immutable view
-// of one store version: a base in the one base format, a TELPACK1 image
-// (internal/colpack) carrying posting lists per component, the geometry
-// envelopes its R-tree is loaded from and per-predicate statistics for
-// the stSPARQL optimizer, plus a delta of what changed since. A fold
-// builds a new base image in memory and a checkpoint writes those bytes.
-// A store restored from a packed snapshot file (RestorePacked) serves
-// its views straight from the mapped file and copies it to the heap only
-// on its first write.
+// The package has one write side and one read side over one base: a
+// TELPACK1 image (internal/colpack) — the packed snapshot file a store
+// was restored from (RestorePacked), served in place, or the image of
+// the last fold. Store, the write side, layers a delta on the base and
+// never copies the base to the heap: rows appended (append-only
+// columns), rows removed, terms new since (ids after the base's, never
+// renumbered), their geometries, and a duplicate set over the appended
+// rows; a hash index over the base's terms answers its lookups. Every
+// read goes through Snapshot, an immutable view of one store version:
+// the base — posting lists, geometry envelopes and per-predicate
+// statistics for the stSPARQL optimizer — plus a prefix of the delta. A
+// fold streams base and delta into a new image with no lock held, and a
+// checkpoint writes those bytes.
 package strabon
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/colpack"
 	"repro/internal/rdf"
 	"repro/internal/strdf"
 )
@@ -104,20 +106,33 @@ type Store struct {
 	// Update's read.
 	writeMu sync.Mutex
 	mu      sync.RWMutex
-	dict    *rdf.Dictionary
-	// The three dictionary-encoded columns. Row i holds triple i; deleted
-	// rows are tombstoned with 0 and dropped by Compact.
-	s, p, o []uint64
-	// present is the triple set for duplicate suppression and Remove:
-	// packed spo -> row.
-	present map[[3]uint64]int
+	// base is the image the delta below layers on. over holds the terms
+	// new since base: over's id i is store id base.nTerms()+i.
+	base *packView
+	over *rdf.Dictionary
+	// cols holds the rows appended since base: store row base.nRows()+k
+	// is cols[.][k]. The columns are append-only — views share their
+	// prefixes — so a removed row keeps its values and is only logged.
+	cols [3][]uint64
+	// dup is the duplicate set over the live appended rows: spo -> k.
+	// tombs holds every row removed since base, base or appended, and
+	// tombLog lists them in removal order.
+	dup     map[[3]uint64]int32
+	tombs   map[int32]struct{}
+	tombLog []int32
+	// geoms holds the WGS84 geometries of the spatial literals first
+	// written as objects since base (the base's own are in its image);
+	// geomLog lists their ids in that order.
+	geoms   map[uint64]strdf.SpatialValue
+	geomLog []uint64
 	// predRows counts the live rows of each predicate, so that
-	// Stats().Predicates is len(predRows) rather than a scan.
+	// Stats().Predicates is len(predRows) rather than a scan. deleted
+	// counts the rows removed since the last Compact.
 	predRows map[uint64]int
 	deleted  int
-	// geoms caches the WGS84 geometry of every spatial literal parsed at
-	// ingest; views index it, Compact prunes it.
-	geoms map[uint64]strdf.SpatialValue
+	// lag is how many rows changed while the last fold was encoding:
+	// the fold policy waits for twice that before the next one.
+	lag int
 	// version counts successful mutations; readers (e.g. the endpoint's
 	// result cache) use it to detect staleness cheaply.
 	version uint64
@@ -130,65 +145,29 @@ type Store struct {
 	appliedSeq uint64
 	// snap caches the immutable read view handed to the vectorized
 	// executor; a new one is built lazily when version moves past it.
-	// fold is the base image later views layer their delta on (nil: the
-	// next view is a fold). tombLog and geomLog record, as writes
-	// happen, the store rows tombstoned since the last Compact and the
-	// geometries cached since fold was taken, so a delta build never
-	// scans for them. epoch moves when rows are renumbered, so that a
-	// fold taken before cannot become the base after.
-	snap    *Snapshot
-	fold    *foldPoint
-	tombLog []int
-	geomLog []uint64
-	epoch   uint64
+	snap *Snapshot
 	// building is the in-flight view build stale readers wait on (single
 	// flight, see Store.Snapshot); the counters feed ViewCounters.
 	building                            atomic.Pointer[viewBuild]
 	fullBuilds, deltaBuilds, buildWaits atomic.Uint64
 	deltaRows                           atomic.Int64
-	// packed, set by RestorePacked, means the store's state lives ONLY
-	// in a mapped packed snapshot: the dictionary is empty and the
-	// columns are nil. Reads are answered in place through the cached
-	// mapped Snapshot (snap); the first mutation materialises via
-	// materializeLocked, which decodes the file into the fields above
-	// and clears packed. The mapping itself stays alive for the
-	// snapshot's lifetime.
-	packed *packView
 	// journal, when set, is notified ahead of every mutation (see
 	// Journal). journalErr latches the newest veto for diagnostics.
 	journal    Journal
 	journalErr error
 }
 
-// NewStore returns an empty store.
-func NewStore() *Store {
-	// Maps are presized for a small catalogue so the first few thousand
-	// inserts do not spend their time rehashing.
-	return &Store{
-		dict:     rdf.NewDictionary(),
-		present:  make(map[[3]uint64]int, 512),
-		predRows: make(map[uint64]int, 32),
-		geoms:    make(map[uint64]strdf.SpatialValue, 64),
-	}
-}
+// NewStore returns an empty store: its base is the empty image.
+func NewStore() *Store { return newStore(openImage(&colpack.SnapshotData{})) }
 
-// materializeLocked decodes a packed store's mapped state into the
-// heap representation the write side needs (columns, dictionary,
-// geometries, the duplicate set and the predicate counts); mutations
-// call it first, holding the write lock. The store version does NOT
-// move: materialisation changes the representation, not the logical
-// contents, so the cached mapped snapshot stays valid and keeps serving
-// readers until a real mutation invalidates it. A decode failure here
-// is unreachable for a file that passed Open's full verification, so it
-// panics rather than threading an error through every mutation path.
-func (st *Store) materializeLocked() {
-	if st.packed == nil {
-		return
-	}
-	pv := st.packed
-	st.packed = nil
-	if err := pv.materializeInto(st); err != nil {
-		panic(fmt.Sprintf("strabon: materialising packed snapshot: %v", err))
+func newStore(base *packView) *Store {
+	return &Store{
+		base:     base,
+		over:     rdf.NewDictionary(),
+		dup:      make(map[[3]uint64]int32),
+		tombs:    make(map[int32]struct{}),
+		geoms:    make(map[uint64]strdf.SpatialValue),
+		predRows: make(map[uint64]int),
 	}
 }
 
@@ -217,11 +196,14 @@ func (st *Store) ViewCounters() ViewCounters {
 func (st *Store) Len() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if st.packed != nil {
-		return st.packed.nRows()
-	}
-	return len(st.s) - st.deleted
+	return st.lenLocked()
 }
+
+func (st *Store) lenLocked() int { return st.base.nRows() + len(st.cols[0]) - len(st.tombLog) }
+
+// changedLocked counts the rows appended and removed since the base.
+// Callers hold the read lock.
+func (st *Store) changedLocked() int { return len(st.cols[0]) + len(st.tombLog) }
 
 // Apply deletes dels and then inserts ins as one mutation and reports
 // how many triples it changed: the deletions of triples that were
@@ -272,40 +254,34 @@ func (st *Store) write(stmt func() (dels, ins []rdf.Triple, err error)) (int, er
 
 // applyLocked deduplicates a statement against the store, journals what
 // is left as one record and installs it; callers hold writeMu and mu.
-// Encoding an insertion may grow the dictionary even when the triple is
-// then dropped as a duplicate or vetoed — that is harmless: dictionary
-// ids only become observable through stored triples.
+// Encoding an insertion may add a term even when the triple is then
+// dropped as a duplicate or vetoed — that is harmless: term ids only
+// become observable through stored triples.
 func (st *Store) applyLocked(dels, ins []rdf.Triple) (int, Commit, error) {
-	st.materializeLocked() // the lookups below need the heap dictionary
 	var delTs []rdf.Triple
+	var delRows []int32
 	var delKeys [][3]uint64
-	var gone map[[3]uint64]struct{}
+	gone := make(map[[3]uint64]struct{}, len(dels))
 	for _, t := range dels {
 		// An unknown term looks up as id 0, which no stored row carries.
-		sID, _ := st.dict.Lookup(t.S)
-		pID, _ := st.dict.Lookup(t.P)
-		oID, _ := st.dict.Lookup(t.O)
-		key := [3]uint64{sID, pID, oID}
-		_, live := st.present[key]
+		key := [3]uint64{st.lookupLocked(t.S), st.lookupLocked(t.P), st.lookupLocked(t.O)}
+		row, live := st.rowLocked(key)
 		if _, dup := gone[key]; !live || dup {
 			continue
 		}
-		if gone == nil {
-			gone = make(map[[3]uint64]struct{}, len(dels))
-		}
 		gone[key] = struct{}{}
 		delTs = append(delTs, t)
+		delRows = append(delRows, row)
 		delKeys = append(delKeys, key)
 	}
 	insTs := make([]rdf.Triple, 0, len(ins))
 	insKeys := make([][3]uint64, 0, len(ins))
 	staged := make(map[[3]uint64]struct{}, len(ins))
 	for _, t := range ins {
-		key := [3]uint64{st.dict.Encode(t.S), st.dict.Encode(t.P), st.dict.Encode(t.O)}
-		_, live := st.present[key]
+		key := [3]uint64{st.encodeLocked(t.S), st.encodeLocked(t.P), st.encodeLocked(t.O)}
 		_, deleted := gone[key]
 		_, dup := staged[key]
-		if (live && !deleted) || dup {
+		if _, live := st.rowLocked(key); dup || (live && !deleted) {
 			continue
 		}
 		staged[key] = struct{}{}
@@ -324,10 +300,12 @@ func (st *Store) applyLocked(dels, ins []rdf.Triple) (int, Commit, error) {
 		}
 	}
 	st.version++
-	for _, key := range delKeys {
-		row := st.present[key]
-		delete(st.present, key)
-		st.s[row], st.p[row], st.o[row] = 0, 0, 0
+	for i, key := range delKeys {
+		row := delRows[i]
+		st.tombs[row] = struct{}{}
+		if row >= int32(st.base.nRows()) {
+			delete(st.dup, key)
+		}
 		if n := st.predRows[key[1]] - 1; n > 0 {
 			st.predRows[key[1]] = n
 		} else {
@@ -337,24 +315,97 @@ func (st *Store) applyLocked(dels, ins []rdf.Triple) (int, Commit, error) {
 		st.tombLog = append(st.tombLog, row)
 	}
 	for i, key := range insKeys {
-		st.present[key] = len(st.s)
-		st.s = append(st.s, key[0])
-		st.p = append(st.p, key[1])
-		st.o = append(st.o, key[2])
+		st.dup[key] = int32(len(st.cols[0]))
+		for c := range st.cols {
+			st.cols[c] = append(st.cols[c], key[c])
+		}
 		st.predRows[key[1]]++
-		if o := insTs[i].O; o.IsSpatial() {
-			if _, cached := st.geoms[key[2]]; !cached {
-				if v, err := strdf.ParseSpatial(o); err == nil {
-					if w, err := v.ToWGS84(); err == nil {
-						v = w
-					}
-					st.geoms[key[2]] = v
-					st.geomLog = append(st.geomLog, key[2])
-				}
+		// Cache the geometry of a spatial object neither the base nor an
+		// earlier write has.
+		if _, ok := st.geoms[key[2]]; !ok && insTs[i].O.IsSpatial() && !st.base.hasGeom(key[2]) {
+			if v, err := strdf.ParseWGS84(insTs[i].O); err == nil {
+				st.geoms[key[2]] = v
+				st.geomLog = append(st.geomLog, key[2])
 			}
 		}
 	}
 	return len(delKeys) + len(insKeys), c, nil
+}
+
+// lookupLocked returns the id of t, or 0 when it has none. Callers hold
+// mu.
+func (st *Store) lookupLocked(t rdf.Term) uint64 {
+	id, _ := lookupTerm(st.base, st.over, st.over.Len(), t)
+	return id
+}
+
+// encodeLocked returns the id of t, giving it the next id after the
+// base's and the terms since when it has none. Callers hold the write
+// lock.
+func (st *Store) encodeLocked(t rdf.Term) uint64 {
+	if id, ok := st.base.lookup(t); ok {
+		return id
+	}
+	return uint64(st.base.nTerms()) + st.over.Encode(t)
+}
+
+// rowLocked returns the live store row holding key, if any: an appended
+// one from the duplicate set, a base one by probing the base (see
+// packView.find). Callers hold mu.
+func (st *Store) rowLocked(key [3]uint64) (int32, bool) {
+	if k, ok := st.dup[key]; ok {
+		return int32(st.base.nRows()) + k, true
+	}
+	row, ok := st.base.find(key)
+	if _, removed := st.tombs[row]; !ok || removed {
+		return 0, false
+	}
+	return row, true
+}
+
+// rebaseLocked installs base, fp's image, and renumbers what was
+// written while it encoded — rows appended and removed, terms and
+// geometries new since the fold was taken — as the delta over it. Row r
+// of the old numbering that the fold kept becomes r minus the rows
+// removed before it at the fold; term ids do not change. Callers hold the
+// write lock.
+func (st *Store) rebaseLocked(fp *foldPoint, base *packView) {
+	removed := fp.in.removed
+	renumber := func(row int32) int32 {
+		i, _ := slices.BinarySearch(removed, row)
+		return row - int32(i)
+	}
+	nBase := int32(base.nRows())
+	var cols [3][]uint64
+	for c := range cols {
+		cols[c] = slices.Clone(st.cols[c][fp.rows:])
+	}
+	tombLog := make([]int32, 0, len(st.tombLog)-fp.tombMark)
+	tombs := make(map[int32]struct{}, cap(tombLog))
+	for _, row := range st.tombLog[fp.tombMark:] {
+		row = renumber(row)
+		tombLog = append(tombLog, row)
+		tombs[row] = struct{}{}
+	}
+	dup := make(map[[3]uint64]int32, len(cols[0]))
+	for k := range cols[0] {
+		if _, gone := tombs[nBase+int32(k)]; !gone {
+			dup[[3]uint64{cols[0][k], cols[1][k], cols[2][k]}] = int32(k)
+		}
+	}
+	over := rdf.NewDictionary()
+	for _, t := range st.over.Terms()[len(fp.in.over):] {
+		over.Encode(t)
+	}
+	geomLog := slices.Clone(st.geomLog[fp.geomMark:])
+	geoms := make(map[uint64]strdf.SpatialValue, len(geomLog))
+	for _, id := range geomLog {
+		geoms[id] = st.geoms[id]
+	}
+	st.base, st.over = base, over
+	st.cols, st.dup, st.tombs, st.tombLog = cols, dup, tombs, tombLog
+	st.geoms, st.geomLog = geoms, geomLog
+	st.lag = st.changedLocked()
 }
 
 // await waits for a mutation's durability ticket; callers must NOT hold
@@ -495,35 +546,27 @@ type Stats struct {
 	Predicates      int
 }
 
-// Stats returns a snapshot of store statistics in O(1): a mapped store
-// reads them from the file's statistics section, a heap store from its
-// counters, so /stats polls neither scan nor materialise.
+// Stats returns a snapshot of store statistics in O(1): the base's
+// figures from its statistics section plus the delta's counters, so
+// /stats polls neither scan nor decode.
 func (st *Store) Stats() Stats {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if st.packed != nil {
-		s := st.packed.stats
-		return Stats{
-			Triples:         s.Triples,
-			Terms:           st.packed.nTerms(),
-			SpatialLiterals: s.Geoms,
-			Predicates:      s.DistinctP,
-		}
-	}
 	return Stats{
-		Triples:         len(st.s) - st.deleted,
-		Terms:           st.dict.Len(),
-		SpatialLiterals: len(st.geoms),
+		Triples:         st.lenLocked(),
+		Terms:           st.base.nTerms() + st.over.Len(),
+		SpatialLiterals: st.base.r.NGeoms() + len(st.geoms),
 		Predicates:      len(st.predRows),
 	}
 }
 
-// Compact rewrites the triple columns without tombstones, renumbering
-// the duplicate set, and drops the cached geometries no live triple
+// Compact folds the store into a new base without the rows removed
+// since the last Compact, and drops the geometries no live triple
 // refers to. Long-running stores call this after heavy DELETE workloads
-// (the refinement rewrites every coastal hotspot's geometry). It
-// reports the number of tombstones reclaimed (0 when the journal
-// vetoed it).
+// (the refinement rewrites every coastal hotspot's geometry). It reports
+// the number of removed rows reclaimed (0 when the journal vetoed it).
+// Unlike the folds views trigger, it encodes holding the write lock, so
+// no reader sees its version before its base.
 func (st *Store) Compact() int {
 	st.writeMu.Lock()
 	st.mu.Lock()
@@ -549,44 +592,13 @@ func (st *Store) compactLocked() (int, Commit, error) {
 			return 0, Commit{}, err
 		}
 	}
-	// Row numbering and the spatial side change; cached views and their
-	// base must not outlive them, and an in-flight build must not install
-	// a pre-compaction base (epoch). The next view is a fold. (A
-	// no-op compaction above changes nothing, so it leaves all of this
-	// alone.)
-	st.snap = nil
-	st.fold = nil
-	st.tombLog, st.geomLog = nil, nil
-	st.epoch++
 	st.version++
 	reclaimed := st.deleted
-	n := len(st.s) - st.deleted
-	s := make([]uint64, 0, n)
-	p := make([]uint64, 0, n)
-	o := make([]uint64, 0, n)
-	present := make(map[[3]uint64]int, n)
-	// Remove leaves geometries behind; the ones a live object still
-	// refers to are collected here, the rest dropped below.
-	liveGeoms := make(map[uint64]struct{}, len(st.geoms))
-	for row := range st.s {
-		if st.s[row] == 0 {
-			continue
-		}
-		present[[3]uint64{st.s[row], st.p[row], st.o[row]}] = len(s)
-		s = append(s, st.s[row])
-		p = append(p, st.p[row])
-		o = append(o, st.o[row])
-		if _, ok := st.geoms[st.o[row]]; ok {
-			liveGeoms[st.o[row]] = struct{}{}
-		}
-	}
-	st.s, st.p, st.o = s, p, o
-	st.present = present
 	st.deleted = 0
-	maps.DeleteFunc(st.geoms, func(id uint64, _ strdf.SpatialValue) bool {
-		_, live := liveGeoms[id]
-		return !live
-	})
+	fp := st.foldLocked(st.appliedSeq)
+	fp.in.prune = true
+	st.rebaseLocked(fp, fp.in.build())
+	st.snap = &Snapshot{version: st.version, base: st.base}
 	return reclaimed, c, nil
 }
 
@@ -618,44 +630,35 @@ var ErrNotFound = fmt.Errorf("strabon: term not found")
 // LookupID returns the dictionary id for a term.
 func (st *Store) LookupID(t rdf.Term) (uint64, error) {
 	st.mu.RLock()
-	if st.packed != nil {
-		defer st.mu.RUnlock()
-		if id, ok := st.packed.lookup(t); ok {
-			return id, nil
-		}
-		return 0, ErrNotFound
+	defer st.mu.RUnlock()
+	if id := st.lookupLocked(t); id != 0 {
+		return id, nil
 	}
-	st.mu.RUnlock()
-	id, ok := st.dict.Lookup(t)
-	if !ok {
-		return 0, ErrNotFound
-	}
-	return id, nil
+	return 0, ErrNotFound
 }
 
-// StorageMode reports where the store's state currently lives:
-// "mapped" while reads are answered in place from a packed snapshot
-// file, "heap" once materialised (or for stores built by ingest).
+// StorageMode reports what the store's base is: "mapped" while it is the
+// packed snapshot file the store was restored from, served in place —
+// also with writes in its delta — and "image" once a fold has replaced
+// it with an image built in memory (and from the start for a store
+// built by NewStore).
 func (st *Store) StorageMode() string {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if st.packed != nil {
+	if st.base.file {
 		return "mapped"
 	}
-	return "heap"
+	return "image"
 }
 
 // ResidentEstimate approximates the heap bytes the store's primary
-// state pins: for a mapped store, just the decode caches populated so
-// far (the columns, postings and dictionary stay on the mapping); for
-// a heap store, the columns plus dictionary estimate. The duplicate set
-// and the views' indexes are excluded — the figure is a like-for-like
-// comparison of primary state, not total RSS.
+// state pins: the base's decode caches populated so far (its columns,
+// postings and dictionary stay in the image), its term index, and the
+// delta's columns and new terms. The duplicate set and the views'
+// indexes are excluded — the figure is a like-for-like comparison of
+// primary state, not total RSS.
 func (st *Store) ResidentEstimate() int64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if st.packed != nil {
-		return st.packed.cachedHeapBytes()
-	}
-	return int64(len(st.s))*24 + st.dict.EstimateBytes()
+	return st.base.cachedHeapBytes() + int64(len(st.cols[0]))*24 + st.over.EstimateBytes()
 }

@@ -25,14 +25,10 @@ import (
 // own full build.
 func fullView(st *Store) *Snapshot {
 	st.mu.RLock()
-	if st.packed != nil {
-		defer st.mu.RUnlock()
-		return &Snapshot{version: st.version, base: st.fold.base}
-	}
-	sn := &Snapshot{version: st.version, dict: st.dict}
+	sn := &Snapshot{version: st.version}
 	fp := st.foldLocked(st.appliedSeq)
 	st.mu.RUnlock()
-	sn.base = fp.build()
+	sn.base = fp.in.build()
 	return sn
 }
 
@@ -99,12 +95,7 @@ func checkView(t *testing.T, step string, sn, want *Snapshot, rng *rand.Rand) {
 			samples = append(samples, [3]uint64{s, p, o})
 		}
 	}
-	maxID := uint64(2)
-	if want.dict != nil {
-		maxID += uint64(want.dict.Len())
-	} else {
-		maxID += uint64(want.base.nTerms())
-	}
+	maxID := 2 + uint64(want.base.nTerms())
 	for i := 0; i < 4; i++ {
 		samples = append(samples, [3]uint64{1 + uint64(rng.Int63n(int64(maxID))), 1 + uint64(rng.Int63n(int64(maxID))), 1 + uint64(rng.Int63n(int64(maxID)))})
 	}

@@ -7,8 +7,10 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/rdf"
 	"repro/internal/strabon"
 	"repro/internal/stsparql/corpus"
 )
@@ -76,21 +78,60 @@ func canonBindings(res *Result) []string {
 }
 
 // writeDelta applies one corpus.Delta batch to every store — adds, then
-// removes — and checks that the view each store then serves layers a
-// delta on its last full build, so the queries that follow run against
-// base and delta merged.
+// removes, of base rows among others, with the first store folding over
+// and over while they land — and then writeSide's duplicate
+// inserts of base triples and base triples deleted and re-inserted in one
+// statement, checking what each statement changed. It checks that the
+// view each store then serves layers a delta on its last full build, so
+// the queries that follow run against base and delta merged.
 func writeDelta(t *testing.T, seed int64, stores ...*strabon.Store) {
 	t.Helper()
-	adds, removes := corpus.Delta(rand.New(rand.NewSource(seed)), stores[0].Triples())
-	for _, st := range stores {
+	rng := rand.New(rand.NewSource(seed))
+	base := stores[0].Triples()
+	adds, removes := corpus.Delta(rng, base)
+	stmts := writeSide(rng, base, removes)
+	for i, st := range stores {
 		st.AddAll(adds)
+		stop := func() {}
+		if i == 0 {
+			stop = foldWhile(st)
+		}
 		for _, tr := range removes {
 			st.Remove(tr)
+		}
+		stop()
+		for _, s := range stmts {
+			if n, err := st.Apply(s.Dels, s.Ins); n != s.Changed || err != nil {
+				t.Fatalf("statement %+v changed %d triples (%v), want %d", s, n, err, s.Changed)
+			}
 		}
 		st.Snapshot()
 		if st.ViewCounters().DeltaRows == 0 {
 			t.Fatal("the writes folded: the view has no delta")
 		}
+	}
+}
+
+// foldWhile folds st over and over, with writes landing meanwhile, until
+// the returned stop is called.
+func foldWhile(st *strabon.Store) (stop func()) {
+	done := make(chan struct{})
+	var folding sync.WaitGroup
+	folding.Add(1)
+	go func() {
+		defer folding.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				st.Fold(0)
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		folding.Wait()
 	}
 }
 
@@ -319,4 +360,41 @@ func TestExecutorEquivalenceUpdates(t *testing.T) {
 	if strings.Join(oc, "\n") != strings.Join(vc, "\n") {
 		t.Fatalf("post-update state mismatch:\noracle=%v\nvec=%v", oc, vc)
 	}
+}
+
+// statement is one store statement — its deletions, then its
+// insertions — and the number of triples applying it must change.
+type statement struct {
+	Dels, Ins []rdf.Triple
+	Changed   int
+}
+
+// writeSide draws statements aimed at a store's write side over its
+// base, for a store holding base minus removes: one inserting twenty
+// base triples (some twice), which must change nothing, and ten that
+// each delete a base triple and re-insert it in the same statement,
+// which must change two.
+func writeSide(rng *rand.Rand, base, removes []rdf.Triple) []statement {
+	gone := make(map[rdf.Triple]bool, len(removes))
+	for _, t := range removes {
+		gone[t] = true
+	}
+	live := func() rdf.Triple {
+		for {
+			if t := base[rng.Intn(len(base))]; !gone[t] {
+				return t
+			}
+		}
+	}
+	dups := statement{}
+	for len(dups.Ins) < 20 {
+		dups.Ins = append(dups.Ins, live())
+	}
+	out := []statement{dups}
+	for len(out) < 11 {
+		t := live()
+		gone[t] = true // once each
+		out = append(out, statement{Dels: []rdf.Triple{t}, Ins: []rdf.Triple{t}, Changed: 2})
+	}
+	return out
 }
