@@ -20,7 +20,7 @@ GO ?= go
 # N-Triples-load sides; surviving rows keep their names.
 BENCH_TIER1 = BenchmarkFigure1Pipeline|BenchmarkFigure3CatalogueSearch|BenchmarkFlagshipQuery|BenchmarkOptimizerOrdering|BenchmarkAblationExecutor|BenchmarkAblationSpatialIndex|BenchmarkParallelQueryAblation
 BENCH_SCIQL = BenchmarkSelectFilter|BenchmarkGroupByAggregate|BenchmarkArrayUpdateClassify|BenchmarkAlignedArrayJoin|BenchmarkDimensionPushdownCrop|BenchmarkAblationSciQLExecutor
-BENCH_ARRAY = BenchmarkConvolve2D|BenchmarkResampleBilinear|BenchmarkTileAvg|BenchmarkConnectedComponents|BenchmarkSummarize|BenchmarkAblationParallelKernels
+BENCH_ARRAY = BenchmarkTileAvg|BenchmarkConnectedComponents|BenchmarkAblationParallelKernels
 BENCH_PERSIST = BenchmarkWALAppend|BenchmarkWALAppendBatch|BenchmarkWALAppendSynced|BenchmarkSnapshotWrite|BenchmarkSnapshotLoad|BenchmarkSnapshotScanCold|BenchmarkRecoveryReplay
 BENCH_GROUP = BenchmarkGroupCommitWriters
 BENCH_INGEST = BenchmarkIngestEndpoint
@@ -41,9 +41,10 @@ race:
 
 # lint builds teleios-vet (the project-invariant analyzer suite in
 # internal/lint: lockcheck, fsxcheck, ctxcheck, failpointcheck,
-# errdropcheck — see docs/static-analysis.md) and runs it twice: via
-# `go vet -vettool` so per-package results land in the build cache, and
-# standalone over ./... for the whole-program failpoint orphan check.
+# errdropcheck, unusedexport — see docs/static-analysis.md) and runs it
+# twice: via `go vet -vettool` so per-package results land in the build
+# cache, and standalone over ./... for the whole-program checks (the
+# failpoint orphan check and unusedexport).
 lint:
 	$(GO) build -o bin/teleios-vet ./cmd/teleios-vet
 	$(GO) vet -vettool=$(CURDIR)/bin/teleios-vet ./...

@@ -66,10 +66,10 @@ func TestFlagTableMatchesBinary(t *testing.T) {
 	}
 }
 
-// TestRetiredFlagsStayGone: the five flags PR 12 removed are neither
+// TestRetiredFlagsStayGone: the flags removed since PR 12 are neither
 // defined nor still mentioned by the docs that used to describe them.
 func TestRetiredFlagsStayGone(t *testing.T) {
-	retired := []string{"legacy-eval", "legacy-sciql", "snapshot-format", "store", "save"}
+	retired := []string{"legacy-eval", "legacy-sciql", "snapshot-format", "store", "save", "wal-group-window"}
 	fs := flag.NewFlagSet("teleios-server", flag.ContinueOnError)
 	registerFlags(fs, new(serverConfig))
 	for _, name := range retired {

@@ -6,9 +6,9 @@
 //
 //	teleios-server [-addr :8080] [-data-dir DIR] [-nt FILE]
 //	               [-linked] [-wal-sync always|none|DUR]
-//	               [-wal-group-window DUR] [-ingest-max-chunk N]
-//	               [-checkpoint-every DUR] [-checkpoint-bytes N]
-//	               [-cache N] [-max-concurrency N] [-timeout DUR]
+//	               [-ingest-max-chunk N] [-checkpoint-every DUR]
+//	               [-checkpoint-bytes N] [-cache N]
+//	               [-max-concurrency N] [-timeout DUR]
 //	               [-max-query-parallelism N] [-readonly]
 //	               [-replicate-from URL] [-route-to URL,URL,...]
 //
@@ -33,11 +33,10 @@
 // -checkpoint-bytes bound how much WAL a restart replays. Writes commit
 // through a group-commit pipeline: concurrent writers share one batched
 // segment write and one fsync, so -wal-sync=always throughput scales
-// with the writer count instead of paying one fsync per update.
-// -wal-group-window adds a fixed accumulation delay before each flush
-// (bigger batches, higher latency; the default 0 relies on natural
-// batching alone). POST /ingest bulk-loads a streaming N-Triples body
-// in pipelined chunks of -ingest-max-chunk triples. Checkpoints write
+// with the writer count instead of paying one fsync per update: a batch
+// gathers for exactly as long as the previous fsync takes. POST /ingest
+// bulk-loads a streaming N-Triples body in pipelined chunks of
+// -ingest-max-chunk triples. Checkpoints write
 // the compressed, mmap-able packed snapshot format that recovery maps
 // and serves in place — restart cost is verification, not
 // materialisation.
@@ -108,7 +107,6 @@ type serverConfig struct {
 	shedWatermark   float64
 	breakerFails    int
 	breakerOpen     time.Duration
-	groupWindow     time.Duration
 	ingestMaxChunk  int
 }
 
@@ -135,7 +133,6 @@ func registerFlags(fs *flag.FlagSet, cfg *serverConfig) {
 	fs.Float64Var(&cfg.shedWatermark, "shed-watermark", 0, "fraction of -queue at which new queries are shed with 503 before the pool saturates (0 or out of range sheds only when full)")
 	fs.IntVar(&cfg.breakerFails, "breaker-fails", 0, "router: consecutive failed health checks before a backend's circuit breaker ejects it (0 = default 2)")
 	fs.DurationVar(&cfg.breakerOpen, "breaker-open", 0, "router: minimum hold-out after a breaker trips, damping flapping backends (0 readmits on the first healthy check)")
-	fs.DurationVar(&cfg.groupWindow, "wal-group-window", 0, "extra accumulation delay before each group-commit flush (0 = natural batching only: a batch gathers for exactly as long as the previous fsync takes)")
 	fs.IntVar(&cfg.ingestMaxChunk, "ingest-max-chunk", 0, "triples per /ingest commit batch (0 = default 8192)")
 }
 
@@ -200,7 +197,6 @@ func run(cfg serverConfig) error {
 			Dir:             cfg.dataDir,
 			SyncMode:        mode,
 			SyncEvery:       every,
-			GroupWindow:     cfg.groupWindow,
 			CheckpointEvery: cfg.checkpointEvery,
 			CheckpointBytes: cfg.checkpointBytes,
 			Logf: func(format string, args ...any) {
@@ -503,7 +499,6 @@ func durabilityStats(m *persist.Manager) endpoint.DurabilityStats {
 	ds.GroupFsyncs = ps.GroupFsyncs
 	ds.FsyncsSaved = ps.FsyncsSaved
 	ds.TicketWaitUs = ps.TicketWaitMean.Microseconds()
-	ds.GroupWindowMs = ps.GroupWindow.Milliseconds()
 	if ps.GroupBatches > 0 {
 		ds.GroupBatchHist = ps.GroupBatchHist[:]
 	}

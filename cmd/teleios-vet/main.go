@@ -1,14 +1,14 @@
 // Command teleios-vet is the multichecker for the project-invariant
 // analyzer suite in internal/lint: lockcheck, fsxcheck, ctxcheck,
-// failpointcheck, and errdropcheck.
+// failpointcheck, errdropcheck, and unusedexport.
 //
 // It runs in two modes:
 //
 //	teleios-vet ./...                      standalone: loads packages via
 //	                                       `go list -export`, runs every
 //	                                       analyzer, including the
-//	                                       whole-program failpoint orphan
-//	                                       check
+//	                                       whole-program checks (failpoint
+//	                                       orphans, unusedexport)
 //	go vet -vettool=$(pwd)/bin/teleios-vet ./...
 //	                                       unitchecker protocol: the go
 //	                                       command hands one package config

@@ -2,7 +2,7 @@
 // dense n-dimensional arrays with named dimensions stored in row-major
 // order over the columnar kernel's value vectors. SciQL (internal/sciql)
 // compiles array queries to the operations here; the ingestion tier uses
-// them for cropping, resampling and classification of satellite imagery,
+// them for cropping and classification of satellite imagery,
 // exactly the workload the paper assigns to SciQL.
 package array
 
@@ -56,36 +56,8 @@ func MustNew(name string, dims ...Dim) *Array {
 	return a
 }
 
-// FromData wraps data (not copied) as an array; len(data) must equal the
-// product of the dimension sizes.
-func FromData(name string, data []float64, dims ...Dim) (*Array, error) {
-	n := 1
-	for _, d := range dims {
-		n *= d.Size
-	}
-	if len(data) != n {
-		return nil, fmt.Errorf("array: data length %d does not match dims product %d", len(data), n)
-	}
-	ds := make([]Dim, len(dims))
-	copy(ds, dims)
-	return &Array{Name: name, Dims: ds, Data: data}, nil
-}
-
-// Rank reports the number of dimensions.
-func (a *Array) Rank() int { return len(a.Dims) }
-
 // Size reports the total cell count.
 func (a *Array) Size() int { return len(a.Data) }
-
-// DimIndex returns the index of the named dimension, or -1.
-func (a *Array) DimIndex(name string) int {
-	for i, d := range a.Dims {
-		if d.Name == name {
-			return i
-		}
-	}
-	return -1
-}
 
 // offset computes the flat index of idx (must have one entry per
 // dimension, each in range).
@@ -101,15 +73,6 @@ func (a *Array) offset(idx []int) (int, error) {
 		off = off*d.Size + idx[i]
 	}
 	return off, nil
-}
-
-// At returns the value at idx.
-func (a *Array) At(idx ...int) (float64, error) {
-	off, err := a.offset(idx)
-	if err != nil {
-		return 0, err
-	}
-	return a.Data[off], nil
 }
 
 // Set assigns the value at idx.
@@ -275,134 +238,9 @@ func Combine(a, b *Array, f func(x, y float64) float64) (*Array, error) {
 	return out, nil
 }
 
-// Stats summarises the valid cells of an array.
-type Stats struct {
-	Count    int
-	Sum      float64
-	Min, Max float64
-	Mean     float64
-	StdDev   float64
-}
-
-// summarizeBlock is the fixed partial-reduction granule of Summarize.
-// Partials are always accumulated per summarizeBlock-sized slice and
-// merged in block order, so the result is bit-identical at every
-// parallelism level (1, 2, 4, GOMAXPROCS workers all reduce the same
-// block partials in the same order).
-const summarizeBlock = 32 << 10
-
-// Summarize computes aggregate statistics over the valid cells. Blocks
-// of cells reduce tile-parallel on the shared worker pool.
-func (a *Array) Summarize() Stats {
-	s := Stats{Min: math.Inf(1), Max: math.Inf(-1)}
-	var sumSq float64
-	n := len(a.Data)
-	if n <= summarizeBlock {
-		if a.Null == nil {
-			for _, v := range a.Data {
-				s.Sum += v
-				sumSq += v * v
-				if v < s.Min {
-					s.Min = v
-				}
-				if v > s.Max {
-					s.Max = v
-				}
-			}
-			s.Count = n
-		} else {
-			for i, v := range a.Data {
-				if a.Null[i] {
-					continue
-				}
-				s.Count++
-				s.Sum += v
-				sumSq += v * v
-				if v < s.Min {
-					s.Min = v
-				}
-				if v > s.Max {
-					s.Max = v
-				}
-			}
-		}
-	} else {
-		type partial struct {
-			count    int
-			sum      float64
-			sumSq    float64
-			min, max float64
-		}
-		nBlocks := (n + summarizeBlock - 1) / summarizeBlock
-		parts := make([]partial, nBlocks)
-		parallel.Range(nBlocks, func(lo, hi int) {
-			for b := lo; b < hi; b++ {
-				p := partial{min: math.Inf(1), max: math.Inf(-1)}
-				end := (b + 1) * summarizeBlock
-				if end > n {
-					end = n
-				}
-				data := a.Data[b*summarizeBlock : end]
-				if a.Null == nil {
-					for _, v := range data {
-						p.count++
-						p.sum += v
-						p.sumSq += v * v
-						if v < p.min {
-							p.min = v
-						}
-						if v > p.max {
-							p.max = v
-						}
-					}
-				} else {
-					nulls := a.Null[b*summarizeBlock : end]
-					for i, v := range data {
-						if nulls[i] {
-							continue
-						}
-						p.count++
-						p.sum += v
-						p.sumSq += v * v
-						if v < p.min {
-							p.min = v
-						}
-						if v > p.max {
-							p.max = v
-						}
-					}
-				}
-				parts[b] = p
-			}
-		})
-		for _, p := range parts {
-			s.Count += p.count
-			s.Sum += p.sum
-			sumSq += p.sumSq
-			if p.min < s.Min {
-				s.Min = p.min
-			}
-			if p.max > s.Max {
-				s.Max = p.max
-			}
-		}
-	}
-	if s.Count > 0 {
-		s.Mean = s.Sum / float64(s.Count)
-		variance := sumSq/float64(s.Count) - s.Mean*s.Mean
-		if variance < 0 {
-			variance = 0
-		}
-		s.StdDev = math.Sqrt(variance)
-	} else {
-		s.Min, s.Max = 0, 0
-	}
-	return s
-}
-
-// MinMax reports the extremes of the valid cells without the full
-// Summarize reduction — the binning pre-pass of patch extraction only
-// needs the range. ok is false when no cell is valid.
+// MinMax reports the extremes of the valid cells — the binning pre-pass
+// of patch extraction only needs the range. ok is false when no cell is
+// valid.
 func (a *Array) MinMax() (min, max float64, ok bool) {
 	min, max = math.Inf(1), math.Inf(-1)
 	if a.Null == nil {
@@ -433,28 +271,4 @@ func (a *Array) MinMax() (min, max float64, ok bool) {
 		return 0, 0, false
 	}
 	return min, max, true
-}
-
-// Histogram counts valid cells into nBins equal-width bins over [lo, hi].
-// Values outside the range clamp to the end bins.
-func (a *Array) Histogram(lo, hi float64, nBins int) []int {
-	if nBins <= 0 || hi <= lo {
-		return nil
-	}
-	bins := make([]int, nBins)
-	w := (hi - lo) / float64(nBins)
-	for i, v := range a.Data {
-		if a.IsNull(i) {
-			continue
-		}
-		b := int((v - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nBins {
-			b = nBins - 1
-		}
-		bins[b]++
-	}
-	return bins
 }

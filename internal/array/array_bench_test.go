@@ -20,33 +20,6 @@ func benchImage(size int) *Array {
 // working sizes); BenchmarkAblationParallelKernels sweeps the worker
 // count for the cores-scaling ablation.
 
-func BenchmarkConvolve2D(b *testing.B) {
-	kernel := [][]float64{{0, 1, 0}, {1, -4, 1}, {0, 1, 0}}
-	for _, size := range []int{128, 512} {
-		img := benchImage(size)
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := img.Convolve2D(kernel); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkResampleBilinear(b *testing.B) {
-	for _, size := range []int{128, 512} {
-		img := benchImage(size)
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := img.Resample(size/2, size/2, Bilinear); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkTileAvg(b *testing.B) {
 	for _, size := range []int{128, 512} {
 		img := benchImage(size)
@@ -78,23 +51,9 @@ func BenchmarkConnectedComponents(b *testing.B) {
 	}
 }
 
-func BenchmarkSummarize(b *testing.B) {
-	for _, size := range []int{512, 1024} {
-		img := benchImage(size)
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if s := img.Summarize(); s.Count == 0 {
-					b.Fatal("empty")
-				}
-			}
-		})
-	}
-}
-
 // A5 — ablation: tile-parallel kernel scaling across worker counts
 // (1, 2, 4 and GOMAXPROCS), at both gated image sizes.
 func BenchmarkAblationParallelKernels(b *testing.B) {
-	kernel := [][]float64{{0, 1, 0}, {1, -4, 1}, {0, 1, 0}}
 	workerSet := []int{1, 2, 4}
 	if n := runtime.GOMAXPROCS(0); n != 1 && n != 2 && n != 4 {
 		workerSet = append(workerSet, n)
@@ -107,9 +66,6 @@ func BenchmarkAblationParallelKernels(b *testing.B) {
 				prev := parallel.SetParallelism(workers)
 				defer parallel.SetParallelism(prev)
 				for i := 0; i < b.N; i++ {
-					if _, err := img.Convolve2D(kernel); err != nil {
-						b.Fatal(err)
-					}
 					if _, err := img.Tile(16, 16, "avg"); err != nil {
 						b.Fatal(err)
 					}

@@ -1,7 +1,6 @@
 package array
 
 import (
-	"math"
 	"testing"
 )
 
@@ -10,48 +9,28 @@ func TestNewAndIndexing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Rank() != 2 || a.Size() != 12 {
+	if len(a.Dims) != 2 || a.Size() != 12 {
 		t.Fatal("shape")
-	}
-	if a.DimIndex("x") != 1 || a.DimIndex("z") != -1 {
-		t.Fatal("DimIndex")
 	}
 	if err := a.Set(7.5, 2, 3); err != nil {
 		t.Fatal(err)
 	}
-	v, err := a.At(2, 3)
-	if err != nil || v != 7.5 {
-		t.Fatalf("At = %g, %v", v, err)
-	}
-	if a.At2(2, 3) != 7.5 {
-		t.Fatal("At2 fast path")
+	if a.At2(2, 3) != 7.5 || a.Data[2*4+3] != 7.5 {
+		t.Fatal("Set is row-major")
 	}
 	a.Set2(0, 0, 1)
-	if v, _ := a.At(0, 0); v != 1 {
+	if a.Data[0] != 1 {
 		t.Fatal("Set2 fast path")
 	}
 	// Errors.
-	if _, err := a.At(5, 0); err == nil {
+	if err := a.Set(0, 5, 0); err == nil {
 		t.Fatal("out of range")
 	}
-	if _, err := a.At(0); err == nil {
+	if err := a.Set(0, 0); err == nil {
 		t.Fatal("rank mismatch")
 	}
 	if _, err := New("bad", Dim{"y", 0}); err == nil {
 		t.Fatal("zero dimension")
-	}
-}
-
-func TestFromData(t *testing.T) {
-	a, err := FromData("v", []float64{1, 2, 3, 4, 5, 6}, Dim{"y", 2}, Dim{"x", 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.At2(1, 2) != 6 {
-		t.Fatal("row-major layout")
-	}
-	if _, err := FromData("v", []float64{1}, Dim{"y", 2}); err == nil {
-		t.Fatal("length mismatch")
 	}
 }
 
@@ -164,114 +143,6 @@ func TestMapCombine(t *testing.T) {
 	d := MustNew("d", Dim{"x", 3}, Dim{"y", 1})
 	if _, err := Combine(a, d, func(x, y float64) float64 { return 0 }); err == nil {
 		t.Fatal("rank mismatch")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	a := MustNew("s", Dim{"x", 4})
-	copy(a.Data, []float64{2, 4, 6, 8})
-	s := a.Summarize()
-	if s.Count != 4 || s.Sum != 20 || s.Min != 2 || s.Max != 8 || s.Mean != 5 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if math.Abs(s.StdDev-math.Sqrt(5)) > 1e-9 {
-		t.Fatalf("stddev = %g", s.StdDev)
-	}
-	a.SetNull(3)
-	s2 := a.Summarize()
-	if s2.Count != 3 || s2.Max != 6 {
-		t.Fatalf("null-aware stats = %+v", s2)
-	}
-	empty := MustNew("e", Dim{"x", 1})
-	empty.SetNull(0)
-	se := empty.Summarize()
-	if se.Count != 0 || se.Min != 0 || se.Max != 0 {
-		t.Fatalf("empty stats = %+v", se)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	a := MustNew("h", Dim{"x", 6})
-	copy(a.Data, []float64{0, 1, 2, 3, 4, 100})
-	bins := a.Histogram(0, 5, 5)
-	// 0->bin0, 1->bin1, 2->bin2, 3->bin3, 4->bin4, 100 clamps to bin4.
-	want := []int{1, 1, 1, 1, 2}
-	for i := range want {
-		if bins[i] != want[i] {
-			t.Fatalf("bins = %v", bins)
-		}
-	}
-	if a.Histogram(0, 0, 5) != nil || a.Histogram(0, 1, 0) != nil {
-		t.Fatal("degenerate histograms should be nil")
-	}
-}
-
-func TestConvolve2D(t *testing.T) {
-	a := MustNew("img", Dim{"y", 3}, Dim{"x", 3})
-	a.Set2(1, 1, 9)
-	identity := [][]float64{{0, 0, 0}, {0, 1, 0}, {0, 0, 0}}
-	out, err := a.Convolve2D(identity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.At2(1, 1) != 9 || out.At2(0, 0) != 0 {
-		t.Fatal("identity kernel")
-	}
-	blur, err := a.BoxBlur(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blur.At2(1, 1) != 1 {
-		t.Fatalf("blur center = %g", blur.At2(1, 1))
-	}
-	// Border clamping: corner sees the 9 once among its 9 samples? The 3x3
-	// window at (0,0) clamps to rows {0,0,1} x cols {0,0,1}, including (1,1).
-	if blur.At2(0, 0) != 1 {
-		t.Fatalf("blur corner = %g", blur.At2(0, 0))
-	}
-	// Errors.
-	if _, err := a.Convolve2D([][]float64{{1, 2}, {3, 4}}); err == nil {
-		t.Fatal("even kernel")
-	}
-	if _, err := a.Convolve2D([][]float64{{1, 2, 3}, {1, 2}, {1, 2, 3}}); err == nil {
-		t.Fatal("ragged kernel")
-	}
-	if _, err := a.BoxBlur(2); err == nil {
-		t.Fatal("even blur")
-	}
-	one := MustNew("v", Dim{"x", 2})
-	if _, err := one.Convolve2D(identity); err == nil {
-		t.Fatal("rank-1 convolution")
-	}
-}
-
-func TestResample(t *testing.T) {
-	a := MustNew("img", Dim{"y", 4}, Dim{"x", 4})
-	for y := 0; y < 4; y++ {
-		for x := 0; x < 4; x++ {
-			a.Set2(y, x, float64(x))
-		}
-	}
-	down, err := a.Resample(2, 2, NearestNeighbor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if down.Height() != 2 || down.Width() != 2 {
-		t.Fatal("downsample shape")
-	}
-	up, err := a.Resample(8, 8, Bilinear)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if up.Height() != 8 {
-		t.Fatal("upsample shape")
-	}
-	// Bilinear preserves a constant gradient's endpoints approximately.
-	if up.At2(0, 0) > 0.5 || up.At2(0, 7) < 2.5 {
-		t.Fatalf("gradient ends %g %g", up.At2(0, 0), up.At2(0, 7))
-	}
-	if _, err := a.Resample(0, 2, Bilinear); err == nil {
-		t.Fatal("bad target")
 	}
 }
 

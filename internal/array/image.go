@@ -25,177 +25,6 @@ func (a *Array) Height() int { return a.Dims[0].Size }
 // Width reports the x extent of a rank-2 array.
 func (a *Array) Width() int { return a.Dims[1].Size }
 
-// Convolve2D convolves the image with a square kernel (odd side length),
-// clamping at the borders. Null cells contribute their nearest valid
-// neighbour semantics are not needed in the pipeline; nulls propagate.
-func (a *Array) Convolve2D(kernel [][]float64) (*Array, error) {
-	if err := a.check2D(); err != nil {
-		return nil, err
-	}
-	k := len(kernel)
-	if k == 0 || k%2 == 0 {
-		return nil, fmt.Errorf("array: kernel side must be odd, got %d", k)
-	}
-	for _, row := range kernel {
-		if len(row) != k {
-			return nil, fmt.Errorf("array: kernel is not square")
-		}
-	}
-	h, w := a.Height(), a.Width()
-	out := MustNew(a.Name, a.Dims...)
-	if a.Null != nil {
-		out.Null = append([]bool(nil), a.Null...)
-	}
-	r := k / 2
-	// Border cells clamp; interior cells run a tight multiply-accumulate
-	// over direct row slices. Rows are partitioned across the worker pool.
-	cell := func(y, x int) float64 {
-		var sum float64
-		for dy := -r; dy <= r; dy++ {
-			yy := clamp(y+dy, 0, h-1)
-			row := a.Data[yy*w : yy*w+w]
-			krow := kernel[dy+r]
-			for dx := -r; dx <= r; dx++ {
-				sum += krow[dx+r] * row[clamp(x+dx, 0, w-1)]
-			}
-		}
-		return sum
-	}
-	parallelRows(h, w*k*k, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			rowOff := y * w
-			outRow := out.Data[rowOff : rowOff+w]
-			if y < r || y >= h-r || w < k {
-				for x := 0; x < w; x++ {
-					if a.Null != nil && a.Null[rowOff+x] {
-						continue
-					}
-					outRow[x] = cell(y, x)
-				}
-				continue
-			}
-			for x := 0; x < r; x++ {
-				if a.Null != nil && a.Null[rowOff+x] {
-					continue
-				}
-				outRow[x] = cell(y, x)
-			}
-			for x := r; x < w-r; x++ {
-				if a.Null != nil && a.Null[rowOff+x] {
-					continue
-				}
-				var sum float64
-				for dy := -r; dy <= r; dy++ {
-					base := (y+dy)*w + x - r
-					krow := kernel[dy+r]
-					for dx := 0; dx < k; dx++ {
-						sum += krow[dx] * a.Data[base+dx]
-					}
-				}
-				outRow[x] = sum
-			}
-			for x := w - r; x < w; x++ {
-				if a.Null != nil && a.Null[rowOff+x] {
-					continue
-				}
-				outRow[x] = cell(y, x)
-			}
-		}
-	})
-	return out, nil
-}
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// BoxBlur returns a k x k mean filter of the image.
-func (a *Array) BoxBlur(k int) (*Array, error) {
-	if k <= 0 || k%2 == 0 {
-		return nil, fmt.Errorf("array: blur size must be odd and positive, got %d", k)
-	}
-	kernel := make([][]float64, k)
-	w := 1 / float64(k*k)
-	for i := range kernel {
-		kernel[i] = make([]float64, k)
-		for j := range kernel[i] {
-			kernel[i][j] = w
-		}
-	}
-	return a.Convolve2D(kernel)
-}
-
-// ResampleMode selects the interpolation used by Resample.
-type ResampleMode int
-
-// Resampling modes.
-const (
-	// NearestNeighbor picks the closest source cell.
-	NearestNeighbor ResampleMode = iota + 1
-	// Bilinear interpolates the four surrounding source cells.
-	Bilinear
-)
-
-// Resample rescales a rank-2 array to (newH, newW) — the georeferencing
-// step resamples the projected image onto the target grid this way.
-func (a *Array) Resample(newH, newW int, mode ResampleMode) (*Array, error) {
-	if err := a.check2D(); err != nil {
-		return nil, err
-	}
-	if newH <= 0 || newW <= 0 {
-		return nil, fmt.Errorf("array: bad resample target %dx%d", newH, newW)
-	}
-	h, w := a.Height(), a.Width()
-	out := MustNew(a.Name, Dim{a.Dims[0].Name, newH}, Dim{a.Dims[1].Name, newW})
-	sy := float64(h) / float64(newH)
-	sx := float64(w) / float64(newW)
-	parallelRows(newH, newW, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			outRow := out.Data[y*newW : y*newW+newW]
-			fy := (float64(y) + 0.5) * sy
-			for x := 0; x < newW; x++ {
-				fx := (float64(x) + 0.5) * sx
-				switch mode {
-				case Bilinear:
-					outRow[x] = a.bilinear(fy-0.5, fx-0.5)
-				default:
-					yy := clamp(int(fy), 0, h-1)
-					xx := clamp(int(fx), 0, w-1)
-					outRow[x] = a.Data[yy*w+xx]
-				}
-			}
-		}
-	})
-	return out, nil
-}
-
-func (a *Array) bilinear(fy, fx float64) float64 {
-	h, w := a.Height(), a.Width()
-	y0 := clamp(int(math.Floor(fy)), 0, h-1)
-	x0 := clamp(int(math.Floor(fx)), 0, w-1)
-	y1 := clamp(y0+1, 0, h-1)
-	x1 := clamp(x0+1, 0, w-1)
-	ty := fy - float64(y0)
-	tx := fx - float64(x0)
-	if ty < 0 {
-		ty = 0
-	}
-	if tx < 0 {
-		tx = 0
-	}
-	v00 := a.At2(y0, x0)
-	v01 := a.At2(y0, x1)
-	v10 := a.At2(y1, x0)
-	v11 := a.At2(y1, x1)
-	return v00*(1-ty)*(1-tx) + v01*(1-ty)*tx + v10*ty*(1-tx) + v11*ty*tx
-}
-
 // Threshold returns a binary mask (1 where value >= thresh, else 0),
 // preserving nulls — the classification primitive of the hotspot chain.
 func (a *Array) Threshold(thresh float64) *Array {

@@ -2,10 +2,9 @@ package array
 
 import "repro/internal/parallel"
 
-// The 2D kernels (Convolve2D, Resample, Tile, ConnectedComponents,
-// Summarize, Map, Combine) split their row or cell ranges over the
-// process-wide slot-budget pool in internal/parallel, shared with the
-// ingestion tier, the NOA chain and the stSPARQL morsel executor. Small
+// The 2D kernels (Tile, ConnectedComponents, Map, Combine) split their
+// row or cell ranges over the process-wide slot-budget pool in
+// internal/parallel, shared with the ingestion tier, the NOA chain and the stSPARQL morsel executor. Small
 // inputs skip the machinery entirely; parallel.SetParallelism bounds the
 // chunks per call (the cores-scaling ablation measures 1, 2, 4 and
 // GOMAXPROCS).

@@ -36,8 +36,7 @@ func sameArray(t *testing.T, label string, a, b *Array) {
 }
 
 // TestParallelKernelEquivalence pins every tile-parallel kernel to
-// bit-identical results at parallelism 1, 2 and the machine default —
-// including the deterministic block reduction of Summarize.
+// bit-identical results at parallelism 1, 2 and the machine default.
 func TestParallelKernelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	images := []*Array{
@@ -45,21 +44,11 @@ func TestParallelKernelEquivalence(t *testing.T) {
 		randImage(rng, 200, 150, true), // above the parallel threshold
 		randImage(rng, 300, 120, false),
 	}
-	kernel := [][]float64{{0, 1, 0}, {1, -4, 1}, {0, 1, 0}}
 	type outcome struct {
-		conv, res, tile, thr *Array
-		stats                Stats
-		comps                []Component
+		tile, thr *Array
+		comps     []Component
 	}
 	run := func(img *Array) outcome {
-		conv, err := img.Convolve2D(kernel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := img.Resample(77, 41, Bilinear)
-		if err != nil {
-			t.Fatal(err)
-		}
 		tile, err := img.Tile(7, 9, "avg")
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +58,7 @@ func TestParallelKernelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return outcome{conv: conv, res: res, tile: tile, thr: thr, stats: img.Summarize(), comps: comps}
+		return outcome{tile: tile, thr: thr, comps: comps}
 	}
 	for i, img := range images {
 		var ref outcome
@@ -82,13 +71,8 @@ func TestParallelKernelEquivalence(t *testing.T) {
 				continue
 			}
 			label := fmt.Sprintf("img%d workers=%d", i, workers)
-			sameArray(t, label+" convolve", ref.conv, got.conv)
-			sameArray(t, label+" resample", ref.res, got.res)
 			sameArray(t, label+" tile", ref.tile, got.tile)
 			sameArray(t, label+" threshold", ref.thr, got.thr)
-			if ref.stats != got.stats {
-				t.Fatalf("%s summarize: %+v vs %+v", label, ref.stats, got.stats)
-			}
 			if len(ref.comps) != len(got.comps) {
 				t.Fatalf("%s components: %d vs %d", label, len(ref.comps), len(got.comps))
 			}

@@ -212,8 +212,8 @@ func TestFileRoundTrip(t *testing.T) {
 		}
 	}
 	var prev rdf.Term
-	for i := 0; i < r.Perm().Len(); i++ {
-		id := r.Perm().At(i)
+	for i := 0; i < r.perm.Len(); i++ {
+		id := r.perm.At(i)
 		cur := terms[id-1]
 		if i > 0 && CompareTerms(prev, cur) >= 0 {
 			t.Fatalf("permutation not strictly sorted at %d", i)

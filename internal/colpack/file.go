@@ -492,6 +492,8 @@ func (r *Reader) NTerms() int { return r.nTerms }
 func (r *Reader) NGeoms() int { return r.nGeoms }
 
 // SizeBytes reports the on-disk (mapped) size of the snapshot.
+//
+//lint:allow unusedexport(bench/layers.go reports colpack.bytes_per_triple from it)
 func (r *Reader) SizeBytes() int64 { return int64(len(r.data)) }
 
 // Bytes returns the whole image — what a snapshot file of it holds.
@@ -528,10 +530,6 @@ func (r *Reader) DictBlockData(start, end uint64) []byte {
 
 // DictOff returns the dictionary block byte-offset column.
 func (r *Reader) DictOff() *U64Col { return r.dictOff }
-
-// Perm returns the sorted term permutation column (ids ordered by
-// CompareTerms).
-func (r *Reader) Perm() *U64Col { return r.perm }
 
 // GeomIDs returns the spatial literal id column (ascending).
 func (r *Reader) GeomIDs() *U64Col { return r.geomIDs }

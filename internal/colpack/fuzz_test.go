@@ -191,7 +191,7 @@ func FuzzOpenHostile(f *testing.F) {
 			return
 		}
 		var buf []uint64
-		cols := []*U64Col{r.DictOff(), r.Perm(), r.GeomIDs()}
+		cols := []*U64Col{r.DictOff(), r.perm, r.GeomIDs()}
 		for comp := 0; comp < 3; comp++ {
 			cols = append(cols, r.Col(comp), r.PostOff(comp), r.PostCnt(comp))
 		}

@@ -1,8 +1,8 @@
 // Package column implements the MonetDB-style columnar kernel the TELEIOS
 // database tier runs on: typed columns (BATs with a void head — the value
 // vector plus implicit dense object identifiers), column-at-a-time
-// operators producing materialised intermediate results, tables with
-// schemas, and binary persistence.
+// operators producing materialised intermediate results, and tables with
+// schemas.
 //
 // Both the SciQL array engine (internal/array, internal/sciql) and the
 // Strabon triple store (internal/strabon) sit directly on this package,
@@ -12,8 +12,6 @@ package column
 
 import (
 	"fmt"
-	"math"
-	"sort"
 )
 
 // Type enumerates column value types.
@@ -301,412 +299,4 @@ func (c *Column) Slice(lo, hi int) *Column {
 		out.nulls = c.nulls[lo:hi]
 	}
 	return out
-}
-
-// CmpOp is a comparison operator for selections.
-type CmpOp int
-
-// Comparison operators.
-const (
-	Eq CmpOp = iota + 1
-	Ne
-	Lt
-	Le
-	Gt
-	Ge
-)
-
-// String returns the SQL spelling of the operator.
-func (o CmpOp) String() string {
-	switch o {
-	case Eq:
-		return "="
-	case Ne:
-		return "<>"
-	case Lt:
-		return "<"
-	case Le:
-		return "<="
-	case Gt:
-		return ">"
-	case Ge:
-		return ">="
-	}
-	return "?"
-}
-
-// SelectInt scans an Int64 column and returns the positions where
-// value <op> v holds (NULLs never match). This is the BAT select operator:
-// a full-column scan producing a candidate list.
-func (c *Column) SelectInt(op CmpOp, v int64) []int {
-	var out []int
-	for i, x := range c.ints {
-		if c.IsNull(i) {
-			continue
-		}
-		if cmpInt(x, v, op) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelectFloat scans a Float64 column with predicate value <op> v.
-func (c *Column) SelectFloat(op CmpOp, v float64) []int {
-	var out []int
-	for i, x := range c.flts {
-		if c.IsNull(i) {
-			continue
-		}
-		if cmpFloat(x, v, op) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelectStr scans a String column with predicate value <op> v.
-func (c *Column) SelectStr(op CmpOp, v string) []int {
-	var out []int
-	for i, x := range c.strs {
-		if c.IsNull(i) {
-			continue
-		}
-		if cmpStr(x, v, op) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelectRangeInt returns positions with lo <= value <= hi.
-func (c *Column) SelectRangeInt(lo, hi int64) []int {
-	var out []int
-	for i, x := range c.ints {
-		if c.IsNull(i) {
-			continue
-		}
-		if x >= lo && x <= hi {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelectRangeFloat returns positions with lo <= value <= hi.
-func (c *Column) SelectRangeFloat(lo, hi float64) []int {
-	var out []int
-	for i, x := range c.flts {
-		if c.IsNull(i) {
-			continue
-		}
-		if x >= lo && x <= hi {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelectIn refines a candidate list: it keeps only the candidate positions
-// whose value satisfies <op> v. This is the candidate-list form of select
-// that MonetDB chains between predicates.
-func (c *Column) SelectIn(cands []int, op CmpOp, v any) ([]int, error) {
-	out := cands[:0:0]
-	for _, p := range cands {
-		if c.IsNull(p) {
-			continue
-		}
-		ok, err := c.cmpAt(p, op, v)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, p)
-		}
-	}
-	return out, nil
-}
-
-func (c *Column) cmpAt(i int, op CmpOp, v any) (bool, error) {
-	switch c.Typ {
-	case Int64:
-		switch x := v.(type) {
-		case int64:
-			return cmpInt(c.ints[i], x, op), nil
-		case int:
-			return cmpInt(c.ints[i], int64(x), op), nil
-		case float64:
-			return cmpFloat(float64(c.ints[i]), x, op), nil
-		}
-	case Float64:
-		switch x := v.(type) {
-		case float64:
-			return cmpFloat(c.flts[i], x, op), nil
-		case int64:
-			return cmpFloat(c.flts[i], float64(x), op), nil
-		case int:
-			return cmpFloat(c.flts[i], float64(x), op), nil
-		}
-	case String:
-		if x, ok := v.(string); ok {
-			return cmpStr(c.strs[i], x, op), nil
-		}
-	case Bool:
-		if x, ok := v.(bool); ok {
-			switch op {
-			case Eq:
-				return c.bools[i] == x, nil
-			case Ne:
-				return c.bools[i] != x, nil
-			}
-		}
-	}
-	return false, fmt.Errorf("column: cannot compare %s with %T", c.Typ, v)
-}
-
-func cmpInt(a, b int64, op CmpOp) bool {
-	switch op {
-	case Eq:
-		return a == b
-	case Ne:
-		return a != b
-	case Lt:
-		return a < b
-	case Le:
-		return a <= b
-	case Gt:
-		return a > b
-	case Ge:
-		return a >= b
-	}
-	return false
-}
-
-func cmpFloat(a, b float64, op CmpOp) bool {
-	switch op {
-	case Eq:
-		return a == b
-	case Ne:
-		return a != b
-	case Lt:
-		return a < b
-	case Le:
-		return a <= b
-	case Gt:
-		return a > b
-	case Ge:
-		return a >= b
-	}
-	return false
-}
-
-func cmpStr(a, b string, op CmpOp) bool {
-	switch op {
-	case Eq:
-		return a == b
-	case Ne:
-		return a != b
-	case Lt:
-		return a < b
-	case Le:
-		return a <= b
-	case Gt:
-		return a > b
-	case Ge:
-		return a >= b
-	}
-	return false
-}
-
-// SortedPerm returns a permutation of row positions that orders the column
-// ascending (NULLs first), implementing the BAT sort operator.
-func (c *Column) SortedPerm() []int {
-	perm := make([]int, c.Len())
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		i, j := perm[a], perm[b]
-		ni, nj := c.IsNull(i), c.IsNull(j)
-		if ni || nj {
-			return ni && !nj
-		}
-		switch c.Typ {
-		case Int64:
-			return c.ints[i] < c.ints[j]
-		case Float64:
-			return c.flts[i] < c.flts[j]
-		case String:
-			return c.strs[i] < c.strs[j]
-		case Bool:
-			return !c.bools[i] && c.bools[j]
-		}
-		return false
-	})
-	return perm
-}
-
-// HashJoinInt joins two Int64 columns on equality, returning parallel
-// position slices (left positions, right positions) for every match —
-// the BAT join returning an (oid, oid) pair list. The smaller column is
-// used as the hash build side.
-func HashJoinInt(left, right *Column) (lpos, rpos []int) {
-	if left.Typ != Int64 || right.Typ != Int64 {
-		return nil, nil
-	}
-	build, probe := left, right
-	swapped := false
-	if right.Len() < left.Len() {
-		build, probe = right, left
-		swapped = true
-	}
-	ht := make(map[int64][]int, build.Len())
-	for i, v := range build.ints {
-		if build.IsNull(i) {
-			continue
-		}
-		ht[v] = append(ht[v], i)
-	}
-	for j, v := range probe.ints {
-		if probe.IsNull(j) {
-			continue
-		}
-		for _, i := range ht[v] {
-			if swapped {
-				lpos = append(lpos, j)
-				rpos = append(rpos, i)
-			} else {
-				lpos = append(lpos, i)
-				rpos = append(rpos, j)
-			}
-		}
-	}
-	return lpos, rpos
-}
-
-// Aggregates ---------------------------------------------------------------
-
-// SumFloat sums a numeric column (Int64 or Float64), skipping NULLs.
-func (c *Column) SumFloat() float64 {
-	var sum float64
-	switch c.Typ {
-	case Int64:
-		for i, v := range c.ints {
-			if !c.IsNull(i) {
-				sum += float64(v)
-			}
-		}
-	case Float64:
-		for i, v := range c.flts {
-			if !c.IsNull(i) {
-				sum += v
-			}
-		}
-	}
-	return sum
-}
-
-// MinMaxFloat reports the min and max of a numeric column, skipping NULLs;
-// ok is false when all rows are NULL or the column is empty.
-func (c *Column) MinMaxFloat() (min, max float64, ok bool) {
-	min, max = math.Inf(1), math.Inf(-1)
-	get := func(i int) (float64, bool) {
-		if c.IsNull(i) {
-			return 0, false
-		}
-		switch c.Typ {
-		case Int64:
-			return float64(c.ints[i]), true
-		case Float64:
-			return c.flts[i], true
-		}
-		return 0, false
-	}
-	for i := 0; i < c.Len(); i++ {
-		if v, valid := get(i); valid {
-			ok = true
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-	}
-	return min, max, ok
-}
-
-// CountNonNull reports the number of non-NULL rows.
-func (c *Column) CountNonNull() int {
-	if c.nulls == nil {
-		return c.Len()
-	}
-	n := 0
-	for _, isNull := range c.nulls {
-		if !isNull {
-			n++
-		}
-	}
-	return n
-}
-
-// GroupBy computes dense group ids for the column: out[i] is the group of
-// row i, and the return values are (groupIDs, representative positions).
-// Strings and ints group by value; floats by bit pattern.
-func (c *Column) GroupBy() (groups []int, reps []int) {
-	groups = make([]int, c.Len())
-	next := 0
-	switch c.Typ {
-	case Int64:
-		seen := make(map[int64]int)
-		for i, v := range c.ints {
-			key := v
-			g, ok := seen[key]
-			if !ok {
-				g = next
-				next++
-				seen[key] = g
-				reps = append(reps, i)
-			}
-			groups[i] = g
-		}
-	case String:
-		seen := make(map[string]int)
-		for i, v := range c.strs {
-			g, ok := seen[v]
-			if !ok {
-				g = next
-				next++
-				seen[v] = g
-				reps = append(reps, i)
-			}
-			groups[i] = g
-		}
-	case Float64:
-		seen := make(map[uint64]int)
-		for i, v := range c.flts {
-			key := math.Float64bits(v)
-			g, ok := seen[key]
-			if !ok {
-				g = next
-				next++
-				seen[key] = g
-				reps = append(reps, i)
-			}
-			groups[i] = g
-		}
-	case Bool:
-		seen := make(map[bool]int)
-		for i, v := range c.bools {
-			g, ok := seen[v]
-			if !ok {
-				g = next
-				next++
-				seen[v] = g
-				reps = append(reps, i)
-			}
-			groups[i] = g
-		}
-	}
-	return groups, reps
 }

@@ -1,9 +1,7 @@
 package column
 
 import (
-	"bytes"
 	"testing"
-	"testing/quick"
 )
 
 func TestColumnBasics(t *testing.T) {
@@ -56,17 +54,10 @@ func TestNulls(t *testing.T) {
 	if c.Value(1) != nil {
 		t.Fatal("null value should be nil")
 	}
-	if c.CountNonNull() != 2 {
-		t.Fatalf("CountNonNull = %d", c.CountNonNull())
-	}
 	// Appends after a null keep the bitmap aligned.
 	c.AppendInt(4)
 	if c.IsNull(3) {
 		t.Fatal("appended value marked null")
-	}
-	// Selections skip nulls.
-	if got := c.SelectInt(Ge, 0); len(got) != 3 {
-		t.Fatalf("SelectInt over nulls = %v", got)
 	}
 	// SetNull works on existing rows.
 	c.SetNull(0)
@@ -109,54 +100,6 @@ func TestAppendValueCoercion(t *testing.T) {
 	}
 }
 
-func TestSelect(t *testing.T) {
-	c := NewInt64([]int64{5, 2, 8, 2, 9, 1})
-	if got := c.SelectInt(Eq, 2); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("Eq = %v", got)
-	}
-	if got := c.SelectInt(Gt, 4); len(got) != 3 {
-		t.Fatalf("Gt = %v", got)
-	}
-	if got := c.SelectInt(Ne, 2); len(got) != 4 {
-		t.Fatalf("Ne = %v", got)
-	}
-	if got := c.SelectRangeInt(2, 5); len(got) != 3 {
-		t.Fatalf("Range = %v", got)
-	}
-	f := NewFloat64([]float64{0.5, 1.5, 2.5})
-	if got := f.SelectFloat(Le, 1.5); len(got) != 2 {
-		t.Fatalf("FloatLe = %v", got)
-	}
-	if got := f.SelectRangeFloat(1.0, 3.0); len(got) != 2 {
-		t.Fatalf("FloatRange = %v", got)
-	}
-	s := NewString([]string{"fire", "water", "fire"})
-	if got := s.SelectStr(Eq, "fire"); len(got) != 2 {
-		t.Fatalf("StrEq = %v", got)
-	}
-	if got := s.SelectStr(Lt, "g"); len(got) != 2 {
-		t.Fatalf("StrLt = %v", got)
-	}
-}
-
-func TestSelectInCandidateChaining(t *testing.T) {
-	// Chained predicates: temp > 310 AND conf >= 0.8 — the MonetDB
-	// candidate-list pattern.
-	temp := NewFloat64([]float64{300, 315, 320, 305, 330})
-	conf := NewFloat64([]float64{0.9, 0.7, 0.85, 0.95, 0.99})
-	cands := temp.SelectFloat(Gt, 310)
-	got, err := conf.SelectIn(cands, Ge, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != 2 || got[1] != 4 {
-		t.Fatalf("chained = %v", got)
-	}
-	if _, err := conf.SelectIn(cands, Ge, "bad"); err == nil {
-		t.Fatal("type mismatch should error")
-	}
-}
-
 func TestGather(t *testing.T) {
 	c := NewString([]string{"a", "b", "c", "d"})
 	g := c.Gather([]int{3, 1})
@@ -181,137 +124,6 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestSortedPerm(t *testing.T) {
-	c := NewInt64([]int64{3, 1, 2})
-	p := c.SortedPerm()
-	if p[0] != 1 || p[1] != 2 || p[2] != 0 {
-		t.Fatalf("perm = %v", p)
-	}
-	// Nulls sort first, stably.
-	n := NewEmpty(String)
-	n.AppendStr("b")
-	n.AppendNull()
-	n.AppendStr("a")
-	pn := n.SortedPerm()
-	if pn[0] != 1 {
-		t.Fatalf("null not first: %v", pn)
-	}
-	f := NewFloat64([]float64{2.5, 0.5})
-	if pf := f.SortedPerm(); pf[0] != 1 {
-		t.Fatalf("float perm = %v", pf)
-	}
-	b := NewBool([]bool{true, false})
-	if pb := b.SortedPerm(); pb[0] != 1 {
-		t.Fatalf("bool perm = %v", pb)
-	}
-}
-
-func TestHashJoinInt(t *testing.T) {
-	l := NewInt64([]int64{1, 2, 3, 2})
-	r := NewInt64([]int64{2, 4, 2})
-	lp, rp := HashJoinInt(l, r)
-	if len(lp) != len(rp) || len(lp) != 4 {
-		t.Fatalf("join produced %d pairs, want 4", len(lp))
-	}
-	for k := range lp {
-		if l.Int(lp[k]) != r.Int(rp[k]) {
-			t.Fatalf("pair %d joins %d != %d", k, l.Int(lp[k]), r.Int(rp[k]))
-		}
-	}
-	// Small-left vs small-right symmetry.
-	lp2, rp2 := HashJoinInt(r, l)
-	if len(lp2) != 4 {
-		t.Fatalf("swapped join %d pairs", len(lp2))
-	}
-	for k := range lp2 {
-		if r.Int(lp2[k]) != l.Int(rp2[k]) {
-			t.Fatal("swapped pair mismatch")
-		}
-	}
-	// Nulls never join.
-	ln := NewEmpty(Int64)
-	ln.AppendInt(7)
-	ln.AppendNull()
-	rn := NewInt64([]int64{7, 0})
-	lp3, _ := HashJoinInt(ln, rn)
-	if len(lp3) != 1 {
-		t.Fatalf("null join pairs = %d", len(lp3))
-	}
-}
-
-func TestAggregates(t *testing.T) {
-	c := NewFloat64([]float64{1, 2, 3, 4})
-	if c.SumFloat() != 10 {
-		t.Fatal("sum")
-	}
-	min, max, ok := c.MinMaxFloat()
-	if !ok || min != 1 || max != 4 {
-		t.Fatalf("minmax = %g %g %v", min, max, ok)
-	}
-	i := NewInt64([]int64{5, -2})
-	if i.SumFloat() != 3 {
-		t.Fatal("int sum")
-	}
-	empty := NewEmpty(Float64)
-	if _, _, ok := empty.MinMaxFloat(); ok {
-		t.Fatal("empty minmax should report !ok")
-	}
-	allNull := NewEmpty(Int64)
-	allNull.AppendNull()
-	if _, _, ok := allNull.MinMaxFloat(); ok {
-		t.Fatal("all-null minmax should report !ok")
-	}
-	if allNull.SumFloat() != 0 {
-		t.Fatal("all-null sum")
-	}
-}
-
-func TestGroupBy(t *testing.T) {
-	c := NewString([]string{"fire", "water", "fire", "land", "water"})
-	groups, reps := c.GroupBy()
-	if len(reps) != 3 {
-		t.Fatalf("groups = %d", len(reps))
-	}
-	if groups[0] != groups[2] || groups[1] != groups[4] || groups[0] == groups[1] {
-		t.Fatalf("group assignment = %v", groups)
-	}
-	i := NewInt64([]int64{1, 1, 2})
-	gi, ri := i.GroupBy()
-	if len(ri) != 2 || gi[0] != gi[1] {
-		t.Fatal("int groups")
-	}
-	f := NewFloat64([]float64{0.5, 0.5, 1.5})
-	if _, rf := f.GroupBy(); len(rf) != 2 {
-		t.Fatal("float groups")
-	}
-	b := NewBool([]bool{true, false, true})
-	if _, rb := b.GroupBy(); len(rb) != 2 {
-		t.Fatal("bool groups")
-	}
-}
-
-func TestCmpOpString(t *testing.T) {
-	ops := map[CmpOp]string{Eq: "=", Ne: "<>", Lt: "<", Le: "<=", Gt: ">", Ge: ">="}
-	for op, want := range ops {
-		if op.String() != want {
-			t.Errorf("%v != %s", op, want)
-		}
-	}
-}
-
-func TestSelectPropertyPartition(t *testing.T) {
-	// Property: SelectInt(Lt, v) and SelectInt(Ge, v) partition all rows.
-	f := func(vals []int64, v int64) bool {
-		c := NewInt64(vals)
-		lt := c.SelectInt(Lt, v)
-		ge := c.SelectInt(Ge, v)
-		return len(lt)+len(ge) == len(vals)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTableBasics(t *testing.T) {
 	tbl := NewTable("products",
 		Field{"id", Int64}, Field{"name", String}, Field{"size", Float64})
@@ -330,9 +142,6 @@ func TestTableBasics(t *testing.T) {
 	if tbl.Col("missing") != nil {
 		t.Fatal("missing column should be nil")
 	}
-	if tbl.ColIndex("size") != 2 || tbl.ColIndex("nope") != -1 {
-		t.Fatal("ColIndex")
-	}
 	row := tbl.Row(0)
 	if row[0] != int64(1) || row[1] != "msg1" || row[2] != 12.5 {
 		t.Fatalf("Row = %v", row)
@@ -343,103 +152,5 @@ func TestTableBasics(t *testing.T) {
 	g := tbl.Gather([]int{1})
 	if g.NumRows() != 1 || g.Col("id").Int(0) != 2 {
 		t.Fatal("table gather")
-	}
-	p, err := tbl.Project("size", "id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Fields) != 2 || p.Fields[0].Name != "size" {
-		t.Fatal("project")
-	}
-	if _, err := tbl.Project("ghost"); err == nil {
-		t.Fatal("project missing column should error")
-	}
-}
-
-func TestTablePersistence(t *testing.T) {
-	tbl := NewTable("snapshot",
-		Field{"id", Int64}, Field{"temp", Float64},
-		Field{"sensor", String}, Field{"hot", Bool})
-	if err := tbl.AppendRow(int64(1), 311.5, "SEVIRI", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.AppendRow(int64(2), 290.0, "MODIS", false); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.AppendRow(nil, nil, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := tbl.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTable(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "snapshot" || got.NumRows() != 3 || len(got.Fields) != 4 {
-		t.Fatalf("round trip shape: %q %d %d", got.Name, got.NumRows(), len(got.Fields))
-	}
-	if got.Col("temp").Float(0) != 311.5 || got.Col("sensor").Str(1) != "MODIS" {
-		t.Fatal("values")
-	}
-	if !got.Col("hot").BoolAt(0) || got.Col("hot").BoolAt(1) {
-		t.Fatal("bools")
-	}
-	for j := range got.Fields {
-		if !got.Cols[j].IsNull(2) {
-			t.Fatalf("null row lost in column %d", j)
-		}
-	}
-}
-
-func TestReadTableBadMagic(t *testing.T) {
-	if _, err := ReadTable(bytes.NewReader([]byte("garbage!"))); err == nil {
-		t.Fatal("expected magic error")
-	}
-}
-
-func TestRowTableMatchesColumnar(t *testing.T) {
-	tbl := NewTable("t", Field{"k", Int64}, Field{"v", Float64})
-	for i := 0; i < 100; i++ {
-		if err := tbl.AppendRow(int64(i%10), float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rt := FromTable(tbl)
-	if len(rt.Rows) != 100 {
-		t.Fatal("conversion")
-	}
-	// Equality select parity.
-	colHits := tbl.Col("k").SelectInt(Eq, 3)
-	rowHits := rt.SelectIntEq("k", 3)
-	if len(colHits) != len(rowHits) {
-		t.Fatalf("select parity: %d vs %d", len(colHits), len(rowHits))
-	}
-	// Range select parity.
-	colR := tbl.Col("v").SelectRangeFloat(10, 20)
-	rowR := rt.SelectFloatRange("v", 10, 20)
-	if len(colR) != len(rowR) {
-		t.Fatalf("range parity: %d vs %d", len(colR), len(rowR))
-	}
-	// Sum parity.
-	if tbl.Col("v").SumFloat() != rt.SumFloat("v") {
-		t.Fatal("sum parity")
-	}
-	// Join parity.
-	other := NewTable("o", Field{"k", Int64})
-	for i := 0; i < 5; i++ {
-		if err := other.AppendRow(int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lp, _ := HashJoinInt(tbl.Col("k"), other.Col("k"))
-	rj := rt.HashJoinInt("k", FromTable(other), "k")
-	if len(lp) != len(rj) {
-		t.Fatalf("join parity: %d vs %d", len(lp), len(rj))
-	}
-	// Missing columns.
-	if rt.SelectIntEq("ghost", 1) != nil || rt.SumFloat("ghost") != 0 {
-		t.Fatal("missing column handling")
 	}
 }

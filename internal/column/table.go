@@ -1,11 +1,7 @@
 package column
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
 )
 
 // Field describes one table column.
@@ -47,16 +43,6 @@ func (t *Table) Col(name string) *Column {
 		}
 	}
 	return nil
-}
-
-// ColIndex returns the index of the named column, or -1.
-func (t *Table) ColIndex(name string) int {
-	for i, f := range t.Fields {
-		if f.Name == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // AppendRow appends one row; len(vals) must equal the column count.
@@ -101,238 +87,4 @@ func (t *Table) Head(n int) *Table {
 		out.Cols = append(out.Cols, c.Slice(0, n))
 	}
 	return out
-}
-
-// Project returns a new table with only the named columns.
-func (t *Table) Project(names ...string) (*Table, error) {
-	out := &Table{Name: t.Name}
-	for _, n := range names {
-		i := t.ColIndex(n)
-		if i < 0 {
-			return nil, fmt.Errorf("column: table %q has no column %q", t.Name, n)
-		}
-		out.Fields = append(out.Fields, t.Fields[i])
-		out.Cols = append(out.Cols, t.Cols[i])
-	}
-	return out, nil
-}
-
-// tableMagic identifies the table binary snapshot format.
-const tableMagic = "TELTBL1\n"
-
-// WriteTo serialises the table in a column-major binary format.
-func (t *Table) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(p []byte) error {
-		m, err := bw.Write(p)
-		n += int64(m)
-		return err
-	}
-	w32 := func(v uint32) error {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		return write(b[:])
-	}
-	w64 := func(v uint64) error {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		return write(b[:])
-	}
-	wstr := func(s string) error {
-		if err := w32(uint32(len(s))); err != nil {
-			return err
-		}
-		return write([]byte(s))
-	}
-	if err := write([]byte(tableMagic)); err != nil {
-		return n, err
-	}
-	if err := wstr(t.Name); err != nil {
-		return n, err
-	}
-	if err := w32(uint32(len(t.Fields))); err != nil {
-		return n, err
-	}
-	if err := w64(uint64(t.NumRows())); err != nil {
-		return n, err
-	}
-	for i, f := range t.Fields {
-		if err := wstr(f.Name); err != nil {
-			return n, err
-		}
-		if err := write([]byte{byte(f.Typ)}); err != nil {
-			return n, err
-		}
-		c := t.Cols[i]
-		switch f.Typ {
-		case Int64:
-			for _, v := range c.ints {
-				if err := w64(uint64(v)); err != nil {
-					return n, err
-				}
-			}
-		case Float64:
-			for _, v := range c.flts {
-				if err := w64(math.Float64bits(v)); err != nil {
-					return n, err
-				}
-			}
-		case String:
-			for _, v := range c.strs {
-				if err := wstr(v); err != nil {
-					return n, err
-				}
-			}
-		case Bool:
-			for _, v := range c.bools {
-				b := byte(0)
-				if v {
-					b = 1
-				}
-				if err := write([]byte{b}); err != nil {
-					return n, err
-				}
-			}
-		}
-		// Validity bitmap presence flag + bytes.
-		if c.nulls == nil {
-			if err := write([]byte{0}); err != nil {
-				return n, err
-			}
-		} else {
-			if err := write([]byte{1}); err != nil {
-				return n, err
-			}
-			for _, isNull := range c.nulls {
-				b := byte(0)
-				if isNull {
-					b = 1
-				}
-				if err := write([]byte{b}); err != nil {
-					return n, err
-				}
-			}
-		}
-	}
-	return n, bw.Flush()
-}
-
-// ReadTable deserialises a table snapshot written by WriteTo.
-func ReadTable(r io.Reader) (*Table, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(tableMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("column: reading table magic: %w", err)
-	}
-	if string(magic) != tableMagic {
-		return nil, fmt.Errorf("column: bad table magic %q", magic)
-	}
-	r32 := func() (uint32, error) {
-		var b [4]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(b[:]), nil
-	}
-	r64 := func() (uint64, error) {
-		var b [8]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(b[:]), nil
-	}
-	rstr := func() (string, error) {
-		l, err := r32()
-		if err != nil {
-			return "", err
-		}
-		buf := make([]byte, l)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	name, err := rstr()
-	if err != nil {
-		return nil, err
-	}
-	nCols, err := r32()
-	if err != nil {
-		return nil, err
-	}
-	nRows, err := r64()
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{Name: name}
-	for i := uint32(0); i < nCols; i++ {
-		fname, err := rstr()
-		if err != nil {
-			return nil, err
-		}
-		var tb [1]byte
-		if _, err := io.ReadFull(br, tb[:]); err != nil {
-			return nil, err
-		}
-		typ := Type(tb[0])
-		c := NewEmpty(typ)
-		switch typ {
-		case Int64:
-			c.ints = make([]int64, nRows)
-			for j := range c.ints {
-				v, err := r64()
-				if err != nil {
-					return nil, err
-				}
-				c.ints[j] = int64(v)
-			}
-		case Float64:
-			c.flts = make([]float64, nRows)
-			for j := range c.flts {
-				v, err := r64()
-				if err != nil {
-					return nil, err
-				}
-				c.flts[j] = math.Float64frombits(v)
-			}
-		case String:
-			c.strs = make([]string, nRows)
-			for j := range c.strs {
-				s, err := rstr()
-				if err != nil {
-					return nil, err
-				}
-				c.strs[j] = s
-			}
-		case Bool:
-			c.bools = make([]bool, nRows)
-			for j := range c.bools {
-				var b [1]byte
-				if _, err := io.ReadFull(br, b[:]); err != nil {
-					return nil, err
-				}
-				c.bools[j] = b[0] == 1
-			}
-		default:
-			return nil, fmt.Errorf("column: unknown column type %d", tb[0])
-		}
-		var hasNulls [1]byte
-		if _, err := io.ReadFull(br, hasNulls[:]); err != nil {
-			return nil, err
-		}
-		if hasNulls[0] == 1 {
-			c.nulls = make([]bool, nRows)
-			for j := range c.nulls {
-				var b [1]byte
-				if _, err := io.ReadFull(br, b[:]); err != nil {
-					return nil, err
-				}
-				c.nulls[j] = b[0] == 1
-			}
-		}
-		t.Fields = append(t.Fields, Field{Name: fname, Typ: typ})
-		t.Cols = append(t.Cols, c)
-	}
-	return t, nil
 }

@@ -190,9 +190,13 @@ func (o *Observatory) StSPARQL(query string) (*stsparql.Result, error) {
 }
 
 // SciQLEngine exposes the SciQL engine for advanced use.
+//
+//lint:allow unusedexport(public API: embedders reach it through teleios.Observatory)
 func (o *Observatory) SciQLEngine() *sciql.Engine { return o.sciql }
 
 // SPARQLEngine exposes the stSPARQL engine for advanced use.
+//
+//lint:allow unusedexport(public API: embedders reach it through teleios.Observatory)
 func (o *Observatory) SPARQLEngine() *stsparql.Engine { return o.sparql }
 
 // Store exposes the Strabon store.

@@ -167,7 +167,6 @@ type DurabilityStats struct {
 	FsyncsSaved    uint64   `json:"fsyncs_saved,omitempty"`
 	TicketWaitUs   int64    `json:"ticket_wait_mean_us,omitempty"`
 	GroupBatchHist []uint64 `json:"group_batch_hist,omitempty"`
-	GroupWindowMs  int64    `json:"group_window_ms,omitempty"`
 }
 
 // Server is the stSPARQL protocol endpoint.

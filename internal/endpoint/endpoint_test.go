@@ -972,10 +972,6 @@ func (j *vetoJournal) LogApply(dels, ins []rdf.Triple) (strabon.Commit, error) {
 	j.seq++
 	return strabon.Commit{Seq: j.seq}, nil
 }
-func (j *vetoJournal) LogCompact() (strabon.Commit, error) {
-	j.seq++
-	return strabon.Commit{Seq: j.seq}, nil
-}
 
 // TestUpdateJournalVetoIs500: an update whose WAL append fails must not
 // be acknowledged with a 200 — the client would believe a write durable

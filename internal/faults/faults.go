@@ -163,6 +163,8 @@ func EnableFromSpec(s string) error {
 }
 
 // Disable disarms the named failpoint. Hit counts survive.
+//
+//lint:allow unusedexport(failpoint control API, kept beside Enable, Reset and Hits)
 func Disable(name string) {
 	mu.Lock()
 	defer mu.Unlock()
@@ -193,6 +195,8 @@ func Hits(name string) uint64 {
 }
 
 // Active returns the names of currently armed failpoints, sorted.
+//
+//lint:allow unusedexport(failpoint control API, kept beside Enable, Reset and Hits)
 func Active() []string {
 	mu.RLock()
 	defer mu.RUnlock()

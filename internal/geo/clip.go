@@ -151,19 +151,6 @@ func buildList(cs []Point) *clipVertex {
 	return head
 }
 
-func listPoints(head *clipVertex) []Point {
-	var out []Point
-	v := head
-	for {
-		out = append(out, v.p)
-		v = v.next
-		if v == head {
-			break
-		}
-	}
-	return out
-}
-
 // clipPolygons runs Greiner-Hormann with perturbation retries.
 func clipPolygons(subject, clip Polygon, op clipOp) ([]Polygon, error) {
 	if subject.IsEmpty() {

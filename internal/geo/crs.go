@@ -158,17 +158,6 @@ func mapCoords(g Geometry, f func(Point) Point) Geometry {
 	return g
 }
 
-// HaversineMeters reports the great-circle distance in metres between two
-// WGS84 lon/lat points.
-func HaversineMeters(a, b Point) float64 {
-	la1, la2 := a.Y*deg2rad, b.Y*deg2rad
-	dLat := (b.Y - a.Y) * deg2rad
-	dLon := (b.X - a.X) * deg2rad
-	h := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(la1)*math.Cos(la2)*math.Sin(dLon/2)*math.Sin(dLon/2)
-	return 2 * earthRadiusM * math.Asin(math.Min(1, math.Sqrt(h)))
-}
-
 // GeodesicDistanceMeters reports the approximate minimum distance in metres
 // between two WGS84 geometries, computed by projecting both to a local
 // equirectangular plane centred between them. Exact when they intersect (0).

@@ -145,14 +145,6 @@ func (l LineString) IsEmpty() bool { return len(l.Coords) == 0 }
 // Dimension implements Geometry.
 func (l LineString) Dimension() int { return 1 }
 
-// IsClosed reports whether the first and last coordinates coincide.
-func (l LineString) IsClosed() bool {
-	if len(l.Coords) < 3 {
-		return false
-	}
-	return l.Coords[0].Equal(l.Coords[len(l.Coords)-1])
-}
-
 // Length reports the planar length of the polyline.
 func (l LineString) Length() float64 {
 	var sum float64
@@ -160,15 +152,6 @@ func (l LineString) Length() float64 {
 		sum += dist(l.Coords[i-1], l.Coords[i])
 	}
 	return sum
-}
-
-// Reverse returns the line string with coordinate order reversed.
-func (l LineString) Reverse() LineString {
-	c := make([]Point, len(l.Coords))
-	for i, p := range l.Coords {
-		c[len(l.Coords)-1-i] = p
-	}
-	return LineString{Coords: c}
 }
 
 // MultiLineString is a collection of line strings.
@@ -473,14 +456,6 @@ func (e Envelope) Intersection(o Envelope) Envelope {
 		return EmptyEnvelope()
 	}
 	return r
-}
-
-// Expand returns the envelope grown by d on every side.
-func (e Envelope) Expand(d float64) Envelope {
-	if e.IsEmpty() {
-		return e
-	}
-	return Envelope{MinX: e.MinX - d, MinY: e.MinY - d, MaxX: e.MaxX + d, MaxY: e.MaxY + d}
 }
 
 // Center reports the envelope centroid.

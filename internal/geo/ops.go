@@ -3,7 +3,6 @@ package geo
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Metric and constructive operations: distance, centroid, buffer, convex
@@ -386,158 +385,6 @@ func dissolve(polys []Polygon) Geometry {
 		return polys[0]
 	}
 	return MultiPolygon{Polygons: polys}
-}
-
-// ConvexHull returns the convex hull of g's vertices as a polygon
-// (or a point / line string for degenerate inputs).
-func ConvexHull(g Geometry) Geometry {
-	vs := vertices(g)
-	if len(vs) == 0 {
-		return Polygon{}
-	}
-	// Andrew's monotone chain.
-	pts := make([]Point, len(vs))
-	copy(pts, vs)
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].X != pts[j].X {
-			return pts[i].X < pts[j].X
-		}
-		return pts[i].Y < pts[j].Y
-	})
-	// Dedup.
-	uniq := pts[:0]
-	for _, p := range pts {
-		if len(uniq) == 0 || !uniq[len(uniq)-1].Equal(p) {
-			uniq = append(uniq, p)
-		}
-	}
-	pts = uniq
-	switch len(pts) {
-	case 1:
-		return pts[0]
-	case 2:
-		return LineString{Coords: pts}
-	}
-	cross := func(o, a, b Point) float64 {
-		return (a.X-o.X)*(b.Y-o.Y) - (a.Y-o.Y)*(b.X-o.X)
-	}
-	var lower, upper []Point
-	for _, p := range pts {
-		for len(lower) >= 2 && cross(lower[len(lower)-2], lower[len(lower)-1], p) <= 0 {
-			lower = lower[:len(lower)-1]
-		}
-		lower = append(lower, p)
-	}
-	for i := len(pts) - 1; i >= 0; i-- {
-		p := pts[i]
-		for len(upper) >= 2 && cross(upper[len(upper)-2], upper[len(upper)-1], p) <= 0 {
-			upper = upper[:len(upper)-1]
-		}
-		upper = append(upper, p)
-	}
-	hull := append(lower[:len(lower)-1], upper[:len(upper)-1]...)
-	if len(hull) < 3 {
-		return LineString{Coords: pts}
-	}
-	hull = append(hull, hull[0])
-	return NewPolygon(Ring{Coords: hull})
-}
-
-// Simplify applies Douglas-Peucker simplification with tolerance tol to
-// line strings and polygon rings. Rings that collapse below 4 coordinates
-// are dropped (for holes) or kept minimally (for exteriors).
-func Simplify(g Geometry, tol float64) Geometry {
-	switch t := g.(type) {
-	case LineString:
-		return LineString{Coords: douglasPeucker(t.Coords, tol)}
-	case MultiLineString:
-		out := make([]LineString, len(t.Lines))
-		for i, l := range t.Lines {
-			out[i] = LineString{Coords: douglasPeucker(l.Coords, tol)}
-		}
-		return MultiLineString{Lines: out}
-	case Polygon:
-		return simplifyPolygon(t, tol)
-	case MultiPolygon:
-		out := make([]Polygon, 0, len(t.Polygons))
-		for _, p := range t.Polygons {
-			sp := simplifyPolygon(p, tol)
-			if !sp.IsEmpty() {
-				out = append(out, sp)
-			}
-		}
-		return MultiPolygon{Polygons: out}
-	case GeometryCollection:
-		out := make([]Geometry, len(t.Geometries))
-		for i, m := range t.Geometries {
-			out[i] = Simplify(m, tol)
-		}
-		return GeometryCollection{Geometries: out}
-	default:
-		return g
-	}
-}
-
-func simplifyPolygon(p Polygon, tol float64) Polygon {
-	ext := simplifyRing(p.Exterior, tol)
-	if len(ext.Coords) < 4 {
-		return Polygon{}
-	}
-	var holes []Ring
-	for _, h := range p.Holes {
-		sh := simplifyRing(h, tol)
-		if len(sh.Coords) >= 4 {
-			holes = append(holes, sh)
-		}
-	}
-	return NewPolygon(ext, holes...)
-}
-
-func simplifyRing(r Ring, tol float64) Ring {
-	if len(r.Coords) < 4 {
-		return r
-	}
-	cs := douglasPeucker(r.Coords, tol)
-	if len(cs) >= 3 && !cs[0].Equal(cs[len(cs)-1]) {
-		cs = append(cs, cs[0])
-	}
-	return Ring{Coords: cs}
-}
-
-func douglasPeucker(cs []Point, tol float64) []Point {
-	if len(cs) < 3 {
-		out := make([]Point, len(cs))
-		copy(out, cs)
-		return out
-	}
-	keep := make([]bool, len(cs))
-	keep[0], keep[len(cs)-1] = true, true
-	var rec func(lo, hi int)
-	rec = func(lo, hi int) {
-		if hi-lo < 2 {
-			return
-		}
-		maxD, maxI := -1.0, -1
-		for i := lo + 1; i < hi; i++ {
-			d := pointSegmentDistance(cs[i], cs[lo], cs[hi])
-			if d > maxD {
-				maxD, maxI = d, i
-			}
-		}
-		if maxD > tol {
-			keep[maxI] = true
-			rec(lo, maxI)
-			rec(maxI, hi)
-		}
-	}
-	rec(0, len(cs)-1)
-	var out []Point
-	for i, k := range keep {
-		if k {
-			out = append(out, cs[i])
-		}
-	}
-	return out
 }
 
 // Validate performs basic validity checks: rings closed with >= 4 points,

@@ -142,54 +142,6 @@ func TestBufferZeroAndEmpty(t *testing.T) {
 	}
 }
 
-func TestConvexHull(t *testing.T) {
-	mp := MultiPoint{Points: []Point{{0, 0}, {4, 0}, {4, 4}, {0, 4}, {2, 2}, {1, 3}}}
-	h := ConvexHull(mp)
-	p, ok := h.(Polygon)
-	if !ok {
-		t.Fatalf("hull type %T", h)
-	}
-	if p.Area() != 16 {
-		t.Fatalf("hull area = %g, want 16", p.Area())
-	}
-	// Degenerate cases.
-	if _, ok := ConvexHull(NewPoint(1, 1)).(Point); !ok {
-		t.Fatal("single point hull")
-	}
-	if _, ok := ConvexHull(MultiPoint{Points: []Point{{0, 0}, {1, 1}}}).(LineString); !ok {
-		t.Fatal("two point hull")
-	}
-	// Collinear points.
-	col := MultiPoint{Points: []Point{{0, 0}, {1, 1}, {2, 2}, {3, 3}}}
-	if _, ok := ConvexHull(col).(LineString); !ok {
-		t.Fatal("collinear hull should be a line")
-	}
-}
-
-func TestSimplify(t *testing.T) {
-	// Nearly straight line with a tiny wiggle collapses.
-	l := NewLineString(Point{0, 0}, Point{1, 0.001}, Point{2, -0.001}, Point{3, 0})
-	s := Simplify(l, 0.01).(LineString)
-	if len(s.Coords) != 2 {
-		t.Fatalf("simplified to %d points", len(s.Coords))
-	}
-	// A real corner survives.
-	corner := NewLineString(Point{0, 0}, Point{5, 0}, Point{5, 5})
-	sc := Simplify(corner, 0.01).(LineString)
-	if len(sc.Coords) != 3 {
-		t.Fatalf("corner dropped: %d points", len(sc.Coords))
-	}
-	// Polygon ring keeps closure.
-	p := Rect(0, 0, 10, 10)
-	sp := Simplify(p, 0.5).(Polygon)
-	if err := Validate(sp); err != nil {
-		t.Fatalf("simplified polygon invalid: %v", err)
-	}
-	if sp.Area() != 100 {
-		t.Fatalf("area changed: %g", sp.Area())
-	}
-}
-
 func TestTransformRoundTrip(t *testing.T) {
 	p := NewPoint(23.7275, 37.9838) // Athens
 	for _, to := range []SRID{SRIDWebMercator, SRIDGreekGrid} {
@@ -242,19 +194,6 @@ func TestTransformPolygonPreservesTopology(t *testing.T) {
 	}
 }
 
-func TestHaversine(t *testing.T) {
-	athens := NewPoint(23.7275, 37.9838)
-	thessaloniki := NewPoint(22.9444, 40.6401)
-	d := HaversineMeters(athens, thessaloniki)
-	// Real-world distance is ~300 km.
-	if d < 280e3 || d > 320e3 {
-		t.Fatalf("Athens-Thessaloniki = %g m", d)
-	}
-	if HaversineMeters(athens, athens) != 0 {
-		t.Fatal("self distance")
-	}
-}
-
 func TestGeodesicDistanceMeters(t *testing.T) {
 	a := NewPoint(23.0, 38.0)
 	b := NewPoint(23.0, 38.1) // 0.1 deg lat ~ 11.1 km
@@ -286,7 +225,8 @@ func TestExpandMeters(t *testing.T) {
 	if d := GeodesicDistanceMeters(probe, near); d > 5100 || !covers(probe, near, 6000) {
 		t.Fatalf("60°N: %.0f m apart, not covered by a 6 km widening", d)
 	}
-	if probe.Envelope().Expand(6000.0 / 78000).Intersects(near.Envelope()) {
+	pe, deg := probe.Envelope(), 6000.0/78000
+	if (Envelope{MinX: pe.MinX - deg, MinY: pe.MinY - deg, MaxX: pe.MaxX + deg, MaxY: pe.MaxY + deg}).Intersects(near.Envelope()) {
 		t.Fatal("the 78 km-per-degree widening covers the 60°N pair; the case no longer shows the defect")
 	}
 	// A footprint spanning 60–64°N is measured on a plane centred at

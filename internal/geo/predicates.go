@@ -646,38 +646,6 @@ func interiorsIntersect(a, b Geometry) bool {
 	return false
 }
 
-func isVertexOf(p Point, g Geometry) bool {
-	for _, v := range vertices(g) {
-		if p.Equal(v) {
-			return true
-		}
-	}
-	return false
-}
-
-func isEndpointOf(p Point, g Geometry) bool {
-	switch t := g.(type) {
-	case LineString:
-		if len(t.Coords) == 0 {
-			return false
-		}
-		return p.Equal(t.Coords[0]) || p.Equal(t.Coords[len(t.Coords)-1])
-	case MultiLineString:
-		for _, l := range t.Lines {
-			if isEndpointOf(p, l) {
-				return true
-			}
-		}
-	case GeometryCollection:
-		for _, m := range t.Geometries {
-			if isEndpointOf(p, m) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Overlaps reports whether a and b overlap: same dimension, intersecting
 // interiors, and neither contains the other.
 func Overlaps(a, b Geometry) bool {

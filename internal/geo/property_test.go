@@ -126,30 +126,6 @@ func TestPropEnvelopeIntersectionConsistency(t *testing.T) {
 	}
 }
 
-func TestPropConvexHullContainsPoints(t *testing.T) {
-	f := func(coords [8][2]float64) bool {
-		pts := make([]Point, 0, len(coords))
-		for _, c := range coords {
-			x := math.Mod(math.Abs(c[0]), 100)
-			y := math.Mod(math.Abs(c[1]), 100)
-			if math.IsNaN(x) || math.IsNaN(y) {
-				x, y = 0, 0
-			}
-			pts = append(pts, Point{x, y})
-		}
-		hull := ConvexHull(MultiPoint{Points: pts})
-		for _, p := range pts {
-			if !Intersects(p, hull) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPropBufferContainsOriginal(t *testing.T) {
 	f := func(a, b, c, d float64) bool {
 		p := boundedRect(a, b, c, d)
@@ -175,21 +151,6 @@ func TestPropWKTRoundTripArea(t *testing.T) {
 		return math.Abs(bp.Area()-p.Area()) < 1e-9*(p.Area()+1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropSimplifyNeverGrows(t *testing.T) {
-	f := func(a, b, c, d, tolRaw float64) bool {
-		p := boundedRect(a, b, c, d)
-		tol := math.Mod(math.Abs(tolRaw), 2)
-		if math.IsNaN(tol) {
-			tol = 0.1
-		}
-		s := Simplify(p, tol)
-		return len(vertices(s)) <= len(vertices(p))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -156,10 +156,6 @@ func appendPolyBody(buf []byte, p Polygon) []byte {
 	return append(buf, ')')
 }
 
-func fmtFloat(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
-}
-
 // WKT parsing -----------------------------------------------------------------
 
 // ParseWKT parses an OGC Well-Known Text geometry. It accepts the 2D subset
@@ -176,15 +172,6 @@ func ParseWKT(s string) (Geometry, error) {
 		return nil, fmt.Errorf("geo: trailing input at offset %d in WKT %q", p.pos, truncate(s))
 	}
 	return g, nil
-}
-
-// MustParseWKT parses s and panics on error; for tests and literals.
-func MustParseWKT(s string) Geometry {
-	g, err := ParseWKT(s)
-	if err != nil {
-		panic(err)
-	}
-	return g
 }
 
 type wktParser struct {

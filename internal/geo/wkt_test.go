@@ -35,12 +35,12 @@ func TestWKTCaseInsensitive(t *testing.T) {
 }
 
 func TestWKTLineString(t *testing.T) {
-	g := MustParseWKT("LINESTRING (0 0, 1 1, 2 0)")
+	g := mustParseWKT("LINESTRING (0 0, 1 1, 2 0)")
 	l := g.(LineString)
 	if len(l.Coords) != 3 {
 		t.Fatalf("coords = %d", len(l.Coords))
 	}
-	round := MustParseWKT(l.WKT()).(LineString)
+	round := mustParseWKT(l.WKT()).(LineString)
 	if len(round.Coords) != 3 || round.Coords[2] != (Point{2, 0}) {
 		t.Fatalf("round trip = %+v", round)
 	}
@@ -48,7 +48,7 @@ func TestWKTLineString(t *testing.T) {
 
 func TestWKTPolygonWithHole(t *testing.T) {
 	src := "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 4 2, 4 4, 2 4, 2 2))"
-	g := MustParseWKT(src)
+	g := mustParseWKT(src)
 	p := g.(Polygon)
 	if len(p.Holes) != 1 {
 		t.Fatalf("holes = %d", len(p.Holes))
@@ -57,15 +57,15 @@ func TestWKTPolygonWithHole(t *testing.T) {
 		t.Fatalf("area = %g", p.Area())
 	}
 	// Round trip preserves topology (not necessarily vertex order).
-	p2 := MustParseWKT(p.WKT()).(Polygon)
+	p2 := mustParseWKT(p.WKT()).(Polygon)
 	if p2.Area() != 96 || len(p2.Holes) != 1 {
 		t.Fatalf("round trip area = %g holes = %d", p2.Area(), len(p2.Holes))
 	}
 }
 
 func TestWKTMultiPointBothForms(t *testing.T) {
-	a := MustParseWKT("MULTIPOINT ((1 2), (3 4))").(MultiPoint)
-	b := MustParseWKT("MULTIPOINT (1 2, 3 4)").(MultiPoint)
+	a := mustParseWKT("MULTIPOINT ((1 2), (3 4))").(MultiPoint)
+	b := mustParseWKT("MULTIPOINT (1 2, 3 4)").(MultiPoint)
 	if len(a.Points) != 2 || len(b.Points) != 2 {
 		t.Fatalf("lens = %d, %d", len(a.Points), len(b.Points))
 	}
@@ -75,7 +75,7 @@ func TestWKTMultiPointBothForms(t *testing.T) {
 }
 
 func TestWKTMultiLineString(t *testing.T) {
-	g := MustParseWKT("MULTILINESTRING ((0 0, 1 1), (2 2, 3 3, 4 4))")
+	g := mustParseWKT("MULTILINESTRING ((0 0, 1 1), (2 2, 3 3, 4 4))")
 	m := g.(MultiLineString)
 	if len(m.Lines) != 2 || len(m.Lines[1].Coords) != 3 {
 		t.Fatalf("parsed %+v", m)
@@ -86,7 +86,7 @@ func TestWKTMultiLineString(t *testing.T) {
 }
 
 func TestWKTMultiPolygon(t *testing.T) {
-	g := MustParseWKT("MULTIPOLYGON (((0 0, 1 0, 1 1, 0 1, 0 0)), ((5 5, 6 5, 6 6, 5 6, 5 5)))")
+	g := mustParseWKT("MULTIPOLYGON (((0 0, 1 0, 1 1, 0 1, 0 0)), ((5 5, 6 5, 6 6, 5 6, 5 5)))")
 	m := g.(MultiPolygon)
 	if len(m.Polygons) != 2 {
 		t.Fatalf("polygons = %d", len(m.Polygons))
@@ -94,19 +94,19 @@ func TestWKTMultiPolygon(t *testing.T) {
 	if m.Area() != 2 {
 		t.Fatalf("area = %g", m.Area())
 	}
-	round := MustParseWKT(m.WKT()).(MultiPolygon)
+	round := mustParseWKT(m.WKT()).(MultiPolygon)
 	if round.Area() != 2 {
 		t.Fatalf("round trip area = %g", round.Area())
 	}
 }
 
 func TestWKTGeometryCollection(t *testing.T) {
-	g := MustParseWKT("GEOMETRYCOLLECTION (POINT (1 2), LINESTRING (0 0, 1 1))")
+	g := mustParseWKT("GEOMETRYCOLLECTION (POINT (1 2), LINESTRING (0 0, 1 1))")
 	gc := g.(GeometryCollection)
 	if len(gc.Geometries) != 2 {
 		t.Fatalf("members = %d", len(gc.Geometries))
 	}
-	round := MustParseWKT(gc.WKT()).(GeometryCollection)
+	round := mustParseWKT(gc.WKT()).(GeometryCollection)
 	if len(round.Geometries) != 2 {
 		t.Fatalf("round trip members = %d", len(round.Geometries))
 	}
@@ -150,7 +150,7 @@ func TestWKTErrors(t *testing.T) {
 }
 
 func TestWKTScientificNotation(t *testing.T) {
-	g := MustParseWKT("POINT (1.5e2 -2.5E-1)")
+	g := mustParseWKT("POINT (1.5e2 -2.5E-1)")
 	p := g.(Point)
 	if p.X != 150 || p.Y != -0.25 {
 		t.Fatalf("parsed %+v", p)
@@ -163,37 +163,7 @@ func TestMustParseWKTPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MustParseWKT("NOT A GEOMETRY")
-}
-
-func TestGMLSerialisation(t *testing.T) {
-	p := NewPoint(23.5, 37.9)
-	gml := GML(p, SRIDWGS84)
-	if !strings.Contains(gml, `srsName="EPSG:4326"`) || !strings.Contains(gml, "<gml:pos>23.5 37.9</gml:pos>") {
-		t.Fatalf("GML = %q", gml)
-	}
-	poly := Rect(0, 0, 1, 1)
-	gmlP := GML(poly, SRIDGreekGrid)
-	if !strings.Contains(gmlP, "gml:Polygon") || !strings.Contains(gmlP, "gml:exterior") {
-		t.Fatalf("GML = %q", gmlP)
-	}
-	gc := GeometryCollection{Geometries: []Geometry{p, poly}}
-	gmlGC := GML(gc, SRIDWGS84)
-	if !strings.Contains(gmlGC, "gml:MultiGeometry") {
-		t.Fatalf("GML = %q", gmlGC)
-	}
-	ml := MultiLineString{Lines: []LineString{NewLineString(Point{0, 0}, Point{1, 1})}}
-	if !strings.Contains(GML(ml, SRIDWGS84), "gml:MultiCurve") {
-		t.Fatal("MultiCurve missing")
-	}
-	mp := MultiPoint{Points: []Point{{1, 2}}}
-	if !strings.Contains(GML(mp, SRIDWGS84), "gml:MultiPoint") {
-		t.Fatal("MultiPoint missing")
-	}
-	mpoly := MultiPolygon{Polygons: []Polygon{poly}}
-	if !strings.Contains(GML(mpoly, SRIDWGS84), "gml:MultiSurface") {
-		t.Fatal("MultiSurface missing")
-	}
+	mustParseWKT("NOT A GEOMETRY")
 }
 
 func TestWKTPropertyRoundTrip(t *testing.T) {
@@ -204,14 +174,23 @@ func TestWKTPropertyRoundTrip(t *testing.T) {
 		w := float64(i%3) + 1
 		h := float64(i%4) + 1
 		p := Rect(x, y, x+w, y+h)
-		got := MustParseWKT(p.WKT()).(Polygon)
+		got := mustParseWKT(p.WKT()).(Polygon)
 		if got.Area() != p.Area() {
 			t.Fatalf("area changed: %g -> %g", p.Area(), got.Area())
 		}
 		l := NewLineString(Point{x, y}, Point{x + w, y + h}, Point{x - w, y})
-		gl := MustParseWKT(l.WKT()).(LineString)
+		gl := mustParseWKT(l.WKT()).(LineString)
 		if gl.Length() != l.Length() {
 			t.Fatalf("length changed: %g -> %g", l.Length(), gl.Length())
 		}
 	}
+}
+
+// mustParseWKT parses s and panics on error.
+func mustParseWKT(s string) Geometry {
+	g, err := ParseWKT(s)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

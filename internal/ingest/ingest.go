@@ -148,13 +148,8 @@ type PatchFeatures struct {
 	Histogram [8]float64
 }
 
-// Vector flattens the features for distance computations.
-func (p PatchFeatures) Vector() []float64 {
-	return p.AppendVector(nil)
-}
-
-// AppendVector appends the feature layout to buf — the allocation-free
-// form of Vector for per-worker buffer reuse. The layout (mean, stddev,
+// AppendVector appends the features to buf, flattened for distance
+// computations; callers reuse buf per worker. The layout (mean, stddev,
 // min, max, texture, 8 histogram bins) is defined only here.
 func (p PatchFeatures) AppendVector(buf []float64) []float64 {
 	buf = append(buf, p.Mean, p.StdDev, p.Min, p.Max, p.Texture)

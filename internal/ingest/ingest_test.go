@@ -140,9 +140,9 @@ func TestExtractPatches(t *testing.T) {
 	if sum < 0.999 || sum > 1.001 {
 		t.Fatalf("histogram sum = %g", sum)
 	}
-	// Vector length is 5 + 8.
-	if len(patches[0].Vector()) != 13 {
-		t.Fatalf("vector len = %d", len(patches[0].Vector()))
+	// The feature vector is 5 + 8 long.
+	if v := patches[0].AppendVector(nil); len(v) != 13 {
+		t.Fatalf("vector len = %d", len(v))
 	}
 	// Errors.
 	if _, err := ExtractPatches(img, 0); err == nil {

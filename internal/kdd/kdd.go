@@ -282,8 +282,8 @@ func AnnotatePatches(productIRI string, img *array.Array, gr raster.GeoRef, patc
 
 // TrainLandCoverModel builds a small training set from the synthetic
 // scene's physics: sea patches are cold and flat, land warm, fires very
-// hot with strong texture. The features follow ingest.PatchFeatures.Vector
-// ordering (mean, stddev, min, max, texture, 8 histogram bins).
+// hot with strong texture. The features follow
+// ingest.PatchFeatures.AppendVector ordering (mean, stddev, min, max, texture, 8 histogram bins).
 func TrainLandCoverModel() *KNNClassifier {
 	m := NewKNN(3)
 	lc := func(s string) string { return ontology.LandCover + s }

@@ -13,7 +13,9 @@
 //
 // Each `// want` comment anchors to the line it appears on and may
 // carry several quoted regexps, each of which must match a distinct
-// diagnostic on that line. Unmatched expectations and unexpected
+// diagnostic on that line. A `/* want ... */` block comment works the
+// same way; it lets a line that ends in another line comment, such as a
+// //lint:allow directive, carry an expectation. Unmatched expectations and unexpected
 // diagnostics both fail the test. Because the harness drives
 // lint.Check, `//lint:allow` suppression is live in fixtures: a
 // suppressed line simply carries no want comment.
@@ -36,12 +38,24 @@ import (
 // compares the diagnostics against the fixtures' want comments.
 func Run(t *testing.T, a *lint.Analyzer, pkgPaths ...string) {
 	t.Helper()
+	run(t, a, lint.CheckOptions{}, pkgPaths)
+}
+
+// RunWholeProgram is Run with the analyzer's Finish hook enabled: the
+// fixture packages stand for the whole program.
+func RunWholeProgram(t *testing.T, a *lint.Analyzer, pkgPaths ...string) {
+	t.Helper()
+	run(t, a, lint.CheckOptions{WholeProgram: true}, pkgPaths)
+}
+
+func run(t *testing.T, a *lint.Analyzer, opts lint.CheckOptions, pkgPaths []string) {
+	t.Helper()
 	fset := token.NewFileSet()
 	pkgs, err := lint.LoadFixture(fset, filepath.Join("testdata", "src"), pkgPaths)
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}
-	diags, err := lint.Check(pkgs, []*lint.Analyzer{a}, lint.CheckOptions{})
+	diags, err := lint.Check(pkgs, []*lint.Analyzer{a}, opts)
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
@@ -83,7 +97,7 @@ func (w *want) claim(diags []lint.Diagnostic, used []bool) bool {
 
 // wantRe matches the expectation marker; quoted regexps follow.
 var (
-	wantRe   = regexp.MustCompile(`//\s*want\s+(.*)`)
+	wantRe   = regexp.MustCompile(`(?://|/\*)\s*want\s+(.*)`)
 	quotedRe = regexp.MustCompile(`"(?:[^"\\]|\\.)*"|` + "`[^`]*`")
 )
 

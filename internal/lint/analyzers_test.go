@@ -39,6 +39,13 @@ func TestErrdropcheck(t *testing.T) {
 	analysistest.Run(t, lint.Errdropcheck, "repro/internal/strabon")
 }
 
+// TestUnusedexport runs the whole-program pass over two fixtures: a
+// declares names its own test, b's test, an interface or nothing uses;
+// b's test file uses some of them.
+func TestUnusedexport(t *testing.T) {
+	analysistest.RunWholeProgram(t, lint.Unusedexport, "unusedexp/a", "unusedexp/b")
+}
+
 // TestFailpointOrphanFinish drives the whole-program Finish hook with
 // an empty plant set: every registered failpoint must be reported as
 // orphaned, anchored at the generated registry file.

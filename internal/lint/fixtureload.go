@@ -143,7 +143,7 @@ func (ld *fixtureLoader) compile(path string, stack []string) (*Package, error) 
 			return nil, err
 		}
 	}
-	analyze, all, err := parseFiles(ld.fset, fp.dir, fp.files)
+	analyze, tests, all, err := parseFiles(ld.fset, fp.dir, fp.files)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +151,7 @@ func (ld *fixtureLoader) compile(path string, stack []string) (*Package, error) 
 	if err != nil {
 		return nil, fmt.Errorf("type-checking fixture %q: %w", path, err)
 	}
-	pkg := &Package{Path: path, Dir: fp.dir, Fset: ld.fset, Files: analyze, Types: tpkg, Info: info}
+	pkg := &Package{Path: path, Dir: fp.dir, Fset: ld.fset, Files: analyze, Tests: tests, Types: tpkg, Info: info}
 	ld.compiled[path] = pkg
 	return pkg, nil
 }

@@ -4,8 +4,9 @@
 // the store mutex (lockcheck), durable writes routed through
 // internal/fsx (fsxcheck), operator loops honouring context
 // cancellation (ctxcheck), failpoint names matching the documented
-// matrix (failpointcheck), and no dropped errors on durability paths
-// (errdropcheck).
+// matrix (failpointcheck), no dropped errors on durability paths
+// (errdropcheck), and no exported API that only its own package's tests
+// use (unusedexport).
 //
 // The vocabulary deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic, the analysistest golden-file harness)
@@ -54,9 +55,9 @@ type Analyzer struct {
 
 	// Finish, if non-nil, runs once after every package has been
 	// analyzed, for whole-program invariants (failpointcheck's
-	// orphaned-registration check). It only runs in standalone mode
-	// over the full package pattern; the per-package `go vet
-	// -vettool` protocol cannot see the whole program at once.
+	// orphaned-registration check, unusedexport). It only runs in
+	// standalone mode over the full package pattern; the per-package
+	// `go vet -vettool` protocol cannot see the whole program at once.
 	Finish func(prog *Program, report func(pos token.Position, format string, args ...any))
 }
 
@@ -69,8 +70,12 @@ type Pass struct {
 	// test variant) but never analyzed: chaos and corruption tests
 	// intentionally violate the production disciplines.
 	Files []*ast.File
-	Pkg   *types.Package
-	Info  *types.Info
+	// TestFiles holds the package's _test.go files, parsed but never
+	// analyzed and, in standalone mode, not type-checked. Only
+	// unusedexport reads them, to find what other packages' tests use.
+	TestFiles []*ast.File
+	Pkg       *types.Package
+	Info      *types.Info
 	// Program accumulates cross-package state for Finish hooks.
 	Program *Program
 
@@ -130,7 +135,7 @@ func (pr *Program) Fact(key string, mk func() any) any {
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Lockcheck, Fsxcheck, Ctxcheck, Failpointcheck, Errdropcheck}
+	return []*Analyzer{Lockcheck, Fsxcheck, Ctxcheck, Failpointcheck, Errdropcheck, Unusedexport}
 }
 
 // CheckOptions configures a driver run.
@@ -165,13 +170,14 @@ func Check(pkgs []*Package, analyzers []*Analyzer, opts CheckOptions) ([]Diagnos
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			pass := &Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Files:    pkg.Files,
-				Pkg:      pkg.Types,
-				Info:     pkg.Info,
-				Program:  prog,
-				report:   collect,
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				TestFiles: pkg.Tests,
+				Pkg:       pkg.Types,
+				Info:      pkg.Info,
+				Program:   prog,
+				report:    collect,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)

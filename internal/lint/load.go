@@ -22,6 +22,7 @@ type Package struct {
 	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File // non-test files only; see Pass.Files
+	Tests []*ast.File // _test.go files, parsed; see Pass.TestFiles
 	Types *types.Package
 	Info  *types.Info
 }
@@ -42,13 +43,15 @@ func NewInfo() *types.Info {
 // listedPackage is the subset of `go list -json` output the loader
 // needs.
 type listedPackage struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	Standard   bool
-	DepOnly    bool
-	GoFiles    []string
-	Error      *struct{ Err string }
+	ImportPath   string
+	Dir          string
+	Export       string
+	Standard     bool
+	DepOnly      bool
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Error        *struct{ Err string }
 }
 
 // goList runs `go list -deps -export -json` over patterns in dir and
@@ -59,7 +62,7 @@ type listedPackage struct {
 func goList(dir string, patterns []string) ([]*listedPackage, error) {
 	args := append([]string{
 		"list", "-deps", "-export",
-		"-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,Error",
+		"-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,TestGoFiles,XTestGoFiles,Error",
 		"--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -117,7 +120,7 @@ func (ei *exportImporter) Import(path string) (*types.Package, error) {
 // parseFiles parses the named files (absolute or dir-relative) with
 // comments, splitting test files out: they participate in
 // type-checking but not analysis.
-func parseFiles(fset *token.FileSet, dir string, names []string) (analyze, all []*ast.File, err error) {
+func parseFiles(fset *token.FileSet, dir string, names []string) (analyze, tests, all []*ast.File, err error) {
 	for _, name := range names {
 		path := name
 		if !filepath.IsAbs(path) {
@@ -125,14 +128,16 @@ func parseFiles(fset *token.FileSet, dir string, names []string) (analyze, all [
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		all = append(all, f)
-		if !strings.HasSuffix(name, "_test.go") {
+		if strings.HasSuffix(name, "_test.go") {
+			tests = append(tests, f)
+		} else {
 			analyze = append(analyze, f)
 		}
 	}
-	return analyze, all, nil
+	return analyze, tests, all, nil
 }
 
 // parseImportsOnly returns the raw (quoted) import specs of one file
@@ -166,7 +171,7 @@ func typeCheck(fset *token.FileSet, path string, files []*ast.File, imp types.Im
 // files (cfg.PackageFile) after source-path remapping (cfg.ImportMap).
 func LoadUnit(importPath, dir string, goFiles []string, importMap, packageFile map[string]string) (*Package, error) {
 	fset := token.NewFileSet()
-	analyze, all, err := parseFiles(fset, dir, goFiles)
+	analyze, tests, all, err := parseFiles(fset, dir, goFiles)
 	if err != nil {
 		return nil, err
 	}
@@ -180,6 +185,7 @@ func LoadUnit(importPath, dir string, goFiles []string, importMap, packageFile m
 		Dir:   dir,
 		Fset:  fset,
 		Files: analyze,
+		Tests: tests,
 		Types: tpkg,
 		Info:  info,
 	}, nil
@@ -187,7 +193,8 @@ func LoadUnit(importPath, dir string, goFiles []string, importMap, packageFile m
 
 // Load lists patterns in dir (a module root), compiles them via the go
 // toolchain, and type-checks every non-dependency-only package against
-// the compiled export data of its imports.
+// the compiled export data of its imports. Test files are parsed but
+// not type-checked (an external test is a package of its own).
 func Load(fset *token.FileSet, dir string, patterns []string) ([]*Package, error) {
 	listed, err := goList(dir, patterns)
 	if err != nil {
@@ -204,7 +211,11 @@ func Load(fset *token.FileSet, dir string, patterns []string) ([]*Package, error
 		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 {
 			continue
 		}
-		analyze, all, err := parseFiles(fset, p.Dir, p.GoFiles)
+		analyze, _, all, err := parseFiles(fset, p.Dir, p.GoFiles)
+		if err != nil {
+			return nil, err
+		}
+		_, tests, _, err := parseFiles(fset, p.Dir, append(p.TestGoFiles, p.XTestGoFiles...))
 		if err != nil {
 			return nil, err
 		}
@@ -217,6 +228,7 @@ func Load(fset *token.FileSet, dir string, patterns []string) ([]*Package, error
 			Dir:   p.Dir,
 			Fset:  fset,
 			Files: analyze,
+			Tests: tests,
 			Types: tpkg,
 			Info:  info,
 		})

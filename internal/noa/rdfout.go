@@ -15,8 +15,6 @@ import (
 const (
 	NS             = "http://teleios.di.uoa.gr/noa#"
 	ClassHotspot   = ontology.Monitoring + "Hotspot"
-	ClassRefined   = ontology.Monitoring + "RefinedHotspot"
-	ClassRejected  = ontology.Monitoring + "RejectedHotspot"
 	PropGeometry   = NS + "hasGeometry"
 	PropConfidence = NS + "hasConfidence"
 	PropSensor     = NS + "inSensor"

@@ -3,7 +3,6 @@ package noa
 import (
 	"fmt"
 
-	"repro/internal/linkeddata"
 	"repro/internal/stsparql"
 )
 
@@ -105,10 +104,4 @@ func countHotspots(eng *stsparql.Engine) (int, error) {
 		return 0, err
 	}
 	return n, nil
-}
-
-// LoadAuxiliaryData inserts the coastline layer (and the rest of the
-// linked open data) the refinement and fire maps need.
-func LoadAuxiliaryData(eng *stsparql.Engine) int {
-	return eng.Store().AddAll(linkeddata.All())
 }

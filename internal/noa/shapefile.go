@@ -2,7 +2,6 @@ package noa
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 	"math"
 
@@ -142,66 +141,4 @@ func polysOf(g geo.Geometry) []geo.Polygon {
 		return out
 	}
 	return nil
-}
-
-// ReadShapefile decodes the polygon records of a .shp stream, returning
-// one geometry per record (holes are not reconstructed; every ring
-// becomes a polygon part, which suffices for round-trip verification).
-func ReadShapefile(r io.Reader) ([]geo.Geometry, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < 100 {
-		return nil, fmt.Errorf("noa: shapefile too short")
-	}
-	if binary.BigEndian.Uint32(data[0:]) != shpFileCode {
-		return nil, fmt.Errorf("noa: bad shapefile code")
-	}
-	if binary.LittleEndian.Uint32(data[32:]) != shpTypePolygon {
-		return nil, fmt.Errorf("noa: only polygon shapefiles are supported")
-	}
-	var out []geo.Geometry
-	off := 100
-	for off+8 <= len(data) {
-		contentWords := int(binary.BigEndian.Uint32(data[off+4:]))
-		off += 8
-		if off+contentWords*2 > len(data) {
-			return nil, fmt.Errorf("noa: truncated record at %d", off)
-		}
-		payload := data[off : off+contentWords*2]
-		off += contentWords * 2
-		if binary.LittleEndian.Uint32(payload[0:]) != shpTypePolygon {
-			continue
-		}
-		nParts := int(binary.LittleEndian.Uint32(payload[36:]))
-		nPoints := int(binary.LittleEndian.Uint32(payload[40:]))
-		partIdx := make([]int, nParts+1)
-		for i := 0; i < nParts; i++ {
-			partIdx[i] = int(binary.LittleEndian.Uint32(payload[44+4*i:]))
-		}
-		partIdx[nParts] = nPoints
-		ptsOff := 44 + 4*nParts
-		getF := func(i int) float64 {
-			return math.Float64frombits(binary.LittleEndian.Uint64(payload[ptsOff+8*i:]))
-		}
-		var polys []geo.Polygon
-		for p := 0; p < nParts; p++ {
-			var ring []geo.Point
-			for i := partIdx[p]; i < partIdx[p+1]; i++ {
-				ring = append(ring, geo.Point{X: getF(2 * i), Y: getF(2*i + 1)})
-			}
-			if len(ring) >= 4 {
-				polys = append(polys, geo.NewPolygon(geo.Ring{Coords: ring}))
-			}
-		}
-		switch len(polys) {
-		case 0:
-		case 1:
-			out = append(out, polys[0])
-		default:
-			out = append(out, geo.MultiPolygon{Polygons: polys})
-		}
-	}
-	return out, nil
 }

@@ -7,7 +7,6 @@
 package ontology
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/rdf"
@@ -112,53 +111,6 @@ func (o *Ontology) IsSubClassOf(sub, super string) bool {
 	return false
 }
 
-// Superclasses returns the transitive superclasses of a class (excluding
-// itself), sorted.
-func (o *Ontology) Superclasses(iri string) []string {
-	var out []string
-	seen := map[string]bool{}
-	stack := []string{iri}
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range o.super[c] {
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-				stack = append(stack, s)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Subclasses returns the transitive subclasses of a class (excluding
-// itself), sorted.
-func (o *Ontology) Subclasses(iri string) []string {
-	var out []string
-	for c := range o.super {
-		if c != iri && o.IsSubClassOf(c, iri) {
-			out = append(out, c)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Validate checks the taxonomy for cycles (a class being its own proper
-// superclass), which would make subsumption meaningless.
-func (o *Ontology) Validate() error {
-	for c := range o.super {
-		for _, s := range o.Superclasses(c) {
-			if s == c {
-				return fmt.Errorf("ontology: cycle through class %s", c)
-			}
-		}
-	}
-	return nil
-}
-
 // Triples serialises the ontology as RDFS triples (rdf:type owl:Class,
 // rdfs:subClassOf, rdfs:label, rdfs:domain, rdfs:range).
 func (o *Ontology) Triples() []rdf.Triple {
@@ -189,24 +141,6 @@ func (o *Ontology) Triples() []rdf.Triple {
 		out = append(out, rdf.NewTriple(rdf.IRI(p), rdf.IRI(rdfsRange), rdf.IRI(o.ranges[p])))
 	}
 	return out
-}
-
-// FromTriples rebuilds an ontology from RDFS triples (inverse of Triples).
-func FromTriples(triples []rdf.Triple) *Ontology {
-	o := New()
-	for _, t := range triples {
-		switch t.P.Value {
-		case rdf.RDFSSubClassOf:
-			o.AddSubClass(t.S.Value, t.O.Value)
-		case rdf.RDFSLabel:
-			o.AddClass(t.S.Value, t.O.Value)
-		case rdf.RDFType:
-			if t.O.Value == "http://www.w3.org/2002/07/owl#Class" {
-				o.AddClass(t.S.Value, "")
-			}
-		}
-	}
-	return o
 }
 
 // LandCoverOntology builds the land-cover taxonomy the paper sketches:

@@ -96,9 +96,12 @@ func TestStatementIsOneRecord(t *testing.T) {
 	}
 }
 
-// TestLegacyRecordsReplayAndShip: a segment written with the opAdd and
-// opRemove records older versions logged still recovers, and still ships
-// verbatim to a replica; new writes append opApply records after them.
+// TestLegacyRecordsReplayAndShip: a segment written with the opAdd,
+// opRemove and opCompact records older versions logged still recovers,
+// and still ships verbatim to a replica; new writes append opApply
+// records after them. opCompact replays as a no-op that only advances
+// the log: recovery and ApplyReplicated both leave the triples records 1
+// and 2 left, at seq 3.
 func TestLegacyRecordsReplayAndShip(t *testing.T) {
 	dir := t.TempDir()
 	seg := []byte(walMagic)
@@ -108,11 +111,33 @@ func TestLegacyRecordsReplayAndShip(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	want := []rdf.Triple{tr("a", "p", "x"), tr("a", "p", "z")}
 	m, st := mustOpen(t, dir, nil)
 	defer m.Close()
-	if want := []rdf.Triple{tr("a", "p", "x"), tr("a", "p", "z")}; !reflect.DeepEqual(st.Triples(), want) {
+	if !reflect.DeepEqual(st.Triples(), want) {
 		t.Fatalf("recovered %v, want %v", st.Triples(), want)
 	}
+	if m.LastSeq() != 3 || st.AppliedSeq() != 3 {
+		t.Fatalf("recovered at seq %d (watermark %d), want 3", m.LastSeq(), st.AppliedSeq())
+	}
+
+	rm, rs := mustOpen(t, t.TempDir(), func(o *Options) { o.NoJournal = true })
+	defer rm.Close()
+	if _, err := m.ReadWAL(0, 0, func(seq uint64, op byte, body []byte) error {
+		if op == opCompact && !reflect.DeepEqual(rs.Triples(), want) {
+			t.Fatalf("replica before opCompact holds %v, want %v", rs.Triples(), want)
+		}
+		return rm.ApplyReplicated(seq, op, body)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rs.Triples(), want) {
+		t.Fatalf("replica after opCompact holds %v, want %v", rs.Triples(), want)
+	}
+	if rm.LastSeq() != 3 || rs.AppliedSeq() != 3 {
+		t.Fatalf("replica at seq %d (watermark %d), want 3", rm.LastSeq(), rs.AppliedSeq())
+	}
+
 	if !st.Add(tr("a", "p", "w")) {
 		t.Fatal("write after legacy recovery refused")
 	}

@@ -27,9 +27,7 @@ import (
 // enqueue while a flush is in flight share the next flush: fsyncs/op
 // approaches 1/K under load without any timer, because the next batch
 // simply accumulates for exactly as long as the previous fsync takes
-// (natural batching). Options.GroupWindow adds a fixed accumulation
-// delay on top for workloads that want bigger batches at the cost of
-// latency.
+// (natural batching).
 //
 // The flush is leader-based: there is no dedicated flusher goroutine in
 // the hot path. The first ticket-holder to reach Await becomes the
@@ -182,15 +180,10 @@ const committerBackstopBase = 50 * time.Millisecond
 // committer is the background backstop: a slow periodic sweep that
 // flushes any forming batch nobody is awaiting. The hot path never
 // waits on it — the first Await-er of a batch flushes it inline (see
-// flushBatch). The period stretches with GroupWindow so the sweep does
-// not cut accumulation windows short.
+// flushBatch).
 func (m *Manager) committer() {
 	defer m.wg.Done()
-	interval := committerBackstopBase
-	if w := m.opts.GroupWindow; w > 0 && interval < 4*w {
-		interval = 4 * w
-	}
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(committerBackstopBase)
 	defer tick.Stop()
 	for {
 		select {
@@ -214,11 +207,6 @@ func (m *Manager) committer() {
 // the backstop), that flusher owns b's tickets and this call is a
 // no-op.
 func (m *Manager) flushBatch(b *groupBatch) {
-	if d := m.opts.GroupWindow; d > 0 {
-		// Optional fixed accumulation window, slept before contending
-		// for the flush lock so late writers can still join b.
-		time.Sleep(d)
-	}
 	m.walMu.Lock()
 	m.group.mu.Lock()
 	if m.group.forming != b {

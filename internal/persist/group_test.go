@@ -227,32 +227,6 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 	assertSameContent(t, st, recovered)
 }
 
-// TestGroupWindowAccumulates: a configured accumulation window delays
-// the flush without breaking the never-ack-before-durable contract.
-func TestGroupWindowAccumulates(t *testing.T) {
-	dir := t.TempDir()
-	m, st := mustOpen(t, dir, func(o *Options) {
-		o.SyncMode = SyncAlways
-		o.GroupWindow = 5 * time.Millisecond
-	})
-	start := time.Now()
-	if !st.Add(tr("a", "p", "b")) {
-		t.Fatal("add refused")
-	}
-	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
-		t.Fatalf("ack after %v, before the %v group window elapsed", elapsed, 5*time.Millisecond)
-	}
-	if got := m.Stats().GroupWindow; got != 5*time.Millisecond {
-		t.Fatalf("stats report window %v", got)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	m2, recovered := mustOpen(t, dir, nil)
-	defer m2.Close()
-	assertSameContent(t, st, recovered)
-}
-
 // TestGroupCommitIntervalModeAcksAfterWrite: under -wal-sync intervals
 // the ticket resolves after the batched write(2) — process-death
 // durability, same as the synchronous path's contract — and no fsync is

@@ -5,10 +5,10 @@
 // The contract is write-ahead with group commit: the Manager installs
 // itself as the store's Journal, so every mutation — one Store.Apply or
 // Store.Update statement (Add, AddAll, Remove, a SPARQL update, an
-// /ingest chunk), or a Compact — encodes one length-prefixed,
-// CRC-checked record and enqueues it (under the store's write lock,
-// strictly before the in-memory structures change) into the forming
-// commit batch, receiving a strabon.Commit ticket.
+// /ingest chunk) — encodes one length-prefixed, CRC-checked record and
+// enqueues it (under the store's write lock, strictly before the
+// in-memory structures change) into the forming commit batch, receiving
+// a strabon.Commit ticket.
 // The caller applies the mutation, drops the lock, and awaits the
 // ticket: a committer goroutine coalesces everything enqueued since
 // the previous flush into ONE segment write and ONE fsync (see
@@ -78,14 +78,6 @@ type Options struct {
 	SyncMode SyncMode
 	// SyncEvery is the SyncInterval period (default 100ms).
 	SyncEvery time.Duration
-	// GroupWindow is an extra accumulation delay before each group-commit
-	// flush: the committer sleeps this long after waking so more writers
-	// can join the batch. The default 0 relies on natural batching alone
-	// (a batch accumulates for exactly as long as the previous flush
-	// takes), which costs an uncontended single writer nothing beyond a
-	// goroutine handoff; a window trades per-write latency for larger
-	// batches under bursty load.
-	GroupWindow time.Duration
 	// CheckpointBytes triggers a background checkpoint when the live WAL
 	// exceeds this size (default 64 MiB; negative disables).
 	CheckpointBytes int64
@@ -158,7 +150,6 @@ type Stats struct {
 	FsyncsSaved    uint64
 	TicketWaitMean time.Duration
 	GroupBatchHist [groupHistBuckets]uint64
-	GroupWindow    time.Duration
 }
 
 // Manager owns a data directory's WAL and snapshots. It implements
@@ -384,7 +375,6 @@ func (m *Manager) applyRecord(st *strabon.Store, rec walRecord) error {
 		t, _, err = readTriple(rec.body)
 		dels = []rdf.Triple{t}
 	case opCompact:
-		st.Compact()
 		return nil
 	default:
 		return fmt.Errorf("persist: wal record %d: unknown op %d", rec.seq, rec.op)
@@ -415,12 +405,11 @@ func (m *Manager) LogApply(dels, ins []rdf.Triple) (strabon.Commit, error) {
 }
 
 // LogAdd journals an insert-only statement: LogApply(nil, triples).
+//
+//lint:allow unusedexport(bench/layers.go times the journal append with it)
 func (m *Manager) LogAdd(triples []rdf.Triple) (strabon.Commit, error) {
 	return m.LogApply(nil, triples)
 }
-
-// LogCompact implements strabon.Journal.
-func (m *Manager) LogCompact() (strabon.Commit, error) { return m.enqueue(opCompact, nil) }
 
 // Broken reports the WAL's latched unrecoverable state: non-nil means
 // either a failed append could not be rolled back or a group-commit
@@ -604,9 +593,6 @@ func (m *Manager) background() {
 	}
 }
 
-// Store returns the recovered store the Manager journals for.
-func (m *Manager) Store() *strabon.Store { return m.store }
-
 // Stats reports durability telemetry.
 func (m *Manager) Stats() Stats {
 	s := Stats{
@@ -649,7 +635,6 @@ func (m *Manager) Stats() Stats {
 	for i := range s.GroupBatchHist {
 		s.GroupBatchHist[i] = m.group.sizeHist[i].Load()
 	}
-	s.GroupWindow = m.opts.GroupWindow
 	return s
 }
 

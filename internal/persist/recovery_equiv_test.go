@@ -14,8 +14,8 @@ import (
 )
 
 // The recovery equivalence suite: a store is mutated through the
-// journal (adds, removes, batch updates, compactions, a mid-stream
-// checkpoint), the process "dies" (the Manager is abandoned without
+// journal (adds, removes, batch updates, with folds and a mid-stream
+// checkpoint between them), the process "dies" (the Manager is abandoned without
 // Close, exactly what SIGKILL leaves on disk), and recovery must yield a
 // store that answers 400 randomized stSPARQL queries identically to the
 // survivor.
@@ -106,7 +106,7 @@ func TestRecoveryQueryEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	m, st := mustOpen(t, dir, func(o *Options) { o.NoCheckpointOnClose = true })
 
-	// Sustained updates: batches, single adds, removes, a compaction,
+	// Sustained updates: batches, single adds, removes, a fold,
 	// and a checkpoint landing in the middle of the stream.
 	triples := equivTriples(rng, 20)
 	st.AddAll(triples[:len(triples)/2])
@@ -117,7 +117,7 @@ func TestRecoveryQueryEquivalence(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		st.Remove(triples[rng.Intn(len(triples))])
 	}
-	st.Compact()
+	st.Fold(st.AppliedSeq())
 	st.AddAll(equivTriples(rng, 5))
 
 	// SIGKILL: walk away without Close. SyncNone means the bytes are in
@@ -186,7 +186,7 @@ func TestConcurrentQueriesUpdatesCheckpoint(t *testing.T) {
 					st.Remove(tri)
 				}
 				if i%17 == 0 {
-					st.Compact()
+					st.Fold(st.AppliedSeq())
 				}
 				if i%11 == 0 {
 					st.AddAll([]rdf.Triple{

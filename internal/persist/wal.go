@@ -40,8 +40,10 @@ const (
 	walSegPrefix = "wal-"
 	walSegSuffix = ".log"
 
-	// opAdd and opRemove are no longer written: older data directories
-	// and primaries still hold them, so they are replayed and shipped.
+	// opAdd, opRemove and opCompact are no longer written: older data
+	// directories and primaries still hold them, so they are replayed and
+	// shipped. opCompact, the record of the removed Store.Compact, replays
+	// as a no-op: every fold already drops removed rows.
 	opAdd     byte = 1 // body: u32 count, then that many triples
 	opRemove  byte = 2 // body: one triple
 	opCompact byte = 3 // body: empty

@@ -52,15 +52,8 @@ func (g GeoRef) LonLatToPixel(p geo.Point) (row, col int) {
 	return row, col
 }
 
-// PixelFootprint returns the ground footprint polygon of pixel (row, col).
-func (g GeoRef) PixelFootprint(row, col int) geo.Polygon {
-	x0 := g.OriginX + float64(col)*g.DX
-	y1 := g.OriginY - float64(row)*g.DY
-	return geo.Rect(x0, y1-g.DY, x0+g.DX, y1)
-}
-
-// PixelEnvelope is PixelFootprint's bounding box without materialising
-// the polygon (the annotation fan-out calls this per patch corner).
+// PixelEnvelope returns the ground footprint of pixel (row, col) as a
+// bounding box (the annotation fan-out calls this per patch corner).
 func (g GeoRef) PixelEnvelope(row, col int) geo.Envelope {
 	x0 := g.OriginX + float64(col)*g.DX
 	y1 := g.OriginY - float64(row)*g.DY

@@ -18,8 +18,8 @@ func TestGeoRefRoundTrip(t *testing.T) {
 	if row != 10 || col != 20 {
 		t.Fatalf("round trip = (%d, %d)", row, col)
 	}
-	fp := gr.PixelFootprint(0, 0)
-	if !geo.Intersects(fp, gr.PixelToLonLat(0, 0)) {
+	fp := gr.PixelEnvelope(0, 0)
+	if c := gr.PixelToLonLat(0, 0); !fp.Intersects(c.Envelope()) {
 		t.Fatal("pixel centre should lie in its footprint")
 	}
 	if fp.Area() <= 0 {

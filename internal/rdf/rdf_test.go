@@ -76,37 +76,6 @@ func TestTermString(t *testing.T) {
 	}
 }
 
-func TestGraphOps(t *testing.T) {
-	g := NewGraph()
-	tr := NewTriple(IRI("s"), IRI("p"), Literal("o"))
-	if !g.Add(tr) {
-		t.Fatal("first add")
-	}
-	if g.Add(tr) {
-		t.Fatal("duplicate add should report false")
-	}
-	if g.Len() != 1 || !g.Has(tr) {
-		t.Fatal("membership")
-	}
-	g.Add(NewTriple(IRI("s"), IRI("p2"), Literal("o2")))
-	g.Add(NewTriple(IRI("s2"), IRI("p"), Literal("o")))
-	if got := g.Match(IRI("s"), Term{}, Term{}); len(got) != 2 {
-		t.Fatalf("Match(s,*,*) = %d", len(got))
-	}
-	if got := g.Match(Term{}, IRI("p"), Term{}); len(got) != 2 {
-		t.Fatalf("Match(*,p,*) = %d", len(got))
-	}
-	if got := g.Match(Term{}, Term{}, Literal("o")); len(got) != 2 {
-		t.Fatalf("Match(*,*,o) = %d", len(got))
-	}
-	if !g.Remove(tr) || g.Has(tr) || g.Len() != 2 {
-		t.Fatal("remove")
-	}
-	if g.Remove(tr) {
-		t.Fatal("double remove")
-	}
-}
-
 func TestNTriplesRoundTrip(t *testing.T) {
 	triples := []Triple{
 		NewTriple(IRI("http://ex/s"), IRI("http://ex/p"), IRI("http://ex/o")),
@@ -176,118 +145,6 @@ func TestNTriplesUnicodeEscape(t *testing.T) {
 	}
 	if got[0].O.Value != "café" {
 		t.Fatalf("value = %q", got[0].O.Value)
-	}
-}
-
-func TestTurtleBasics(t *testing.T) {
-	src := `
-@prefix ex: <http://example.org/> .
-@prefix noa: <http://teleios.di.uoa.gr/noa#> .
-
-ex:hotspot1 a noa:Hotspot ;
-    noa:hasConfidence 0.85 ;
-    noa:inSensor "MSG2" ;
-    noa:hasGeometry "POINT(23.5 37.9);4326"^^<http://strdf.di.uoa.gr/ontology#WKT> .
-
-ex:hotspot2 a noa:Hotspot , noa:Refined .
-<http://example.org/abs> ex:count 42 .
-`
-	got, err := ParseTurtleString(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 7 {
-		t.Fatalf("count = %d, want 7", len(got))
-	}
-	if got[0].P.Value != RDFType || got[0].O.Value != "http://teleios.di.uoa.gr/noa#Hotspot" {
-		t.Fatalf("first triple = %v", got[0])
-	}
-	if got[1].O.Datatype != XSDDecimal || got[1].O.Value != "0.85" {
-		t.Fatalf("decimal = %v", got[1].O)
-	}
-	if !got[3].O.IsSpatial() {
-		t.Fatalf("spatial literal = %v", got[3].O)
-	}
-	// Comma object list.
-	if got[4].S != got[5].S || got[4].P != got[5].P {
-		t.Fatal("object list should share s/p")
-	}
-	if got[6].O.Datatype != XSDInteger {
-		t.Fatalf("integer = %v", got[6].O)
-	}
-}
-
-func TestTurtlePrefixForms(t *testing.T) {
-	src := `PREFIX ex: <http://example.org/>
-ex:a ex:b ex:c .
-`
-	got, err := ParseTurtleString(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].S.Value != "http://example.org/a" {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestTurtleBooleansAndNegatives(t *testing.T) {
-	src := `@prefix ex: <http://ex/> .
-ex:x ex:flag true ; ex:neg -5 ; ex:exp 1.5e3 .
-`
-	got, err := ParseTurtleString(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].O.Datatype != XSDBoolean {
-		t.Fatalf("bool = %v", got[0].O)
-	}
-	if got[1].O.Value != "-5" || got[1].O.Datatype != XSDInteger {
-		t.Fatalf("neg = %v", got[1].O)
-	}
-	if got[2].O.Datatype != XSDDouble {
-		t.Fatalf("exp = %v", got[2].O)
-	}
-}
-
-func TestTurtleErrors(t *testing.T) {
-	for _, src := range []string{
-		`ex:a ex:b ex:c .`,                     // unknown prefix
-		`@prefix ex <http://ex/> .`,            // missing colon... actually "ex <" -> colon missing
-		`@prefix ex: <http://ex/> . ex:a ex:b`, // missing object/dot
-		`@prefix ex: <http://ex/>
-ex:a ex:b "unclosed .`,
-	} {
-		if _, err := ParseTurtleString(src); err == nil {
-			t.Errorf("ParseTurtleString(%q) succeeded, want error", src)
-		}
-	}
-}
-
-func TestTurtleWriteRead(t *testing.T) {
-	triples := []Triple{
-		NewTriple(IRI("http://ex/s1"), IRI(RDFType), IRI("http://ex/Class")),
-		NewTriple(IRI("http://ex/s1"), IRI("http://ex/p"), Literal("v")),
-		NewTriple(IRI("http://ex/s2"), IRI("http://ex/p"), TypedLiteral("3", XSDInteger)),
-	}
-	var buf bytes.Buffer
-	if err := WriteTurtle(&buf, triples, map[string]string{"ex": "http://ex/"}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "@prefix ex:") || !strings.Contains(out, "ex:s1 a ex:Class") {
-		t.Fatalf("turtle output:\n%s", out)
-	}
-	back, err := ParseTurtleString(out)
-	if err != nil {
-		t.Fatalf("reparse: %v\n%s", err, out)
-	}
-	if len(back) != len(triples) {
-		t.Fatalf("reparse count = %d", len(back))
-	}
-	for i := range triples {
-		if back[i] != triples[i] {
-			t.Errorf("triple %d: %v != %v", i, back[i], triples[i])
-		}
 	}
 }
 

@@ -175,72 +175,3 @@ func NewTriple(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
 func (t Triple) String() string {
 	return t.S.String() + " " + t.P.String() + " " + t.O.String() + " ."
 }
-
-// Graph is an in-memory set of triples preserving insertion order.
-type Graph struct {
-	triples []Triple
-	index   map[Triple]struct{}
-}
-
-// NewGraph returns an empty graph.
-func NewGraph() *Graph {
-	return &Graph{index: make(map[Triple]struct{})}
-}
-
-// Add inserts a triple; duplicates are ignored. It reports whether the
-// triple was new.
-func (g *Graph) Add(t Triple) bool {
-	if _, ok := g.index[t]; ok {
-		return false
-	}
-	g.index[t] = struct{}{}
-	g.triples = append(g.triples, t)
-	return true
-}
-
-// Remove deletes a triple; it reports whether it was present.
-func (g *Graph) Remove(t Triple) bool {
-	if _, ok := g.index[t]; !ok {
-		return false
-	}
-	delete(g.index, t)
-	for i, tr := range g.triples {
-		if tr == t {
-			g.triples = append(g.triples[:i], g.triples[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-// Has reports membership.
-func (g *Graph) Has(t Triple) bool {
-	_, ok := g.index[t]
-	return ok
-}
-
-// Len reports the number of triples.
-func (g *Graph) Len() int { return len(g.triples) }
-
-// Triples returns the triples in insertion order (shared backing array;
-// callers must not mutate).
-func (g *Graph) Triples() []Triple { return g.triples }
-
-// Match returns the triples matching a pattern where zero Terms are
-// wildcards.
-func (g *Graph) Match(s, p, o Term) []Triple {
-	var out []Triple
-	for _, t := range g.triples {
-		if !s.IsZero() && t.S != s {
-			continue
-		}
-		if !p.IsZero() && t.P != p {
-			continue
-		}
-		if !o.IsZero() && t.O != o {
-			continue
-		}
-		out = append(out, t)
-	}
-	return out
-}

@@ -94,13 +94,6 @@ func NewPrimary(m *persist.Manager) *Primary {
 	return p
 }
 
-// SetManager swaps the served manager — used when the durability layer
-// is reopened (e.g. across a simulated primary crash in tests).
-func (p *Primary) SetManager(m *persist.Manager) { p.mgr.Store(m) }
-
-// Manager returns the currently served manager.
-func (p *Primary) Manager() *persist.Manager { return p.mgr.Load() }
-
 // Register mounts the replication handlers on mux.
 func (p *Primary) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/replication/v1/snapshot", p.handleSnapshot)

@@ -71,7 +71,7 @@ func (tp *testPrimary) open() {
 		tp.prim = NewPrimary(mgr)
 		tp.prim.LongPoll = 250 * time.Millisecond
 	} else {
-		tp.prim.SetManager(mgr)
+		tp.prim.mgr.Store(mgr)
 	}
 }
 

@@ -80,24 +80,6 @@ func (b *Breaker) cooled() bool {
 	return !b.now().Before(b.openedAt.Add(b.OpenFor))
 }
 
-// Allow reports whether a request may proceed, transitioning
-// Open→HalfOpen once the cooldown elapses.
-func (b *Breaker) Allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case Closed, HalfOpen:
-		return true
-	default: // Open
-		if b.cooled() {
-			b.state = HalfOpen
-			b.successes = 0
-			return true
-		}
-		return false
-	}
-}
-
 // Success records a successful call. In half-open (or open past its
 // cooldown) it counts toward closing; while still cooling down it is
 // ignored — the breaker insists on its pause.

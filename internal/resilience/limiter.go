@@ -7,59 +7,6 @@ import (
 	"time"
 )
 
-// TokenBucket is a classic token-bucket rate limiter: capacity Burst,
-// refilled at Rate tokens per second. Take either consumes a token or
-// reports how long the caller should wait before retrying.
-type TokenBucket struct {
-	mu     sync.Mutex
-	rate   float64 // tokens per second
-	burst  float64
-	tokens float64
-	last   time.Time
-	now    func() time.Time
-}
-
-// NewTokenBucket builds a full bucket. rate must be > 0; burst < 1 is
-// raised to 1 so a full bucket always admits at least one request.
-func NewTokenBucket(rate float64, burst int) *TokenBucket {
-	if burst < 1 {
-		burst = 1
-	}
-	tb := &TokenBucket{rate: rate, burst: float64(burst), tokens: float64(burst), now: time.Now}
-	tb.last = tb.now()
-	return tb
-}
-
-// SetClock injects a clock for deterministic tests. Call before use.
-func (tb *TokenBucket) SetClock(now func() time.Time) {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	tb.now = now
-	tb.last = now()
-}
-
-// Take consumes one token if available. When the bucket is empty it
-// returns ok=false and the duration until a token will be available.
-func (tb *TokenBucket) Take() (ok bool, retryAfter time.Duration) {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	return tb.takeLocked()
-}
-
-func (tb *TokenBucket) takeLocked() (bool, time.Duration) {
-	now := tb.now()
-	if dt := now.Sub(tb.last).Seconds(); dt > 0 {
-		tb.tokens = math.Min(tb.burst, tb.tokens+dt*tb.rate)
-	}
-	tb.last = now
-	if tb.tokens >= 1 {
-		tb.tokens--
-		return true, 0
-	}
-	need := (1 - tb.tokens) / tb.rate
-	return false, time.Duration(need * float64(time.Second))
-}
-
 type keyedBucket struct {
 	key    string
 	tokens float64
@@ -99,13 +46,6 @@ func NewPerKey(rate float64, burst, maxKeys int) *PerKey {
 		lru:     list.New(),
 		now:     time.Now,
 	}
-}
-
-// SetClock injects a clock for deterministic tests. Call before use.
-func (p *PerKey) SetClock(now func() time.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.now = now
 }
 
 // Take consumes one token from key's bucket, creating it (full) on

@@ -69,45 +69,10 @@ func TestBackoffJitterBounds(t *testing.T) {
 	}
 }
 
-func TestTokenBucket(t *testing.T) {
-	clk := newFakeClock()
-	tb := NewTokenBucket(2, 3) // 2 tokens/s, burst 3
-	tb.SetClock(clk.Now)
-	for i := 0; i < 3; i++ {
-		if ok, _ := tb.Take(); !ok {
-			t.Fatalf("take %d refused within burst", i)
-		}
-	}
-	ok, retry := tb.Take()
-	if ok {
-		t.Fatal("take beyond burst admitted")
-	}
-	if retry != 500*time.Millisecond {
-		t.Fatalf("retryAfter = %v, want 500ms at 2 tokens/s", retry)
-	}
-	clk.Advance(500 * time.Millisecond)
-	if ok, _ := tb.Take(); !ok {
-		t.Fatal("refill after retryAfter did not admit")
-	}
-	// Idle refill caps at burst.
-	clk.Advance(time.Hour)
-	admitted := 0
-	for {
-		ok, _ := tb.Take()
-		if !ok {
-			break
-		}
-		admitted++
-	}
-	if admitted != 3 {
-		t.Fatalf("admitted %d after idle, want burst=3", admitted)
-	}
-}
-
 func TestPerKeyIsolationAndEviction(t *testing.T) {
 	clk := newFakeClock()
 	p := NewPerKey(1, 2, 2) // burst 2 per key, at most 2 keys
-	p.SetClock(clk.Now)
+	p.now = clk.Now
 	for i := 0; i < 2; i++ {
 		if ok, _ := p.Take("alice"); !ok {
 			t.Fatalf("alice take %d refused", i)
@@ -146,9 +111,9 @@ func TestPerKeyIsolationAndEviction(t *testing.T) {
 
 func TestBreakerLifecycle(t *testing.T) {
 	clk := newFakeClock()
-	b := &Breaker{FailAfter: 3, OpenFor: 10 * time.Second, Clock: clk.Now}
-	if b.State() != Closed || !b.Allow() {
-		t.Fatal("new breaker should be closed and allowing")
+	b := &Breaker{FailAfter: 3, OpenFor: 10 * time.Second, ProbeSuccesses: 2, Clock: clk.Now}
+	if b.State() != Closed {
+		t.Fatal("new breaker should be closed")
 	}
 	b.Failure()
 	b.Failure()
@@ -162,32 +127,28 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.State() != Open {
 		t.Fatalf("state = %v, want open after 3 consecutive failures", b.State())
 	}
-	if b.Allow() {
-		t.Fatal("open breaker admitted traffic during cooldown")
-	}
 	// Success during cooldown is ignored — the pause is mandatory.
 	b.Success()
-	if b.State() != Open || b.Allow() {
-		t.Fatal("success during cooldown must not close or admit")
+	if b.State() != Open {
+		t.Fatal("success during cooldown must not close")
 	}
 	clk.Advance(10 * time.Second)
 	if b.State() != HalfOpen {
 		t.Fatalf("state = %v, want half-open after cooldown", b.State())
 	}
-	if !b.Allow() {
-		t.Fatal("half-open breaker refused a probe")
+	b.Success() // first of two probe successes
+	if b.State() != HalfOpen {
+		t.Fatalf("state = %v, want half-open after 1 of 2 probe successes", b.State())
 	}
 	b.Failure() // probe failed → re-open, fresh cooldown
-	if b.State() != Open || b.Allow() {
+	if b.State() != Open {
 		t.Fatal("failed probe must re-open")
 	}
 	clk.Advance(10 * time.Second)
-	if !b.Allow() {
-		t.Fatal("second probe window refused")
-	}
+	b.Success()
 	b.Success()
 	if b.State() != Closed {
-		t.Fatalf("state = %v, want closed after successful probe", b.State())
+		t.Fatalf("state = %v, want closed after two successful probes", b.State())
 	}
 	if b.Trips() != 2 {
 		t.Fatalf("Trips = %d, want 2", b.Trips())
@@ -220,9 +181,6 @@ func TestBreakerZeroCooldownReadmitsOnOneSuccess(t *testing.T) {
 	}
 	if b.Trips() != 1 {
 		t.Fatalf("Trips = %d, want 1", b.Trips())
-	}
-	if !b.Allow() {
-		t.Fatal("zero-cooldown breaker refused probe")
 	}
 	b.Success()
 	if b.State() != Closed {

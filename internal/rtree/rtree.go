@@ -1,8 +1,8 @@
-// Package rtree implements a two-dimensional R-tree with quadratic-split
-// dynamic insertion and Sort-Tile-Recursive (STR) bulk loading. It is the
-// spatial index under the Strabon store (internal/strabon): spatial filters
-// in stSPARQL first prune candidates by bounding box here, then verify the
-// exact predicate with internal/geo.
+// Package rtree implements a two-dimensional R-tree built once by
+// Sort-Tile-Recursive (STR) bulk loading. It is the spatial index under
+// the Strabon store (internal/strabon): spatial filters in stSPARQL first
+// prune candidates by bounding box here, then verify the exact predicate
+// with internal/geo.
 package rtree
 
 import (
@@ -12,7 +12,8 @@ import (
 	"repro/internal/geo"
 )
 
-// DefaultMaxEntries is the node fan-out used when NewTree is given 0.
+// DefaultMaxEntries is the node fan-out BulkLoad uses when given less
+// than 4.
 const DefaultMaxEntries = 16
 
 // Item is an indexed entry: a bounding box plus an opaque identifier.
@@ -21,15 +22,11 @@ type Item struct {
 	ID  uint64
 }
 
-// Tree is a 2D R-tree. The zero value is not usable; call NewTree.
-// Tree is not safe for concurrent mutation; concurrent readers are safe
-// when no writer is active.
+// Tree is a 2D R-tree, immutable once BulkLoad returns it, so concurrent
+// readers are safe. The zero value is not usable; call BulkLoad.
 type Tree struct {
-	root       *node
-	maxEntries int
-	minEntries int
-	size       int
-	path       []*node // scratch: root-to-leaf path of the in-flight insert
+	root *node
+	size int
 }
 
 type node struct {
@@ -39,33 +36,23 @@ type node struct {
 	children []*node // populated when !leaf
 }
 
-// NewTree returns an empty R-tree with the given maximum node fan-out
+// BulkLoad builds a near-optimally packed tree from items using the STR
+// packing algorithm, with the given maximum node fan-out
 // (DefaultMaxEntries when maxEntries < 4).
-func NewTree(maxEntries int) *Tree {
+func BulkLoad(items []Item, maxEntries int) *Tree {
 	if maxEntries < 4 {
 		maxEntries = DefaultMaxEntries
 	}
-	return &Tree{
-		root:       &node{leaf: true, box: geo.EmptyEnvelope()},
-		maxEntries: maxEntries,
-		minEntries: maxEntries * 2 / 5,
-	}
-}
-
-// BulkLoad builds a tree from items using the STR packing algorithm. The
-// resulting tree is near-optimally packed, which is the configuration the
-// A1 ablation benchmarks against dynamic insertion.
-func BulkLoad(items []Item, maxEntries int) *Tree {
-	t := NewTree(maxEntries)
+	t := &Tree{root: &node{leaf: true, box: geo.EmptyEnvelope()}}
 	if len(items) == 0 {
 		return t
 	}
 	cp := make([]Item, len(items))
 	copy(cp, items)
-	leaves := strPack(cp, t.maxEntries)
+	leaves := strPack(cp, maxEntries)
 	nodes := leaves
 	for len(nodes) > 1 {
-		nodes = strPackNodes(nodes, t.maxEntries)
+		nodes = strPackNodes(nodes, maxEntries)
 	}
 	t.root = nodes[0]
 	t.size = len(items)
@@ -149,183 +136,6 @@ func (n *node) recomputeBox() {
 // Len reports the number of items in the tree.
 func (t *Tree) Len() int { return t.size }
 
-// Insert adds an item.
-func (t *Tree) Insert(it Item) {
-	leaf := t.chooseLeaf(t.root, it.Box)
-	leaf.items = append(leaf.items, it)
-	leaf.box = leaf.box.Extend(it.Box)
-	t.size++
-	t.adjust(leaf)
-}
-
-// chooseLeaf descends picking the child whose box needs least enlargement.
-func (t *Tree) chooseLeaf(n *node, box geo.Envelope) *node {
-	t.path = t.path[:0]
-	for !n.leaf {
-		t.path = append(t.path, n)
-		best := n.children[0]
-		bestDelta := enlargement(best.box, box)
-		for _, c := range n.children[1:] {
-			d := enlargement(c.box, box)
-			if d < bestDelta || (d == bestDelta && c.box.Area() < best.box.Area()) {
-				best, bestDelta = c, d
-			}
-		}
-		n = best
-	}
-	return n
-}
-
-func enlargement(box, add geo.Envelope) float64 {
-	return box.Extend(add).Area() - box.Area()
-}
-
-// adjust walks back up the insertion path, splitting overflowing nodes and
-// refreshing bounding boxes.
-func (t *Tree) adjust(leaf *node) {
-	n := leaf
-	for i := len(t.path); ; i-- {
-		var parent *node
-		if i > 0 {
-			parent = t.path[i-1]
-		}
-		overflow := false
-		if n.leaf {
-			overflow = len(n.items) > t.maxEntries
-		} else {
-			overflow = len(n.children) > t.maxEntries
-		}
-		if overflow {
-			a, b := t.split(n)
-			if parent == nil {
-				t.root = &node{children: []*node{a, b}}
-				t.root.recomputeBox()
-				return
-			}
-			// Replace n with a, add b.
-			for j, c := range parent.children {
-				if c == n {
-					parent.children[j] = a
-					break
-				}
-			}
-			parent.children = append(parent.children, b)
-		}
-		if parent == nil {
-			n.recomputeBox()
-			return
-		}
-		parent.recomputeBox()
-		n = parent
-	}
-}
-
-// split performs a quadratic split of an overflowing node.
-func (t *Tree) split(n *node) (*node, *node) {
-	if n.leaf {
-		g1, g2 := quadraticSplitItems(n.items, t.minEntries)
-		a := &node{leaf: true, items: g1}
-		b := &node{leaf: true, items: g2}
-		a.recomputeBox()
-		b.recomputeBox()
-		return a, b
-	}
-	g1, g2 := quadraticSplitNodes(n.children, t.minEntries)
-	a := &node{children: g1}
-	b := &node{children: g2}
-	a.recomputeBox()
-	b.recomputeBox()
-	return a, b
-}
-
-func quadraticSplitItems(items []Item, minFill int) ([]Item, []Item) {
-	seed1, seed2 := pickSeeds(len(items), func(i, j int) float64 {
-		return wasted(items[i].Box, items[j].Box)
-	})
-	g1 := []Item{items[seed1]}
-	g2 := []Item{items[seed2]}
-	b1, b2 := items[seed1].Box, items[seed2].Box
-	for k := range items {
-		if k == seed1 || k == seed2 {
-			continue
-		}
-		it := items[k]
-		remaining := len(items) - k
-		if len(g1)+remaining <= minFill {
-			g1 = append(g1, it)
-			b1 = b1.Extend(it.Box)
-			continue
-		}
-		if len(g2)+remaining <= minFill {
-			g2 = append(g2, it)
-			b2 = b2.Extend(it.Box)
-			continue
-		}
-		d1 := enlargement(b1, it.Box)
-		d2 := enlargement(b2, it.Box)
-		if d1 < d2 || (d1 == d2 && len(g1) < len(g2)) {
-			g1 = append(g1, it)
-			b1 = b1.Extend(it.Box)
-		} else {
-			g2 = append(g2, it)
-			b2 = b2.Extend(it.Box)
-		}
-	}
-	return g1, g2
-}
-
-func quadraticSplitNodes(children []*node, minFill int) ([]*node, []*node) {
-	seed1, seed2 := pickSeeds(len(children), func(i, j int) float64 {
-		return wasted(children[i].box, children[j].box)
-	})
-	g1 := []*node{children[seed1]}
-	g2 := []*node{children[seed2]}
-	b1, b2 := children[seed1].box, children[seed2].box
-	for k := range children {
-		if k == seed1 || k == seed2 {
-			continue
-		}
-		c := children[k]
-		remaining := len(children) - k
-		if len(g1)+remaining <= minFill {
-			g1 = append(g1, c)
-			b1 = b1.Extend(c.box)
-			continue
-		}
-		if len(g2)+remaining <= minFill {
-			g2 = append(g2, c)
-			b2 = b2.Extend(c.box)
-			continue
-		}
-		d1 := enlargement(b1, c.box)
-		d2 := enlargement(b2, c.box)
-		if d1 < d2 || (d1 == d2 && len(g1) < len(g2)) {
-			g1 = append(g1, c)
-			b1 = b1.Extend(c.box)
-		} else {
-			g2 = append(g2, c)
-			b2 = b2.Extend(c.box)
-		}
-	}
-	return g1, g2
-}
-
-func pickSeeds(n int, waste func(i, j int) float64) (int, int) {
-	s1, s2, worst := 0, 1, math.Inf(-1)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if w := waste(i, j); w > worst {
-				s1, s2, worst = i, j, w
-			}
-		}
-	}
-	return s1, s2
-}
-
-func wasted(a, b geo.Envelope) float64 {
-	return a.Extend(b).Area() - a.Area() - b.Area()
-}
-
 // Search appends to dst the IDs of all items whose boxes intersect query,
 // and returns the extended slice. Order is unspecified.
 func (t *Tree) Search(query geo.Envelope, dst []uint64) []uint64 {
@@ -348,117 +158,6 @@ func searchNode(n *node, q geo.Envelope, dst []uint64) []uint64 {
 		dst = searchNode(c, q, dst)
 	}
 	return dst
-}
-
-// SearchFunc invokes fn for every item whose box intersects query; fn
-// returning false stops the search early.
-func (t *Tree) SearchFunc(query geo.Envelope, fn func(Item) bool) {
-	searchFuncNode(t.root, query, fn)
-}
-
-func searchFuncNode(n *node, q geo.Envelope, fn func(Item) bool) bool {
-	if !n.box.Intersects(q) {
-		return true
-	}
-	if n.leaf {
-		for _, it := range n.items {
-			if it.Box.Intersects(q) {
-				if !fn(it) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for _, c := range n.children {
-		if !searchFuncNode(c, q, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// Delete removes one item with the given ID whose box intersects hint.
-// It reports whether an item was removed. Underfull nodes are tolerated
-// (no re-insertion); Search correctness is unaffected.
-func (t *Tree) Delete(hint geo.Envelope, id uint64) bool {
-	if deleteNode(t.root, hint, id) {
-		t.size--
-		return true
-	}
-	return false
-}
-
-func deleteNode(n *node, hint geo.Envelope, id uint64) bool {
-	if !n.box.Intersects(hint) {
-		return false
-	}
-	if n.leaf {
-		for i, it := range n.items {
-			if it.ID == id {
-				n.items = append(n.items[:i], n.items[i+1:]...)
-				n.recomputeBox()
-				return true
-			}
-		}
-		return false
-	}
-	for _, c := range n.children {
-		if deleteNode(c, hint, id) {
-			n.recomputeBox()
-			return true
-		}
-	}
-	return false
-}
-
-// NearestNeighbors appends the IDs of the k items nearest to p (by box
-// distance) using best-first branch-and-bound traversal.
-func (t *Tree) NearestNeighbors(p geo.Point, k int, dst []uint64) []uint64 {
-	if k <= 0 || t.size == 0 {
-		return dst
-	}
-	type cand struct {
-		d    float64
-		n    *node
-		item *Item
-	}
-	// Simple priority queue via sorted slice (k and node counts are small
-	// relative to the fan-out in this workload).
-	var pq []cand
-	push := func(c cand) {
-		i := sort.Search(len(pq), func(i int) bool { return pq[i].d > c.d })
-		pq = append(pq, cand{})
-		copy(pq[i+1:], pq[i:])
-		pq[i] = c
-	}
-	push(cand{d: boxDist(p, t.root.box), n: t.root})
-	found := 0
-	for len(pq) > 0 && found < k {
-		c := pq[0]
-		pq = pq[1:]
-		switch {
-		case c.item != nil:
-			dst = append(dst, c.item.ID)
-			found++
-		case c.n.leaf:
-			for i := range c.n.items {
-				it := &c.n.items[i]
-				push(cand{d: boxDist(p, it.Box), item: it})
-			}
-		default:
-			for _, ch := range c.n.children {
-				push(cand{d: boxDist(p, ch.box), n: ch})
-			}
-		}
-	}
-	return dst
-}
-
-func boxDist(p geo.Point, b geo.Envelope) float64 {
-	dx := math.Max(0, math.Max(b.MinX-p.X, p.X-b.MaxX))
-	dy := math.Max(0, math.Max(b.MinY-p.Y, p.Y-b.MaxY))
-	return math.Hypot(dx, dy)
 }
 
 // Height reports the tree height (1 for a single leaf).

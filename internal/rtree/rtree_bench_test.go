@@ -8,25 +8,13 @@ import (
 	"repro/internal/geo"
 )
 
-// STR bulk load versus incremental insertion: build cost and resulting
-// query performance (the bulk-loaded tree is better packed).
+// STR bulk load: build cost and query performance.
 func BenchmarkBuild(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		items := randomItems(n, 42)
 		b.Run(fmt.Sprintf("bulk/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if tr := BulkLoad(items, 16); tr.Len() != n {
-					b.Fatal("size")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("incremental/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tr := NewTree(16)
-				for _, it := range items {
-					tr.Insert(it)
-				}
-				if tr.Len() != n {
 					b.Fatal("size")
 				}
 			}
@@ -38,10 +26,6 @@ func BenchmarkSearch(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		items := randomItems(n, 43)
 		bulk := BulkLoad(items, 16)
-		incr := NewTree(16)
-		for _, it := range items {
-			incr.Insert(it)
-		}
 		rng := rand.New(rand.NewSource(44))
 		queries := make([]geo.Envelope, 64)
 		for i := range queries {
@@ -53,24 +37,5 @@ func BenchmarkSearch(b *testing.B) {
 				buf = bulk.Search(queries[i%len(queries)], buf[:0])
 			}
 		})
-		b.Run(fmt.Sprintf("incremental/n=%d", n), func(b *testing.B) {
-			var buf []uint64
-			for i := 0; i < b.N; i++ {
-				buf = incr.Search(queries[i%len(queries)], buf[:0])
-			}
-		})
-	}
-}
-
-func BenchmarkNearestNeighbors(b *testing.B) {
-	items := randomItems(10000, 45)
-	tr := BulkLoad(items, 16)
-	b.ResetTimer()
-	var buf []uint64
-	for i := 0; i < b.N; i++ {
-		buf = tr.NearestNeighbors(geo.Point{X: 50, Y: 50}, 10, buf[:0])
-		if len(buf) != 10 {
-			b.Fatal("k")
-		}
 	}
 }

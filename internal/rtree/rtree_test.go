@@ -52,26 +52,6 @@ func equalIDs(a, b []uint64) bool {
 	return true
 }
 
-func TestInsertSearchAgainstBrute(t *testing.T) {
-	items := randomItems(500, 1)
-	tr := NewTree(8)
-	for _, it := range items {
-		tr.Insert(it)
-	}
-	if tr.Len() != 500 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 50; i++ {
-		q := box(rng.Float64()*90, rng.Float64()*90, rng.Float64()*20, rng.Float64()*20)
-		got := sortIDs(tr.Search(q, nil))
-		want := sortIDs(bruteSearch(items, q))
-		if !equalIDs(got, want) {
-			t.Fatalf("query %d: got %d ids, want %d", i, len(got), len(want))
-		}
-	}
-}
-
 func TestBulkLoadAgainstBrute(t *testing.T) {
 	items := randomItems(1000, 3)
 	tr := BulkLoad(items, 16)
@@ -107,95 +87,22 @@ func TestBulkLoadSingle(t *testing.T) {
 	}
 }
 
-func TestSearchFuncEarlyStop(t *testing.T) {
-	items := randomItems(200, 5)
-	tr := BulkLoad(items, 8)
-	count := 0
-	tr.SearchFunc(box(0, 0, 100, 100), func(Item) bool {
-		count++
-		return count < 10
-	})
-	if count != 10 {
-		t.Fatalf("early stop at %d", count)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	items := randomItems(300, 6)
-	tr := NewTree(8)
-	for _, it := range items {
-		tr.Insert(it)
-	}
-	// Delete half.
-	for _, it := range items[:150] {
-		if !tr.Delete(it.Box, it.ID) {
-			t.Fatalf("delete %d failed", it.ID)
-		}
-	}
-	if tr.Len() != 150 {
-		t.Fatalf("Len after delete = %d", tr.Len())
-	}
-	// Deleted IDs no longer found; remaining all found.
-	got := sortIDs(tr.Search(box(0, 0, 110, 110), nil))
-	want := sortIDs(bruteSearch(items[150:], box(0, 0, 110, 110)))
-	if !equalIDs(got, want) {
-		t.Fatalf("after delete: got %d, want %d", len(got), len(want))
-	}
-	// Deleting a missing item returns false.
-	if tr.Delete(items[0].Box, items[0].ID) {
-		t.Fatal("double delete succeeded")
-	}
-}
-
-func TestNearestNeighbors(t *testing.T) {
-	// Grid of unit boxes.
-	var items []Item
-	id := uint64(0)
-	for x := 0; x < 10; x++ {
-		for y := 0; y < 10; y++ {
-			items = append(items, Item{Box: box(float64(x*10), float64(y*10), 1, 1), ID: id})
-			id++
-		}
-	}
-	tr := BulkLoad(items, 8)
-	got := tr.NearestNeighbors(geo.Point{X: 0, Y: 0}, 3, nil)
-	if len(got) != 3 {
-		t.Fatalf("got %d neighbors", len(got))
-	}
-	// Nearest must be the box at origin (ID 0).
-	if got[0] != 0 {
-		t.Fatalf("nearest = %d, want 0", got[0])
-	}
-	// k larger than tree size returns all.
-	all := tr.NearestNeighbors(geo.Point{X: 50, Y: 50}, 1000, nil)
-	if len(all) != 100 {
-		t.Fatalf("got %d, want all 100", len(all))
-	}
-	if out := tr.NearestNeighbors(geo.Point{}, 0, nil); len(out) != 0 {
-		t.Fatal("k=0 should return nothing")
-	}
-}
-
 func TestHeightGrows(t *testing.T) {
-	tr := NewTree(4)
-	if tr.Height() != 1 {
-		t.Fatalf("empty height = %d", tr.Height())
+	if h := BulkLoad(nil, 4).Height(); h != 1 {
+		t.Fatalf("empty height = %d", h)
 	}
-	for _, it := range randomItems(200, 7) {
-		tr.Insert(it)
-	}
-	if tr.Height() < 3 {
-		t.Fatalf("height after 200 inserts with fanout 4 = %d", tr.Height())
+	if h := BulkLoad(randomItems(200, 7), 4).Height(); h < 3 {
+		t.Fatalf("height of 200 items with fanout 4 = %d", h)
 	}
 }
 
 func TestDuplicateBoxes(t *testing.T) {
-	tr := NewTree(4)
 	b := box(5, 5, 1, 1)
+	var items []Item
 	for i := 0; i < 50; i++ {
-		tr.Insert(Item{Box: b, ID: uint64(i)})
+		items = append(items, Item{Box: b, ID: uint64(i)})
 	}
-	got := tr.Search(b, nil)
+	got := BulkLoad(items, 4).Search(b, nil)
 	if len(got) != 50 {
 		t.Fatalf("got %d duplicates", len(got))
 	}
@@ -203,28 +110,14 @@ func TestDuplicateBoxes(t *testing.T) {
 
 func TestPointBoxes(t *testing.T) {
 	// Degenerate zero-area boxes (points) index correctly.
-	tr := NewTree(8)
+	var items []Item
 	for i := 0; i < 100; i++ {
 		x := float64(i % 10)
 		y := float64(i / 10)
-		tr.Insert(Item{Box: geo.Envelope{MinX: x, MinY: y, MaxX: x, MaxY: y}, ID: uint64(i)})
+		items = append(items, Item{Box: geo.Envelope{MinX: x, MinY: y, MaxX: x, MaxY: y}, ID: uint64(i)})
 	}
-	got := tr.Search(box(2, 2, 0.5, 0.5), nil)
+	got := BulkLoad(items, 8).Search(box(2, 2, 0.5, 0.5), nil)
 	if len(got) != 1 || got[0] != 22 {
 		t.Fatalf("got %v", got)
-	}
-}
-
-func TestMixedBulkThenInsert(t *testing.T) {
-	items := randomItems(400, 8)
-	tr := BulkLoad(items[:200], 8)
-	for _, it := range items[200:] {
-		tr.Insert(it)
-	}
-	q := box(10, 10, 40, 40)
-	got := sortIDs(tr.Search(q, nil))
-	want := sortIDs(bruteSearch(items, q))
-	if !equalIDs(got, want) {
-		t.Fatalf("mixed: got %d, want %d", len(got), len(want))
 	}
 }

@@ -21,9 +21,6 @@ type ArrayObject struct {
 	order []string
 }
 
-// ValueNames returns the value attribute names in declaration order.
-func (a *ArrayObject) ValueNames() []string { return a.order }
-
 // Size reports the cell count.
 func (a *ArrayObject) Size() int {
 	n := 1

@@ -62,19 +62,6 @@ func kindOfType(t column.Type) vkind {
 	return 0
 }
 
-func (k vkind) columnType() column.Type {
-	switch k {
-	case kInt:
-		return column.Int64
-	case kStr:
-		return column.String
-	case kBool:
-		return column.Bool
-	default:
-		return column.Float64
-	}
-}
-
 // vec is a typed value vector produced by a kernel; exactly one data
 // slice is populated. null[i] marks NULL (nil = no nulls).
 type vec struct {

@@ -559,9 +559,6 @@ type imageInput struct {
 	cols    [3][]uint64 // the rows appended since base
 	over    []rdf.Term  // the terms since base: id base.nTerms()+i+1 is over[i]
 	geoms   map[uint64]strdf.SpatialValue
-	// prune drops the geometries no live row's object refers to
-	// (Compact).
-	prune bool
 }
 
 // build folds the base and the delta into one TELPACK1 image and opens
@@ -615,22 +612,12 @@ func (in *imageInput) build() *packView {
 
 	// The geometries: the base's and the delta's (never one of the base's),
 	// in ascending id order, seeded with the parsed ones at hand.
-	var live []bool
-	if in.prune {
-		live = make([]bool, nTerms+1)
-		for _, o := range cols[2] {
-			live[o] = true
-		}
-	}
 	baseIDs := b.geomIDs()
 	var geomIDs []uint64
 	var geomEnvs []geo.Envelope
 	seeds := make(map[uint64]strdf.SpatialValue, len(in.geoms))
 	b.geomMu.RLock()
 	for _, id := range slices.Sorted(slices.Values(append(slices.Collect(maps.Keys(in.geoms)), baseIDs...))) {
-		if live != nil && !live[id] {
-			continue
-		}
 		env := geo.Envelope{}
 		if v, ok := in.geoms[id]; ok {
 			env, seeds[id] = v.Geom.Envelope(), v

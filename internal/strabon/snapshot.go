@@ -71,6 +71,8 @@ type delta struct {
 
 // Mapped reports whether the snapshot is the packed file a store was
 // restored from, unchanged: every read is answered in place from it.
+//
+//lint:allow unusedexport(bench/layers.go checks its mapped-read probe with it)
 func (sn *Snapshot) Mapped() bool { return sn.delta == nil && sn.base.file }
 
 // Image returns the TELPACK1 image of a view without a delta and the WAL
@@ -185,10 +187,11 @@ func (st *Store) buildViewLocked(fold bool, seq uint64) (*Snapshot, *foldPoint) 
 }
 
 // installLocked caches a built view as current (when no write moved the
-// version meanwhile) and a fold as the new base (when no Compact folded
-// the base it was taken from meanwhile). Callers hold the write lock.
+// version meanwhile) and a fold as the new base. Builds are single-flight,
+// so the base a fold was taken from is still the store's. Callers hold
+// the write lock.
 func (st *Store) installLocked(sn *Snapshot, fp *foldPoint) {
-	if fp != nil && fp.in.base == st.base {
+	if fp != nil {
 		st.rebaseLocked(fp, sn.base)
 	}
 	if sn.version == st.version {

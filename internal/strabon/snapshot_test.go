@@ -52,9 +52,9 @@ func TestSnapshotImmutableAfterRemove(t *testing.T) {
 	if !st.Remove(tr) {
 		t.Fatal("remove failed")
 	}
-	st.Compact()
+	st.Fold(st.AppliedSeq())
 	if sn.NRows() != before {
-		t.Fatal("snapshot mutated by Remove/Compact")
+		t.Fatal("snapshot mutated by Remove/Fold")
 	}
 	// The old snapshot still matches the removed triple.
 	typeID, _ := sn.Lookup(rdf.IRI(rdf.RDFType))
@@ -116,40 +116,6 @@ func TestSnapshotDecodeAll(t *testing.T) {
 	want, _ := sn.DecodeTerm(1)
 	if out[1] != want {
 		t.Fatalf("DecodeAll[1] = %v, want %v", out[1], want)
-	}
-}
-
-// TestCompactPrunesStaleGeometries is the regression test for stale
-// spatial entries: geometries of fully-deleted object ids must leave the
-// store's geometry cache during Compact, and so the next view's R-tree.
-func TestCompactPrunesStaleGeometries(t *testing.T) {
-	st := NewStore()
-	wkt := `POINT (23.5 37.5)`
-	geomTerm := rdf.TypedLiteral(wkt, "http://strdf.di.uoa.gr/ontology#WKT")
-	tr := rdf.NewTriple(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/geom"), geomTerm)
-	st.Add(tr)
-	keep := rdf.NewTriple(rdf.IRI("http://ex/k"), rdf.IRI("http://ex/geom"),
-		rdf.TypedLiteral("POINT (24.5 38.5)", "http://strdf.di.uoa.gr/ontology#WKT"))
-	st.Add(keep)
-	box := geo.Envelope{MinX: 23, MinY: 37, MaxX: 24, MaxY: 38}
-	if got := st.Snapshot().SpatialCandidates(box); len(got) != 1 {
-		t.Fatalf("pre-delete candidates = %d", len(got))
-	}
-	if !st.Remove(tr) {
-		t.Fatal("remove failed")
-	}
-	// Before Compact the stale geometry may linger; Compact must purge it.
-	st.Compact()
-	if got := st.Snapshot().SpatialCandidates(box); len(got) != 0 {
-		t.Fatalf("stale spatial candidates after Compact: %v", got)
-	}
-	if st.Stats().SpatialLiterals != 1 {
-		t.Fatalf("spatial literals = %d, want 1 (the kept geometry)", st.Stats().SpatialLiterals)
-	}
-	// The kept geometry must survive in the next view's R-tree.
-	keepBox := geo.Envelope{MinX: 24, MinY: 38, MaxX: 25, MaxY: 39}
-	if got := st.Snapshot().SpatialCandidates(keepBox); len(got) != 1 {
-		t.Fatalf("kept geometry missing after Compact: %v", got)
 	}
 }
 

@@ -61,7 +61,6 @@ import (
 // guaranteed to see the effects of WAL record N.
 type Journal interface {
 	LogApply(dels, ins []rdf.Triple) (Commit, error)
-	LogCompact() (Commit, error)
 }
 
 // ErrVetoed marks a write the journal refused to log, or whose record
@@ -99,7 +98,7 @@ func (c Commit) Await() error {
 // Its methods are safe for concurrent use. Every mutation takes writeMu
 // and then mu exclusively; readers never take writeMu.
 type Store struct {
-	// writeMu serialises mutations (Apply, Update, Compact). Update holds
+	// writeMu serialises mutations (Apply and Update). Update holds
 	// it while it reads the view its statement is computed from, so no
 	// other write lands between that read and its apply; mu is held only
 	// for the apply itself, so readers wait for installs, never for an
@@ -126,10 +125,8 @@ type Store struct {
 	geoms   map[uint64]strdf.SpatialValue
 	geomLog []uint64
 	// predRows counts the live rows of each predicate, so that
-	// Stats().Predicates is len(predRows) rather than a scan. deleted
-	// counts the rows removed since the last Compact.
+	// Stats().Predicates is len(predRows) rather than a scan.
 	predRows map[uint64]int
-	deleted  int
 	// lag is how many rows changed while the last fold was encoding:
 	// the fold policy waits for twice that before the next one.
 	lag int
@@ -311,7 +308,6 @@ func (st *Store) applyLocked(dels, ins []rdf.Triple) (int, Commit, error) {
 		} else {
 			delete(st.predRows, key[1])
 		}
-		st.deleted++
 		st.tombLog = append(st.tombLog, row)
 	}
 	for i, key := range insKeys {
@@ -477,7 +473,7 @@ type TriplePattern struct {
 }
 
 // Version reports a counter that increases on every mutation that
-// changed something: one Apply or Update statement, or a Compact. Two
+// changed something: one Apply or Update statement. Two
 // equal Version observations bracket an interval in which the store's
 // logical contents did not change, which is what the stSPARQL endpoint's
 // result cache keys on.
@@ -493,8 +489,8 @@ func (st *Store) Version() uint64 {
 // is installed, AppliedSeq() >= N guarantees the effects of record N are
 // readable; and because the counter is the PRIMARY's sequence numbering,
 // it is directly comparable between a primary and its replicas (unlike
-// Version, whose increments depend on local history — e.g. a replayed
-// Compact that is a no-op on an already-compacted snapshot restore).
+// Version, whose increments depend on local history — e.g. a statement
+// whose triples a snapshot restore already holds is a no-op).
 func (st *Store) AppliedSeq() uint64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -558,48 +554,6 @@ func (st *Store) Stats() Stats {
 		SpatialLiterals: st.base.r.NGeoms() + len(st.geoms),
 		Predicates:      len(st.predRows),
 	}
-}
-
-// Compact folds the store into a new base without the rows removed
-// since the last Compact, and drops the geometries no live triple
-// refers to. Long-running stores call this after heavy DELETE workloads
-// (the refinement rewrites every coastal hotspot's geometry). It reports
-// the number of removed rows reclaimed (0 when the journal vetoed it).
-// Unlike the folds views trigger, it encodes holding the write lock, so
-// no reader sees its version before its base.
-func (st *Store) Compact() int {
-	st.writeMu.Lock()
-	st.mu.Lock()
-	n, c, err := st.compactLocked()
-	st.mu.Unlock()
-	st.writeMu.Unlock()
-	if err != nil || st.await(c) != nil {
-		return 0
-	}
-	return n
-}
-
-// compactLocked is Compact's body; callers hold writeMu and mu.
-func (st *Store) compactLocked() (int, Commit, error) {
-	if st.deleted == 0 {
-		return 0, Commit{}, nil
-	}
-	var c Commit
-	if st.journal != nil {
-		var err error
-		if c, err = st.journal.LogCompact(); err != nil {
-			st.journalErr = err
-			return 0, Commit{}, err
-		}
-	}
-	st.version++
-	reclaimed := st.deleted
-	st.deleted = 0
-	fp := st.foldLocked(st.appliedSeq)
-	fp.in.prune = true
-	st.rebaseLocked(fp, fp.in.build())
-	st.snap = &Snapshot{version: st.version, base: st.base}
-	return reclaimed, c, nil
 }
 
 // LoadNTriples bulk-loads an N-Triples stream into the store.

@@ -210,12 +210,9 @@ func TestViewMatchesFullBuild(t *testing.T) {
 								t.Fatalf("step %d: Remove of a live triple failed", step)
 							}
 						}
-					case k < 16:
-						op = "Compact"
-						st.Compact()
 					case k < 18:
 						op = "Fold"
-						if sn := st.Fold(0); sn.delta != nil {
+						if sn := st.Fold(st.AppliedSeq()); sn.delta != nil {
 							t.Fatalf("step %d: Fold returned a view with a delta", step)
 						}
 					default:

@@ -259,21 +259,3 @@ func selectQuery(rng *rand.Rand, body []string) string {
 	return fmt.Sprintf(`PREFIX strdf: <http://strdf.di.uoa.gr/ontology#>
 		SELECT %s%s WHERE { %s }%s`, distinct, sel, strings.Join(body, "\n"), suffix)
 }
-
-// InsertDataStatement renders triples as an INSERT DATA update — the
-// write-side workload for replication tests, shipped through the
-// endpoint so it exercises the full journalling path.
-func InsertDataStatement(triples []rdf.Triple) string {
-	var sb strings.Builder
-	sb.WriteString("INSERT DATA {\n")
-	for _, t := range triples {
-		sb.WriteString(t.S.String())
-		sb.WriteByte(' ')
-		sb.WriteString(t.P.String())
-		sb.WriteByte(' ')
-		sb.WriteString(t.O.String())
-		sb.WriteString(" .\n")
-	}
-	sb.WriteString("}")
-	return sb.String()
-}

@@ -113,6 +113,8 @@ func (e *Engine) MustQuery(src string) *Result {
 }
 
 // Eval evaluates a parsed statement.
+//
+//lint:allow unusedexport(bench/oracle.go evaluates the oracle's parsed statements with it)
 func (e *Engine) Eval(q *Query) (*Result, error) {
 	return e.EvalContext(context.Background(), q)
 }

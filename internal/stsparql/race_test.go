@@ -13,7 +13,7 @@ import (
 
 // TestConcurrentQueriesAndUpdates exercises the snapshot API under `go
 // test -race`: readers evaluate queries (each against an immutable
-// snapshot) while writers add, remove and compact concurrently. Queries
+// snapshot) while writers add, remove and fold concurrently. Queries
 // must never observe torn state (panic / error); counts may legitimately
 // vary between snapshots.
 func TestConcurrentQueriesAndUpdates(t *testing.T) {
@@ -68,7 +68,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 					st.Remove(tr)
 				}
 				if i%25 == 0 {
-					st.Compact()
+					st.Fold(st.AppliedSeq())
 				}
 			}
 		}(w)

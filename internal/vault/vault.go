@@ -60,7 +60,6 @@ type Stats struct {
 	Entries   int
 	CacheHits int
 	Loads     int
-	Evictions int
 }
 
 // Vault is a Data Vault over one repository directory. Safe for concurrent
@@ -138,17 +137,6 @@ func (v *Vault) IDs() []string {
 	return append([]string(nil), v.order...)
 }
 
-// Entry returns the catalogue entry for a product ID.
-func (v *Vault) Entry(id string) (*Entry, error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	e, ok := v.entries[id]
-	if !ok {
-		return nil, fmt.Errorf("vault: unknown product %q", id)
-	}
-	return e, nil
-}
-
 // Frame returns the decoded frame for a product, loading it lazily on
 // first touch and serving the cache afterwards.
 func (v *Vault) Frame(id string) (*raster.Frame, error) {
@@ -196,26 +184,6 @@ func (v *Vault) LoadAll() error {
 		}
 	}
 	return nil
-}
-
-// Evict drops a product's cached frame; it reports whether one was cached.
-func (v *Vault) Evict(id string) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if _, ok := v.cache[id]; !ok {
-		return false
-	}
-	delete(v.cache, id)
-	v.stats.Evictions++
-	return true
-}
-
-// EvictAll drops the whole frame cache.
-func (v *Vault) EvictAll() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.stats.Evictions += len(v.cache)
-	v.cache = map[string]*raster.Frame{}
 }
 
 // Stats returns a snapshot of the vault counters.

@@ -33,8 +33,7 @@ func TestAttachAndCatalog(t *testing.T) {
 	}
 	// Time ordering.
 	for i := 1; i < len(ids); i++ {
-		a, _ := v.Entry(ids[i-1])
-		b, _ := v.Entry(ids[i])
+		a, b := v.entries[ids[i-1]], v.entries[ids[i]]
 		if a.Header.Time.After(b.Header.Time) {
 			t.Fatal("catalogue not time ordered")
 		}
@@ -93,38 +92,6 @@ func TestLazyLoadAndCache(t *testing.T) {
 	}
 }
 
-func TestEvict(t *testing.T) {
-	dir := makeRepo(t, 2)
-	v := New()
-	if err := v.Attach(dir); err != nil {
-		t.Fatal(err)
-	}
-	ids := v.IDs()
-	if _, err := v.Frame(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	if !v.Evict(ids[0]) {
-		t.Fatal("evict cached")
-	}
-	if v.Evict(ids[0]) {
-		t.Fatal("double evict")
-	}
-	// Re-touch reloads.
-	if _, err := v.Frame(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	if s := v.Stats(); s.Loads != 2 || s.Evictions != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if _, err := v.Frame(ids[1]); err != nil {
-		t.Fatal(err)
-	}
-	v.EvictAll()
-	if s := v.Stats(); s.Evictions != 3 {
-		t.Fatalf("evict all: %+v", s)
-	}
-}
-
 func TestLoadAll(t *testing.T) {
 	dir := makeRepo(t, 3)
 	v := New()
@@ -143,9 +110,6 @@ func TestUnknownProduct(t *testing.T) {
 	v := New()
 	if _, err := v.Frame("ghost"); err == nil {
 		t.Fatal("unknown frame should error")
-	}
-	if _, err := v.Entry("ghost"); err == nil {
-		t.Fatal("unknown entry should error")
 	}
 }
 
@@ -188,10 +152,7 @@ func TestHeaderMatchesFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := v.IDs()[0]
-	e, err := v.Entry(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := v.entries[id]
 	f, err := v.Frame(id)
 	if err != nil {
 		t.Fatal(err)

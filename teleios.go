@@ -35,18 +35,28 @@ type Observatory = core.Observatory
 type Options = core.Options
 
 // Product is one processing-chain output.
+//
+//lint:allow unusedexport(public API: embedders cannot import the internal package it aliases)
 type Product = noa.Product
 
 // Hotspot is one detected fire region.
+//
+//lint:allow unusedexport(public API: embedders cannot import the internal package it aliases)
 type Hotspot = noa.Hotspot
 
 // FireMap is a layered map document.
+//
+//lint:allow unusedexport(public API: embedders cannot import the internal package it aliases)
 type FireMap = noa.FireMap
 
 // RefineStats summarises a refinement run.
+//
+//lint:allow unusedexport(public API: embedders cannot import the internal package it aliases)
 type RefineStats = noa.RefineStats
 
 // QueryResult is an stSPARQL result.
+//
+//lint:allow unusedexport(public API: embedders cannot import the internal package it aliases)
 type QueryResult = stsparql.Result
 
 // Envelope is a geographic bounding box (WGS84 lon/lat degrees).
@@ -62,6 +72,8 @@ func GenerateArchive(dir string, width, height, steps int) ([]string, error) {
 
 // ArrayPrefix converts a product ID to the SciQL identifier prefix its
 // ingested band arrays are registered under.
+//
+//lint:allow unusedexport(public API of the root package)
 func ArrayPrefix(id string) string { return core.ArrayPrefix(id) }
 
 // Region is the demo's area of interest (the synthetic Greek scene).
