@@ -2,58 +2,64 @@ package endpoint
 
 import (
 	"container/list"
+	"fmt"
+	"hash/fnv"
+	"io"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/stsparql"
 )
 
-// CacheVersion is the store-state fingerprint that keys cached
-// results. Version counts every in-process mutation (including ones
-// that never touch the WAL, like toggling the spatial index);
-// AppliedSeq is the replication watermark — the newest WAL sequence
-// number whose mutation is visible. Both are needed: Version alone is
-// not comparable across processes (a replica restored from a snapshot
-// skips replayed no-ops, so its counter drifts from the primary's),
-// and AppliedSeq alone misses non-journalled mutations.
-type CacheVersion struct {
-	Version    uint64
-	AppliedSeq uint64
+// cacheKey is the tuple a read's ETag hashes: the query text, the
+// version of the view the handler pinned, the applied seq read with that
+// view, and the negotiated format. Two reads with equal keys produce
+// byte-identical bodies.
+type cacheKey struct {
+	src     string
+	version uint64
+	seq     uint64
+	format  Format
 }
 
-// ResultCache is an LRU cache of evaluated read-query results keyed by
-// query text and store state (CacheVersion). A cached entry is valid
-// only while the store's fingerprint is unchanged; entries from older
-// states are evicted lazily on lookup, so a single UPDATE invalidates
-// the whole cache without any bookkeeping on the write path.
+// etag derives the strong validator for a read from its key.
+func (k cacheKey) etag() string {
+	h := fnv.New64a()
+	io.WriteString(h, k.src)
+	fmt.Fprintf(h, "|%d|%d|%d", k.version, k.seq, k.format)
+	return fmt.Sprintf("\"t%016x\"", h.Sum64())
+}
+
+// ResultCache is an LRU cache of encoded read responses keyed by the
+// ETag's tuple. It compares the whole tuple, never the 64-bit hash, so a
+// crafted query text cannot collide into another query's entry. A write
+// moves the version, so later reads key differently and the older
+// entries age out of the LRU; the write path never touches the cache.
 type ResultCache struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+	items map[cacheKey]*list.Element
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
 type cacheEntry struct {
-	key     string
-	version CacheVersion
-	res     *stsparql.Result
+	key  cacheKey
+	body []byte
 }
 
-// NewResultCache returns a cache holding at most capacity results; a
+// NewResultCache returns a cache holding at most capacity bodies; a
 // capacity < 1 disables caching (Get always misses, Put is a no-op).
 func NewResultCache(capacity int) *ResultCache {
 	return &ResultCache{
 		cap:   capacity,
 		ll:    list.New(),
-		items: map[string]*list.Element{},
+		items: map[cacheKey]*list.Element{},
 	}
 }
 
-// Get returns the cached result for key at the given store version.
-func (c *ResultCache) Get(key string, version CacheVersion) (*stsparql.Result, bool) {
+// Get returns the cached body for key.
+func (c *ResultCache) Get(key cacheKey) ([]byte, bool) {
 	if c.cap < 1 {
 		return nil, false
 	}
@@ -64,36 +70,24 @@ func (c *ResultCache) Get(key string, version CacheVersion) (*stsparql.Result, b
 		c.misses.Add(1)
 		return nil, false
 	}
-	ent := el.Value.(*cacheEntry)
-	if ent.version != version {
-		// Stale: the store mutated since this was cached.
-		c.ll.Remove(el)
-		delete(c.items, key)
-		c.misses.Add(1)
-		return nil, false
-	}
 	c.ll.MoveToFront(el)
 	c.hits.Add(1)
-	return ent.res, true
+	return el.Value.(*cacheEntry).body, true
 }
 
-// Put stores a result for key at the given store version, evicting the
-// least recently used entry when over capacity.
-func (c *ResultCache) Put(key string, version CacheVersion, res *stsparql.Result) {
+// Put stores the body for key, evicting the least recently used entry
+// when over capacity. The body must not be modified afterwards.
+func (c *ResultCache) Put(key cacheKey, body []byte) {
 	if c.cap < 1 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		ent.version = version
-		ent.res = res
 		c.ll.MoveToFront(el)
 		return
 	}
-	el := c.ll.PushFront(&cacheEntry{key: key, version: version, res: res})
-	c.items[key] = el
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
 	for c.ll.Len() > c.cap {
 		last := c.ll.Back()
 		c.ll.Remove(last)

@@ -10,20 +10,21 @@
 // bounded worker pool caps how many evaluations contend on the store's
 // lock at once (excess requests get fast 503s instead of queueing
 // without bound), every query runs under a deadline, and an LRU cache
-// keyed on (query text, store version) serves repeated read queries
-// without re-evaluation. UPDATE statements (INSERT/DELETE) are accepted
-// over POST only and can be disabled wholesale with Config.ReadOnly.
+// keyed on the ETag's tuple (query text, pinned view version, applied
+// seq, format) holds encoded bodies, so a repeated read writes bytes.
+// UPDATE statements (INSERT/DELETE) are accepted over POST only and can
+// be disabled wholesale with Config.ReadOnly.
 //
 // Beyond /sparql the handler serves /health (liveness plus triple count)
 // and /stats (store, cache, and pool counters) for operations.
 package endpoint
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"strconv"
@@ -57,17 +58,18 @@ var errEvalPanic = errors.New("endpoint: evaluation panicked")
 // sensible default (see the field comments).
 //
 // Statement atomicity lives in the store: every update is one
-// Store.Apply or Store.Update, and every read evaluates against one
-// immutable Snapshot, so other writers of the same Store (a second
-// Server, in-process callers, a replica's tail loop) never tear a
-// statement. The result cache keys on the store version, which every
-// write moves.
+// Store.Apply or Store.Update, and every read evaluates against the one
+// immutable Snapshot its handler pinned, so other writers of the same
+// Store (a second Server, in-process callers, a replica's tail loop)
+// never tear a statement. The result cache keys on the ETag's tuple,
+// whose view version every write moves.
 type Config struct {
 	// Engine evaluates queries. Required.
 	Engine QueryEngine
-	// Store, when set, supplies the version counter that keys the result
-	// cache and the statistics for /health and /stats. Without it the
-	// cache is disabled (results could go stale invisibly).
+	// Store, when set, is the store Engine reads: a read pins one view
+	// of it, which keys the ETag and the result cache; it also supplies
+	// the statistics for /health and /stats. Without it there is no ETag
+	// and no cache (results could go stale invisibly).
 	Store *strabon.Store
 	// MaxConcurrency bounds simultaneously evaluating queries
 	// (default 8).
@@ -80,12 +82,12 @@ type Config struct {
 	// QueryTimeout bounds one evaluation, queue wait included
 	// (default 30s). Expiry produces a 503 with Retry-After.
 	QueryTimeout time.Duration
-	// CacheSize is the LRU result-cache capacity in entries
-	// (default 128; 0 keeps the default, negative disables).
+	// CacheSize is the LRU result-cache capacity in encoded response
+	// bodies (default 128; 0 keeps the default, negative disables).
 	CacheSize int
-	// MaxCacheableRows bounds the size of an individual cached result
-	// (bindings or triples); larger results are served but not cached,
-	// so a few huge SELECTs cannot pin unbounded memory (default 10000).
+	// MaxCacheableRows bounds the rows (bindings or triples) of a cached
+	// body; larger results stream to the client uncached, so a few huge
+	// SELECTs cannot pin unbounded memory (default 10000).
 	MaxCacheableRows int
 	// ReadOnly rejects UPDATE statements with 403.
 	ReadOnly bool
@@ -381,43 +383,53 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	cv := s.storeVersion()
-	if !update {
+	ctx := r.Context()
+	var key cacheKey           // the ETag's tuple, when a view is pinned
+	var view *strabon.Snapshot // the pinned view; nil for updates and without a store
+	if !update && s.cfg.Store != nil {
 		// Read-your-writes backstop: a client holding an applied-seq
 		// watermark (from an earlier update's Teleios-Applied-Seq) may
 		// demand this read reflect it. The router normally steers such
 		// reads to a caught-up backend; this check catches direct hits
 		// on a lagging replica — better a retryable 503 than a silent
 		// stale read.
-		if mv := r.Header.Get(replication.HeaderMinVersion); mv != "" && s.cfg.Store != nil {
-			min, perr := strconv.ParseUint(mv, 10, 64)
-			if perr != nil {
+		var want uint64
+		if mv := r.Header.Get(replication.HeaderMinVersion); mv != "" {
+			if want, err = strconv.ParseUint(mv, 10, 64); err != nil {
 				http.Error(w, "bad "+replication.HeaderMinVersion+" header", http.StatusBadRequest)
 				return
 			}
-			if cv.AppliedSeq < min {
-				w.Header().Set("Retry-After", "1")
-				w.Header().Set(replication.HeaderAppliedSeq, strconv.FormatUint(cv.AppliedSeq, 10))
-				http.Error(w, fmt.Sprintf("store is at applied seq %d, below the requested %d", cv.AppliedSeq, min),
-					http.StatusServiceUnavailable)
-				return
-			}
 		}
-		// The store fingerprint makes a strong validator: identical
-		// (query, version, applied-seq, format) means byte-identical
+		// Pin one view: the watermark check, the ETag, the header, the
+		// cache key, evaluation and geometry resolution all read it, so a
+		// write landing mid-request cannot make them disagree.
+		var seq uint64
+		view, seq = s.cfg.Store.View()
+		ctx = stsparql.WithView(ctx, view)
+		w.Header().Set(replication.HeaderAppliedSeq, strconv.FormatUint(seq, 10))
+		if seq < want {
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, fmt.Sprintf("store is at applied seq %d, below the requested %d", seq, want),
+				http.StatusServiceUnavailable)
+			return
+		}
+		// A strong validator: an identical key means byte-identical
 		// output, so a matching If-None-Match skips evaluation entirely.
-		if s.cfg.Store != nil {
-			etag := readETag(src, cv, format)
-			w.Header().Set("ETag", etag)
-			if inmMatches(r.Header.Get("If-None-Match"), etag) {
-				w.Header().Set(replication.HeaderAppliedSeq, strconv.FormatUint(cv.AppliedSeq, 10))
-				w.WriteHeader(http.StatusNotModified)
-				return
-			}
+		key = cacheKey{src: src, version: view.Version(), seq: seq, format: format}
+		etag := key.etag()
+		w.Header().Set("ETag", etag)
+		if inmMatches(r.Header.Get("If-None-Match"), etag) {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		if body, ok := s.cache.Get(key); ok {
+			w.Header().Set("Content-Type", format.ContentType())
+			w.Write(body)
+			return
 		}
 	}
 
-	res, err := s.evaluate(r.Context(), src, parsed, update)
+	res, err := s.evaluate(ctx, parsed)
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrOverloaded) || errors.Is(err, ErrClosed):
@@ -452,7 +464,7 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if update {
-		// The watermark re-read AFTER the update is the client's
+		// The watermark read AFTER the update is the client's
 		// read-your-writes token: echo it back in a later read's
 		// Teleios-Min-Version and any backend serving that read is
 		// guaranteed to reflect this write.
@@ -463,47 +475,53 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "{\"affected\":%d}\n", res.Affected)
 		return
 	}
-	if s.cfg.Store != nil {
-		w.Header().Set(replication.HeaderAppliedSeq, strconv.FormatUint(cv.AppliedSeq, 10))
-	}
-	w.Header().Set("Content-Type", format.ContentType())
-	if err := writeResult(w, res, serForm, format, s.resolveGeom); err != nil {
-		// Headers are gone; all we can do is drop the connection.
+	geom := viewGeom(view)
+	if s.cache.cap < 1 || len(res.Bindings)+len(res.Triples) > s.cfg.MaxCacheableRows {
+		// Not cached, so streamed. On an error the headers are gone; all
+		// we can do is cut the response short.
+		w.Header().Set("Content-Type", format.ContentType())
+		writeResult(w, res, serForm, format, geom)
 		return
 	}
+	var buf bytes.Buffer
+	if err := writeResult(&buf, res, serForm, format, geom); err != nil {
+		// Nothing is written yet, so the status can still say so.
+		w.Header().Del("ETag")
+		w.WriteHeader(http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", format.ContentType())
+	w.Write(buf.Bytes())
+	s.cache.Put(key, buf.Bytes())
 }
 
-// resolveGeom decodes a spatial literal through the store's geometry
-// cache, read from its current Snapshot, when possible (already parsed
-// and WGS84-normalised), parsing directly only for literals the store
-// has never seen (e.g. values computed by strdf:buffer in a
-// projection). The cache entry is only trusted when it really is WGS84:
-// ingest keeps the original coordinates when a literal's CRS cannot be
-// reprojected, and GeoJSON must render such rows with a null geometry,
-// not mislabeled planar coordinates.
-func (s *Server) resolveGeom(t rdf.Term) (strdf.SpatialValue, error) {
-	if s.cfg.Store != nil {
-		sn := s.cfg.Store.Snapshot()
+// viewGeom returns the resolver GeoJSON renders a response's spatial
+// terms with: through the pinned view's geometry cache when possible
+// (already parsed and WGS84-normalised), parsing directly only for
+// literals the store has never seen (e.g. values computed by
+// strdf:buffer in a projection) or without a view. The cache entry is
+// only trusted when it really is WGS84: ingest keeps the original
+// coordinates when a literal's CRS cannot be reprojected, and GeoJSON
+// must render such rows with a null geometry, not mislabeled planar
+// coordinates.
+func viewGeom(sn *strabon.Snapshot) geomResolver {
+	if sn == nil {
+		return parseGeomDirect
+	}
+	return func(t rdf.Term) (strdf.SpatialValue, error) {
 		if id, ok := sn.Lookup(t); ok {
 			if sv, ok := sn.Geometry(id); ok &&
 				(sv.SRID == geo.SRIDWGS84 || sv.SRID == geo.SRIDCRS84) {
 				return sv, nil
 			}
 		}
+		return parseGeomDirect(t)
 	}
-	return parseGeomDirect(t)
 }
 
-// evaluate runs one statement through the cache and worker pool under
-// the configured deadline. src is the raw query text (the cache key);
-// parsed is its parse, handed to the engine so it is not re-parsed.
-func (s *Server) evaluate(ctx context.Context, src string, parsed *stsparql.Query, update bool) (*stsparql.Result, error) {
-	version := s.storeVersion()
-	if !update {
-		if res, ok := s.cache.Get(src, version); ok {
-			return res, nil
-		}
-	}
+// evaluate runs one parsed statement through the worker pool under the
+// configured deadline.
+func (s *Server) evaluate(ctx context.Context, parsed *stsparql.Query) (*stsparql.Result, error) {
 	// Shed before submitting: past the watermark the queue is long
 	// enough that this request would mostly wait, so a fast 503 with an
 	// honest Retry-After serves the client better than a slow timeout.
@@ -532,42 +550,7 @@ func (s *Server) evaluate(ctx context.Context, src string, parsed *stsparql.Quer
 		return nil, err
 	}
 	s.adm.observe(time.Since(start))
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	if !update && s.cfg.Store != nil &&
-		len(res.Bindings)+len(res.Triples) <= s.cfg.MaxCacheableRows {
-		// Re-read the fingerprint: if a concurrent update landed during
-		// evaluation, caching under the old version would pin a result
-		// that mixes both states. Skip caching in that case.
-		if now := s.storeVersion(); now == version {
-			s.cache.Put(src, version, res)
-		}
-	}
-	return res, nil
-}
-
-// storeVersion snapshots the store-state fingerprint that keys the
-// result cache and the ETag. On a replica the AppliedSeq half also
-// moves under replicated writes, keeping cached results from outliving
-// shipped mutations.
-func (s *Server) storeVersion() CacheVersion {
-	if s.cfg.Store == nil {
-		return CacheVersion{}
-	}
-	return CacheVersion{
-		Version:    s.cfg.Store.Version(),
-		AppliedSeq: s.cfg.Store.AppliedSeq(),
-	}
-}
-
-// readETag derives the strong validator for a read: two requests agree
-// iff query text, store fingerprint and serialisation format all agree.
-func readETag(src string, cv CacheVersion, format Format) string {
-	h := fnv.New64a()
-	io.WriteString(h, src)
-	fmt.Fprintf(h, "|%d|%d|%d", cv.Version, cv.AppliedSeq, format)
-	return fmt.Sprintf("\"t%016x\"", h.Sum64())
+	return res, evalErr
 }
 
 // inmMatches reports whether an If-None-Match header value matches the

@@ -193,8 +193,8 @@ func TestSpatialQueryGeoJSON(t *testing.T) {
 }
 
 // TestGeoJSONReadLeavesStoreMapped: a store restored from a packed
-// snapshot answers a GeoJSON read — geometries resolved through
-// resolveGeom — from the mapping, and an update lands in a delta over
+// snapshot answers a GeoJSON read — geometries resolved through the
+// pinned view — from the mapping, and an update lands in a delta over
 // it without copying it to the heap.
 func TestGeoJSONReadLeavesStoreMapped(t *testing.T) {
 	src, _ := fixture()

@@ -247,20 +247,26 @@ func TestWALBreakDegradesEndpointEndToEnd(t *testing.T) {
 }
 
 // TestSerializerFaultTruncatesOneResponse: an injected serializer
-// failure truncates that one response (the status line is already gone,
-// so dropping the connection is all the server can do) and nothing
-// else — the next request serialises fully.
+// failure fails that one response and caches nothing — the next request
+// serialises fully. A cacheable body is encoded before anything is
+// written, so the failure still gets an honest 500.
 func TestSerializerFaultTruncatesOneResponse(t *testing.T) {
-	_, ts := newTestServer(t, nil)
+	srv, ts := newTestServer(t, nil)
 	armEndpointFaults(t, "endpoint/serialize=1*error(encoder exploded)->off")
 
 	resp, body := get(t, ts.URL, townQuery, nil)
 	if len(body) != 0 {
 		t.Fatalf("faulted response carried %d bytes: %s", len(body), body)
 	}
-	_ = resp
+	if resp.StatusCode != http.StatusInternalServerError || resp.Header.Get("ETag") != "" {
+		t.Fatalf("faulted response: status %d, ETag %q; want 500 without an ETag",
+			resp.StatusCode, resp.Header.Get("ETag"))
+	}
 	if faults.Hits("endpoint/serialize") < 1 {
 		t.Fatal("serializer failpoint never hit")
+	}
+	if n := srv.cache.Len(); n != 0 {
+		t.Fatalf("a faulted response left %d cache entries", n)
 	}
 	resp, body = get(t, ts.URL, townQuery, nil)
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "athens") {

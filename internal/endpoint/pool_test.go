@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/geo"
-	"repro/internal/stsparql"
 )
 
 func TestPoolRunsJobs(t *testing.T) {
@@ -108,32 +107,33 @@ func TestPoolSubmitAfterClose(t *testing.T) {
 
 func TestResultCacheVersioningAndLRU(t *testing.T) {
 	c := NewResultCache(2)
-	r1 := &stsparql.Result{Bool: true}
-	r2 := &stsparql.Result{Bool: false}
-	v1 := CacheVersion{Version: 1, AppliedSeq: 1}
-	v2 := CacheVersion{Version: 2, AppliedSeq: 1}
-	// Same Version but a moved AppliedSeq must also miss: on a replica,
-	// replicated writes move only the watermark half of the fingerprint.
-	v1seq2 := CacheVersion{Version: 1, AppliedSeq: 2}
-	c.Put("q1", v1, r1)
-	if got, ok := c.Get("q1", v1); !ok || got != r1 {
-		t.Fatal("expected hit at matching version")
+	b1, b2 := []byte("one"), []byte("two")
+	k := cacheKey{src: "q1", version: 1, seq: 1, format: FormatJSON}
+	c.Put(k, b1)
+	if got, ok := c.Get(k); !ok || string(got) != "one" {
+		t.Fatal("expected hit on the same tuple")
 	}
-	if _, ok := c.Get("q1", v1seq2); ok {
-		t.Fatal("stale applied-seq must miss")
+	// A tuple that differs only in its format, its version or its seq
+	// (on a replica, replicated writes move the seq) is another entry.
+	for _, other := range []cacheKey{
+		{src: "q1", version: 1, seq: 1, format: FormatCSV},
+		{src: "q1", version: 2, seq: 1, format: FormatJSON},
+		{src: "q1", version: 1, seq: 2, format: FormatJSON},
+	} {
+		if _, ok := c.Get(other); ok {
+			t.Fatalf("%+v hit the entry of %+v", other, k)
+		}
 	}
-	if c.Len() != 0 {
-		t.Fatal("stale entry must be evicted on lookup")
-	}
-	// LRU order: touch q1 so q2 is the eviction victim.
-	c.Put("q1", v2, r1)
-	c.Put("q2", v2, r2)
-	c.Get("q1", v2)
-	c.Put("q3", v2, r1)
-	if _, ok := c.Get("q2", v2); ok {
+	// LRU order: touch k so k2 is the eviction victim.
+	k2 := cacheKey{src: "q2", version: 1, seq: 1, format: FormatJSON}
+	k3 := cacheKey{src: "q3", version: 1, seq: 1, format: FormatJSON}
+	c.Put(k2, b2)
+	c.Get(k)
+	c.Put(k3, b1)
+	if _, ok := c.Get(k2); ok {
 		t.Fatal("q2 should have been evicted")
 	}
-	if _, ok := c.Get("q1", v2); !ok {
+	if _, ok := c.Get(k); !ok {
 		t.Fatal("q1 should have survived")
 	}
 	if s := c.Stats(); s.Capacity != 2 || s.Entries != 2 {
@@ -143,9 +143,13 @@ func TestResultCacheVersioningAndLRU(t *testing.T) {
 
 func TestResultCacheDisabled(t *testing.T) {
 	c := NewResultCache(-1)
-	c.Put("q", CacheVersion{Version: 1}, &stsparql.Result{})
-	if _, ok := c.Get("q", CacheVersion{Version: 1}); ok {
+	k := cacheKey{src: "q", version: 1}
+	c.Put(k, []byte("body"))
+	if _, ok := c.Get(k); ok {
 		t.Fatal("disabled cache returned a hit")
+	}
+	if c.Len() != 0 {
+		t.Fatal("disabled cache stored an entry")
 	}
 }
 

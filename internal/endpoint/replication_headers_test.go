@@ -1,13 +1,20 @@
 package endpoint
 
 import (
+	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/rdf"
+	"repro/internal/strabon"
+	"repro/internal/stsparql"
 )
 
 // journalOn attaches a seq-advancing journal to the test server's store
@@ -153,5 +160,123 @@ func TestETagVariesByFormat(t *testing.T) {
 	j, c := respJSON.Header.Get("ETag"), respCSV.Header.Get("ETag")
 	if j == "" || c == "" || j == c {
 		t.Fatalf("format-blind ETags: json=%q csv=%q", j, c)
+	}
+}
+
+// lateWriteEngine lands one write at its first evaluation: after the
+// handler pinned its view, before the engine reads.
+type lateWriteEngine struct {
+	inner QueryEngine
+	st    *strabon.Store
+	late  rdf.Triple
+	once  sync.Once
+}
+
+func (e *lateWriteEngine) EvalContext(ctx context.Context, q *stsparql.Query) (*stsparql.Result, error) {
+	e.once.Do(func() { e.st.Add(e.late) })
+	return e.inner.EvalContext(ctx, q)
+}
+
+// TestWriteAfterPinStaysOutOfTheResponse: a write landing between the
+// handler's pin and the engine's read must not reach the body, because
+// the ETag and Teleios-Applied-Seq name the pinned view; the next read
+// sees the write under another ETag.
+func TestWriteAfterPinStaysOutOfTheResponse(t *testing.T) {
+	st, eng := fixture()
+	st.SetJournal(&vetoJournal{})
+	st.Add(rdf.NewTriple(rdf.IRI(exNS+"x"), rdf.IRI(exNS+"p"), rdf.Literal("v")))
+	late := rdf.NewTriple(rdf.IRI(exNS+"corinth"), rdf.IRI(rdf.RDFType), rdf.IRI(exNS+"Town"))
+	srv, err := NewServer(Config{Engine: &lateWriteEngine{inner: eng, st: st, late: late}, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const q = `SELECT ?t WHERE { ?t a <http://example.org/Town> }`
+	pinned := cacheKey{src: q, version: st.Version(), seq: st.AppliedSeq(), format: FormatJSON}
+	resp, body := get(t, ts.URL, q, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, body %s", resp.StatusCode, body)
+	}
+	if strings.Contains(string(body), "corinth") {
+		t.Fatalf("the body holds a triple written after the pin: %s", body)
+	}
+	etag := resp.Header.Get("ETag")
+	if etag != pinned.etag() {
+		t.Fatalf("ETag = %s, want the pinned view's %s", etag, pinned.etag())
+	}
+	if got := resp.Header.Get("Teleios-Applied-Seq"); got != strconv.FormatUint(pinned.seq, 10) {
+		t.Fatalf("Teleios-Applied-Seq = %q, want the pinned %d", got, pinned.seq)
+	}
+
+	resp, body = get(t, ts.URL, q, nil)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "corinth") {
+		t.Fatalf("follow-up read: status %d, body %s", resp.StatusCode, body)
+	}
+	if resp.Header.Get("ETag") == etag {
+		t.Fatal("a body with the late write kept the pinned view's ETag")
+	}
+}
+
+// gatedJournal hands out tickets that stay not durable until release
+// is closed.
+type gatedJournal struct {
+	seq     uint64
+	release chan struct{}
+}
+
+func (j *gatedJournal) LogApply(dels, ins []rdf.Triple) (strabon.Commit, error) {
+	j.seq++
+	return strabon.Commit{Seq: j.seq, Wait: func() error { <-j.release; return nil }}, nil
+}
+
+// TestViewBuiltMidCommitServesTheWatermark: a read that builds the view
+// of an update installed but not yet durable sees the older applied
+// seq. Once the update is durable, a read demanding its seq must be
+// served from that same view, not refused because the view kept the
+// seq it was built at.
+func TestViewBuiltMidCommitServesTheWatermark(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	st := srv.cfg.Store
+	j := &gatedJournal{release: make(chan struct{})}
+	st.SetJournal(j)
+	before := st.Version()
+
+	acked := make(chan string, 1)
+	go func() {
+		resp, err := http.PostForm(ts.URL+"/sparql", url.Values{"update": {
+			`INSERT DATA { <http://example.org/corinth> a <http://example.org/Town> }`,
+		}})
+		if err != nil {
+			acked <- err.Error()
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		acked <- resp.Status + " seq=" + resp.Header.Get("Teleios-Applied-Seq")
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for st.Version() == before {
+		if time.Now().After(deadline) {
+			t.Fatal("the update was never installed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Installed, not durable: this read builds the new version's view.
+	resp, body := get(t, ts.URL, townQuery, nil)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Teleios-Applied-Seq") != "0" {
+		t.Fatalf("mid-commit read: status %d, seq %q, body %s",
+			resp.StatusCode, resp.Header.Get("Teleios-Applied-Seq"), body)
+	}
+	close(j.release)
+	if got := <-acked; got != "200 OK seq=1" {
+		t.Fatalf("update: %s, want 200 OK seq=1", got)
+	}
+	resp, body = get(t, ts.URL, townQuery, http.Header{"Teleios-Min-Version": {"1"}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("read at the durable update's seq: status %d, body %s", resp.StatusCode, body)
 	}
 }

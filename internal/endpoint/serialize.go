@@ -230,9 +230,6 @@ func writeResult(w io.Writer, res *stsparql.Result, form stsparql.QueryForm, f F
 	if err := faults.Eval("endpoint/serialize"); err != nil {
 		return err
 	}
-	if geom == nil {
-		geom = parseGeomDirect
-	}
 	geom = memoResolver(geom)
 	switch form {
 	case stsparql.FormConstruct:

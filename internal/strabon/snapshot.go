@@ -92,7 +92,16 @@ func (sn *Snapshot) Image() ([]byte, uint64) {
 // fold policy asks for a fold. One reader builds at a time; other readers
 // that find the view stale wait for that build instead of building their
 // own.
-func (st *Store) Snapshot() *Snapshot { return st.view(false, 0) }
+func (st *Store) Snapshot() *Snapshot {
+	sn, _ := st.view(false, 0)
+	return sn
+}
+
+// View is Snapshot with the applied seq read under the read lock that
+// confirmed or built the view: every WAL record up to it is visible in
+// the view. The seq is not cached with the view, because it moves only
+// once a write is durable, after the version.
+func (st *Store) View() (*Snapshot, uint64) { return st.view(false, 0) }
 
 // Fold returns a current view without a delta, installed as the base
 // later views layer on, whose image is labelled seq: the caller vouches
@@ -101,7 +110,10 @@ func (st *Store) Snapshot() *Snapshot { return st.view(false, 0) }
 // its mapped file returns the file, which keeps its own label. (Folds the
 // fold policy triggers are labelled with the applied seq.) Checkpoints
 // call it and write that image.
-func (st *Store) Fold(seq uint64) *Snapshot { return st.view(true, seq) }
+func (st *Store) Fold(seq uint64) *Snapshot {
+	sn, _ := st.view(true, seq)
+	return sn
+}
 
 // viewBuild is one in-flight view build.
 type viewBuild struct {
@@ -109,13 +121,13 @@ type viewBuild struct {
 	sn   *Snapshot
 }
 
-func (st *Store) view(fold bool, seq uint64) *Snapshot {
+func (st *Store) view(fold bool, seq uint64) (*Snapshot, uint64) {
 	for {
 		st.mu.RLock()
-		want := st.version
+		want, applied := st.version, st.appliedSeq
 		if sn := st.snap; sn != nil && sn.version == want && (!fold || foldedAs(sn, seq)) {
 			st.mu.RUnlock()
-			return sn
+			return sn, applied
 		}
 		b := &viewBuild{done: make(chan struct{})}
 		if !st.building.CompareAndSwap(nil, b) {
@@ -129,7 +141,7 @@ func (st *Store) view(fold bool, seq uint64) *Snapshot {
 			// already observed; then try again. A fold checks the view it
 			// needs under the lock.
 			if sn := other.sn; sn.version >= want && !fold {
-				return sn
+				return sn, applied
 			}
 			continue
 		}
@@ -146,7 +158,7 @@ func (st *Store) view(fold bool, seq uint64) *Snapshot {
 		st.mu.Unlock()
 		b.sn = sn
 		close(b.done)
-		return sn
+		return sn, applied
 	}
 }
 

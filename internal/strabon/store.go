@@ -130,8 +130,8 @@ type Store struct {
 	// lag is how many rows changed while the last fold was encoding:
 	// the fold policy waits for twice that before the next one.
 	lag int
-	// version counts successful mutations; readers (e.g. the endpoint's
-	// result cache) use it to detect staleness cheaply.
+	// version counts successful mutations; a view records the one it was
+	// built at.
 	version uint64
 	// appliedSeq is the WAL sequence number of the newest durable record
 	// whose mutation is visible in the store — the replication watermark.
@@ -473,10 +473,10 @@ type TriplePattern struct {
 }
 
 // Version reports a counter that increases on every mutation that
-// changed something: one Apply or Update statement. Two
-// equal Version observations bracket an interval in which the store's
-// logical contents did not change, which is what the stSPARQL endpoint's
-// result cache keys on.
+// changed something: one Apply or Update statement. Two equal Version
+// observations bracket an interval in which the store's logical contents
+// did not change. The stSPARQL endpoint's ETag and result cache key on a
+// pinned view's Snapshot.Version with the applied seq View returns.
 func (st *Store) Version() uint64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()

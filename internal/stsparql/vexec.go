@@ -125,7 +125,19 @@ type vexec struct {
 	planner *planner
 }
 
+type viewKey struct{}
+
+// WithView returns ctx carrying sn, a view of the engine's store: a read
+// evaluated under it reads sn, not the store's current Snapshot, so the
+// endpoint's ETag and cache key name exactly the view it read.
+func WithView(ctx context.Context, sn *strabon.Snapshot) context.Context {
+	return context.WithValue(ctx, viewKey{}, sn)
+}
+
 func newVexec(ctx context.Context, e *Engine) *vexec {
+	if sn, ok := ctx.Value(viewKey{}).(*strabon.Snapshot); ok {
+		return newVexecOn(ctx, e, sn)
+	}
 	return newVexecOn(ctx, e, e.store.Snapshot())
 }
 
