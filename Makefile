@@ -25,6 +25,10 @@ BENCH_PERSIST = BenchmarkWALAppend|BenchmarkWALAppendBatch|BenchmarkWALAppendSyn
 BENCH_GROUP = BenchmarkGroupCommitWriters
 BENCH_INGEST = BenchmarkIngestEndpoint
 BENCH_REPL = BenchmarkTailApply|BenchmarkReplicaBootstrap
+# The in-process gate for the executor's read shapes: the window,
+# catalogue and join classes of the client-observed benchmark over a
+# generated, folded store of the same shape.
+BENCH_SHAPES = BenchmarkReadShapes
 
 .PHONY: all build test race vet lint gen-registry bench equivalence crash-test replica-test fault-test clean
 
@@ -95,17 +99,21 @@ bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_GROUP)' -benchmem ./internal/persist/ | tee -a bin/bench.out
 	$(GO) test -run '^$$' -bench '$(BENCH_INGEST)' -benchmem ./internal/endpoint/ | tee -a bin/bench.out
 	$(GO) test -run '^$$' -bench '$(BENCH_REPL)' -benchmem ./internal/replication/ | tee -a bin/bench.out
+	$(GO) test -run '^$$' -bench '$(BENCH_SHAPES)' -benchmem ./internal/stsparql/ | tee -a bin/bench.out
 
 # equivalence runs the executor-equivalence gates — the vectorized
 # executor against the test-only reference evaluator, in both serial and
 # parallel-morsel modes (the CI gate for the morsel executor), heap
 # against mapped and primary against replica, each also over a read view
 # with a non-empty delta, and spatial index joins against the cross
-# product they replace, row order included — plus the base+delta view
-# property test and its single-flight concurrency test under -race.
+# product they replace, row order included; the compiled comparison
+# filter against the generic evaluator, and the executor's flat hash
+# table against a Go map (also under -race: morsels probe one table
+# concurrently) — plus the base+delta view property test and its
+# single-flight concurrency test under -race.
 equivalence:
-	$(GO) test -run 'TestExecutorEquivalence|TestSerialParallelEquivalence|TestSpatialJoinOrderMatchesNoPushdown|TestContextCancellation|TestHeapMappedEquivalence' ./internal/stsparql/
-	$(GO) test -race -run 'TestSerialParallelEquivalence|TestSpatialJoinOrderMatchesNoPushdown|TestConcurrentParallelQueriesUpdatesCheckpoints' ./internal/stsparql/
+	$(GO) test -run 'TestExecutorEquivalence|TestSerialParallelEquivalence|TestSpatialJoinOrderMatchesNoPushdown|TestContextCancellation|TestHeapMappedEquivalence|TestCompiledComparisonMatchesEvalFilter|TestIDTableMatchesMap' ./internal/stsparql/
+	$(GO) test -race -run 'TestSerialParallelEquivalence|TestSpatialJoinOrderMatchesNoPushdown|TestConcurrentParallelQueriesUpdatesCheckpoints|TestIDTableMatchesMap' ./internal/stsparql/
 	$(GO) test -race -run 'TestViewMatchesFullBuild|TestSnapshotSingleFlight' ./internal/strabon/
 	$(GO) test -run 'TestPrimaryReplicaEquivalence' ./internal/replication/
 

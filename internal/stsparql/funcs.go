@@ -135,67 +135,92 @@ func (e *Engine) evalBinary(t *EBinary, b Binding) (rdf.Term, error) {
 		}
 		return rdf.DoubleLiteral(v), nil
 	case "=", "!=", "<", "<=", ">", ">=":
-		c := compareTerms(l, r)
-		var ok bool
-		switch t.Op {
-		case "=":
-			ok = c == 0
-		case "!=":
-			ok = c != 0
-		case "<":
-			ok = c < 0
-		case "<=":
-			ok = c <= 0
-		case ">":
-			ok = c > 0
-		case ">=":
-			ok = c >= 0
-		}
-		return rdf.BooleanLiteral(ok), nil
+		return rdf.BooleanLiteral(cmpHolds(t.Op, compareTerms(l, r))), nil
 	}
 	return rdf.Term{}, fmt.Errorf("stsparql: unknown operator %q", t.Op)
 }
 
-// compareTerms orders two terms: numerics numerically, dateTimes
-// temporally, otherwise by kind then lexical form.
-func compareTerms(a, b rdf.Term) int {
-	if af, aok := numericValue(a); aok {
-		if bf, bok := numericValue(b); bok {
-			switch {
-			case af < bf:
-				return -1
-			case af > bf:
-				return 1
-			default:
-				return 0
-			}
-		}
+// cmpHolds reports whether a comparison result c satisfies op.
+func cmpHolds(op string, c int) bool {
+	switch op {
+	case "=":
+		return c == 0
+	case "!=":
+		return c != 0
+	case "<":
+		return c < 0
+	case "<=":
+		return c <= 0
+	case ">":
+		return c > 0
+	case ">=":
+		return c >= 0
 	}
-	if at, aok := timeValue(a); aok {
-		if bt, bok := timeValue(b); bok {
-			switch {
-			case at.Before(bt):
-				return -1
-			case at.After(bt):
-				return 1
-			default:
-				return 0
-			}
-		}
+	return false
+}
+
+// cmpKey is a term with its numeric or dateTime value parsed once. The
+// comparison filters, ORDER BY and compareTerms all order terms through
+// compareKeys, so a FILTER compiled with its literal's key hoisted
+// answers exactly as the generic evaluator does.
+type cmpKey struct {
+	term   rdf.Term
+	num    float64
+	when   time.Time
+	numOK  bool
+	timeOK bool
+}
+
+func makeCmpKey(t rdf.Term) cmpKey {
+	k := cmpKey{term: t}
+	if f, ok := numericValue(t); ok {
+		k.num, k.numOK = f, true
+	} else if tm, ok := timeValue(t); ok {
+		k.when, k.timeOK = tm, true
 	}
-	if a == b {
+	return k
+}
+
+// compareKeys orders two terms: numerics numerically, dateTimes by
+// instant, otherwise by kind then lexical form.
+func compareKeys(a, b *cmpKey) int {
+	switch {
+	case a.numOK && b.numOK:
+		return compareNum(a.num, b.num)
+	case a.timeOK && b.timeOK:
+		return a.when.Compare(b.when)
+	}
+	x, y := a.term, b.term
+	if x == y {
 		return 0
 	}
-	if a.Kind != b.Kind {
-		return int(a.Kind) - int(b.Kind)
+	if x.Kind != y.Kind {
+		return int(x.Kind) - int(y.Kind)
 	}
-	if c := strings.Compare(a.Value, b.Value); c != 0 {
+	if c := strings.Compare(x.Value, y.Value); c != 0 {
 		return c
 	}
-	if c := strings.Compare(a.Datatype, b.Datatype); c != 0 {
+	if c := strings.Compare(x.Datatype, y.Datatype); c != 0 {
 		return c
 	}
-	return strings.Compare(a.Lang, b.Lang)
+	return strings.Compare(x.Lang, y.Lang)
+}
+
+// compareNum orders two numbers; NaN compares equal to everything.
+func compareNum(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// compareTerms is compareKeys over terms parsed on the spot.
+func compareTerms(a, b rdf.Term) int {
+	ka, kb := makeCmpKey(a), makeCmpKey(b)
+	return compareKeys(&ka, &kb)
 }
 
 func numericValue(t rdf.Term) (float64, bool) {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"time"
 
 	"repro/internal/geo"
 	"repro/internal/parallel"
@@ -373,14 +372,11 @@ func (v *vexec) evalPattern(n *planNode, in *vtable, hints map[string]geo.Envelo
 	// Spatial pushdown set: candidate object ids inside the filter hint's
 	// envelope. It constrains only rows where the object variable is still
 	// unbound, matching the reference executor.
-	var spatialSet map[uint64]bool
+	// A nil set means no pushdown; an empty one filters out every row.
+	var spatialSet *idTable[uint64]
 	if ov := objVar(pat); ov != "" && (kind[2] == posNew || kind[2] == posMixed) {
 		if env, ok := hints[ov]; ok {
-			ids := v.snap.SpatialCandidates(env)
-			spatialSet = make(map[uint64]bool, len(ids))
-			for _, id := range ids {
-				spatialSet[id] = true
-			}
+			spatialSet = newIDSet(v.snap.SpatialCandidates(env))
 		}
 	}
 	// Ensure slots for the new variables; the output covers every slot
@@ -434,8 +430,10 @@ func (v *vexec) evalPattern(n *planNode, in *vtable, hints map[string]geo.Envelo
 		filtered := make([]int32, 0, len(cands))
 	candLoop:
 		for _, c := range cands {
-			if spatialSet != nil && !spatialSet[v.snap.ColID(2, c)] {
-				continue
+			if spatialSet != nil {
+				if o := v.snap.ColID(2, c); !spatialSet.has(o, hashID(o)) {
+					continue
+				}
 			}
 			for _, d := range dupNew {
 				if col(d[0], c) != col(d[1], c) {
@@ -523,7 +521,7 @@ func (v *vexec) evalPattern(n *planNode, in *vtable, hints map[string]geo.Envelo
 	case 1:
 		jp := joinPos[0]
 		js := slotAt[jp]
-		h := groupByKey(valid, func(c int32) uint64 { return col(jp, c) })
+		h := buildJoinTable(valid, func(c int32) uint64 { return col(jp, c) }, hashID)
 		out, nm, err = v.runMorsels(in.n(), morselMinJoinRows, width, func(lo, hi int, part *vtable) error {
 			part.rows = make([]uint64, 0, (hi-lo)*width)
 			part.origin = make([]int32, 0, hi-lo)
@@ -533,7 +531,8 @@ func (v *vexec) evalPattern(n *planNode, in *vtable, hints map[string]geo.Envelo
 						return err
 					}
 				}
-				for _, c := range h[in.get(r, js)] {
+				k := in.get(r, js)
+				for _, c := range h.bucket(k, hashID(k)) {
 					emitTo(part, r, c)
 				}
 			}
@@ -547,7 +546,7 @@ func (v *vexec) evalPattern(n *planNode, in *vtable, hints map[string]geo.Envelo
 			}
 			return k
 		}
-		h := groupByKey(valid, key3)
+		h := buildJoinTable(valid, key3, hashKey3)
 		out, nm, err = v.runMorsels(in.n(), morselMinJoinRows, width, func(lo, hi int, part *vtable) error {
 			part.rows = make([]uint64, 0, (hi-lo)*width)
 			part.origin = make([]int32, 0, hi-lo)
@@ -562,7 +561,7 @@ func (v *vexec) evalPattern(n *planNode, in *vtable, hints map[string]geo.Envelo
 				for _, i := range joinPos {
 					key[i] = in.get(r, slotAt[i])
 				}
-				for _, c := range h[key] {
+				for _, c := range h.bucket(key, hashKey3(key)) {
 					emitTo(part, r, c)
 				}
 			}
@@ -578,34 +577,11 @@ func (v *vexec) evalPattern(n *planNode, in *vtable, hints map[string]geo.Envelo
 	return out, nil
 }
 
-// groupByKey buckets candidates by join key into slices carved out of one
-// shared arena: a counting pass sizes each bucket, so no per-key slice
-// ever reallocates. The result is read-only and safe for concurrent
-// probe morsels.
-func groupByKey[K comparable](cands []int32, key func(int32) K) map[K][]int32 {
-	cnt := make(map[K]int32, len(cands))
-	for _, c := range cands {
-		cnt[key(c)]++
-	}
-	arena := make([]int32, len(cands))
-	h := make(map[K][]int32, len(cnt))
-	off := int32(0)
-	for k, n := range cnt {
-		h[k] = arena[off : off : off+n]
-		off += n
-	}
-	for _, c := range cands {
-		k := key(c)
-		h[k] = append(h[k], c)
-	}
-	return h
-}
-
 // evalPatternPerRow handles patterns whose variables are bound in only
 // some rows (and the adaptive few-rows-vs-many-candidates join): each row
 // probes the index with its own bound ids, morsel-parallel over rows with
 // a per-morsel probe buffer.
-func (v *vexec) evalPatternPerRow(n *planNode, pat Pattern, constPat strabon.TriplePattern, kind [3]int, slotAt [3]int, in *vtable, width int, spatialSet map[uint64]bool) (*vtable, error) {
+func (v *vexec) evalPatternPerRow(n *planNode, pat Pattern, constPat strabon.TriplePattern, kind [3]int, slotAt [3]int, in *vtable, width int, spatialSet *idTable[uint64]) (*vtable, error) {
 	pos := [3]PatTerm{pat.S, pat.P, pat.O}
 	out, nm, err := v.runMorsels(in.n(), morselMinFilterRows, width, func(lo, hi int, part *vtable) error {
 		var buf []int32
@@ -635,7 +611,7 @@ func (v *vexec) evalPatternPerRow(n *planNode, pat Pattern, constPat strabon.Tri
 				vals := [3]uint64{s, p, o}
 				// Consistency across positions sharing a variable that this
 				// row leaves unbound, and spatial pruning for unbound objects.
-				if spatialSet != nil && kind[2] != posConst && in.get(r, slotAt[2]) == 0 && !spatialSet[o] {
+				if spatialSet != nil && kind[2] != posConst && in.get(r, slotAt[2]) == 0 && !spatialSet.has(o, hashID(o)) {
 					continue
 				}
 				for i := 0; i < 3; i++ {
@@ -718,9 +694,9 @@ func (v *vexec) evalSpatialJoin(n *planNode, outer *vtable) (*vtable, error) {
 		}
 	}
 	outerGeom := geomSrc{slot: v.slotOf(n.sj.outer), isVar: true}
-	fast := v.compileFastFilter(n.filt)
 	refs := v.resolveRefs(exprVars(n.filt))
 	out, nm, err := v.runMorsels(outer.n(), morselMinFilterRows, width, func(lo, hi int, part *vtable) error {
+		fast := v.compileFastFilter(n.filt) // morsel-local, see compileFastFilter
 		var (
 			scratch           Binding
 			ids               []uint64
@@ -796,8 +772,8 @@ func (v *vexec) evalBind(bc BindClause, in *vtable) *vtable {
 }
 
 // evalFilterTable keeps rows passing the filter, morsel-parallel over
-// rows. Spatial predicate and distance-comparison filters run entirely
-// in id space against the snapshot's geometry cache; everything else
+// rows. Spatial predicate, distance and typed comparison filters run in
+// id space (compileFastFilter), compiled per morsel; everything else
 // decodes just the referenced variables per row into a morsel-local
 // scratch binding (Engine.evalExpr is safe for concurrent evaluations).
 func (v *vexec) evalFilterTable(n *planNode, in *vtable) (*vtable, error) {
@@ -805,7 +781,6 @@ func (v *vexec) evalFilterTable(n *planNode, in *vtable) (*vtable, error) {
 	if in.n() == 0 {
 		return in, nil
 	}
-	fast := v.compileFastFilter(f)
 	// Resolved unconditionally BEFORE the fan-out: the closure below runs
 	// on concurrent workers, and a compiled fast filter may decline
 	// individual rows (handled=false), so the generic path must never
@@ -813,6 +788,7 @@ func (v *vexec) evalFilterTable(n *planNode, in *vtable) (*vtable, error) {
 	refs := v.resolveRefs(exprVars(f))
 	out, nm, err := v.runMorsels(in.n(), morselMinFilterRows, in.width, func(lo, hi int, part *vtable) error {
 		var scratch Binding // morsel-local: never shared across workers
+		fast := v.compileFastFilter(f)
 		part.rows = make([]uint64, 0, (hi-lo)*in.width)
 		part.origin = make([]int32, 0, hi-lo)
 		for r := lo; r < hi; r++ {
@@ -1047,10 +1023,12 @@ var spatialPredicates = map[string]func(a, b geo.Geometry) bool{
 
 // compileFastFilter builds an id-space evaluator for the filter shapes
 // that dominate stSPARQL workloads: binary spatial predicates, distance
-// comparisons, and conjunctions of those. It returns nil when the shape
-// is not covered; the returned function's second result is false when the
-// row needs the generic (decoding) evaluator. The compiled closures keep
-// no per-row state, so filter morsels share them safely.
+// comparisons, typed comparisons of a variable with a literal (?v OP
+// literal, either order), and conjunctions of those. It returns nil when
+// the shape is not covered; the returned function's second result is
+// false when the row needs the generic (decoding) evaluator. A compiled
+// comparison remembers its last row's answer, so each morsel compiles
+// its own; compiling reads only the slot map and parses only constants.
 func (v *vexec) compileFastFilter(f Expression) func(*vtable, int) (bool, bool) {
 	switch t := f.(type) {
 	case *EBinary:
@@ -1072,6 +1050,9 @@ func (v *vexec) compileFastFilter(f Expression) func(*vtable, int) (bool, bool) 
 				return r(in, row)
 			}
 		case "<", "<=", ">", ">=", "=", "!=":
+			if ev, lit, flipped := varLitShape(t); ev != nil {
+				return v.compileComparison(ev, lit, t.Op, flipped)
+			}
 			call, lit, flipped := distanceShape(t)
 			if call == nil {
 				return nil
@@ -1099,7 +1080,7 @@ func (v *vexec) compileFastFilter(f Expression) func(*vtable, int) (bool, bool) 
 					return false, true
 				}
 				d := geo.GeodesicDistanceMeters(a.Geom, b.Geom)
-				return cmpFloat(op, d, limit), true
+				return cmpHolds(op, compareNum(d, limit)), true
 			}
 		}
 	case *ECall:
@@ -1130,6 +1111,52 @@ func (v *vexec) compileFastFilter(f Expression) func(*vtable, int) (bool, bool) 
 	return nil
 }
 
+// compileComparison compiles ?v OP literal: the literal's key is parsed
+// once, and each row's term is decoded from the dictionary and compared
+// through compareKeys, as evalBinary's compareTerms would compare it. An
+// unbound row fails, as the generic evaluator's unbound error does. The
+// answer depends on the id alone, so a row repeating the previous row's
+// id reuses its answer: rows arrive grouped by subject, and, say, a
+// product's hotspots share one acquisition time.
+func (v *vexec) compileComparison(ev *EVar, lit *ELit, op string, flipped bool) func(*vtable, int) (bool, bool) {
+	if flipped {
+		op = flipCmp(op)
+	}
+	slot := v.slotOf(ev.Name)
+	want := makeCmpKey(lit.Term)
+	var lastID uint64
+	var last bool
+	return func(in *vtable, row int) (bool, bool) {
+		id := in.get(row, slot)
+		if id == lastID {
+			return last, true
+		}
+		t, ok := v.term(id)
+		if !ok {
+			return false, true
+		}
+		k := makeCmpKey(t)
+		lastID, last = id, cmpHolds(op, compareKeys(&k, &want))
+		return last, true
+	}
+}
+
+// varLitShape matches ?v OP literal (either operand order); flipped
+// reports that the variable was on the right.
+func varLitShape(t *EBinary) (*EVar, *ELit, bool) {
+	if ev, ok := t.Left.(*EVar); ok {
+		if lit, ok := t.Right.(*ELit); ok {
+			return ev, lit, false
+		}
+	}
+	if ev, ok := t.Right.(*EVar); ok {
+		if lit, ok := t.Left.(*ELit); ok {
+			return ev, lit, true
+		}
+	}
+	return nil, nil, false
+}
+
 // distanceShape matches strdf:distance(x, y) OP literal (either operand
 // order); flipped reports that the call was on the right.
 func distanceShape(t *EBinary) (*ECall, *ELit, bool) {
@@ -1158,24 +1185,6 @@ func flipCmp(op string) string {
 		return "<="
 	}
 	return op // = and != are symmetric
-}
-
-func cmpFloat(op string, a, b float64) bool {
-	switch op {
-	case "<":
-		return a < b
-	case "<=":
-		return a <= b
-	case ">":
-		return a > b
-	case ">=":
-		return a >= b
-	case "=":
-		return a == b
-	case "!=":
-		return a != b
-	}
-	return false
 }
 
 // --- SELECT pipeline -------------------------------------------------------
@@ -1273,12 +1282,12 @@ func orderKeySlots(keys []OrderKey, vars []string, slots []int) ([]int, bool) {
 // compare equal on that key).
 func (v *vexec) sortIdx(tb *vtable, idx []int, keys []OrderKey, keySlots []int) {
 	k := len(keySlots)
-	skeys := make([]sortKey, len(idx)*k)
+	skeys := make([]cmpKey, len(idx)*k)
 	for i, r := range idx {
 		for j, s := range keySlots {
 			if id := tb.get(r, s); id != 0 {
 				if t, ok := v.term(id); ok {
-					skeys[i*k+j] = makeSortKey(t)
+					skeys[i*k+j] = makeCmpKey(t)
 				}
 			}
 		}
@@ -1295,7 +1304,7 @@ func (v *vexec) sortIdx(tb *vtable, idx []int, keys []OrderKey, keySlots []int) 
 			if vi.term.IsZero() || vj.term.IsZero() {
 				continue
 			}
-			c := compareSortKeys(vi, vj)
+			c := compareKeys(vi, vj)
 			if c == 0 {
 				continue
 			}
@@ -1311,51 +1320,6 @@ func (v *vexec) sortIdx(tb *vtable, idx []int, keys []OrderKey, keySlots []int) 
 		sorted[i] = idx[p]
 	}
 	copy(idx, sorted)
-}
-
-// sortKey caches the numeric/temporal interpretation of an ORDER BY key
-// term so comparisons during the sort don't re-parse literals.
-type sortKey struct {
-	term   rdf.Term
-	num    float64
-	when   time.Time
-	numOK  bool
-	timeOK bool
-}
-
-func makeSortKey(t rdf.Term) sortKey {
-	k := sortKey{term: t}
-	if f, ok := numericValue(t); ok {
-		k.num, k.numOK = f, true
-	} else if tm, ok := timeValue(t); ok {
-		k.when, k.timeOK = tm, true
-	}
-	return k
-}
-
-// compareSortKeys mirrors compareTerms over the cached interpretations.
-func compareSortKeys(a, b *sortKey) int {
-	if a.numOK && b.numOK {
-		switch {
-		case a.num < b.num:
-			return -1
-		case a.num > b.num:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if a.timeOK && b.timeOK {
-		switch {
-		case a.when.Before(b.when):
-			return -1
-		case a.when.After(b.when):
-			return 1
-		default:
-			return 0
-		}
-	}
-	return compareTerms(a.term, b.term)
 }
 
 // projectSelect is the projection/distinct/order/slice pipeline
