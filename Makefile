@@ -29,6 +29,9 @@ BENCH_REPL = BenchmarkTailApply|BenchmarkReplicaBootstrap
 # catalogue and join classes of the client-observed benchmark over a
 # generated, folded store of the same shape.
 BENCH_SHAPES = BenchmarkReadShapes
+# The SELECT tail in process: COUNT(*), GROUP BY, an expression
+# projection and ORDER BY DESC … LIMIT over a folded 200k-triple store.
+BENCH_TAIL = BenchmarkSelectTail
 
 .PHONY: all build test race vet lint gen-registry bench equivalence crash-test replica-test fault-test clean
 
@@ -100,6 +103,7 @@ bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_INGEST)' -benchmem ./internal/endpoint/ | tee -a bin/bench.out
 	$(GO) test -run '^$$' -bench '$(BENCH_REPL)' -benchmem ./internal/replication/ | tee -a bin/bench.out
 	$(GO) test -run '^$$' -bench '$(BENCH_SHAPES)' -benchmem ./internal/stsparql/ | tee -a bin/bench.out
+	$(GO) test -run '^$$' -bench '$(BENCH_TAIL)' -benchmem ./internal/stsparql/ | tee -a bin/bench.out
 
 # equivalence runs the executor-equivalence gates — the vectorized
 # executor against the test-only reference evaluator, in both serial and
@@ -109,11 +113,13 @@ bench:
 # product they replace, row order included; the compiled comparison
 # filter against the generic evaluator, and the executor's flat hash
 # table against a Go map (also under -race: morsels probe one table
-# concurrently) — plus the base+delta view property test and its
-# single-flight concurrency test under -race.
+# concurrently); the SELECT tail's hand-written ORDER BY and aggregate
+# answers, and joins large enough to take the hash-join path against
+# the oracle row for row (also under -race) — plus the base+delta view
+# property test and its single-flight concurrency test under -race.
 equivalence:
-	$(GO) test -run 'TestExecutorEquivalence|TestSerialParallelEquivalence|TestSpatialJoinOrderMatchesNoPushdown|TestContextCancellation|TestHeapMappedEquivalence|TestCompiledComparisonMatchesEvalFilter|TestIDTableMatchesMap' ./internal/stsparql/
-	$(GO) test -race -run 'TestSerialParallelEquivalence|TestSpatialJoinOrderMatchesNoPushdown|TestConcurrentParallelQueriesUpdatesCheckpoints|TestIDTableMatchesMap' ./internal/stsparql/
+	$(GO) test -run 'TestExecutorEquivalence|TestSerialParallelEquivalence|TestSpatialJoinOrderMatchesNoPushdown|TestContextCancellation|TestHeapMappedEquivalence|TestCompiledComparisonMatchesEvalFilter|TestIDTableMatchesMap|TestSelectTail|TestHashJoinEquivalence' ./internal/stsparql/
+	$(GO) test -race -run 'TestSerialParallelEquivalence|TestSpatialJoinOrderMatchesNoPushdown|TestConcurrentParallelQueriesUpdatesCheckpoints|TestIDTableMatchesMap|TestHashJoinEquivalence' ./internal/stsparql/
 	$(GO) test -race -run 'TestViewMatchesFullBuild|TestSnapshotSingleFlight' ./internal/strabon/
 	$(GO) test -run 'TestPrimaryReplicaEquivalence' ./internal/replication/
 

@@ -19,7 +19,7 @@ import (
 func TestReplicaCrashResumesFromLocalState(t *testing.T) {
 	tp := newTestPrimary(t)
 	rng := rand.New(rand.NewSource(corpus.Seed))
-	triples := corpus.Triples(rng)
+	triples := corpus.Triples(rng, corpus.Subjects)
 	tp.st.AddAll(triples[:20])
 	if err := tp.mgr.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestPrimaryDiesMidTailStream(t *testing.T) {
 	defer front.Close()
 
 	rng := rand.New(rand.NewSource(corpus.Seed))
-	triples := corpus.Triples(rng)
+	triples := corpus.Triples(rng, corpus.Subjects)
 	tp.st.AddAll(triples[:10])
 
 	rep, err := OpenReplica(ReplicaOptions{
@@ -156,7 +156,7 @@ func TestPrimaryDiesMidTailStream(t *testing.T) {
 func TestReplicaRebootstrapsWhenWALTrimmed(t *testing.T) {
 	tp := newTestPrimary(t)
 	rng := rand.New(rand.NewSource(corpus.Seed))
-	triples := corpus.Triples(rng)
+	triples := corpus.Triples(rng, corpus.Subjects)
 	tp.st.AddAll(triples[:10])
 
 	dir := t.TempDir()

@@ -23,7 +23,7 @@ import (
 // answer from a base plus a delta.
 func TestPrimaryReplicaEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(corpus.Seed))
-	triples := corpus.Triples(rng)
+	triples := corpus.Triples(rng, corpus.Subjects)
 	tp := newTestPrimary(t)
 
 	// First half journalled, then checkpointed: the replica's bootstrap
@@ -47,10 +47,7 @@ func TestPrimaryReplicaEquivalence(t *testing.T) {
 		t.Fatalf("replica has %d triples, primary %d", got, want)
 	}
 
-	queries := make([]string, 400)
-	for i := range queries {
-		queries[i] = corpus.RandQuery(rng)
-	}
+	queries := corpus.Queries(rng, 400)
 	sameOrderedRows(t, "after bootstrap and tail", tp.st, rep.Store(), queries)
 
 	// A fold on the primary (its checkpoint), then a seeded batch of adds
@@ -140,7 +137,7 @@ func sameOrderedRows(t *testing.T, leg string, primary, replica *strabon.Store, 
 func TestReplicaBootstrapFromEmptyPrimary(t *testing.T) {
 	tp := newTestPrimary(t)
 	rng := rand.New(rand.NewSource(corpus.Seed))
-	triples := corpus.Triples(rng)
+	triples := corpus.Triples(rng, corpus.Subjects)
 	tp.st.AddAll(triples[:10])
 
 	rep := newReplica(t, tp, "")

@@ -32,7 +32,7 @@ func armReplFaults(t *testing.T, spec string) {
 func TestBootstrapRetriesThroughFetchFaults(t *testing.T) {
 	tp := newTestPrimary(t)
 	rng := rand.New(rand.NewSource(corpus.Seed))
-	triples := corpus.Triples(rng)
+	triples := corpus.Triples(rng, corpus.Subjects)
 	tp.st.AddAll(triples[:20])
 	if err := tp.mgr.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestBootstrapGivesUpWhenPrimaryStaysDown(t *testing.T) {
 func TestTailFaultsReconnectAndConverge(t *testing.T) {
 	tp := newTestPrimary(t)
 	rng := rand.New(rand.NewSource(corpus.Seed))
-	triples := corpus.Triples(rng)
+	triples := corpus.Triples(rng, corpus.Subjects)
 	tp.st.AddAll(triples[:20])
 
 	rep := newReplica(t, tp, "")
@@ -119,7 +119,7 @@ func TestTailFaultsReconnectAndConverge(t *testing.T) {
 func TestTornTailStreamDroppedAndResumed(t *testing.T) {
 	tp := newTestPrimary(t)
 	rng := rand.New(rand.NewSource(corpus.Seed))
-	triples := corpus.Triples(rng)
+	triples := corpus.Triples(rng, corpus.Subjects)
 	tp.st.AddAll(triples[:20])
 
 	rep := newReplica(t, tp, "")
@@ -141,7 +141,7 @@ func TestTornTailStreamDroppedAndResumed(t *testing.T) {
 	assertReplicaEquivalent(t, tp, rep, rng, 100)
 }
 
-// assertReplicaEquivalent runs n randomized corpus queries against both
+// assertReplicaEquivalent runs corpus.Queries(rng, n) against both
 // stores and requires bit-identical results (rows AND row order).
 func assertReplicaEquivalent(t *testing.T, tp *testPrimary, rep *Replica, rng *rand.Rand, n int) {
 	t.Helper()
@@ -149,8 +149,7 @@ func assertReplicaEquivalent(t *testing.T, tp *testPrimary, rep *Replica, rng *r
 		t.Fatalf("replica has %d triples, primary %d", got, want)
 	}
 	peng, reng := stsparql.New(tp.st), stsparql.New(rep.Store())
-	for qi := 0; qi < n; qi++ {
-		query := corpus.RandQuery(rng)
+	for qi, query := range corpus.Queries(rng, n) {
 		pres, perr := peng.Query(query)
 		rres, rerr := reng.Query(query)
 		if (perr == nil) != (rerr == nil) {

@@ -16,7 +16,7 @@ import (
 // file: the replica never copies it to the heap.
 func TestReplicaBootstrapsPackedWithZeroReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(corpus.Seed))
-	triples := corpus.Triples(rng)
+	triples := corpus.Triples(rng, corpus.Subjects)
 	tp := newTestPrimary(t)
 	tp.st.AddAll(triples)
 	if err := tp.mgr.Checkpoint(); err != nil {
@@ -51,7 +51,7 @@ func TestReplicaBootstrapsPackedWithZeroReplay(t *testing.T) {
 
 	// Live tail catch-up is a mutation: it goes to the delta over the
 	// mapped file, and the replica keeps tracking the primary.
-	tp.st.AddAll(corpus.Triples(rng)[:50])
+	tp.st.AddAll(corpus.Triples(rng, corpus.Subjects)[:50])
 	waitApplied(t, rep.AppliedSeq, tp.mgr.LastSeq())
 	if got, want := rep.Store().Len(), tp.st.Len(); got != want {
 		t.Fatalf("after tail catch-up replica has %d triples, primary %d", got, want)

@@ -1,9 +1,11 @@
 // Package corpus generates the randomized equivalence-test workload: a
 // seeded stRDF dataset and a stream of random stSPARQL read queries
 // (BGP + FILTER + OPTIONAL + UNION + BIND + spatial predicates, `&&`
-// conjunctions, and spatial joins between two geometry variables) over
-// it. It exists so every equivalence suite in the repo — legacy vs.
-// vectorized executor, serial vs. morsel-parallel, and primary vs.
+// conjunctions, and spatial joins between two geometry variables, under
+// random select tails: expression projections, DISTINCT, ORDER BY, LIMIT
+// and OFFSET), and aggregate queries drawn on top of them, over it. It
+// exists so every equivalence suite in the repo — legacy vs. vectorized
+// executor, serial vs. morsel-parallel, and primary vs.
 // replica — stresses the engine with the same query shapes instead of
 // each test inventing a weaker generator.
 //
@@ -27,12 +29,15 @@ const NS = "http://ex/"
 // a failure in one suite reproduces in the others on the same queries.
 const Seed = 20260729
 
-// Triples generates the seeded dataset: 20 subjects with classes,
+// Subjects is the canonical dataset's subject count.
+const Subjects = 20
+
+// Triples generates the seeded dataset: n subjects with classes,
 // numeric and string properties, WKT point and square geometries and
 // cross-links, drawn from rng (deterministic for a fixed seed).
-func Triples(rng *rand.Rand) []rdf.Triple {
+func Triples(rng *rand.Rand, n int) []rdf.Triple {
 	var triples []rdf.Triple
-	subjects := make([]rdf.Term, 20)
+	subjects := make([]rdf.Term, n)
 	for i := range subjects {
 		subjects[i] = rdf.IRI(fmt.Sprintf("%ss%d", NS, i))
 	}
@@ -83,13 +88,13 @@ func Triples(rng *rand.Rand) []rdf.Triple {
 }
 
 // Delta draws a seeded batch of writes against a store holding base:
-// adds (a second draw of the dataset — the same subjects and vocabulary
+// adds (a second draw of the canonical dataset — the same subjects and vocabulary
 // with fresh values, links and geometries, some already present) and
 // removes (an eighth of base, sampled). The equivalence suites apply it
 // after the last full build, so that their queries run against a read
 // view with a non-empty delta.
 func Delta(rng *rand.Rand, base []rdf.Triple) (adds, removes []rdf.Triple) {
-	adds = Triples(rng)
+	adds = Triples(rng, Subjects)
 	for i := 0; i < len(base)/8; i++ {
 		removes = append(removes, base[rng.Intn(len(base))])
 	}
@@ -184,8 +189,23 @@ func SpatialJoinQuery(rng *rand.Rand) string {
 	return selectQuery(rng, body)
 }
 
-// RandQuery draws one random read query over the Triples dataset.
-func RandQuery(rng *rand.Rand) string {
+// Queries draws n random read queries over the Triples dataset, then
+// n/5 aggregate queries on top of them, so that the aggregates add
+// coverage without taking the place of a random graph pattern.
+func Queries(rng *rand.Rand, n int) []string {
+	qs := make([]string, 0, n+n/5)
+	for i := 0; i < n; i++ {
+		qs = append(qs, selectQuery(rng, randBody(rng)))
+	}
+	for i := 0; i < n/5; i++ {
+		qs = append(qs, aggregateQuery(rng))
+	}
+	return qs
+}
+
+// randBody draws a random WHERE body: patterns, sometimes a spatial
+// join, a FILTER, BIND, OPTIONAL and UNION.
+func randBody(rng *rand.Rand) []string {
 	vars := queryVars
 	var body []string
 	nPats := 1 + rng.Intn(3)
@@ -230,18 +250,26 @@ func RandQuery(rng *rand.Rand) string {
 	if rng.Intn(3) == 0 {
 		body = append(body, fmt.Sprintf("{ %s } UNION { %s }", randPattern(rng), randPattern(rng)))
 	}
-	return selectQuery(rng, body)
+	return body
 }
 
-// selectQuery wraps a WHERE body in a random projection, DISTINCT and
-// ORDER BY / LIMIT.
+// selectQuery wraps a WHERE body in a random select tail: a projection,
+// sometimes with an expression, DISTINCT, and ORDER BY over one or two
+// keys — any of the query's variables, projected or not, OPTIONAL-bound
+// or not, ascending or descending — with LIMIT and OFFSET.
 func selectQuery(rng *rand.Rand, body []string) string {
 	sel := "*"
+	keys := queryVars
 	if rng.Intn(2) == 0 {
 		n := 1 + rng.Intn(3)
 		var ps []string
 		for i := 0; i < n; i++ {
 			ps = append(ps, "?"+queryVars[i])
+		}
+		if rng.Intn(3) == 0 {
+			ex := []string{"STR(?%s)", "?%s + 1"}[rng.Intn(2)]
+			ps = append(ps, "("+fmt.Sprintf(ex, queryVars[rng.Intn(2)])+" AS ?e)")
+			keys = append(keys[:len(keys):len(keys)], "e")
 		}
 		sel = strings.Join(ps, " ")
 	}
@@ -251,11 +279,63 @@ func selectQuery(rng *rand.Rand, body []string) string {
 	}
 	suffix := ""
 	if rng.Intn(3) == 0 {
-		suffix = fmt.Sprintf(" ORDER BY ?%s", queryVars[rng.Intn(2)])
-		if rng.Intn(2) == 0 {
-			suffix += fmt.Sprintf(" LIMIT %d", 1+rng.Intn(10))
-		}
+		suffix = orderBy(rng, keys)
 	}
 	return fmt.Sprintf(`PREFIX strdf: <http://strdf.di.uoa.gr/ontology#>
 		SELECT %s%s WHERE { %s }%s`, distinct, sel, strings.Join(body, "\n"), suffix)
+}
+
+// aggregateQuery draws one aggregate query over the Triples dataset:
+// COUNT(*), COUNT, SUM, AVG, MIN and MAX, most often grouped by one
+// variable; SUM, AVG, MIN and MAX read p0's integers as ?n. Half the
+// time the rows are a random body's, with ?n bound by an OPTIONAL where
+// ?a has a p0; since a random body seldom keeps a row, the other half
+// counts the subjects that have a p0, their class as ?b and OPTIONAL
+// names and links as ?c and ?d, so that groups hold several values and
+// unbound keys.
+func aggregateQuery(rng *rand.Rand) string {
+	var body []string
+	if rng.Intn(2) == 0 {
+		body = append(randBody(rng), "OPTIONAL { ?a <http://ex/p0> ?n }")
+	} else {
+		body = []string{"?a <http://ex/p0> ?n . ?a a ?b .",
+			"OPTIONAL { ?a <http://ex/p1> ?c }", "OPTIONAL { ?a <http://ex/p2> ?d }"}
+	}
+	var ps, keys []string
+	group := ""
+	if rng.Intn(3) != 0 {
+		g := queryVars[rng.Intn(len(queryVars))]
+		group = " GROUP BY ?" + g
+		ps, keys = append(ps, "?"+g), append(keys, g)
+	}
+	aggs := []string{"COUNT(*)", "COUNT(?" + queryVars[rng.Intn(len(queryVars))] + ")", "SUM(?n)", "AVG(?n)", "MIN(?n)", "MAX(?n)"}
+	for i, k := range rng.Perm(len(aggs))[:1+rng.Intn(3)] {
+		name := fmt.Sprintf("x%d", i)
+		ps, keys = append(ps, fmt.Sprintf("(%s AS ?%s)", aggs[k], name)), append(keys, name)
+	}
+	suffix := group
+	if rng.Intn(2) == 0 {
+		suffix += orderBy(rng, keys)
+	}
+	return fmt.Sprintf(`SELECT %s WHERE { %s }%s`, strings.Join(ps, " "), strings.Join(body, "\n"), suffix)
+}
+
+// orderBy draws an ORDER BY over one or two of keys, each ascending or
+// descending, then sometimes a LIMIT and an OFFSET.
+func orderBy(rng *rand.Rand, keys []string) string {
+	out := " ORDER BY"
+	for i := 0; i < 1+rng.Intn(2); i++ {
+		k := "?" + keys[rng.Intn(len(keys))]
+		if rng.Intn(3) == 0 {
+			k = "DESC(" + k + ")"
+		}
+		out += " " + k
+	}
+	if rng.Intn(2) == 0 {
+		out += fmt.Sprintf(" LIMIT %d", 1+rng.Intn(10))
+	}
+	if rng.Intn(4) == 0 {
+		out += fmt.Sprintf(" OFFSET %d", rng.Intn(5))
+	}
+	return out
 }

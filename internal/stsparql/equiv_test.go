@@ -16,21 +16,19 @@ import (
 )
 
 // The oracle-vs-vectorized equivalence suite: random BGP + FILTER +
-// OPTIONAL + UNION + BIND queries over a seeded store must return
-// identical sorted bindings from the test-only binding-at-a-time reference
-// evaluator (oracle_test.go) and the vectorized id-space executor, in
-// every ablation mode.
+// OPTIONAL + UNION + BIND queries, with random select tails, over a
+// seeded store must return identical bindings, row order included, from
+// the test-only binding-at-a-time reference evaluator (oracle_test.go)
+// and the vectorized id-space executor, in every ablation mode.
 
 // equivStore seeds a store with the shared corpus dataset; the query
 // generator lives in internal/stsparql/corpus so the replication
 // equivalence suite exercises the exact same workload.
 func equivStore(rng *rand.Rand) *strabon.Store {
 	st := strabon.NewStore()
-	st.AddAll(corpus.Triples(rng))
+	st.AddAll(corpus.Triples(rng, corpus.Subjects))
 	return st
 }
-
-func randQuery(rng *rand.Rand) string { return corpus.RandQuery(rng) }
 
 // orderedBindings renders bindings as canonical lines in RESULT ORDER
 // (no sorting): the serial-vs-parallel suite demands bit-identical
@@ -147,10 +145,7 @@ func TestExecutorEquivalenceRandomized(t *testing.T) {
 		{"no-optimizer", false, true},
 		{"no-pushdown", true, false}, // A1 ablation: pushdown off
 	}
-	queries := make([]string, 400)
-	for i := range queries {
-		queries[i] = randQuery(rng)
-	}
+	queries := corpus.Queries(rng, 400)
 	for _, leg := range []string{"full build", "base+delta"} {
 		if leg == "base+delta" {
 			writeDelta(t, corpus.Seed+1, st)
@@ -170,7 +165,7 @@ func TestExecutorEquivalenceRandomized(t *testing.T) {
 				if oerr != nil {
 					continue
 				}
-				oc, vc := canonBindings(ores), canonBindings(vres)
+				oc, vc := orderedBindings(ores), orderedBindings(vres)
 				if len(oc) != len(vc) {
 					t.Fatalf("%s, mode %s query #%d row count: oracle=%d vec=%d\nquery:\n%s",
 						leg, m.name, qi, len(oc), len(vc), query)
@@ -210,10 +205,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	forceTinyMorsels(t)
 	rng := rand.New(rand.NewSource(corpus.Seed))
 	st := equivStore(rng)
-	queries := make([]string, 400)
-	for i := range queries {
-		queries[i] = randQuery(rng)
-	}
+	queries := corpus.Queries(rng, 400)
 	levels := []int{2, 4, runtime.GOMAXPROCS(0)}
 	serial := New(st)
 	serial.MaxParallelism = 1
@@ -311,8 +303,8 @@ func TestContextCancellationStopsEvaluation(t *testing.T) {
 	}
 }
 
-// TestExecutorEquivalenceAggregates covers GROUP BY / aggregate queries,
-// which take the decode-then-aggregate path.
+// TestExecutorEquivalenceAggregates covers GROUP BY / aggregate queries
+// over a second seed of the dataset.
 func TestExecutorEquivalenceAggregates(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	st := equivStore(rng)
@@ -397,4 +389,53 @@ func writeSide(rng *rand.Rand, base, removes []rdf.Triple) []statement {
 		out = append(out, statement{Dels: []rdf.Triple{t}, Ins: []rdf.Triple{t}, Changed: 2})
 	}
 	return out
+}
+
+// TestHashJoinEquivalence checks joins large enough to take the hash-join
+// path — more than 4,096 input × candidate pairs, which the canonical
+// 20-subject corpus never reaches — against the oracle row for row: a
+// probe must emit each bucket's candidates in ascending order, as the
+// oracle's scan of the store's triples does. The shapes join on one
+// variable, on two (the [3]uint64 key) and on a class shared by a third
+// of the subjects, serially and with morsels forced to fan out.
+func TestHashJoinEquivalence(t *testing.T) {
+	forceTinyMorsels(t)
+	st := strabon.NewStore()
+	st.AddAll(corpus.Triples(rand.New(rand.NewSource(corpus.Seed)), 300))
+	queries := []string{
+		`SELECT * WHERE { ?a a ?t . ?a <http://ex/p0> ?v }`,
+		`SELECT * WHERE { ?a <http://ex/p2> ?b . ?b <http://ex/p1> ?n }`,
+		`SELECT * WHERE { ?a <http://ex/p2> ?b . ?b <http://ex/p2> ?c }`,
+		`SELECT * WHERE { ?a <http://ex/p2> ?b . ?b <http://ex/p2> ?a }`,
+		`SELECT ?a ?b WHERE { ?a <http://ex/p0> ?v . ?b <http://ex/p0> ?v . ?a a ?t . ?b a ?t } ORDER BY DESC(?v) LIMIT 50`,
+		`SELECT ?t (COUNT(*) AS ?n) (SUM(?v) AS ?s) WHERE { ?a a ?t . ?a <http://ex/p0> ?v . ?a <http://ex/p2> ?b } GROUP BY ?t`,
+		`SELECT DISTINCT ?v WHERE { ?a a <http://ex/Town> . ?a <http://ex/p0> ?v . ?a <http://ex/p2> ?b } ORDER BY ?v`,
+	}
+	for _, leg := range []string{"full build", "base+delta"} {
+		if leg == "base+delta" {
+			writeDelta(t, corpus.Seed+1, st)
+		}
+		for _, workers := range []int{1, 4} {
+			eng := New(st)
+			eng.MaxParallelism = workers
+			for qi, query := range queries {
+				want, err := eng.oracleQuery(context.Background(), query)
+				if err != nil {
+					t.Fatalf("query #%d: %v", qi, err)
+				}
+				got, err := eng.Query(query)
+				if err != nil {
+					t.Fatalf("query #%d: %v", qi, err)
+				}
+				w, g := orderedBindings(want), orderedBindings(got)
+				if len(w) == 0 {
+					t.Fatalf("query #%d returned no row", qi)
+				}
+				if strings.Join(w, "\n") != strings.Join(g, "\n") {
+					t.Fatalf("%s, workers=%d query #%d: executor rows differ from the oracle's (order matters)\nquery:\n%s",
+						leg, workers, qi, query)
+				}
+			}
+		}
+	}
 }

@@ -3,8 +3,6 @@ package stsparql
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/geo"
@@ -252,189 +250,6 @@ func hasAggregate(prs []Projection) bool {
 		}
 	}
 	return false
-}
-
-// evalAggregateSelect implements GROUP BY plus the SPARQL 1.1 aggregates
-// COUNT, SUM, AVG, MIN, MAX. Without GROUP BY the whole solution sequence
-// is one group.
-func (e *Engine) evalAggregateSelect(q *Query, bindings []Binding) (*Result, error) {
-	type grp struct {
-		rep  Binding
-		rows []Binding
-	}
-	var groups []*grp
-	if len(q.GroupBy) == 0 {
-		groups = []*grp{{rep: Binding{}, rows: bindings}}
-	} else {
-		byKey := map[string]*grp{}
-		for _, b := range bindings {
-			var key strings.Builder
-			for _, v := range q.GroupBy {
-				key.WriteString(b[v].String())
-				key.WriteByte('|')
-			}
-			g, ok := byKey[key.String()]
-			if !ok {
-				rep := Binding{}
-				for _, v := range q.GroupBy {
-					if t, bound := b[v]; bound {
-						rep[v] = t
-					}
-				}
-				g = &grp{rep: rep}
-				byKey[key.String()] = g
-				groups = append(groups, g)
-			}
-			g.rows = append(g.rows, b)
-		}
-	}
-	var vars []string
-	for _, pr := range q.Projections {
-		vars = append(vars, pr.Var)
-	}
-	out := make([]Binding, 0, len(groups))
-	for _, g := range groups {
-		row := Binding{}
-		for _, pr := range q.Projections {
-			if pr.Expr == nil {
-				// A plain variable must be a grouping variable.
-				if t, ok := g.rep[pr.Var]; ok {
-					row[pr.Var] = t
-					continue
-				}
-				return nil, fmt.Errorf("stsparql: projected variable ?%s is not in GROUP BY", pr.Var)
-			}
-			c, ok := pr.Expr.(*ECall)
-			if !ok || !isAggregateName(c.Name) {
-				return nil, fmt.Errorf("stsparql: aggregate queries allow only aggregate expression projections")
-			}
-			t, err := e.evalAggregateCall(c, g.rows)
-			if err != nil {
-				return nil, err
-			}
-			if !t.IsZero() {
-				row[pr.Var] = t
-			}
-		}
-		out = append(out, row)
-	}
-	if len(q.OrderBy) > 0 {
-		if err := e.orderBindings(out, q.OrderBy); err != nil {
-			return nil, err
-		}
-	}
-	if q.Offset > 0 {
-		if q.Offset >= len(out) {
-			out = nil
-		} else {
-			out = out[q.Offset:]
-		}
-	}
-	if q.Limit >= 0 && len(out) > q.Limit {
-		out = out[:q.Limit]
-	}
-	return &Result{Vars: vars, Bindings: out}, nil
-}
-
-// evalAggregateCall computes one aggregate over a group's rows.
-func (e *Engine) evalAggregateCall(c *ECall, rows []Binding) (rdf.Term, error) {
-	if c.Name == "count" && c.Star {
-		return rdf.IntegerLiteral(int64(len(rows))), nil
-	}
-	if len(c.Args) != 1 {
-		return rdf.Term{}, fmt.Errorf("stsparql: %s takes one argument", strings.ToUpper(c.Name))
-	}
-	if c.Name == "count" {
-		n := 0
-		for _, b := range rows {
-			if v, err := e.evalExpr(c.Args[0], b); err == nil && !v.IsZero() {
-				n++
-			}
-		}
-		return rdf.IntegerLiteral(int64(n)), nil
-	}
-	var sum float64
-	var count int
-	var minT, maxT rdf.Term
-	for _, b := range rows {
-		v, err := e.evalExpr(c.Args[0], b)
-		if err != nil {
-			continue // unbound / erroring rows are skipped per SPARQL
-		}
-		switch c.Name {
-		case "sum", "avg":
-			f, ok := numericValue(v)
-			if !ok {
-				return rdf.Term{}, fmt.Errorf("stsparql: %s over non-numeric value %s", strings.ToUpper(c.Name), v)
-			}
-			sum += f
-			count++
-		case "min":
-			if minT.IsZero() || compareTerms(v, minT) < 0 {
-				minT = v
-			}
-			count++
-		case "max":
-			if maxT.IsZero() || compareTerms(v, maxT) > 0 {
-				maxT = v
-			}
-			count++
-		}
-	}
-	if count == 0 {
-		return rdf.Term{}, nil // aggregate over the empty group is unbound
-	}
-	switch c.Name {
-	case "sum":
-		return rdf.DoubleLiteral(sum), nil
-	case "avg":
-		return rdf.DoubleLiteral(sum / float64(count)), nil
-	case "min":
-		return minT, nil
-	case "max":
-		return maxT, nil
-	}
-	return rdf.Term{}, fmt.Errorf("stsparql: unknown aggregate %q", c.Name)
-}
-
-func distinctBindings(vars []string, in []Binding) []Binding {
-	seen := map[string]bool{}
-	var out []Binding
-	for _, b := range in {
-		var key strings.Builder
-		for _, v := range vars {
-			key.WriteString(b[v].String())
-			key.WriteByte('|')
-		}
-		if !seen[key.String()] {
-			seen[key.String()] = true
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-func (e *Engine) orderBindings(bs []Binding, keys []OrderKey) error {
-	var evalErr error
-	sort.SliceStable(bs, func(i, j int) bool {
-		for _, k := range keys {
-			vi, errI := e.evalExpr(k.Expr, bs[i])
-			vj, errJ := e.evalExpr(k.Expr, bs[j])
-			if errI != nil || errJ != nil {
-				continue
-			}
-			c := compareTerms(vi, vj)
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	return evalErr
 }
 
 // spatialHints extracts per-variable bounding boxes from the spatial

@@ -1,6 +1,6 @@
 package stsparql
 
-// Heap-vs-mapped equivalence: the 400-query randomized corpus must
+// Heap-vs-mapped equivalence: the randomized corpus must
 // return bit-identical results (same rows, same row order) whether the
 // store serves queries from a heap store's fold image or in place from a
 // packed, mmap-ed snapshot file — at morsel parallelism 1, 2 and 4 — and the
@@ -49,10 +49,7 @@ func TestHeapMappedEquivalence(t *testing.T) {
 		t.Fatalf("restored store mode = %q, want mapped", mode)
 	}
 
-	queries := make([]string, 400)
-	for i := range queries {
-		queries[i] = randQuery(rng)
-	}
+	queries := corpus.Queries(rng, 400)
 	sameOrderedResults(t, "read-only", heapSt, mappedSt, queries)
 	// The whole read-only corpus must have run in place.
 	if mode := mappedSt.StorageMode(); mode != "mapped" {

@@ -3,9 +3,11 @@ package stsparql
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/geo"
 	"repro/internal/parallel"
@@ -1190,35 +1192,40 @@ func flipCmp(op string) string {
 // --- SELECT pipeline -------------------------------------------------------
 
 // evalSelectVec is the vectorized SELECT: the group evaluates in id space,
-// DISTINCT deduplicates on id tuples, and only the surviving rows are
-// decoded (after OFFSET/LIMIT when there is no ORDER BY).
+// and so does the whole solution-modifier tail; only the rows of the
+// requested page are decoded.
 func (e *Engine) evalSelectVec(ctx context.Context, q *Query) (*Result, error) {
 	return e.evalSelectVecWith(newVexec(ctx, e), q)
 }
 
 // evalSelectVecWith runs the SELECT pipeline over a caller-supplied
-// executor, which EXPLAIN reuses to harvest the measured plan.
+// executor, which EXPLAIN reuses to harvest the measured plan. The tail
+// runs in SPARQL 1.1's order (§18.2.4–5) over the slot table: aggregate
+// or extend by the projection expressions, then ORDER BY (on any
+// in-scope variable or expression), project, DISTINCT and slice.
 func (e *Engine) evalSelectVecWith(v *vexec, q *Query) (*Result, error) {
 	tb, err := v.evalRoot(q.Where)
 	if err != nil {
 		return nil, err
 	}
-	if len(q.GroupBy) > 0 || hasAggregate(q.Projections) {
-		return e.evalAggregateSelect(q, v.decodeTable(tb))
+	aggregated := len(q.GroupBy) > 0 || hasAggregate(q.Projections)
+	if aggregated {
+		if tb, err = v.aggregate(q, tb); err != nil {
+			return nil, err
+		}
+	} else {
+		for _, pr := range q.Projections {
+			if pr.Expr != nil {
+				tb = v.evalBind(BindClause{Expr: pr.Expr, Var: pr.Var}, tb)
+			}
+		}
 	}
 	var vars []string
-	if q.SelectStar {
+	if q.SelectStar && !aggregated {
 		vars = v.starVars(tb)
 	} else {
 		for _, pr := range q.Projections {
 			vars = append(vars, pr.Var)
-		}
-	}
-	for _, pr := range q.Projections {
-		if pr.Expr != nil {
-			// Expression projections need decoded rows; run the binding
-			// projection pipeline over the decoded table.
-			return e.projectSelect(q, vars, v.decodeTable(tb))
 		}
 	}
 	slots := make([]int, len(vars))
@@ -1229,145 +1236,86 @@ func (e *Engine) evalSelectVecWith(v *vexec, q *Query) (*Result, error) {
 	for i := range idx {
 		idx[i] = i
 	}
-	if q.Distinct {
-		idx = distinctRowIdx(tb, slots, idx)
+	// DISTINCT keeps each tuple's first row in sorted order. When every
+	// key is a projected variable, a tuple's rows tie on every key and
+	// stay in row order, so deduplicating first keeps the same rows in
+	// the same order and sorts only the survivors.
+	early := q.Distinct && !slices.ContainsFunc(q.OrderBy, func(k OrderKey) bool {
+		ev, ok := k.Expr.(*EVar)
+		return !ok || !slices.Contains(vars, ev.Name)
+	})
+	if early {
+		_, idx = groupRows(tb, slots, idx)
 	}
-	if len(q.OrderBy) == 0 {
-		idx = sliceIdx(idx, q.Offset, q.Limit)
-		return &Result{Vars: vars, Bindings: v.decodeRows(tb, idx, vars, slots)}, nil
+	idx = v.sortIdx(tb, q.OrderBy, idx)
+	if q.Distinct && !early {
+		_, idx = groupRows(tb, slots, idx)
 	}
-	// ORDER BY over projected plain variables sorts row indices on decoded
-	// key terms, deferring full materialisation to after OFFSET/LIMIT.
-	// (Only projected variables: the reference pipeline sorts the projected
-	// bindings, where anything else is unbound.)
-	if keySlots, ok := orderKeySlots(q.OrderBy, vars, slots); ok {
-		v.sortIdx(tb, idx, q.OrderBy, keySlots)
-		idx = sliceIdx(idx, q.Offset, q.Limit)
-		return &Result{Vars: vars, Bindings: v.decodeRows(tb, idx, vars, slots)}, nil
-	}
-	out := v.decodeRows(tb, idx, vars, slots)
-	if err := e.orderBindings(out, q.OrderBy); err != nil {
-		return nil, err
-	}
-	out = sliceBindings(out, q.Offset, q.Limit)
-	return &Result{Vars: vars, Bindings: out}, nil
+	idx = sliceIdx(idx, q.Offset, q.Limit)
+	return &Result{Vars: vars, Bindings: v.decodeRows(tb, idx, vars, slots)}, nil
 }
 
-// orderKeySlots resolves ORDER BY keys to projection slots when every key
-// is a plain projected variable.
-func orderKeySlots(keys []OrderKey, vars []string, slots []int) ([]int, bool) {
-	out := make([]int, len(keys))
-	for i, k := range keys {
-		ev, isVar := k.Expr.(*EVar)
-		if !isVar {
-			return nil, false
-		}
-		found := -1
-		for j, name := range vars {
-			if name == ev.Name {
-				found = slots[j]
-				break
-			}
-		}
-		if found < 0 {
-			return nil, false
-		}
-		out[i] = found
+// sortIdx returns the rows idx, which ascend, stable-sorted by the ORDER
+// BY keys: a variable's slot, or an expression evaluated per row, each
+// parsed to a cmpKey once per row. An unbound or erroring key sorts
+// before every bound value (SPARQL 1.1 §15.1), so the comparator is a
+// total order.
+func (v *vexec) sortIdx(tb *vtable, keys []OrderKey, idx []int) []int {
+	if len(keys) == 0 {
+		return idx
 	}
-	return out, true
-}
-
-// sortIdx stable-sorts row indices by pre-decoded ORDER BY key terms,
-// mirroring the reference comparator (rows where either side is unbound
-// compare equal on that key).
-func (v *vexec) sortIdx(tb *vtable, idx []int, keys []OrderKey, keySlots []int) {
-	k := len(keySlots)
+	k := len(keys)
 	skeys := make([]cmpKey, len(idx)*k)
-	for i, r := range idx {
-		for j, s := range keySlots {
-			if id := tb.get(r, s); id != 0 {
-				if t, ok := v.term(id); ok {
+	for j, key := range keys {
+		if ev, ok := key.Expr.(*EVar); ok {
+			s := v.slotOf(ev.Name)
+			for i, r := range idx {
+				if t, ok := v.term(tb.get(r, s)); ok {
 					skeys[i*k+j] = makeCmpKey(t)
 				}
 			}
+			continue
+		}
+		refs := v.resolveRefs(exprVars(key.Expr))
+		for i, r := range idx {
+			v.scratch = v.bindingInto(v.scratch, refs, tb, r)
+			if t, err := v.e.evalExpr(key.Expr, v.scratch); err == nil {
+				skeys[i*k+j] = makeCmpKey(t)
+			}
 		}
 	}
-	perm := make([]int, len(idx))
-	for i := range perm {
-		perm[i] = i
+	// Sort positions in idx; ties fall back to position, which is row
+	// order, so the sort is stable.
+	pos := make([]int, len(idx))
+	for i := range pos {
+		pos[i] = i
 	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		ta := skeys[perm[a]*k : perm[a]*k+k]
-		tb2 := skeys[perm[b]*k : perm[b]*k+k]
-		for j := range keys {
-			vi, vj := &ta[j], &tb2[j]
-			if vi.term.IsZero() || vj.term.IsZero() {
-				continue
-			}
-			c := compareKeys(vi, vj)
-			if c == 0 {
-				continue
+	slices.SortFunc(pos, func(a, b int) int {
+		ka, kb := skeys[a*k:a*k+k], skeys[b*k:b*k+k]
+		for j := range ka {
+			c := 0
+			switch x, y := &ka[j], &kb[j]; {
+			case x.term.IsZero() && y.term.IsZero():
+			case x.term.IsZero():
+				c = -1
+			case y.term.IsZero():
+				c = 1
+			default:
+				c = compareKeys(x, y)
 			}
 			if keys[j].Desc {
-				return c > 0
+				c = -c
 			}
-			return c < 0
+			if c != 0 {
+				return c
+			}
 		}
-		return false
+		return a - b
 	})
-	sorted := make([]int, len(idx))
-	for i, p := range perm {
-		sorted[i] = idx[p]
+	for i, p := range pos {
+		pos[i] = idx[p]
 	}
-	copy(idx, sorted)
-}
-
-// projectSelect is the projection/distinct/order/slice pipeline
-// over already-decoded bindings, shared by the expression-projection path.
-func (e *Engine) projectSelect(q *Query, vars []string, bindings []Binding) (*Result, error) {
-	out := make([]Binding, 0, len(bindings))
-	for _, b := range bindings {
-		nb := Binding{}
-		for _, v := range vars {
-			if t, ok := b[v]; ok {
-				nb[v] = t
-			}
-		}
-		for _, pr := range q.Projections {
-			if pr.Expr == nil {
-				continue
-			}
-			t, err := e.evalExpr(pr.Expr, b)
-			if err == nil && !t.IsZero() {
-				nb[pr.Var] = t
-			}
-		}
-		out = append(out, nb)
-	}
-	if q.Distinct {
-		out = distinctBindings(vars, out)
-	}
-	if len(q.OrderBy) > 0 {
-		if err := e.orderBindings(out, q.OrderBy); err != nil {
-			return nil, err
-		}
-	}
-	out = sliceBindings(out, q.Offset, q.Limit)
-	return &Result{Vars: vars, Bindings: out}, nil
-}
-
-func sliceBindings(out []Binding, offset, limit int) []Binding {
-	if offset > 0 {
-		if offset >= len(out) {
-			out = nil
-		} else {
-			out = out[offset:]
-		}
-	}
-	if limit >= 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
+	return pos
 }
 
 func sliceIdx(idx []int, offset, limit int) []int {
@@ -1384,23 +1332,180 @@ func sliceIdx(idx []int, offset, limit int) []int {
 	return idx
 }
 
-// distinctRowIdx deduplicates rows on the projected slots' id tuples —
-// id equality is term equality, so no decoding is needed.
-func distinctRowIdx(tb *vtable, slots []int, idx []int) []int {
-	seen := make(map[string]struct{}, len(idx))
+// groupRows numbers the rows of idx by their id tuple over slots in
+// first-seen order — id equality is term equality, so nothing is
+// decoded — and returns each row's group and the first row of each
+// group: GROUP BY's groups, and DISTINCT's survivors.
+func groupRows(tb *vtable, slots []int, idx []int) (gid []int32, firsts []int) {
+	seen := map[string]int32{}
 	key := make([]byte, len(slots)*8)
-	out := idx[:0]
-	for _, r := range idx {
-		for i, s := range slots {
-			binary.LittleEndian.PutUint64(key[i*8:], tb.get(r, s))
+	gid = make([]int32, len(idx))
+	for i, r := range idx {
+		for j, s := range slots {
+			binary.LittleEndian.PutUint64(key[j*8:], tb.get(r, s))
 		}
-		if _, dup := seen[string(key)]; dup {
+		g, ok := seen[string(key)]
+		if !ok {
+			g = int32(len(firsts))
+			seen[string(key)] = g
+			firsts = append(firsts, r)
+		}
+		gid[i] = g
+	}
+	return gid, firsts
+}
+
+// aggregate collapses tb to one row per group, in first-seen order: the
+// GROUP BY keys' ids and one id per aggregate projection, in the same
+// slot space, every other slot unbound. Without GROUP BY the whole table
+// is one group, even when it is empty.
+func (v *vexec) aggregate(q *Query, tb *vtable) (*vtable, error) {
+	type column struct {
+		call *ECall
+		slot int
+	}
+	var cols []column
+	for _, pr := range q.Projections {
+		s := v.addSlot(pr.Var)
+		if pr.Expr == nil {
+			if !slices.Contains(q.GroupBy, pr.Var) {
+				return nil, fmt.Errorf("stsparql: projected variable ?%s is not in GROUP BY", pr.Var)
+			}
 			continue
 		}
-		seen[string(key)] = struct{}{}
-		out = append(out, r)
+		c, ok := pr.Expr.(*ECall)
+		if !ok || !isAggregateName(c.Name) {
+			return nil, fmt.Errorf("stsparql: aggregate queries allow only aggregate expression projections")
+		}
+		if !(c.Name == "count" && c.Star) && len(c.Args) != 1 {
+			return nil, fmt.Errorf("stsparql: %s takes one argument", strings.ToUpper(c.Name))
+		}
+		cols = append(cols, column{c, s})
 	}
-	return out
+	keySlots := make([]int, len(q.GroupBy))
+	for i, name := range q.GroupBy {
+		keySlots[i] = v.slotOf(name)
+	}
+	gid := make([]int32, tb.n())
+	firsts := []int{-1}
+	if len(q.GroupBy) > 0 {
+		all := make([]int, tb.n())
+		for i := range all {
+			all[i] = i
+		}
+		gid, firsts = groupRows(tb, keySlots, all)
+	}
+	width := len(v.vars)
+	out := &vtable{width: width, rows: make([]uint64, len(firsts)*width), origin: make([]int32, len(firsts))}
+	for g, r := range firsts {
+		out.origin[g] = int32(g)
+		for _, s := range keySlots {
+			if s >= 0 {
+				out.rows[g*width+s] = tb.get(r, s)
+			}
+		}
+	}
+	for _, col := range cols {
+		vals, err := v.aggregateCall(col.call, tb, gid, len(firsts))
+		if err != nil {
+			return nil, err
+		}
+		for g, id := range vals {
+			out.rows[g*width+col.slot] = id
+		}
+	}
+	return out, nil
+}
+
+// aggregateCall computes one aggregate for each of n groups, as ids (0:
+// unbound, the value of SUM, AVG, MIN and MAX over no value). COUNT(*)
+// and COUNT(?v) count ids; COUNT(expr) evaluates expr per row, as a
+// FILTER does; SUM, AVG, MIN and MAX decode each distinct argument id
+// once. A row whose argument is unbound or errors is skipped.
+func (v *vexec) aggregateCall(c *ECall, tb *vtable, gid []int32, n int) ([]uint64, error) {
+	// arg yields row r's argument id; ok is false when it is unbound or
+	// errors. COUNT(expr) needs only ok, so it interns nothing.
+	var arg func(r int) (uint64, bool)
+	if c.Star {
+		arg = func(int) (uint64, bool) { return 0, true }
+	} else if ev, isVar := c.Args[0].(*EVar); isVar {
+		s := v.slotOf(ev.Name)
+		arg = func(r int) (uint64, bool) {
+			id := tb.get(r, s)
+			return id, id != 0
+		}
+	} else {
+		ex := c.Args[0]
+		refs := v.resolveRefs(exprVars(ex))
+		arg = func(r int) (uint64, bool) {
+			v.scratch = v.bindingInto(v.scratch, refs, tb, r)
+			t, err := v.e.evalExpr(ex, v.scratch)
+			if err != nil || t.IsZero() {
+				return 0, false
+			}
+			if c.Name == "count" {
+				return 0, true
+			}
+			return v.idOf(t), true
+		}
+	}
+	count := make([]int64, n)
+	out := make([]uint64, n)
+	if c.Name == "count" {
+		for r := 0; r < tb.n(); r++ {
+			if _, ok := arg(r); ok {
+				count[gid[r]]++
+			}
+		}
+		for g, k := range count {
+			out[g] = v.idOf(rdf.IntegerLiteral(k))
+		}
+		return out, nil
+	}
+	keyOf := map[uint64]int32{}
+	var keys []cmpKey
+	sum := make([]float64, n)
+	best := make([]int32, n) // MIN's or MAX's key so far
+	for r := 0; r < tb.n(); r++ {
+		id, ok := arg(r)
+		if !ok {
+			continue
+		}
+		ki, seen := keyOf[id]
+		if !seen {
+			t, _ := v.term(id)
+			ki = int32(len(keys))
+			keys = append(keys, makeCmpKey(t))
+			keyOf[id] = ki
+		}
+		k, g := &keys[ki], gid[r]
+		switch c.Name {
+		case "sum", "avg":
+			if !k.numOK {
+				return nil, fmt.Errorf("stsparql: %s over non-numeric value %s", strings.ToUpper(c.Name), k.term)
+			}
+			sum[g] += k.num
+		case "min":
+			if count[g] == 0 || compareKeys(k, &keys[best[g]]) < 0 {
+				best[g], out[g] = ki, id
+			}
+		case "max":
+			if count[g] == 0 || compareKeys(k, &keys[best[g]]) > 0 {
+				best[g], out[g] = ki, id
+			}
+		}
+		count[g]++
+	}
+	for g, m := range count {
+		switch {
+		case m == 0:
+		case c.Name == "sum":
+			out[g] = v.idOf(rdf.DoubleLiteral(sum[g]))
+		case c.Name == "avg":
+			out[g] = v.idOf(rdf.DoubleLiteral(sum[g] / float64(m)))
+		}
+	}
+	return out, nil
 }
 
 // starVars lists the variables bound in at least one row, sorted — the
@@ -1439,7 +1544,7 @@ func (v *vexec) decodeRows(tb *vtable, idx []int, vars []string, slots []int) []
 }
 
 // decodeTable materialises every row with every bound variable — the
-// boundary for aggregates, CONSTRUCT templates and updates. The store ids
+// boundary for CONSTRUCT templates and updates. The store ids
 // are decoded in one batch under a single dictionary lock.
 func (v *vexec) decodeTable(tb *vtable) []Binding {
 	terms := make([]rdf.Term, len(tb.rows))
