@@ -17,7 +17,10 @@ GO ?= go
 # writer-count benchmark (acked-updates/sec and fsyncs/op at 1/2/4/8
 # writers, per sync mode) and the streaming /ingest endpoint benchmark.
 # PR 12 retired the legacy-executor, raw-snapshot, nogroup-pipeline and
-# N-Triples-load sides; surviving rows keep their names.
+# N-Triples-load sides; surviving rows keep their names. The SciQL
+# interpreter is now a test oracle, so BenchmarkAblationSciQLExecutor
+# keeps only the executor's legs (filter, update, zipjoin) under its old
+# name.
 BENCH_TIER1 = BenchmarkFigure1Pipeline|BenchmarkFigure3CatalogueSearch|BenchmarkFlagshipQuery|BenchmarkOptimizerOrdering|BenchmarkAblationExecutor|BenchmarkAblationSpatialIndex|BenchmarkParallelQueryAblation
 BENCH_SCIQL = BenchmarkSelectFilter|BenchmarkGroupByAggregate|BenchmarkArrayUpdateClassify|BenchmarkAlignedArrayJoin|BenchmarkDimensionPushdownCrop|BenchmarkAblationSciQLExecutor
 BENCH_ARRAY = BenchmarkTileAvg|BenchmarkConnectedComponents|BenchmarkAblationParallelKernels
@@ -116,12 +119,15 @@ bench:
 # concurrently); the SELECT tail's hand-written ORDER BY and aggregate
 # answers, and joins large enough to take the hash-join path against
 # the oracle row for row (also under -race) — plus the base+delta view
-# property test and its single-flight concurrency test under -race.
+# property test and its single-flight concurrency test under -race, and
+# the SciQL executor against its oracle (randomized at three worker
+# levels, error text included) and against hand-written answers.
 equivalence:
 	$(GO) test -run 'TestExecutorEquivalence|TestSerialParallelEquivalence|TestSpatialJoinOrderMatchesNoPushdown|TestContextCancellation|TestHeapMappedEquivalence|TestCompiledComparisonMatchesEvalFilter|TestIDTableMatchesMap|TestSelectTail|TestHashJoinEquivalence' ./internal/stsparql/
 	$(GO) test -race -run 'TestSerialParallelEquivalence|TestSpatialJoinOrderMatchesNoPushdown|TestConcurrentParallelQueriesUpdatesCheckpoints|TestIDTableMatchesMap|TestHashJoinEquivalence' ./internal/stsparql/
 	$(GO) test -race -run 'TestViewMatchesFullBuild|TestSnapshotSingleFlight' ./internal/strabon/
 	$(GO) test -run 'TestPrimaryReplicaEquivalence' ./internal/replication/
+	$(GO) test -run 'TestVectorizedEquivalence|TestSciQLShapes' ./internal/sciql/
 
 clean:
 	rm -f bench.out bin/bench.out

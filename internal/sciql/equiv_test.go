@@ -6,17 +6,15 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/column"
 	"repro/internal/parallel"
 )
 
-// The legacy-vs-vectorized equivalence suite: randomized SELECT, UPDATE
-// and DELETE statements over identical catalogs must behave identically
-// (same error-or-success, same rows in the same order, same affected
-// counts and post-update state) under the tuple-at-a-time interpreter
-// and the columnar kernel executor, at every worker-pool parallelism
-// level. Statements the vectorized compiler rejects fall back to the
-// legacy interpreter, so any divergence here is a genuine kernel bug.
+// The equivalence suite: randomized SELECT, UPDATE and DELETE statements
+// over identical catalogs must behave identically — the same rows in the
+// same order with the same column types, the same error text, the same
+// affected counts and post-mutation state — on the compiled executor and
+// on the reference evaluator (oracle_test.go), at every worker-pool
+// parallelism level.
 
 // equivSetup are the statements that build the shared catalog.
 func equivSetup(rng *rand.Rand) []string {
@@ -66,39 +64,76 @@ func equivSetup(rng *rand.Rand) []string {
 	return stmts
 }
 
-func equivPair(t *testing.T, rng *rand.Rand) (legacy, vec *Engine) {
+// equivPair builds the shared catalog twice: on the oracle and on the
+// executor.
+func equivPair(t *testing.T, rng *rand.Rand) (ref, eng *Engine) {
 	t.Helper()
-	legacy = NewEngine()
-	legacy.forceInterpreter = true
-	vec = NewEngine()
+	ref, eng = NewEngine(), NewEngine()
 	for _, st := range equivSetup(rng) {
-		legacy.MustExec(st)
-		vec.MustExec(st)
+		if _, err := ref.oracleExec(st); err != nil {
+			t.Fatalf("oracle setup %q: %v", st, err)
+		}
+		eng.MustExec(st)
 	}
-	return legacy, vec
+	return ref, eng
 }
 
-// canonTable renders a result table as one line per row, in result
-// order (the vectorized executor reproduces legacy row order exactly,
-// so the comparison is order-sensitive on purpose).
-func canonTable(tbl *column.Table) []string {
-	if tbl == nil {
-		return nil
+// render is a statement's outcome as text: the error, the affected count,
+// or a "name:TYPE|…" header and one line per row in result order.
+func render(res *Result, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
 	}
-	out := make([]string, 0, tbl.NumRows())
-	for i := 0; i < tbl.NumRows(); i++ {
-		var sb strings.Builder
-		for j, c := range tbl.Cols {
-			fmt.Fprintf(&sb, "%s=%v|", tbl.Fields[j].Name, c.Value(i))
+	if res.Table == nil {
+		return fmt.Sprintf("affected=%d", res.Affected)
+	}
+	tbl := res.Table
+	var sb strings.Builder
+	for j, f := range tbl.Fields {
+		if j > 0 {
+			sb.WriteByte('|')
 		}
-		out = append(out, sb.String())
+		fmt.Fprintf(&sb, "%s:%s", f.Name, f.Typ)
 	}
-	return out
+	for i := 0; i < tbl.NumRows(); i++ {
+		sb.WriteByte('\n')
+		for j, c := range tbl.Cols {
+			if j > 0 {
+				sb.WriteByte('|')
+			}
+			if v := c.Value(i); v == nil {
+				sb.WriteString("NULL")
+			} else {
+				fmt.Fprint(&sb, v)
+			}
+		}
+	}
+	return sb.String()
 }
 
 type equivGen struct {
 	rng *rand.Rand
+	// bad lists the wrong-typed operands the current statement may draw.
+	bad []string
+	// classes records which of the shapes the executor once refused the
+	// current statement draws (see refusedClasses).
+	classes map[string]bool
 }
+
+// The statement shapes the executor used to hand to the interpreter
+// whole. The suite checks that every level of the corpus reaches each.
+const (
+	classNoFrom    = "FROM-less SELECT"
+	classAggArith  = "aggregate under an expression"
+	classMixedCase = "CASE with BIGINT and DOUBLE arms"
+	classCross     = "join without an equi-join"
+	classThreeWay  = "three-way join"
+	classBadType   = "operand of the wrong type"
+	classBadSet    = "SET value of the wrong type"
+	classConcat    = "|| over numbers"
+)
+
+var refusedClasses = []string{classNoFrom, classAggArith, classMixedCase, classCross, classThreeWay, classBadType, classBadSet, classConcat}
 
 func (g *equivGen) pick(opts ...string) string { return opts[g.rng.Intn(len(opts))] }
 
@@ -109,17 +144,30 @@ func (g *equivGen) numLit() string {
 	return fmt.Sprint(g.rng.Intn(100))
 }
 
+// leaf draws a column, a number, or (rarely) a wrong-typed operand.
+func (g *equivGen) leaf(cols []string) string {
+	if g.rng.Intn(25) == 0 {
+		g.classes[classBadType] = true
+		return g.pick(g.bad...)
+	}
+	if g.rng.Intn(2) == 0 {
+		return g.pick(cols...)
+	}
+	return g.numLit()
+}
+
 // scalarExpr builds a random numeric expression over the given columns.
 func (g *equivGen) scalarExpr(cols []string, depth int) string {
 	if depth <= 0 || g.rng.Intn(3) == 0 {
-		if g.rng.Intn(2) == 0 {
-			return g.pick(cols...)
-		}
-		return g.numLit()
+		return g.leaf(cols)
 	}
-	switch g.rng.Intn(7) {
+	switch g.rng.Intn(9) {
 	case 0:
 		return fmt.Sprintf("(%s + %s)", g.scalarExpr(cols, depth-1), g.scalarExpr(cols, depth-1))
+	case 7:
+		// Fails on negative values, with another message than division:
+		// a statement can then fail differently on different rows.
+		return fmt.Sprintf("sqrt(%s - %s)", g.scalarExpr(cols, depth-1), g.numLit())
 	case 1:
 		return fmt.Sprintf("(%s - %s)", g.scalarExpr(cols, depth-1), g.scalarExpr(cols, depth-1))
 	case 2:
@@ -131,6 +179,11 @@ func (g *equivGen) scalarExpr(cols []string, depth int) string {
 		return fmt.Sprintf("abs(%s - %s)", g.scalarExpr(cols, depth-1), g.numLit())
 	case 5:
 		return fmt.Sprintf("least(%s, %s)", g.scalarExpr(cols, depth-1), g.scalarExpr(cols, depth-1))
+	case 6:
+		// One BIGINT arm and one DOUBLE arm.
+		g.classes[classMixedCase] = true
+		return fmt.Sprintf("CASE WHEN %s THEN %d ELSE %.1f END",
+			g.boolExpr(cols, 1), g.rng.Intn(9), g.rng.Float64()*9)
 	default:
 		return fmt.Sprintf("CASE WHEN %s THEN %s ELSE %s END",
 			g.boolExpr(cols, 1), g.scalarExpr(cols, depth-1), g.scalarExpr(cols, depth-1))
@@ -139,7 +192,7 @@ func (g *equivGen) scalarExpr(cols []string, depth int) string {
 
 func (g *equivGen) boolExpr(cols []string, depth int) string {
 	if depth <= 0 || g.rng.Intn(2) == 0 {
-		c := g.pick(cols...)
+		c := g.leaf(cols)
 		switch g.rng.Intn(6) {
 		case 0:
 			return fmt.Sprintf("%s %s %s", c, g.pick("<", "<=", ">", ">=", "=", "<>"), g.numLit())
@@ -148,9 +201,9 @@ func (g *equivGen) boolExpr(cols []string, depth int) string {
 		case 2:
 			return fmt.Sprintf("%s IS %sNULL", c, g.pick("", "NOT "))
 		case 3:
-			return fmt.Sprintf("%s IN (%s, %s, %s)", c, g.numLit(), g.numLit(), g.pick(g.numLit(), "NULL"))
+			return fmt.Sprintf("%s IN (%s, %s, %s)", c, g.numLit(), g.leaf(cols), g.pick(g.numLit(), "NULL"))
 		case 4:
-			return fmt.Sprintf("%s %s %s", c, g.pick("<", ">", "="), g.pick(cols...))
+			return fmt.Sprintf("%s %s %s", c, g.pick("<", ">", "="), g.leaf(cols))
 		default:
 			return fmt.Sprintf("%s NOT BETWEEN %s AND %s", c, g.numLit(), g.numLit())
 		}
@@ -167,22 +220,33 @@ func (g *equivGen) boolExpr(cols []string, depth int) string {
 // selectStmt generates one random SELECT.
 func (g *equivGen) selectStmt() string {
 	type source struct {
-		from string
-		cols []string
-		dims []string
-		join string
+		from  string
+		cols  []string
+		dims  []string
+		join  string
+		bad   []string
+		class string
 	}
 	sources := []source{
-		{from: "obs", cols: []string{"id", "temp"}},
-		{from: "sites", cols: []string{"k", "score"}},
+		{from: "obs", cols: []string{"id", "temp"}, bad: []string{"sensor", "flag"}},
+		{from: "sites", cols: []string{"k", "score"}, bad: []string{"name"}},
 		{from: "img", cols: []string{"y", "x", "v"}, dims: []string{"y", "x"}},
 		{from: "cube", cols: []string{"z", "y", "x", "v"}, dims: []string{"z", "y", "x"}},
 		{from: "img a, img2 b", cols: []string{"a.v", "b.v", "a.y", "a.x"}, dims: []string{"a.y", "b.x"},
 			join: "a.y = b.y AND a.x = b.x"},
-		{from: "obs, sites", cols: []string{"id", "temp", "score"},
+		{from: "obs, sites", cols: []string{"id", "temp", "score"}, bad: []string{"sensor", "name"},
 			join: "obs.id = sites.k"},
+		{from: "obs, sites", cols: []string{"id", "temp", "k", "score"}, bad: []string{"flag"},
+			join: g.pick("id < k", "temp > score * 400", "k = 3"), class: classCross},
+		{from: "sites, sites s2, img", cols: []string{"sites.k", "s2.score", "x", "v"},
+			join: "sites.k = s2.k AND y = 1", class: classThreeWay},
+		{from: "", cols: []string{"7", "2.5", "(0 - 3)"}, class: classNoFrom},
 	}
 	src := sources[g.rng.Intn(len(sources))]
+	g.bad = append(src.bad, "'s1'", "true", "NULL")
+	if src.class != "" {
+		g.classes[src.class] = true
+	}
 
 	var where []string
 	if src.join != "" {
@@ -224,15 +288,39 @@ func (g *equivGen) selectStmt() string {
 		if g.rng.Intn(2) == 0 {
 			items = append(items, fmt.Sprintf("%s(%s) AS a2", g.pick("min", "max", "sum"), g.pick(src.cols...)))
 		}
+		if g.rng.Intn(2) == 0 {
+			// Aggregates under an expression, and a column outside one
+			// (it reads the group's first row).
+			g.classes[classAggArith] = true
+			c := g.pick(src.cols...)
+			items = append(items, g.pick(
+				fmt.Sprintf("count(*) + %d AS a3", g.rng.Intn(5)),
+				fmt.Sprintf("max(%s) - min(%s) AS a3", c, c),
+				fmt.Sprintf("sum(%s) / count(*) AS a3", c),
+				fmt.Sprintf("CASE WHEN count(*) > %d THEN max(%s) ELSE 0 END AS a3", g.rng.Intn(20), c),
+				fmt.Sprintf("%s + count(*) AS a3", c),
+			))
+		}
 	} else {
-		if g.rng.Intn(6) == 0 {
+		if g.rng.Intn(6) == 0 && src.from != "" {
 			items = append(items, "*")
 		} else {
 			n := 1 + g.rng.Intn(3)
 			for i := 0; i < n; i++ {
-				if g.rng.Intn(3) == 0 {
+				switch g.rng.Intn(8) {
+				case 0, 1:
 					items = append(items, fmt.Sprintf("%s AS e%d", g.scalarExpr(src.cols, 2), i))
-				} else {
+				case 2:
+					g.classes[classConcat] = true
+					items = append(items, fmt.Sprintf("(%s || %s) AS e%d", g.scalarExpr(src.cols, 1), g.leaf(src.cols), i))
+				case 3:
+					// Two items that fail on some rows only, with different
+					// messages: the error reported is the first in row
+					// order, whichever item raises it.
+					items = append(items,
+						fmt.Sprintf("10 / (%s - %d) AS e%d", g.pick(src.cols...), g.rng.Intn(12), i),
+						fmt.Sprintf("sqrt(%s - %d) AS f%d", g.pick(src.cols...), g.rng.Intn(12), i))
+				default:
 					items = append(items, g.pick(src.cols...))
 				}
 			}
@@ -243,7 +331,10 @@ func (g *equivGen) selectStmt() string {
 	if g.rng.Intn(6) == 0 {
 		q += "DISTINCT "
 	}
-	q += strings.Join(items, ", ") + " FROM " + src.from
+	q += strings.Join(items, ", ")
+	if src.from != "" {
+		q += " FROM " + src.from
+	}
 	if len(where) > 0 {
 		q += " WHERE " + strings.Join(where, " AND ")
 	}
@@ -257,7 +348,7 @@ func (g *equivGen) selectStmt() string {
 		if i := strings.LastIndex(it, " AS "); i >= 0 {
 			name = it[i+4:]
 		}
-		if !strings.Contains(name, ".") && !strings.Contains(name, "(") && !strings.Contains(name, " ") {
+		if !strings.ContainsAny(name, ".( ") && !strings.ContainsAny(name[:1], "0123456789") {
 			q += " ORDER BY " + name
 			if g.rng.Intn(2) == 0 {
 				q += " DESC"
@@ -271,11 +362,16 @@ func (g *equivGen) selectStmt() string {
 }
 
 func (g *equivGen) updateStmt() string {
+	g.bad = []string{"'s1'", "true", "NULL"}
 	switch g.rng.Intn(4) {
 	case 0: // array update, often with dimension predicates (fused path)
 		set := fmt.Sprintf("v = %s", g.scalarExpr([]string{"y", "x", "v"}, 2))
-		if g.rng.Intn(6) == 0 {
+		switch g.rng.Intn(12) {
+		case 0, 1:
 			set = "v = NULL"
+		case 2, 3:
+			g.classes[classBadSet] = true
+			set = "v = " + g.pick("'hot'", "y > 3")
 		}
 		var where []string
 		if g.rng.Intn(2) == 0 {
@@ -292,7 +388,11 @@ func (g *equivGen) updateStmt() string {
 	case 1: // table update
 		sets := []string{fmt.Sprintf("temp = %s", g.scalarExpr([]string{"temp", "id"}, 1))}
 		if g.rng.Intn(3) == 0 {
-			sets = append(sets, fmt.Sprintf("flag = %s", g.pick("true", "false", "NULL")))
+			sets = append(sets, fmt.Sprintf("flag = %s", g.pick("true", "false", "NULL", "temp > 300")))
+		}
+		if g.rng.Intn(3) == 0 {
+			g.classes[classBadSet] = true
+			sets = append(sets, g.pick("sensor = id", "flag = 1", "id = 'x'", "sensor = 'r' || id"))
 		}
 		q := "UPDATE obs SET " + strings.Join(sets, ", ")
 		if g.rng.Intn(2) == 0 {
@@ -308,8 +408,7 @@ func (g *equivGen) updateStmt() string {
 }
 
 // The corpus: equivStatements statements per worker level, seeded
-// equivSeed+workers. The fallback census (census_test.go) replays the
-// same streams.
+// equivSeed+workers.
 const (
 	equivSeed       = 20260729
 	equivStatements = 260
@@ -317,6 +416,7 @@ const (
 
 // next generates the corpus's next statement; one in four is a mutation.
 func (g *equivGen) next() (stmt string, isUpdate bool) {
+	g.classes = map[string]bool{}
 	if g.rng.Intn(4) == 0 {
 		return g.updateStmt(), true
 	}
@@ -325,29 +425,22 @@ func (g *equivGen) next() (stmt string, isUpdate bool) {
 
 func runEquivSuite(t *testing.T, seed int64, nStatements int) {
 	rng := rand.New(rand.NewSource(seed))
-	legacy, vec := equivPair(t, rng)
+	ref, eng := equivPair(t, rng)
 	g := &equivGen{rng: rng}
+	reached := map[string]int{}
+	failed := 0
 	for i := 0; i < nStatements; i++ {
 		stmt, isUpdate := g.next()
-		lres, lerr := legacy.Exec(stmt)
-		vres, verr := vec.Exec(stmt)
-		if (lerr == nil) != (verr == nil) {
-			t.Fatalf("statement #%d error mismatch:\nlegacy=%v\nvec=%v\nstmt: %s", i, lerr, verr, stmt)
+		want := render(ref.oracleExec(stmt))
+		got := render(eng.Exec(stmt))
+		if want != got {
+			t.Fatalf("statement #%d diverged:\nstmt: %s\noracle:\n%s\nexecutor:\n%s", i, stmt, want, got)
 		}
-		if lerr != nil {
-			continue
+		if strings.HasPrefix(want, "error: ") {
+			failed++
 		}
-		if lres.Affected != vres.Affected {
-			t.Fatalf("statement #%d affected: legacy=%d vec=%d\nstmt: %s", i, lres.Affected, vres.Affected, stmt)
-		}
-		lc, vc := canonTable(lres.Table), canonTable(vres.Table)
-		if len(lc) != len(vc) {
-			t.Fatalf("statement #%d rows: legacy=%d vec=%d\nstmt: %s", i, len(lc), len(vc), stmt)
-		}
-		for r := range lc {
-			if lc[r] != vc[r] {
-				t.Fatalf("statement #%d row %d differs:\nlegacy: %s\nvec:    %s\nstmt: %s", i, r, lc[r], vc[r], stmt)
-			}
+		for c := range g.classes {
+			reached[c]++
 		}
 		if isUpdate {
 			// After a mutation, compare the full target state.
@@ -355,19 +448,22 @@ func runEquivSuite(t *testing.T, seed int64, nStatements int) {
 				`SELECT * FROM obs`, `SELECT * FROM sites`,
 				`SELECT y, x, v FROM img`, `SELECT z, y, x, v FROM cube`,
 			} {
-				lt := canonTable(legacy.MustExec(check).Table)
-				vt := canonTable(vec.MustExec(check).Table)
-				if strings.Join(lt, "\n") != strings.Join(vt, "\n") {
+				if w, v := render(ref.oracleExec(check)), render(eng.Exec(check)); w != v {
 					t.Fatalf("state diverged after #%d %q (check %q)", i, stmt, check)
 				}
 			}
 		}
 	}
+	for _, c := range refusedClasses {
+		if reached[c] == 0 {
+			t.Errorf("the corpus never drew a statement with a %s", c)
+		}
+	}
+	t.Logf("%d statements, %d failed on both; shapes reached: %v", nStatements, failed, reached)
 }
 
 func TestVectorizedEquivalenceRandomized(t *testing.T) {
-	// All ablation modes: the worker pool at 1, 2 and default parallelism
-	// (the vectorized-off mode IS the legacy reference itself).
+	// The worker pool at 1, 2 and default parallelism.
 	for _, workers := range []int{1, 2, 0} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			prev := parallel.SetParallelism(workers)
@@ -378,24 +474,23 @@ func TestVectorizedEquivalenceRandomized(t *testing.T) {
 }
 
 // TestVectorizedEquivalenceCreateArrayAsSelect pins the CREATE ARRAY AS
-// SELECT path (crop + shift, the demo's declarative chain) across both
-// executors.
+// SELECT path (crop + shift, the demo's declarative chain) against the
+// oracle.
 func TestVectorizedEquivalenceCreateArrayAsSelect(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	legacy, vec := equivPair(t, rng)
+	ref, eng := equivPair(t, rng)
 	stmts := []string{
 		`CREATE ARRAY crop AS SELECT y - 2 AS y, x - 1 AS x, v FROM img WHERE y BETWEEN 2 AND 9 AND x BETWEEN 1 AND 8`,
 		`CREATE ARRAY mask AS SELECT y, x, CASE WHEN v >= 50 THEN 1.0 ELSE 0.0 END AS v FROM img WHERE v IS NOT NULL`,
 	}
 	for _, stmt := range stmts {
-		legacy.MustExec(stmt)
-		vec.MustExec(stmt)
+		if w, v := render(ref.oracleExec(stmt)), render(eng.Exec(stmt)); w != v {
+			t.Fatalf("%s:\noracle=%s\nexecutor=%s", stmt, w, v)
+		}
 	}
 	for _, check := range []string{`SELECT y, x, v FROM crop`, `SELECT count(*) AS n, sum(v) AS s FROM mask`} {
-		lt := canonTable(legacy.MustExec(check).Table)
-		vt := canonTable(vec.MustExec(check).Table)
-		if strings.Join(lt, "\n") != strings.Join(vt, "\n") {
-			t.Fatalf("CREATE ARRAY AS SELECT diverged on %q:\nlegacy=%v\nvec=%v", check, lt, vt)
+		if w, v := render(ref.oracleExec(check)), render(eng.Exec(check)); w != v {
+			t.Fatalf("CREATE ARRAY AS SELECT diverged on %q:\noracle=%s\nexecutor=%s", check, w, v)
 		}
 	}
 }

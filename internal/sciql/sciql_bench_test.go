@@ -96,49 +96,43 @@ func BenchmarkDimensionPushdownCrop(b *testing.B) {
 	}
 }
 
-// A6 — ablation: the columnar kernel executor versus the legacy
-// tuple-at-a-time interpreter on the three hot SciQL shapes.
+// A6 — the executor on the three hot SciQL shapes. The tuple-at-a-time
+// interpreter it was once ablated against is now the test oracle
+// (oracle_test.go), so only the executor's legs remain; the name stays so
+// BENCH_SCIQL still selects it.
 func BenchmarkAblationSciQLExecutor(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"vectorized", false}, {"legacy", true}} {
-		b.Run("filter/"+mode.name, func(b *testing.B) {
-			e := benchEngine(b, 100000)
-			e.forceInterpreter = mode.legacy
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if res := e.MustExec(`SELECT id FROM obs WHERE temp > 330`); res.Table.NumRows() == 0 {
-					b.Fatal("no rows")
-				}
+	b.Run("filter", func(b *testing.B) {
+		e := benchEngine(b, 100000)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if res := e.MustExec(`SELECT id FROM obs WHERE temp > 330`); res.Table.NumRows() == 0 {
+				b.Fatal("no rows")
 			}
-		})
-		b.Run("update/"+mode.name, func(b *testing.B) {
-			e := NewEngine()
-			e.forceInterpreter = mode.legacy
-			e.MustExec(`CREATE ARRAY a (y INT DIMENSION [256], x INT DIMENSION [256], v DOUBLE)`)
-			e.MustExec(`UPDATE a SET v = y + x`)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if res := e.MustExec(`UPDATE a SET v = CASE WHEN v > 255 THEN 1 ELSE 0 END`); res.Affected != 256*256 {
-					b.Fatal("affected")
-				}
+		}
+	})
+	b.Run("update", func(b *testing.B) {
+		e := NewEngine()
+		e.MustExec(`CREATE ARRAY a (y INT DIMENSION [256], x INT DIMENSION [256], v DOUBLE)`)
+		e.MustExec(`UPDATE a SET v = y + x`)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if res := e.MustExec(`UPDATE a SET v = CASE WHEN v > 255 THEN 1 ELSE 0 END`); res.Affected != 256*256 {
+				b.Fatal("affected")
 			}
-		})
-		b.Run("zipjoin/"+mode.name, func(b *testing.B) {
-			e := NewEngine()
-			e.forceInterpreter = mode.legacy
-			e.MustExec(`CREATE ARRAY p (y INT DIMENSION [128], x INT DIMENSION [128], v DOUBLE)`)
-			e.MustExec(`CREATE ARRAY q (y INT DIMENSION [128], x INT DIMENSION [128], v DOUBLE)`)
-			e.MustExec(`UPDATE p SET v = y`)
-			e.MustExec(`UPDATE q SET v = x`)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := e.MustExec(`SELECT count(*) AS n FROM p, q WHERE p.y = q.y AND p.x = q.x AND p.v > q.v`)
-				if res.Table.Col("n").Int(0) == 0 {
-					b.Fatal("no rows")
-				}
+		}
+	})
+	b.Run("zipjoin", func(b *testing.B) {
+		e := NewEngine()
+		e.MustExec(`CREATE ARRAY p (y INT DIMENSION [128], x INT DIMENSION [128], v DOUBLE)`)
+		e.MustExec(`CREATE ARRAY q (y INT DIMENSION [128], x INT DIMENSION [128], v DOUBLE)`)
+		e.MustExec(`UPDATE p SET v = y`)
+		e.MustExec(`UPDATE q SET v = x`)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res := e.MustExec(`SELECT count(*) AS n FROM p, q WHERE p.y = q.y AND p.x = q.x AND p.v > q.v`)
+			if res.Table.Col("n").Int(0) == 0 {
+				b.Fatal("no rows")
 			}
-		})
-	}
+		}
+	})
 }

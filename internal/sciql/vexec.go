@@ -4,63 +4,79 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 
 	"repro/internal/array"
 	"repro/internal/column"
 )
 
-// Vectorized SciQL execution. Mirroring the stSPARQL id-space executor
-// (PR 2), statements are compiled into typed kernels that run over
-// columnar data — table columns, array value planes and virtual dimension
-// columns — guided by selection vectors, instead of boxing every cell
-// into `any` and dispatching through per-row environment lookups.
+// The SciQL executor. Every statement compiles into typed kernels that
+// run over columnar data — table columns, array value planes and virtual
+// dimension columns — guided by selection vectors, as the stSPARQL
+// id-space executor does, instead of boxing every cell into `any` and
+// dispatching through per-row environment lookups. It is the only
+// executor: the tuple-at-a-time interpreter it replaced is kept in
+// oracle_test.go as the reference the equivalence suites hold it to,
+// row order and error text included.
 //
 // Core ideas:
 //
-//   - A solution space: for a single relation it is the row (cell) range
-//     itself; for an aligned array zip both arrays share the index; for a
-//     hash join it is the pair list (lpos, rpos). No [][]int combination
-//     materialisation.
-//   - Selection vectors: WHERE conjuncts filter an implicit [0, n) range
-//     (or the previous conjunct's survivors) left to right, preserving
-//     the legacy evaluator's short-circuit semantics row for row.
+//   - One solution space for any number of relations: one vector of base
+//     positions per relation (nil meaning the identity). A FROM-less
+//     SELECT and INSERT's VALUES are one row over no relation; one
+//     relation is its own row (cell) range; two same-shaped arrays
+//     equated on every dimension zip over one index; an equi-join is the
+//     hash join's pair list; anything else is the lexicographic cross
+//     product under a 50M-row guard. The rest of the WHERE runs as
+//     residual filters.
+//   - Selection vectors: WHERE conjuncts filter the space (or the
+//     previous conjunct's survivors) left to right, with the
+//     interpreter's short-circuit semantics row for row.
 //   - Dimension predicate pushdown: `y BETWEEN`, `x =` and friends over
 //     array dimensions become subarray index ranges enumerated directly,
 //     never scanned and post-filtered.
-//   - Fused UPDATE: array and table updates evaluate the SET kernels
-//     over the surviving selection and write in place in one pass
-//     (buffered per statement so an evaluation error leaves the target
-//     untouched, exactly like the legacy two-phase writer).
-//
-// Anything the compiler cannot prove equivalent (ambiguous columns,
-// dynamic type mixes, cross products, >2 relations, exotic expressions)
-// falls back to the legacy interpreter, which remains the semantic
-// reference; the randomized equivalence suite pins the two against each
-// other.
+//   - Aggregates: each aggregate call folds into one vector over the
+//     groups, and the items compile over the group space, where an
+//     aggregate is a column and any other column reads the group's first
+//     row (NULL in a global aggregate over zero rows).
+//   - Type errors are kernels: an operation ill-typed for its operands'
+//     kinds compiles to one that fails, with the interpreter's message,
+//     on the first row whose operands are all non-NULL. Over NULLs, or an
+//     empty selection, it yields NULL, as the interpreter did.
+//   - Error order: a stage evaluates exactly the (row, expression) pairs
+//     the interpreter does, but column by column, so rows that fail with
+//     different errors can be met out of order. A failed stage is re-run
+//     one row at a time (replay) to report the error the interpreter's
+//     row order meets first.
+//   - UPDATE evaluates every SET kernel over the surviving selection
+//     before writing anything, so an error leaves the target untouched
+//     and self-references read pre-update state.
 
-type vkind uint8
+// vkind is a kernel's static value type.
+type vkind = column.Type
 
 const (
-	kInt vkind = iota + 1
-	kFloat
-	kStr
-	kBool
+	kInt   = column.Int64
+	kFloat = column.Float64
+	kStr   = column.String
+	kBool  = column.Bool
 )
 
-func kindOfType(t column.Type) vkind {
-	switch t {
-	case column.Int64:
-		return kInt
-	case column.Float64:
-		return kFloat
-	case column.String:
-		return kStr
-	case column.Bool:
-		return kBool
+// goType names a kind as the interpreter's messages did (by %T).
+func goType(k vkind) string {
+	switch k {
+	case kInt:
+		return "int64"
+	case kFloat:
+		return "float64"
+	case kStr:
+		return "string"
 	}
-	return 0
+	return "bool"
 }
+
+func isNumKind(k vkind) bool { return k == kInt || k == kFloat }
 
 // vec is a typed value vector produced by a kernel; exactly one data
 // slice is populated. null[i] marks NULL (nil = no nulls).
@@ -84,6 +100,16 @@ func newVec(kind vkind, n int) *vec {
 		v.s = make([]string, n)
 	case kBool:
 		v.b = make([]bool, n)
+	}
+	return v
+}
+
+// nullVec is n NULLs.
+func nullVec(n int) *vec {
+	v := newVec(kFloat, n)
+	v.null = make([]bool, n)
+	for i := range v.null {
+		v.null[i] = true
 	}
 	return v
 }
@@ -119,7 +145,23 @@ func (v *vec) numAt(i int) float64 {
 	return v.f[i]
 }
 
-// vrel is a resolved FROM source for the vectorized executor.
+// value boxes element i (nil for NULL).
+func (v *vec) value(i int) any {
+	if v.isNull(i) {
+		return nil
+	}
+	switch v.kind {
+	case kInt:
+		return v.i[i]
+	case kFloat:
+		return v.f[i]
+	case kStr:
+		return v.s[i]
+	}
+	return v.b[i]
+}
+
+// vrel is a resolved FROM source.
 type vrel struct {
 	alias   string
 	names   []string
@@ -136,7 +178,42 @@ func (r *vrel) nd() int {
 	return len(r.arr.Dims)
 }
 
-func (e *Engine) resolveV(ref TableRef) (*vrel, bool) {
+// colKind is column ci's kind: the table column's type, or BIGINT
+// dimensions and DOUBLE value attributes for arrays.
+func (r *vrel) colKind(ci int) vkind {
+	switch {
+	case r.tbl != nil:
+		return r.tbl.Cols[ci].Typ
+	case ci < r.nd():
+		return kInt
+	}
+	return kFloat
+}
+
+func newVrel(alias string, t *column.Table, a *ArrayObject) *vrel {
+	if t != nil {
+		names := make([]string, len(t.Fields))
+		for i, f := range t.Fields {
+			names[i] = f.Name
+		}
+		return &vrel{alias: alias, names: names, rows: t.NumRows(), tbl: t}
+	}
+	var names []string
+	for _, d := range a.Dims {
+		names = append(names, d.Name)
+	}
+	names = append(names, a.order...)
+	nd := len(a.Dims)
+	strides := make([]int, nd)
+	s := 1
+	for i := nd - 1; i >= 0; i-- {
+		strides[i] = s
+		s *= a.Dims[i].Size
+	}
+	return &vrel{alias: alias, names: names, rows: a.Size(), arr: a, strides: strides}
+}
+
+func (e *Engine) resolveV(ref TableRef) (*vrel, error) {
 	e.mu.RLock()
 	t, isTable := e.tables[ref.Name]
 	a, isArray := e.arrays[ref.Name]
@@ -147,35 +224,32 @@ func (e *Engine) resolveV(ref TableRef) (*vrel, bool) {
 	}
 	switch {
 	case isTable:
-		names := make([]string, len(t.Fields))
-		for i, f := range t.Fields {
-			names[i] = f.Name
-		}
-		return &vrel{alias: alias, names: names, rows: t.NumRows(), tbl: t}, true
+		return newVrel(alias, t, nil), nil
 	case isArray:
-		var names []string
-		for _, d := range a.Dims {
-			names = append(names, d.Name)
-		}
-		names = append(names, a.order...)
-		nd := len(a.Dims)
-		strides := make([]int, nd)
-		s := 1
-		for i := nd - 1; i >= 0; i-- {
-			strides[i] = s
-			s *= a.Dims[i].Size
-		}
-		return &vrel{alias: alias, names: names, rows: a.Size(), arr: a, strides: strides}, true
-	default:
-		return nil, false
+		return newVrel(alias, nil, a), nil
 	}
+	return nil, fmt.Errorf("sciql: unknown table or array %q", ref.Name)
+}
+
+// nullRow is a one-row stand-in for r whose every column is NULL: the
+// group space of a global aggregate over zero rows.
+func nullRow(r *vrel) *vrel {
+	t := &column.Table{Name: r.alias}
+	for ci, n := range r.names {
+		c := column.NewEmpty(r.colKind(ci))
+		c.AppendNull()
+		t.Fields = append(t.Fields, column.Field{Name: n, Typ: c.Typ})
+		t.Cols = append(t.Cols, c)
+	}
+	return &vrel{alias: r.alias, names: r.names, rows: 1, tbl: t}
 }
 
 // bindCol resolves a column reference across the relations with the
-// legacy lookup rules (a qualifier restricts to matching aliases; an
-// unqualified name must be unique across all relations).
-func bindCol(rels []*vrel, c *ColRef) (relIdx, colIdx int, ok bool) {
-	relIdx, colIdx = -1, -1
+// interpreter's lookup rules and messages (a qualifier restricts to
+// matching aliases; an unqualified name must be unique across all
+// relations).
+func bindCol(rels []*vrel, c *ColRef) (relIdx, colIdx int, err error) {
+	relIdx = -1
 	for ri, r := range rels {
 		if c.Table != "" && r.alias != c.Table {
 			continue
@@ -183,16 +257,19 @@ func bindCol(rels []*vrel, c *ColRef) (relIdx, colIdx int, ok bool) {
 		for ci, n := range r.names {
 			if n == c.Name {
 				if relIdx >= 0 {
-					return 0, 0, false // ambiguous
+					return 0, 0, fmt.Errorf("sciql: ambiguous column %q", c.Name)
 				}
 				relIdx, colIdx = ri, ci
 			}
 		}
 	}
-	if relIdx < 0 {
-		return 0, 0, false
+	switch {
+	case relIdx >= 0:
+		return relIdx, colIdx, nil
+	case c.Table != "":
+		return 0, 0, fmt.Errorf("sciql: unknown column %q.%q", c.Table, c.Name)
 	}
-	return relIdx, colIdx, true
+	return 0, 0, fmt.Errorf("sciql: unknown column %q", c.Name)
 }
 
 // colAcc reads one bound column: a table column, a virtual array
@@ -208,16 +285,16 @@ type colAcc struct {
 
 func mkAcc(rels []*vrel, relIdx, colIdx int) *colAcc {
 	r := rels[relIdx]
-	if r.tbl != nil {
-		c := r.tbl.Cols[colIdx]
-		return &colAcc{kind: kindOfType(c.Typ), rel: relIdx, col: c}
+	acc := &colAcc{kind: r.colKind(colIdx), rel: relIdx}
+	switch nd := r.nd(); {
+	case r.tbl != nil:
+		acc.col = r.tbl.Cols[colIdx]
+	case colIdx < nd:
+		acc.stride, acc.size = r.strides[colIdx], r.arr.Dims[colIdx].Size
+	default:
+		acc.img = r.arr.Values[r.arr.order[colIdx-nd]]
 	}
-	nd := r.nd()
-	if colIdx < nd {
-		return &colAcc{kind: kInt, rel: relIdx, stride: r.strides[colIdx], size: r.arr.Dims[colIdx].Size}
-	}
-	img := r.arr.Values[r.arr.order[colIdx-nd]]
-	return &colAcc{kind: kFloat, rel: relIdx, img: img}
+	return acc
 }
 
 // vctx is the execution context: relations plus the solution-to-base-row
@@ -249,6 +326,14 @@ func (x *vctx) selLen(sel []int32) int {
 		return x.n
 	}
 	return len(sel)
+}
+
+// solAt is the solution id at position i of sel.
+func solAt(sel []int32, i int) int32 {
+	if sel == nil {
+		return int32(i)
+	}
+	return sel[i]
 }
 
 // base maps a solution id to the accessor's relation base row.
@@ -288,7 +373,7 @@ func (a *colAcc) load(x *vctx, sel []int32) *vec {
 				out.b[i] = src[a.base(x, sol)]
 			}
 		}
-		// NULL slots hold the zero value (legacy columns are built with
+		// NULL slots hold the zero value (columns are built with
 		// AppendNull, so downstream raw readers see zeros either way).
 		for i, sol := range sel {
 			if c.IsNull(int(a.base(x, sol))) {
@@ -360,20 +445,17 @@ func (a *colAcc) numBase(b int32) (float64, bool) {
 
 // kernel evaluates one expression over a selection.
 type kernel struct {
-	kind      vkind
-	isConst   bool
-	constNull bool
-	ci        int64
-	cf        float64
-	cs        string
-	cb        bool
-	acc       *colAcc // set for bare column references
-	eval      func(x *vctx, sel []int32) (*vec, error)
+	kind vkind
+	// null marks a kernel whose every value is NULL: a NULL literal, an
+	// operation over one, or a type error. Like the interpreter, an
+	// operation over it yields NULL before any type check.
+	null bool
+	eval func(x *vctx, sel []int32) (*vec, error)
 }
 
 // pfilter evaluates a predicate over sel (nil = full range), returning
 // the INDICES within sel of the rows where it is true (NULL and false
-// rows are dropped, matching evalBool).
+// rows are dropped, as the interpreter's evalBool did).
 type pfilter func(x *vctx, sel []int32) ([]int32, error)
 
 // gatherSel maps filter result indices back to solution ids, reusing
@@ -403,37 +485,94 @@ func complementIdx(idx []int32, n int) []int32 {
 }
 
 // ---------------------------------------------------------------------------
+// Stages and error order
+
+// runFilters applies the WHERE filters left to right.
+func runFilters(x *vctx, sel []int32, filters []pfilter) ([]int32, error) {
+	in := sel
+	for _, f := range filters {
+		idx, err := f(x, sel)
+		if err != nil {
+			return nil, replay(x, in, filters, nil, err)
+		}
+		sel = gatherSel(sel, idx)
+	}
+	return sel, nil
+}
+
+// evalKernels evaluates a stage of kernels (a SELECT's items, an
+// UPDATE's SET list, a GROUP BY key list) over sel.
+func evalKernels(x *vctx, sel []int32, ks []*kernel) ([]*vec, error) {
+	out := make([]*vec, len(ks))
+	for i, k := range ks {
+		v, err := k.eval(x, sel)
+		if err != nil {
+			return nil, replay(x, sel, nil, ks, err)
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// replay re-runs a failed stage one solution at a time, in row order —
+// the filters, a solution ending where one drops it, then the kernels —
+// and returns the first error that order meets: the one the interpreter
+// reported. fallback is the columnar pass's error.
+func replay(x *vctx, sel []int32, filters []pfilter, ks []*kernel, fallback error) error {
+	for _, s := range x.full(sel) {
+		one := []int32{s}
+		kept := true
+		for _, f := range filters {
+			idx, err := f(x, one)
+			if err != nil {
+				return err
+			}
+			if kept = len(idx) > 0; !kept {
+				break
+			}
+		}
+		for _, k := range ks {
+			if !kept {
+				break
+			}
+			if _, err := k.eval(x, one); err != nil {
+				return err
+			}
+		}
+	}
+	return fallback
+}
+
+// ---------------------------------------------------------------------------
 // Expression compilation
 
 type vcompiler struct {
 	rels []*vrel
+	// outside marks INSERT's VALUES, where a column reference fails.
+	outside bool
+	// aggs, set while compiling an aggregate query's items over the group
+	// space, turns aggregate calls into columns.
+	aggs *aggSet
 }
 
-var errVFallback = fmt.Errorf("sciql: vectorized compile fallback")
-
-func (vc *vcompiler) kernel(e Expr) (*kernel, error) {
+func (vc *vcompiler) kernel(e Expr) *kernel {
 	switch t := e.(type) {
 	case *Literal:
 		return constKernel(t.Value)
 	case *ColRef:
-		ri, ci, ok := bindCol(vc.rels, t)
-		if !ok {
-			return nil, errVFallback
+		if vc.outside {
+			return nullKernel(fmt.Errorf("sciql: column %q referenced outside a query", t.Name))
+		}
+		ri, ci, err := bindCol(vc.rels, t)
+		if err != nil {
+			return nullKernel(err)
 		}
 		acc := mkAcc(vc.rels, ri, ci)
-		return &kernel{
-			kind: acc.kind,
-			acc:  acc,
-			eval: func(x *vctx, sel []int32) (*vec, error) { return acc.load(x, sel), nil },
-		}, nil
+		return &kernel{kind: acc.kind, eval: func(x *vctx, sel []int32) (*vec, error) { return acc.load(x, sel), nil }}
 	case *BinaryExpr:
 		return vc.binary(t)
 	case *UnaryExpr:
-		inner, err := vc.kernel(t.X)
-		if err != nil {
-			return nil, err
-		}
-		return vc.unary(t.Op, inner)
+		return vc.unary(t)
 	case *CallExpr:
 		return vc.call(t)
 	case *BetweenExpr:
@@ -441,10 +580,7 @@ func (vc *vcompiler) kernel(e Expr) (*kernel, error) {
 	case *CaseExpr:
 		return vc.caseExpr(t)
 	case *IsNullExpr:
-		inner, err := vc.kernel(t.X)
-		if err != nil {
-			return nil, err
-		}
+		inner := vc.kernel(t.X)
 		not := t.Not
 		return &kernel{kind: kBool, eval: func(x *vctx, sel []int32) (*vec, error) {
 			iv, err := inner.eval(x, sel)
@@ -456,103 +592,169 @@ func (vc *vcompiler) kernel(e Expr) (*kernel, error) {
 				out.b[i] = iv.isNull(i) != not
 			}
 			return out, nil
-		}}, nil
+		}}
 	case *InExpr:
 		return vc.inExpr(t)
 	}
-	return nil, errVFallback
+	return nullKernel(fmt.Errorf("sciql: unsupported expression %T", e))
 }
 
-func constKernel(val any) (*kernel, error) {
-	k := &kernel{isConst: true}
-	switch v := val.(type) {
-	case nil:
-		k.kind, k.constNull = kFloat, true
-	case int64:
-		k.kind, k.ci = kInt, v
-	case float64:
-		k.kind, k.cf = kFloat, v
-	case string:
-		k.kind, k.cs = kStr, v
-	case bool:
-		k.kind, k.cb = kBool, v
-	default:
-		return nil, errVFallback
-	}
-	k.eval = func(x *vctx, sel []int32) (*vec, error) {
+// nullKernel evaluates its operands and yields NULL. With a non-nil err
+// it is a type error: it fails with err on the first row whose operands
+// are all non-NULL (the first row at all when it has none).
+func nullKernel(err error, operands ...*kernel) *kernel {
+	return &kernel{kind: kFloat, null: true, eval: func(x *vctx, sel []int32) (*vec, error) {
+		vs, e := evalArgs(x, sel, operands)
+		if e != nil {
+			return nil, e
+		}
 		n := x.selLen(sel)
-		out := newVec(k.kind, n)
-		switch {
-		case k.constNull:
-			out.null = make([]bool, n)
-			for i := range out.null {
-				out.null[i] = true
+		if err != nil {
+		rows:
+			for i := 0; i < n; i++ {
+				for _, v := range vs {
+					if v.isNull(i) {
+						continue rows
+					}
+				}
+				return nil, err
 			}
-		case k.kind == kInt:
+		}
+		return nullVec(n), nil
+	}}
+}
+
+func evalArgs(x *vctx, sel []int32, ks []*kernel) ([]*vec, error) {
+	vs := make([]*vec, len(ks))
+	for i, k := range ks {
+		v, err := k.eval(x, sel)
+		if err != nil {
+			return nil, err
+		}
+		vs[i] = v
+	}
+	return vs, nil
+}
+
+func anyNull(ks ...*kernel) bool {
+	for _, k := range ks {
+		if k.null {
+			return true
+		}
+	}
+	return false
+}
+
+func constKernel(val any) *kernel {
+	var kind vkind
+	switch val.(type) {
+	case int64:
+		kind = kInt
+	case float64:
+		kind = kFloat
+	case string:
+		kind = kStr
+	case bool:
+		kind = kBool
+	default:
+		return nullKernel(nil)
+	}
+	return &kernel{kind: kind, eval: func(x *vctx, sel []int32) (*vec, error) {
+		out := newVec(kind, x.selLen(sel))
+		switch v := val.(type) {
+		case int64:
 			for i := range out.i {
-				out.i[i] = k.ci
+				out.i[i] = v
 			}
-		case k.kind == kFloat:
+		case float64:
 			for i := range out.f {
-				out.f[i] = k.cf
+				out.f[i] = v
 			}
-		case k.kind == kStr:
+		case string:
 			for i := range out.s {
-				out.s[i] = k.cs
+				out.s[i] = v
 			}
-		case k.kind == kBool:
+		case bool:
 			for i := range out.b {
-				out.b[i] = k.cb
+				out.b[i] = v
 			}
 		}
 		return out, nil
-	}
-	return k, nil
+	}}
 }
 
-func isNumKind(k vkind) bool { return k == kInt || k == kFloat }
+// binaryTypeError reports, with the interpreter's message, an operator
+// its operand kinds do not admit.
+func binaryTypeError(op string, l, r vkind) error {
+	switch {
+	case l == kStr && r == kStr:
+		if isCmpOp(op) {
+			return nil
+		}
+		return fmt.Errorf("sciql: operator %q not defined on strings", op)
+	case l == kBool && r == kBool:
+		if op == "=" || op == "<>" {
+			return nil
+		}
+		return fmt.Errorf("sciql: operator %q not defined on booleans", op)
+	case isNumKind(l) && isNumKind(r):
+		return nil
+	}
+	return fmt.Errorf("sciql: operator %q not defined on %s and %s", op, goType(l), goType(r))
+}
 
-func (vc *vcompiler) binary(t *BinaryExpr) (*kernel, error) {
+func isCmpOp(op string) bool {
+	switch op {
+	case "=", "<>", "<", "<=", ">", ">=":
+		return true
+	}
+	return false
+}
+
+func (vc *vcompiler) binary(t *BinaryExpr) *kernel {
 	if t.Op == "AND" || t.Op == "OR" {
 		return vc.logicalValue(t)
 	}
-	l, err := vc.kernel(t.Left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := vc.kernel(t.Right)
-	if err != nil {
-		return nil, err
-	}
+	l, r := vc.kernel(t.Left), vc.kernel(t.Right)
 	op := t.Op
-	switch op {
-	case "||":
-		// Legacy stringifies anything; only the all-string case is
-		// compiled, the rest falls back.
-		if l.kind != kStr || r.kind != kStr {
-			return nil, errVFallback
-		}
-		return &kernel{kind: kStr, eval: func(x *vctx, sel []int32) (*vec, error) {
-			lv, rv, err := evalPair(l, r, x, sel)
-			if err != nil {
-				return nil, err
-			}
-			out := newVec(kStr, lv.len())
-			for i := range out.s {
-				if lv.isNull(i) || rv.isNull(i) {
-					out.setNull(i)
-					continue
-				}
-				out.s[i] = lv.s[i] + rv.s[i]
-			}
-			return out, nil
-		}}, nil
-	case "=", "<>", "<", "<=", ">", ">=":
-		return compareKernel(op, l, r)
-	case "+", "-", "*", "/", "%":
-		return arithKernel(op, l, r)
+	switch {
+	case anyNull(l, r):
+		return nullKernel(nil, l, r)
+	case op == "||":
+		return concatKernel(l, r)
 	}
-	return nil, errVFallback
+	if err := binaryTypeError(op, l.kind, r.kind); err != nil {
+		return nullKernel(err, l, r)
+	}
+	if isCmpOp(op) {
+		return compareKernel(op, l, r)
+	}
+	return arithKernel(op, l, r)
+}
+
+// concatKernel is `||`: like the interpreter it stringifies any kind.
+func concatKernel(l, r *kernel) *kernel {
+	str := func(v *vec, i int) string {
+		if v.kind == kStr {
+			return v.s[i]
+		}
+		return fmt.Sprint(v.value(i))
+	}
+	return &kernel{kind: kStr, eval: func(x *vctx, sel []int32) (*vec, error) {
+		lv, rv, err := evalPair(l, r, x, sel)
+		if err != nil {
+			return nil, err
+		}
+		out := newVec(kStr, lv.len())
+		for i := range out.s {
+			if lv.isNull(i) || rv.isNull(i) {
+				out.setNull(i)
+				continue
+			}
+			out.s[i] = str(lv, i) + str(rv, i)
+		}
+		return out, nil
+	}}
 }
 
 func evalPair(l, r *kernel, x *vctx, sel []int32) (*vec, *vec, error) {
@@ -567,60 +769,37 @@ func evalPair(l, r *kernel, x *vctx, sel []int32) (*vec, *vec, error) {
 	return lv, rv, nil
 }
 
-func compareKernel(op string, l, r *kernel) (*kernel, error) {
-	// Static type admissibility mirrors applyBinary.
+// cmpAt compares l[i] with r[j], both non-NULL and of admissible kinds:
+// -1, 0, 1, or 2 when a NaN leaves the floats unordered. Two integers
+// compare exactly, as the interpreter kept int/int comparisons in int64.
+func cmpAt(l *vec, i int, r *vec, j int) int {
 	switch {
-	case isNumKind(l.kind) && isNumKind(r.kind):
-	case l.kind == kStr && r.kind == kStr:
-	case l.kind == kBool && r.kind == kBool:
-		if op != "=" && op != "<>" {
-			return nil, errVFallback
-		}
-	default:
-		// Mixed types: legacy errors per evaluated row; a NULL literal
-		// operand however compares as NULL with anything.
-		if !(l.isConst && l.constNull) && !(r.isConst && r.constNull) {
-			return nil, errVFallback
-		}
+	case l.kind == kInt && r.kind == kInt:
+		return cmp3Int(l.i[i], r.i[j])
+	case l.kind == kStr:
+		return strings.Compare(l.s[i], r.s[j])
+	case l.kind == kBool:
+		return cmp3Bool(l.b[i], r.b[j])
 	}
-	nullConst := (l.isConst && l.constNull) || (r.isConst && r.constNull)
+	return cmp3Float(l.numAt(i), r.numAt(j))
+}
+
+func compareKernel(op string, l, r *kernel) *kernel {
 	return &kernel{kind: kBool, eval: func(x *vctx, sel []int32) (*vec, error) {
-		n := x.selLen(sel)
-		out := newVec(kBool, n)
-		// Operands always evaluate (their errors surface even when the
-		// comparison result is forced NULL by a NULL literal).
 		lv, rv, err := evalPair(l, r, x, sel)
 		if err != nil {
 			return nil, err
 		}
-		if nullConst {
-			out.null = make([]bool, n)
-			for i := range out.null {
-				out.null[i] = true
-			}
-			return out, nil
-		}
-		bothInt := lv.kind == kInt && rv.kind == kInt
-		for i := 0; i < n; i++ {
+		out := newVec(kBool, lv.len())
+		for i := range out.b {
 			if lv.isNull(i) || rv.isNull(i) {
 				out.setNull(i)
 				continue
 			}
-			var c int
-			switch {
-			case bothInt:
-				c = cmp3Int(lv.i[i], rv.i[i])
-			case lv.kind == kStr:
-				c = strings.Compare(lv.s[i], rv.s[i])
-			case lv.kind == kBool:
-				c = cmp3Bool(lv.b[i], rv.b[i])
-			default:
-				c = cmp3Float(lv.numAt(i), rv.numAt(i))
-			}
-			out.b[i] = cmpOpHolds(op, c)
+			out.b[i] = cmpOpHolds(op, cmpAt(lv, i, rv, i))
 		}
 		return out, nil
-	}}, nil
+	}}
 }
 
 func cmp3Int(a, b int64) int {
@@ -670,15 +849,7 @@ func cmpOpHolds(op string, c int) bool {
 	return false
 }
 
-func arithKernel(op string, l, r *kernel) (*kernel, error) {
-	if !isNumKind(l.kind) || !isNumKind(r.kind) {
-		if (l.isConst && l.constNull) || (r.isConst && r.constNull) {
-			// NULL arithmetic yields NULL regardless of the other side,
-			// but the other side still evaluates (its errors surface).
-			return nullPropKernel(l, r), nil
-		}
-		return nil, errVFallback
-	}
+func arithKernel(op string, l, r *kernel) *kernel {
 	bothInt := l.kind == kInt && r.kind == kInt
 	kind := kFloat
 	if bothInt {
@@ -739,93 +910,51 @@ func arithKernel(op string, l, r *kernel) (*kernel, error) {
 			}
 		}
 		return out, nil
-	}}, nil
+	}}
 }
 
-// nullPropKernel yields all-NULL results after evaluating operands for
-// their side effects (errors).
-func nullPropKernel(operands ...*kernel) *kernel {
-	k := &kernel{kind: kFloat, isConst: true, constNull: true}
-	k.eval = func(x *vctx, sel []int32) (*vec, error) {
-		for _, op := range operands {
-			if _, err := op.eval(x, sel); err != nil {
-				return nil, err
-			}
-		}
-		n := x.selLen(sel)
-		out := newVec(kFloat, n)
-		out.null = make([]bool, n)
-		for i := range out.null {
-			out.null[i] = true
-		}
-		return out, nil
+func (vc *vcompiler) unary(t *UnaryExpr) *kernel {
+	inner := vc.kernel(t.X)
+	if inner.null {
+		return nullKernel(nil, inner)
 	}
-	return k
-}
-
-func (vc *vcompiler) unary(op string, inner *kernel) (*kernel, error) {
-	switch op {
-	case "-":
-		if !isNumKind(inner.kind) {
-			if inner.isConst && inner.constNull {
-				return nullPropKernel(inner), nil
-			}
-			return nil, errVFallback
+	kind := inner.kind
+	switch {
+	case t.Op == "-" && !isNumKind(kind):
+		return nullKernel(fmt.Errorf("sciql: unary minus on %s", goType(kind)), inner)
+	case t.Op == "NOT" && kind != kBool:
+		return nullKernel(fmt.Errorf("sciql: NOT on %s", goType(kind)), inner)
+	}
+	return &kernel{kind: kind, eval: func(x *vctx, sel []int32) (*vec, error) {
+		iv, err := inner.eval(x, sel)
+		if err != nil {
+			return nil, err
 		}
-		kind := inner.kind
-		return &kernel{kind: kind, eval: func(x *vctx, sel []int32) (*vec, error) {
-			iv, err := inner.eval(x, sel)
-			if err != nil {
-				return nil, err
+		out := newVec(kind, iv.len())
+		out.null = iv.null
+		switch kind {
+		case kInt:
+			for i, v := range iv.i {
+				out.i[i] = -v
 			}
-			out := newVec(kind, iv.len())
-			out.null = iv.null
-			if kind == kInt {
-				for i, v := range iv.i {
-					out.i[i] = -v
-				}
-			} else {
-				for i, v := range iv.f {
-					out.f[i] = -v
-				}
+		case kFloat:
+			for i, v := range iv.f {
+				out.f[i] = -v
 			}
-			return out, nil
-		}}, nil
-	case "NOT":
-		if inner.kind != kBool {
-			if inner.isConst && inner.constNull {
-				return nullPropKernel(inner), nil
-			}
-			return nil, errVFallback
-		}
-		return &kernel{kind: kBool, eval: func(x *vctx, sel []int32) (*vec, error) {
-			iv, err := inner.eval(x, sel)
-			if err != nil {
-				return nil, err
-			}
-			out := newVec(kBool, iv.len())
-			out.null = iv.null
+		default:
 			for i, v := range iv.b {
 				out.b[i] = !v
 			}
-			return out, nil
-		}}, nil
-	}
-	return nil, errVFallback
+		}
+		return out, nil
+	}}
 }
 
-// logicalValue compiles AND/OR used as a value; like the legacy
-// evaluator it collapses NULL to false and short-circuits, so the right
-// side only runs on rows the left side did not decide.
-func (vc *vcompiler) logicalValue(t *BinaryExpr) (*kernel, error) {
-	lf, err := vc.pred(t.Left)
-	if err != nil {
-		return nil, err
-	}
-	rf, err := vc.pred(t.Right)
-	if err != nil {
-		return nil, err
-	}
+// logicalValue compiles AND/OR used as a value; like the interpreter it
+// collapses NULL to false and short-circuits, so the right side only
+// runs on rows the left side did not decide.
+func (vc *vcompiler) logicalValue(t *BinaryExpr) *kernel {
+	lf, rf := vc.pred(t.Left), vc.pred(t.Right)
 	isAnd := t.Op == "AND"
 	return &kernel{kind: kBool, eval: func(x *vctx, sel []int32) (*vec, error) {
 		n := x.selLen(sel)
@@ -866,104 +995,87 @@ func (vc *vcompiler) logicalValue(t *BinaryExpr) (*kernel, error) {
 			out.b[rest[j]] = true
 		}
 		return out, nil
-	}}, nil
+	}}
 }
 
-func (vc *vcompiler) between(t *BetweenExpr) (*kernel, error) {
-	xk, err := vc.kernel(t.X)
-	if err != nil {
-		return nil, err
+// between compiles `x [NOT] BETWEEN lo AND hi` the interpreter's way:
+// all three operands evaluate, any NULL makes the row NULL, then both
+// comparisons run.
+func (vc *vcompiler) between(t *BetweenExpr) *kernel {
+	xk, lok, hik := vc.kernel(t.X), vc.kernel(t.Lo), vc.kernel(t.Hi)
+	ks := []*kernel{xk, lok, hik}
+	if anyNull(ks...) {
+		return nullKernel(nil, ks...)
 	}
-	lok, err := vc.kernel(t.Lo)
-	if err != nil {
-		return nil, err
+	if err := binaryTypeError(">=", xk.kind, lok.kind); err != nil {
+		return nullKernel(err, ks...)
 	}
-	hik, err := vc.kernel(t.Hi)
-	if err != nil {
-		return nil, err
-	}
-	ge, err := compareKernel(">=", xk, lok)
-	if err != nil {
-		return nil, err
-	}
-	le, err := compareKernel("<=", xk, hik)
-	if err != nil {
-		return nil, err
+	if err := binaryTypeError("<=", xk.kind, hik.kind); err != nil {
+		return nullKernel(err, ks...)
 	}
 	not := t.Not
 	return &kernel{kind: kBool, eval: func(x *vctx, sel []int32) (*vec, error) {
-		gv, err := ge.eval(x, sel)
+		vs, err := evalArgs(x, sel, ks)
 		if err != nil {
 			return nil, err
 		}
-		lv, err := le.eval(x, sel)
-		if err != nil {
-			return nil, err
-		}
-		out := newVec(kBool, gv.len())
+		xv, lv, hv := vs[0], vs[1], vs[2]
+		out := newVec(kBool, xv.len())
 		for i := range out.b {
-			// Legacy BETWEEN returns NULL only when an operand is NULL,
-			// which surfaces here as a NULL comparison result.
-			if gv.isNull(i) || lv.isNull(i) {
+			if xv.isNull(i) || lv.isNull(i) || hv.isNull(i) {
 				out.setNull(i)
 				continue
 			}
-			res := gv.b[i] && lv.b[i]
-			out.b[i] = res != not
+			in := cmpOpHolds(">=", cmpAt(xv, i, lv, i)) && cmpOpHolds("<=", cmpAt(xv, i, hv, i))
+			out.b[i] = in != not
 		}
 		return out, nil
-	}}, nil
+	}}
 }
 
-func (vc *vcompiler) caseExpr(t *CaseExpr) (*kernel, error) {
+// caseExpr compiles CASE. Its kind is its arms' kind, NULL arms aside: a
+// CASE with BIGINT and DOUBLE arms is DOUBLE, and arms of other mixed
+// kinds are a type error.
+func (vc *vcompiler) caseExpr(t *CaseExpr) *kernel {
 	type arm struct {
 		cond pfilter
 		then *kernel
 	}
 	arms := make([]arm, 0, len(t.Whens))
-	kind := vkind(0)
-	merge := func(k *kernel) bool {
-		if k.isConst && k.constNull {
-			return true
-		}
-		if kind == 0 {
+	var kind vkind
+	merge := func(k *kernel) error {
+		switch {
+		case k.null || k.kind == kind:
+		case kind == 0:
 			kind = k.kind
-			return true
+		case isNumKind(kind) && isNumKind(k.kind):
+			kind = kFloat
+		default:
+			return fmt.Errorf("sciql: CASE arms mix %s and %s", kind, k.kind)
 		}
-		return k.kind == kind
+		return nil
 	}
 	for _, w := range t.Whens {
-		cf, err := vc.pred(w.Cond)
-		if err != nil {
-			return nil, err
+		th := vc.kernel(w.Then)
+		if err := merge(th); err != nil {
+			return nullKernel(err)
 		}
-		th, err := vc.kernel(w.Then)
-		if err != nil {
-			return nil, err
-		}
-		if !merge(th) {
-			return nil, errVFallback
-		}
-		arms = append(arms, arm{cond: cf, then: th})
+		arms = append(arms, arm{cond: vc.pred(w.Cond), then: th})
 	}
 	var elseK *kernel
 	if t.Else != nil {
-		ek, err := vc.kernel(t.Else)
-		if err != nil {
-			return nil, err
+		elseK = vc.kernel(t.Else)
+		if err := merge(elseK); err != nil {
+			return nullKernel(err)
 		}
-		if !merge(ek) {
-			return nil, errVFallback
-		}
-		elseK = ek
 	}
-	if kind == 0 {
-		kind = kFloat // all branches NULL
+	null := kind == 0
+	if null {
+		kind = kFloat
 	}
-	outKind := kind
-	return &kernel{kind: outKind, eval: func(x *vctx, sel []int32) (*vec, error) {
+	return &kernel{kind: kind, null: null, eval: func(x *vctx, sel []int32) (*vec, error) {
 		n := x.selLen(sel)
-		out := newVec(outKind, n)
+		out := newVec(kind, n)
 		curSel := x.full(sel)
 		// curSlot[i] is the output slot of curSel[i].
 		curSlot := make([]int32, n)
@@ -980,11 +1092,11 @@ func (vc *vcompiler) caseExpr(t *CaseExpr) (*kernel, error) {
 					out.setNull(int(slot))
 					continue
 				}
-				switch outKind {
+				switch kind {
 				case kInt:
 					out.i[slot] = v.i[i]
 				case kFloat:
-					out.f[slot] = v.f[i]
+					out.f[slot] = v.numAt(i)
 				case kStr:
 					out.s[slot] = v.s[i]
 				case kBool:
@@ -1029,26 +1141,25 @@ func (vc *vcompiler) caseExpr(t *CaseExpr) (*kernel, error) {
 			}
 		}
 		return out, nil
-	}}, nil
+	}}
 }
 
-// inExpr compiles `x [NOT] IN (list)` for literal-only lists. The legacy
-// evaluator short-circuits the list per row (elements after the first
-// match never evaluate, NULL x skips the list entirely), which literal
-// elements make free to replicate: they cannot fail, so only the
-// type-mismatch error of `=` needs the per-row, in-order walk.
-func (vc *vcompiler) inExpr(t *InExpr) (*kernel, error) {
-	xk, err := vc.kernel(t.X)
-	if err != nil {
-		return nil, err
+// inExpr compiles `x [NOT] IN (list)`. Like the interpreter it walks the
+// list in order per row: a NULL x skips the list, an element evaluates
+// only on rows no earlier element matched, and a NULL element never
+// matches.
+func (vc *vcompiler) inExpr(t *InExpr) *kernel {
+	xk := vc.kernel(t.X)
+	if xk.null {
+		return nullKernel(nil, xk)
 	}
-	vals := make([]any, len(t.List))
-	for i, le := range t.List {
-		lit, ok := le.(*Literal)
-		if !ok {
-			return nil, errVFallback
+	elems := make([]*kernel, len(t.List))
+	errs := make([]error, len(t.List))
+	for j, le := range t.List {
+		elems[j] = vc.kernel(le)
+		if !elems[j].null {
+			errs[j] = binaryTypeError("=", xk.kind, elems[j].kind)
 		}
-		vals[i] = lit.Value
 	}
 	not := t.Not
 	return &kernel{kind: kBool, eval: func(x *vctx, sel []int32) (*vec, error) {
@@ -1056,151 +1167,154 @@ func (vc *vcompiler) inExpr(t *InExpr) (*kernel, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := xv.len()
-		out := newVec(kBool, n)
-		decided := make([]bool, n)
-		for _, val := range vals {
-			if val == nil {
-				continue // `x = NULL` is NULL: never a match
-			}
-			for i := 0; i < n; i++ {
-				if decided[i] || xv.isNull(i) {
-					continue
-				}
-				match := false
-				switch lv := val.(type) {
-				case int64:
-					if xv.kind == kInt {
-						match = xv.i[i] == lv
-					} else if xv.kind == kFloat {
-						match = xv.f[i] == float64(lv)
-					} else {
-						return nil, fmt.Errorf("sciql: operator %q not defined on %s and %T", "=", "column", val)
-					}
-				case float64:
-					if xv.kind == kInt {
-						match = float64(xv.i[i]) == lv
-					} else if xv.kind == kFloat {
-						match = xv.f[i] == lv
-					} else {
-						return nil, fmt.Errorf("sciql: operator %q not defined on %s and %T", "=", "column", val)
-					}
-				case string:
-					if xv.kind != kStr {
-						return nil, fmt.Errorf("sciql: operator %q not defined on %s and %T", "=", "column", val)
-					}
-					match = xv.s[i] == lv
-				case bool:
-					if xv.kind != kBool {
-						return nil, fmt.Errorf("sciql: operator %q not defined on %s and %T", "=", "column", val)
-					}
-					match = xv.b[i] == lv
-				}
-				if match {
-					decided[i] = true
-				}
-			}
-		}
-		for i := 0; i < n; i++ {
+		full := x.full(sel)
+		out := newVec(kBool, xv.len())
+		// open lists the positions still undecided.
+		var open []int32
+		for i := range out.b {
 			if xv.isNull(i) {
 				out.setNull(i)
-				continue
+			} else {
+				out.b[i] = not
+				open = append(open, int32(i))
 			}
-			out.b[i] = decided[i] != not
+		}
+		for j, ek := range elems {
+			if len(open) == 0 {
+				break
+			}
+			sub := make([]int32, len(open))
+			for i, p := range open {
+				sub[i] = full[p]
+			}
+			ev, err := ek.eval(x, sub)
+			if err != nil {
+				return nil, err
+			}
+			rest := open[:0]
+			for i, p := range open {
+				switch {
+				case ev.isNull(i):
+				case errs[j] != nil:
+					return nil, errs[j]
+				case cmpAt(xv, int(p), ev, i) == 0:
+					out.b[p] = !not
+					continue
+				}
+				rest = append(rest, p)
+			}
+			open = rest
 		}
 		return out, nil
-	}}, nil
+	}}
 }
 
-func (vc *vcompiler) call(t *CallExpr) (*kernel, error) {
-	switch t.Name {
-	case "count", "sum", "avg", "min", "max":
-		return nil, errVFallback // aggregates are handled by the agg path
+func (vc *vcompiler) call(t *CallExpr) *kernel {
+	if vc.aggs != nil && isAggregate(t.Name) {
+		return vc.aggs.column(t)
 	}
 	args := make([]*kernel, len(t.Args))
 	for i, a := range t.Args {
-		k, err := vc.kernel(a)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = k
+		args[i] = vc.kernel(a)
+	}
+	if anyNull(args...) {
+		return nullKernel(nil, args...)
 	}
 	return scalarCallKernel(t.Name, args)
 }
 
-func scalarCallKernel(name string, args []*kernel) (*kernel, error) {
-	numArgs := func(n int) bool {
+// scalarKind types a scalar function call, checking it the way the
+// interpreter did and returning its error for an ill-typed call. Outside
+// an aggregate query's items an aggregate name is an unknown function.
+func scalarKind(name string, args []*kernel) (vkind, error) {
+	need := func(n int) error {
 		if len(args) != n {
-			return false
+			return fmt.Errorf("sciql: %s takes %d argument(s), got %d", name, n, len(args))
 		}
+		return nil
+	}
+	allNum := func() bool {
 		for _, a := range args {
-			if !isNumKind(a.kind) && !(a.isConst && a.constNull) {
+			if !isNumKind(a.kind) {
 				return false
 			}
 		}
 		return true
 	}
-	var kind vkind
 	switch name {
 	case "abs":
-		if !numArgs(1) {
-			return nil, errVFallback
+		if err := need(1); err != nil {
+			return 0, err
 		}
-		kind = args[0].kind
-	case "sqrt", "log", "exp", "power", "pow":
-		want := 1
-		if name == "power" || name == "pow" {
-			want = 2
+		if !allNum() {
+			return 0, fmt.Errorf("sciql: abs expects a number")
 		}
-		if !numArgs(want) {
-			return nil, errVFallback
+		return args[0].kind, nil
+	case "sqrt", "log", "exp", "floor", "ceil", "ceiling", "round":
+		if err := need(1); err != nil {
+			return 0, err
 		}
-		kind = kFloat
-	case "floor", "ceil", "ceiling", "round", "length":
-		if name == "length" {
-			if len(args) != 1 || args[0].kind != kStr {
-				return nil, errVFallback
-			}
-		} else if !numArgs(1) {
-			return nil, errVFallback
+		if !allNum() {
+			return 0, fmt.Errorf("sciql: %s expects a numeric argument, got %s", name, goType(args[0].kind))
 		}
-		kind = kInt
+		if name == "sqrt" || name == "log" || name == "exp" {
+			return kFloat, nil
+		}
+		return kInt, nil
+	case "power", "pow":
+		if err := need(2); err != nil {
+			return 0, err
+		}
+		if !allNum() {
+			return 0, fmt.Errorf("sciql: power expects numbers")
+		}
+		return kFloat, nil
 	case "mod":
-		if !numArgs(2) {
-			return nil, errVFallback
+		if err := need(2); err != nil {
+			return 0, err
 		}
-		if args[0].kind == kInt && args[1].kind == kInt {
-			kind = kInt
-		} else {
-			kind = kFloat
+		if err := binaryTypeError("%", args[0].kind, args[1].kind); err != nil {
+			return 0, err
 		}
 	case "greatest", "least":
-		if len(args) < 1 || !numArgs(len(args)) {
-			return nil, errVFallback
+		if len(args) < 1 {
+			return 0, fmt.Errorf("sciql: %s needs at least one argument", name)
 		}
-		kind = kInt
-		for _, a := range args {
-			if a.kind != kInt {
-				kind = kFloat
-			}
+		if !allNum() {
+			return 0, fmt.Errorf("sciql: %s expects numbers", name)
 		}
-	case "lower", "upper":
-		if len(args) != 1 || args[0].kind != kStr {
-			return nil, errVFallback
+	case "lower", "upper", "length":
+		if err := need(1); err != nil {
+			return 0, err
 		}
-		kind = kStr
+		if args[0].kind != kStr {
+			return 0, fmt.Errorf("sciql: %s expects a string", name)
+		}
+		if name == "length" {
+			return kInt, nil
+		}
+		return kStr, nil
 	default:
-		return nil, errVFallback
+		return 0, fmt.Errorf("sciql: unknown function %q", name)
 	}
-	outKind := kind
+	// mod, greatest, least: BIGINT over BIGINT arguments only.
+	for _, a := range args {
+		if a.kind != kInt {
+			return kFloat, nil
+		}
+	}
+	return kInt, nil
+}
+
+func scalarCallKernel(name string, args []*kernel) *kernel {
+	outKind, err := scalarKind(name, args)
+	if err != nil {
+		return nullKernel(err, args...)
+	}
 	return &kernel{kind: outKind, eval: func(x *vctx, sel []int32) (*vec, error) {
-		vecs := make([]*vec, len(args))
-		for i, a := range args {
-			v, err := a.eval(x, sel)
-			if err != nil {
-				return nil, err
-			}
-			vecs[i] = v
+		vecs, err := evalArgs(x, sel, args)
+		if err != nil {
+			return nil, err
 		}
 		n := x.selLen(sel)
 		out := newVec(outKind, n)
@@ -1281,25 +1395,27 @@ func scalarCallKernel(name string, args []*kernel) (*kernel, error) {
 			}
 		}
 		return out, nil
-	}}, nil
+	}}
 }
 
 // ---------------------------------------------------------------------------
 // Predicate compilation (filters over selections)
 
-func (vc *vcompiler) pred(e Expr) (pfilter, error) {
+// preds compiles WHERE conjuncts into filters.
+func (vc *vcompiler) preds(conj []Expr) []pfilter {
+	out := make([]pfilter, len(conj))
+	for i, c := range conj {
+		out[i] = vc.pred(c)
+	}
+	return out
+}
+
+func (vc *vcompiler) pred(e Expr) pfilter {
 	switch t := e.(type) {
 	case *BinaryExpr:
 		switch t.Op {
 		case "AND":
-			lf, err := vc.pred(t.Left)
-			if err != nil {
-				return nil, err
-			}
-			rf, err := vc.pred(t.Right)
-			if err != nil {
-				return nil, err
-			}
+			lf, rf := vc.pred(t.Left), vc.pred(t.Right)
 			return func(x *vctx, sel []int32) ([]int32, error) {
 				k1, err := lf(x, sel)
 				if err != nil {
@@ -1319,16 +1435,9 @@ func (vc *vcompiler) pred(e Expr) (pfilter, error) {
 					out[i] = k1[j]
 				}
 				return out, nil
-			}, nil
+			}
 		case "OR":
-			lf, err := vc.pred(t.Left)
-			if err != nil {
-				return nil, err
-			}
-			rf, err := vc.pred(t.Right)
-			if err != nil {
-				return nil, err
-			}
+			lf, rf := vc.pred(t.Left), vc.pred(t.Right)
 			return func(x *vctx, sel []int32) ([]int32, error) {
 				k1, err := lf(x, sel)
 				if err != nil {
@@ -1364,52 +1473,42 @@ func (vc *vcompiler) pred(e Expr) (pfilter, error) {
 					}
 				}
 				return out, nil
-			}, nil
+			}
 		case "=", "<>", "<", "<=", ">", ">=":
-			if f, ok, err := vc.fastCmpPred(t); err != nil {
-				return nil, err
-			} else if ok {
-				return f, nil
+			if f := vc.fastCmpPred(t); f != nil {
+				return f
 			}
 		}
 	case *BetweenExpr:
-		if f, ok, err := vc.fastBetweenPred(t); err != nil {
-			return nil, err
-		} else if ok {
-			return f, nil
+		if f := vc.fastBetweenPred(t); f != nil {
+			return f
 		}
 	case *IsNullExpr:
-		if cr, ok := t.X.(*ColRef); ok {
-			if ri, ci, ok := bindCol(vc.rels, cr); ok {
-				acc := mkAcc(vc.rels, ri, ci)
-				not := t.Not
-				return func(x *vctx, sel []int32) ([]int32, error) {
-					sel = x.full(sel)
-					out := make([]int32, 0, len(sel))
-					for i, sol := range sel {
-						b := acc.base(x, sol)
-						var isNull bool
-						switch {
-						case acc.col != nil:
-							isNull = acc.col.IsNull(int(b))
-						case acc.img != nil:
-							isNull = acc.img.IsNull(int(b))
-						}
-						if isNull != not {
-							out = append(out, int32(i))
-						}
+		if acc := vc.accOf(t.X); acc != nil {
+			not := t.Not
+			return func(x *vctx, sel []int32) ([]int32, error) {
+				sel = x.full(sel)
+				out := make([]int32, 0, len(sel))
+				for i, sol := range sel {
+					b := acc.base(x, sol)
+					var isNull bool
+					switch {
+					case acc.col != nil:
+						isNull = acc.col.IsNull(int(b))
+					case acc.img != nil:
+						isNull = acc.img.IsNull(int(b))
 					}
-					return out, nil
-				}, nil
+					if isNull != not {
+						out = append(out, int32(i))
+					}
+				}
+				return out, nil
 			}
 		}
 	}
 	// Generic: evaluate as a value and keep non-NULL true booleans; any
 	// non-boolean value counts as false (evalBool semantics).
-	k, err := vc.kernel(e)
-	if err != nil {
-		return nil, err
-	}
+	k := vc.kernel(e)
 	return func(x *vctx, sel []int32) ([]int32, error) {
 		v, err := k.eval(x, sel)
 		if err != nil {
@@ -1425,39 +1524,33 @@ func (vc *vcompiler) pred(e Expr) (pfilter, error) {
 			}
 		}
 		return out, nil
-	}, nil
+	}
+}
+
+// accOf binds a bare column reference to an accessor (nil otherwise).
+func (vc *vcompiler) accOf(e Expr) *colAcc {
+	cr, ok := e.(*ColRef)
+	if !ok {
+		return nil
+	}
+	ri, ci, err := bindCol(vc.rels, cr)
+	if err != nil {
+		return nil
+	}
+	return mkAcc(vc.rels, ri, ci)
 }
 
 // fastCmpPred compiles colref-vs-literal and colref-vs-colref numeric
-// comparisons into direct loops.
-func (vc *vcompiler) fastCmpPred(t *BinaryExpr) (pfilter, bool, error) {
-	accOf := func(e Expr) *colAcc {
-		cr, ok := e.(*ColRef)
-		if !ok {
-			return nil
-		}
-		ri, ci, ok := bindCol(vc.rels, cr)
-		if !ok {
-			return nil
-		}
-		return mkAcc(vc.rels, ri, ci)
-	}
-	litOf := func(e Expr) (any, bool) {
-		l, ok := e.(*Literal)
-		if !ok {
-			return nil, false
-		}
-		return l.Value, true
-	}
+// comparisons into direct loops (nil when the shape does not apply).
+func (vc *vcompiler) fastCmpPred(t *BinaryExpr) pfilter {
 	op := t.Op
-	if la := accOf(t.Left); la != nil {
-		if lit, ok := litOf(t.Right); ok {
-			return vc.accLitPred(la, op, lit)
+	if la := vc.accOf(t.Left); la != nil {
+		if lit, ok := t.Right.(*Literal); ok {
+			return vc.accLitPred(la, op, lit.Value)
 		}
-		if ra := accOf(t.Right); ra != nil && isNumKind(la.kind) && isNumKind(ra.kind) {
-			// Two integer columns compare exactly (the generic kernel and
-			// the legacy interpreter both keep int/int comparisons in
-			// int64, which diverges from float compares beyond 2^53).
+		if ra := vc.accOf(t.Right); ra != nil && isNumKind(la.kind) && isNumKind(ra.kind) {
+			// Two integer columns compare exactly (beyond 2^53 float
+			// compares diverge from the interpreter's int64 ones).
 			if la.kind == kInt && ra.kind == kInt {
 				return func(x *vctx, sel []int32) ([]int32, error) {
 					sel = x.full(sel)
@@ -1470,7 +1563,7 @@ func (vc *vcompiler) fastCmpPred(t *BinaryExpr) (pfilter, bool, error) {
 						}
 					}
 					return out, nil
-				}, true, nil
+				}
 			}
 			return func(x *vctx, sel []int32) ([]int32, error) {
 				sel = x.full(sel)
@@ -1483,15 +1576,15 @@ func (vc *vcompiler) fastCmpPred(t *BinaryExpr) (pfilter, bool, error) {
 					}
 				}
 				return out, nil
-			}, true, nil
+			}
 		}
 	}
-	if ra := accOf(t.Right); ra != nil {
-		if lit, ok := litOf(t.Left); ok {
-			return vc.accLitPred(ra, flipCmp(op), lit)
+	if ra := vc.accOf(t.Right); ra != nil {
+		if lit, ok := t.Left.(*Literal); ok {
+			return vc.accLitPred(ra, flipCmp(op), lit.Value)
 		}
 	}
-	return nil, false, nil
+	return nil
 }
 
 func flipCmp(op string) string {
@@ -1508,18 +1601,18 @@ func flipCmp(op string) string {
 	return op // = and <> are symmetric
 }
 
-// accLitPred compiles `col <op> literal`.
-func (vc *vcompiler) accLitPred(acc *colAcc, op string, lit any) (pfilter, bool, error) {
+// accLitPred compiles `col <op> literal` (nil when the kinds mix).
+func (vc *vcompiler) accLitPred(acc *colAcc, op string, lit any) pfilter {
 	if lit == nil {
 		// NULL comparisons never hold.
 		return func(x *vctx, sel []int32) ([]int32, error) {
 			return []int32{}, nil
-		}, true, nil
+		}
 	}
 	switch v := lit.(type) {
 	case int64, float64:
 		if !isNumKind(acc.kind) {
-			return nil, false, nil // mixed types: generic path / fallback
+			return nil
 		}
 		var fv float64
 		iv, isInt := v.(int64)
@@ -1552,7 +1645,7 @@ func (vc *vcompiler) accLitPred(acc *colAcc, op string, lit any) (pfilter, bool,
 					}
 				}
 				return out, nil
-			}, true, nil
+			}
 		}
 		return func(x *vctx, sel []int32) ([]int32, error) {
 			sel = x.full(sel)
@@ -1571,6 +1664,16 @@ func (vc *vcompiler) accLitPred(acc *colAcc, op string, lit any) (pfilter, bool,
 				}
 				return out, nil
 			}
+			if acc.col != nil && acc.kind == kFloat {
+				src := acc.col.Floats()
+				for i, sol := range sel {
+					b := acc.base(x, sol)
+					if !acc.col.IsNull(int(b)) && cmpOpHolds(op, cmp3Float(src[b], fv)) {
+						out = append(out, int32(i))
+					}
+				}
+				return out, nil
+			}
 			for i, sol := range sel {
 				a, okA := acc.numBase(acc.base(x, sol))
 				if okA && cmpOpHolds(op, cmp3Float(a, fv)) {
@@ -1578,10 +1681,10 @@ func (vc *vcompiler) accLitPred(acc *colAcc, op string, lit any) (pfilter, bool,
 				}
 			}
 			return out, nil
-		}, true, nil
+		}
 	case string:
-		if acc.kind != kStr || acc.col == nil {
-			return nil, false, nil
+		if acc.kind != kStr {
+			return nil
 		}
 		return func(x *vctx, sel []int32) ([]int32, error) {
 			sel = x.full(sel)
@@ -1594,10 +1697,10 @@ func (vc *vcompiler) accLitPred(acc *colAcc, op string, lit any) (pfilter, bool,
 				}
 			}
 			return out, nil
-		}, true, nil
+		}
 	case bool:
-		if acc.kind != kBool || acc.col == nil || (op != "=" && op != "<>") {
-			return nil, false, nil
+		if acc.kind != kBool || (op != "=" && op != "<>") {
+			return nil
 		}
 		return func(x *vctx, sel []int32) ([]int32, error) {
 			sel = x.full(sel)
@@ -1613,40 +1716,29 @@ func (vc *vcompiler) accLitPred(acc *colAcc, op string, lit any) (pfilter, bool,
 				}
 			}
 			return out, nil
-		}, true, nil
+		}
 	}
-	return nil, false, nil
+	return nil
 }
 
-func (vc *vcompiler) fastBetweenPred(t *BetweenExpr) (pfilter, bool, error) {
-	if t.Not {
-		return nil, false, nil
-	}
-	cr, ok := t.X.(*ColRef)
-	if !ok {
-		return nil, false, nil
-	}
-	ri, ci, ok := bindCol(vc.rels, cr)
-	if !ok {
-		return nil, false, nil
-	}
-	acc := mkAcc(vc.rels, ri, ci)
-	if !isNumKind(acc.kind) {
-		return nil, false, nil
+func (vc *vcompiler) fastBetweenPred(t *BetweenExpr) pfilter {
+	acc := vc.accOf(t.X)
+	if t.Not || acc == nil || !isNumKind(acc.kind) {
+		return nil
 	}
 	lo, okLo := numLiteral(t.Lo)
 	hi, okHi := numLiteral(t.Hi)
 	if !okLo || !okHi {
-		return nil, false, nil
+		return nil
 	}
 	// Integer columns take exact int64 compares when both bounds are
 	// integer literals; mixed bounds route to the generic BETWEEN kernel,
-	// which compares each side with the legacy int/float rules.
+	// which compares each side with the interpreter's int/float rules.
 	if acc.kind == kInt {
 		ilo, iloInt := intLiteral(t.Lo)
 		ihi, ihiInt := intLiteral(t.Hi)
 		if !iloInt || !ihiInt {
-			return nil, false, nil
+			return nil
 		}
 		return func(x *vctx, sel []int32) ([]int32, error) {
 			sel = x.full(sel)
@@ -1658,7 +1750,7 @@ func (vc *vcompiler) fastBetweenPred(t *BetweenExpr) (pfilter, bool, error) {
 				}
 			}
 			return out, nil
-		}, true, nil
+		}
 	}
 	return func(x *vctx, sel []int32) ([]int32, error) {
 		sel = x.full(sel)
@@ -1670,7 +1762,7 @@ func (vc *vcompiler) fastBetweenPred(t *BetweenExpr) (pfilter, bool, error) {
 			}
 		}
 		return out, nil
-	}, true, nil
+	}
 }
 
 func intLiteral(e Expr) (int64, bool) {
@@ -1705,9 +1797,6 @@ func numLiteral(e Expr) (float64, bool) {
 // extents) and whether any constraint was extracted.
 func dimRanges(conj []Expr, rels []*vrel) (lo, hi []int, residual []Expr, constrained bool) {
 	base := rels[0]
-	if base.arr == nil {
-		return nil, nil, conj, false
-	}
 	nd := base.nd()
 	lo = make([]int, nd)
 	hi = make([]int, nd)
@@ -1720,8 +1809,8 @@ func dimRanges(conj []Expr, rels []*vrel) (lo, hi []int, residual []Expr, constr
 		if !ok {
 			return -1
 		}
-		ri, ci, ok := bindCol(rels, cr)
-		if !ok {
+		ri, ci, err := bindCol(rels, cr)
+		if err != nil {
 			return -1
 		}
 		r := rels[ri]
@@ -1790,7 +1879,7 @@ func dimRanges(conj []Expr, rels []*vrel) (lo, hi []int, residual []Expr, constr
 		}
 	}
 	// Only a PREFIX of pushable conjuncts is folded into ranges: the
-	// legacy interpreter evaluates conjuncts left to right per row, so a
+	// interpreter evaluates conjuncts left to right per row, so a
 	// dimension predicate may only jump ahead of conjuncts it already
 	// preceded — otherwise an erroring residual (1/v, sqrt) would run
 	// over fewer rows than the reference and data-dependent errors could
@@ -1886,17 +1975,77 @@ func enumerateRanges(rel *vrel, lo, hi []int) []int32 {
 	}
 }
 
+// pushdown narrows an array-based space by the WHERE's leading dimension
+// predicates, returning the selection and the conjuncts left to filter.
+func pushdown(x *vctx, conj []Expr) ([]int32, []Expr) {
+	if len(x.rels) == 0 || x.rels[0].arr == nil || x.pos[0] != nil {
+		return nil, conj
+	}
+	lo, hi, residual, constrained := dimRanges(conj, x.rels)
+	if !constrained {
+		return nil, conj
+	}
+	return enumerateRanges(x.rels[0], lo, hi), residual
+}
+
 // ---------------------------------------------------------------------------
 // Join planning
+
+// space builds the solution space of rels and returns the WHERE
+// conjuncts left to run as filters.
+func space(rels []*vrel, conj []Expr) (*vctx, []Expr, error) {
+	x := &vctx{rels: rels, pos: make([][]int32, len(rels))}
+	switch len(rels) {
+	case 0:
+		x.n = 1
+		return x, conj, nil
+	case 1:
+		x.n = rels[0].rows
+		return x, conj, nil
+	case 2:
+		a, b := rels[0], rels[1]
+		if a.arr != nil && b.arr != nil && sameShape(a.arr, b.arr) {
+			if matched, residual := vzipMatched(conj, rels); matched == a.nd() {
+				x.n = a.rows
+				return x, residual, nil
+			}
+		}
+		if ca, cb, rest, ok := vEquiJoin(conj, a, b); ok {
+			x.pos[0], x.pos[1] = vhashJoin(a, ca, b, cb)
+			x.n = len(x.pos[0])
+			return x, rest, nil
+		}
+	}
+	// The cross product, lexicographic (the first relation outermost),
+	// under the interpreter's guard: the bound is checked by division
+	// before each multiply so oversized products never wrap int.
+	total := 1
+	for _, r := range rels {
+		if r.rows != 0 && total > 50_000_000/r.rows {
+			return nil, nil, fmt.Errorf("sciql: cross product too large (%d relations, over 50M rows); add an equality join predicate", len(rels))
+		}
+		total *= r.rows
+	}
+	inner := total
+	for i, r := range rels {
+		p := make([]int32, total)
+		if total > 0 {
+			inner /= r.rows
+			for s := range p {
+				p[s] = int32(s / inner % r.rows)
+			}
+		}
+		x.pos[i] = p
+	}
+	x.n = total
+	return x, conj, nil
+}
 
 // vzipMatched counts dimensions equated between two same-shaped arrays
 // (the aligned-zip condition), returning the residual conjuncts.
 func vzipMatched(conj []Expr, rels []*vrel) (int, []Expr) {
 	a, b := rels[0], rels[1]
 	isDimOf := func(c *ColRef, r *vrel) bool {
-		if r.arr == nil {
-			return false
-		}
 		if c.Table != "" && c.Table != r.alias {
 			return false
 		}
@@ -1924,8 +2073,8 @@ func vzipMatched(conj []Expr, rels []*vrel) (int, []Expr) {
 	return len(matched), residual
 }
 
-// vEquiJoin finds the first `a.c1 = b.c2` conjunct (the legacy planner's
-// rule) and returns the bound column indices plus the rest.
+// vEquiJoin finds the first `a.c1 = b.c2` conjunct (the interpreter's
+// planner rule) and returns the bound column indices plus the rest.
 func vEquiJoin(conj []Expr, a, b *vrel) (ca, cb int, rest []Expr, ok bool) {
 	colIndex := func(r *vrel, c *ColRef) int {
 		if c.Table != "" && c.Table != r.alias {
@@ -1966,19 +2115,21 @@ func vEquiJoin(conj []Expr, a, b *vrel) (ca, cb int, rest []Expr, ok bool) {
 }
 
 // vhashJoin joins two relations on one column each, reproducing the
-// legacy build/probe order exactly (build on the smaller side, probe in
-// row order, matches in insertion order).
-func vhashJoin(a *vrel, ca int, b *vrel, cb int) (lpos, rpos []int32, ok bool) {
+// interpreter's build/probe order exactly (build on the smaller side,
+// probe in row order, matches in insertion order). The position lists
+// are never nil: a nil list would read as the identity.
+func vhashJoin(a *vrel, ca int, b *vrel, cb int) (lpos, rpos []int32) {
 	keyVec := func(r *vrel, ci int) *vec {
 		x := &vctx{rels: []*vrel{r}, pos: [][]int32{nil}, n: r.rows}
 		return mkAcc([]*vrel{r}, 0, ci).load(x, nil)
 	}
 	ka := keyVec(a, ca)
 	kb := keyVec(b, cb)
-	// Legacy hashes `any` values: keys of different dynamic types never
-	// match, so a cross-typed join legitimately yields zero rows.
+	lpos, rpos = []int32{}, []int32{}
+	// The interpreter hashed `any` values: keys of different dynamic
+	// types never match, so a cross-typed join yields zero rows.
 	if ka.kind != kb.kind {
-		return nil, nil, true
+		return lpos, rpos
 	}
 	build, probe := ka, kb
 	swapped := false
@@ -1988,225 +2139,100 @@ func vhashJoin(a *vrel, ca int, b *vrel, cb int) (lpos, rpos []int32, ok bool) {
 	}
 	emit := func(i, j int32) {
 		if swapped {
-			lpos = append(lpos, j)
-			rpos = append(rpos, i)
-		} else {
-			lpos = append(lpos, i)
-			rpos = append(rpos, j)
+			i, j = j, i
 		}
+		lpos = append(lpos, i)
+		rpos = append(rpos, j)
 	}
 	switch ka.kind {
 	case kInt:
-		ht := make(map[int64][]int32, build.len())
-		for i, v := range build.i {
-			if !build.isNull(i) {
-				ht[v] = append(ht[v], int32(i))
-			}
-		}
-		for j, v := range probe.i {
-			if probe.isNull(j) {
-				continue
-			}
-			for _, i := range ht[v] {
-				emit(i, int32(j))
-			}
-		}
+		hashJoinOn(build.i, probe.i, build, probe, emit)
 	case kFloat:
-		ht := make(map[float64][]int32, build.len())
-		for i, v := range build.f {
-			if !build.isNull(i) {
-				ht[v] = append(ht[v], int32(i))
-			}
-		}
-		for j, v := range probe.f {
-			if probe.isNull(j) {
-				continue
-			}
-			for _, i := range ht[v] {
-				emit(i, int32(j))
-			}
-		}
+		hashJoinOn(build.f, probe.f, build, probe, emit)
 	case kStr:
-		ht := make(map[string][]int32, build.len())
-		for i, v := range build.s {
-			if !build.isNull(i) {
-				ht[v] = append(ht[v], int32(i))
-			}
-		}
-		for j, v := range probe.s {
-			if probe.isNull(j) {
-				continue
-			}
-			for _, i := range ht[v] {
-				emit(i, int32(j))
-			}
-		}
+		hashJoinOn(build.s, probe.s, build, probe, emit)
 	case kBool:
-		ht := map[bool][]int32{}
-		for i, v := range build.b {
-			if !build.isNull(i) {
-				ht[v] = append(ht[v], int32(i))
-			}
-		}
-		for j, v := range probe.b {
-			if probe.isNull(j) {
-				continue
-			}
-			for _, i := range ht[v] {
-				emit(i, int32(j))
-			}
-		}
-	default:
-		return nil, nil, false
+		hashJoinOn(build.b, probe.b, build, probe, emit)
 	}
-	return lpos, rpos, true
+	return lpos, rpos
+}
+
+func hashJoinOn[K comparable](build, probe []K, bv, pv *vec, emit func(i, j int32)) {
+	ht := make(map[K][]int32, len(build))
+	for i, v := range build {
+		if !bv.isNull(i) {
+			ht[v] = append(ht[v], int32(i))
+		}
+	}
+	for j, v := range probe {
+		if pv.isNull(j) {
+			continue
+		}
+		for _, i := range ht[v] {
+			emit(i, int32(j))
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
 // SELECT
 
-// vexecSelect runs a SELECT on the vectorized engine. ok=false means the
-// statement shape is not supported and the caller must use the legacy
-// interpreter.
-func (e *Engine) vexecSelect(s *SelectStmt) (*column.Table, bool, error) {
+func (e *Engine) execSelect(s *SelectStmt) (*column.Table, error) {
 	rels := make([]*vrel, len(s.From))
 	for i, ref := range s.From {
-		r, ok := e.resolveV(ref)
-		if !ok {
-			return nil, false, nil // legacy produces the unknown-source error
+		r, err := e.resolveV(ref)
+		if err != nil {
+			return nil, err
 		}
 		rels[i] = r
 	}
-	if len(rels) == 0 || len(rels) > 2 {
-		return nil, false, nil
-	}
-
-	conj := conjuncts(s.Where)
-	x := &vctx{rels: rels}
-	switch len(rels) {
-	case 1:
-		x.pos = [][]int32{nil}
-		x.n = rels[0].rows
-	case 2:
-		if rels[0].arr != nil && rels[1].arr != nil && sameShape(rels[0].arr, rels[1].arr) {
-			if matched, residual := vzipMatched(conj, rels); matched == len(rels[0].arr.Dims) {
-				x.pos = [][]int32{nil, nil}
-				x.n = rels[0].rows
-				conj = residual
-				break
-			}
-		}
-		ca, cb, rest, ok := vEquiJoin(conj, rels[0], rels[1])
-		if !ok {
-			return nil, false, nil // cross product: legacy guard applies
-		}
-		lpos, rpos, ok := vhashJoin(rels[0], ca, rels[1], cb)
-		if !ok {
-			return nil, false, nil
-		}
-		x.pos = [][]int32{lpos, rpos}
-		x.n = len(lpos)
-		conj = rest
-	}
-
-	vc := &vcompiler{rels: rels}
-
-	// Dimension pushdown applies when the base index space is an array
-	// (single array or aligned zip).
-	var sel []int32
-	if len(rels) == 1 && rels[0].arr != nil || len(rels) == 2 && x.pos[0] == nil {
-		lo, hi, residual, constrained := dimRanges(conj, rels)
-		if constrained {
-			sel = enumerateRanges(rels[0], lo, hi)
-			conj = residual
-		}
-	}
-
-	// Residual WHERE conjuncts, left to right.
-	filters := make([]pfilter, 0, len(conj))
-	for _, c := range conj {
-		f, err := vc.pred(c)
-		if err != nil {
-			return nil, false, nil
-		}
-		filters = append(filters, f)
-	}
-
-	// Select items.
-	items, err := expandStars(s.Items, legacyShapes(rels))
+	x, conj, err := space(rels, conjuncts(s.Where))
 	if err != nil {
-		return nil, false, nil
+		return nil, err
 	}
+	vc := &vcompiler{rels: rels}
+	sel, conj := pushdown(x, conj)
+	if sel, err = runFilters(x, sel, vc.preds(conj)); err != nil {
+		return nil, err
+	}
+
+	items := expandStars(s.Items, rels)
 	hasAgg := len(s.GroupBy) > 0
 	for _, it := range items {
-		if containsAggregate(it.Expr) {
-			hasAgg = true
-		}
+		hasAgg = hasAgg || containsAggregate(it.Expr)
 	}
-
-	// Apply WHERE.
-	for _, f := range filters {
-		idx, err := f(x, sel)
-		if err != nil {
-			return nil, true, err
-		}
-		sel = gatherSel(sel, idx)
-	}
-
-	var out *column.Table
-	var ok bool
+	var vs []*vec
 	if hasAgg {
-		out, ok, err = vexecAggSelect(vc, x, items, s.GroupBy, sel)
+		vs, err = aggSelect(vc, x, sel, items, s.GroupBy)
 	} else {
-		out, ok, err = vexecPlainSelect(vc, x, items, sel)
+		ks := make([]*kernel, len(items))
+		for i, it := range items {
+			ks[i] = vc.kernel(it.Expr)
+		}
+		vs, err = evalKernels(x, sel, ks)
 	}
-	if err != nil || !ok {
-		return nil, ok, err
+	if err != nil {
+		return nil, err
+	}
+	out := &column.Table{Name: "result"}
+	for i, v := range vs {
+		c := vecColumn(v)
+		out.Fields = append(out.Fields, column.Field{Name: itemName(items[i], i), Typ: c.Typ})
+		out.Cols = append(out.Cols, c)
 	}
 
 	if s.Distinct {
 		out = distinctTable(out)
 	}
 	if len(s.OrderBy) > 0 {
-		if err := orderTable(out, s.OrderBy, items); err != nil {
-			return nil, true, err
+		if err := orderTable(out, s.OrderBy); err != nil {
+			return nil, err
 		}
 	}
 	if s.Limit >= 0 {
 		out = out.Head(s.Limit)
 	}
-	return out, true, nil
-}
-
-// legacyShapes adapts vrels for expandStars (which needs alias + names).
-func legacyShapes(rels []*vrel) []*relation {
-	out := make([]*relation, len(rels))
-	for i, r := range rels {
-		out[i] = &relation{alias: r.alias, names: r.names}
-	}
-	return out
-}
-
-func vexecPlainSelect(vc *vcompiler, x *vctx, items []SelectItem, sel []int32) (*column.Table, bool, error) {
-	kernels := make([]*kernel, len(items))
-	for i, it := range items {
-		k, err := vc.kernel(it.Expr)
-		if err != nil {
-			return nil, false, nil
-		}
-		kernels[i] = k
-	}
-	t := &column.Table{Name: "result"}
-	for i, k := range kernels {
-		v, err := k.eval(x, sel)
-		if err != nil {
-			return nil, true, err
-		}
-		c := vecColumn(v)
-		t.Fields = append(t.Fields, column.Field{Name: itemName(items[i], i), Typ: c.Typ})
-		t.Cols = append(t.Cols, c)
-	}
-	return t, true, nil
+	return out, nil
 }
 
 func vecColumn(v *vec) *column.Column {
@@ -2230,281 +2256,255 @@ func vecColumn(v *vec) *column.Column {
 // ---------------------------------------------------------------------------
 // Aggregation
 
-type aggAcc struct {
-	count  int64
-	sum    float64
-	min    float64
-	max    float64
-	allInt bool
-}
-
-func vexecAggSelect(vc *vcompiler, x *vctx, items []SelectItem, groupBy []Expr, sel []int32) (*column.Table, bool, error) {
-	// Classify items: bare aggregate calls or group expressions.
-	type itemPlan struct {
-		agg  *CallExpr // nil for non-aggregate items
-		argK *kernel   // aggregate argument kernel
-		k    *kernel   // non-aggregate kernel (evaluated on group reps)
-	}
-	plans := make([]itemPlan, len(items))
-	for i, it := range items {
-		if call, ok := it.Expr.(*CallExpr); ok {
-			switch call.Name {
-			case "count", "sum", "avg", "min", "max":
-				p := itemPlan{agg: call}
-				if !call.Star {
-					if len(call.Args) != 1 {
-						return nil, true, fmt.Errorf("sciql: %s takes exactly one argument", call.Name)
-					}
-					if containsAggregate(call.Args[0]) {
-						return nil, false, nil
-					}
-					k, err := vc.kernel(call.Args[0])
-					if err != nil {
-						return nil, false, nil
-					}
-					if k.kind == kStr && !(k.isConst && k.constNull) {
-						return nil, false, nil // legacy errors per row; keep its message
-					}
-					p.argK = k
-				}
-				plans[i] = p
-				continue
-			}
-		}
-		if containsAggregate(it.Expr) {
-			return nil, false, nil // aggregate inside arithmetic: legacy path
-		}
-		k, err := vc.kernel(it.Expr)
-		if err != nil {
-			return nil, false, nil
-		}
-		plans[i] = itemPlan{k: k}
-	}
-
-	groupKs := make([]*kernel, len(groupBy))
+// aggSelect evaluates an aggregate query's items. The solutions group by
+// the GROUP BY keys in first-appearance order (one global group without
+// them); each aggregate call folds into one vector over the groups; and
+// the items evaluate over the group space, whose row g reads every
+// relation at group g's first solution.
+func aggSelect(vc *vcompiler, x *vctx, sel []int32, items []SelectItem, groupBy []Expr) ([]*vec, error) {
+	keyKs := make([]*kernel, len(groupBy))
 	for i, ge := range groupBy {
-		k, err := vc.kernel(ge)
-		if err != nil {
-			return nil, false, nil
-		}
-		groupKs[i] = k
+		keyKs[i] = vc.kernel(ge)
 	}
-
+	keys, err := evalKernels(x, sel, keyKs)
+	if err != nil {
+		return nil, err
+	}
 	n := x.selLen(sel)
-	// Compute group ids in first-appearance order.
-	var groupOf []int32
-	var reps []int32 // representative solution per group
-	var groupRows []int64
-	nGroups := 0
+	var groupOf []int32 // nil: every solution is in group 0
+	var reps []int32    // each group's first solution
+	nGroups := 1
 	if len(groupBy) == 0 {
 		if n > 0 {
-			nGroups = 1
-			groupRows = []int64{int64(n)}
-			if sel == nil {
-				reps = []int32{0}
-			} else {
-				reps = []int32{sel[0]}
-			}
+			reps = []int32{solAt(sel, 0)}
 		}
 	} else {
-		keyVecs := make([]*vec, len(groupKs))
-		for i, k := range groupKs {
-			v, err := k.eval(x, sel)
-			if err != nil {
-				return nil, true, err
-			}
-			keyVecs[i] = v
-		}
 		groupOf = make([]int32, n)
 		byKey := make(map[string]int32, 16)
 		var buf []byte
 		for i := 0; i < n; i++ {
 			buf = buf[:0]
-			for _, kv := range keyVecs {
+			for _, kv := range keys {
 				buf = appendGroupKey(buf, kv, i)
 			}
 			id, ok := byKey[string(buf)]
 			if !ok {
-				id = int32(nGroups)
-				nGroups++
+				id = int32(len(reps))
 				byKey[string(buf)] = id
-				if sel == nil {
-					reps = append(reps, int32(i))
-				} else {
-					reps = append(reps, sel[i])
-				}
-				groupRows = append(groupRows, 0)
+				reps = append(reps, solAt(sel, i))
 			}
 			groupOf[i] = id
-			groupRows[id]++
 		}
-	}
-	if len(groupBy) == 0 && nGroups == 0 {
-		// A global aggregate over zero rows still yields one row, but any
-		// non-aggregate item would need the legacy first-row quirk.
-		for _, p := range plans {
-			if p.agg == nil {
-				return nil, false, nil
-			}
-		}
-		nGroups = 1
-		groupRows = []int64{0}
+		nGroups = len(reps)
 	}
 
-	t := &column.Table{Name: "result"}
-	for i, p := range plans {
-		var c *column.Column
-		switch {
-		case p.agg != nil && p.agg.Star: // count(*)
-			vals := make([]int64, nGroups)
-			copy(vals, groupRows)
-			c = column.NewInt64(vals)
-		case p.agg != nil:
-			accs := make([]aggAcc, nGroups)
-			for g := range accs {
-				accs[g] = aggAcc{min: math.Inf(1), max: math.Inf(-1), allInt: true}
-			}
-			if n > 0 {
-				av, err := p.argK.eval(x, sel)
-				if err != nil {
-					return nil, true, err
-				}
-				isInt := av.kind == kInt
-				isBool := av.kind == kBool
-				for i := 0; i < n; i++ {
-					if av.isNull(i) {
-						continue
-					}
-					var f float64
-					switch {
-					case isBool:
-						if av.b[i] {
-							f = 1
-						}
-					case isInt:
-						f = float64(av.i[i])
-					default:
-						f = av.f[i]
-					}
-					g := int32(0)
-					if groupOf != nil {
-						g = groupOf[i]
-					}
-					a := &accs[g]
-					a.count++
-					a.sum += f
-					if !isInt {
-						a.allInt = false
-					}
-					if f < a.min {
-						a.min = f
-					}
-					if f > a.max {
-						a.max = f
-					}
-				}
-			}
-			var err error
-			c, err = aggColumn(p.agg.Name, accs)
-			if err != nil {
-				return nil, true, err
-			}
-		default:
-			// reps must stay an explicit (possibly empty) selection: a nil
-			// selection means "every solution" to the kernels.
-			if reps == nil {
-				reps = []int32{}
-			}
-			v, err := p.k.eval(x, reps)
-			if err != nil {
-				return nil, true, err
-			}
-			c = vecColumn(v)
+	gx := &vctx{rels: x.rels, pos: make([][]int32, len(x.rels)), n: nGroups}
+	if len(reps) < nGroups {
+		// A global aggregate over zero rows: columns read NULL.
+		gx.rels = make([]*vrel, len(x.rels))
+		for i, r := range x.rels {
+			gx.rels[i] = nullRow(r)
 		}
-		t.Fields = append(t.Fields, column.Field{Name: itemName(items[i], i), Typ: c.Typ})
-		t.Cols = append(t.Cols, c)
+	} else {
+		for ri, rp := range x.pos {
+			p := make([]int32, nGroups)
+			for g, s := range reps {
+				p[g] = s
+				if rp != nil {
+					p[g] = rp[s]
+				}
+			}
+			gx.pos[ri] = p
+		}
 	}
-	return t, true, nil
+	aggs := &aggSet{row: vc}
+	gc := &vcompiler{rels: gx.rels, aggs: aggs}
+	ks := make([]*kernel, len(items))
+	for i, it := range items {
+		ks[i] = gc.kernel(it.Expr)
+	}
+	for _, c := range aggs.calls {
+		c.fold(x, sel, groupOf, nGroups)
+	}
+	return evalKernels(gx, nil, ks)
 }
 
-func aggColumn(name string, accs []aggAcc) (*column.Column, error) {
+// aggSet collects the aggregate calls of an aggregate query's items.
+type aggSet struct {
+	row   *vcompiler // compiles the arguments over the solution space
+	calls []*aggCall
+}
+
+// aggCall is one aggregate call: its argument over the solutions, and,
+// once folded, its value per group — or, for a group whose argument
+// fails, the error the interpreter met first in that group.
+type aggCall struct {
+	name string
+	arg  *kernel // nil for count(*)
+	kind vkind
+	vals *vec
+	errs []error // nil when no group fails
+}
+
+type aggAcc struct {
+	count    int64
+	sum      float64
+	min, max float64
+}
+
+func isAggregate(name string) bool {
 	switch name {
-	case "count":
-		vals := make([]int64, len(accs))
-		for g, a := range accs {
-			vals[g] = a.count
-		}
-		return column.NewInt64(vals), nil
-	case "avg":
-		vals := make([]float64, len(accs))
-		var nulls []bool
-		for g, a := range accs {
-			if a.count == 0 {
-				if nulls == nil {
-					nulls = make([]bool, len(accs))
-				}
-				nulls[g] = true
-				continue
-			}
-			vals[g] = a.sum / float64(a.count)
-		}
-		c := column.NewFloat64(vals)
-		c.AttachNulls(nulls)
-		return c, nil
-	case "sum", "min", "max":
-		pick := func(a aggAcc) float64 {
-			switch name {
-			case "min":
-				return a.min
-			case "max":
-				return a.max
-			}
-			return a.sum
-		}
-		allInt := true
-		anyVal := false
-		for _, a := range accs {
-			if a.count > 0 {
-				anyVal = true
-				if !a.allInt {
-					allInt = false
-				}
-			}
-		}
-		if allInt && anyVal {
-			vals := make([]int64, len(accs))
-			var nulls []bool
-			for g, a := range accs {
-				if a.count == 0 {
-					if nulls == nil {
-						nulls = make([]bool, len(accs))
-					}
-					nulls[g] = true
-					continue
-				}
-				vals[g] = int64(pick(a))
-			}
-			c := column.NewInt64(vals)
-			c.AttachNulls(nulls)
-			return c, nil
-		}
-		vals := make([]float64, len(accs))
-		var nulls []bool
-		for g, a := range accs {
-			if a.count == 0 {
-				if nulls == nil {
-					nulls = make([]bool, len(accs))
-				}
-				nulls[g] = true
-				continue
-			}
-			vals[g] = pick(a)
-		}
-		c := column.NewFloat64(vals)
-		c.AttachNulls(nulls)
-		return c, nil
+	case "count", "sum", "avg", "min", "max":
+		return true
 	}
-	return nil, fmt.Errorf("sciql: unknown aggregate %q", name)
+	return false
+}
+
+// column compiles an aggregate call into a column of the group space.
+func (as *aggSet) column(t *CallExpr) *kernel {
+	star := t.Name == "count" && t.Star
+	if !star && len(t.Args) != 1 {
+		return nullKernel(fmt.Errorf("sciql: %s takes exactly one argument", t.Name))
+	}
+	c := &aggCall{name: t.Name, kind: kInt}
+	null := false
+	if !star {
+		c.arg = as.row.kernel(t.Args[0])
+		if c.arg.kind == kStr && !c.arg.null {
+			c.arg = nullKernel(fmt.Errorf("sciql: %s over non-numeric value string", t.Name), c.arg)
+		}
+		switch {
+		case t.Name == "count":
+		case c.arg.null:
+			c.kind, null = kFloat, true
+		case t.Name == "avg" || c.arg.kind != kInt:
+			c.kind = kFloat
+		}
+	}
+	as.calls = append(as.calls, c)
+	return &kernel{kind: c.kind, null: null, eval: func(x *vctx, sel []int32) (*vec, error) {
+		sel = x.full(sel)
+		out := newVec(c.kind, len(sel))
+		for i, g := range sel {
+			switch {
+			case c.errs != nil && c.errs[g] != nil:
+				return nil, c.errs[g]
+			case c.vals.isNull(int(g)):
+				out.setNull(i)
+			case c.kind == kInt:
+				out.i[i] = c.vals.i[g]
+			default:
+				out.f[i] = c.vals.f[g]
+			}
+		}
+		return out, nil
+	}}
+}
+
+// fold computes the call's value for every group.
+func (c *aggCall) fold(x *vctx, sel []int32, groupOf []int32, nGroups int) {
+	accs := make([]aggAcc, nGroups)
+	for g := range accs {
+		accs[g] = aggAcc{min: math.Inf(1), max: math.Inf(-1)}
+	}
+	n := x.selLen(sel)
+	switch {
+	case c.arg == nil && groupOf == nil: // count(*)
+		accs[0].count = int64(n)
+	case c.arg == nil:
+		for _, g := range groupOf {
+			accs[g].count++
+		}
+	default:
+		v, err := c.arg.eval(x, sel)
+		if err == nil {
+			accumulate(accs, v, groupOf)
+			break
+		}
+		// Some group fails: fold group by group, and replay a failing
+		// group row by row for the error the interpreter met first in it.
+		c.errs = make([]error, nGroups)
+		members := make([][]int32, nGroups)
+		for i := 0; i < n; i++ {
+			g := int32(0)
+			if groupOf != nil {
+				g = groupOf[i]
+			}
+			members[g] = append(members[g], solAt(sel, i))
+		}
+		for g, rows := range members {
+			if len(rows) == 0 {
+				continue
+			}
+			v, err := c.arg.eval(x, rows)
+			if err != nil {
+				c.errs[g] = replay(x, rows, nil, []*kernel{c.arg}, err)
+				continue
+			}
+			accumulate(accs[g:g+1], v, nil)
+		}
+	}
+	out := newVec(c.kind, nGroups)
+	for g, a := range accs {
+		if c.name == "count" {
+			out.i[g] = a.count
+			continue
+		}
+		if a.count == 0 {
+			out.setNull(g)
+			continue
+		}
+		var f float64
+		switch c.name {
+		case "avg":
+			f = a.sum / float64(a.count)
+		case "min":
+			f = a.min
+		case "max":
+			f = a.max
+		default:
+			f = a.sum
+		}
+		if c.kind == kInt {
+			out.i[g] = int64(f)
+		} else {
+			out.f[g] = f
+		}
+	}
+	c.vals = out
+}
+
+// accumulate folds v's non-NULL values into their groups' accumulators
+// (group 0 when groupOf is nil); booleans count as 1 and 0.
+func accumulate(accs []aggAcc, v *vec, groupOf []int32) {
+	for i, n := 0, v.len(); i < n; i++ {
+		if v.isNull(i) {
+			continue
+		}
+		var f float64
+		switch v.kind {
+		case kBool:
+			if v.b[i] {
+				f = 1
+			}
+		case kInt:
+			f = float64(v.i[i])
+		default:
+			f = v.f[i]
+		}
+		a := &accs[0]
+		if groupOf != nil {
+			a = &accs[groupOf[i]]
+		}
+		a.count++
+		a.sum += f
+		if f < a.min {
+			a.min = f
+		}
+		if f > a.max {
+			a.max = f
+		}
+	}
 }
 
 func appendGroupKey(buf []byte, v *vec, i int) []byte {
@@ -2534,114 +2534,97 @@ func appendGroupKey(buf []byte, v *vec, i int) []byte {
 }
 
 // ---------------------------------------------------------------------------
-// UPDATE / DELETE
+// INSERT / UPDATE / DELETE
 
-// vexecUpdate runs an UPDATE through the vectorized engine with the
-// fused evaluate-then-write pass. ok=false falls back to legacy.
-func (e *Engine) vexecUpdate(s *UpdateStmt) (*Result, bool, error) {
-	rel, ok := e.resolveV(TableRef{Name: s.Target})
-	if !ok {
-		return nil, false, nil
+// execInsert appends VALUES rows: each row is one row over no relation,
+// and rows before a failing one stay appended.
+func (e *Engine) execInsert(s *InsertStmt) (*Result, error) {
+	t, err := e.Table(s.Table)
+	if err != nil {
+		return nil, err
 	}
-	// Validate SET targets like the legacy path (it errors before
-	// evaluating anything).
-	if rel.arr != nil {
-		for col := range s.Set {
-			if _, ok := rel.arr.Values[col]; !ok {
-				return nil, true, fmt.Errorf("sciql: %q is not a value attribute of array %q", col, rel.arr.Name)
+	vc := &vcompiler{outside: true}
+	x := &vctx{n: 1}
+	for _, row := range s.Rows {
+		vals := make([]any, len(row))
+		for i, expr := range row {
+			v, err := vc.kernel(expr).eval(x, nil)
+			if err != nil {
+				return nil, err
 			}
+			vals[i] = v.value(0)
 		}
-	} else {
-		for col := range s.Set {
-			if rel.tbl.Col(col) == nil {
-				return nil, true, fmt.Errorf("sciql: table %q has no column %q", rel.tbl.Name, col)
+		if err := t.AppendRow(vals...); err != nil {
+			return nil, err
+		}
+	}
+	return &Result{Affected: len(s.Rows)}, nil
+}
+
+// execUpdate evaluates every SET kernel over the surviving selection,
+// in column-name order, then writes in one pass.
+func (e *Engine) execUpdate(s *UpdateStmt) (*Result, error) {
+	e.mu.RLock()
+	arr, isArray := e.arrays[s.Target]
+	tbl, isTable := e.tables[s.Target]
+	e.mu.RUnlock()
+	var rel *vrel
+	switch {
+	case isArray:
+		rel = newVrel(s.Target, nil, arr)
+	case isTable:
+		rel = newVrel(s.Target, tbl, nil)
+	default:
+		return nil, fmt.Errorf("sciql: unknown table or array %q", s.Target)
+	}
+	cols := make([]string, 0, len(s.Set))
+	for col := range s.Set {
+		cols = append(cols, col)
+	}
+	sort.Strings(cols)
+	for _, col := range cols {
+		if isArray {
+			if _, ok := arr.Values[col]; !ok {
+				return nil, fmt.Errorf("sciql: %q is not a value attribute of array %q", col, arr.Name)
 			}
+		} else if tbl.Col(col) == nil {
+			return nil, fmt.Errorf("sciql: table %q has no column %q", tbl.Name, col)
 		}
 	}
 
 	x := &vctx{rels: []*vrel{rel}, pos: [][]int32{nil}, n: rel.rows}
 	vc := &vcompiler{rels: x.rels}
-
-	conj := conjuncts(s.Where)
-	var sel []int32
-	if rel.arr != nil {
-		lo, hi, residual, constrained := dimRanges(conj, x.rels)
-		if constrained {
-			sel = enumerateRanges(rel, lo, hi)
-			conj = residual
-		}
+	sel, conj := pushdown(x, conjuncts(s.Where))
+	sel, err := runFilters(x, sel, vc.preds(conj))
+	if err != nil {
+		return nil, err
 	}
-	filters := make([]pfilter, 0, len(conj))
-	for _, c := range conj {
-		f, err := vc.pred(c)
-		if err != nil {
-			return nil, false, nil
-		}
-		filters = append(filters, f)
-	}
-
-	// Compile SET kernels up front so unsupported expressions fall back
-	// before any evaluation.
-	type setPlan struct {
-		col string
-		k   *kernel
-	}
-	var sets []setPlan
-	for col, expr := range s.Set {
-		k, err := vc.kernel(expr)
-		if err != nil {
-			return nil, false, nil
-		}
-		if rel.arr != nil {
-			// Array attributes are DOUBLE; only numeric or NULL sources.
-			if !isNumKind(k.kind) && !(k.isConst && k.constNull) {
-				return nil, false, nil
-			}
-		} else {
-			ct := rel.tbl.Col(col).Typ
-			switch ct {
-			case column.Int64, column.Float64:
-				if !isNumKind(k.kind) && !(k.isConst && k.constNull) {
-					return nil, false, nil
-				}
-			case column.String:
-				if k.kind != kStr && !(k.isConst && k.constNull) {
-					return nil, false, nil
-				}
-			case column.Bool:
-				if k.kind != kBool && !(k.isConst && k.constNull) {
-					return nil, false, nil
-				}
+	// A SET value the target cannot hold fails on the first row that
+	// assigns a non-NULL one.
+	sets := make([]*kernel, len(cols))
+	for i, col := range cols {
+		k := vc.kernel(s.Set[col])
+		switch {
+		case k.null:
+		case isArray && !isNumKind(k.kind):
+			k = nullKernel(fmt.Errorf("sciql: cannot assign %s to array attribute %q", goType(k.kind), col), k)
+		case isTable:
+			if ct := tbl.Col(col).Typ; k.kind != ct && !(isNumKind(ct) && isNumKind(k.kind)) {
+				k = nullKernel(fmt.Errorf("sciql: cannot assign %s to %s", goType(k.kind), ct), k)
 			}
 		}
-		sets = append(sets, setPlan{col: col, k: k})
+		sets[i] = k
 	}
-
-	for _, f := range filters {
-		idx, err := f(x, sel)
-		if err != nil {
-			return nil, true, err
-		}
-		sel = gatherSel(sel, idx)
+	newVals, err := evalKernels(x, sel, sets)
+	if err != nil {
+		return nil, err
 	}
-
 	affected := x.selLen(sel)
-	// Evaluate every SET kernel before writing anything: an evaluation
-	// error must leave the target untouched (legacy two-phase contract),
-	// and self-referencing updates must read pre-update state.
-	newVals := make([]*vec, len(sets))
-	for i, sp := range sets {
-		v, err := sp.k.eval(x, sel)
-		if err != nil {
-			return nil, true, err
-		}
-		newVals[i] = v
-	}
 	sel = x.full(sel)
-	if rel.arr != nil {
-		for i, sp := range sets {
-			img := rel.arr.Values[sp.col]
-			v := newVals[i]
+	for i, col := range cols {
+		v := newVals[i]
+		if isArray {
+			img := arr.Values[col]
 			for j, cell := range sel {
 				if v.isNull(j) {
 					if img.Null == nil {
@@ -2655,19 +2638,16 @@ func (e *Engine) vexecUpdate(s *UpdateStmt) (*Result, bool, error) {
 					img.Null[cell] = false
 				}
 			}
+			continue
 		}
-		return &Result{Affected: affected}, true, nil
-	}
-	for i, sp := range sets {
-		c := rel.tbl.Col(sp.col)
-		v := newVals[i]
+		c := tbl.Col(col)
 		for j, row := range sel {
 			if v.isNull(j) {
 				c.SetNull(int(row))
 				continue
 			}
-			// Like the legacy writer, a non-NULL store does not clear an
-			// existing NULL flag (columns keep their validity bitmap).
+			// Like the interpreter's writer, a non-NULL store does not
+			// clear an existing NULL flag.
 			switch c.Typ {
 			case column.Int64:
 				if v.kind == kInt {
@@ -2684,34 +2664,28 @@ func (e *Engine) vexecUpdate(s *UpdateStmt) (*Result, bool, error) {
 			}
 		}
 	}
-	return &Result{Affected: affected}, true, nil
+	return &Result{Affected: affected}, nil
 }
 
-// vexecDelete filters the kept rows in one pass.
-func (e *Engine) vexecDelete(s *DeleteStmt) (*Result, bool, error) {
+// execDelete removes matching rows from a table (arrays are dense; use
+// UPDATE ... SET v = NULL to blank array cells instead).
+func (e *Engine) execDelete(s *DeleteStmt) (*Result, error) {
 	e.mu.RLock()
 	_, isArray := e.arrays[s.Table]
+	t, isTable := e.tables[s.Table]
 	e.mu.RUnlock()
 	if isArray {
-		return nil, false, nil // legacy produces the array DELETE error
+		return nil, fmt.Errorf("sciql: DELETE applies to tables; blank array cells with UPDATE %s SET <attr> = NULL", s.Table)
 	}
-	rel, ok := e.resolveV(TableRef{Name: s.Table})
-	if !ok || rel.tbl == nil {
-		return nil, false, nil
+	if !isTable {
+		return nil, fmt.Errorf("sciql: unknown table %q", s.Table)
 	}
+	rel := newVrel(s.Table, t, nil)
 	x := &vctx{rels: []*vrel{rel}, pos: [][]int32{nil}, n: rel.rows}
 	vc := &vcompiler{rels: x.rels}
-	var sel []int32
-	for _, c := range conjuncts(s.Where) {
-		f, err := vc.pred(c)
-		if err != nil {
-			return nil, false, nil
-		}
-		idx, err := f(x, sel)
-		if err != nil {
-			return nil, true, err
-		}
-		sel = gatherSel(sel, idx)
+	sel, err := runFilters(x, nil, vc.preds(conjuncts(s.Where)))
+	if err != nil {
+		return nil, err
 	}
 	matched := x.selLen(sel)
 	sel = x.full(sel)
@@ -2724,9 +2698,9 @@ func (e *Engine) vexecDelete(s *DeleteStmt) (*Result, bool, error) {
 		}
 		keep = append(keep, row)
 	}
-	compacted := rel.tbl.Gather(keep)
+	compacted := t.Gather(keep)
 	e.mu.Lock()
-	rel.tbl.Cols = compacted.Cols
+	t.Cols = compacted.Cols
 	e.mu.Unlock()
-	return &Result{Affected: matched}, true, nil
+	return &Result{Affected: matched}, nil
 }

@@ -418,10 +418,15 @@ func (pv *packView) matchRows(pat TriplePattern, buf *[]int32) []int32 {
 		}
 	}
 	if candComp < 0 {
-		// Full scan: every row matches.
+		// Full scan: every row matches, so size the list once.
+		n := pv.nRows()
 		out := (*buf)[:0]
-		for row := 0; row < pv.nRows(); row++ {
-			out = append(out, int32(row))
+		if cap(out) < n {
+			out = make([]int32, 0, n)
+		}
+		out = out[:n]
+		for row := range out {
+			out[row] = int32(row)
 		}
 		*buf = out
 		return out
