@@ -23,7 +23,7 @@ GO ?= go
 # name.
 BENCH_TIER1 = BenchmarkFigure1Pipeline|BenchmarkFigure3CatalogueSearch|BenchmarkFlagshipQuery|BenchmarkOptimizerOrdering|BenchmarkAblationExecutor|BenchmarkAblationSpatialIndex|BenchmarkParallelQueryAblation
 BENCH_SCIQL = BenchmarkSelectFilter|BenchmarkGroupByAggregate|BenchmarkArrayUpdateClassify|BenchmarkAlignedArrayJoin|BenchmarkDimensionPushdownCrop|BenchmarkAblationSciQLExecutor
-BENCH_ARRAY = BenchmarkTileAvg|BenchmarkConnectedComponents|BenchmarkAblationParallelKernels
+BENCH_ARRAY = BenchmarkConnectedComponents|BenchmarkAblationParallelKernels
 BENCH_PERSIST = BenchmarkWALAppend|BenchmarkWALAppendBatch|BenchmarkWALAppendSynced|BenchmarkSnapshotWrite|BenchmarkSnapshotLoad|BenchmarkSnapshotScanCold|BenchmarkRecoveryReplay
 BENCH_GROUP = BenchmarkGroupCommitWriters
 BENCH_INGEST = BenchmarkIngestEndpoint
@@ -51,10 +51,10 @@ race:
 
 # lint builds teleios-vet (the project-invariant analyzer suite in
 # internal/lint: lockcheck, fsxcheck, ctxcheck, failpointcheck,
-# errdropcheck, unusedexport — see docs/static-analysis.md) and runs it
+# errdropcheck, unreachable — see docs/static-analysis.md) and runs it
 # twice: via `go vet -vettool` so per-package results land in the build
 # cache, and standalone over ./... for the whole-program checks (the
-# failpoint orphan check and unusedexport).
+# failpoint orphan check and unreachable).
 lint:
 	$(GO) build -o bin/teleios-vet ./cmd/teleios-vet
 	$(GO) vet -vettool=$(CURDIR)/bin/teleios-vet ./...

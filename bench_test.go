@@ -202,13 +202,16 @@ func BenchmarkScenario2Refinement(b *testing.B) {
 
 func countSeaHotspots(b *testing.B, eng *stsparql.Engine, land geo.Geometry) int {
 	b.Helper()
-	geoms, err := noa.QueryHotspotGeometries(eng)
+	res, err := eng.Query(`
+		PREFIX noa: <http://teleios.di.uoa.gr/noa#>
+		PREFIX mon: <http://teleios.di.uoa.gr/monitoring#>
+		SELECT ?g WHERE { ?h a mon:Hotspot . ?h noa:hasGeometry ?g }`)
 	if err != nil {
 		b.Fatal(err)
 	}
 	n := 0
-	for _, g := range geoms {
-		v, err := strdf.ParseSpatial(g)
+	for _, row := range res.Bindings {
+		v, err := strdf.ParseSpatial(row["g"])
 		if err != nil {
 			continue
 		}
@@ -449,10 +452,12 @@ func BenchmarkAblationDataVault(b *testing.B) {
 			if err := v.Attach(dir); err != nil {
 				b.Fatal(err)
 			}
-			if err := v.LoadAll(); err != nil {
-				b.Fatal(err)
-			}
 			ids := v.IDs()
+			for _, id := range ids {
+				if _, err := v.Frame(id); err != nil {
+					b.Fatal(err)
+				}
+			}
 			f, err := v.Frame(ids[len(ids)-1])
 			if err != nil {
 				b.Fatal(err)

@@ -1,6 +1,6 @@
 // Command teleios-vet is the multichecker for the project-invariant
 // analyzer suite in internal/lint: lockcheck, fsxcheck, ctxcheck,
-// failpointcheck, errdropcheck, and unusedexport.
+// failpointcheck, errdropcheck, and unreachable.
 //
 // It runs in two modes:
 //
@@ -8,7 +8,7 @@
 //	                                       `go list -export`, runs every
 //	                                       analyzer, including the
 //	                                       whole-program checks (failpoint
-//	                                       orphans, unusedexport)
+//	                                       orphans, unreachable)
 //	go vet -vettool=$(pwd)/bin/teleios-vet ./...
 //	                                       unitchecker protocol: the go
 //	                                       command hands one package config

@@ -88,19 +88,6 @@ func (a *Array) Set(v float64, idx ...int) error {
 	return nil
 }
 
-// SetNull marks the cell at idx as null.
-func (a *Array) SetNull(idx ...int) error {
-	off, err := a.offset(idx)
-	if err != nil {
-		return err
-	}
-	if a.Null == nil {
-		a.Null = make([]bool, len(a.Data))
-	}
-	a.Null[off] = true
-	return nil
-}
-
 // IsNull reports whether the cell at flat offset off is null.
 func (a *Array) IsNull(off int) bool { return a.Null != nil && a.Null[off] }
 
@@ -167,36 +154,12 @@ func (a *Array) Slice(lo, hi []int) (*Array, error) {
 	return out, nil
 }
 
-// Map applies f to every valid cell, returning a new array. Cells are
-// processed tile-parallel across the shared worker pool, so f must be
-// safe for concurrent calls (pure functions always are).
-func (a *Array) Map(f func(float64) float64) *Array {
-	out := a.Clone()
-	if len(out.Data) < minParallelCells {
-		for i, v := range out.Data {
-			if !out.IsNull(i) {
-				out.Data[i] = f(v)
-			}
-		}
-		return out
-	}
-	parallel.Range(len(out.Data), func(lo, hi int) {
-		data := out.Data[lo:hi]
-		if out.Null == nil {
-			for i, v := range data {
-				data[i] = f(v)
-			}
-			return
-		}
-		nulls := out.Null[lo:hi]
-		for i, v := range data {
-			if !nulls[i] {
-				data[i] = f(v)
-			}
-		}
-	})
-	return out
-}
+// The kernels (Combine, ConnectedComponents) split their cell ranges
+// over the process-wide slot-budget pool in internal/parallel, shared
+// with the ingestion tier, the NOA chain and the stSPARQL morsel
+// executor. minParallelCells is the smallest range worth splitting:
+// below it the goroutine handoff costs more than the work.
+const minParallelCells = 16 << 10
 
 // Combine applies f cell-wise across two arrays of identical shape. A cell
 // that is null in either input is null in the output.

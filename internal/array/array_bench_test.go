@@ -16,27 +16,14 @@ func benchImage(size int) *Array {
 	return a
 }
 
-// The 2D kernels are benchmark-gated at 128² and 512² (the NOA chain's
-// working sizes); BenchmarkAblationParallelKernels sweeps the worker
-// count for the cores-scaling ablation.
-
-func BenchmarkTileAvg(b *testing.B) {
-	for _, size := range []int{128, 512} {
-		img := benchImage(size)
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := img.Tile(16, 16, "avg"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// The labelling kernel is benchmark-gated at 128² and 512² (the NOA
+// chain's working sizes); BenchmarkAblationParallelKernels sweeps the
+// worker count for the cores-scaling ablation.
 
 func BenchmarkConnectedComponents(b *testing.B) {
 	for _, size := range []int{128, 512} {
 		img := benchImage(size)
-		mask := img.Threshold(0.9) // ~10% of cells set, fragmented
+		mask := threshold(img, 0.9) // ~10% of cells set, fragmented
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				comps, err := mask.ConnectedComponents()
@@ -51,7 +38,7 @@ func BenchmarkConnectedComponents(b *testing.B) {
 	}
 }
 
-// A5 — ablation: tile-parallel kernel scaling across worker counts
+// A5 — ablation: strip-parallel labelling scaling across worker counts
 // (1, 2, 4 and GOMAXPROCS), at both gated image sizes.
 func BenchmarkAblationParallelKernels(b *testing.B) {
 	workerSet := []int{1, 2, 4}
@@ -59,16 +46,12 @@ func BenchmarkAblationParallelKernels(b *testing.B) {
 		workerSet = append(workerSet, n)
 	}
 	for _, size := range []int{128, 512} {
-		img := benchImage(size)
-		mask := img.Threshold(0.9)
+		mask := threshold(benchImage(size), 0.9)
 		for _, workers := range workerSet {
 			b.Run(fmt.Sprintf("size=%d/workers=%d", size, workers), func(b *testing.B) {
 				prev := parallel.SetParallelism(workers)
 				defer parallel.SetParallelism(prev)
 				for i := 0; i < b.N; i++ {
-					if _, err := img.Tile(16, 16, "avg"); err != nil {
-						b.Fatal(err)
-					}
 					if _, err := mask.ConnectedComponents(); err != nil {
 						b.Fatal(err)
 					}

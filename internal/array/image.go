@@ -2,15 +2,12 @@ package array
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/parallel"
 )
 
-// 2D image operations used by the NOA processing chain: convolution,
-// resampling, threshold classification, tiling (patch aggregation) and
-// connected-component labelling. All operate on rank-2 arrays laid out
-// (y, x).
+// 2D image operations used by the NOA processing chain: connected-component
+// labelling over rank-2 arrays laid out (y, x).
 
 func (a *Array) check2D() error {
 	if len(a.Dims) != 2 {
@@ -24,89 +21,6 @@ func (a *Array) Height() int { return a.Dims[0].Size }
 
 // Width reports the x extent of a rank-2 array.
 func (a *Array) Width() int { return a.Dims[1].Size }
-
-// Threshold returns a binary mask (1 where value >= thresh, else 0),
-// preserving nulls — the classification primitive of the hotspot chain.
-func (a *Array) Threshold(thresh float64) *Array {
-	return a.Map(func(v float64) float64 {
-		if v >= thresh {
-			return 1
-		}
-		return 0
-	})
-}
-
-// Tile partitions a rank-2 array into tileH x tileW patches and aggregates
-// each patch with agg ("avg", "min", "max", "sum"), producing the reduced
-// array — SciQL's structured GROUP BY over dimension tiles (the feature
-// extraction "patch" step of the ingestion tier).
-func (a *Array) Tile(tileH, tileW int, agg string) (*Array, error) {
-	if err := a.check2D(); err != nil {
-		return nil, err
-	}
-	if tileH <= 0 || tileW <= 0 {
-		return nil, fmt.Errorf("array: bad tile size %dx%d", tileH, tileW)
-	}
-	switch agg {
-	case "avg", "min", "max", "sum":
-	default:
-		return nil, fmt.Errorf("array: unknown tile aggregate %q", agg)
-	}
-	h, w := a.Height(), a.Width()
-	oh := (h + tileH - 1) / tileH
-	ow := (w + tileW - 1) / tileW
-	out := MustNew(a.Name, Dim{a.Dims[0].Name, oh}, Dim{a.Dims[1].Name, ow})
-	// One output tile row per work item: each covers tileH input rows.
-	parallelRows(oh, tileH*w, func(ty0, ty1 int) {
-		for ty := ty0; ty < ty1; ty++ {
-			for tx := 0; tx < ow; tx++ {
-				var sum, min, max float64
-				min, max = math.Inf(1), math.Inf(-1)
-				count := 0
-				for y := ty * tileH; y < (ty+1)*tileH && y < h; y++ {
-					rowOff := y * w
-					x1 := (tx + 1) * tileW
-					if x1 > w {
-						x1 = w
-					}
-					for x := tx * tileW; x < x1; x++ {
-						if a.Null != nil && a.Null[rowOff+x] {
-							continue
-						}
-						v := a.Data[rowOff+x]
-						sum += v
-						if v < min {
-							min = v
-						}
-						if v > max {
-							max = v
-						}
-						count++
-					}
-				}
-				var v float64
-				switch agg {
-				case "avg":
-					if count > 0 {
-						v = sum / float64(count)
-					}
-				case "min":
-					if count > 0 {
-						v = min
-					}
-				case "max":
-					if count > 0 {
-						v = max
-					}
-				case "sum":
-					v = sum
-				}
-				out.Data[ty*ow+tx] = v
-			}
-		}
-	})
-	return out, nil
-}
 
 // Component is a connected group of non-zero cells in a binary mask.
 type Component struct {

@@ -45,20 +45,19 @@ func TestParallelKernelEquivalence(t *testing.T) {
 		randImage(rng, 300, 120, false),
 	}
 	type outcome struct {
-		tile, thr *Array
-		comps     []Component
+		sum   *Array
+		comps []Component
 	}
 	run := func(img *Array) outcome {
-		tile, err := img.Tile(7, 9, "avg")
+		sum, err := Combine(img, img, func(x, y float64) float64 { return x + y })
 		if err != nil {
 			t.Fatal(err)
 		}
-		thr := img.Threshold(50)
-		comps, err := thr.ConnectedComponents()
+		comps, err := threshold(img, 50).ConnectedComponents()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return outcome{tile: tile, thr: thr, comps: comps}
+		return outcome{sum: sum, comps: comps}
 	}
 	for i, img := range images {
 		var ref outcome
@@ -71,8 +70,7 @@ func TestParallelKernelEquivalence(t *testing.T) {
 				continue
 			}
 			label := fmt.Sprintf("img%d workers=%d", i, workers)
-			sameArray(t, label+" tile", ref.tile, got.tile)
-			sameArray(t, label+" threshold", ref.thr, got.thr)
+			sameArray(t, label+" combine", ref.sum, got.sum)
 			if len(ref.comps) != len(got.comps) {
 				t.Fatalf("%s components: %d vs %d", label, len(ref.comps), len(got.comps))
 			}

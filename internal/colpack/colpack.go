@@ -13,8 +13,7 @@
 //     containers keyed by the high 16 bits — small containers store
 //     the low 16 bits as a u16 array, dense ones as an 8 KiB bitmap.
 //   - Dictionary: terms front-coded (shared-prefix compressed) in id
-//     order in blocks of 64, plus a sorted permutation column that
-//     makes term→id lookup a binary search over decoded blocks.
+//     order in blocks of 64.
 //
 // A snapshot file lays these out as independent sections behind a
 // footer/TOC (see file.go), so a reader maps the file and touches only

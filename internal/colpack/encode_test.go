@@ -1,8 +1,11 @@
 package colpack
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/geo"
@@ -56,15 +59,14 @@ func pinnedSnapshotData() *SnapshotData {
 	return d
 }
 
-// TestEncodeImagePinned pins the encoder's output byte for byte: the
-// hash was taken from the encoder before its buffer was sized exactly,
-// so a sizing change that moves a single byte fails here.
+// TestEncodeImagePinned pins the encoder's output byte for byte, so a
+// sizing change that moves a single byte fails here.
 func TestEncodeImagePinned(t *testing.T) {
 	img, err := Encode(pinnedSnapshotData())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "6fafeb7f8b03c2459cbde980830031ace63690e49b7b42fe975d5239e32d07d6"
+	const want = "b1062f96a19717d3b64397203bd1b66452199a0a6d33f347a8f67adac6a5fe1b"
 	sum := sha256.Sum256(img)
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Fatalf("image sha256 = %s (%d bytes), want %s", got, len(img), want)
@@ -91,5 +93,76 @@ func TestEncodeAllocatesOnce(t *testing.T) {
 	})
 	if per := allocs.AllocedBytesPerOp(); float64(per) > 1.25*float64(size) {
 		t.Fatalf("Encode allocated %d bytes for a %d-byte image (%.2f×), want at most 1.25×", per, size, float64(per)/float64(size))
+	}
+}
+
+// legacyImage is testSnapshotData(t, 300) as encoded by a build that
+// also wrote section 15, a term-ordered permutation of the dictionary
+// ids that no reader read.
+const legacyImage = "testdata/perm15-300rows.pack"
+
+// TestOpenLegacyImage opens an image written with section 15 and reads
+// every row and term back. The image this build writes from the same
+// data lacks only that section.
+func TestOpenLegacyImage(t *testing.T) {
+	d := testSnapshotData(t, 300)
+	legacy, err := os.ReadFile(legacyImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenBytes(legacy)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	checkReader(t, r, d)
+	if len(r.secs[secDictPerm]) == 0 {
+		t.Fatal("the legacy image has no section 15")
+	}
+	img, err := Encode(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := OpenBytes(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range cur.secs {
+		want := r.secs[id]
+		if id == secDictPerm {
+			want = nil
+		}
+		if !bytes.Equal(cur.secs[id], want) {
+			t.Errorf("section %d differs from the legacy image's", id)
+		}
+	}
+}
+
+// TestOpenRejectsBadTOC relabels one TOC entry of a sealed image: to an
+// id another entry has, and to secDictPerm, which leaves the statistics
+// section missing.
+func TestOpenRejectsBadTOC(t *testing.T) {
+	img, err := Encode(testSnapshotData(t, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		from, to uint32
+		want     string
+	}{
+		{secDict, secDictOff, "repeats section"},
+		{secStats, secDictPerm, "section 18 missing"},
+	} {
+		bad := append([]byte(nil), img...)
+		footerEnd := len(bad) - 16
+		footer := bad[footerEnd-int(le32(bad[footerEnd:])) : footerEnd]
+		for i := 0; i < int(le32(footer)); i++ {
+			if e := footer[4+i*32:]; le32(e) == c.from {
+				put32(e, c.to)
+			}
+		}
+		resealImage(bad)
+		if _, err := OpenBytes(bad); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("section %d relabelled %d: err = %v, want %q", c.from, c.to, err, c.want)
+		}
 	}
 }

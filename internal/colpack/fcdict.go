@@ -20,8 +20,8 @@ import (
 //	        { uvarint shared, uvarint suffixLen, suffix bytes }…
 //
 // A separate U64Col of block byte offsets (nBlocks+1 entries) makes
-// id→term a single block decode, and a sorted permutation column
-// (ids ordered by CompareTerms) makes term→id a binary search.
+// id→term a single block decode. Term→id needs no index in the image:
+// a store loading the dictionary builds its own.
 
 // AppendTermCanonical appends t's canonical serialisation to dst.
 func AppendTermCanonical(dst []byte, t rdf.Term) []byte {
@@ -60,36 +60,6 @@ func parseTermCanonical(p []byte) (rdf.Term, error) {
 	}
 	t.Lang, err = next()
 	return t, err
-}
-
-// CompareTerms is the total order the sorted permutation column uses:
-// kind, then value, datatype, lang. Any total order works as long as
-// writer and reader agree; this one avoids materialising canonical
-// bytes during binary search.
-func CompareTerms(a, b rdf.Term) int {
-	switch {
-	case a.Kind != b.Kind:
-		if a.Kind < b.Kind {
-			return -1
-		}
-		return 1
-	case a.Value != b.Value:
-		if a.Value < b.Value {
-			return -1
-		}
-		return 1
-	case a.Datatype != b.Datatype:
-		if a.Datatype < b.Datatype {
-			return -1
-		}
-		return 1
-	case a.Lang != b.Lang:
-		if a.Lang < b.Lang {
-			return -1
-		}
-		return 1
-	}
-	return 0
 }
 
 // AppendDictBlocks front-codes terms (id i+1 = terms[i]) into dst and

@@ -1,11 +1,9 @@
 package colpack
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/faults"
 	"repro/internal/geo"
@@ -53,11 +51,11 @@ const (
 	secPostO    = 12
 	secDict     = 13 // front-coded term blocks, id order
 	secDictOff  = 14 // U64Col, nDictBlocks+1: block byte offsets
-	secDictPerm = 15 // U64Col, nTerms: ids sorted by CompareTerms
+	secDictPerm = 15 // older builds only: ids in term order; verified, never read
 	secGeomIDs  = 16 // U64Col: spatial literal ids, ascending
 	secGeomEnvs = 17 // raw 32 bytes per geometry: envelope minx,miny,maxx,maxy f64
 	secStats    = 18 // uvarint planner-statistics block
-	numSections = 18
+	numSections = 18 // the highest id; images this build writes lack secDictPerm
 )
 
 // PredStat is one predicate's statistics triple in the stats section.
@@ -159,18 +157,12 @@ func Encode(d *SnapshotData) ([]byte, error) {
 				func(b []byte) []byte { counts(); return AppendU64Col(b, vals) }})
 	}
 	dictOffs := dictBlockOffsets(d.Terms)
-	perm := make([]uint64, nTerms)
-	for i := range perm {
-		perm[i] = uint64(i + 1)
-	}
-	sortPerm(perm, d.Terms)
 	stats := appendStats(nil, &d.Stats)
 	secs = append(secs,
 		section{secDict,
 			func() int { return int(dictOffs[len(dictOffs)-1]) },
 			func(b []byte) []byte { b, _ = AppendDictBlocks(b, d.Terms); return b }},
 		u64(secDictOff, &dictOffs),
-		u64(secDictPerm, &perm),
 		u64(secGeomIDs, &d.GeomIDs),
 		section{secGeomEnvs,
 			func() int { return 32 * len(d.GeomEnvs) },
@@ -256,17 +248,6 @@ func appendStats(b []byte, s *StatsBlock) []byte {
 	return b
 }
 
-// sortPerm sorts ids by their terms under CompareTerms (ids are
-// i+1-indexed into terms), in place; equal terms keep ascending ids.
-func sortPerm(ids []uint64, terms []rdf.Term) {
-	slices.SortFunc(ids, func(a, b uint64) int {
-		if c := CompareTerms(terms[a-1], terms[b-1]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-}
-
 // Reader is an open packed snapshot: the mapped file or in-memory image
 // plus the parsed TOC. All accessors are safe for concurrent use (the
 // underlying data is immutable); Close unmaps a file.
@@ -283,7 +264,6 @@ type Reader struct {
 	postOff [3]*U64Col
 	postCnt [3]*U64Col
 	dictOff *U64Col
-	perm    *U64Col
 	geomIDs *U64Col
 	stats   StatsBlock
 }
@@ -333,8 +313,10 @@ func open(data []byte, release func() error) (*Reader, error) {
 	if crc(footer) != footerCRC {
 		return nil, fmt.Errorf("colpack: footer CRC mismatch")
 	}
+	// An image has every section but secDictPerm; one written by an
+	// older build also has that one.
 	nSecs := int(le32(footer))
-	if nSecs != numSections || len(footer) != 4+nSecs*32+24+4 {
+	if nSecs != numSections-1 && nSecs != numSections || len(footer) != 4+nSecs*32+24+4 {
 		return nil, fmt.Errorf("colpack: footer shape mismatch (sections=%d len=%d)", nSecs, len(footer))
 	}
 	meta := footer[4+nSecs*32:]
@@ -361,11 +343,19 @@ func open(data []byte, release func() error) (*Reader, error) {
 		if id == 0 || id > numSections || off < headerSize || off+length > uint64(len(body)) {
 			return nil, fmt.Errorf("colpack: TOC entry %d (section %d) outside file", i, id)
 		}
+		if r.secs[id] != nil {
+			return nil, fmt.Errorf("colpack: TOC entry %d repeats section %d", i, id)
+		}
 		sec := data[off : off+length]
 		if crc(sec) != secCRC {
 			return nil, fmt.Errorf("colpack: section %d CRC mismatch", id)
 		}
 		r.secs[id] = sec
+	}
+	for id := uint32(1); id <= numSections; id++ {
+		if r.secs[id] == nil && id != secDictPerm {
+			return nil, fmt.Errorf("colpack: section %d missing", id)
+		}
 	}
 	var err error
 	openCol := func(id uint32, wantLen int) (*U64Col, error) {
@@ -391,9 +381,6 @@ func open(data []byte, release func() error) (*Reader, error) {
 	}
 	nDictBlocks := (r.nTerms + DictBlockSize - 1) / DictBlockSize
 	if r.dictOff, err = openCol(secDictOff, nDictBlocks+1); err != nil {
-		return nil, err
-	}
-	if r.perm, err = openCol(secDictPerm, r.nTerms); err != nil {
 		return nil, err
 	}
 	if r.geomIDs, err = openCol(secGeomIDs, r.nGeoms); err != nil {
@@ -493,7 +480,7 @@ func (r *Reader) NGeoms() int { return r.nGeoms }
 
 // SizeBytes reports the on-disk (mapped) size of the snapshot.
 //
-//lint:allow unusedexport(bench/layers.go reports colpack.bytes_per_triple from it)
+//lint:allow unreachable(bench/layers.go reports colpack.bytes_per_triple from it)
 func (r *Reader) SizeBytes() int64 { return int64(len(r.data)) }
 
 // Bytes returns the whole image — what a snapshot file of it holds.

@@ -2,7 +2,7 @@ package colpack
 
 import (
 	"encoding/binary"
-	"sort"
+	"os"
 	"testing"
 
 	"repro/internal/rdf"
@@ -126,23 +126,6 @@ func FuzzDictRoundTrip(f *testing.F) {
 				}
 			}
 		}
-		// The permutation sort must agree with CompareTerms.
-		ids := make([]uint64, len(terms))
-		for i := range ids {
-			ids[i] = uint64(i + 1)
-		}
-		sortPerm(ids, terms)
-		if !sort.SliceIsSorted(ids, func(i, j int) bool {
-			return CompareTerms(terms[ids[i]-1], terms[ids[j]-1]) < 0 ||
-				(CompareTerms(terms[ids[i]-1], terms[ids[j]-1]) == 0 && ids[i] < ids[j])
-		}) {
-			// Equal terms may order either way; only verify non-descending.
-			for i := 1; i < len(ids); i++ {
-				if CompareTerms(terms[ids[i-1]-1], terms[ids[i]-1]) > 0 {
-					t.Fatalf("permutation descends at %d", i)
-				}
-			}
-		}
 	})
 }
 
@@ -170,13 +153,25 @@ func FuzzOpenHostile(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add([]byte{}, uint32(0), uint32(0), false)
-	f.Add([]byte{0xff}, uint32(9), uint32(0), true)
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80}, uint32(headerSize), uint32(0), true)
-	f.Add([]byte{7}, uint32(len(img)-40), uint32(0), true)
-	f.Add([]byte{1, 2, 3}, uint32(len(img)/2), uint32(100), true)
-	f.Fuzz(func(t *testing.T, patch []byte, off, cut uint32, reseal bool) {
-		mutant := append([]byte(nil), img...)
+	// legacy is the same data as written by a build that still emitted
+	// the term permutation (section 15).
+	legacy, err := os.ReadFile(legacyImage)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, old := range []bool{false, true} {
+		f.Add([]byte{}, uint32(0), uint32(0), false, old)
+		f.Add([]byte{0xff}, uint32(9), uint32(0), true, old)
+		f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80}, uint32(headerSize), uint32(0), true, old)
+		f.Add([]byte{7}, uint32(len(img)-40), uint32(0), true, old)
+		f.Add([]byte{1, 2, 3}, uint32(len(img)/2), uint32(100), true, old)
+	}
+	f.Fuzz(func(t *testing.T, patch []byte, off, cut uint32, reseal, old bool) {
+		base := img
+		if old {
+			base = legacy
+		}
+		mutant := append([]byte(nil), base...)
 		if int(off) < len(mutant) {
 			copy(mutant[off:], patch)
 		}
@@ -191,7 +186,7 @@ func FuzzOpenHostile(f *testing.F) {
 			return
 		}
 		var buf []uint64
-		cols := []*U64Col{r.DictOff(), r.perm, r.GeomIDs()}
+		cols := []*U64Col{r.DictOff(), r.GeomIDs()}
 		for comp := 0; comp < 3; comp++ {
 			cols = append(cols, r.Col(comp), r.PostOff(comp), r.PostCnt(comp))
 		}

@@ -96,6 +96,14 @@ func (c *Column) SetNull(i int) {
 	c.nulls[i] = true
 }
 
+// ClearNull marks row i as not NULL, for a writer that has just stored
+// a value there.
+func (c *Column) ClearNull(i int) {
+	if c.nulls != nil {
+		c.nulls[i] = false
+	}
+}
+
 // Int returns the int64 value at row i (column must be Int64).
 func (c *Column) Int(i int) int64 { return c.ints[i] }
 
@@ -104,9 +112,6 @@ func (c *Column) Float(i int) float64 { return c.flts[i] }
 
 // Str returns the string value at row i (column must be String).
 func (c *Column) Str(i int) string { return c.strs[i] }
-
-// BoolAt returns the bool value at row i (column must be Bool).
-func (c *Column) BoolAt(i int) bool { return c.bools[i] }
 
 // Ints exposes the backing int64 slice (Int64 columns only; nil otherwise).
 func (c *Column) Ints() []int64 { return c.ints }
@@ -201,50 +206,53 @@ func (c *Column) Value(i int) any {
 	return nil
 }
 
-// AppendValue appends v, coercing numerically compatible types; nil appends
-// NULL. It returns an error for incompatible values.
-func (c *Column) AppendValue(v any) error {
-	if v == nil {
-		c.AppendNull()
-		return nil
+// check returns nil when appendChecked can append v: nil (NULL), a
+// number to a numeric column, a string or bool to its own type.
+func (c *Column) check(v any) error {
+	ok := true
+	switch v.(type) {
+	case nil:
+	case int64, int, float64:
+		ok = c.Typ == Int64 || c.Typ == Float64
+	case string:
+		ok = c.Typ == String
+	case bool:
+		ok = c.Typ == Bool
+	default:
+		ok = false
 	}
-	switch c.Typ {
-	case Int64:
-		switch x := v.(type) {
-		case int64:
-			c.AppendInt(x)
-		case int:
-			c.AppendInt(int64(x))
-		case float64:
-			c.AppendInt(int64(x))
-		default:
-			return fmt.Errorf("column: cannot append %T to BIGINT", v)
-		}
-	case Float64:
-		switch x := v.(type) {
-		case float64:
-			c.AppendFloat(x)
-		case int64:
-			c.AppendFloat(float64(x))
-		case int:
-			c.AppendFloat(float64(x))
-		default:
-			return fmt.Errorf("column: cannot append %T to DOUBLE", v)
-		}
-	case String:
-		s, ok := v.(string)
-		if !ok {
-			return fmt.Errorf("column: cannot append %T to VARCHAR", v)
-		}
-		c.AppendStr(s)
-	case Bool:
-		b, ok := v.(bool)
-		if !ok {
-			return fmt.Errorf("column: cannot append %T to BOOLEAN", v)
-		}
-		c.AppendBool(b)
+	if !ok {
+		return fmt.Errorf("column: cannot append %T to %s", v, c.Typ)
 	}
 	return nil
+}
+
+// appendChecked appends a value check accepted.
+func (c *Column) appendChecked(v any) {
+	switch x := v.(type) {
+	case nil:
+		c.AppendNull()
+	case string:
+		c.AppendStr(x)
+	case bool:
+		c.AppendBool(x)
+	case int64:
+		c.appendNum(float64(x), x)
+	case int:
+		c.appendNum(float64(x), int64(x))
+	case float64:
+		c.appendNum(x, int64(x))
+	}
+}
+
+// appendNum appends a number to an Int64 column as i, to a Float64
+// column as f.
+func (c *Column) appendNum(f float64, i int64) {
+	if c.Typ == Int64 {
+		c.AppendInt(i)
+	} else {
+		c.AppendFloat(f)
+	}
 }
 
 // Gather materialises the rows of c at the given positions — MonetDB's

@@ -28,7 +28,7 @@ func TestColumnBasics(t *testing.T) {
 	}
 	b := NewBool([]bool{true})
 	b.AppendBool(false)
-	if b.BoolAt(1) {
+	if b.Bools()[1] {
 		t.Fatal("bool append")
 	}
 }
@@ -67,35 +67,38 @@ func TestNulls(t *testing.T) {
 }
 
 func TestAppendValueCoercion(t *testing.T) {
-	c := NewEmpty(Int64)
-	if err := c.AppendValue(int(7)); err != nil {
+	one := func(typ Type) (*Table, *Column) {
+		c := NewEmpty(typ)
+		return &Table{Name: "t", Fields: []Field{{Name: "v", Typ: typ}}, Cols: []*Column{c}}, c
+	}
+	ti, c := one(Int64)
+	if err := ti.AppendRow(int(7)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AppendValue(float64(2.9)); err != nil {
+	if err := ti.AppendRow(float64(2.9)); err != nil {
 		t.Fatal(err)
 	}
 	if c.Int(1) != 2 {
 		t.Fatalf("truncated float = %d", c.Int(1))
 	}
-	if err := c.AppendValue("nope"); err == nil {
+	if err := ti.AppendRow("nope"); err == nil {
 		t.Fatal("string into int should fail")
 	}
-	f := NewEmpty(Float64)
-	if err := f.AppendValue(int64(3)); err != nil || f.Float(0) != 3 {
+	tf, f := one(Float64)
+	if err := tf.AppendRow(int64(3)); err != nil || f.Float(0) != 3 {
 		t.Fatal("int into float")
 	}
-	if err := f.AppendValue(true); err == nil {
+	if err := tf.AppendRow(true); err == nil {
 		t.Fatal("bool into float should fail")
 	}
-	s := NewEmpty(String)
-	if err := s.AppendValue(1); err == nil {
+	if ts, _ := one(String); ts.AppendRow(1) == nil {
 		t.Fatal("int into string should fail")
 	}
-	b := NewEmpty(Bool)
-	if err := b.AppendValue("x"); err == nil {
+	tb, b := one(Bool)
+	if err := tb.AppendRow("x"); err == nil {
 		t.Fatal("string into bool should fail")
 	}
-	if err := b.AppendValue(nil); err != nil || !b.IsNull(0) {
+	if err := tb.AppendRow(nil); err != nil || !b.IsNull(0) {
 		t.Fatal("nil appends NULL")
 	}
 }
@@ -142,12 +145,20 @@ func TestTableBasics(t *testing.T) {
 	if tbl.Col("missing") != nil {
 		t.Fatal("missing column should be nil")
 	}
-	row := tbl.Row(0)
-	if row[0] != int64(1) || row[1] != "msg1" || row[2] != 12.5 {
-		t.Fatalf("Row = %v", row)
+	if v0, v1, v2 := tbl.Cols[0].Value(0), tbl.Cols[1].Value(0), tbl.Cols[2].Value(0); v0 != int64(1) || v1 != "msg1" || v2 != 12.5 {
+		t.Fatalf("row 0 = %v, %v, %v", v0, v1, v2)
 	}
 	if err := tbl.AppendRow(int64(3)); err == nil {
 		t.Fatal("arity mismatch should error")
+	}
+	// A row with a value that does not fit appends nothing.
+	if err := tbl.AppendRow(int64(3), "msg3", "hot"); err == nil {
+		t.Fatal("string into DOUBLE should error")
+	}
+	for _, c := range tbl.Cols {
+		if c.Len() != 2 {
+			t.Fatalf("a failed row left a column of %d rows, want 2", c.Len())
+		}
 	}
 	g := tbl.Gather([]int{1})
 	if g.NumRows() != 1 || g.Col("id").Int(0) != 2 {

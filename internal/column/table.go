@@ -45,26 +45,30 @@ func (t *Table) Col(name string) *Column {
 	return nil
 }
 
-// AppendRow appends one row; len(vals) must equal the column count.
+// AppendRow appends one row whole, or nothing when CheckRow fails.
 func (t *Table) AppendRow(vals ...any) error {
-	if len(vals) != len(t.Cols) {
-		return fmt.Errorf("column: row has %d values, table %q has %d columns", len(vals), t.Name, len(t.Cols))
+	if err := t.CheckRow(vals...); err != nil {
+		return err
 	}
 	for i, v := range vals {
-		if err := t.Cols[i].AppendValue(v); err != nil {
-			return fmt.Errorf("column %q: %w", t.Fields[i].Name, err)
-		}
+		t.Cols[i].appendChecked(v)
 	}
 	return nil
 }
 
-// Row materialises row i as a value slice.
-func (t *Table) Row(i int) []any {
-	out := make([]any, len(t.Cols))
-	for j, c := range t.Cols {
-		out[j] = c.Value(i)
+// CheckRow returns the error AppendRow would return for vals, or nil:
+// len(vals) must equal the column count, and each value must fit its
+// column.
+func (t *Table) CheckRow(vals ...any) error {
+	if len(vals) != len(t.Cols) {
+		return fmt.Errorf("column: row has %d values, table %q has %d columns", len(vals), t.Name, len(t.Cols))
 	}
-	return out
+	for i, v := range vals {
+		if err := t.Cols[i].check(v); err != nil {
+			return fmt.Errorf("column %q: %w", t.Fields[i].Name, err)
+		}
+	}
+	return nil
 }
 
 // Gather returns a new table with only the given row positions.

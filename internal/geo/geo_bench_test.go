@@ -60,7 +60,7 @@ func BenchmarkWKTParsePolygon(b *testing.B) {
 }
 
 func BenchmarkBufferPoint(b *testing.B) {
-	p := NewPoint(23.7, 37.9)
+	p := Point{X: 23.7, Y: 37.9}
 	for i := 0; i < b.N; i++ {
 		if Buffer(p, 0.02, 8).IsEmpty() {
 			b.Fatal("empty buffer")
@@ -70,7 +70,7 @@ func BenchmarkBufferPoint(b *testing.B) {
 
 func BenchmarkGeodesicDistance(b *testing.B) {
 	coast := benchCoastline(360)
-	pt := NewPoint(25, 25)
+	pt := Point{X: 25, Y: 25}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if GeodesicDistanceMeters(coast, pt) <= 0 {

@@ -73,9 +73,6 @@ type Point struct {
 	X, Y float64
 }
 
-// NewPoint returns the point (x, y).
-func NewPoint(x, y float64) Point { return Point{X: x, Y: y} }
-
 // Type implements Geometry.
 func (p Point) Type() GeometryType { return TypePoint }
 

@@ -7,7 +7,7 @@ import (
 )
 
 func TestPointBasics(t *testing.T) {
-	p := NewPoint(23.7, 37.9)
+	p := Point{X: 23.7, Y: 37.9}
 	if p.Type() != TypePoint {
 		t.Fatalf("Type = %v", p.Type())
 	}
@@ -21,10 +21,10 @@ func TestPointBasics(t *testing.T) {
 	if env.MinX != 23.7 || env.MaxY != 37.9 {
 		t.Fatalf("Envelope = %+v", env)
 	}
-	if !p.Equal(NewPoint(23.7, 37.9)) {
+	if !p.Equal(Point{X: 23.7, Y: 37.9}) {
 		t.Fatal("Equal failed")
 	}
-	if p.Equal(NewPoint(23.7, 38.0)) {
+	if p.Equal(Point{X: 23.7, Y: 38.0}) {
 		t.Fatal("Equal matched different points")
 	}
 }
@@ -226,7 +226,7 @@ func TestValidate(t *testing.T) {
 	if err := Validate(LineString{Coords: []Point{{1, 1}}}); err == nil {
 		t.Fatal("expected error for 1-point line")
 	}
-	if err := Validate(GeometryCollection{Geometries: []Geometry{Rect(0, 0, 1, 1), NewPoint(1, 2)}}); err != nil {
+	if err := Validate(GeometryCollection{Geometries: []Geometry{Rect(0, 0, 1, 1), Point{X: 1, Y: 2}}}); err != nil {
 		t.Fatalf("valid collection: %v", err)
 	}
 }

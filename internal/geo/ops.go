@@ -389,6 +389,8 @@ func dissolve(polys []Polygon) Geometry {
 
 // Validate performs basic validity checks: rings closed with >= 4 points,
 // line strings with >= 2 points, no NaN coordinates (except empty points).
+//
+//lint:allow unreachable(the clipper will reject what it cannot handle with it (ROADMAP item 10))
 func Validate(g Geometry) error {
 	switch t := g.(type) {
 	case Point:

@@ -9,7 +9,7 @@ import (
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestDistance(t *testing.T) {
-	if d := Distance(NewPoint(0, 0), NewPoint(3, 4)); d != 5 {
+	if d := Distance(Point{X: 0, Y: 0}, Point{X: 3, Y: 4}); d != 5 {
 		t.Fatalf("point distance = %g", d)
 	}
 	if d := Distance(Rect(0, 0, 1, 1), Rect(3, 0, 4, 1)); d != 2 {
@@ -19,14 +19,14 @@ func TestDistance(t *testing.T) {
 		t.Fatalf("overlapping distance = %g", d)
 	}
 	line := NewLineString(Point{0, 2}, Point{4, 2})
-	if d := Distance(NewPoint(2, 0), line); d != 2 {
+	if d := Distance(Point{X: 2, Y: 0}, line); d != 2 {
 		t.Fatalf("point-line distance = %g", d)
 	}
 	// Distance to a point past the segment end uses the endpoint.
-	if d := Distance(NewPoint(6, 2), line); d != 2 {
+	if d := Distance(Point{X: 6, Y: 2}, line); d != 2 {
 		t.Fatalf("endpoint distance = %g", d)
 	}
-	if !math.IsInf(Distance(Polygon{}, NewPoint(0, 0)), 1) {
+	if !math.IsInf(Distance(Polygon{}, Point{X: 0, Y: 0}), 1) {
 		t.Fatal("empty distance should be +Inf")
 	}
 }
@@ -84,7 +84,7 @@ func TestAreaLength(t *testing.T) {
 }
 
 func TestBufferPoint(t *testing.T) {
-	b := Buffer(NewPoint(0, 0), 1, 8)
+	b := Buffer(Point{X: 0, Y: 0}, 1, 8)
 	p, ok := b.(Polygon)
 	if !ok {
 		t.Fatalf("buffer type %T", b)
@@ -93,10 +93,10 @@ func TestBufferPoint(t *testing.T) {
 	if p.Area() < 3.0 || p.Area() > math.Pi {
 		t.Fatalf("circle area = %g", p.Area())
 	}
-	if !Within(NewPoint(0.5, 0.5), p) {
+	if !Within(Point{X: 0.5, Y: 0.5}, p) {
 		t.Fatal("interior point of buffer")
 	}
-	if Within(NewPoint(1.2, 0), p) {
+	if Within(Point{X: 1.2, Y: 0}, p) {
 		t.Fatal("exterior point of buffer")
 	}
 }
@@ -110,10 +110,10 @@ func TestBufferLine(t *testing.T) {
 	if !almostEq(area, want, 0.5) {
 		t.Fatalf("capsule area = %g, want ~%g", area, want)
 	}
-	if !Intersects(b, NewPoint(5, 0.9)) {
+	if !Intersects(b, Point{X: 5, Y: 0.9}) {
 		t.Fatal("point inside capsule")
 	}
-	if Intersects(b, NewPoint(5, 1.5)) {
+	if Intersects(b, Point{X: 5, Y: 1.5}) {
 		t.Fatal("point outside capsule")
 	}
 }
@@ -143,7 +143,7 @@ func TestBufferZeroAndEmpty(t *testing.T) {
 }
 
 func TestTransformRoundTrip(t *testing.T) {
-	p := NewPoint(23.7275, 37.9838) // Athens
+	p := Point{X: 23.7275, Y: 37.9838} // Athens
 	for _, to := range []SRID{SRIDWebMercator, SRIDGreekGrid} {
 		g, err := Transform(p, SRIDWGS84, to)
 		if err != nil {
@@ -161,7 +161,7 @@ func TestTransformRoundTrip(t *testing.T) {
 }
 
 func TestTransformIdentityAndErrors(t *testing.T) {
-	p := NewPoint(1, 2)
+	p := Point{X: 1, Y: 2}
 	g, err := Transform(p, SRIDWGS84, SRIDWGS84)
 	if err != nil || g.(Point) != p {
 		t.Fatalf("identity transform: %v %v", g, err)
@@ -195,8 +195,8 @@ func TestTransformPolygonPreservesTopology(t *testing.T) {
 }
 
 func TestGeodesicDistanceMeters(t *testing.T) {
-	a := NewPoint(23.0, 38.0)
-	b := NewPoint(23.0, 38.1) // 0.1 deg lat ~ 11.1 km
+	a := Point{X: 23.0, Y: 38.0}
+	b := Point{X: 23.0, Y: 38.1} // 0.1 deg lat ~ 11.1 km
 	d := GeodesicDistanceMeters(a, b)
 	if d < 10e3 || d > 12.5e3 {
 		t.Fatalf("0.1 deg lat = %g m", d)
@@ -221,7 +221,7 @@ func TestExpandMeters(t *testing.T) {
 		return ExpandMeters(a.Envelope(), r, maxLat(b)).Intersects(b.Envelope()) &&
 			ExpandMeters(a.Envelope(), r, 90).Intersects(b.Envelope())
 	}
-	probe, near := NewPoint(10.09, 60), NewPoint(10.0, 60)
+	probe, near := Point{X: 10.09, Y: 60}, Point{X: 10.0, Y: 60}
 	if d := GeodesicDistanceMeters(probe, near); d > 5100 || !covers(probe, near, 6000) {
 		t.Fatalf("60°N: %.0f m apart, not covered by a 6 km widening", d)
 	}
@@ -238,7 +238,7 @@ func TestExpandMeters(t *testing.T) {
 	if ExpandMeters(probe.Envelope(), 6000, 60.06).Intersects(tall.Envelope()) {
 		t.Fatal("a widening at the probe's own latitude covers the footprint; the case no longer shows the defect")
 	}
-	polar, across := NewPoint(0, 89.99), NewPoint(170, 89.99)
+	polar, across := Point{X: 0, Y: 89.99}, Point{X: 170, Y: 89.99}
 	if d := GeodesicDistanceMeters(polar, across); d >= 6000 || !covers(polar, across, 6000) {
 		t.Fatalf("pole: %.0f m apart, not covered by a 6 km widening", d)
 	}
@@ -252,7 +252,7 @@ func TestExpandMeters(t *testing.T) {
 		lat := -89.9 + rng.Float64()*179.8
 		r := 100 + rng.Float64()*50000
 		span := 2 * r / 111e3 // degrees of latitude, about twice the radius
-		var a Geometry = NewPoint(rng.Float64()*360-180, lat)
+		var a Geometry = Point{X: rng.Float64()*360 - 180, Y: lat}
 		if i%2 == 1 {
 			a = Rect(a.(Point).X, lat, a.(Point).X+span*rng.Float64(), math.Min(90, lat+span*rng.Float64()))
 		}
@@ -261,7 +261,7 @@ func TestExpandMeters(t *testing.T) {
 		lonSpan := span / math.Max(math.Cos(reach*deg2rad), 1e-4)
 		bx := c.X + (rng.Float64()*2-1)*lonSpan
 		by := math.Max(-90, math.Min(90, c.Y+(rng.Float64()*2-1)*span))
-		var b Geometry = NewPoint(bx, by)
+		var b Geometry = Point{X: bx, Y: by}
 		if i%4 >= 2 {
 			// A footprint up to 15° tall, reaching poleward from (bx, by).
 			h := math.Copysign(math.Min(15*rng.Float64(), 90-math.Abs(by)), by)
@@ -296,13 +296,13 @@ func TestExpandMeters(t *testing.T) {
 }
 
 func TestBufferMeters(t *testing.T) {
-	site := NewPoint(22.0, 37.5)
+	site := Point{X: 22.0, Y: 37.5}
 	zone := BufferMeters(site, 2000, 8) // the paper's "within 2km" radius
 	if zone.IsEmpty() {
 		t.Fatal("buffer empty")
 	}
-	near := NewPoint(22.015, 37.5) // ~1.3 km east
-	far := NewPoint(22.05, 37.5)   // ~4.4 km east
+	near := Point{X: 22.015, Y: 37.5} // ~1.3 km east
+	far := Point{X: 22.05, Y: 37.5}   // ~4.4 km east
 	if !Intersects(zone, near) {
 		t.Fatal("1.3km point should be inside 2km buffer")
 	}

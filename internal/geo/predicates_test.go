@@ -29,20 +29,20 @@ func TestIntersectsPolygons(t *testing.T) {
 
 func TestIntersectsPointGeoms(t *testing.T) {
 	poly := Rect(0, 0, 4, 4)
-	if !Intersects(NewPoint(2, 2), poly) {
+	if !Intersects(Point{X: 2, Y: 2}, poly) {
 		t.Fatal("interior point")
 	}
-	if !Intersects(NewPoint(0, 0), poly) {
+	if !Intersects(Point{X: 0, Y: 0}, poly) {
 		t.Fatal("corner point")
 	}
-	if Intersects(NewPoint(5, 5), poly) {
+	if Intersects(Point{X: 5, Y: 5}, poly) {
 		t.Fatal("outside point")
 	}
 	line := NewLineString(Point{0, 0}, Point{4, 4})
-	if !Intersects(NewPoint(2, 2), line) {
+	if !Intersects(Point{X: 2, Y: 2}, line) {
 		t.Fatal("point on line")
 	}
-	if Intersects(NewPoint(2, 3), line) {
+	if Intersects(Point{X: 2, Y: 3}, line) {
 		t.Fatal("point off line")
 	}
 	mp := MultiPoint{Points: []Point{{9, 9}, {2, 2}}}
@@ -81,10 +81,10 @@ func TestWithinContains(t *testing.T) {
 	if Within(outer, inner) {
 		t.Fatal("outer not within inner")
 	}
-	if !Within(NewPoint(5, 5), outer) {
+	if !Within(Point{X: 5, Y: 5}, outer) {
 		t.Fatal("point within polygon")
 	}
-	if Within(NewPoint(11, 5), outer) {
+	if Within(Point{X: 11, Y: 5}, outer) {
 		t.Fatal("outside point not within")
 	}
 	line := NewLineString(Point{1, 1}, Point{9, 9})
@@ -102,17 +102,17 @@ func TestWithinWithHole(t *testing.T) {
 		NewRing(Point{0, 0}, Point{10, 0}, Point{10, 10}, Point{0, 10}),
 		NewRing(Point{4, 4}, Point{6, 4}, Point{6, 6}, Point{4, 6}),
 	)
-	if Within(NewPoint(5, 5), donut) {
+	if Within(Point{X: 5, Y: 5}, donut) {
 		t.Fatal("point in hole should not be within")
 	}
-	if !Within(NewPoint(2, 2), donut) {
+	if !Within(Point{X: 2, Y: 2}, donut) {
 		t.Fatal("point in annulus should be within")
 	}
 	inHole := Rect(4.5, 4.5, 5.5, 5.5)
 	if Within(inHole, donut) {
 		t.Fatal("rect inside hole should not be within")
 	}
-	if !Intersects(NewPoint(4, 5), donut) {
+	if !Intersects(Point{X: 4, Y: 5}, donut) {
 		t.Fatal("hole boundary belongs to polygon")
 	}
 }
@@ -135,10 +135,10 @@ func TestTouches(t *testing.T) {
 		t.Fatal("disjoint rects do not touch")
 	}
 	// Point on boundary touches.
-	if !Touches(NewPoint(4, 2), a) {
+	if !Touches(Point{X: 4, Y: 2}, a) {
 		t.Fatal("boundary point touches polygon")
 	}
-	if Touches(NewPoint(2, 2), a) {
+	if Touches(Point{X: 2, Y: 2}, a) {
 		t.Fatal("interior point does not touch")
 	}
 	// Line ending on boundary.
@@ -290,8 +290,8 @@ func TestIntersectsSymmetryProperty(t *testing.T) {
 		Rect(2, 2, 6, 6),
 		Rect(10, 10, 11, 11),
 		NewLineString(Point{-1, 2}, Point{5, 2}),
-		NewPoint(2, 2),
-		NewPoint(20, 20),
+		Point{X: 2, Y: 2},
+		Point{X: 20, Y: 20},
 		MultiPoint{Points: []Point{{1, 1}, {3, 9}}},
 	}
 	for i, a := range geoms {

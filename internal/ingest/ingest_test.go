@@ -166,11 +166,10 @@ func TestExtractPatchesRaggedAndNull(t *testing.T) {
 	}
 	// An all-null patch is skipped.
 	img2 := array.MustNew("img", array.Dim{Name: "y", Size: 4}, array.Dim{Name: "x", Size: 8})
+	img2.Null = make([]bool, len(img2.Data))
 	for y := 0; y < 4; y++ {
 		for x := 4; x < 8; x++ {
-			if err := img2.SetNull(y, x); err != nil {
-				t.Fatal(err)
-			}
+			img2.Null[y*8+x] = true
 		}
 	}
 	p2, err := ExtractPatches(img2, 4)

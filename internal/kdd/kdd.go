@@ -90,9 +90,6 @@ func (c *KNNClassifier) Train(examples ...Example) {
 	c.examples = append(c.examples, examples...)
 }
 
-// Len reports the number of training examples.
-func (c *KNNClassifier) Len() int { return len(c.examples) }
-
 // Classify returns the majority concept among the k nearest examples and
 // the fraction of votes it received. It runs a bounded k-best selection
 // over the examples — no full sort, no per-call allocation — so the

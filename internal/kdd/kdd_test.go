@@ -61,7 +61,7 @@ func TestKNN(t *testing.T) {
 		Example{Features: []float64{10, 11}, Concept: "hot"},
 		Example{Features: []float64{11, 10}, Concept: "hot"},
 	)
-	if m.Len() != 5 {
+	if len(m.examples) != 5 {
 		t.Fatal("train count")
 	}
 	concept, conf, err := m.Classify([]float64{10.5, 10.5})

@@ -10,6 +10,8 @@
 // remain (or a grace period expires — goroutines legitimately take a
 // moment to unwind after Close/Cleanup). Anything left is printed with
 // its full stack and the binary exits non-zero.
+//
+//lint:allow unreachable(test support: TestMain of the endpoint and replication tests calls it)
 package leakcheck
 
 import (

@@ -119,6 +119,8 @@ func All() []rdf.Triple {
 // deterministic grid over the landmass, for catalogue-scaling benchmarks
 // (Figure 3 / Q1 sweeps). Sites falling in the sea are skipped, so fewer
 // than n may be returned.
+//
+//lint:allow unreachable(bench/dataset.go generates the benchmark's site layer with it)
 func SyntheticSites(n int) []rdf.Triple {
 	var out []rdf.Triple
 	made := 0

@@ -51,7 +51,7 @@ func TestCoastlineConsistentWithScene(t *testing.T) {
 		t.Fatal("sea or landmass missing")
 	}
 	// A point on land is in landmass and not in the sea interior.
-	p := geo.NewPoint(24, 38)
+	p := geo.Point{X: 24, Y: 38}
 	if !geo.Intersects(p, land) {
 		t.Fatal("centre should be on land")
 	}
@@ -59,7 +59,7 @@ func TestCoastlineConsistentWithScene(t *testing.T) {
 		t.Fatal("centre should not be in the sea")
 	}
 	// A far corner is sea.
-	q := geo.NewPoint(26.8, 36.2)
+	q := geo.Point{X: 26.8, Y: 36.2}
 	if !geo.Intersects(q, sea) {
 		t.Fatal("corner should be sea")
 	}

@@ -19,6 +19,8 @@
 // diagnostics both fail the test. Because the harness drives
 // lint.Check, `//lint:allow` suppression is live in fixtures: a
 // suppressed line simply carries no want comment.
+//
+//lint:allow unreachable(test support: the golden-file harness of the internal/lint tests)
 package analysistest
 
 import (

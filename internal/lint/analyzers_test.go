@@ -39,11 +39,12 @@ func TestErrdropcheck(t *testing.T) {
 	analysistest.Run(t, lint.Errdropcheck, "repro/internal/strabon")
 }
 
-// TestUnusedexport runs the whole-program pass over two fixtures: a
-// declares names its own test, b's test, an interface or nothing uses;
-// b's test file uses some of them.
-func TestUnusedexport(t *testing.T) {
-	analysistest.RunWholeProgram(t, lint.Unusedexport, "unusedexp/a", "unusedexp/b")
+// TestUnreachable runs the whole-program pass over a fixture module: a
+// root package, a binary, a package whose names its own test, another
+// package's test, the roots, an interface or nothing use, and a package
+// whose test uses some of them.
+func TestUnreachable(t *testing.T) {
+	analysistest.RunWholeProgram(t, lint.Unreachable, "unreach", "unreach/cmd/tool", "unreach/a", "unreach/b")
 }
 
 // TestFailpointOrphanFinish drives the whole-program Finish hook with

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
@@ -19,6 +20,8 @@ import (
 // standalone driver. A fixture directory shadows the real package of
 // the same import path, which is how fixtures stand in for
 // repro/internal/persist and friends.
+//
+//lint:allow unreachable(test support: analysistest loads the golden fixtures with it)
 func LoadFixture(fset *token.FileSet, srcRoot string, paths []string) ([]*Package, error) {
 	ld := &fixtureLoader{
 		fset:      fset,
@@ -101,12 +104,12 @@ func (ld *fixtureLoader) parseLocal(path string) error {
 	}
 	// A cheap imports-only parse pass to discover the graph.
 	for _, name := range fp.files {
-		f, err := parseImportsOnly(ld.fset, filepath.Join(dir, name))
+		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ImportsOnly)
 		if err != nil {
 			return err
 		}
-		for _, spec := range f {
-			imp, err := strconv.Unquote(spec)
+		for _, spec := range f.Imports {
+			imp, err := strconv.Unquote(spec.Path.Value)
 			if err != nil {
 				continue
 			}
@@ -143,7 +146,7 @@ func (ld *fixtureLoader) compile(path string, stack []string) (*Package, error) 
 			return nil, err
 		}
 	}
-	analyze, tests, all, err := parseFiles(ld.fset, fp.dir, fp.files)
+	analyze, all, err := parseFiles(ld.fset, fp.dir, fp.files)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +154,7 @@ func (ld *fixtureLoader) compile(path string, stack []string) (*Package, error) 
 	if err != nil {
 		return nil, fmt.Errorf("type-checking fixture %q: %w", path, err)
 	}
-	pkg := &Package{Path: path, Dir: fp.dir, Fset: ld.fset, Files: analyze, Tests: tests, Types: tpkg, Info: info}
+	pkg := &Package{Path: path, Dir: fp.dir, Fset: ld.fset, Files: analyze, Types: tpkg, Info: info}
 	ld.compiled[path] = pkg
 	return pkg, nil
 }

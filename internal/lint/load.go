@@ -22,7 +22,6 @@ type Package struct {
 	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File // non-test files only; see Pass.Files
-	Tests []*ast.File // _test.go files, parsed; see Pass.TestFiles
 	Types *types.Package
 	Info  *types.Info
 }
@@ -43,15 +42,13 @@ func NewInfo() *types.Info {
 // listedPackage is the subset of `go list -json` output the loader
 // needs.
 type listedPackage struct {
-	ImportPath   string
-	Dir          string
-	Export       string
-	Standard     bool
-	DepOnly      bool
-	GoFiles      []string
-	TestGoFiles  []string
-	XTestGoFiles []string
-	Error        *struct{ Err string }
+	ImportPath string
+	Dir        string
+	Export     string
+	Standard   bool
+	DepOnly    bool
+	GoFiles    []string
+	Error      *struct{ Err string }
 }
 
 // goList runs `go list -deps -export -json` over patterns in dir and
@@ -62,7 +59,7 @@ type listedPackage struct {
 func goList(dir string, patterns []string) ([]*listedPackage, error) {
 	args := append([]string{
 		"list", "-deps", "-export",
-		"-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,TestGoFiles,XTestGoFiles,Error",
+		"-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,Error",
 		"--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -120,7 +117,7 @@ func (ei *exportImporter) Import(path string) (*types.Package, error) {
 // parseFiles parses the named files (absolute or dir-relative) with
 // comments, splitting test files out: they participate in
 // type-checking but not analysis.
-func parseFiles(fset *token.FileSet, dir string, names []string) (analyze, tests, all []*ast.File, err error) {
+func parseFiles(fset *token.FileSet, dir string, names []string) (analyze, all []*ast.File, err error) {
 	for _, name := range names {
 		path := name
 		if !filepath.IsAbs(path) {
@@ -128,30 +125,14 @@ func parseFiles(fset *token.FileSet, dir string, names []string) (analyze, tests
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		all = append(all, f)
-		if strings.HasSuffix(name, "_test.go") {
-			tests = append(tests, f)
-		} else {
+		if !strings.HasSuffix(name, "_test.go") {
 			analyze = append(analyze, f)
 		}
 	}
-	return analyze, tests, all, nil
-}
-
-// parseImportsOnly returns the raw (quoted) import specs of one file
-// without parsing bodies — enough to walk a fixture import graph.
-func parseImportsOnly(fset *token.FileSet, path string) ([]string, error) {
-	f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-	if err != nil {
-		return nil, err
-	}
-	var specs []string
-	for _, imp := range f.Imports {
-		specs = append(specs, imp.Path.Value)
-	}
-	return specs, nil
+	return analyze, all, nil
 }
 
 // typeCheck runs the go/types checker over files, importing
@@ -171,7 +152,7 @@ func typeCheck(fset *token.FileSet, path string, files []*ast.File, imp types.Im
 // files (cfg.PackageFile) after source-path remapping (cfg.ImportMap).
 func LoadUnit(importPath, dir string, goFiles []string, importMap, packageFile map[string]string) (*Package, error) {
 	fset := token.NewFileSet()
-	analyze, tests, all, err := parseFiles(fset, dir, goFiles)
+	analyze, all, err := parseFiles(fset, dir, goFiles)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +166,6 @@ func LoadUnit(importPath, dir string, goFiles []string, importMap, packageFile m
 		Dir:   dir,
 		Fset:  fset,
 		Files: analyze,
-		Tests: tests,
 		Types: tpkg,
 		Info:  info,
 	}, nil
@@ -193,8 +173,8 @@ func LoadUnit(importPath, dir string, goFiles []string, importMap, packageFile m
 
 // Load lists patterns in dir (a module root), compiles them via the go
 // toolchain, and type-checks every non-dependency-only package against
-// the compiled export data of its imports. Test files are parsed but
-// not type-checked (an external test is a package of its own).
+// the compiled export data of its imports. Test files are not loaded:
+// no analyzer reads them.
 func Load(fset *token.FileSet, dir string, patterns []string) ([]*Package, error) {
 	listed, err := goList(dir, patterns)
 	if err != nil {
@@ -211,11 +191,7 @@ func Load(fset *token.FileSet, dir string, patterns []string) ([]*Package, error
 		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 {
 			continue
 		}
-		analyze, _, all, err := parseFiles(fset, p.Dir, p.GoFiles)
-		if err != nil {
-			return nil, err
-		}
-		_, tests, _, err := parseFiles(fset, p.Dir, append(p.TestGoFiles, p.XTestGoFiles...))
+		analyze, all, err := parseFiles(fset, p.Dir, p.GoFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -228,7 +204,6 @@ func Load(fset *token.FileSet, dir string, patterns []string) ([]*Package, error
 			Dir:   p.Dir,
 			Fset:  fset,
 			Files: analyze,
-			Tests: tests,
 			Types: tpkg,
 			Info:  info,
 		})

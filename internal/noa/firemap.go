@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"repro/internal/geo"
-	"repro/internal/rdf"
 	"repro/internal/strdf"
 	"repro/internal/stsparql"
 )
@@ -223,21 +222,4 @@ func round6(f float64) float64 {
 // store, returning the number of new triples.
 func StoreProduct(eng *stsparql.Engine, p *Product) int {
 	return eng.Store().AddAll(p.Triples())
-}
-
-// QueryHotspotGeometries returns the current geometry literal of every
-// hotspot (by IRI), decoding the store state after refinement.
-func QueryHotspotGeometries(eng *stsparql.Engine) (map[string]rdf.Term, error) {
-	res, err := eng.Query(`
-		PREFIX noa: <http://teleios.di.uoa.gr/noa#>
-		PREFIX mon: <http://teleios.di.uoa.gr/monitoring#>
-		SELECT ?h ?g WHERE { ?h a mon:Hotspot . ?h noa:hasGeometry ?g }`)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]rdf.Term{}
-	for _, b := range res.Bindings {
-		out[b["h"].Value] = b["g"]
-	}
-	return out, nil
 }

@@ -235,18 +235,21 @@ func TestRefinementRemovesSeaHotspots(t *testing.T) {
 		t.Fatal("no sea hotspots rejected; the demo's false positives were seeded in the sea")
 	}
 	// Post-refinement: no remaining hotspot is disjoint from the landmass.
-	geoms, err := QueryHotspotGeometries(eng)
+	res, err := eng.Query(`
+		PREFIX noa: <http://teleios.di.uoa.gr/noa#>
+		PREFIX mon: <http://teleios.di.uoa.gr/monitoring#>
+		SELECT ?h ?g WHERE { ?h a mon:Hotspot . ?h noa:hasGeometry ?g }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	land := scene.Landmass()
-	for iri, g := range geoms {
-		v, err := strdf.ParseSpatial(g)
+	for _, b := range res.Bindings {
+		v, err := strdf.ParseSpatial(b["g"])
 		if err != nil {
-			t.Fatalf("%s: %v", iri, err)
+			t.Fatalf("%s: %v", b["h"].Value, err)
 		}
 		if geo.Disjoint(v.Geom, land) {
-			t.Errorf("hotspot %s still entirely in the sea", iri)
+			t.Errorf("hotspot %s still entirely in the sea", b["h"].Value)
 		}
 	}
 	// Real fires survive: each non-spurious seeded fire still has a
@@ -256,8 +259,8 @@ func TestRefinementRemovesSeaHotspots(t *testing.T) {
 			continue
 		}
 		found := false
-		for _, g := range geoms {
-			v, _ := strdf.ParseSpatial(g)
+		for _, b := range res.Bindings {
+			v, _ := strdf.ParseSpatial(b["g"])
 			if geo.GeodesicDistanceMeters(v.Geom, fe.Loc) < 20000 {
 				found = true
 				break

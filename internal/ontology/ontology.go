@@ -1,9 +1,9 @@
 // Package ontology implements the OWL/RDFS-subset ontology machinery of
-// the TELEIOS knowledge tier: class hierarchies with subsumption
-// reasoning, property domains/ranges, and the specific domain ontologies
-// the paper names — a land-cover ontology (water body, lake, forest, ...)
-// and an environmental-monitoring ontology (fire, burned area, flood, ...)
-// — used to annotate EO products.
+// the TELEIOS knowledge tier: class hierarchies, property domains and
+// ranges, and the specific domain ontologies the paper names — a
+// land-cover ontology (water body, lake, forest, ...) and an
+// environmental-monitoring ontology (fire, burned area, flood, ...) —
+// used to annotate EO products.
 package ontology
 
 import (
@@ -22,8 +22,7 @@ const (
 	Monitoring = "http://teleios.di.uoa.gr/monitoring#"
 )
 
-// Ontology is a class taxonomy with subsumption reasoning. The zero value
-// is unusable; call New.
+// Ontology is a class taxonomy. The zero value is unusable; call New.
 type Ontology struct {
 	// super maps class IRI -> direct superclass IRIs.
 	super map[string][]string
@@ -81,34 +80,6 @@ func (o *Ontology) Classes() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Label returns the label for a class ("" when absent).
-func (o *Ontology) Label(iri string) string { return o.labels[iri] }
-
-// IsSubClassOf reports whether sub is a (reflexive, transitive) subclass
-// of super.
-func (o *Ontology) IsSubClassOf(sub, super string) bool {
-	if sub == super {
-		return true
-	}
-	seen := map[string]bool{}
-	stack := []string{sub}
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[c] {
-			continue
-		}
-		seen[c] = true
-		for _, s := range o.super[c] {
-			if s == super {
-				return true
-			}
-			stack = append(stack, s)
-		}
-	}
-	return false
 }
 
 // Triples serialises the ontology as RDFS triples (rdf:type owl:Class,

@@ -54,6 +54,8 @@ func Parallelism() int {
 // SetParallelism bounds the number of concurrently executing workers per
 // parallel call; n <= 0 restores the default (GOMAXPROCS). It returns
 // the previous bound (0 meaning default) so ablations can restore it.
+//
+//lint:allow unreachable(test knob: the parallel, array and sciql tests pin the worker count with it)
 func SetParallelism(n int) int {
 	prev := int(parallelism.Load())
 	if n < 0 {

@@ -209,7 +209,7 @@ func TestSceneConsistency(t *testing.T) {
 	if scene.OnLandAnalytic(geo.Point{X: 26.8, Y: 36.2}) {
 		t.Error("far corner should be sea")
 	}
-	if !scene.OnLand(geo.Point{X: 24, Y: 38}) {
+	if !geo.Intersects(geo.Point{X: 24, Y: 38}, scene.Landmass()) {
 		t.Error("centre should be land")
 	}
 }

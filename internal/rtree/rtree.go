@@ -133,9 +133,6 @@ func (n *node) recomputeBox() {
 	n.box = box
 }
 
-// Len reports the number of items in the tree.
-func (t *Tree) Len() int { return t.size }
-
 // Search appends to dst the IDs of all items whose boxes intersect query,
 // and returns the extended slice. Order is unspecified.
 func (t *Tree) Search(query geo.Envelope, dst []uint64) []uint64 {
@@ -158,13 +155,4 @@ func searchNode(n *node, q geo.Envelope, dst []uint64) []uint64 {
 		dst = searchNode(c, q, dst)
 	}
 	return dst
-}
-
-// Height reports the tree height (1 for a single leaf).
-func (t *Tree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
-		h++
-	}
-	return h
 }

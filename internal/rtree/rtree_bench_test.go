@@ -14,7 +14,7 @@ func BenchmarkBuild(b *testing.B) {
 		items := randomItems(n, 42)
 		b.Run(fmt.Sprintf("bulk/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if tr := BulkLoad(items, 16); tr.Len() != n {
+				if tr := BulkLoad(items, 16); tr.size != n {
 					b.Fatal("size")
 				}
 			}

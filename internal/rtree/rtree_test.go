@@ -55,8 +55,8 @@ func equalIDs(a, b []uint64) bool {
 func TestBulkLoadAgainstBrute(t *testing.T) {
 	items := randomItems(1000, 3)
 	tr := BulkLoad(items, 16)
-	if tr.Len() != 1000 {
-		t.Fatalf("Len = %d", tr.Len())
+	if tr.size != 1000 {
+		t.Fatalf("size = %d", tr.size)
 	}
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 50; i++ {
@@ -71,7 +71,7 @@ func TestBulkLoadAgainstBrute(t *testing.T) {
 
 func TestBulkLoadEmpty(t *testing.T) {
 	tr := BulkLoad(nil, 16)
-	if tr.Len() != 0 {
+	if tr.size != 0 {
 		t.Fatal("empty bulk load")
 	}
 	if got := tr.Search(box(0, 0, 100, 100), nil); len(got) != 0 {
@@ -88,11 +88,15 @@ func TestBulkLoadSingle(t *testing.T) {
 }
 
 func TestHeightGrows(t *testing.T) {
-	if h := BulkLoad(nil, 4).Height(); h != 1 {
-		t.Fatalf("empty height = %d", h)
+	if !BulkLoad(nil, 4).root.leaf {
+		t.Fatal("empty tree: the root is not a leaf")
 	}
-	if h := BulkLoad(randomItems(200, 7), 4).Height(); h < 3 {
-		t.Fatalf("height of 200 items with fanout 4 = %d", h)
+	// 200 items at fan-out 4 need at least three levels.
+	n := BulkLoad(randomItems(200, 7), 4).root
+	for level := 1; level < 3; level, n = level+1, n.children[0] {
+		if n.leaf {
+			t.Fatalf("200 items with fanout 4: height %d", level)
+		}
 	}
 }
 

@@ -167,12 +167,9 @@ func FireEvents() []FireEvent {
 	}
 }
 
-// OnLand reports whether p lies on the synthetic landmass.
-func OnLand(p geo.Point) bool { return geo.Intersects(p, Landmass()) }
-
 // OnLandAnalytic evaluates land membership directly from the coastline's
 // radial definition, avoiding point-in-polygon work in per-pixel loops.
-// It agrees with OnLand up to the polygon's 2-degree discretisation.
+// It agrees with geo.Intersects(p, Landmass()) up to the polygon's 2-degree discretisation.
 func OnLandAnalytic(p geo.Point) bool {
 	dx := p.X - landCenterX
 	dy := (p.Y - landCenterY) / 0.75

@@ -354,22 +354,6 @@ func itemName(it SelectItem, i int) string {
 	return fmt.Sprintf("col%d", i+1)
 }
 
-func distinctTable(t *column.Table) *column.Table {
-	seen := map[string]bool{}
-	var keep []int
-	for i := 0; i < t.NumRows(); i++ {
-		var key strings.Builder
-		for _, c := range t.Cols {
-			fmt.Fprintf(&key, "%v|", c.Value(i))
-		}
-		if !seen[key.String()] {
-			seen[key.String()] = true
-			keep = append(keep, i)
-		}
-	}
-	return t.Gather(keep)
-}
-
 func orderTable(t *column.Table, orderBy []OrderItem) error {
 	// ORDER BY expressions must reference result columns (by alias/name).
 	keyCols := make([]*column.Column, len(orderBy))

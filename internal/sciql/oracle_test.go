@@ -71,15 +71,21 @@ func (e *Engine) oracleInsert(s *InsertStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range s.Rows {
-		vals := make([]any, len(row))
+	rows := make([][]any, len(s.Rows))
+	for r, row := range s.Rows {
+		rows[r] = make([]any, len(row))
 		for i, expr := range row {
 			v, err := evalExpr(expr, nil)
 			if err != nil {
 				return nil, err
 			}
-			vals[i] = v
+			rows[r][i] = v
 		}
+		if err := t.CheckRow(rows[r]...); err != nil {
+			return nil, err
+		}
+	}
+	for _, vals := range rows {
 		if err := t.AppendRow(vals...); err != nil {
 			return nil, err
 		}
@@ -642,31 +648,35 @@ func evalAggregate(call *CallExpr, ev *env) (any, error) {
 func buildResult(items []SelectItem, ev *env, cols [][]any) (*column.Table, error) {
 	t := &column.Table{Name: "result"}
 	for i, it := range items {
-		typ := sampleType(kindOf(it.Expr, ev, ev.grouped))
-		c := column.NewEmpty(typ)
+		f := column.Field{Name: itemName(it, i), Typ: sampleType(kindOf(it.Expr, ev, ev.grouped))}
+		one := &column.Table{Fields: []column.Field{f}, Cols: []*column.Column{column.NewEmpty(f.Typ)}}
 		for _, v := range cols[i] {
-			if err := c.AppendValue(v); err != nil {
-				return nil, fmt.Errorf("sciql: column %q: %w", itemName(it, i), err)
+			if err := one.AppendRow(v); err != nil {
+				return nil, fmt.Errorf("sciql: %w", err)
 			}
 		}
-		t.Fields = append(t.Fields, column.Field{Name: itemName(it, i), Typ: typ})
-		t.Cols = append(t.Cols, c)
+		t.Fields = append(t.Fields, f)
+		t.Cols = append(t.Cols, one.Cols[0])
 	}
 	return t, nil
 }
 
+// oracleDistinct keeps each row that no earlier kept row equals,
+// comparing typed values (nil for NULL) column by column.
 func oracleDistinct(t *column.Table) *column.Table {
-	seen := map[string]bool{}
 	var keep []int
+rows:
 	for i := 0; i < t.NumRows(); i++ {
-		var key strings.Builder
-		for _, c := range t.Cols {
-			fmt.Fprintf(&key, "%v|", c.Value(i))
+	kept:
+		for _, k := range keep {
+			for _, c := range t.Cols {
+				if c.Value(i) != c.Value(k) {
+					continue kept
+				}
+			}
+			continue rows
 		}
-		if !seen[key.String()] {
-			seen[key.String()] = true
-			keep = append(keep, i)
-		}
+		keep = append(keep, i)
 	}
 	return t.Gather(keep)
 }
@@ -929,9 +939,12 @@ func canAssign(typ column.Type, v any) error {
 }
 
 func setColumnValue(c *column.Column, row int, v any) {
-	switch x := v.(type) {
-	case nil:
+	if v == nil {
 		c.SetNull(row)
+		return
+	}
+	defer c.ClearNull(row)
+	switch x := v.(type) {
 	case string:
 		c.Strs()[row] = x
 	case bool:

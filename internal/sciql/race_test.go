@@ -77,7 +77,7 @@ func TestConcurrentQueryVsIngest(t *testing.T) {
 		}(q)
 	}
 
-	// Kernel churn: tile-parallel operations on private arrays share the
+	// Kernel churn: parallel array kernels on private arrays share the
 	// worker pool with the query/ingest goroutines.
 	wg.Add(1)
 	go func() {
@@ -87,11 +87,16 @@ func TestConcurrentQueryVsIngest(t *testing.T) {
 			img.Data[i] = float64(i % 97)
 		}
 		for i := 0; i < rounds/3; i++ {
-			if _, err := img.Tile(16, 16, "avg"); err != nil {
+			mask, err := array.Combine(img, img, func(v, _ float64) float64 {
+				if v >= 90 {
+					return 1
+				}
+				return 0
+			})
+			if err != nil {
 				t.Error(err)
 				return
 			}
-			mask := img.Threshold(90)
 			if _, err := mask.ConnectedComponents(); err != nil {
 				t.Error(err)
 				return

@@ -210,7 +210,7 @@ func TestUpdateTable(t *testing.T) {
 	// Multi-column set.
 	e.MustExec(`UPDATE products SET name = 'renamed', hot = false WHERE id = 1`)
 	tbl2 := e.MustExec(`SELECT name, hot FROM products WHERE id = 1`).Table
-	if tbl2.Col("name").Str(0) != "renamed" || tbl2.Col("hot").BoolAt(0) {
+	if tbl2.Col("name").Str(0) != "renamed" || tbl2.Col("hot").Bools()[0] {
 		t.Fatal("multi-set")
 	}
 }
@@ -241,7 +241,7 @@ func TestArrayCreateAndScan(t *testing.T) {
 	// Dimension coordinates are correct.
 	tbl2 := e.MustExec(`SELECT y, x FROM img WHERE y = 2 AND x = 3`).Table
 	if tbl2.NumRows() != 1 || tbl2.Col("y").Int(0) != 2 || tbl2.Col("x").Int(0) != 3 {
-		t.Fatalf("coords = %v", tbl2.Row(0))
+		t.Fatalf("coords: %d rows, y = %v, x = %v", tbl2.NumRows(), tbl2.Col("y").Ints(), tbl2.Col("x").Ints())
 	}
 }
 
@@ -367,7 +367,7 @@ func TestCreateArrayAsSelect(t *testing.T) {
 func TestSelectWithoutFrom(t *testing.T) {
 	e := NewEngine()
 	tbl := e.MustExec(`SELECT 1 + 1 AS two, 'fire' AS s, true AS b`).Table
-	if tbl.Col("two").Int(0) != 2 || tbl.Col("s").Str(0) != "fire" || !tbl.Col("b").BoolAt(0) {
+	if tbl.Col("two").Int(0) != 2 || tbl.Col("s").Str(0) != "fire" || !tbl.Col("b").Bools()[0] {
 		t.Fatal("constant select")
 	}
 }

@@ -30,6 +30,11 @@ func TestSciQLShapes(t *testing.T) {
 		`CREATE ARRAY frame_IR_108 (y INT DIMENSION [12], x INT DIMENSION [10], v DOUBLE)`,
 		`UPDATE frame_IR_039 SET v = 300 + y * 2 + x`,
 		`UPDATE frame_IR_108 SET v = 295 + x`,
+		`CREATE TABLE w (x BIGINT, y BIGINT)`,
+		`CREATE TABLE nx (x BIGINT)`,
+		`INSERT INTO nx VALUES (NULL), (1)`,
+		`CREATE TABLE dd (a VARCHAR, b VARCHAR)`,
+		`INSERT INTO dd VALUES ('a|', 'b'), ('a', '|b'), (NULL, 'x'), ('<nil>', 'x')`,
 	}
 	ref, eng := NewEngine(), NewEngine()
 	for _, st := range setup {
@@ -131,6 +136,18 @@ func TestSciQLShapes(t *testing.T) {
 		{"INSERT expressions", `INSERT INTO ins VALUES (1 + 1, 2 * 1.5), (CASE WHEN true THEN 4 ELSE 0.5 END, NULL)`, "affected=2"},
 		{"... inserted", `SELECT id, temp FROM ins`, "id:BIGINT|temp:DOUBLE\n2|3\n4|NULL"},
 		{"INSERT reading a column", `INSERT INTO ins VALUES (id, 1.0)`, `error: sciql: column "id" referenced outside a query`},
+
+		// A statement applies whole or not at all, a stored value is not
+		// NULL, and DISTINCT compares typed values.
+		{"INSERT with a row that does not fit appends no row", `INSERT INTO w VALUES (7, 8), (9, 'a')`,
+			`error: column "y": column: cannot append string to BIGINT`},
+		{"... so count(*) reads none", `SELECT count(*) AS n FROM w`, "n:BIGINT\n0"},
+		{"... and no column grew", `SELECT x, y FROM w`, "x:BIGINT|y:BIGINT"},
+		{"UPDATE over a NULL", `UPDATE nx SET x = 5 WHERE x IS NULL`, "affected=1"},
+		{"... stores a value, not NULL", `SELECT x FROM nx`, "x:BIGINT\n5\n1"},
+		// The first two rows render alike: 'a|','b' and 'a','|b'.
+		{"DISTINCT over separators, NULL and '<nil>'", `SELECT DISTINCT a, b FROM dd`,
+			"a:VARCHAR|b:VARCHAR\na||b\na||b\nNULL|x\n<nil>|x"},
 	}
 	for _, tc := range cases {
 		if got := render(ref.oracleExec(tc.stmt)); got != tc.want {

@@ -2222,7 +2222,8 @@ func (e *Engine) execSelect(s *SelectStmt) (*column.Table, error) {
 	}
 
 	if s.Distinct {
-		out = distinctTable(out)
+		_, firsts := groupRows(vs, out.NumRows())
+		out = out.Gather(firsts)
 	}
 	if len(s.OrderBy) > 0 {
 		if err := orderTable(out, s.OrderBy); err != nil {
@@ -2279,21 +2280,10 @@ func aggSelect(vc *vcompiler, x *vctx, sel []int32, items []SelectItem, groupBy 
 			reps = []int32{solAt(sel, 0)}
 		}
 	} else {
-		groupOf = make([]int32, n)
-		byKey := make(map[string]int32, 16)
-		var buf []byte
-		for i := 0; i < n; i++ {
-			buf = buf[:0]
-			for _, kv := range keys {
-				buf = appendGroupKey(buf, kv, i)
-			}
-			id, ok := byKey[string(buf)]
-			if !ok {
-				id = int32(len(reps))
-				byKey[string(buf)] = id
-				reps = append(reps, solAt(sel, i))
-			}
-			groupOf[i] = id
+		var firsts []int
+		groupOf, firsts = groupRows(keys, n)
+		for _, i := range firsts {
+			reps = append(reps, solAt(sel, i))
 		}
 		nGroups = len(reps)
 	}
@@ -2507,6 +2497,31 @@ func accumulate(accs []aggAcc, v *vec, groupOf []int32) {
 	}
 }
 
+// groupRows numbers the distinct rows of keys in first-seen order: it
+// returns each row's group and each group's first row. Rows compare by
+// appendGroupKey, typed and length-prefixed, so NULL, the string
+// "<nil>" and strings that hold a separator stay distinct.
+func groupRows(keys []*vec, n int) (groupOf []int32, firsts []int) {
+	groupOf = make([]int32, n)
+	byKey := make(map[string]int32, 16)
+	var buf []byte
+	for i := 0; i < n; i++ {
+		buf = buf[:0]
+		for _, kv := range keys {
+			buf = appendGroupKey(buf, kv, i)
+		}
+		id, ok := byKey[string(buf)]
+		if !ok {
+			id = int32(len(firsts))
+			byKey[string(buf)] = id
+			firsts = append(firsts, i)
+		}
+		groupOf[i] = id
+	}
+	return groupOf, firsts
+}
+
+// appendGroupKey appends row i of v as a typed, length-prefixed key.
 func appendGroupKey(buf []byte, v *vec, i int) []byte {
 	if v.isNull(i) {
 		return append(buf, 0)
@@ -2536,8 +2551,9 @@ func appendGroupKey(buf []byte, v *vec, i int) []byte {
 // ---------------------------------------------------------------------------
 // INSERT / UPDATE / DELETE
 
-// execInsert appends VALUES rows: each row is one row over no relation,
-// and rows before a failing one stay appended.
+// execInsert appends VALUES rows, each one row over no relation. It
+// evaluates and checks every row before it appends the first, so the
+// statement applies whole or not at all.
 func (e *Engine) execInsert(s *InsertStmt) (*Result, error) {
 	t, err := e.Table(s.Table)
 	if err != nil {
@@ -2545,15 +2561,21 @@ func (e *Engine) execInsert(s *InsertStmt) (*Result, error) {
 	}
 	vc := &vcompiler{outside: true}
 	x := &vctx{n: 1}
-	for _, row := range s.Rows {
-		vals := make([]any, len(row))
+	rows := make([][]any, len(s.Rows))
+	for r, row := range s.Rows {
+		rows[r] = make([]any, len(row))
 		for i, expr := range row {
 			v, err := vc.kernel(expr).eval(x, nil)
 			if err != nil {
 				return nil, err
 			}
-			vals[i] = v.value(0)
+			rows[r][i] = v.value(0)
 		}
+		if err := t.CheckRow(rows[r]...); err != nil {
+			return nil, err
+		}
+	}
+	for _, vals := range rows {
 		if err := t.AppendRow(vals...); err != nil {
 			return nil, err
 		}
@@ -2646,8 +2668,7 @@ func (e *Engine) execUpdate(s *UpdateStmt) (*Result, error) {
 				c.SetNull(int(row))
 				continue
 			}
-			// Like the interpreter's writer, a non-NULL store does not
-			// clear an existing NULL flag.
+			c.ClearNull(int(row))
 			switch c.Typ {
 			case column.Int64:
 				if v.kind == kInt {

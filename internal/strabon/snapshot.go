@@ -72,7 +72,7 @@ type delta struct {
 // Mapped reports whether the snapshot is the packed file a store was
 // restored from, unchanged: every read is answered in place from it.
 //
-//lint:allow unusedexport(bench/layers.go checks its mapped-read probe with it)
+//lint:allow unreachable(bench/layers.go checks its mapped-read probe with it)
 func (sn *Snapshot) Mapped() bool { return sn.delta == nil && sn.base.file }
 
 // Image returns the TELPACK1 image of a view without a delta and the WAL
@@ -385,6 +385,8 @@ func lookupTerm(base *packView, over *rdf.Dictionary, nOver int, t rdf.Term) (ui
 }
 
 // LookupID returns the dictionary id for a term (cardSource interface).
+//
+//lint:allow unreachable(bench/layers.go resolves the probe terms of its per-layer timings with it)
 func (sn *Snapshot) LookupID(t rdf.Term) (uint64, error) {
 	id, ok := sn.Lookup(t)
 	if !ok {
@@ -511,6 +513,8 @@ func (sn *Snapshot) SpatialCandidates(box geo.Envelope) []uint64 {
 
 // GeomIDs returns the ids of every spatial literal with a cached
 // geometry, sorted ascending.
+//
+//lint:allow unreachable(bench/layers.go times the spatial candidate probe over it)
 func (sn *Snapshot) GeomIDs() []uint64 {
 	ids := sn.base.geomIDs()
 	d := sn.delta

@@ -199,7 +199,7 @@ func TestSpatialIndexing(t *testing.T) {
 func TestSpatialReprojection(t *testing.T) {
 	st := NewStore()
 	// A Web Mercator literal is indexed in WGS84.
-	merc, err := geo.Transform(geo.NewPoint(23.5, 37.9), geo.SRIDWGS84, geo.SRIDWebMercator)
+	merc, err := geo.Transform(geo.Point{X: 23.5, Y: 37.9}, geo.SRIDWGS84, geo.SRIDWebMercator)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func TestLiteralRoundTrip(t *testing.T) {
 
 func TestToWGS84(t *testing.T) {
 	// A point in Web Mercator projected back.
-	merc, err := geo.Transform(geo.NewPoint(23.7, 37.9), geo.SRIDWGS84, geo.SRIDWebMercator)
+	merc, err := geo.Transform(geo.Point{X: 23.7, Y: 37.9}, geo.SRIDWGS84, geo.SRIDWebMercator)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestToWGS84(t *testing.T) {
 		t.Fatalf("reprojected = %v", p)
 	}
 	// Already WGS84: identity.
-	same := SpatialValue{Geom: geo.NewPoint(1, 2), SRID: geo.SRIDWGS84}
+	same := SpatialValue{Geom: geo.Point{X: 1, Y: 2}, SRID: geo.SRIDWGS84}
 	w2, err := same.ToWGS84()
 	if err != nil || w2.Geom.(geo.Point) != (geo.Point{X: 1, Y: 2}) {
 		t.Fatal("identity")

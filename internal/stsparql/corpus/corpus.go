@@ -12,6 +12,8 @@
 // The package depends only on internal/rdf, so it is importable from
 // anywhere (engine tests, replication tests, benchmark drivers) without
 // cycles.
+//
+//lint:allow unreachable(test support: the stsparql and replication equivalence suites generate their workload with it)
 package corpus
 
 import (

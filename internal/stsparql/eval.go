@@ -102,6 +102,8 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*Result, error) 
 }
 
 // MustQuery is Query that panics on error; for tests and fixtures.
+//
+//lint:allow unreachable(test helper: the stsparql, linkeddata and noa tests query with it)
 func (e *Engine) MustQuery(src string) *Result {
 	r, err := e.Query(src)
 	if err != nil {
@@ -112,7 +114,7 @@ func (e *Engine) MustQuery(src string) *Result {
 
 // Eval evaluates a parsed statement.
 //
-//lint:allow unusedexport(bench/oracle.go evaluates the oracle's parsed statements with it)
+//lint:allow unreachable(bench/oracle.go evaluates the oracle's parsed statements with it)
 func (e *Engine) Eval(q *Query) (*Result, error) {
 	return e.EvalContext(context.Background(), q)
 }

@@ -175,17 +175,6 @@ func (v *Vault) Frame(id string) (*raster.Frame, error) {
 	return f, nil
 }
 
-// LoadAll eagerly decodes every catalogued file — the non-vault baseline
-// of the A3 ablation.
-func (v *Vault) LoadAll() error {
-	for _, id := range v.IDs() {
-		if _, err := v.Frame(id); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Stats returns a snapshot of the vault counters.
 func (v *Vault) Stats() Stats {
 	v.mu.Lock()

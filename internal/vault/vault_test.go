@@ -98,11 +98,13 @@ func TestLoadAll(t *testing.T) {
 	if err := v.Attach(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.LoadAll(); err != nil {
-		t.Fatal(err)
+	for _, id := range v.IDs() {
+		if _, err := v.Frame(id); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if s := v.Stats(); s.Loads != 3 {
-		t.Fatalf("LoadAll stats = %+v", s)
+		t.Fatalf("stats after loading every frame = %+v", s)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/rdf"
 )
 
 // TestArchitectureTiers is the F2 integration test: one request crossing
@@ -197,8 +199,13 @@ func TestOntologyAccessor(t *testing.T) {
 	if lc == nil || mon == nil {
 		t.Fatal("ontologies")
 	}
-	if !lc.IsSubClassOf("http://teleios.di.uoa.gr/landcover#Lake", "http://teleios.di.uoa.gr/landcover#WaterBody") {
-		t.Fatal("land cover taxonomy")
+	found := false
+	for _, tr := range lc.Triples() {
+		found = found || tr.S.Value == "http://teleios.di.uoa.gr/landcover#Lake" &&
+			tr.P.Value == rdf.RDFSSubClassOf && tr.O.Value == "http://teleios.di.uoa.gr/landcover#WaterBody"
+	}
+	if !found {
+		t.Fatal("land cover taxonomy: no Lake rdfs:subClassOf WaterBody")
 	}
 }
 
