@@ -30,7 +30,8 @@ BENCH_INGEST = BenchmarkIngestEndpoint
 BENCH_REPL = BenchmarkTailApply|BenchmarkReplicaBootstrap
 # The in-process gate for the executor's read shapes: the window,
 # catalogue and join classes of the client-observed benchmark over a
-# generated, folded store of the same shape.
+# generated, folded store of the same shape, plus window_all, a window
+# covering every geometry (the spatial pushdown's widest read).
 BENCH_SHAPES = BenchmarkReadShapes
 # The SELECT tail in process: COUNT(*), GROUP BY, an expression
 # projection and ORDER BY DESC … LIMIT over a folded 200k-triple store.
@@ -113,7 +114,10 @@ bench:
 # parallel-morsel modes (the CI gate for the morsel executor), heap
 # against mapped and primary against replica, each also over a read view
 # with a non-empty delta, and spatial index joins against the cross
-# product they replace, row order included; the compiled comparison
+# product they replace, row order included, named join edge cases
+# (shared literals, delta-only, removed and empty geometries, a pair
+# across the antimeridian) and the window pushdown's named cases against
+# the oracle (both also under -race); the compiled comparison
 # filter against the generic evaluator, and the executor's flat hash
 # table against a Go map (also under -race: morsels probe one table
 # concurrently); the SELECT tail's hand-written ORDER BY and aggregate
@@ -123,8 +127,8 @@ bench:
 # the SciQL executor against its oracle (randomized at three worker
 # levels, error text included) and against hand-written answers.
 equivalence:
-	$(GO) test -run 'TestExecutorEquivalence|TestSerialParallelEquivalence|TestSpatialJoinOrderMatchesNoPushdown|TestContextCancellation|TestHeapMappedEquivalence|TestCompiledComparisonMatchesEvalFilter|TestIDTableMatchesMap|TestSelectTail|TestHashJoinEquivalence' ./internal/stsparql/
-	$(GO) test -race -run 'TestSerialParallelEquivalence|TestSpatialJoinOrderMatchesNoPushdown|TestConcurrentParallelQueriesUpdatesCheckpoints|TestIDTableMatchesMap|TestHashJoinEquivalence' ./internal/stsparql/
+	$(GO) test -run 'TestExecutorEquivalence|TestSerialParallelEquivalence|TestSpatialJoinOrderMatchesNoPushdown|TestSpatialPushdownByPostings|TestSpatialJoinEdgeCases|TestDistanceJoinAcrossAntimeridian|TestContextCancellation|TestHeapMappedEquivalence|TestCompiledComparisonMatchesEvalFilter|TestIDTableMatchesMap|TestSelectTail|TestHashJoinEquivalence' ./internal/stsparql/
+	$(GO) test -race -run 'TestSerialParallelEquivalence|TestSpatialJoinOrderMatchesNoPushdown|TestSpatialPushdownByPostings|TestSpatialJoinEdgeCases|TestConcurrentParallelQueriesUpdatesCheckpoints|TestIDTableMatchesMap|TestHashJoinEquivalence' ./internal/stsparql/
 	$(GO) test -race -run 'TestViewMatchesFullBuild|TestSnapshotSingleFlight' ./internal/strabon/
 	$(GO) test -run 'TestPrimaryReplicaEquivalence' ./internal/replication/
 	$(GO) test -run 'TestVectorizedEquivalence|TestSciQLShapes' ./internal/sciql/

@@ -161,6 +161,10 @@ func mapCoords(g Geometry, f func(Point) Point) Geometry {
 // GeodesicDistanceMeters reports the approximate minimum distance in metres
 // between two WGS84 geometries, computed by projecting both to a local
 // equirectangular plane centred between them. Exact when they intersect (0).
+// Longitude differences are normalised into [-180°, 180°]: when the
+// geometries' centres lie more than 180° apart, b is measured shifted by
+// a multiple of 360° to the side of the antimeridian a lies on, so that
+// (179.99 10) and (-179.99 10) are 2.2 km apart, not 39,000.
 func GeodesicDistanceMeters(a, b Geometry) float64 {
 	if a == nil || b == nil || a.IsEmpty() || b.IsEmpty() {
 		return math.Inf(1)
@@ -178,10 +182,15 @@ func GeodesicDistanceMeters(a, b Geometry) float64 {
 			return d
 		}
 	}
+	ea, eb := a.Envelope(), b.Envelope()
+	if dx := lonShift(eb.Center().X, ea.Center().X); dx != 0 {
+		b = mapCoords(b, func(p Point) Point { return Point{X: p.X + dx, Y: p.Y} })
+		eb.MinX, eb.MaxX = eb.MinX+dx, eb.MaxX+dx
+	}
 	if Intersects(a, b) {
 		return 0
 	}
-	center := a.Envelope().Extend(b.Envelope()).Center()
+	center := ea.Extend(eb).Center()
 	k := math.Cos(center.Y * deg2rad)
 	proj := func(p Point) Point {
 		return Point{
@@ -205,9 +214,11 @@ func GeodesicDistanceMeters(a, b Geometry) float64 {
 // the centre's |latitude|. The centre lies between the pair's extreme
 // latitudes, so c ≤ max(env's |lat|, otherLat); and since the other
 // geometry ends at the pole, a centre north of the equator lies at most
-// halfway from env.MinY to 90° (south: from env.MaxY to -90°). Once the
-// widening spans every longitude the box does. A distance that is not
-// positive widens nothing.
+// halfway from env.MinY to 90° (south: from env.MaxY to -90°). The
+// metric measures longitude differences across the antimeridian, so
+// once the widened box would reach ±180° it spans every longitude: one
+// conservative envelope, not two split at the antimeridian. A distance
+// that is not positive widens nothing.
 func ExpandMeters(env Envelope, meters, otherLat float64) Envelope {
 	if env.IsEmpty() || !(meters > 0) {
 		return env
@@ -219,14 +230,21 @@ func ExpandMeters(env Envelope, meters, otherLat float64) Envelope {
 	c := math.Min(math.Max(math.Max(math.Abs(env.MinY), math.Abs(env.MaxY)), otherLat),
 		(90+math.Max(env.MinY, -env.MaxY))/2)
 	k := math.Cos(c * deg2rad)
-	if !(k > 0) || dLat/k >= 360 {
+	if dLon := dLat / k; !(k > 0) || env.MinX-dLon <= -180 || env.MaxX+dLon >= 180 {
 		out.MinX, out.MaxX = math.Inf(-1), math.Inf(1)
-		return out
+	} else {
+		out.MinX, out.MaxX = env.MinX-dLon, env.MaxX+dLon
 	}
-	dLon := dLat / k
-	out.MinX -= dLon
-	out.MaxX += dLon
 	return out
+}
+
+// lonShift returns the multiple of 360° that brings longitude x within
+// 180° of ref, 0 unless they lie on either side of the antimeridian.
+func lonShift(x, ref float64) float64 {
+	if d := x - ref; d > 180 || d < -180 {
+		return -360 * math.Round(d/360)
+	}
+	return 0
 }
 
 // geodesicPointFast computes GeodesicDistanceMeters for a point against a
@@ -240,10 +258,12 @@ func geodesicPointFast(p Point, g Geometry) (float64, bool) {
 	default:
 		return 0, false
 	}
-	if p.Envelope().Intersects(g.Envelope()) && pointOn(p, g) {
+	genv := g.Envelope()
+	p.X += lonShift(p.X, genv.Center().X)
+	if p.Envelope().Intersects(genv) && pointOn(p, g) {
 		return 0, true
 	}
-	center := p.Envelope().Extend(g.Envelope()).Center()
+	center := p.Envelope().Extend(genv).Center()
 	k := math.Cos(center.Y * deg2rad)
 	proj := func(q Point) Point {
 		return Point{

@@ -76,8 +76,14 @@ type Point struct {
 // Type implements Geometry.
 func (p Point) Type() GeometryType { return TypePoint }
 
-// Envelope implements Geometry.
-func (p Point) Envelope() Envelope { return Envelope{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y} }
+// Envelope implements Geometry; the empty point's is the empty envelope,
+// not a NaN box that would poison every envelope extended by it.
+func (p Point) Envelope() Envelope {
+	if p.IsEmpty() {
+		return EmptyEnvelope()
+	}
+	return Envelope{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
+}
 
 // IsEmpty implements Geometry. A point constructed from NaN coordinates is
 // the canonical empty point (POINT EMPTY parses to it).

@@ -206,6 +206,46 @@ func TestGeodesicDistanceMeters(t *testing.T) {
 	}
 }
 
+// TestAntimeridian: the metric normalises longitude differences into
+// [-180°, 180°], on the point fast path and the general path alike, and
+// a distance probe whose widened box would reach ±180° spans every
+// longitude, so a pair across the antimeridian is measured and found.
+func TestAntimeridian(t *testing.T) {
+	east, west := Point{X: 179.99, Y: 10}, Point{X: -179.99, Y: 10}
+	across := 0.02 * earthRadiusM * deg2rad * math.Cos(10*deg2rad) // 0.02° of longitude at 10°N: ≈2.2 km
+	cases := []struct {
+		name     string
+		a, b     Geometry
+		min, max float64
+	}{
+		{"points east-west", east, west, across - 1, across + 1},
+		{"points west-east", west, east, across - 1, across + 1},
+		{"point to polygon", west, Rect(179.9, 9.9, 179.98, 10.1), 1.5 * across, 1.5*across + 1},
+		{"polygon to point", Rect(179.9, 9.9, 179.98, 10.1), west, 1.5 * across, 1.5*across + 1},
+		{"multipoint (general path)", MultiPoint{Points: []Point{east}}, west, across - 1, across + 1},
+		{"polygons (general path)", Rect(179.9, 9.9, 179.99, 10.1), Rect(-179.99, 9.9, -179.9, 10.1), across - 1, across + 1},
+		{"10° on either side of the antimeridian", Point{X: 170, Y: 10}, Point{X: -170, Y: 10}, 2.18e6, 2.2e6},
+		{"10° on either side of Greenwich", Point{X: 10, Y: 10}, Point{X: -10, Y: 10}, 2.18e6, 2.2e6},
+	}
+	for _, c := range cases {
+		if d := GeodesicDistanceMeters(c.a, c.b); !(d >= c.min && d <= c.max) {
+			t.Errorf("%s: %.1f m, want [%.1f, %.1f]", c.name, d, c.min, c.max)
+		}
+	}
+	for _, p := range []Point{east, west} {
+		e := ExpandMeters(p.Envelope(), 3000, 10)
+		if !math.IsInf(e.MinX, -1) || !math.IsInf(e.MaxX, 1) {
+			t.Errorf("a 3 km probe at %v spans %v, want every longitude", p, e)
+		}
+		if !(e.MinY < 9.98 && e.MinY > 9.97 && e.MaxY > 10.02 && e.MaxY < 10.03) {
+			t.Errorf("a 3 km probe at %v spans latitudes %v, want 10° ± 0.027°", p, e)
+		}
+	}
+	if e := ExpandMeters(Point{X: 179, Y: 10}.Envelope(), 3000, 10); math.IsInf(e.MinX, 0) || math.IsInf(e.MaxX, 0) || e.MaxX >= 180 {
+		t.Errorf("a 3 km probe at 179°E spans %v, want a box short of the antimeridian", e)
+	}
+}
+
 // TestExpandMeters: every geometry GeodesicDistanceMeters places within
 // r of a probe meets ExpandMeters(probe envelope, r, L), at any latitude,
 // whether L bounds that geometry's latitudes or is 90. The 60°N and
@@ -260,6 +300,7 @@ func TestExpandMeters(t *testing.T) {
 		reach := math.Min(89.99, (math.Abs(lat)+span+90)/2) // the widest the pair's centre can sit
 		lonSpan := span / math.Max(math.Cos(reach*deg2rad), 1e-4)
 		bx := c.X + (rng.Float64()*2-1)*lonSpan
+		bx -= 360 * math.Floor((bx+180)/360) // a WGS84 longitude, in [-180°, 180°)
 		by := math.Max(-90, math.Min(90, c.Y+(rng.Float64()*2-1)*span))
 		var b Geometry = Point{X: bx, Y: by}
 		if i%4 >= 2 {

@@ -135,8 +135,9 @@ func pointPolygonLocation(p Point, pg Polygon) int {
 // isEnvelopeRect reports whether a polygon's region equals its envelope: a
 // closed 4-edge ring, every edge axis-parallel, every vertex on the
 // envelope boundary. For such (possibly degenerate) rectangles, region
-// intersection coincides with envelope intersection.
-func isEnvelopeRect(p Polygon) bool {
+// intersection coincides with envelope intersection. env is p's
+// envelope, which the caller has already computed.
+func isEnvelopeRect(p Polygon, env Envelope) bool {
 	if len(p.Holes) != 0 || len(p.Exterior.Coords) != 5 {
 		return false
 	}
@@ -144,7 +145,6 @@ func isEnvelopeRect(p Polygon) bool {
 	if !cs[0].Equal(cs[4]) {
 		return false
 	}
-	env := p.Exterior.Envelope()
 	for i := 0; i < 4; i++ {
 		c := cs[i]
 		if !eqCoord(c.X, env.MinX) && !eqCoord(c.X, env.MaxX) {
@@ -321,7 +321,8 @@ func Intersects(a, b Geometry) bool {
 	if a == nil || b == nil || a.IsEmpty() || b.IsEmpty() {
 		return false
 	}
-	if !a.Envelope().Intersects(b.Envelope()) {
+	ea, eb := a.Envelope(), b.Envelope()
+	if !ea.Intersects(eb) {
 		return false
 	}
 	// Polygon vs polygon is the hot shape in pushed-down spatial filters
@@ -333,7 +334,7 @@ func Intersects(a, b Geometry) bool {
 			// (axis-aligned rectangles — every catalogue footprint and
 			// query window) intersect iff their envelopes do, which was
 			// just established.
-			if isEnvelopeRect(pa) && isEnvelopeRect(pb) {
+			if isEnvelopeRect(pa, ea) && isEnvelopeRect(pb, eb) {
 				return true
 			}
 			return polygonPairIntersects(pa, pb)

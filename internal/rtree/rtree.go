@@ -38,7 +38,9 @@ type node struct {
 
 // BulkLoad builds a near-optimally packed tree from items using the STR
 // packing algorithm, with the given maximum node fan-out
-// (DefaultMaxEntries when maxEntries < 4).
+// (DefaultMaxEntries when maxEntries < 4). In the store it is built only
+// by strabon's packView.ensureGeoms, once per base image, over every
+// geometry of the image; queries probe that tree and never build one.
 func BulkLoad(items []Item, maxEntries int) *Tree {
 	if maxEntries < 4 {
 		maxEntries = DefaultMaxEntries

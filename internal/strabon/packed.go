@@ -334,7 +334,7 @@ func (pv *packView) posting(comp int, id uint64) []int32 {
 	if v, ok := pv.postings[comp].Load(id); ok {
 		return v.([]int32)
 	}
-	rows := pv.decodePosting(comp, id)
+	rows := pv.decodePosting(comp, id, nil)
 	actual, loaded := pv.postings[comp].LoadOrStore(id, rows)
 	if !loaded {
 		pv.cachedBytes.Add(int64(len(rows) * 4))
@@ -342,15 +342,15 @@ func (pv *packView) posting(comp int, id uint64) []int32 {
 	return actual.([]int32)
 }
 
-// decodePosting decodes the posting list of id in comp, bypassing the
-// cache.
-func (pv *packView) decodePosting(comp int, id uint64) []int32 {
+// decodePosting decodes the posting list of id in comp into out (grown
+// as needed; nil allocates), bypassing the cache.
+func (pv *packView) decodePosting(comp int, id uint64, out []int32) []int32 {
 	n := pv.postCount(comp, id)
 	if n == 0 {
-		return nil
+		return out[:0]
 	}
 	off := pv.r.PostOff(comp)
-	rows, err := colpack.DecodePostings(pv.r.PostingData(comp, off.At(int(id-1)), off.At(int(id))), n, nil)
+	rows, err := colpack.DecodePostings(pv.r.PostingData(comp, off.At(int(id-1)), off.At(int(id))), n, out)
 	if err != nil {
 		corrupt(fmt.Sprintf("posting list comp=%d id", comp), int(id), err)
 	}
@@ -370,7 +370,7 @@ func (pv *packView) find(key [3]uint64) (int32, bool) {
 	}
 	rows, cached := pv.postings[comp].Load(key[comp])
 	if !cached {
-		rows = pv.decodePosting(comp, key[comp])
+		rows = pv.decodePosting(comp, key[comp], nil)
 	}
 rows:
 	for _, row := range rows.([]int32) {
@@ -479,7 +479,9 @@ func (pv *packView) matchRows(pat TriplePattern, buf *[]int32) []int32 {
 
 // ensureGeoms builds the geometry id index and the R-tree from the
 // stored envelopes — no WKT parsing, just a bulk load over nGeoms
-// boxes, and only on first spatial use.
+// boxes, and only on first spatial use. It is the one R-tree build: a
+// window pushdown and a spatial join both probe this tree (through
+// Snapshot.AppendSpatialCandidates) and scan the delta's geometries.
 func (pv *packView) ensureGeoms() {
 	pv.geomOnce.Do(func() {
 		n := pv.r.NGeoms()
@@ -531,9 +533,19 @@ func (pv *packView) hasGeom(id uint64) bool {
 	return i < ids.Len() && ids.At(i) == id
 }
 
-func (pv *packView) spatialCandidates(box geo.Envelope) []uint64 {
+func (pv *packView) spatialCandidates(box geo.Envelope, out []uint64) []uint64 {
 	pv.ensureGeoms()
-	return pv.spatial.Search(box, nil)
+	return pv.spatial.Search(box, out)
+}
+
+// geomEnv returns the stored envelope of a spatial literal id.
+func (pv *packView) geomEnv(id uint64) (geo.Envelope, bool) {
+	pv.ensureGeoms()
+	i, ok := pv.geomIdx[id]
+	if !ok {
+		return geo.Envelope{}, false
+	}
+	return pv.r.GeomEnv(i), true
 }
 
 func (pv *packView) geomIDs() []uint64 {

@@ -2,6 +2,7 @@ package strabon
 
 import (
 	"maps"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -500,7 +501,13 @@ func (sn *Snapshot) Geometry(id uint64) (strdf.SpatialValue, bool) {
 // intersects box: the base's via its R-tree, the delta's few geometries
 // by a scan. The result is a set: its order is unspecified.
 func (sn *Snapshot) SpatialCandidates(box geo.Envelope) []uint64 {
-	out := sn.base.spatialCandidates(box)
+	return sn.AppendSpatialCandidates(box, nil)
+}
+
+// AppendSpatialCandidates is SpatialCandidates appending to out, so a
+// caller probing once per row reuses one buffer.
+func (sn *Snapshot) AppendSpatialCandidates(box geo.Envelope, out []uint64) []uint64 {
+	out = sn.base.spatialCandidates(box, out)
 	if d := sn.delta; d != nil {
 		for i, env := range d.geomEnvs {
 			if env.Intersects(box) {
@@ -509,6 +516,88 @@ func (sn *Snapshot) SpatialCandidates(box geo.Envelope) []uint64 {
 		}
 	}
 	return out
+}
+
+// GeomEnvelope returns the envelope of the cached geometry of a spatial
+// literal id, the box the R-tree holds it under, without parsing it.
+func (sn *Snapshot) GeomEnvelope(id uint64) (geo.Envelope, bool) {
+	if env, ok := sn.base.geomEnv(id); ok {
+		return env, true
+	}
+	if d := sn.delta; d != nil {
+		if i, ok := slices.BinarySearch(d.geomIDs, id); ok {
+			return d.geomEnvs[i], true
+		}
+	}
+	return geo.Envelope{}, false
+}
+
+// ObjectRows returns, ascending, the live rows matching pat's subject
+// and predicate (0 matches any) whose object is one of objs, distinct
+// ids in any order; pat.O is ignored. Each object's base posting list
+// is decoded into one reused buffer and not cached, so a read touching
+// thousands of objects once each neither allocates per object nor grows
+// the base's caches; the delta's rows are added. The rows are sorted
+// before the subject, predicate and removal checks, so those read the
+// columns in row order.
+func (sn *Snapshot) ObjectRows(pat TriplePattern, objs []uint64) []int32 {
+	b, d := sn.base, sn.delta
+	var out, post []int32
+	for _, o := range objs {
+		post = b.decodePosting(2, o, post)
+		out = append(out, post...)
+		if d != nil {
+			out = append(out, d.by[2][o]...)
+		}
+	}
+	n := b.nRows()
+	if d != nil {
+		n += len(d.cols[0])
+	}
+	sortRows(out, n)
+	kept, removed := out[:0], []int32(nil)
+	if d != nil {
+		removed = d.removed
+	}
+	for _, row := range out {
+		var ok bool
+		if d != nil && row >= d.first {
+			k := row - d.first
+			ok = (pat.S == 0 || d.cols[0][k] == pat.S) && (pat.P == 0 || d.cols[1][k] == pat.P)
+		} else {
+			for len(removed) > 0 && removed[0] < row {
+				removed = removed[1:]
+			}
+			ok = (len(removed) == 0 || removed[0] != row) &&
+				(pat.S == 0 || b.colID(0, row) == pat.S) && (pat.P == 0 || b.colID(1, row) == pat.P)
+		}
+		if ok {
+			kept = append(kept, row)
+		}
+	}
+	return kept
+}
+
+// sortRows sorts distinct row ids below n in place: through a bitmap of
+// the n rows when they are dense enough that its n/64 words cost less
+// than a comparison sort, otherwise by one.
+func sortRows(rows []int32, n int) {
+	if len(rows) < n/64 {
+		slices.Sort(rows)
+		return
+	}
+	bm := make([]uint64, (n+63)/64)
+	for _, row := range rows {
+		bm[row>>6] |= 1 << (row & 63)
+	}
+	k := 0
+	for w, word := range bm {
+		for word != 0 {
+			rows[k] = int32(w<<6 | bits.TrailingZeros64(word))
+			word &= word - 1
+			k++
+		}
+	}
 }
 
 // GeomIDs returns the ids of every spatial literal with a cached

@@ -8,11 +8,12 @@ import "math/bits"
 // no occupancy array is needed. The slot count is a power of two of at
 // least twice the entries, so linear probing always meets an empty slot.
 //
-// As a hash join's build side (buildJoinTable) each key owns a bucket:
-// the candidates carrying it, in ascending candidate order, carved from
-// one arena. As the spatial pushdown set (newIDSet) its buckets stay
-// empty. A table is built serially and only read afterwards, so morsel
-// workers probe it concurrently.
+// Each key owns a bucket: the candidates carrying it, in ascending
+// candidate order, carved from one arena (buildJoinTable). A hash join
+// keys its build side's rows by their join key; a spatial join keys the
+// inner rows by their geometry id, so that the view's R-tree candidates
+// map to the rows holding them. A table is built serially and only read
+// afterwards, so morsel workers probe it concurrently.
 //
 // The caller hashes: every lookup takes the key's hash, computed with the
 // function the table was built with, so the hash inlines into the
@@ -74,11 +75,6 @@ func (t *idTable[K]) insert(k K, h uint64) int {
 	return s
 }
 
-func (t *idTable[K]) has(k K, h uint64) bool {
-	_, ok := t.find(k, h)
-	return ok
-}
-
 // bucket returns the candidates carrying k, ascending; read-only.
 func (t *idTable[K]) bucket(k K, h uint64) []int32 {
 	s, ok := t.find(k, h)
@@ -87,19 +83,6 @@ func (t *idTable[K]) bucket(k K, h uint64) []int32 {
 	}
 	b := &t.slots[s]
 	return t.arena[b.off : b.off+b.n]
-}
-
-// newIDSet is the set of the given non-zero ids, hashed with hashID and
-// sized by their count. Almost every probe of the spatial pushdown set
-// misses, and a miss ends at the first empty slot, so the set is kept at
-// most 1/8 full: a miss then nearly always ends at its home slot, a
-// branch the CPU predicts.
-func newIDSet(ids []uint64) *idTable[uint64] {
-	t := newIDTable[uint64](4 * len(ids))
-	for _, id := range ids {
-		t.insert(id, hashID(id))
-	}
-	return t
 }
 
 // buildJoinTable buckets candidates by their non-zero join key, hashed

@@ -39,9 +39,6 @@ func joinTableCase[K comparable](t *testing.T, name string, keys []K, absent []K
 				if got := h.bucket(k, hash(k)); !slices.Equal(got, ws) {
 					t.Errorf("%s: bucket(%v) = %v, want %v", name, k, got, ws)
 				}
-				if !h.has(k, hash(k)) {
-					t.Errorf("%s: has(%v) = false", name, k)
-				}
 			}
 		}()
 	}
@@ -51,7 +48,7 @@ func joinTableCase[K comparable](t *testing.T, name string, keys []K, absent []K
 		if _, in := want[k]; in {
 			continue
 		}
-		if got := h.bucket(k, hash(k)); got != nil || h.has(k, hash(k)) {
+		if got := h.bucket(k, hash(k)); got != nil {
 			t.Errorf("%s: absent key %v has bucket %v", name, k, got)
 		}
 	}
@@ -100,29 +97,9 @@ func TestIDTableMatchesMap(t *testing.T) {
 	}
 }
 
-// TestIDSetMatchesMap checks the pushdown set against a map, duplicate
-// ids included.
-func TestIDSetMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{0, 1, 3, 1000} {
-		ids := make([]uint64, n)
-		want := map[uint64]bool{}
-		for i := range ids {
-			ids[i] = uint64(rng.Intn(2*n+1)) + 1
-			want[ids[i]] = true
-		}
-		s := newIDSet(ids)
-		for k := uint64(0); k <= uint64(2*n+2); k++ {
-			if got := s.has(k, hashID(k)); got != want[k] {
-				t.Errorf("n=%d: has(%d) = %v, want %v", n, k, got, want[k])
-			}
-		}
-	}
-}
-
-// TestSpatialPushdownSetBounds drives the pushdown set through the
+// TestSpatialPushdownSetBounds drives the spatial pushdown through the
 // executor: an R-tree answer with no ids must still drop every row of
-// the geometry scan (an empty set is not "no pushdown"), and a box
+// the geometry scan (an empty row list is not "no pushdown"), and a box
 // covering every geometry must keep every row.
 func TestSpatialPushdownSetBounds(t *testing.T) {
 	st := strabon.NewStore()

@@ -348,9 +348,9 @@ func matchSpatialJoin(c Expression) (spatialJoin, bool) {
 // join when a pending conjunct relates a geometry this group's patterns
 // already bound to one bound by the run of patterns starting at i —
 // the shortest run that binds it while sharing no variable with those
-// rows either, so that it can be evaluated once. Conjuncts over the
-// run's variables alone are placed inside it. It returns the join node
-// and the end of the run, or nil.
+// rows either, so that it can be evaluated once, and that binds it as a
+// pattern's object. Conjuncts over the run's variables alone are placed
+// inside it. It returns the join node and the end of the run, or nil.
 func (pl *planner) planSpatialJoin(patterns []Pattern, i int, bound, byPatterns map[string]bool, pending *[]Expression, hints map[string]geo.Envelope, cur float64) (*planNode, int) {
 	for k, c := range *pending {
 		sj, ok := matchSpatialJoin(c)
@@ -364,7 +364,7 @@ func (pl *planner) planSpatialJoin(patterns []Pattern, i int, bound, byPatterns 
 			continue
 		}
 		end := runEnd(patterns, i, bound, sj.inner)
-		if end < 0 {
+		if end < 0 || !bindsObject(patterns[i:end], sj.inner) {
 			continue
 		}
 		*pending = append((*pending)[:k], (*pending)[k+1:]...)
@@ -381,6 +381,18 @@ func (pl *planner) planSpatialJoin(patterns []Pattern, i int, bound, byPatterns 
 			est: cur * est * pl.filterSelectivity(c)}, end
 	}
 	return nil, 0
+}
+
+// bindsObject reports whether one of patterns has v as its object: then
+// every value of v is a stored object, and a spatial one is among the
+// view's indexed geometries, which the join probes.
+func bindsObject(patterns []Pattern, v string) bool {
+	for _, p := range patterns {
+		if p.O.IsVar() && p.O.Var == v {
+			return true
+		}
+	}
+	return false
 }
 
 // runEnd returns the end of the shortest run patterns[i:end] that binds

@@ -18,10 +18,11 @@ import (
 )
 
 // The read shapes of the client-observed benchmark's catalogue mix, in
-// process: a window read (hotspots meeting a 0.3° box), the Figure-3
-// catalogue search (sensor, time range, confidence floor, ORDER BY
-// LIMIT) and the hotspot × archaeological-site distance join of one
-// product. The store has the benchmark dataset's shape — 500 products of
+// process: a window read (hotspots meeting a 0.3° box), the same read
+// over a box covering every geometry (25,000 rows: the pushdown's widest
+// case), the Figure-3 catalogue search (sensor, time range, confidence
+// floor, ORDER BY LIMIT) and the hotspot × archaeological-site distance
+// join of one product. The store has the benchmark dataset's shape — 500 products of
 // 50 hotspots each over four sensors, xsd:dateTime acquisition times,
 // xsd:double confidences, plus 2,000 point sites — and is folded, so
 // every read goes through the packed image's posting lists, dictionary
@@ -103,12 +104,16 @@ func readShapeQueries(shape string, n int) []string {
 	out := make([]string, n)
 	for i := range out {
 		switch shape {
-		case "window":
+		case "window", "window_all":
 			const side = 0.3
 			r := scene.Region
 			x := r.MinX + rng.Float64()*(r.Width()-side)
 			y := r.MinY + rng.Float64()*(r.Height()-side)
 			x0, y0, x1, y1 := f4(x), f4(y), f4(x+side), f4(y+side)
+			if shape == "window_all" { // a box past the region on every side
+				m := 0.1 + rng.Float64()
+				x0, y0, x1, y1 = f4(r.MinX-m), f4(r.MinY-m), f4(r.MaxX+m), f4(r.MaxY+m)
+			}
 			out[i] = shapePrefixes + "SELECT ?h ?g ?c WHERE {\n" +
 				"  ?h a mon:Hotspot .\n  ?h noa:hasGeometry ?g .\n  ?h noa:hasConfidence ?c .\n" +
 				"  FILTER(strdf:intersects(?g, \"POLYGON ((" +
@@ -140,7 +145,7 @@ func readShapeQueries(shape string, n int) []string {
 // shape, cycling through 32 parameterisations; run it with -benchmem.
 func BenchmarkReadShapes(b *testing.B) {
 	eng := New(readShapeStore())
-	for _, shape := range []string{"window", "catalogue", "join"} {
+	for _, shape := range []string{"window", "window_all", "catalogue", "join"} {
 		b.Run(shape, func(b *testing.B) {
 			queries := readShapeQueries(shape, 32)
 			for _, q := range queries { // parse once, outside the timer

@@ -12,7 +12,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/parallel"
 	"repro/internal/rdf"
-	"repro/internal/rtree"
 	"repro/internal/strabon"
 	"repro/internal/strdf"
 )
@@ -371,14 +370,15 @@ func (v *vexec) evalPattern(n *planNode, in *vtable, hints map[string]geo.Envelo
 			kind[i] = posNew
 		}
 	}
-	// Spatial pushdown set: candidate object ids inside the filter hint's
-	// envelope. It constrains only rows where the object variable is still
-	// unbound, matching the reference executor.
-	// A nil set means no pushdown; an empty one filters out every row.
-	var spatialSet *idTable[uint64]
+	// Spatial pushdown: the rows matching the pattern's constants whose
+	// object is a geometry the R-tree places inside the filter hint's
+	// envelope, read through those objects' posting lists, ascending. It
+	// constrains only rows where the object variable is still unbound,
+	// matching the reference executor.
+	var sp spatialRows
 	if ov := objVar(pat); ov != "" && (kind[2] == posNew || kind[2] == posMixed) {
 		if env, ok := hints[ov]; ok {
-			spatialSet = newIDSet(v.snap.SpatialCandidates(env))
+			sp = spatialRows{on: true, rows: v.snap.ObjectRows(constPat, v.snap.SpatialCandidates(env))}
 		}
 	}
 	// Ensure slots for the new variables; the output covers every slot
@@ -400,7 +400,7 @@ func (v *vexec) evalPattern(n *planNode, in *vtable, hints map[string]geo.Envelo
 		}
 	}
 	if mixed {
-		return v.evalPatternPerRow(n, pat, constPat, kind, slotAt, in, width, spatialSet)
+		return v.evalPatternPerRow(n, pat, constPat, kind, slotAt, in, width, sp)
 	}
 	// When the solution side is much smaller than the candidate side of a
 	// join, probing the index once per row (with the row's bound ids
@@ -408,35 +408,32 @@ func (v *vexec) evalPattern(n *planNode, in *vtable, hints map[string]geo.Envelo
 	// candidates — the reference evaluator's strategy, minus its per-row
 	// lock and term decoding.
 	if len(joinPos) > 0 && in.n()*8 < v.snap.Cardinality(constPat) {
-		return v.evalPatternPerRow(n, pat, constPat, kind, slotAt, in, width, spatialSet)
+		return v.evalPatternPerRow(n, pat, constPat, kind, slotAt, in, width, sp)
 	}
 	col := func(i int, c int32) uint64 {
 		return v.snap.ColID(i, c)
 	}
-	// One batched probe for the pattern's constants.
-	cands := v.snap.MatchRows(constPat, &v.buf)
-	// Pre-filter candidates once: spatial pruning plus consistency of a
-	// variable occurring in several new positions (e.g. ?x ?p ?x).
+	// One batched probe for the pattern's constants, unless the pushdown
+	// has already read the rows.
+	cands := sp.rows
+	if !sp.on {
+		cands = v.snap.MatchRows(constPat, &v.buf)
+	}
+	// Pre-filter candidates once for the consistency of a variable
+	// occurring in several new positions (e.g. ?x ?p ?x).
 	valid := cands
-	needFilter := spatialSet != nil
 	var dupNew [][2]int
 	for i := 0; i < 3; i++ {
 		for j := i + 1; j < 3; j++ {
 			if kind[i] == posNew && kind[j] == posNew && slotAt[i] == slotAt[j] {
 				dupNew = append(dupNew, [2]int{i, j})
-				needFilter = true
 			}
 		}
 	}
-	if needFilter {
+	if len(dupNew) > 0 {
 		filtered := make([]int32, 0, len(cands))
 	candLoop:
 		for _, c := range cands {
-			if spatialSet != nil {
-				if o := v.snap.ColID(2, c); !spatialSet.has(o, hashID(o)) {
-					continue
-				}
-			}
 			for _, d := range dupNew {
 				if col(d[0], c) != col(d[1], c) {
 					continue candLoop
@@ -579,11 +576,27 @@ func (v *vexec) evalPattern(n *planNode, in *vtable, hints map[string]geo.Envelo
 	return out, nil
 }
 
+// spatialRows is a pattern's spatial pushdown: when on, the rows it
+// keeps, ascending (empty keeps none).
+type spatialRows struct {
+	on   bool
+	rows []int32
+}
+
+// keeps reports whether the pushdown keeps row c.
+func (sp spatialRows) keeps(c int32) bool {
+	if !sp.on {
+		return true
+	}
+	_, ok := slices.BinarySearch(sp.rows, c)
+	return ok
+}
+
 // evalPatternPerRow handles patterns whose variables are bound in only
 // some rows (and the adaptive few-rows-vs-many-candidates join): each row
 // probes the index with its own bound ids, morsel-parallel over rows with
 // a per-morsel probe buffer.
-func (v *vexec) evalPatternPerRow(n *planNode, pat Pattern, constPat strabon.TriplePattern, kind [3]int, slotAt [3]int, in *vtable, width int, spatialSet *idTable[uint64]) (*vtable, error) {
+func (v *vexec) evalPatternPerRow(n *planNode, pat Pattern, constPat strabon.TriplePattern, kind [3]int, slotAt [3]int, in *vtable, width int, sp spatialRows) (*vtable, error) {
 	pos := [3]PatTerm{pat.S, pat.P, pat.O}
 	out, nm, err := v.runMorsels(in.n(), morselMinFilterRows, width, func(lo, hi int, part *vtable) error {
 		var buf []int32
@@ -613,7 +626,7 @@ func (v *vexec) evalPatternPerRow(n *planNode, pat Pattern, constPat strabon.Tri
 				vals := [3]uint64{s, p, o}
 				// Consistency across positions sharing a variable that this
 				// row leaves unbound, and spatial pruning for unbound objects.
-				if spatialSet != nil && kind[2] != posConst && in.get(r, slotAt[2]) == 0 && !spatialSet.has(o, hashID(o)) {
+				if kind[2] != posConst && in.get(r, slotAt[2]) == 0 && !sp.keeps(c) {
 					continue
 				}
 				for i := 0; i < 3; i++ {
@@ -644,13 +657,16 @@ func (v *vexec) evalPatternPerRow(n *planNode, pat Pattern, constPat strabon.Tri
 
 // evalSpatialJoin joins the rows so far (outer) to the node's pattern
 // run (inner) on its spatial conjunct. The run shares no variable with
-// the outer rows, so it is evaluated once from the seed row; an R-tree
-// bulk-loaded over its geometries answers, for each outer row, which
-// inner rows can satisfy the conjunct, and the conjunct is then checked
-// exactly on those, in ascending inner order. Since the cross product
-// would emit, for each outer row in order, every inner row in order,
-// the output is that cross product filtered, row for row. Morsels split
-// the outer rows.
+// the outer rows, so it is evaluated once from the seed row. It binds
+// its geometry variable as a pattern's object (planSpatialJoin), so
+// every inner geometry is a spatial literal of the view, indexed by the
+// base's R-tree or listed in the delta: for each outer row, the view's
+// spatial candidates near its geometry, mapped to the inner rows holding
+// them, are the inner rows that can satisfy the conjunct, and the
+// conjunct is then checked exactly on those, in ascending inner order.
+// Since the cross product would emit, for each outer row in order, every
+// inner row in order, the output is that cross product filtered, row
+// for row. Morsels split the outer rows.
 func (v *vexec) evalSpatialJoin(n *planNode, outer *vtable) (*vtable, error) {
 	if outer.n() == 0 {
 		return outer, nil
@@ -666,8 +682,8 @@ func (v *vexec) evalSpatialJoin(n *planNode, outer *vtable) (*vtable, error) {
 	if inner.n() == 0 {
 		return &vtable{width: width}, nil
 	}
-	innerGeom := geomSrc{slot: v.slotOf(n.sj.inner), isVar: true}
-	items := make([]rtree.Item, 0, inner.n())
+	gs := v.slotOf(n.sj.inner)
+	withGeom := make([]int32, 0, inner.n())
 	// Empty geometries have empty envelopes, which no probe meets; only
 	// an empty outer geometry can relate to them (strdf:equals).
 	var empties []int32
@@ -675,18 +691,18 @@ func (v *vexec) evalSpatialJoin(n *planNode, outer *vtable) (*vtable, error) {
 	// distance probe must widen for (geo.ExpandMeters).
 	innerLat := 0.0
 	for c := 0; c < inner.n(); c++ {
-		g, ok := v.fetchGeom(innerGeom, inner, c)
-		if !ok {
-			continue // the conjunct is false for this row
-		}
-		if env := g.Geom.Envelope(); !env.IsEmpty() {
-			items = append(items, rtree.Item{Box: env, ID: uint64(c)})
-			innerLat = max(innerLat, math.Abs(env.MinY), math.Abs(env.MaxY))
-		} else {
+		env, ok := v.snap.GeomEnvelope(inner.get(c, gs))
+		switch {
+		case !ok: // not a geometry: the conjunct is false for this row
+		case env.IsEmpty():
 			empties = append(empties, int32(c))
+		default:
+			withGeom = append(withGeom, int32(c))
+			innerLat = max(innerLat, math.Abs(env.MinY), math.Abs(env.MaxY))
 		}
 	}
-	tree := rtree.BulkLoad(items, 0)
+	// byGeom maps a geometry id to the inner rows holding it, ascending.
+	byGeom := buildJoinTable(withGeom, func(c int32) uint64 { return inner.get(int(c), gs) }, hashID)
 	var innerSlots []int
 	for _, nd := range n.inner.nodes {
 		for _, name := range nd.pat.Vars() {
@@ -720,9 +736,9 @@ func (v *vexec) evalSpatialJoin(n *planNode, outer *vtable) (*vtable, error) {
 			if env := g.Geom.Envelope(); env.IsEmpty() {
 				cands = append(cands, empties...)
 			} else {
-				ids = tree.Search(geo.ExpandMeters(env, n.sj.meters, innerLat), ids[:0])
+				ids = v.snap.AppendSpatialCandidates(geo.ExpandMeters(env, n.sj.meters, innerLat), ids[:0])
 				for _, id := range ids {
-					cands = append(cands, int32(id))
+					cands = append(cands, byGeom.bucket(id, hashID(id))...)
 				}
 				slices.Sort(cands)
 			}
