@@ -127,7 +127,7 @@ bench:
 # the SciQL executor against its oracle (randomized at three worker
 # levels, error text included) and against hand-written answers.
 equivalence:
-	$(GO) test -run 'TestExecutorEquivalence|TestSerialParallelEquivalence|TestSpatialJoinOrderMatchesNoPushdown|TestSpatialPushdownByPostings|TestSpatialJoinEdgeCases|TestDistanceJoinAcrossAntimeridian|TestContextCancellation|TestHeapMappedEquivalence|TestCompiledComparisonMatchesEvalFilter|TestIDTableMatchesMap|TestSelectTail|TestHashJoinEquivalence' ./internal/stsparql/
+	$(GO) test -run 'TestExecutorEquivalence|TestSerialParallelEquivalence|TestSpatialJoinOrderMatchesNoPushdown|TestSpatialPushdownByPostings|TestSpatialJoinEdgeCases|TestDistanceJoinAcrossAntimeridian|TestOutOfRangeLongitude|TestContextCancellation|TestHeapMappedEquivalence|TestCompiledComparisonMatchesEvalFilter|TestIDTableMatchesMap|TestSelectTail|TestHashJoinEquivalence' ./internal/stsparql/
 	$(GO) test -race -run 'TestSerialParallelEquivalence|TestSpatialJoinOrderMatchesNoPushdown|TestSpatialPushdownByPostings|TestSpatialJoinEdgeCases|TestConcurrentParallelQueriesUpdatesCheckpoints|TestIDTableMatchesMap|TestHashJoinEquivalence' ./internal/stsparql/
 	$(GO) test -race -run 'TestViewMatchesFullBuild|TestSnapshotSingleFlight' ./internal/strabon/
 	$(GO) test -run 'TestPrimaryReplicaEquivalence' ./internal/replication/

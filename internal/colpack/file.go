@@ -521,15 +521,22 @@ func (r *Reader) DictOff() *U64Col { return r.dictOff }
 // GeomIDs returns the spatial literal id column (ascending).
 func (r *Reader) GeomIDs() *U64Col { return r.geomIDs }
 
-// GeomEnv returns the i-th geometry's WGS84 envelope.
+// GeomEnv returns the i-th geometry's WGS84 envelope. Images written
+// before POINT EMPTY's envelope was the empty envelope store it as a
+// box of NaNs, which no probe meets and which poisons every R-tree node
+// built over it; a box with a NaN reads as the empty envelope.
 func (r *Reader) GeomEnv(i int) geo.Envelope {
 	e := r.secs[secGeomEnvs][i*32:]
-	return geo.Envelope{
+	env := geo.Envelope{
 		MinX: math.Float64frombits(le64(e)),
 		MinY: math.Float64frombits(le64(e[8:])),
 		MaxX: math.Float64frombits(le64(e[16:])),
 		MaxY: math.Float64frombits(le64(e[24:])),
 	}
+	if math.IsNaN(env.MinX) || math.IsNaN(env.MinY) || math.IsNaN(env.MaxX) || math.IsNaN(env.MaxY) {
+		return geo.EmptyEnvelope()
+	}
+	return env
 }
 
 // Stats returns the precomputed planner-statistics block.

@@ -164,7 +164,9 @@ func mapCoords(g Geometry, f func(Point) Point) Geometry {
 // Longitude differences are normalised into [-180°, 180°]: when the
 // geometries' centres lie more than 180° apart, b is measured shifted by
 // a multiple of 360° to the side of the antimeridian a lies on, so that
-// (179.99 10) and (-179.99 10) are 2.2 km apart, not 39,000.
+// (179.99 10) and (-179.99 10) are 2.2 km apart, not 39,000. Its
+// geometries' longitudes lie within [-180°, 180°] (strdf rejects others),
+// which is what lets ExpandMeters bound it without wrapping.
 func GeodesicDistanceMeters(a, b Geometry) float64 {
 	if a == nil || b == nil || a.IsEmpty() || b.IsEmpty() {
 		return math.Inf(1)

@@ -300,7 +300,7 @@ func TestExpandMeters(t *testing.T) {
 		reach := math.Min(89.99, (math.Abs(lat)+span+90)/2) // the widest the pair's centre can sit
 		lonSpan := span / math.Max(math.Cos(reach*deg2rad), 1e-4)
 		bx := c.X + (rng.Float64()*2-1)*lonSpan
-		bx -= 360 * math.Floor((bx+180)/360) // a WGS84 longitude, in [-180°, 180°)
+		bx -= 360 * math.Floor((bx+180)/360) // in [-180°, 180°): strdf rejects WGS84 longitudes past ±180°
 		by := math.Max(-90, math.Min(90, c.Y+(rng.Float64()*2-1)*span))
 		var b Geometry = Point{X: bx, Y: by}
 		if i%4 >= 2 {

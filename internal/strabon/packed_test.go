@@ -445,3 +445,38 @@ func TestMappedImageIsTheFile(t *testing.T) {
 		}
 	}
 }
+
+// legacyEmptyPointImage holds POINT EMPTY, POINT (20 38) and a polygon
+// at (21 39) as written by a build that stored the empty point's
+// envelope as a box of NaNs.
+const legacyEmptyPointImage = "testdata/point-empty-nan.pack"
+
+// TestOpenLegacyEmptyPointImage: over an image that stores a NaN box
+// for POINT EMPTY, the empty point reads the empty envelope and a
+// window finds the other two geometries, which an R-tree built over the
+// NaN box would lose.
+func TestOpenLegacyEmptyPointImage(t *testing.T) {
+	r, err := colpack.Open(legacyEmptyPointImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	sn := NewMappedSnapshot(r)
+	id := func(lex string) uint64 {
+		id, ok := sn.Lookup(rdf.TypedLiteral(lex, rdf.StRDFWKT))
+		if !ok {
+			t.Fatalf("%s is not in the image", lex)
+		}
+		return id
+	}
+	a, b := id("POINT (20 38)"), id("POLYGON ((21 39, 21.1 39, 21.1 39.1, 21 39.1, 21 39))")
+	empty := id("POINT EMPTY")
+	if env, ok := sn.GeomEnvelope(empty); !ok || !env.IsEmpty() {
+		t.Errorf("POINT EMPTY's envelope = %v, %v; want the empty envelope", env, ok)
+	}
+	got := sn.SpatialCandidates(geo.Envelope{MinX: 19, MinY: 37, MaxX: 22, MaxY: 40})
+	slices.Sort(got)
+	if want := []uint64{min(a, b), max(a, b)}; !slices.Equal(got, want) {
+		t.Errorf("window candidates = %v, want %v", got, want)
+	}
+}

@@ -2,7 +2,6 @@ package strabon
 
 import (
 	"maps"
-	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -550,11 +549,7 @@ func (sn *Snapshot) ObjectRows(pat TriplePattern, objs []uint64) []int32 {
 			out = append(out, d.by[2][o]...)
 		}
 	}
-	n := b.nRows()
-	if d != nil {
-		n += len(d.cols[0])
-	}
-	sortRows(out, n)
+	slices.Sort(out)
 	kept, removed := out[:0], []int32(nil)
 	if d != nil {
 		removed = d.removed
@@ -576,28 +571,6 @@ func (sn *Snapshot) ObjectRows(pat TriplePattern, objs []uint64) []int32 {
 		}
 	}
 	return kept
-}
-
-// sortRows sorts distinct row ids below n in place: through a bitmap of
-// the n rows when they are dense enough that its n/64 words cost less
-// than a comparison sort, otherwise by one.
-func sortRows(rows []int32, n int) {
-	if len(rows) < n/64 {
-		slices.Sort(rows)
-		return
-	}
-	bm := make([]uint64, (n+63)/64)
-	for _, row := range rows {
-		bm[row>>6] |= 1 << (row & 63)
-	}
-	k := 0
-	for w, word := range bm {
-		for word != 0 {
-			rows[k] = int32(w<<6 | bits.TrailingZeros64(word))
-			word &= word - 1
-			k++
-		}
-	}
 }
 
 // GeomIDs returns the ids of every spatial literal with a cached

@@ -47,7 +47,8 @@ const parseCacheCap = 8192
 // ParseSpatial decodes an stRDF/GeoSPARQL spatial literal. The stRDF WKT
 // form is "<wkt>[;<srid>]"; the GeoSPARQL form uses a leading CRS IRI
 // "<http://www.opengis.net/def/crs/EPSG/0/4326> POINT(...)". Both are
-// accepted; the default CRS is WGS84.
+// accepted; the default CRS is WGS84, whose coordinates must lie within
+// longitude [-180°, 180°] and latitude [-90°, 90°] (checkWGS84).
 func ParseSpatial(t rdf.Term) (SpatialValue, error) {
 	if !t.IsSpatial() {
 		return SpatialValue{}, fmt.Errorf("strdf: term %s is not a spatial literal", t)
@@ -74,13 +75,20 @@ func ParseSpatial(t rdf.Term) (SpatialValue, error) {
 
 // ParseWGS84 is ParseSpatial followed by a reprojection to WGS84, the
 // CRS every stored and queried geometry is compared in; a value whose
-// reprojection fails keeps its own CRS.
+// reprojection fails keeps its own CRS, and one whose reprojection lies
+// outside WGS84's coordinate range is rejected (checkWGS84).
 func ParseWGS84(t rdf.Term) (SpatialValue, error) {
 	v, err := ParseSpatial(t)
 	if err != nil {
 		return SpatialValue{}, err
 	}
+	if v.SRID == geo.SRIDWGS84 || v.SRID == geo.SRIDCRS84 {
+		return v, nil // range-checked by the parse
+	}
 	if w, err := v.ToWGS84(); err == nil {
+		if err := checkWGS84(w.Geom); err != nil {
+			return SpatialValue{}, err
+		}
 		v = w
 	}
 	return v, nil
@@ -118,7 +126,29 @@ func parseSpatialUncached(t rdf.Term) (SpatialValue, error) {
 	if err != nil {
 		return SpatialValue{}, fmt.Errorf("strdf: %w", err)
 	}
+	if srid == geo.SRIDWGS84 || srid == geo.SRIDCRS84 {
+		if err := checkWGS84(g); err != nil {
+			return SpatialValue{}, err
+		}
+	}
 	return SpatialValue{Geom: g, SRID: srid}, nil
+}
+
+// checkWGS84 rejects a WGS84 geometry with a coordinate outside
+// longitude [-180°, 180°] or latitude [-90°, 90°]. The geodesic metric
+// measures longitude differences across the antimeridian while the
+// R-tree and the distance probe boxes take coordinates as they are, so
+// a stored POINT (185 10), 0 m from POINT (-175 10), would lie outside
+// every probe box around it. Such a literal is, like a malformed one,
+// stored without a geometry.
+func checkWGS84(g geo.Geometry) error {
+	if g.IsEmpty() {
+		return nil
+	}
+	if e := g.Envelope(); e.MinX < -180 || e.MaxX > 180 || e.MinY < -90 || e.MaxY > 90 {
+		return fmt.Errorf("strdf: WGS84 coordinates outside longitude [-180, 180] and latitude [-90, 90]: %v", e)
+	}
+	return nil
 }
 
 // Literal encodes a geometry as an stRDF WKT literal term. The WKT text

@@ -115,6 +115,37 @@ func TestToWGS84(t *testing.T) {
 	}
 }
 
+// TestWGS84Range: a WGS84 literal with a coordinate outside longitude
+// [-180°, 180°] or latitude [-90°, 90°] does not parse, nor does one
+// whose reprojection to WGS84 lands there; the bounds themselves do.
+func TestWGS84Range(t *testing.T) {
+	cases := []struct {
+		name string
+		lit  rdf.Term
+		ok   bool
+	}{
+		{"inside", rdf.WKTLiteral("POINT (23.7 37.9)", 4326), true},
+		{"on the bounds", rdf.WKTLiteral("LINESTRING (-180 -90, 180 90)", 4326), true},
+		{"empty", rdf.WKTLiteral("POINT EMPTY", 4326), true},
+		{"east of 180", rdf.WKTLiteral("POINT (185 10)", 4326), false},
+		{"west of -180", rdf.WKTLiteral("POINT (-180.01 10)", 0), false},
+		{"north of 90", rdf.WKTLiteral("POINT (10 90.5)", 4326), false},
+		{"polygon vertex past 180", rdf.WKTLiteral("POLYGON ((179 9, 181 9, 181 11, 179 11, 179 9))", 4326), false},
+		{"CRS84", rdf.TypedLiteral("<http://www.opengis.net/def/crs/OGC/1.3/CRS84> POINT (185 10)", rdf.GeoSPARQLWKT), false},
+		{"Web Mercator inside", rdf.WKTLiteral("POINT (2638000 4565000)", 3857), true},
+		{"Web Mercator past 180", rdf.WKTLiteral("POINT (25000000 1000000)", 3857), false},
+	}
+	for _, c := range cases {
+		v, err := ParseWGS84(c.lit)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: ParseWGS84(%s) = %v, %v; want ok=%v", c.name, c.lit.Value, v, err, c.ok)
+		}
+		if !c.ok && v.Geom != nil {
+			t.Errorf("%s: a rejected literal returned geometry %v", c.name, v.Geom)
+		}
+	}
+}
+
 func mustTime(t *testing.T, s string) time.Time {
 	t.Helper()
 	tm, err := time.Parse(time.RFC3339, s)

@@ -259,30 +259,32 @@ func TestSpatialJoinOrderMatchesNoPushdown(t *testing.T) {
 		if leg == "base+delta" {
 			writeDelta(t, corpus.Seed+1, st)
 		}
-		for _, workers := range []int{1, 4} {
-			on, off := New(st), New(st)
-			on.MaxParallelism, off.MaxParallelism = workers, workers
-			off.DisableSpatialPushdown = true
-			for qi, query := range queries {
-				want, err := off.Query(query)
-				if err != nil {
-					t.Fatalf("%s, query #%d: %v\n%s", leg, qi, err, query)
-				}
-				res, err := on.Query(query)
-				if err != nil {
-					t.Fatalf("%s, query #%d: %v\n%s", leg, qi, err, query)
-				}
-				w, g := orderedBindings(want), orderedBindings(res)
-				if strings.Join(w, "\n") != strings.Join(g, "\n") {
-					t.Fatalf("%s, workers=%d query #%d: pushdown on returned\n%s\nwant (pushdown off)\n%s\nquery:\n%s",
-						leg, workers, qi, strings.Join(g, "\n"), strings.Join(w, "\n"), query)
-				}
-				answers++
-				if len(w) > 0 {
-					nonEmpty++
+		joinProbes(func(probe string) {
+			for _, workers := range []int{1, 4} {
+				on, off := New(st), New(st)
+				on.MaxParallelism, off.MaxParallelism = workers, workers
+				off.DisableSpatialPushdown = true
+				for qi, query := range queries {
+					want, err := off.Query(query)
+					if err != nil {
+						t.Fatalf("%s, query #%d: %v\n%s", leg, qi, err, query)
+					}
+					res, err := on.Query(query)
+					if err != nil {
+						t.Fatalf("%s, query #%d: %v\n%s", leg, qi, err, query)
+					}
+					w, g := orderedBindings(want), orderedBindings(res)
+					if strings.Join(w, "\n") != strings.Join(g, "\n") {
+						t.Fatalf("%s, %s, workers=%d query #%d: pushdown on returned\n%s\nwant (pushdown off)\n%s\nquery:\n%s",
+							probe, leg, workers, qi, strings.Join(g, "\n"), strings.Join(w, "\n"), query)
+					}
+					answers++
+					if len(w) > 0 {
+						nonEmpty++
+					}
 				}
 			}
-		}
+		})
 	}
 	// About three answers in ten keep a row; fewer than one in four means
 	// the corpus no longer exercises the join.

@@ -2,6 +2,7 @@ package stsparql
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -53,6 +54,21 @@ func edgeStores(t *testing.T, base, adds, removes []rdf.Triple) map[string]*stra
 	full := strabon.NewStore()
 	full.AddAll(layered.Triples())
 	return map[string]*strabon.Store{"base+delta": layered, "full build": full}
+}
+
+// joinProbes runs f under each of the spatial join's two ways of finding
+// an outer row's candidates: scanning the inner run's envelopes, as the
+// join does for inner runs of up to joinScanMaxRows rows, and probing
+// the view's R-tree, as it does for longer ones.
+func joinProbes(f func(probe string)) {
+	defer func(prev int) { joinScanMaxRows = prev }(joinScanMaxRows)
+	for _, p := range []struct {
+		name string
+		max  int
+	}{{"inner scan", math.MaxInt}, {"view R-tree", -1}} {
+		joinScanMaxRows = p.max
+		f(p.name)
+	}
 }
 
 // edgeWindow is a window read of ex:geom within the box [x0,x1]×[y0,y1].
@@ -182,33 +198,36 @@ func TestSpatialJoinEdgeCases(t *testing.T) {
 		{"intersects", join("strdf:intersects(?hg, ?sg)"), 4},
 		{"equals (empty geometries)", join("strdf:equals(?hg, ?sg)"), 1},
 	}
-	for leg, st := range edgeStores(t, base, adds, removes) {
-		for _, workers := range []int{1, 4} {
-			on, off := New(st), New(st)
-			on.MaxParallelism, off.MaxParallelism = workers, workers
-			off.DisableSpatialPushdown = true
-			for _, c := range cases {
-				if plan := explainText(t, on, "EXPLAIN "+c.q); !strings.Contains(plan, "spatial-join") {
-					t.Fatalf("%s did not plan as a spatial join:\n%s", c.name, plan)
-				}
-				want, err := off.Query(c.q)
-				if err != nil {
-					t.Fatalf("%s: %v", c.name, err)
-				}
-				got, err := on.Query(c.q)
-				if err != nil {
-					t.Fatalf("%s: %v", c.name, err)
-				}
-				w, g := strings.Join(orderedBindings(want), "\n"), strings.Join(orderedBindings(got), "\n")
-				if w != g {
-					t.Errorf("%s, workers=%d, %s: pushdown on returned\n%s\nwant (pushdown off)\n%s", leg, workers, c.name, g, w)
-				}
-				if len(got.Bindings) != c.rows {
-					t.Errorf("%s, workers=%d, %s: %d rows, want %d\n%s", leg, workers, c.name, len(got.Bindings), c.rows, g)
+	stores := edgeStores(t, base, adds, removes)
+	joinProbes(func(probe string) {
+		for leg, st := range stores {
+			for _, workers := range []int{1, 4} {
+				on, off := New(st), New(st)
+				on.MaxParallelism, off.MaxParallelism = workers, workers
+				off.DisableSpatialPushdown = true
+				for _, c := range cases {
+					if plan := explainText(t, on, "EXPLAIN "+c.q); !strings.Contains(plan, "spatial-join") {
+						t.Fatalf("%s did not plan as a spatial join:\n%s", c.name, plan)
+					}
+					want, err := off.Query(c.q)
+					if err != nil {
+						t.Fatalf("%s: %v", c.name, err)
+					}
+					got, err := on.Query(c.q)
+					if err != nil {
+						t.Fatalf("%s: %v", c.name, err)
+					}
+					w, g := strings.Join(orderedBindings(want), "\n"), strings.Join(orderedBindings(got), "\n")
+					if w != g {
+						t.Errorf("%s, %s, workers=%d, %s: pushdown on returned\n%s\nwant (pushdown off)\n%s", probe, leg, workers, c.name, g, w)
+					}
+					if len(got.Bindings) != c.rows {
+						t.Errorf("%s, %s, workers=%d, %s: %d rows, want %d\n%s", probe, leg, workers, c.name, len(got.Bindings), c.rows, g)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestDistanceJoinAcrossAntimeridian: a probe at 179.99°E finds the site
@@ -224,20 +243,54 @@ func TestDistanceJoinAcrossAntimeridian(t *testing.T) {
 	})
 	q := edgePrefixes + "SELECT ?s WHERE { ?p a ex:Probe . ?p <http://ex/geom> ?pg . " +
 		"?s a ex:Site . ?s <http://ex/geom> ?g . FILTER(strdf:distance(?pg, ?g) < 3000) }"
-	for _, push := range []bool{true, false} {
-		e := New(st)
-		e.DisableSpatialPushdown = !push
-		if push {
-			if plan := explainText(t, e, "EXPLAIN "+q); !strings.Contains(plan, "spatial-join") {
-				t.Fatalf("the probe × site distance did not plan as a spatial join:\n%s", plan)
+	joinProbes(func(probe string) {
+		for _, push := range []bool{true, false} {
+			e := New(st)
+			e.DisableSpatialPushdown = !push
+			if push {
+				if plan := explainText(t, e, "EXPLAIN "+q); !strings.Contains(plan, "spatial-join") {
+					t.Fatalf("the probe × site distance did not plan as a spatial join:\n%s", plan)
+				}
+			}
+			var got []string
+			for _, b := range e.MustQuery(q).Bindings {
+				got = append(got, strings.TrimPrefix(b["s"].Value, "http://ex/"))
+			}
+			if strings.Join(got, " ") != "across beside" {
+				t.Errorf("%s, pushdown=%v: sites %v, want [across beside]", probe, push, got)
 			}
 		}
-		var got []string
-		for _, b := range e.MustQuery(q).Bindings {
-			got = append(got, strings.TrimPrefix(b["s"].Value, "http://ex/"))
+	})
+}
+
+// TestOutOfRangeLongitude: a stored POINT (185 10) is not a geometry
+// (strdf rejects WGS84 longitudes past ±180°), so neither the spatial
+// join nor the unpushed filter finds it 0 m from a probe at (-175 10),
+// which no probe box around the probe would reach; an in-range site
+// beside the probe is found both ways, and a window does not return it.
+func TestOutOfRangeLongitude(t *testing.T) {
+	st := strabon.NewStore()
+	st.AddAll([]rdf.Triple{
+		edgeTriple("probe", "geom", "POINT (-175 10)"), edgeTriple("probe", "a", "Probe"),
+		edgeTriple("wrapped", "geom", "POINT (185 10)"), edgeTriple("wrapped", "a", "Site"),
+		edgeTriple("beside", "geom", "POINT (-175.01 10)"), edgeTriple("beside", "a", "Site"),
+	})
+	join := edgePrefixes + "SELECT ?s WHERE { ?p a ex:Probe . ?p <http://ex/geom> ?pg . " +
+		"?s a ex:Site . ?s <http://ex/geom> ?g . FILTER(strdf:distance(?pg, ?g) < 3000) }"
+	window := edgeWindow("?s a ex:Site . ?s <http://ex/geom> ?g .", "-175.1", "9.9", "-174.9", "10.1")
+	joinProbes(func(probe string) {
+		for _, push := range []bool{true, false} {
+			e := New(st)
+			e.DisableSpatialPushdown = !push
+			for _, q := range []string{join, window} {
+				var got []string
+				for _, b := range e.MustQuery(q).Bindings {
+					got = append(got, strings.TrimPrefix(b["s"].Value, "http://ex/"))
+				}
+				if strings.Join(got, " ") != "beside" {
+					t.Errorf("%s, pushdown=%v: sites %v, want [beside]\n%s", probe, push, got, q)
+				}
+			}
 		}
-		if strings.Join(got, " ") != "across beside" {
-			t.Errorf("pushdown=%v: sites %v, want [across beside]", push, got)
-		}
-	}
+	})
 }

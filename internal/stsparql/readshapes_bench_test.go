@@ -21,8 +21,9 @@ import (
 // process: a window read (hotspots meeting a 0.3° box), the same read
 // over a box covering every geometry (25,000 rows: the pushdown's widest
 // case), the Figure-3 catalogue search (sensor, time range, confidence
-// floor, ORDER BY LIMIT) and the hotspot × archaeological-site distance
-// join of one product. The store has the benchmark dataset's shape — 500 products of
+// floor, ORDER BY LIMIT), the hotspot × archaeological-site distance
+// join of one product, and a site × hotspot join whose inner run is the
+// few (50–250) hotspots above a high confidence floor. The store has the benchmark dataset's shape — 500 products of
 // 50 hotspots each over four sensors, xsd:dateTime acquisition times,
 // xsd:double confidences, plus 2,000 point sites — and is folded, so
 // every read goes through the packed image's posting lists, dictionary
@@ -136,6 +137,12 @@ func readShapeQueries(shape string, n int) []string {
 				"  ?h noa:hasGeometry ?hg .\n" +
 				"  ?site a gn:ArchaeologicalSite .\n  ?site noa:hasGeometry ?sg .\n" +
 				"  FILTER(strdf:distance(?hg, ?sg) < " + strconv.Itoa(4000+rng.Intn(2001)) + ")\n}"
+		case "join_selective":
+			out[i] = shapePrefixes + "SELECT ?site ?h WHERE {\n" +
+				"  ?site a gn:ArchaeologicalSite .\n  ?site noa:hasGeometry ?sg .\n" +
+				"  ?h noa:hasConfidence ?c .\n  ?h noa:hasGeometry ?hg .\n" +
+				"  FILTER(?c > " + strconv.FormatFloat(0.995+0.004*rng.Float64(), 'f', 4, 64) +
+				" && strdf:distance(?sg, ?hg) < " + strconv.Itoa(4000+rng.Intn(2001)) + ")\n}"
 		}
 	}
 	return out
@@ -145,7 +152,7 @@ func readShapeQueries(shape string, n int) []string {
 // shape, cycling through 32 parameterisations; run it with -benchmem.
 func BenchmarkReadShapes(b *testing.B) {
 	eng := New(readShapeStore())
-	for _, shape := range []string{"window", "window_all", "catalogue", "join"} {
+	for _, shape := range []string{"window", "window_all", "catalogue", "join", "join_selective"} {
 		b.Run(shape, func(b *testing.B) {
 			queries := readShapeQueries(shape, 32)
 			for _, q := range queries { // parse once, outside the timer

@@ -195,24 +195,26 @@ func TestDistancePushdownHighLatitude(t *testing.T) {
 			?s a ex:Site . ?s noa:hasGeometry ?g .
 			FILTER(strdf:distance(?pg, ?g) < 6000) }`: "near60 footprint60 acrossPole",
 	}
-	for q, want := range queries {
-		for _, push := range []bool{true, false} {
-			e := New(st)
-			e.DisableSpatialPushdown = !push
-			var got []string
-			for _, b := range e.MustQuery(q).Bindings {
-				got = append(got, strings.TrimPrefix(b["s"].Value, exNS))
-			}
-			if strings.Join(got, " ") != want {
-				t.Errorf("pushdown=%v: sites %v, want %s\n%s", push, got, want, q)
-			}
-			if push && strings.Contains(q, "(?pg, ?g)") {
-				if plan := explainText(t, e, "EXPLAIN "+q); !strings.Contains(plan, "spatial-join") {
-					t.Errorf("the probe × site distance did not plan as a spatial join:\n%s", plan)
+	joinProbes(func(probe string) {
+		for q, want := range queries {
+			for _, push := range []bool{true, false} {
+				e := New(st)
+				e.DisableSpatialPushdown = !push
+				var got []string
+				for _, b := range e.MustQuery(q).Bindings {
+					got = append(got, strings.TrimPrefix(b["s"].Value, exNS))
+				}
+				if strings.Join(got, " ") != want {
+					t.Errorf("%s, pushdown=%v: sites %v, want %s\n%s", probe, push, got, want, q)
+				}
+				if push && strings.Contains(q, "(?pg, ?g)") {
+					if plan := explainText(t, e, "EXPLAIN "+q); !strings.Contains(plan, "spatial-join") {
+						t.Errorf("the probe × site distance did not plan as a spatial join:\n%s", plan)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestAsk(t *testing.T) {

@@ -655,6 +655,13 @@ func (v *vexec) evalPatternPerRow(n *planNode, pat Pattern, constPat strabon.Tri
 	return out, nil
 }
 
+// joinScanMaxRows is the largest spatial-join inner run that each outer
+// row scans rather than probing the view's R-tree: a probe costs the
+// same however few of the view's geometries the inner run holds, a scan
+// at most joinScanMaxRows envelope tests. A variable so that the join
+// tests can run either way over small fixtures.
+var joinScanMaxRows = 256
+
 // evalSpatialJoin joins the rows so far (outer) to the node's pattern
 // run (inner) on its spatial conjunct. The run shares no variable with
 // the outer rows, so it is evaluated once from the seed row. It binds
@@ -664,6 +671,8 @@ func (v *vexec) evalPatternPerRow(n *planNode, pat Pattern, constPat strabon.Tri
 // spatial candidates near its geometry, mapped to the inner rows holding
 // them, are the inner rows that can satisfy the conjunct, and the
 // conjunct is then checked exactly on those, in ascending inner order.
+// An inner run of at most joinScanMaxRows rows is instead scanned: its
+// rows whose envelope meets the probe box are the same candidates.
 // Since the cross product would emit, for each outer row in order, every
 // inner row in order, the output is that cross product filtered, row
 // for row. Morsels split the outer rows.
@@ -684,6 +693,8 @@ func (v *vexec) evalSpatialJoin(n *planNode, outer *vtable) (*vtable, error) {
 	}
 	gs := v.slotOf(n.sj.inner)
 	withGeom := make([]int32, 0, inner.n())
+	var envs []geo.Envelope // withGeom's envelopes, when the inner run is scanned
+	scan := inner.n() <= joinScanMaxRows
 	// Empty geometries have empty envelopes, which no probe meets; only
 	// an empty outer geometry can relate to them (strdf:equals).
 	var empties []int32
@@ -699,10 +710,16 @@ func (v *vexec) evalSpatialJoin(n *planNode, outer *vtable) (*vtable, error) {
 		default:
 			withGeom = append(withGeom, int32(c))
 			innerLat = max(innerLat, math.Abs(env.MinY), math.Abs(env.MaxY))
+			if scan {
+				envs = append(envs, env)
+			}
 		}
 	}
 	// byGeom maps a geometry id to the inner rows holding it, ascending.
-	byGeom := buildJoinTable(withGeom, func(c int32) uint64 { return inner.get(int(c), gs) }, hashID)
+	var byGeom *idTable[uint64]
+	if !scan {
+		byGeom = buildJoinTable(withGeom, func(c int32) uint64 { return inner.get(int(c), gs) }, hashID)
+	}
 	var innerSlots []int
 	for _, nd := range n.inner.nodes {
 		for _, name := range nd.pat.Vars() {
@@ -735,8 +752,14 @@ func (v *vexec) evalSpatialJoin(n *planNode, outer *vtable) (*vtable, error) {
 			cands = cands[:0]
 			if env := g.Geom.Envelope(); env.IsEmpty() {
 				cands = append(cands, empties...)
+			} else if box := geo.ExpandMeters(env, n.sj.meters, innerLat); scan {
+				for i, e := range envs {
+					if e.Intersects(box) {
+						cands = append(cands, withGeom[i])
+					}
+				}
 			} else {
-				ids = v.snap.AppendSpatialCandidates(geo.ExpandMeters(env, n.sj.meters, innerLat), ids[:0])
+				ids = v.snap.AppendSpatialCandidates(box, ids[:0])
 				for _, id := range ids {
 					cands = append(cands, byGeom.bucket(id, hashID(id))...)
 				}
